@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import farey
 from .farey import MappingClass, Slope, act
-from .subgroups import MatrixGroup, enumerate_ball
+from .subgroups import MatrixGroup, enumerate_ball, group_is_finite
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,6 @@ def build_ball(factors: list, radius: int) -> TreeBall:
 
 
 def _factor_closed(f: FactorSpec) -> bool:
-    from .subgroups import group_is_finite
     finite, _ = group_is_finite(f.group, f.budget)
     return finite
 

@@ -236,16 +236,11 @@ def cmd_tree(args):
                          "distance": ball.distance[v]})
         return PASS, recs, None
     if args.action == "qi":
-        ball = build_ball(family.factors, args.radius)
-        images = phi(ball, Slope.parse(args.base_curve))
-        rep = qi_certificate(ball, images, kappa=args.kappa)
-        rec = {"record": "qi-certificate", "radius": args.radius,
-               "pairs": len(rep.pairs), "min_ratio": rep.min_ratio,
-               "kappa_witness": rep.kappa_witness,
-               "benchmark_half_dT_minus_4": rep.benchmark_ok,
-               "kappa_given": rep.kappa_given, "kappa_given_ok": rep.kappa_given_ok,
-               "envelope": {str(k): v for k, v in sorted(rep.lower_envelope.items())},
-               "fit": rep.fit}
+        rep, rec = _qi_certificate(family.factors, args.radius,
+                                   Slope.parse(args.base_curve), args.kappa)
+        rec.update({"kappa_given": rep.kappa_given, "kappa_given_ok": rep.kappa_given_ok,
+                    "envelope": {str(k): v for k, v in sorted(rep.lower_envelope.items())},
+                    "fit": rep.fit})
         code = PASS if rep.benchmark_ok and (rep.kappa_given_ok in (None, True)) else FAIL
         return code, [rec], rep.pairs
     rep = free_product_check(family.factors, budget=args.budget)
@@ -254,6 +249,18 @@ def cmd_tree(args):
            "no_relation": rep.no_relation, "words_checked": rep.words_checked,
            "witness": _witness_json(rep.witness)}
     return PASS, [rec], None
+
+
+def _qi_certificate(factors, radius: int, base: Slope, kappa=None):
+    """The embedding certificate on the tree ball of `radius` with its orbit
+    map through `base`, and the qi-certificate record every command shares."""
+    ball = build_ball(factors, radius)
+    rep = qi_certificate(ball, phi(ball, base), kappa=kappa)
+    rec = {"record": "qi-certificate", "radius": radius,
+           "pairs": len(rep.pairs), "min_ratio": rep.min_ratio,
+           "kappa_witness": rep.kappa_witness,
+           "benchmark_half_dT_minus_4": rep.benchmark_ok}
+    return rep, rec
 
 
 def _witness_json(witness):
@@ -298,13 +305,8 @@ def cmd_experiment(args):
                     "window_ok": tw.distance_window_ok},
                    {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
                     "ok": tw.misalignment.ok}]
-        ball = build_ball(tw.family.factors, args.radius)
-        images = phi(ball, tw.base)
-        qi = qi_certificate(ball, images)
-        records.append({"record": "qi-certificate", "radius": args.radius,
-                        "pairs": len(qi.pairs), "min_ratio": qi.min_ratio,
-                        "kappa_witness": qi.kappa_witness,
-                        "benchmark_half_dT_minus_4": qi.benchmark_ok})
+        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius, tw.base)
+        records.append(qi_rec)
         records.append({"record": "family-json", "family": family_to_json(tw.family)})
         ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
         return (PASS if ok else FAIL), records, qi.pairs
@@ -330,9 +332,7 @@ def cmd_experiment(args):
                                 factor_budget=args.factor_budget)
         sep_at_D = check_separated(tw.family, int(D))
         mis_at_A = check_misaligned(tw.family, A)
-        ball = build_ball(tw.family.factors, args.radius)
-        images = phi(ball, tw.base)
-        qi = qi_certificate(ball, images)
+        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius, tw.base)
         fp = free_product_check(tw.family.factors, budget=args.budget)
         rng2 = random.Random(seed + 11)
         words = [bassserre.random_alternating_word(tw.family.factors, rng2)
@@ -344,10 +344,7 @@ def cmd_experiment(args):
             {"record": "free-product", "budget": args.budget,
              "identity_convention": "projective",
              "no_relation": fp.no_relation, "witness": _witness_json(fp.witness)},
-            {"record": "qi-certificate", "radius": args.radius,
-             "pairs": len(qi.pairs), "min_ratio": qi.min_ratio,
-             "kappa_witness": qi.kappa_witness,
-             "benchmark_half_dT_minus_4": qi.benchmark_ok},
+            qi_rec,
             {"record": "loxodromic-scan", "checked": lox.checked,
              "skipped": lox.skipped, "all_loxodromic": lox.all_loxodromic},
         ]
@@ -382,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
-    p = argparse.ArgumentParser(prog="rgflab", description=__doc__, parents=[shared])
+    # shared flags belong to the subcommands only: on the top-level parser
+    # too, the subcommand's defaults would overwrite the values given there
+    p = argparse.ArgumentParser(prog="rgflab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -459,50 +458,47 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_defaults(parser: argparse.ArgumentParser, args) -> dict | None:
+    """Make the values of the `--config` file defaults of the chosen
+    subcommand's parser, so flags given on the command line still override
+    them.  Returns the file's values, or None without `--config`."""
+    if args.config is None:
+        return None
+    try:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit_usage(f"cannot read config {args.config}: {exc}")
+    if not isinstance(conf, dict):
+        raise SystemExit_usage(f"config {args.config} must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    defaults = {}
+    for key, value in conf.items():
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None:
+            raise SystemExit_usage(f"unknown config key {key!r} for {args.command}")
+        # argparse converts string defaults with the flag's type but never
+        # checks them against its choices
+        if action.choices is not None and str(value) not in action.choices:
+            raise SystemExit_usage(f"config key {key!r}: {value!r} not in {list(action.choices)}")
+        defaults[action.dest] = str(value)
+    sub.set_defaults(**defaults)
+    return conf
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # config file: values splice in right after the subcommand, so explicit
-    # flags given later still override them
-    if "--config" in argv:
-        i = argv.index("--config")
-        with open(argv[i + 1]) as fh:
-            conf = json.load(fh)
-        argv = argv[:i] + argv[i + 2:]
-        extra = []
-        for k, v in conf.items():
-            extra += [f"--{k.replace('_', '-')}", str(v)]
-        takes_value = {"--output", "--format", "--seed"}
-        cmd_at = None
-        skip = False
-        for pos, tok in enumerate(argv):
-            if skip:
-                skip = False
-                continue
-            if tok in takes_value:
-                skip = True
-                continue
-            if not tok.startswith("-"):
-                cmd_at = pos
-                break
-        if cmd_at is None:
-            print("usage error: --config requires a subcommand", file=sys.stderr)
-            return USAGE
-        # subcommands may carry one positional action/kind token next
-        insert_at = cmd_at + 1
-        if insert_at < len(argv) and not argv[insert_at].startswith("-"):
-            insert_at += 1
-        argv = argv[:insert_at] + extra + argv[insert_at:]
     try:
         args = parser.parse_args(argv)
+        conf = _config_defaults(parser, args)
+        if conf is not None:
+            args = parser.parse_args(argv)
+        code, records, pairs = args.func(args)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    try:
-        code, records, pairs = args.func(args)
-    except SystemExit_usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as exc:
+    except (SystemExit_usage, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
     echoed = []
@@ -519,6 +515,8 @@ def main(argv=None) -> int:
     if seed_used is None and os.environ.get(SEED_ENV) is not None:
         seed_used = int(os.environ[SEED_ENV])
     config_echo = {"record": "config", "argv": echoed, "seed": seed_used}
+    if conf is not None:
+        config_echo["config_values"] = conf
     records = [config_echo] + records
     if args.format == "csv" and pairs is not None:
         emit_csv(pairs, args.output)

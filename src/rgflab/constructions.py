@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
-from .bassserre import FactorSpec
+from .bassserre import FactorSpec, free_product_check
 from .projections import TorusAnnuli, estimate_constants
 
 
@@ -33,10 +33,6 @@ class FamilySpec:
         return self.factors[i].boundary
 
 
-def _set_dist(A, B) -> int:
-    return farey.slope_set_distance(A, B)
-
-
 @dataclass
 class SeparationReport:
     D: int
@@ -54,7 +50,7 @@ def check_separated(family: FamilySpec, D: int) -> SeparationReport:
     minimum = None
     for i in range(n):
         for j in range(i + 1, n):
-            d = _set_dist(bs[i], bs[j])
+            d = farey.slope_set_distance(bs[i], bs[j])
             matrix[i][j] = matrix[j][i] = d
             if minimum is None or d < minimum:
                 minimum = d
@@ -72,7 +68,8 @@ class MisalignmentReport:
 
 def gromov_product_sets(A, B, C) -> Fraction:
     """(A | B)_C with distances taken as diameters of unions."""
-    return Fraction(_set_dist(C, A) + _set_dist(B, C) - _set_dist(A, B), 2)
+    return Fraction(farey.slope_set_distance(C, A) + farey.slope_set_distance(B, C)
+                    - farey.slope_set_distance(A, B), 2)
 
 
 def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
@@ -141,7 +138,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     sep_ok = True
     for i in range(n):
         for j in range(i + 1, n):
-            if _set_dist(family.beta(i), family.beta(j)) < 5:
+            if farey.slope_set_distance(family.beta(i), family.beta(j)) < 5:
                 sep_ok = False
 
     witnesses = {}
@@ -194,7 +191,7 @@ def definite_distance_scan(factor: FactorSpec, sample_curves, M_emp: int) -> Def
     count = 0
     boundary = factor.boundary
     for a in sample_curves:
-        d_bdry = _set_dist({a}, boundary)
+        d_bdry = farey.slope_set_distance({a}, boundary)
         if d_bdry <= 3:
             continue
         for g in factor.elements():
@@ -250,6 +247,13 @@ def separation_constants(Kp, delta) -> tuple:
 # Family generators.
 
 
+def _estimated_M(seed: int) -> int:
+    """Geodesic-image bound M_emp from a small seeded torus sample, for
+    family generators called without one."""
+    return estimate_constants(TorusAnnuli(), seed=seed, n_triples=400,
+                              n_geodesics=200, qmax=500).M_emp
+
+
 def slope_at_distance(base: Slope, d: int) -> Slope:
     """Deterministic slope at exact Farey distance d from base.
 
@@ -301,9 +305,7 @@ def twist_orbit_family(dprime: int, base: Slope = Slope(0, 1), window: int = 5,
     if dprime <= 8:
         raise ValueError("need D' > 8")
     if M_emp is None:
-        est = estimate_constants(TorusAnnuli(), seed=seed, n_triples=400,
-                                 n_geodesics=200, qmax=500)
-        M_emp = est.M_emp
+        M_emp = _estimated_M(seed)
     y = slope_at_distance(base, dprime)
     D = dprime - 8
     ks = [k - (window - 1) // 2 for k in range(window)]
@@ -362,9 +364,7 @@ def conjugate_twist_family(D: int, alpha: Slope | None = None,
     if farey.farey_distance(alpha, beta) < D:
         raise ValueError("alpha and beta closer than D")
     if M_emp is None:
-        est = estimate_constants(TorusAnnuli(), seed=seed, n_triples=400,
-                                 n_geodesics=200, qmax=500)
-        M_emp = est.M_emp
+        M_emp = _estimated_M(seed)
     t_power = twist_power if twist_power is not None else M_emp + 2
     T = twist_about(alpha, t_power)
     t_beta = act(T, beta)
@@ -380,7 +380,6 @@ def conjugate_twist_family(D: int, alpha: Slope | None = None,
     sep = check_separated(fam, D)
     mis = check_misaligned(fam, 2)
 
-    from .bassserre import free_product_check
     rep = free_product_check(fam.factors, budget=relation_budget)
     return ConjugateTwistFindings(fam, T, sep, mis, rep.witness,
                                   not rep.no_relation, D)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from . import farey
+
 
 class GeodesicsUnsupported(RuntimeError):
     """Raised by checks that need actual geodesics from an oracle without them."""
@@ -239,19 +241,11 @@ def random_tree(n: int, seed: int) -> GraphOracle:
     return GraphOracle(adj)
 
 
-def tree_path_between(oracle: GraphOracle, a, b) -> list:
-    return oracle.geodesic(a, b)
-
-
 class FareyOracle:
     """Distance oracle adapter for the Farey graph with exact geodesics."""
 
-    def __init__(self):
-        from . import farey
-        self._farey = farey
-
     def dist(self, a, b) -> int:
-        return self._farey.farey_distance(a, b)
+        return farey.farey_distance(a, b)
 
     def geodesic(self, a, b) -> list:
-        return self._farey.farey_geodesic(a, b)
+        return farey.farey_geodesic(a, b)

@@ -13,6 +13,7 @@ are both runnable.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import farey
 from .farey import Slope, act, twist_about
 from .hypgraph import GraphOracle
+from .raag import nearest_overlaps
 
 
 @dataclass
@@ -461,19 +463,7 @@ def persistence_check(system, sequence, M: int | None = None, B: int | None = No
 def iota_tau_indices(system, sequence) -> tuple:
     """Nearest-overlapping predecessor and successor for each index."""
     seq = list(sequence)
-    n = len(seq)
-    iota = [None] * n
-    tau = [None] * n
-    for j in range(n):
-        for t in range(j - 1, -1, -1):
-            if system.overlaps(seq[t], seq[j]):
-                iota[j] = t
-                break
-        for t in range(j + 1, n):
-            if system.overlaps(seq[j], seq[t]):
-                tau[j] = t
-                break
-    return iota, tau
+    return nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
 
 
 @dataclass
@@ -490,7 +480,7 @@ class GeneralPersistenceReport:
 
 def greedy_overlap_chain(system, sequence) -> list:
     """Index chain 0, tau(0), tau(tau(0)), ... of consecutive overlaps."""
-    iota, tau = iota_tau_indices(system, sequence)
+    _, tau = iota_tau_indices(system, sequence)
     chain = [0]
     while tau[chain[-1]] is not None:
         chain.append(tau[chain[-1]])
@@ -542,7 +532,6 @@ def general_persistence_check(system, sequence, M: int | None = None,
 
 
 def random_slope(rng: random.Random, qmax: int) -> Slope:
-    import math
     while True:
         q = rng.randrange(0, qmax + 1)
         if q == 0:
@@ -591,7 +580,6 @@ def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
     is re-validated on a disjoint fresh sample; `stable` records agreement.
     Systems without ambient geodesics get M_emp = None.
     """
-    rng = random.Random(seed)
 
     def scan_B(r):
         return behrstock_scan(system, sample_overlapping_triples(system, n_triples, r, qmax),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -271,24 +272,30 @@ def letters_overlap(graph: PresentationGraph, gi: int, gj: int) -> bool:
     return gi != gj and not graph.commute(gi, gj)
 
 
+def nearest_overlaps(n: int, overlap) -> tuple:
+    """(iota, tau) for positions 0..n-1: iota[j] is the largest t < j and
+    tau[j] the least t > j with overlap(min(j, t), max(j, t)), None where no
+    such t exists."""
+    iota = [None] * n
+    tau = [None] * n
+    for j in range(n):
+        for t in range(j - 1, -1, -1):
+            if overlap(t, j):
+                iota[j] = t
+                break
+        for t in range(j + 1, n):
+            if overlap(j, t):
+                tau[j] = t
+                break
+    return iota, tau
+
+
 def iota_tau(overlaps: list) -> tuple:
     """Brute-force nearest-overlapping indices for a 0-indexed sequence.
 
     overlaps[j][t] is a symmetric boolean table.
     """
-    n = len(overlaps)
-    iota = [None] * n
-    tau = [None] * n
-    for j in range(n):
-        for t in range(j - 1, -1, -1):
-            if overlaps[j][t]:
-                iota[j] = t
-                break
-        for t in range(j + 1, n):
-            if overlaps[j][t]:
-                tau[j] = t
-                break
-    return iota, tau
+    return nearest_overlaps(len(overlaps), lambda i, j: overlaps[i][j])
 
 
 def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -> Bookkeeping:
@@ -359,7 +366,6 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
 def power_threshold(c, B: int, M: int, D: int):
     """Exponent threshold (B + 6M + D) / c beyond which alternating powers
     keep all consecutive projections large."""
-    from fractions import Fraction
     c = Fraction(c)
     if c <= 0:
         raise ValueError("translation constant must be positive")

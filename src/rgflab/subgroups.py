@@ -73,12 +73,9 @@ class MatrixGroup:
         return out
 
 
-def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
-    """Shortlex ball {word: matrix} over generators and inverses.
-
-    Keys are exact matrix entries (no projective collapsing); the identity is
-    enumerated first.
-    """
+def _ball(group: MatrixGroup, length: int | None) -> tuple:
+    """BFS ball {entries: matrix} of the given radius (the group's budget by
+    default), and whether it closed: some sphere inside the radius was empty."""
     length = group.budget if length is None else length
     steps = group.step_generators()
     seen = {MappingClass.identity().entries(): MappingClass.identity()}
@@ -94,47 +91,47 @@ def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
                     nxt.append(cand)
         frontier = nxt
         if not frontier:
-            break
-    return seen
+            return seen, True
+    return seen, False
+
+
+def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
+    """Shortlex ball {word: matrix} over generators and inverses.
+
+    Keys are exact matrix entries (no projective collapsing); the identity is
+    enumerated first.
+    """
+    return _ball(group, length)[0]
 
 
 def group_is_finite(group: MatrixGroup, length: int | None = None):
     """(finite?, size_or_None): exact when the ball closes within the budget."""
-    length = group.budget if length is None else length
-    steps = group.step_generators()
-    seen = {MappingClass.identity().entries()}
-    frontier = [MappingClass.identity()]
-    for _ in range(length):
-        nxt = []
-        for m in frontier:
-            for s in steps:
-                cand = m.mul(s)
-                if cand.entries() not in seen:
-                    seen.add(cand.entries())
-                    nxt.append(cand)
-        if not nxt:
-            return True, len(seen)
-        frontier = nxt
-    return False, None
+    seen, closed = _ball(group, length)
+    return (True, len(seen)) if closed else (False, None)
 
 
-def common_parabolic_fixed_slope(group: MatrixGroup) -> Slope | None:
-    """The common fixed slope when every generator is parabolic or central
-    and the parabolic ones agree; None otherwise."""
-    slope = None
-    saw_parabolic = False
+def _parabolic_generators(group: MatrixGroup) -> tuple:
+    """([(generator, fixed slope)] over the parabolic generators, skipping
+    central ones; or (None, (tag, generator)) for the first generator that is
+    neither parabolic nor central."""
+    parabolics = []
     for g in group.generators:
         t = nielsen_thurston_type(g)
         if t.tag == CENTRAL:
             continue
         if t.tag != REDUCIBLE:
-            return None
-        saw_parabolic = True
-        if slope is None:
-            slope = t.fixed_slope
-        elif slope != t.fixed_slope:
-            return None
-    return slope if saw_parabolic else None
+            return None, (t.tag, g)
+        parabolics.append((g, t.fixed_slope))
+    return parabolics, None
+
+
+def common_parabolic_fixed_slope(group: MatrixGroup) -> Slope | None:
+    """The common fixed slope when every generator is parabolic or central
+    and the parabolic ones agree; None otherwise."""
+    parabolics, _ = _parabolic_generators(group)
+    if not parabolics or len({s for _, s in parabolics}) > 1:
+        return None
+    return parabolics[0][1]
 
 
 @dataclass
@@ -268,20 +265,13 @@ def is_multitwist(group: MatrixGroup, word_budget: int = 4) -> MultitwistReport:
     central and the parabolic ones share a fixed slope (one curve suffices on
     the torus).  Failing pairs get, when possible, a short word of trace
     above 2 as an explicit witness."""
-    slope = None
-    parabolics = []
-    for g in group.generators:
-        t = nielsen_thurston_type(g)
-        if t.tag == CENTRAL:
-            continue
-        if t.tag != REDUCIBLE:
-            return MultitwistReport(False, None, (t.tag, g))
-        parabolics.append((g, t.fixed_slope))
-        if slope is None:
-            slope = t.fixed_slope
+    parabolics, offender = _parabolic_generators(group)
+    if offender is not None:
+        return MultitwistReport(False, None, offender)
+    slope = parabolics[0][1] if parabolics else None
     for g, s in parabolics:
         if s != slope:
-            first = next(h for h, s0 in parabolics if s0 == slope)
+            first = parabolics[0][0]
             witness = _pseudo_anosov_word(MatrixGroup((first, g)), word_budget)
             return MultitwistReport(False, None, witness if witness else (first, g))
     return MultitwistReport(True, slope, None)

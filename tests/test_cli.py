@@ -189,6 +189,42 @@ class TestExperiments:
         assert rec["seed"] == 9 and rec["points"] == 8
 
 
+CONFIG_ROWS = [
+    # (id, config file text or None for a missing file, extra flags,
+    #  exit code, points in the report)
+    ("missing-file", None, [], USAGE, None),
+    ("truncated-json", '{"seed": 9, "poi', [], USAGE, None),
+    ("unknown-key", '{"seed": 9, "bogus": 1}', [], USAGE, None),
+    ("flag-overrides-file", '{"seed": 9, "points": 8, "qmax": 10}', ["--points", "6"], PASS, 6),
+    ("file-values-echoed", '{"seed": 9, "points": 8, "qmax": 10}', [], PASS, 8),
+]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, flags, code, points", [r[1:] for r in CONFIG_ROWS],
+                             ids=[r[0] for r in CONFIG_ROWS])
+    def test_config_rows(self, tmp_path, capsys, text, flags, code, points):
+        conf = tmp_path / "conf.json"
+        if text is not None:
+            conf.write_text(text)
+        out = tmp_path / "o.jsonl"
+        assert main(["delta-estimate", "--config", str(conf), *flags,
+                     "--output", str(out)]) == code
+        if code == USAGE:
+            assert len(capsys.readouterr().err.splitlines()) == 1
+            assert not out.exists()
+            return
+        config, rec = [json.loads(l) for l in out.read_text().splitlines()]
+        assert rec["points"] == points and rec["seed"] == 9
+        assert config["config_values"] == json.loads(text)
+
+    def test_shared_flag_before_subcommand_is_usage_error(self, tmp_path):
+        out = tmp_path / "o.jsonl"
+        code = main(["--output", str(out), "delta-estimate", "--seed", "3",
+                     "--points", "6", "--qmax", "8"])
+        assert code == USAGE and not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         outs = []
