@@ -14,6 +14,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -112,11 +113,19 @@ class SystemExit_usage(Exception):
     pass
 
 
+def _slope_arg(text: str) -> Slope:
+    """argparse type for slope arguments, so a malformed one is a usage error."""
+    try:
+        return Slope.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
 def cmd_farey(args):
-    a, b = Slope.parse(args.a), Slope.parse(args.b)
+    a, b = args.a, args.b
     if args.action == "dist":
         d = farey.farey_distance(a, b)
         bfs, stable = farey.stabilized_bfs_distance(a, b, args.oracle_bound)
@@ -188,7 +197,7 @@ def cmd_persistence(args):
 def cmd_raag(args):
     graph = raag.PresentationGraph.of(args.vertices, [tuple(e) for e in json.loads(args.edges)])
     if args.action == "nf":
-        w = _parse_word(args.word)
+        w = _parse_word(args.word, args.vertices)
         nf = raag.normal_form(graph, w)
         rec = {"record": "raag-nf", "input": _word_str(w), "normal_form": _word_str(nf)}
         return PASS, [rec], None
@@ -197,18 +206,17 @@ def cmd_raag(args):
     return PASS, [rec], None
 
 
-def _parse_word(text: str) -> tuple:
-    # "x1^2 x2^-1 x3" with 1-based generator names
+def _parse_word(text: str, vertices: int) -> tuple:
+    # "x1^2 x2^-1 x3" with 1-based generator names x1..x{vertices}
     out = []
     for tok in text.split():
-        if not tok.startswith("x"):
+        m = re.fullmatch(r"x(\d+)(?:\^([+-]?\d+))?", tok)
+        if m is None:
             raise SystemExit_usage(f"bad syllable {tok!r}")
-        body = tok[1:]
-        if "^" in body:
-            g, e = body.split("^")
-        else:
-            g, e = body, "1"
-        out.append((int(g) - 1, int(e)))
+        g, e = int(m[1]), int(m[2] or 1)
+        if not 1 <= g <= vertices:
+            raise SystemExit_usage(f"generator x{g} outside graph with {vertices} vertices")
+        out.append((g - 1, e))
     return tuple(out)
 
 
@@ -236,8 +244,7 @@ def cmd_tree(args):
                          "distance": ball.distance[v]})
         return PASS, recs, None
     if args.action == "qi":
-        rep, rec = _qi_certificate(family.factors, args.radius,
-                                   Slope.parse(args.base_curve), args.kappa)
+        rep, rec = _qi_certificate(family.factors, args.radius, args.base_curve, args.kappa)
         rec.update({"kappa_given": rep.kappa_given, "kappa_given_ok": rep.kappa_given_ok,
                     "envelope": {str(k): v for k, v in sorted(rep.lower_envelope.items())},
                     "fit": rep.fit})
@@ -389,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = add_parser("farey", help="exact Farey distances and geodesics")
     pf.add_argument("action", choices=("dist", "geodesic"))
-    pf.add_argument("a")
-    pf.add_argument("b")
+    pf.add_argument("a", type=_slope_arg)
+    pf.add_argument("b", type=_slope_arg)
     pf.add_argument("--oracle-bound", type=int, default=64)
     pf.set_defaults(func=cmd_farey)
 
@@ -426,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("action", choices=("build", "qi", "free-product"))
     pt.add_argument("--family", required=True, help="FamilySpec JSON file")
     pt.add_argument("--radius", type=int, default=4)
-    pt.add_argument("--base-curve", default="1/1")
+    pt.add_argument("--base-curve", type=_slope_arg, default="1/1")
     pt.add_argument("--kappa", type=int)
     pt.add_argument("--budget", type=int, default=8)
     pt.set_defaults(func=cmd_tree)
@@ -458,6 +465,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def _echoed_argv(sub: argparse.ArgumentParser, argv) -> list:
+    """The command line without `--output` and `--config` and their values,
+    in every form the subcommand's parser accepts (`--output P`,
+    `--output=P`, abbreviations such as `--out P`), so that the `config`
+    record does not depend on where the report is written."""
+    known = sub._option_string_actions
+    dropped = {known["--output"], known["--config"]}
+    echoed = []
+    skip = False
+    for tok in argv:
+        if skip:
+            skip = False
+            continue
+        name, eq, _ = tok.partition("=")
+        if name.startswith("--"):
+            matches = [name] if name in known else [s for s in known if s.startswith(name)]
+            if len(matches) == 1 and known[matches[0]] in dropped:
+                skip = not eq
+                continue
+        echoed.append(tok)
+    return echoed
+
+
 def _config_defaults(parser: argparse.ArgumentParser, args) -> dict | None:
     """Make the values of the `--config` file defaults of the chosen
     subcommand's parser, so flags given on the command line still override
@@ -471,8 +506,7 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> dict | None:
         raise SystemExit_usage(f"cannot read config {args.config}: {exc}")
     if not isinstance(conf, dict):
         raise SystemExit_usage(f"config {args.config} must hold a JSON object")
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    sub = _subparser(parser, args.command)
     defaults = {}
     for key, value in conf.items():
         action = sub._option_string_actions.get("--" + key.replace("_", "-"))
@@ -501,16 +535,7 @@ def main(argv=None) -> int:
     except (SystemExit_usage, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    echoed = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok in ("--output", "--config"):
-            skip = True
-            continue
-        echoed.append(tok)
+    echoed = _echoed_argv(_subparser(parser, args.command), argv)
     seed_used = getattr(args, "seed", None)
     if seed_used is None and os.environ.get(SEED_ENV) is not None:
         seed_used = int(os.environ[SEED_ENV])

@@ -193,6 +193,8 @@ def _distance_profile(p: int, q: int) -> list:
     tree: every geodesic leaving p/q first steps to one of its two mediant
     parents, and fans of intermediate fractions collapse to the closed form
       D_{k+1} = min(1 + D_k, a_{k+1} + min(D_k, D_{k-1})).
+    The whole profile is what `_geodesic_from_infinity` walks back along; its
+    last entry is the test oracle for the one-pass `_distance_to_infinity`.
     """
     cf = _continued_fraction(p, q)
     dists = [0, 1]
@@ -202,11 +204,34 @@ def _distance_profile(p: int, q: int) -> list:
 
 
 def _distance_to_infinity(s: Slope) -> int:
+    """Farey distance from 1/0 to s in one pass of Euclid's algorithm.
+
+    Solves the recursion of `_distance_profile` exactly.  By induction on k,
+    0 <= D_k - D_{k-1} <= 1: it holds for D_0 - D_{-1} = 1, and if it holds
+    at k then, after a rise (D_k = D_{k-1} + 1), the recursion gives
+    D_{k+1} = min(D_k + 1, D_k + a_{k+1} - 1), and after a flat step
+    (D_k = D_{k-1}) it gives D_k + 1 because a_{k+1} >= 1.  So every step
+    rises by one, except that a partial quotient a_{k+1} = 1 right after a
+    rise leaves the distance flat.  The loop skips a_0 and keeps only the
+    distance `d` and whether the last step rose; a quotient of 1 is
+    recognised by p - q < q, which saves the division for it.
+    """
     if s.is_infinity:
         return 0
-    if s.q == 1:
-        return 1
-    return _distance_profile(s.p, s.q)[-1]
+    p, q = s.q, s.p % s.q
+    d, up = 1, True
+    while q:
+        r = p - q
+        if r < q:  # a_{k+1} = 1
+            p, q = q, r
+            if up:
+                up = False
+                continue
+        else:
+            p, q = q, r % q
+        d += 1
+        up = True
+    return d
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
@@ -325,11 +350,13 @@ def annular_distance(alpha: Slope, beta, gamma) -> int:
     """
     bs = {beta} if isinstance(beta, Slope) else set(beta)
     gs = {gamma} if isinstance(gamma, Slope) else set(gamma)
-    proj = annular_projection_set(alpha, bs) | annular_projection_set(alpha, gs)
-    if not proj:
+    pb = annular_projection_set(alpha, bs)
+    pg = annular_projection_set(alpha, gs)
+    if not pb and not pg:
         raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
-    if not annular_projection_set(alpha, bs) or not annular_projection_set(alpha, gs):
+    if not pb or not pg:
         raise EmptyProjectionError(f"one side does not project to {alpha}")
+    proj = pb | pg
     return max(proj) - min(proj)
 
 

@@ -38,7 +38,7 @@ class PresentationGraph:
     def check_word(self, word):
         for g, _ in word:
             if not 0 <= g < self.n:
-                raise ValueError(f"generator x{g} outside graph with {self.n} vertices")
+                raise ValueError(f"generator x{g + 1} outside graph with {self.n} vertices")
 
 
 Word = tuple  # tuple of (generator, exponent) pairs
@@ -330,7 +330,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
             raise ValueError("empty subword after reduction breaks alternation")
         for g, _ in nf:
             if part_of[g] != k:
-                raise ValueError(f"generator x{g} not in part {k}")
+                raise ValueError(f"generator x{g + 1} not in part {k}")
         sigma.append(len(letters))
         letters.extend(nf)
 

@@ -42,6 +42,25 @@ class TestFareyCommands:
         assert main(["farey", "dist", "1/0"]) == USAGE
 
 
+BAD_SLOPE_ROWS = [
+    # (id, argv, the malformed slope)
+    ("letters", ["farey", "dist", "abc", "1/2"], "abc"),
+    ("zero-vector", ["farey", "dist", "0/0", "1/2"], "0/0"),
+    ("second-argument", ["farey", "geodesic", "1/2", "1/x"], "1/x"),
+    ("base-curve", ["tree", "qi", "--family", "FAMILY", "--base-curve", "1/2/3"], "1/2/3"),
+]
+
+
+@pytest.mark.parametrize("argv, bad", [r[1:] for r in BAD_SLOPE_ROWS],
+                         ids=[r[0] for r in BAD_SLOPE_ROWS])
+def test_malformed_slope_is_usage_error(argv, bad, family_file, tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    argv = [family_file if tok == "FAMILY" else tok for tok in argv]
+    assert main(argv + ["--output", str(out)]) == USAGE
+    assert f"bad slope {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSeedHandling:
     def test_seed_required_for_sampled(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RGFLAB_SEED", raising=False)
@@ -58,6 +77,19 @@ class TestRaagCommands:
         code, lines, _ = run(["raag", "nf", "--vertices", "2", "--word", "x1^0 x2"],
                              tmp_path)
         assert code == PASS and lines[1]["normal_form"] == "x2"
+
+    def test_generator_out_of_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        assert main(["raag", "nf", "--vertices", "2", "--word", "x1 x3",
+                     "--output", str(out)]) == USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: generator x3 outside graph with 2 vertices"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["x0", "y1", "x1^", "x1^2^3", "xa"])
+    def test_bad_syllable_is_usage_error(self, text, capsys):
+        assert main(["raag", "nf", "--vertices", "2", "--word", text]) == USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_components(self, tmp_path):
         code, lines, _ = run(["raag", "components", "--vertices", "4",
@@ -223,6 +255,31 @@ class TestConfigFile:
         code = main(["--output", str(out), "delta-estimate", "--seed", "3",
                      "--points", "6", "--qmax", "8"])
         assert code == USAGE and not out.exists()
+
+
+class TestConfigEcho:
+    """The `config` record echoes the command line without output and config
+    paths, whichever form of the flag the parser accepted."""
+
+    def test_output_path_not_echoed(self, tmp_path):
+        reports = []
+        for flags in (["--output={}"], ["--out", "{}"], ["--outp={}"], ["--output", "{}"]):
+            out = tmp_path / f"run{len(reports)}" / "o.jsonl"
+            out.parent.mkdir()
+            argv = ["farey", "dist", "1/0", "5/8"] + [f.format(out) for f in flags]
+            assert main(argv) == PASS
+            reports.append(out.read_bytes())
+        assert len(set(reports)) == 1
+        assert json.loads(reports[0].splitlines()[0])["argv"] == ["farey", "dist", "1/0", "5/8"]
+
+    def test_config_path_not_echoed(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 9, "points": 6, "qmax": 8}))
+        out = tmp_path / "o.jsonl"
+        assert main(["delta-estimate", f"--conf={conf}", "--points", "6",
+                     "--out", str(out)]) == PASS
+        config = json.loads(out.read_text().splitlines()[0])
+        assert config["argv"] == ["delta-estimate", "--points", "6"]
 
 
 class TestDeterminism:

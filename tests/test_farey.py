@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClass,
-                          Slope, act, adjacent, annular_distance, annular_projection,
-                          bounded_neighbors, bounded_vertices, conjugator_to_infinity,
-                          farey_distance, farey_geodesic, is_geodesic,
-                          slope_set_distance, stabilized_bfs_distance, twist_about)
+                          Slope, _continued_fraction, _distance_profile,
+                          _distance_to_infinity, act, adjacent, annular_distance,
+                          annular_projection, bounded_neighbors, bounded_vertices,
+                          conjugator_to_infinity, farey_distance, farey_geodesic,
+                          is_geodesic, slope_set_distance, stabilized_bfs_distance,
+                          twist_about)
 
 
 def slopes_strategy(qmax=30):
@@ -77,6 +79,73 @@ class TestDistance:
         for _ in range(300):
             a, b, c = (rng.choice(verts) for _ in range(3))
             assert farey_distance(a, c) <= farey_distance(a, b) + farey_distance(b, c)
+
+
+def _from_cf(cf) -> Slope:
+    """The slope with floor continued fraction [a0; a1, ..., an]."""
+    p, q = cf[-1], 1
+    for a in reversed(cf[:-1]):
+        p, q = a * p + q, p
+    return Slope.of(p, q)
+
+
+def _tail(rng, kind: str, n: int) -> list:
+    """n partial quotients a1..an (n >= 1) of the given shape, ending >= 2."""
+    if kind == "ones":
+        tail = [1] * n
+    elif kind == "large":
+        tail = [rng.randint(2, 40) for _ in range(n)]
+    else:  # runs of ones broken by larger quotients
+        tail = []
+        while len(tail) < n:
+            tail += [1] * rng.randint(1, 6) + [rng.randint(2, 9)] * rng.randint(0, 2)
+        tail = tail[:n]
+    tail[-1] = max(tail[-1], 2)
+    return tail
+
+
+class TestDistanceKernel:
+    """The one-pass kernel against the full distance profile, its slow twin."""
+
+    @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_profile(self, kind, seed):
+        rng = random.Random(100 * seed + len(kind))
+        lengths = [1, 2, 3, 4, 5, 17, 64, 255, 600] + [rng.randint(1, 600) for _ in range(12)]
+        for n in lengths:
+            a0 = rng.choice([0, rng.randint(1, 99), -rng.randint(1, 99)])
+            cf = [a0] + _tail(rng, kind, n - 1) if n > 1 else [a0]
+            s = _from_cf(cf)
+            assert _continued_fraction(s.p, s.q) == cf
+            assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1], (kind, n)
+
+    def test_integers_and_infinity(self):
+        assert _distance_to_infinity(INFINITY) == 0
+        for p in (-7, -1, 0, 1, 12):
+            assert _distance_to_infinity(Slope(p, 1)) == 1 == _distance_profile(p, 1)[-1]
+
+    def test_negative_numerators(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            q = rng.randint(2, 10 ** rng.randint(1, 60))
+            p = -rng.randint(1, 10 ** 60)
+            s = Slope.of(p, q)
+            assert s.p < 0
+            assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1]
+
+    def test_invariant_under_large_conjugators(self):
+        rng = random.Random(11)
+        verts = bounded_vertices(12)
+        for _ in range(40):
+            m = MappingClass.identity()
+            while max(abs(x) for x in m.entries()).bit_length() < 1000:
+                m = m.mul(twist_about(rng.choice(verts), rng.choice([-3, -2, -1, 1, 2, 3])))
+            a, b = rng.choice(verts), rng.choice(verts)
+            ma, mb = act(m, a), act(m, b)
+            assert farey_distance(ma, mb) == farey_distance(a, b)
+            if not ma.is_infinity and ma != mb:
+                s = act(conjugator_to_infinity(ma), mb)
+                assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1]
 
 
 class TestGeodesic:
@@ -161,6 +230,18 @@ class TestAnnularProjection:
     def test_empty_projection_raises(self):
         with pytest.raises(EmptyProjectionError):
             annular_distance(INFINITY, INFINITY, Slope(0, 1))
+
+    @pytest.mark.parametrize("beta, gamma, message", [
+        (INFINITY, INFINITY, "nothing projects to the annulus about 1/0"),
+        ({INFINITY}, [], "nothing projects to the annulus about 1/0"),
+        (INFINITY, Slope(0, 1), "one side does not project to 1/0"),
+        (Slope(3, 2), [INFINITY], "one side does not project to 1/0"),
+        ([], {Slope(3, 2), Slope(1, 1)}, "one side does not project to 1/0"),
+    ])
+    def test_empty_projection_messages(self, beta, gamma, message):
+        with pytest.raises(EmptyProjectionError) as info:
+            annular_distance(INFINITY, beta, gamma)
+        assert str(info.value) == message
 
     def test_twist_translation(self):
         rng = random.Random(4)

@@ -53,6 +53,11 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form(g, word((5, 1)))
 
+    def test_invalid_generator_named_one_based(self):
+        # generator index 2 is printed x3, as in the CLI's words
+        with pytest.raises(ValueError, match=r"^generator x3 outside graph with 2 vertices$"):
+            normal_form(PresentationGraph.of(2, []), word((2, 1)))
+
     def test_idempotent_and_inverse(self):
         rng = random.Random(0)
         for _ in range(400):
@@ -176,6 +181,11 @@ class TestSupportBookkeeping:
         with pytest.raises(ValueError):
             support_bookkeeping(g, [[0], [1]],
                                 [(0, word((0, 1))), (0, word((0, 1)))])
+
+    def test_wrong_part_named_one_based(self):
+        g = PresentationGraph.of(2, [])
+        with pytest.raises(ValueError, match=r"^generator x2 not in part 0$"):
+            support_bookkeeping(g, [[0], [1]], [(0, word((1, 1)))])
 
     def test_cross_edges_rejected(self):
         g = PresentationGraph.of(2, [(0, 1)])
