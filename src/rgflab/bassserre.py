@@ -286,46 +286,37 @@ class QiReport:
     fit: tuple | None = None      # least-squares (slope, intercept) on the envelope
 
 
-def qi_certificate(ball: TreeBall, images: dict, kappa: int | None = None,
-                   dist_fn=None) -> QiReport:
+def qi_certificate(ball: TreeBall, images: dict, kappa: int | None = None) -> QiReport:
     """Scan all type-1 pairs of the labeled ball against the affine lower
     bound d_S >= d_T / kappa - kappa, and against the benchmark
-    d_S >= d_T/2 - 4 that displacing families achieve."""
-    dist_fn = dist_fn or farey.slope_set_distance
+    d_S >= d_T/2 - 4 that displacing families achieve.
+
+    Both bounds are checked in integers, multiplied through: for k >= 1,
+    d_S >= d_T/k - k holds iff k * (d_S + k) >= d_T, and the benchmark
+    holds iff 2 * d_S >= d_T - 8.  So `kappa` must be at least 1.
+    """
+    if kappa is not None and kappa < 1:
+        raise ValueError(f"kappa must be at least 1, got {kappa}")
     pairs = []
     envelope = {}
     for v, w in ball.type1_pairs():
         dt = tree_distance(ball, v, w)
-        ds = dist_fn(images[v], images[w])
+        ds = farey.slope_set_distance(images[v], images[w])
         pairs.append((dt, ds))
         if dt not in envelope or ds < envelope[dt]:
             envelope[dt] = ds
 
-    min_ratio = None
-    bench = True
-    for dt, ds in pairs:
-        if dt > 0:
-            r = Fraction(ds, dt)
-            if min_ratio is None or r < min_ratio:
-                min_ratio = r
-        if Fraction(ds) < Fraction(dt, 2) - 4:
-            bench = False
+    def holds(k):
+        return all(k * (ds + k) >= dt for dt, ds in pairs)
 
+    min_ratio = min((Fraction(ds, dt) for dt, ds in pairs if dt > 0), default=None)
+    bench = all(2 * ds >= dt - 8 for dt, ds in pairs)
     kappa_witness = None
     if pairs:
-        k = 1
-        while True:
-            if all(Fraction(ds) >= Fraction(dt, k) - k for dt, ds in pairs):
-                kappa_witness = k
-                break
-            k += 1
-            if k > max(dt for dt, _ in pairs) + 1:
-                kappa_witness = k
-                break
-
-    given_ok = None
-    if kappa is not None:
-        given_ok = all(Fraction(ds) >= Fraction(dt, kappa) - kappa for dt, ds in pairs)
+        kappa_witness = 1
+        while not holds(kappa_witness):
+            kappa_witness += 1
+    given_ok = None if kappa is None else holds(kappa)
 
     fit = None
     if len(envelope) >= 2:

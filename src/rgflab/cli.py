@@ -121,6 +121,20 @@ def _slope_arg(text: str) -> Slope:
         raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
 
 
+def _int_at_least(lo: int):
+    """argparse type for integer flags with a least value `lo`, so a value
+    below it is a usage error."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return convert
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
@@ -195,7 +209,11 @@ def cmd_persistence(args):
 
 
 def cmd_raag(args):
-    graph = raag.PresentationGraph.of(args.vertices, [tuple(e) for e in json.loads(args.edges)])
+    try:
+        graph = raag.PresentationGraph.of(args.vertices,
+                                          [tuple(e) for e in json.loads(args.edges)])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit_usage(f"bad --edges {args.edges!r}: {exc!r}")
     if args.action == "nf":
         w = _parse_word(args.word, args.vertices)
         nf = raag.normal_form(graph, w)
@@ -228,7 +246,10 @@ def _word_str(w) -> str:
 
 def _load_family(args) -> FamilySpec:
     with open(args.family) as fh:
-        return family_from_json(json.load(fh))
+        try:
+            return family_from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SystemExit_usage(f"bad family file {args.family}: {exc!r}")
 
 
 def cmd_tree(args):
@@ -398,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("action", choices=("dist", "geodesic"))
     pf.add_argument("a", type=_slope_arg)
     pf.add_argument("b", type=_slope_arg)
-    pf.add_argument("--oracle-bound", type=int, default=64)
+    pf.add_argument("--oracle-bound", type=_int_at_least(1), default=64)
     pf.set_defaults(func=cmd_farey)
 
     pd = add_parser("delta-estimate", help="four-point delta on slope samples")
@@ -434,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--family", required=True, help="FamilySpec JSON file")
     pt.add_argument("--radius", type=int, default=4)
     pt.add_argument("--base-curve", type=_slope_arg, default="1/1")
-    pt.add_argument("--kappa", type=int)
+    pt.add_argument("--kappa", type=_int_at_least(1))
     pt.add_argument("--budget", type=int, default=8)
     pt.set_defaults(func=cmd_tree)
 
@@ -449,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = add_parser("experiment", help="end-to-end reproductions")
     pe.add_argument("kind", choices=("prop91", "theorem-b", "example92"))
-    pe.add_argument("--dprime", type=int, default=20)
+    pe.add_argument("--dprime", type=_int_at_least(9), default=20)
     pe.add_argument("--window", type=int, default=5)
     pe.add_argument("--radius", type=int, default=6)
-    pe.add_argument("--D", type=int, default=8)
+    pe.add_argument("--D", type=_int_at_least(8), default=8)
     pe.add_argument("--budget", type=int, default=8)
     pe.add_argument("--factor-budget", type=int, default=2)
     pe.add_argument("--words", type=int, default=100)

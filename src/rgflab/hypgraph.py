@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import farey
 
@@ -42,53 +42,39 @@ def estimate_delta(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate
 
     delta = max over ordered quadruples (x, y, z, w) of
         min{(x|z)_w, (y|z)_w} - (x|y)_w, clamped at 0.
-    Exhaustive below `max_quadruples` role assignments, deterministic seeded
-    sampling beyond.
+    Twice that deficiency is d(x,y) + d(z,w) - max(d(x,z) + d(y,w),
+    d(x,w) + d(y,z)), an integer that depends only on the split xy|zw, so
+    the exhaustive scan evaluates the three splits of each 4-set a<b<c<e at
+    their first orderings in permutation order, (a,b,c,e), (a,c,b,e) and
+    (a,e,b,c): the witness is the first of the 24 orderings that attains
+    delta, and all 24 role assignments are counted.  Exhaustive below
+    `max_quadruples` role assignments, deterministic seeded sampling beyond.
     """
     pts = list(points)
-    if len(pts) < 4:
-        return DeltaEstimate(Fraction(0), None, 0, True)
-
-    cache = {}
-
-    def d(u, v):
-        got = cache.get((u, v))
-        if got is None:
-            got = oracle.dist(u, v)
-            cache[(u, v)] = got
-            cache[(v, u)] = got
-        return got
-
-    def deficiency(x, y, z, w) -> Fraction:
-        xz = Fraction(d(x, w) + d(z, w) - d(x, z), 2)
-        yz = Fraction(d(y, w) + d(z, w) - d(y, z), 2)
-        xy = Fraction(d(x, w) + d(y, w) - d(x, y), 2)
-        return min(xz, yz) - xy
-
-    best = Fraction(0)
-    witness = None
-    total = 0
     n = len(pts)
-    n_assignments = n * (n - 1) * (n - 2) * (n - 3)
-    if max_quadruples is None or n_assignments <= max_quadruples:
-        for quad in combinations(range(n), 4):
-            for x, y, z, w in permutations(quad):
-                total += 1
-                val = deficiency(pts[x], pts[y], pts[z], pts[w])
-                if val > best:
-                    best = val
-                    witness = (pts[x], pts[y], pts[z], pts[w])
-        return DeltaEstimate(best, witness, total, True)
+    if n < 4:
+        return DeltaEstimate(Fraction(0), None, 0, True)
+    d = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = oracle.dist(pts[i], pts[j])
 
-    rng = random.Random(seed)
-    for _ in range(max_quadruples):
-        idx = rng.sample(range(n), 4)
-        total += 1
-        val = deficiency(*(pts[i] for i in idx))
+    total = n * (n - 1) * (n - 2) * (n - 3)
+    exhaustive = max_quadruples is None or total <= max_quadruples
+    if exhaustive:
+        quads = (q for a, b, c, e in combinations(range(n), 4)
+                 for q in ((a, b, c, e), (a, c, b, e), (a, e, b, c)))
+    else:
+        rng = random.Random(seed)
+        total = max(max_quadruples, 0)
+        quads = (rng.sample(range(n), 4) for _ in range(total))
+    best = 0
+    witness = None
+    for x, y, z, w in quads:
+        val = d[x][y] + d[z][w] - max(d[x][z] + d[y][w], d[x][w] + d[y][z])
         if val > best:
             best = val
-            witness = tuple(pts[i] for i in idx)
-    return DeltaEstimate(best, witness, total, False)
+            witness = (pts[x], pts[y], pts[z], pts[w])
+    return DeltaEstimate(Fraction(best, 2), witness, total, exhaustive)
 
 
 def point_to_path_distance(z, path, oracle):

@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from rgflab.farey import INFINITY, MappingClass, Slope, act, farey_distance, twist_about
 from rgflab.subgroups import MatrixGroup
+from rgflab import bassserre
 from rgflab.bassserre import (FactorSpec, FreeProductReport, ball_bfs_distance,
                               build_ball, coset_well_defined, cyclically_reduce,
                               free_product_check, loxodromic_scan, phi,
@@ -156,6 +158,46 @@ class TestQiCertificate:
             rep = qi_certificate(ball, phi(ball, Slope(1, 2)))
             k.append(rep.kappa_witness)
         assert k[0] <= k[1]
+
+    def test_integer_forms_match_fraction_forms(self):
+        # adjacent twist factors at radius 3: kappa = 1 fails on this family
+        ball = build_ball(two_twist_factors(), radius=3)
+        images = phi(ball, Slope(1, 1))
+        rep = qi_certificate(ball, images)
+
+        def fraction_form(k):
+            return all(Fraction(ds) >= Fraction(dt, k) - k for dt, ds in rep.pairs)
+
+        k = rep.kappa_witness
+        assert k > 1 and fraction_form(k)
+        assert not any(fraction_form(j) for j in range(1, k))
+        assert rep.benchmark_ok == all(Fraction(ds) >= Fraction(dt, 2) - 4
+                                       for dt, ds in rep.pairs)
+        for kappa in range(1, 8):
+            assert qi_certificate(ball, images, kappa=kappa).kappa_given_ok == fraction_form(kappa)
+
+    @pytest.mark.parametrize("pairs, kappa_witness, benchmark_ok", [
+        ([(2, 1)], 1, True),              # 1 * (1 + 1) == 2
+        ([(2, 1), (6, 1)], 2, True),      # 2 * (1 + 2) == 6
+        ([(8, 0), (10, 1)], 3, True),     # 2 * 0 == 8 - 8 and 2 * 1 == 10 - 8
+        ([(9, 0)], 3, False),             # 3 * (0 + 3) == 9 but 2 * 0 < 9 - 8
+    ])
+    def test_bounds_hold_with_equality(self, pairs, kappa_witness, benchmark_ok,
+                                       monkeypatch):
+        # (d_T, d_S) pairs fed in through stand-ins for both distances
+        monkeypatch.setattr(bassserre, "tree_distance", lambda ball, dt, ds: dt)
+        monkeypatch.setattr(bassserre.farey, "slope_set_distance", lambda dt, ds: ds)
+        ball = SimpleNamespace(type1_pairs=lambda: pairs)
+        rep = qi_certificate(ball, {x: x for x in range(11)}, kappa=kappa_witness)
+        assert rep.pairs == pairs
+        assert (rep.kappa_witness, rep.kappa_given_ok, rep.benchmark_ok) == (
+            kappa_witness, True, benchmark_ok)
+
+    def test_kappa_below_one_rejected(self):
+        ball = build_ball(two_twist_factors(), radius=1)
+        for kappa in (0, -2):
+            with pytest.raises(ValueError):
+                qi_certificate(ball, phi(ball, Slope(1, 1)), kappa=kappa)
 
 
 class TestFreeProductCheck:

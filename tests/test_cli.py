@@ -61,6 +61,62 @@ def test_malformed_slope_is_usage_error(argv, bad, family_file, tmp_path, capsys
     assert not out.exists()
 
 
+BAD_INPUT_ROWS = [
+    # (id, argv, last stderr line starts with); FAMILY is a valid family
+    # file, the other capitalized tokens malformed ones (BAD_FAMILIES)
+    ("kappa-zero", ["tree", "qi", "--family", "FAMILY", "--kappa", "0"],
+     "rgflab tree: error: argument --kappa: must be at least 1, got 0"),
+    ("kappa-negative", ["tree", "qi", "--family", "FAMILY", "--kappa", "-2"],
+     "rgflab tree: error: argument --kappa: must be at least 1, got -2"),
+    ("oracle-bound-zero", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "0"],
+     "rgflab farey: error: argument --oracle-bound: must be at least 1, got 0"),
+    ("oracle-bound-negative", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "-3"],
+     "rgflab farey: error: argument --oracle-bound: must be at least 1, got -3"),
+    ("dprime-5", ["experiment", "prop91", "--dprime", "5", "--seed", "1"],
+     "rgflab experiment: error: argument --dprime: must be at least 9, got 5"),
+    ("D-7", ["experiment", "example92", "--D", "7", "--seed", "1"],
+     "rgflab experiment: error: argument --D: must be at least 8, got 7"),
+    ("truncated-family", ["tree", "qi", "--family", "TRUNCATED"],
+     "usage error: bad family file TRUNCATED: JSONDecodeError("),
+    ("determinant-2", ["cert", "separated", "--family", "DET2"],
+     "usage error: bad family file DET2: ValueError('determinant must be 1')"),
+    ("family-missing-key", ["tree", "build", "--family", "NOGENS"],
+     "usage error: bad family file NOGENS: KeyError('generators')"),
+    ("self-loop-edge", ["raag", "components", "--vertices", "2", "--edges", "[[0,0]]"],
+     "usage error: bad --edges '[[0,0]]': ValueError('bad edge (0, 0)')"),
+    ("truncated-edges", ["raag", "components", "--vertices", "2", "--edges", "[[0,1"],
+     "usage error: bad --edges '[[0,1': JSONDecodeError("),
+    ("edge-not-a-pair", ["raag", "nf", "--vertices", "2", "--edges", "[1]"],
+     "usage error: bad --edges '[1]': TypeError("),
+]
+
+BAD_FAMILIES = {
+    "TRUNCATED": '{"factors": [',
+    "DET2": json.dumps({"factors": [{"name": "A", "generators": [[2, 0, 0, 1]],
+                                     "boundary": ["1/0"]}]}),
+    "NOGENS": json.dumps({"factors": [{"name": "A", "boundary": ["1/0"]}]}),
+}
+
+
+@pytest.mark.parametrize("argv, err_start", [r[1:] for r in BAD_INPUT_ROWS],
+                         ids=[r[0] for r in BAD_INPUT_ROWS])
+def test_bad_input_is_usage_error(argv, err_start, family_file, tmp_path, capsys):
+    files = {"FAMILY": family_file}
+    for name, text in BAD_FAMILIES.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    out = tmp_path / "o.jsonl"
+    assert main([files.get(tok, tok) for tok in argv] + ["--output", str(out)]) == USAGE
+    err = capsys.readouterr().err
+    for name, path in files.items():
+        err_start = err_start.replace(name, path)
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(err_start)
+    if err_start.startswith("usage error:"):
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestSeedHandling:
     def test_seed_required_for_sampled(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RGFLAB_SEED", raising=False)

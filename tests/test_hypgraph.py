@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,78 @@ class TestEstimateDelta:
         a = estimate_delta(pts, fo, max_quadruples=500, seed=9)
         b = estimate_delta(pts, fo, max_quadruples=500, seed=9)
         assert a == b and not a.exhaustive
+
+
+def permutation_scan(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate:
+    """Slow twin of `estimate_delta`: every ordering of every 4-set in
+    Fraction arithmetic, distances memoized by point."""
+    pts = list(points)
+    if len(pts) < 4:
+        return DeltaEstimate(Fraction(0), None, 0, True)
+    cache = {}
+
+    def d(u, v):
+        if (u, v) not in cache:
+            cache[(u, v)] = cache[(v, u)] = oracle.dist(u, v)
+        return cache[(u, v)]
+
+    def deficiency(x, y, z, w):
+        xz = Fraction(d(x, w) + d(z, w) - d(x, z), 2)
+        yz = Fraction(d(y, w) + d(z, w) - d(y, z), 2)
+        xy = Fraction(d(x, w) + d(y, w) - d(x, y), 2)
+        return min(xz, yz) - xy
+
+    best, witness, total = Fraction(0), None, 0
+    n = len(pts)
+    if max_quadruples is None or n * (n - 1) * (n - 2) * (n - 3) <= max_quadruples:
+        quads = (p for q in itertools.combinations(range(n), 4)
+                 for p in itertools.permutations(q))
+        exhaustive = True
+    else:
+        rng = random.Random(seed)
+        quads = (rng.sample(range(n), 4) for _ in range(max_quadruples))
+        exhaustive = False
+    for idx in quads:
+        total += 1
+        quad = tuple(pts[i] for i in idx)
+        val = deficiency(*quad)
+        if val > best:
+            best, witness = val, quad
+    return DeltaEstimate(best, witness, total, exhaustive)
+
+
+def farey_point_set(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(5, 13)
+    pts = {INFINITY}
+    while len(pts) < n:
+        pts.add(random_slope(rng, 30))
+    return sorted(pts, key=lambda s: (s.q, s.p))
+
+
+class TestEstimateDeltaSlowTwin:
+    """The split-form scan against the 24-permutation scan, field by field."""
+
+    @pytest.mark.parametrize("max_quadruples", [None, 500])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_farey_sets(self, seed, max_quadruples):
+        pts, fo = farey_point_set(seed), FareyOracle()
+        assert (estimate_delta(pts, fo, max_quadruples, seed)
+                == permutation_scan(pts, fo, max_quadruples, seed))
+
+    @pytest.mark.parametrize("max_quadruples", [None, 500, -1])
+    @pytest.mark.parametrize("n", range(9, 16))
+    def test_cycles(self, n, max_quadruples):
+        c = cycle_oracle(n)
+        assert (estimate_delta(c.points(), c, max_quadruples, n)
+                == permutation_scan(c.points(), c, max_quadruples, n))
+
+    @pytest.mark.parametrize("max_quadruples, seeds", [(None, [0]), (500, range(6))])
+    def test_trees(self, max_quadruples, seeds):
+        for seed in seeds:
+            t = random_tree(30, seed)
+            assert (estimate_delta(t.points(), t, max_quadruples, seed)
+                    == permutation_scan(t.points(), t, max_quadruples, seed))
 
 
 class TestLocalToGlobal:
