@@ -351,45 +351,43 @@ def free_product_check(factors: list, budget: int = 8) -> FreeProductReport:
     """Search alternating normal-form words up to a syllable budget for one
     that maps to the (projective) identity; meet-in-the-middle on matrices.
 
-    Returns the shortest witness found, if any.
+    A word of `total` syllables splits as a first half of a = ceil(total/2)
+    and a second of b = total - a >= 1 syllables.  The layer of a-syllable
+    words and the index of b-syllable words by projective key are built
+    lazily, the first time a total needs them, so a relation found early
+    never pays for the longer layers.  Returns the shortest witness found,
+    if any.
     """
     if len(factors) < 2:
         return FreeProductReport(True, None, budget, 0)
     elements = [f.elements() for f in factors]
 
-    # products[k] = list of (matrix, word) for alternating words of k syllables
-    # indexed dictionaries keyed by projective matrix entries
-    half = (budget + 1) // 2
-    by_len = [[((), MappingClass.identity())]]
-    for k in range(1, half + 1):
-        layer = []
-        for word, m in by_len[k - 1]:
-            last = word[-1][0] if word else -1
-            for i in range(len(factors)):
-                if i == last:
-                    continue
-                for h in elements[i]:
-                    layer.append((word + ((i, h),), m.mul(h)))
-        by_len.append(layer)
-
-    index = []
-    for k in range(half + 1):
-        d = {}
-        for word, m in by_len[k]:
-            d.setdefault(m.projective_key(), []).append(word)
-        index.append(d)
-
+    # layers[k]: (word, matrix) for the alternating words of k syllables;
+    # index[k]: projective key of the matrix -> the words of layers[k]
+    layers = [[((), MappingClass.identity())]]
+    index = {}
     checked = 0
     for total in range(2, budget + 1):
         a = (total + 1) // 2
         b = total - a
-        for word, m in by_len[a]:
+        while len(layers) <= a:
+            layer = []
+            for word, m in layers[-1]:
+                last = word[-1][0] if word else -1
+                for i in range(len(factors)):
+                    if i == last:
+                        continue
+                    for h in elements[i]:
+                        layer.append((word + ((i, h),), m.mul(h)))
+            layers.append(layer)
+        if b not in index:
+            index[b] = {}
+            for word, m in layers[b]:
+                index[b].setdefault(m.projective_key(), []).append(word)
+        for word, m in layers[a]:
             checked += 1
-            inv_key = m.inv().projective_key()
-            for cand in index[b].get(inv_key, ()):
-                if not cand and m.is_identity(projective=True):
-                    return FreeProductReport(False, word, budget, checked)
-                if cand and cand[0][0] != word[-1][0]:
+            for cand in index[b].get(m.inv().projective_key(), ()):
+                if cand[0][0] != word[-1][0]:
                     return FreeProductReport(False, word + cand, budget, checked)
     return FreeProductReport(True, None, budget, checked)
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import re
@@ -54,13 +55,19 @@ def _jsonable(obj):
     return obj
 
 
-def emit(records, out_path=None):
-    text = "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records)
-    if out_path:
+def _write(text: str, out_path=None):
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SystemExit_usage(f"cannot write report {out_path}: {exc}")
+
+
+def emit(records, out_path=None):
+    _write("".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records), out_path)
 
 
 def emit_csv(pairs, out_path=None, header=("d_T", "d_S")):
@@ -69,11 +76,7 @@ def emit_csv(pairs, out_path=None, header=("d_T", "d_S")):
     writer.writerow(header)
     for row in sorted(pairs):
         writer.writerow(row)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), out_path)
 
 
 def family_to_json(family: FamilySpec) -> dict:
@@ -158,6 +161,13 @@ def cmd_farey(args):
 
 def cmd_delta_estimate(args):
     seed = _seed(args)
+    if args.points > 2 * args.qmax + 2:
+        # below this bound 1/0 and the q = 1 slopes alone are enough
+        available = 1 + sum(1 for q in range(1, args.qmax + 1)
+                            for p in range(-args.qmax, args.qmax + 1) if math.gcd(p, q) == 1)
+        if args.points > available:
+            raise SystemExit_usage(f"--points {args.points} exceeds the {available} slopes "
+                                   f"with q <= {args.qmax} and |p| <= {args.qmax} (--qmax)")
     oracle = FareyOracle()
     rng = random.Random(seed)
     pts = {INFINITY}
@@ -245,11 +255,13 @@ def _word_str(w) -> str:
 
 
 def _load_family(args) -> FamilySpec:
-    with open(args.family) as fh:
-        try:
+    try:
+        with open(args.family) as fh:
             return family_from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SystemExit_usage(f"bad family file {args.family}: {exc!r}")
+    except OSError as exc:
+        raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit_usage(f"bad family file {args.family}: {exc!r}")
 
 
 def cmd_tree(args):
@@ -423,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(func=cmd_farey)
 
     pd = add_parser("delta-estimate", help="four-point delta on slope samples")
-    pd.add_argument("--points", type=int, default=40)
-    pd.add_argument("--qmax", type=int, default=50)
+    pd.add_argument("--points", type=_int_at_least(1), default=40)
+    pd.add_argument("--qmax", type=_int_at_least(1), default=50)
     pd.add_argument("--max-quadruples", type=int, default=200000)
     pd.set_defaults(func=cmd_delta_estimate)
 
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("action", choices=("estimate",))
     pc.add_argument("--triples", type=int, default=2000)
     pc.add_argument("--geodesics", type=int, default=400)
-    pc.add_argument("--qmax", type=int, default=1000)
+    pc.add_argument("--qmax", type=_int_at_least(1), default=1000)
     pc.set_defaults(func=cmd_constants)
 
     pp = add_parser("persistence", help="projection persistence on generated sequences")
@@ -480,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--curve-samples", type=int, default=60)
     pe.add_argument("--triples", type=int, default=1000)
     pe.add_argument("--geodesics", type=int, default=300)
-    pe.add_argument("--qmax", type=int, default=800)
+    pe.add_argument("--qmax", type=_int_at_least(1), default=800)
     pe.add_argument("--delta", type=int)
     pe.set_defaults(func=cmd_experiment)
     return p
@@ -551,25 +563,25 @@ def main(argv=None) -> int:
         if conf is not None:
             args = parser.parse_args(argv)
         code, records, pairs = args.func(args)
+        echoed = _echoed_argv(_subparser(parser, args.command), argv)
+        seed_used = getattr(args, "seed", None)
+        if seed_used is None and os.environ.get(SEED_ENV) is not None:
+            seed_used = int(os.environ[SEED_ENV])
+        config_echo = {"record": "config", "argv": echoed, "seed": seed_used}
+        if conf is not None:
+            config_echo["config_values"] = conf
+        records = [config_echo] + records
+        if args.format == "csv" and pairs is not None:
+            emit_csv(pairs, args.output)
+        else:
+            emit(records, args.output)
+            if pairs is not None and args.output:
+                emit_csv(pairs, args.output + ".csv")
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    except (SystemExit_usage, FileNotFoundError) as exc:
+    except SystemExit_usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    echoed = _echoed_argv(_subparser(parser, args.command), argv)
-    seed_used = getattr(args, "seed", None)
-    if seed_used is None and os.environ.get(SEED_ENV) is not None:
-        seed_used = int(os.environ[SEED_ENV])
-    config_echo = {"record": "config", "argv": echoed, "seed": seed_used}
-    if conf is not None:
-        config_echo["config_values"] = conf
-    records = [config_echo] + records
-    if args.format == "csv" and pairs is not None:
-        emit_csv(pairs, args.output)
-    else:
-        emit(records, args.output)
-        if pairs is not None and args.output:
-            emit_csv(pairs, args.output + ".csv")
     return code
 
 

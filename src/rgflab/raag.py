@@ -11,9 +11,11 @@ at every step, the least available generator.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,16 @@ class PresentationGraph:
 
     def commute(self, i: int, j: int) -> bool:
         return i != j and (min(i, j), max(i, j)) in self.edges
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        """neighbours[i]: the generators that commute with i (not a field, so
+        equality, hashing and repr are unchanged)."""
+        near = [set() for _ in range(self.n)]
+        for i, j in self.edges:
+            near[i].add(j)
+            near[j].add(i)
+        return tuple(frozenset(s) for s in near)
 
     def check_word(self, word):
         for g, _ in word:
@@ -59,6 +71,7 @@ def _reduce_heap(graph: PresentationGraph, w: Word) -> list:
     for g, e in w:
         if e == 0:
             continue
+        near = graph.neighbours[g]
         j = len(out) - 1
         while j >= 0:
             gj, ej = out[j]
@@ -68,7 +81,7 @@ def _reduce_heap(graph: PresentationGraph, w: Word) -> list:
                 else:
                     out[j] = (g, ej + e)
                 break
-            if not graph.commute(gj, g):
+            if gj not in near:
                 j = -1
                 break
             j -= 1
@@ -80,33 +93,34 @@ def _reduce_heap(graph: PresentationGraph, w: Word) -> list:
 
 
 def normal_form(graph: PresentationGraph, w: Word) -> Word:
-    """The unique reduced spelling; equal outputs iff equal group elements."""
+    """The unique reduced spelling; equal outputs iff equal group elements.
+
+    Kahn's topological sort of the reduced syllables, where an earlier
+    syllable blocks a later one unless its generator is among the later
+    one's `graph.neighbours`; a heap of (generator, position) keys emits the
+    least available generator at every step.
+    """
     graph.check_word(w)
     reduced = _reduce_heap(graph, w)
     m = len(reduced)
-    # precedence: earlier syllable blocks a later one iff they do not commute
     preds = [0] * m
     succs = [[] for _ in range(m)]
     for i in range(m):
-        gi = reduced[i][0]
+        near = graph.neighbours[reduced[i][0]]
         for j in range(i + 1, m):
-            gj = reduced[j][0]
-            if gi == gj or not graph.commute(gi, gj):
+            if reduced[j][0] not in near:
                 preds[j] += 1
                 succs[i].append(j)
     out = []
-    avail = sorted((reduced[i][0], i) for i in range(m) if preds[i] == 0)
+    avail = [(reduced[i][0], i) for i in range(m) if preds[i] == 0]
+    heapq.heapify(avail)
     while avail:
-        _, i = avail.pop(0)
+        _, i = heapq.heappop(avail)
         out.append(reduced[i])
         for j in succs[i]:
             preds[j] -= 1
             if preds[j] == 0:
-                gi = reduced[j][0]
-                k = 0
-                while k < len(avail) and avail[k] < (gi, j):
-                    k += 1
-                avail.insert(k, (gi, j))
+                heapq.heappush(avail, (reduced[j][0], j))
     return tuple(out)
 
 

@@ -233,6 +233,94 @@ class TestFreeProductCheck:
         assert a == b == c
 
 
+def eager_free_product_check(factors: list, budget: int = 8) -> FreeProductReport:
+    """Slow twin of `free_product_check`: builds every half-length layer and
+    index before it searches, as the search did before it went lazy."""
+    if len(factors) < 2:
+        return FreeProductReport(True, None, budget, 0)
+    elements = [f.elements() for f in factors]
+    half = (budget + 1) // 2
+    by_len = [[((), MappingClass.identity())]]
+    for k in range(1, half + 1):
+        layer = []
+        for word, m in by_len[k - 1]:
+            last = word[-1][0] if word else -1
+            for i in range(len(factors)):
+                if i == last:
+                    continue
+                for h in elements[i]:
+                    layer.append((word + ((i, h),), m.mul(h)))
+        by_len.append(layer)
+    index = []
+    for k in range(half + 1):
+        d = {}
+        for word, m in by_len[k]:
+            d.setdefault(m.projective_key(), []).append(word)
+        index.append(d)
+    checked = 0
+    for total in range(2, budget + 1):
+        a = (total + 1) // 2
+        b = total - a
+        for word, m in by_len[a]:
+            checked += 1
+            for cand in index[b].get(m.inv().projective_key(), ()):
+                if not cand and m.is_identity(projective=True):
+                    return FreeProductReport(False, word, budget, checked)
+                if cand and cand[0][0] != word[-1][0]:
+                    return FreeProductReport(False, word + cand, budget, checked)
+    return FreeProductReport(True, None, budget, checked)
+
+
+def _twist_pair(e: int, budget: int) -> list:
+    return [FactorSpec("A", MatrixGroup.of(MappingClass(1, e, 0, 1)), frozenset({INFINITY}), budget),
+            FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, e, 1)), frozenset({Slope(0, 1)}), budget)]
+
+
+def _order_three_triple() -> list:
+    # T, U and (TU)^-1 multiply to the identity: a witness of 3 syllables,
+    # found at the odd total 3 after no pair of factors meets at total 2
+    t, u = MappingClass(1, 1, 0, 1), MappingClass(1, 0, -1, 1)
+    return [FactorSpec("T", MatrixGroup.of(t), frozenset({INFINITY}), 1),
+            FactorSpec("U", MatrixGroup.of(u), frozenset({Slope(0, 1)}), 1),
+            FactorSpec("V", MatrixGroup.of(t.mul(u).inv()), frozenset({Slope(1, 1)}), 1)]
+
+
+SLOW_TWIN_CASES = (
+    [("full-twist", _twist_pair(1, 6), b) for b in range(10)]
+    + [("shear-e2", _twist_pair(2, 5), b) for b in range(9)]
+    + [("separated-1", separated_factors(budget=1), b) for b in range(2, 7)]
+    + [("separated-2", separated_factors(budget=2), 6),
+       ("order-three", _order_three_triple(), 5)])
+
+
+class TestLazyRelationSearch:
+    @pytest.mark.parametrize("factors, budget", [c[1:] for c in SLOW_TWIN_CASES],
+                             ids=[f"{c[0]}-{c[2]}" for c in SLOW_TWIN_CASES])
+    def test_matches_eager_search(self, factors, budget):
+        lazy = free_product_check(factors, budget)
+        eager = eager_free_product_check(factors, budget)
+        assert lazy.no_relation == eager.no_relation
+        assert lazy.budget == eager.budget
+        assert lazy.words_checked == eager.words_checked
+        if eager.witness is None:
+            assert lazy.witness is None
+        else:
+            assert bassserre._word_key(lazy.witness) == bassserre._word_key(eager.witness)
+
+    def test_witness_at_odd_total(self):
+        rep = free_product_check(_order_three_triple(), 5)
+        assert not rep.no_relation and len(rep.witness) == 3
+        assert sorted(i for i, _ in rep.witness) == [0, 1, 2]
+        assert word_matrix(rep.witness).is_identity(projective=True)
+
+    def test_full_twist_witness_needs_no_long_layers(self):
+        # the witness turns up at total 4 after 367 checks, the same count
+        # at every budget from 4 up
+        reps = [free_product_check(_twist_pair(1, 6), b) for b in (4, 9, 40)]
+        assert {r.words_checked for r in reps} == {367}
+        assert len({bassserre._word_key(r.witness) for r in reps}) == 1
+
+
 def _twist_exponent(m: MappingClass) -> int:
     # a power of a twist conjugate has |entries| growing linearly in the
     # exponent along the off-diagonal of the conjugated shear

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 
 import pytest
 
@@ -115,6 +116,90 @@ def test_bad_input_is_usage_error(argv, err_start, family_file, tmp_path, capsys
     if err_start.startswith("usage error:"):
         assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+class CommandHung(BaseException):
+    """Raised by the alarm; not an Exception, so no handler in main swallows it."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail a command that does not return within 30 s instead of hanging."""
+    def expire(signum, frame):
+        raise CommandHung("the command did not return within 30 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+SLOPE_SAMPLE_ROWS = [
+    # (id, argv, exit code, last stderr line starts with); sampled slope
+    # sets draw q <= qmax and |p| <= qmax until they hold --points slopes
+    ("points-exceed-slopes", ["delta-estimate", "--points", "50", "--qmax", "1"], USAGE,
+     "usage error: --points 50 exceeds the 4 slopes with q <= 1 and |p| <= 1 (--qmax)"),
+    ("points-exceed-counted", ["delta-estimate", "--points", "9", "--qmax", "2"], USAGE,
+     "usage error: --points 9 exceeds the 8 slopes with q <= 2 and |p| <= 2 (--qmax)"),
+    ("points-equal-q1-slopes", ["delta-estimate", "--points", "4", "--qmax", "1"], PASS, None),
+    ("points-equal-counted", ["delta-estimate", "--points", "8", "--qmax", "2"], PASS, None),
+    ("points-zero", ["delta-estimate", "--points", "0"], USAGE,
+     "rgflab delta-estimate: error: argument --points: must be at least 1, got 0"),
+    ("delta-qmax-zero", ["delta-estimate", "--qmax", "0"], USAGE,
+     "rgflab delta-estimate: error: argument --qmax: must be at least 1, got 0"),
+    ("delta-qmax-negative", ["delta-estimate", "--qmax", "-1"], USAGE,
+     "rgflab delta-estimate: error: argument --qmax: must be at least 1, got -1"),
+    ("constants-qmax-zero", ["constants", "estimate", "--qmax", "0"], USAGE,
+     "rgflab constants: error: argument --qmax: must be at least 1, got 0"),
+    ("experiment-qmax-zero", ["experiment", "theorem-b", "--qmax", "0"], USAGE,
+     "rgflab experiment: error: argument --qmax: must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err_start", [r[1:] for r in SLOPE_SAMPLE_ROWS],
+                         ids=[r[0] for r in SLOPE_SAMPLE_ROWS])
+def test_sampled_slope_set_returns(argv, code, err_start, deadline, tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--seed", "1", "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == PASS:
+        rec = json.loads(out.read_text().splitlines()[1])
+        assert rec["points"] == int(argv[2]) and rec["exhaustive"]
+        return
+    assert err.splitlines()[-1].startswith(err_start)
+    assert not out.exists()
+
+
+BAD_PATH_ROWS = [
+    # (id, argv, stderr); DIR is an existing directory, FAMILY a valid
+    # family file
+    ("family-is-directory", ["tree", "build", "--family", "DIR"],
+     "usage error: cannot read family file DIR: [Errno 21] Is a directory: 'DIR'"),
+    ("family-missing", ["tree", "build", "--family", "DIR/none.json"],
+     "usage error: cannot read family file DIR/none.json: [Errno 2] No such file or "
+     "directory: 'DIR/none.json'"),
+    ("output-is-directory", ["farey", "dist", "1/0", "5/8", "--output", "DIR"],
+     "usage error: cannot write report DIR: [Errno 21] Is a directory: 'DIR'"),
+    ("output-parent-missing", ["farey", "dist", "1/0", "5/8", "--output", "DIR/no/o.jsonl"],
+     "usage error: cannot write report DIR/no/o.jsonl: [Errno 2] No such file or "
+     "directory: 'DIR/no/o.jsonl'"),
+    ("csv-output-is-directory", ["tree", "qi", "--family", "FAMILY", "--radius", "1",
+                                 "--format", "csv", "--output", "DIR"],
+     "usage error: cannot write report DIR: [Errno 21] Is a directory: 'DIR'"),
+]
+
+
+@pytest.mark.parametrize("argv, err", [r[1:] for r in BAD_PATH_ROWS],
+                         ids=[r[0] for r in BAD_PATH_ROWS])
+def test_bad_path_is_usage_error(argv, err, family_file, tmp_path, capsys):
+    d = str(tmp_path / "d")
+    os.mkdir(d)
+    files = {"FAMILY": family_file}
+    argv = [files.get(tok, tok.replace("DIR", d)) for tok in argv]
+    assert main(argv) == USAGE
+    assert capsys.readouterr().err.splitlines() == [err.replace("DIR", d)]
+    assert os.listdir(d) == []
 
 
 class TestSeedHandling:

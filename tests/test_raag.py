@@ -110,6 +110,107 @@ class TestNormalForm:
                 assert g1 < g2
 
 
+def sorted_list_normal_form(graph, w):
+    """Slow twin of `normal_form`: every commutation is a `graph.commute`
+    call, and the available syllables are a sorted list, popped at the head
+    and inserted by linear scan."""
+    graph.check_word(w)
+    reduced = []
+    for g, e in w:
+        if e == 0:
+            continue
+        j = len(reduced) - 1
+        while j >= 0:
+            gj, ej = reduced[j]
+            if gj == g:
+                if ej + e == 0:
+                    reduced.pop(j)
+                else:
+                    reduced[j] = (g, ej + e)
+                break
+            if not graph.commute(gj, g):
+                j = -1
+                break
+            j -= 1
+        else:
+            j = -1
+        if j < 0:
+            reduced.append((g, e))
+    m = len(reduced)
+    preds = [0] * m
+    succs = [[] for _ in range(m)]
+    for i in range(m):
+        gi = reduced[i][0]
+        for j in range(i + 1, m):
+            gj = reduced[j][0]
+            if gi == gj or not graph.commute(gi, gj):
+                preds[j] += 1
+                succs[i].append(j)
+    out = []
+    avail = sorted((reduced[i][0], i) for i in range(m) if preds[i] == 0)
+    while avail:
+        _, i = avail.pop(0)
+        out.append(reduced[i])
+        for j in succs[i]:
+            preds[j] -= 1
+            if preds[j] == 0:
+                gi = reduced[j][0]
+                k = 0
+                while k < len(avail) and avail[k] < (gi, j):
+                    k += 1
+                avail.insert(k, (gi, j))
+    return tuple(out)
+
+
+class TestNormalFormSlowTwin:
+    def test_matches_sorted_list_oracle(self):
+        rng = random.Random(5)
+        graphs = [PresentationGraph.of(1, []), PresentationGraph.of(5, []),
+                  PresentationGraph.of(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])]
+        graphs += [random_graph(rng, max_n=8, p=p) for p in (0.2, 0.5, 0.8) for _ in range(8)]
+        checked = 0
+        for g in graphs:
+            assert normal_form(g, ()) == sorted_list_normal_form(g, ()) == ()
+            for _ in range(80):
+                w = tuple((rng.randrange(g.n), rng.choice((-2, -1, 0, 1, 2)))
+                          for _ in range(rng.randrange(0, 30)))
+                assert normal_form(g, w) == sorted_list_normal_form(g, w)
+                checked += 1
+        assert checked >= 2000
+
+    def test_zero_exponents_and_no_vertices(self):
+        g = PresentationGraph.of(3, [(0, 2)])
+        w = word((0, 0), (2, 0), (1, 0))
+        assert normal_form(g, w) == sorted_list_normal_form(g, w) == ()
+        assert normal_form(PresentationGraph.of(0, []), ()) == ()
+
+
+class TestPresentationGraph:
+    def test_commute_truth_table(self):
+        g = PresentationGraph.of(4, [(2, 0), (1, 3)])
+        assert g.commute(0, 2) and g.commute(2, 0)
+        assert g.commute(1, 3) and g.commute(3, 1)
+        assert not g.commute(0, 1) and not g.commute(1, 0)
+        assert not any(g.commute(i, i) for i in range(4))
+        assert not g.commute(-1, 2) and not g.commute(2, -1) and not g.commute(-2, 0)
+        assert not g.commute(0, 4) and not g.commute(4, 0) and not g.commute(2, 99)
+
+    def test_neighbours_match_commute(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            g = random_graph(rng, max_n=8)
+            for i in range(g.n):
+                assert g.neighbours[i] == {j for j in range(g.n) if g.commute(i, j)}
+
+    def test_neighbours_leave_equality_hash_and_repr(self):
+        g = PresentationGraph.of(3, [(0, 1)])
+        before = repr(g)
+        assert g.neighbours == (frozenset({1}), frozenset({0}), frozenset())
+        fresh = PresentationGraph.of(3, [(1, 0)])
+        assert repr(g) == before == repr(fresh)
+        assert g == fresh and hash(g) == hash(fresh)
+
+
 class TestComponents:
     def test_edgeless(self):
         assert components(PresentationGraph.of(3, [])) == [
