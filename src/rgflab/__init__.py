@@ -15,7 +15,7 @@ from .projections import TorusAnnuli, behrstock_scan, bgit_scan, \
     estimate_constants, general_persistence_check, persistence_check, \
     synthetic_system
 from .bassserre import FactorSpec, build_ball, free_product_check, \
-    loxodromic_scan, phi, qi_certificate, tree_distance
+    loxodromic_scan, phi, pingpong_certificate, qi_certificate, tree_distance
 from .constructions import FamilySpec, check_displacing, check_misaligned, \
     check_separated, conjugate_twist_family, definite_distance_scan, \
     gromov_bound_scan, separation_constants, twist_orbit_family

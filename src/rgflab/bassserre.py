@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import gcd
 
 from . import farey
-from .farey import MappingClass, Slope, act
-from .subgroups import MatrixGroup, enumerate_ball, group_is_finite
+from .farey import MappingClass, Slope, act, conjugator_to_infinity
+from .subgroups import (MatrixGroup, common_parabolic_fixed_slope, enumerate_ball,
+                        group_is_finite)
 
 
 @dataclass(frozen=True)
@@ -36,20 +40,39 @@ class FactorSpec:
         gen = farey.twist_about(alpha, power)
         return FactorSpec(name, MatrixGroup.of(gen), frozenset({alpha}), budget)
 
-    def elements(self) -> list:
-        """Nontrivial elements (projectively deduped), deterministic order."""
-        ball = enumerate_ball(self.group, self.budget)
-        out = []
-        seen = set()
-        for m in ball.values():
-            if m.is_identity(projective=True):
-                continue
-            key = m.projective_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(m)
-        out.sort(key=lambda m: m.projective_key())
-        return out
+    def elements(self) -> tuple:
+        """Nontrivial elements (projectively deduped), deterministic order;
+        enumerated once per factor."""
+        return self._elements
+
+    # cached properties live in the instance __dict__, outside the dataclass
+    # fields, so `==`, `hash` and `repr` do not see them
+    @cached_property
+    def _elements(self) -> tuple:
+        out = {}
+        for m in enumerate_ball(self.group, self.budget).values():
+            if not m.is_identity(projective=True):
+                out.setdefault(m.projective_key(), m)
+        return tuple(out[key] for key in sorted(out))
+
+    @cached_property
+    def parabolic(self) -> tuple | None:
+        """(alpha, n) when the factor acts on slopes as the cyclic parabolic
+        group x -> x + kn in the link coordinate of its fixed slope alpha
+        (alpha sent to 1/0 by `conjugator_to_infinity`); None otherwise.
+
+        n is the gcd of the generators' translations there; central
+        generators translate by 0 and leave it unchanged.
+        """
+        alpha = common_parabolic_fixed_slope(self.group)
+        if alpha is None:
+            return None
+        c = conjugator_to_infinity(alpha)
+        n = 0
+        for g in self.group.generators:
+            h = c.mul(g).mul(c.inv())
+            n = gcd(n, h.b * h.d)
+        return alpha, n
 
 
 def syllables_mul(factors, word1: tuple, word2: tuple) -> tuple:
@@ -340,6 +363,72 @@ def qi_certificate(ball: TreeBall, images: dict, kappa: int | None = None) -> Qi
 
 
 @dataclass
+class PingPongReport:
+    certified: bool
+    windows: list                 # per factor, closed (lo, hi) in its link coordinate
+    failing_pair: tuple | None    # (i, j): W_j's complement does not map into W_i
+    reason: str | None = None
+
+
+def _mobius(m: MappingClass, x: Fraction) -> Fraction | None:
+    """m acting on a finite link coordinate x; None when the image is 1/0."""
+    den = m.c * x.numerator + m.d * x.denominator
+    return Fraction(m.a * x.numerator + m.b * x.denominator, den) if den else None
+
+
+def pingpong_certificate(factors: list) -> PingPongReport:
+    """Klein's ping-pong for factors that act on slopes as cyclic parabolic
+    groups (`FactorSpec.parabolic`); exact rational arithmetic throughout.
+
+    Factor i, with fixed slope alpha_i and translation n_i, gets the closed
+    window W_i of length n_i in alpha_i's link coordinate (alpha_i at 1/0),
+    centred on the midpoint of the least and greatest coordinates of the
+    other fixed slopes.  Let X_i be the open arc outside W_i; it contains
+    alpha_i.  Every x -> x + kn_i with k != 0 maps W_i into X_i, so if each
+    X_j (j != i) lies in W_i, every nontrivial element of factor i maps X_j
+    into X_i, and the factors generate their free product.  X_j lies in W_i
+    when C_i C_j^-1 (C the conjugators) sends the endpoints of W_j and alpha_j
+    to finite points, the endpoints lie in W_i and alpha_j lies strictly
+    between them.  A failure disproves nothing: the windows may be badly
+    placed, or the factors may not be free.
+    """
+    if len(factors) < 2:
+        return PingPongReport(False, [], None, "fewer than two factors")
+    for i, f in enumerate(factors):
+        if f.parabolic is None:
+            return PingPongReport(False, [], None, f"factor {i} is not parabolic")
+    slopes = [f.parabolic[0] for f in factors]
+    for i, j in combinations(range(len(factors)), 2):
+        if slopes[i] == slopes[j]:
+            return PingPongReport(False, [], (i, j),
+                                  f"factors {i} and {j} share the fixed slope {slopes[i]}")
+    conj = [conjugator_to_infinity(s) for s in slopes]
+
+    def coordinate(i, j):
+        # alpha_j in alpha_i's link coordinate, finite since alpha_j != alpha_i
+        s = act(conj[i], slopes[j])
+        return Fraction(s.p, s.q)
+
+    windows = []
+    for i, f in enumerate(factors):
+        others = [coordinate(i, j) for j in range(len(factors)) if j != i]
+        centre = (min(others) + max(others)) / 2
+        half = Fraction(f.parabolic[1], 2)
+        windows.append((centre - half, centre + half))
+    for i, (lo, hi) in enumerate(windows):
+        for j in range(len(factors)):
+            if j == i:
+                continue
+            m = conj[i].mul(conj[j].inv())
+            ends = [_mobius(m, x) for x in windows[j]]
+            if None in ends or not all(lo <= e <= hi for e in ends) \
+                    or not min(ends) < coordinate(i, j) < max(ends):
+                return PingPongReport(False, windows, (i, j),
+                                      f"the arc outside window {j} does not map into window {i}")
+    return PingPongReport(True, windows, None)
+
+
+@dataclass
 class FreeProductReport:
     no_relation: bool
     witness: tuple | None         # alternating word mapping to +-identity
@@ -349,7 +438,43 @@ class FreeProductReport:
 
 def free_product_check(factors: list, budget: int = 8) -> FreeProductReport:
     """Search alternating normal-form words up to a syllable budget for one
-    that maps to the (projective) identity; meet-in-the-middle on matrices.
+    that maps to the (projective) identity.
+
+    When `pingpong_certificate` proves that the factors generate their free
+    product, no word of any length is a relation, so the search is skipped:
+    the report is the one the search would give, with `words_checked` the
+    number of words it would check (`_search_size`), which the verdict
+    covers.  Otherwise `_relation_search` runs.
+    """
+    if pingpong_certificate(factors).certified:
+        return FreeProductReport(True, None, budget, _search_size(factors, budget))
+    return _relation_search(factors, budget)
+
+
+def _search_size(factors: list, budget: int) -> int:
+    """The words `_relation_search` checks when it finds no relation: one per
+    first-half word of ceil(total/2) syllables, for each total in 2..budget.
+
+    With e_i elements in factor i, ends[k-1][i] alternating words of k
+    syllables end in factor i: ends_1[i] = e_i and
+    ends_k[i] = e_i * (sum(ends_{k-1}) - ends_{k-1}[i]).
+    """
+    sizes = [len(f.elements()) for f in factors]
+    ends = [sizes]
+    total = 0
+    for t in range(2, budget + 1):
+        a = (t + 1) // 2
+        while len(ends) < a:
+            s = sum(ends[-1])
+            ends.append([e * (s - last) for e, last in zip(sizes, ends[-1])])
+        total += sum(ends[a - 1])
+    return total
+
+
+def _relation_search(factors: list, budget: int) -> FreeProductReport:
+    """Meet-in-the-middle search on matrices for a relation of at most
+    `budget` syllables; the code path of `free_product_check` when ping-pong
+    does not decide, and its slow twin when it does.
 
     A word of `total` syllables splits as a first half of a = ceil(total/2)
     and a second of b = total - a >= 1 syllables.  The layer of a-syllable

@@ -28,7 +28,8 @@ from .projections import TorusAnnuli, estimate_constants
 from . import raag
 from . import subgroups
 from . import bassserre
-from .bassserre import FactorSpec, build_ball, free_product_check, phi, qi_certificate
+from .bassserre import (FactorSpec, build_ball, free_product_check, phi,
+                        pingpong_certificate, qi_certificate)
 from . import constructions
 from .constructions import (FamilySpec, check_displacing, check_misaligned,
                             check_separated, conjugate_twist_family,
@@ -322,6 +323,13 @@ def cmd_cert(args):
                "ok": rep.ok, "vacuous": rep.vacuous,
                "table": {f"{i},{j},{k}": v for (i, j, k), v in sorted(rep.table.items())}}
         return (PASS if rep.ok else FAIL), [rec], None
+    if args.action == "pingpong":
+        rep = pingpong_certificate(family.factors)
+        rec = {"record": "cert-pingpong", "certified": rep.certified,
+               "windows": [f"[{lo}, {hi}]" for lo, hi in rep.windows],
+               "failing_pair": rep.failing_pair, "reason": rep.reason}
+        # a failed ping-pong disproves nothing, so it is no verdict
+        return (PASS if rep.certified else NO_VERDICT), [rec], None
     rep = check_displacing(family, args.L, shell_bound=args.shell_bound)
     rec = {"record": "cert-displacing", "L": args.L,
            "stabilize_ok": rep.stabilize_ok, "separation_ok": rep.separation_ok,
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = add_parser("persistence", help="projection persistence on generated sequences")
     pp.add_argument("action", choices=("check",))
     pp.add_argument("--sequences", type=int, default=50)
-    pp.add_argument("--max-length", type=int, default=8)
+    pp.add_argument("--max-length", type=_int_at_least(3), default=8)
     pp.add_argument("--M", type=int)
     pp.add_argument("--B", type=int)
     pp.set_defaults(func=cmd_persistence)
@@ -465,14 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     pt = add_parser("tree", help="Bass-Serre balls, embedding certificates, relations")
     pt.add_argument("action", choices=("build", "qi", "free-product"))
     pt.add_argument("--family", required=True, help="FamilySpec JSON file")
-    pt.add_argument("--radius", type=int, default=4)
+    pt.add_argument("--radius", type=_int_at_least(0), default=4)
     pt.add_argument("--base-curve", type=_slope_arg, default="1/1")
     pt.add_argument("--kappa", type=_int_at_least(1))
-    pt.add_argument("--budget", type=int, default=8)
+    # a relation has at least two syllables: a smaller budget searches nothing
+    pt.add_argument("--budget", type=_int_at_least(2), default=8)
     pt.set_defaults(func=cmd_tree)
 
     pcert = add_parser("cert", help="family certificates")
-    pcert.add_argument("action", choices=("separated", "misaligned", "displacing"))
+    pcert.add_argument("action", choices=("separated", "misaligned", "displacing", "pingpong"))
     pcert.add_argument("--family", required=True)
     pcert.add_argument("--D", type=int, default=5)
     pcert.add_argument("--A", type=int, default=2)
@@ -486,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--window", type=int, default=5)
     pe.add_argument("--radius", type=int, default=6)
     pe.add_argument("--D", type=_int_at_least(8), default=8)
-    pe.add_argument("--budget", type=int, default=8)
+    pe.add_argument("--budget", type=_int_at_least(2), default=8)
     pe.add_argument("--factor-budget", type=int, default=2)
     pe.add_argument("--words", type=int, default=100)
     pe.add_argument("--curve-samples", type=int, default=60)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,9 +12,10 @@ from rgflab import bassserre
 from rgflab.bassserre import (FactorSpec, FreeProductReport, ball_bfs_distance,
                               build_ball, coset_well_defined, cyclically_reduce,
                               free_product_check, loxodromic_scan, phi,
-                              qi_certificate, random_alternating_word,
-                              syllables_inv, syllables_mul, tree_distance,
-                              type1_vertex, type2_vertex, word_matrix)
+                              pingpong_certificate, qi_certificate,
+                              random_alternating_word, syllables_inv,
+                              syllables_mul, tree_distance, type1_vertex,
+                              type2_vertex, word_matrix)
 
 
 def two_twist_factors(budget=2):
@@ -319,6 +321,173 @@ class TestLazyRelationSearch:
         reps = [free_product_check(_twist_pair(1, 6), b) for b in (4, 9, 40)]
         assert {r.words_checked for r in reps} == {367}
         assert len({bassserre._word_key(r.witness) for r in reps}) == 1
+
+
+class TestFactorSpec:
+    def test_elements_enumerated_once(self, monkeypatch):
+        calls = []
+        real = bassserre.enumerate_ball
+        monkeypatch.setattr(bassserre, "enumerate_ball",
+                            lambda *a: calls.append(a) or real(*a))
+        f = FactorSpec.twist("A", Slope(1, 2), power=2, budget=3)
+        first = f.elements()
+        build_ball([f, f], 2)
+        assert f.elements() is first and len(calls) == 1
+
+    def test_elements_match_the_uncached_list(self):
+        # the list `elements()` built on every call before it was cached
+        for f in two_twist_factors(3) + [FactorSpec("P", MatrixGroup.of(
+                MappingClass(2, 1, 1, 1), MappingClass(-1, 0, 0, -1)), frozenset(), 2)]:
+            out, seen = [], set()
+            for m in bassserre.enumerate_ball(f.group, f.budget).values():
+                if m.is_identity(projective=True):
+                    continue
+                key = m.projective_key()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(m)
+            out.sort(key=lambda m: m.projective_key())
+            assert f.elements() == tuple(out)
+
+    def test_elements_cannot_be_mutated(self):
+        f = FactorSpec.twist("A", INFINITY, budget=2)
+        with pytest.raises(AttributeError):
+            f.elements().append(MappingClass.identity())
+
+    def test_caches_leave_equality_hash_and_repr(self):
+        f = FactorSpec.twist("A", INFINITY, power=2, budget=1)
+        fresh = FactorSpec.twist("A", INFINITY, power=2, budget=1)
+        before = repr(f)
+        assert len(f.elements()) == 2 and f.parabolic == (INFINITY, 2)
+        assert repr(f) == before == repr(fresh) == (
+            "FactorSpec(name='A', group=MatrixGroup(generators=(MappingClass(a=1, b=2, "
+            "c=0, d=1),), budget=6), boundary=frozenset({Slope(1/0)}), budget=1)")
+        assert f == fresh and hash(f) == hash(fresh)
+        assert [x.name for x in dataclasses.fields(f)] == ["name", "group", "boundary", "budget"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.budget = 2
+
+    @pytest.mark.parametrize("gens, expected", [
+        ([twist_about(Slope(2, 5), 3)], (Slope(2, 5), 3)),
+        ([twist_about(Slope(-1, 3), -2)], (Slope(-1, 3), 2)),
+        ([twist_about(Slope(1, 2), 4), twist_about(Slope(1, 2), 6)], (Slope(1, 2), 2)),
+        ([MappingClass(-1, 0, 0, -1), twist_about(INFINITY, 5)], (INFINITY, 5)),
+        ([MappingClass(-1, -3, 0, -1)], (INFINITY, 3)),          # trace -2
+        ([twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)], None),
+        ([MappingClass(2, 1, 1, 1)], None),                      # pseudo-Anosov
+        ([MappingClass(0, -1, 1, 0)], None),                     # periodic
+        ([MappingClass(-1, 0, 0, -1)], None),                    # central only
+    ])
+    def test_parabolic(self, gens, expected):
+        assert FactorSpec("F", MatrixGroup.of(*gens), frozenset()).parabolic == expected
+
+
+def _example92_factors(D):
+    from rgflab.constructions import conjugate_twist_family
+    return conjugate_twist_family(D, seed=7).family.factors
+
+
+def _prop91_factors(seed):
+    from rgflab.constructions import twist_orbit_family
+    return twist_orbit_family(20, window=5, seed=seed).family.factors
+
+
+PINGPONG_ROWS = (
+    # (id, factors, certified); Ishida: twists about 0/1 and p/1, which
+    # meet |p| times, generate a free group iff |p| >= 2
+    [(f"ishida-{p}", lambda p=p: [FactorSpec.twist("A", Slope(0, 1)),
+                                  FactorSpec.twist("B", Slope(p, 1))], abs(p) >= 2)
+     for p in (1, -1, 2, -2, 3, 5, -5, 7)]
+    # Sanov, Lyndon-Ullman: the e-th powers of the twists about 1/0 and 0/1
+    + [(f"twist-power-{e}", lambda e=e: _twist_pair(e, 2), e >= 2) for e in (1, 2, 3)]
+    + [(f"prop91-seed-{s}", lambda s=s: _prop91_factors(s), True) for s in range(4)]
+    # a relation exists in both
+    + [(f"example92-D{d}", lambda d=d: _example92_factors(d), False) for d in (8, 10)]
+)
+
+
+class TestPingPongCertificate:
+    @pytest.mark.parametrize("make, certified", [r[1:] for r in PINGPONG_ROWS],
+                             ids=[r[0] for r in PINGPONG_ROWS])
+    def test_table(self, make, certified):
+        rep = pingpong_certificate(make())
+        assert rep.certified == certified
+        assert (rep.failing_pair is None) == certified
+
+    def test_shear_pair_windows(self):
+        rep = pingpong_certificate(_twist_pair(2, 5))
+        assert rep == bassserre.PingPongReport(True, [(-1, 1), (-1, 1)], None)
+        rep = pingpong_certificate(_twist_pair(1, 5))
+        assert rep.windows == [(Fraction(-1, 2), Fraction(1, 2))] * 2
+        assert rep.failing_pair == (0, 1)
+
+    def test_windows_are_centred_exactly(self):
+        # in 1/0's coordinate the other fixed slopes sit at 0 and 1/3, so the
+        # window of length 2 is centred on 1/6
+        factors = [FactorSpec.twist("A", INFINITY, 2), FactorSpec.twist("B", Slope(0, 1), 2),
+                   FactorSpec.twist("C", Slope(1, 3), 2)]
+        assert pingpong_certificate(factors).windows[0] == (Fraction(-5, 6), Fraction(7, 6))
+
+    def test_window_endpoint_sent_to_infinity(self):
+        # the other fixed slopes sit at 0 and -1 in 0/1's coordinate, so the
+        # window [-1, 0] ends on them, and C_0 C_1^-1 sends its end 0 to 1/0
+        factors = [FactorSpec.twist(name, s) for name, s in
+                   (("A", INFINITY), ("B", Slope(0, 1)), ("C", Slope(1, 1)))]
+        rep = pingpong_certificate(factors)
+        assert rep.windows[1] == (-1, 0)
+        assert (rep.certified, rep.failing_pair) == (False, (0, 1))
+
+    @pytest.mark.parametrize("factors, pair, reason", [
+        ([FactorSpec.twist("A", INFINITY, 2)], None, "fewer than two factors"),
+        ([], None, "fewer than two factors"),
+        ([FactorSpec.twist("A", INFINITY, 2),
+          FactorSpec("P", MatrixGroup.of(MappingClass(2, 1, 1, 1)), frozenset())],
+         None, "factor 1 is not parabolic"),
+        ([FactorSpec.twist("A", Slope(0, 1), 2), FactorSpec.twist("B", INFINITY, 2),
+          FactorSpec.twist("C", Slope(0, 1), 3)],
+         (0, 2), "factors 0 and 2 share the fixed slope 0/1"),
+    ])
+    def test_refusals(self, factors, pair, reason):
+        rep = pingpong_certificate(factors)
+        assert (rep.certified, rep.windows, rep.failing_pair, rep.reason) == (
+            False, [], pair, reason)
+
+    @pytest.mark.parametrize("budget, words", [(0, 0), (1, 0), (2, 20), (5, 2_420),
+                                               (8, 44_420), (10, 444_420)])
+    def test_certified_family_skips_the_search(self, budget, words, monkeypatch):
+        # the e=2 shear pair: the counts the search reports at these budgets
+        def refuse(factors, budget):
+            raise AssertionError("the search ran on a certified family")
+        monkeypatch.setattr(bassserre, "_relation_search", refuse)
+        assert free_product_check(_twist_pair(2, 5), budget) == FreeProductReport(
+            True, None, budget, words)
+
+    def test_fast_path_matches_slow_twins(self):
+        # every distinct certified family of the table, at budgets 0-8
+        families = {tuple(r[1]()) for r in PINGPONG_ROWS if r[2]}
+        for factors in families:
+            factors = list(factors)
+            for budget in range(9):
+                fast = free_product_check(factors, budget)
+                assert fast == bassserre._relation_search(factors, budget)
+                assert fast == eager_free_product_check(factors, budget)
+                assert fast.no_relation and fast.witness is None
+
+    def test_never_contradicts_the_search(self):
+        # seeded families of 2-3 twists: a certified one has no relation the
+        # search can find; the search still refutes some uncertified ones
+        from rgflab.projections import random_slope
+        rng = random.Random(2026)
+        certified = refuted = 0
+        for _ in range(200):
+            factors = [FactorSpec.twist(f"F{i}", random_slope(rng, 4), rng.randint(1, 3))
+                       for i in range(rng.randint(2, 3))]
+            rep = bassserre._relation_search(factors, 5 if len(factors) == 2 else 4)
+            if pingpong_certificate(factors).certified:
+                certified += 1
+                assert rep.no_relation, factors
+            refuted += not rep.no_relation
+        assert certified >= 50 and refuted >= 50
 
 
 def _twist_exponent(m: MappingClass) -> int:

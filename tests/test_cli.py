@@ -8,6 +8,7 @@ from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, family_from_json, family_t
 from rgflab.constructions import FamilySpec, slope_at_distance
 from rgflab.bassserre import FactorSpec
 from rgflab.farey import INFINITY, Slope
+from rgflab.subgroups import MatrixGroup
 
 
 @pytest.fixture
@@ -89,6 +90,21 @@ BAD_INPUT_ROWS = [
      "usage error: bad --edges '[[0,1': JSONDecodeError("),
     ("edge-not-a-pair", ["raag", "nf", "--vertices", "2", "--edges", "[1]"],
      "usage error: bad --edges '[1]': TypeError("),
+    # a relation has at least two syllables: a smaller budget searched
+    # nothing and still reported "no_relation": true
+    ("free-product-budget-negative",
+     ["tree", "free-product", "--family", "FAMILY", "--budget", "-3"],
+     "rgflab tree: error: argument --budget: must be at least 2, got -3"),
+    ("free-product-budget-0", ["tree", "free-product", "--family", "FAMILY", "--budget", "0"],
+     "rgflab tree: error: argument --budget: must be at least 2, got 0"),
+    ("free-product-budget-1", ["tree", "free-product", "--family", "FAMILY", "--budget", "1"],
+     "rgflab tree: error: argument --budget: must be at least 2, got 1"),
+    ("experiment-budget-1", ["experiment", "theorem-b", "--budget", "1", "--seed", "1"],
+     "rgflab experiment: error: argument --budget: must be at least 2, got 1"),
+    ("radius-negative", ["tree", "build", "--family", "FAMILY", "--radius", "-1"],
+     "rgflab tree: error: argument --radius: must be at least 0, got -1"),
+    ("max-length-2", ["persistence", "check", "--max-length", "2", "--seed", "1"],
+     "rgflab persistence: error: argument --max-length: must be at least 3, got 2"),
 ]
 
 BAD_FAMILIES = {
@@ -290,6 +306,24 @@ class TestTreeAndCert(object):
         code, lines, _ = run(["cert", "displacing", "--family", family_file,
                               "--L", "90", "--shell-bound", "8"], tmp_path)
         assert code == NO_VERDICT
+
+    @pytest.mark.parametrize("generator, power, code, windows, pair", [
+        # the e=2 shear pair is free (Sanov); full twists are not
+        ([1, 2, 0, 1], 2, PASS, ["[-1, 1]", "[-1, 1]"], None),
+        ([1, 1, 0, 1], 1, NO_VERDICT, ["[-1/2, 1/2]", "[-1/2, 1/2]"], [0, 1]),
+        ([2, 1, 1, 1], 2, NO_VERDICT, [], None),        # a pseudo-Anosov factor
+    ], ids=["shear-pair", "full-twists", "pseudo-anosov"])
+    def test_cert_pingpong(self, generator, power, code, windows, pair, tmp_path):
+        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator), frozenset({INFINITY})),
+                          FactorSpec.twist("B", Slope(0, 1), power=power)])
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family_to_json(fam)))
+        got, lines, _ = run(["cert", "pingpong", "--family", str(path)], tmp_path)
+        assert got == code
+        rec = lines[1]
+        assert (rec["record"], rec["certified"], rec["windows"], rec["failing_pair"]) == (
+            "cert-pingpong", code == PASS, windows, pair)
+        assert (rec["reason"] is None) == (code == PASS)
 
     def test_missing_family_file(self):
         assert main(["cert", "separated", "--family", "/nonexistent.json"]) == USAGE
