@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from . import farey
+from . import farey, hypgraph
 from .farey import MappingClass, Slope, act, conjugator_to_infinity
 from .subgroups import (MatrixGroup, common_parabolic_fixed_slope, enumerate_ball,
                         group_is_finite)
@@ -166,47 +166,36 @@ def build_ball(factors: list, radius: int) -> TreeBall:
 
     center = type2_vertex(())
     adjacency = {center: set()}
-    distance = {center: 0}
+    distance = {}
     words = {center: ()}
     prefixes = {}
     truncated = set()
-    frontier = [center]
 
-    def connect(u, v):
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+    def neighbours(u):
+        """The fan at u, recording edges and the first label of each vertex."""
+        fan = []
+        if u.kind == 2:
+            g = words[u]
+            for i in range(len(factors)):
+                v = type1_vertex(g, i)
+                prefixes.setdefault(v, g[:-1] if g and g[-1][0] == i else g)
+                fan.append(v)
+        else:
+            g = prefixes[u]
+            for tail in [()] + [((u.factor, m),) for m in elements[u.factor]]:
+                w = syllables_mul(factors, g, tail)
+                v = type2_vertex(w)
+                words.setdefault(v, w)
+                fan.append(v)
+        for v in fan:
+            adjacency[u].add(v)
+            adjacency.setdefault(v, set()).add(u)
+        return fan
 
-    for r in range(radius):
-        nxt = []
-        for u in frontier:
-            if distance[u] != r:
-                continue
-            if u.kind == 2:
-                g = words[u]
-                for i in range(len(factors)):
-                    v = type1_vertex(g, i)
-                    fresh = v not in distance
-                    if fresh:
-                        distance[v] = r + 1
-                        prefixes[v] = g[:-1] if g and g[-1][0] == i else g
-                        if infinite[i]:
-                            truncated.add(v)
-                        nxt.append(v)
-                    connect(u, v)
-            else:
-                i = u.factor
-                g = prefixes[u]
-                mates = [()] + [((i, m),) for m in elements[i]]
-                for tail in mates:
-                    w = syllables_mul(factors, g, tail)
-                    v = type2_vertex(w)
-                    fresh = v not in distance
-                    if fresh:
-                        distance[v] = r + 1
-                        words[v] = w
-                        nxt.append(v)
-                    connect(u, v)
-        frontier = nxt
+    for v, _, d in hypgraph.bfs([center], neighbours, radius):
+        distance[v] = d
+        if v.kind == 1 and infinite[v.factor]:
+            truncated.add(v)
     return TreeBall(list(factors), radius, adjacency, distance, words, prefixes, truncated)
 
 
@@ -249,19 +238,9 @@ def tree_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
 
 def ball_bfs_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
     """Path-walk oracle: BFS in the constructed ball."""
-    from collections import deque
-    if v == w:
-        return 0
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for x in ball.adjacency[u]:
-            if x not in dist:
-                dist[x] = dist[u] + 1
-                if x == w:
-                    return dist[x]
-                queue.append(x)
+    for x, _, d in hypgraph.bfs([v], ball.adjacency.__getitem__):
+        if x == w:
+            return d
     raise KeyError("vertex not reachable inside the ball")
 
 

@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = add_parser("persistence", help="projection persistence on generated sequences")
     pp.add_argument("action", choices=("check",))
-    pp.add_argument("--sequences", type=int, default=50)
+    pp.add_argument("--sequences", type=_int_at_least(1), default=50)
     pp.add_argument("--max-length", type=_int_at_least(3), default=8)
     pp.add_argument("--M", type=int)
     pp.add_argument("--B", type=int)
@@ -492,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe = add_parser("experiment", help="end-to-end reproductions")
     pe.add_argument("kind", choices=("prop91", "theorem-b", "example92"))
     pe.add_argument("--dprime", type=_int_at_least(9), default=20)
-    pe.add_argument("--window", type=int, default=5)
-    pe.add_argument("--radius", type=int, default=6)
+    pe.add_argument("--window", type=_int_at_least(1), default=5)
+    pe.add_argument("--radius", type=_int_at_least(0), default=6)
     pe.add_argument("--D", type=_int_at_least(8), default=8)
     pe.add_argument("--budget", type=_int_at_least(2), default=8)
     pe.add_argument("--factor-budget", type=int, default=2)
-    pe.add_argument("--words", type=int, default=100)
+    pe.add_argument("--words", type=_int_at_least(1), default=100)
     pe.add_argument("--curve-samples", type=int, default=60)
     pe.add_argument("--triples", type=int, default=1000)
     pe.add_argument("--geodesics", type=int, default=300)

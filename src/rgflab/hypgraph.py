@@ -165,6 +165,32 @@ def check_local_to_global(chain, A, delta, oracle) -> ChainReport:
     return ChainReport(pts, A, delta, D, hyp, concl, geo_ok, end, total, slack, failures)
 
 
+def bfs(sources, neighbours, depth=None):
+    """Breadth-first walk: yields (vertex, parent, distance) once per reached
+    vertex, in order of discovery, the sources first with parent None.
+
+    `neighbours(v)` returns the vertices adjacent to v; it is called once per
+    expanded vertex.  Vertices at distance `depth` are not expanded (no cap
+    when None).  The walk is lazy, so a caller may stop it early.
+    """
+    seen = set()
+    queue = deque()
+    for s in sources:
+        if s not in seen:
+            seen.add(s)
+            queue.append((s, 0))
+            yield s, None, 0
+    while queue:
+        u, d = queue.popleft()
+        if depth is not None and d >= depth:
+            continue
+        for v in neighbours(u):
+            if v not in seen:
+                seen.add(v)
+                queue.append((v, d + 1))
+                yield v, u, d + 1
+
+
 # ---------------------------------------------------------------------------
 # Concrete oracles for finite graphs (test models and synthetic instances).
 
@@ -181,20 +207,13 @@ class GraphOracle:
 
     def _bfs(self, src):
         got = self._bfs_cache.get(src)
-        if got is not None:
-            return got
-        dist = {src: 0}
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-        self._bfs_cache[src] = (dist, parent)
-        return dist, parent
+        if got is None:
+            dist, parent = {}, {}
+            for v, p, d in bfs([src], self.adj.__getitem__):
+                dist[v] = d
+                parent[v] = p
+            got = self._bfs_cache[src] = (dist, parent)
+        return got
 
     def dist(self, a, b) -> int:
         dist, _ = self._bfs(a)

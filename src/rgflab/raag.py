@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .hypgraph import bfs
+
 
 @dataclass(frozen=True)
 class PresentationGraph:
@@ -189,20 +191,11 @@ def components(graph: PresentationGraph) -> list:
     seen = set()
     comps = []
     for v in range(graph.n):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for i, j in graph.edges:
-                w_ = j if i == u else i if j == u else None
-                if w_ is not None and w_ not in comp:
-                    comp.add(w_)
-                    stack.append(w_)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+        if v not in seen:
+            comp = frozenset(u for u, _, _ in bfs([v], graph.neighbours.__getitem__))
+            seen |= comp
+            comps.append(comp)
+    return comps
 
 
 # --- abstract support families ---------------------------------------------
@@ -237,13 +230,6 @@ class AbstractFamily:
         if len(table) != n * (n - 1) // 2:
             raise ValueError("every unordered pair needs a declared relation")
         return AbstractFamily(n, tuple(table))
-
-    def relation(self, i: int, j: int) -> str:
-        i, j = min(i, j), max(i, j)
-        for a, b, r in self.relations:
-            if (a, b) == (i, j):
-                return r
-        raise KeyError((i, j))
 
     def realization_graph(self) -> PresentationGraph:
         edges = [(i, j) for i, j, r in self.relations if r == DISJOINT]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .farey import INFINITY, MappingClass, Slope, act
+from .hypgraph import bfs
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
@@ -78,21 +79,12 @@ def _ball(group: MatrixGroup, length: int | None) -> tuple:
     default), and whether it closed: some sphere inside the radius was empty."""
     length = group.budget if length is None else length
     steps = group.step_generators()
-    seen = {MappingClass.identity().entries(): MappingClass.identity()}
-    frontier = [MappingClass.identity()]
-    for _ in range(length):
-        nxt = []
-        for m in frontier:
-            for s in steps:
-                cand = m.mul(s)
-                key = cand.entries()
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-        if not frontier:
-            return seen, True
-    return seen, False
+    seen = {}
+    deepest = 0     # distances arrive in nondecreasing order
+    for m, _, deepest in bfs([MappingClass.identity()],
+                             lambda m: [m.mul(s) for s in steps], length):
+        seen[m.entries()] = m
+    return seen, deepest < length
 
 
 def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
@@ -156,19 +148,11 @@ def orbit(group: MatrixGroup, s: Slope, budget: int = 200) -> OrbitResult:
     if fixed is not None and s != fixed:
         return OrbitResult(None, False, True, 0)
     steps = group.step_generators()
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in steps:
-                w = act(g, v)
-                if w not in seen:
-                    if len(seen) >= budget:
-                        return OrbitResult(None, True, False, len(seen))
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    seen = set()
+    for v, _, d in bfs([s], lambda v: [act(g, v) for g in steps]):
+        if d and len(seen) >= budget:
+            return OrbitResult(None, True, False, len(seen))
+        seen.add(v)
     return OrbitResult(frozenset(seen), False, False, len(seen))
 
 
@@ -192,27 +176,18 @@ DEFAULT_SEEDS = (INFINITY, Slope(0, 1), Slope(1, 1))
 
 def candidate_slopes(group: MatrixGroup, seeds=DEFAULT_SEEDS, closure_budget: int = 25) -> list:
     """Fixed slopes of parabolic generators plus a budgeted orbit closure of
-    the seed set."""
-    cands = []
+    the seed set: the walk from the seeds adds slopes until `closure_budget`
+    are held (the seeds and fixed slopes are always kept)."""
+    seen = set()
     for g in group.generators:
         t = nielsen_thurston_type(g)
         if t.tag == REDUCIBLE:
-            cands.append(t.fixed_slope)
+            seen.add(t.fixed_slope)
     steps = group.step_generators()
-    seen = set(cands)
-    frontier = list(seeds)
-    seen.update(frontier)
-    while frontier and len(seen) < closure_budget:
-        nxt = []
-        for v in frontier:
-            for g in steps:
-                w = act(g, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) >= closure_budget:
-                        break
-        frontier = nxt
+    for v, _, d in bfs(seeds, lambda v: [act(g, v) for g in steps]):
+        if d and len(seen) >= closure_budget:
+            break
+        seen.add(v)
     return sorted(seen, key=lambda v: (v.q, v.p))
 
 

@@ -105,6 +105,18 @@ BAD_INPUT_ROWS = [
      "rgflab tree: error: argument --radius: must be at least 0, got -1"),
     ("max-length-2", ["persistence", "check", "--max-length", "2", "--seed", "1"],
      "rgflab persistence: error: argument --max-length: must be at least 3, got 2"),
+    # were tracebacks (ValueError from build_ball and the family builder)
+    ("experiment-radius-negative", ["experiment", "prop91", "--radius", "-1", "--seed", "1"],
+     "rgflab experiment: error: argument --radius: must be at least 0, got -1"),
+    ("window-0", ["experiment", "prop91", "--window", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --window: must be at least 1, got 0"),
+    # an empty scan passed: "violations": 0, or a loxodromic scan over no words
+    ("sequences-0", ["persistence", "check", "--sequences", "0", "--seed", "1"],
+     "rgflab persistence: error: argument --sequences: must be at least 1, got 0"),
+    ("sequences-negative", ["persistence", "check", "--sequences", "-2", "--seed", "1"],
+     "rgflab persistence: error: argument --sequences: must be at least 1, got -2"),
+    ("words-negative", ["experiment", "theorem-b", "--words", "-1", "--seed", "1"],
+     "rgflab experiment: error: argument --words: must be at least 1, got -1"),
 ]
 
 BAD_FAMILIES = {

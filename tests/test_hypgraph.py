@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import INFINITY, Slope, act, bounded_vertices, twist_about
 from rgflab.hypgraph import (DeltaEstimate, FareyOracle, GeodesicsUnsupported,
-                             GraphOracle, check_gp_geodesic_bound,
+                             GraphOracle, bfs, check_gp_geodesic_bound,
                              check_local_to_global, cycle_oracle, estimate_delta,
                              gromov_product, point_to_path_distance, random_tree)
 from rgflab.projections import random_slope
@@ -61,6 +61,51 @@ class TestGromovProduct:
         x, y, z, w = (rng.choice(pts) for _ in range(4))
         lhs = abs(gromov_product(y, x, z, t) - gromov_product(x, w, z, t))
         assert lhs <= t.dist(y, w)
+
+
+SMALL = {0: [1, 2], 1: [0, 3], 2: [0, 3, 4], 3: [1, 2, 5], 4: [2], 5: [3]}
+
+
+class TestBfs:
+    def test_discovery_order_and_parents(self):
+        assert list(bfs([0], SMALL.__getitem__)) == [
+            (0, None, 0), (1, 0, 1), (2, 0, 1), (3, 1, 2), (4, 2, 2), (5, 3, 3)]
+
+    def test_depth_cap(self):
+        walk = list(bfs([0], SMALL.__getitem__))
+        for depth, count in ((0, 1), (1, 3), (2, 5), (3, 6), (9, 6)):
+            assert list(bfs([0], SMALL.__getitem__, depth)) == walk[:count]
+
+    def test_capped_vertices_are_not_expanded(self):
+        expanded = []
+
+        def neighbours(v):
+            expanded.append(v)
+            return SMALL[v]
+
+        list(bfs([0], neighbours, 2))
+        assert expanded == [0, 1, 2]
+        expanded.clear()
+        list(bfs([0], neighbours, 0))
+        assert expanded == []
+
+    def test_duplicate_sources_yield_once(self):
+        assert list(bfs([3, 0, 3, 0], SMALL.__getitem__)) == [
+            (3, None, 0), (0, None, 0), (1, 3, 1), (2, 3, 1), (5, 3, 1), (4, 2, 2)]
+
+    def test_lazy(self):
+        expanded = []
+
+        def neighbours(v):
+            expanded.append(v)
+            return SMALL[v]
+
+        walk = bfs([0], neighbours)
+        assert next(walk) == (0, None, 0) and expanded == []
+        assert next(walk) == (1, 0, 1) and expanded == [0]
+
+    def test_no_sources(self):
+        assert list(bfs([], SMALL.__getitem__)) == []
 
 
 class TestEstimateDelta:
