@@ -450,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = add_parser("constants", help="empirical projection constants")
     pc.add_argument("action", choices=("estimate",))
-    pc.add_argument("--triples", type=int, default=2000)
-    pc.add_argument("--geodesics", type=int, default=400)
+    pc.add_argument("--triples", type=_int_at_least(1), default=2000)
+    pc.add_argument("--geodesics", type=_int_at_least(1), default=400)
     pc.add_argument("--qmax", type=_int_at_least(1), default=1000)
     pc.set_defaults(func=cmd_constants)
 
@@ -483,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     pcert = add_parser("cert", help="family certificates")
     pcert.add_argument("action", choices=("separated", "misaligned", "displacing", "pingpong"))
     pcert.add_argument("--family", required=True)
-    pcert.add_argument("--D", type=int, default=5)
-    pcert.add_argument("--A", type=int, default=2)
-    pcert.add_argument("--L", type=int, default=11)
+    pcert.add_argument("--D", type=_int_at_least(1), default=5)
+    pcert.add_argument("--A", type=_int_at_least(1), default=2)
+    pcert.add_argument("--L", type=_int_at_least(1), default=11)
     pcert.add_argument("--shell-bound", type=int, default=40)
     pcert.set_defaults(func=cmd_cert)
 
@@ -498,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--budget", type=_int_at_least(2), default=8)
     pe.add_argument("--factor-budget", type=int, default=2)
     pe.add_argument("--words", type=_int_at_least(1), default=100)
-    pe.add_argument("--curve-samples", type=int, default=60)
-    pe.add_argument("--triples", type=int, default=1000)
-    pe.add_argument("--geodesics", type=int, default=300)
+    pe.add_argument("--curve-samples", type=_int_at_least(1), default=60)
+    pe.add_argument("--triples", type=_int_at_least(1), default=1000)
+    pe.add_argument("--geodesics", type=_int_at_least(1), default=300)
     pe.add_argument("--qmax", type=_int_at_least(1), default=800)
     pe.add_argument("--delta", type=int)
     pe.set_defaults(func=cmd_experiment)

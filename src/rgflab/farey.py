@@ -41,6 +41,18 @@ class Slope:
         return Slope(p // g, q // g)
 
     @staticmethod
+    def _reduced(p: int, q: int) -> "Slope":
+        """Slope from a canonical pair already known to be in lowest terms.
+
+        Skips the validation of `__post_init__`; only for values that are
+        reduced by construction, such as images under `act`.
+        """
+        s = object.__new__(Slope)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "q", q)
+        return s
+
+    @staticmethod
     def parse(text: str) -> "Slope":
         if "/" in text:
             a, b = text.split("/")
@@ -130,8 +142,16 @@ class MappingClass:
 
 
 def act(m: MappingClass, s: Slope) -> Slope:
-    """Projective action on slopes: an isometry of the Farey graph."""
-    return Slope.of(m.a * s.p + m.b * s.q, m.c * s.p + m.d * s.q)
+    """Projective action on slopes: an isometry of the Farey graph.
+
+    A determinant-one matrix maps primitive vectors to primitive vectors, so
+    the image needs a sign fix but no gcd.
+    """
+    p = m.a * s.p + m.b * s.q
+    q = m.c * s.p + m.d * s.q
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return Slope._reduced(p, q)
 
 
 def adjacent(a: Slope, b: Slope) -> bool:
@@ -318,10 +338,11 @@ def twist_about(alpha: Slope, n: int) -> MappingClass:
 
 
 def annular_projection(alpha: Slope, beta: Slope) -> frozenset:
-    """Coarse projection of beta to the annulus about alpha.
+    """Coarse projection of beta to the annulus about alpha, as a set.
 
     Empty iff beta equals alpha; otherwise the floor/ceiling pair of the
-    conjugated slope, read as positions in the link of alpha.
+    conjugated slope, read as positions in the link of alpha.  The set form
+    is the reference for the integer kernel `link_span`.
     """
     if alpha == beta:
         return frozenset()
@@ -336,28 +357,66 @@ class EmptyProjectionError(ValueError):
 
 def annular_projection_set(alpha: Slope, curves) -> frozenset:
     """Union of annular projections of a set of curves (components equal to
-    alpha contribute nothing)."""
+    alpha contribute nothing); the set form of `link_span`."""
     out = set()
     for beta in curves:
         out |= annular_projection(alpha, beta)
     return frozenset(out)
 
 
+def _span(m: MappingClass, curves):
+    """(least floor, greatest ceiling) of the images of `curves` under the
+    conjugator m of a site, or None when every curve is the site itself.
+
+    `curves` is a slope or an iterable of slopes.  The floor and ceiling of
+    the image (a*p + b*q)/(c*p + d*q) need neither a reduced fraction nor a
+    sign fix: one divmod rounds down for either sign of the denominator, and
+    the ceiling is one more unless the remainder is zero.  The denominator
+    vanishes exactly on the site.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if isinstance(curves, Slope):
+        den = c * curves.p + d * curves.q
+        if not den:
+            return None
+        lo, r = divmod(a * curves.p + b * curves.q, den)
+        return (lo, lo + 1) if r else (lo, lo)
+    lo = hi = None
+    for s in curves:
+        den = c * s.p + d * s.q
+        if not den:
+            continue
+        fl, r = divmod(a * s.p + b * s.q, den)
+        if lo is None or fl < lo:
+            lo = fl
+        if r:
+            fl += 1
+        if hi is None or fl > hi:
+            hi = fl
+    return None if lo is None else (lo, hi)
+
+
+def link_span(alpha: Slope, curves):
+    """(lo, hi): the extreme positions, in the link of alpha, of the annular
+    projections of a slope or an iterable of slopes; None when nothing
+    projects.  The projection diameter is hi - lo."""
+    return _span(conjugator_to_infinity(alpha), curves)
+
+
 def annular_distance(alpha: Slope, beta, gamma) -> int:
     """Diameter in Z of the union of the projections of beta and gamma.
 
-    Either argument may be a slope or an iterable of slopes.
+    Either argument may be a slope or an iterable of slopes; components equal
+    to alpha are skipped.
     """
-    bs = {beta} if isinstance(beta, Slope) else set(beta)
-    gs = {gamma} if isinstance(gamma, Slope) else set(gamma)
-    pb = annular_projection_set(alpha, bs)
-    pg = annular_projection_set(alpha, gs)
-    if not pb and not pg:
-        raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
-    if not pb or not pg:
+    m = conjugator_to_infinity(alpha)
+    sb = _span(m, beta)
+    sg = _span(m, gamma)
+    if sb is None or sg is None:
+        if sb is None and sg is None:
+            raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
         raise EmptyProjectionError(f"one side does not project to {alpha}")
-    proj = pb | pg
-    return max(proj) - min(proj)
+    return max(sb[1], sg[1]) - min(sb[0], sg[0])
 
 
 def slope_set_distance(A, B) -> int:

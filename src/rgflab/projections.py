@@ -71,13 +71,19 @@ class TorusAnnuli:
         return any(c != site for c in self._components(obj))
 
     def proj_dist(self, site: Slope, a, b) -> int:
-        return farey.annular_distance(site, self._components(a), self._components(b))
+        return farey.annular_distance(site, a, b)
 
     def proj_diam(self, site: Slope, obj) -> int:
-        pts = farey.annular_projection_set(site, self._components(obj))
-        if not pts:
+        span = farey.link_span(site, obj)
+        if span is None:
             raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
-        return max(pts) - min(pts)
+        return span[1] - span[0]
+
+    def path_diam(self, site: Slope, path) -> int:
+        """Projection diameter of the union of a projecting path's objects:
+        one span fold, equal to the largest pairwise `proj_dist`."""
+        lo, hi = farey.link_span(site, [c for v in path for c in self._components(v)])
+        return hi - lo
 
     def ambient_dist(self, a, b) -> int:
         return farey.slope_set_distance(self._components(a), self._components(b))
@@ -153,6 +159,12 @@ class TreeSystem:
             raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
         return 0
 
+    def path_diam(self, site, path) -> int:
+        """Largest pairwise `proj_dist` over a projecting path: the spread of
+        its link coordinates."""
+        coords = [self._coord(site, v) for v in path]
+        return max(coords) - min(coords)
+
     def ambient_dist(self, a, b) -> int:
         return self.tree.dist(self._pos(a), self._pos(b))
 
@@ -226,6 +238,12 @@ class TableSystem:
 
     def proj_diam(self, site, obj) -> int:
         return self.proj_dist(site, obj, obj)
+
+    def path_diam(self, site, path) -> int:
+        """Largest pairwise table entry over a path; with no coordinates to
+        fold, every ordered pair (i <= j) is read."""
+        return max(self.proj_dist(site, path[i], path[j])
+                   for i in range(len(path)) for j in range(i, len(path)))
 
     def ambient_dist(self, a, b) -> int:
         return self._ambient[a][b]
@@ -328,9 +346,18 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
             if not system.overlaps(u, v):
                 raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
-        for mid, o1, o2 in ((y, x, z), (x, y, z), (z, x, y)):
-            d_mid = _site_dist(system, mid, o1, o2)
-            d_max = max(_site_dist(system, o1, mid, o2), _site_dist(system, o2, mid, o1))
+        # each of the six ordered distances once, in the order the three
+        # arrangements below first need them: that order decides which
+        # missing table entry raises
+        y_xz = _site_dist(system, y, x, z)
+        x_yz = _site_dist(system, x, y, z)
+        z_yx = _site_dist(system, z, y, x)
+        z_xy = _site_dist(system, z, x, y)
+        x_zy = _site_dist(system, x, z, y)
+        y_zx = _site_dist(system, y, z, x)
+        for mid, d_mid, d_max in ((y, y_xz, max(x_yz, z_yx)),
+                                  (x, x_yz, max(y_xz, z_xy)),
+                                  (z, z_xy, max(x_zy, y_zx))):
             level = min(d_mid, d_max)
             if level > worst:
                 worst = level
@@ -358,13 +385,7 @@ def bgit_scan(system, site, geodesic) -> BgitReport:
     for v in path:
         if not system.projects(site, v):
             return BgitReport(False, None, v)
-    diam = 0
-    for i in range(len(path)):
-        for j in range(i, len(path)):
-            d = system.proj_dist(site, path[i], path[j])
-            if d > diam:
-                diam = d
-    return BgitReport(True, diam)
+    return BgitReport(True, system.path_diam(site, path) if path else 0)
 
 
 @dataclass

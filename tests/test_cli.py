@@ -117,6 +117,25 @@ BAD_INPUT_ROWS = [
      "rgflab persistence: error: argument --sequences: must be at least 1, got -2"),
     ("words-negative", ["experiment", "theorem-b", "--words", "-1", "--seed", "1"],
      "rgflab experiment: error: argument --words: must be at least 1, got -1"),
+    # Gromov products and projection distances are never negative, so
+    # A <= 0, D <= 0 or L <= 0 certified every family
+    ("cert-A-negative", ["cert", "misaligned", "--family", "FAMILY", "--A", "-5"],
+     "rgflab cert: error: argument --A: must be at least 1, got -5"),
+    ("cert-D-negative", ["cert", "separated", "--family", "FAMILY", "--D", "-1"],
+     "rgflab cert: error: argument --D: must be at least 1, got -1"),
+    ("cert-L-0", ["cert", "displacing", "--family", "FAMILY", "--L", "0"],
+     "rgflab cert: error: argument --L: must be at least 1, got 0"),
+    # constants estimated from no samples were reported as evidence
+    ("curve-samples-0", ["experiment", "theorem-b", "--curve-samples", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --curve-samples: must be at least 1, got 0"),
+    ("experiment-triples-0", ["experiment", "theorem-b", "--triples", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --triples: must be at least 1, got 0"),
+    ("experiment-geodesics-0", ["experiment", "theorem-b", "--geodesics", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --geodesics: must be at least 1, got 0"),
+    ("constants-triples-0", ["constants", "estimate", "--triples", "0", "--seed", "1"],
+     "rgflab constants: error: argument --triples: must be at least 1, got 0"),
+    ("constants-geodesics-0", ["constants", "estimate", "--geodesics", "0", "--seed", "1"],
+     "rgflab constants: error: argument --geodesics: must be at least 1, got 0"),
 ]
 
 BAD_FAMILIES = {

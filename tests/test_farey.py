@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClass,
                           Slope, _continued_fraction, _distance_profile,
                           _distance_to_infinity, act, adjacent, annular_distance,
-                          annular_projection, bounded_neighbors, bounded_vertices,
-                          conjugator_to_infinity, farey_distance, farey_geodesic,
-                          is_geodesic, slope_set_distance, stabilized_bfs_distance,
-                          twist_about)
+                          annular_projection, annular_projection_set, bounded_neighbors,
+                          bounded_vertices, conjugator_to_infinity, farey_distance,
+                          farey_geodesic, is_geodesic, link_span, slope_set_distance,
+                          stabilized_bfs_distance, twist_about)
+from rgflab.projections import random_slope
 
 
 def slopes_strategy(qmax=30):
@@ -190,6 +191,22 @@ class TestAction:
         m = twist_about(Slope(1, 2), n1).mul(twist_about(Slope(0, 1), n2))
         assert farey_distance(act(m, a), act(m, b)) == farey_distance(a, b)
 
+    def test_image_is_the_validated_slope(self):
+        # act skips the gcd: a determinant-one matrix keeps vectors primitive
+        rng = random.Random(21)
+        gens = [MappingClass(1, 1, 0, 1), MappingClass(1, -1, 0, 1),
+                MappingClass(1, 0, 1, 1), MappingClass(1, 0, -1, 1),
+                MappingClass(0, -1, 1, 0), MappingClass(-1, 0, 0, -1)]
+        for _ in range(400):
+            m = MappingClass.identity()
+            for _ in range(rng.randrange(0, 30)):
+                m = m.mul(rng.choice(gens))
+            s = random_slope(rng, rng.choice((1, 10, 10 ** 4)))
+            img = act(m, s)
+            want = Slope.of(m.a * s.p + m.b * s.q, m.c * s.p + m.d * s.q)
+            assert img == want and hash(img) == hash(want)
+            assert Slope(img.p, img.q) == img  # passes the full validation
+
 
 class TestTwist:
     def test_shear_at_infinity(self):
@@ -216,6 +233,15 @@ class TestTwist:
             assert act(m, alpha) == INFINITY
 
 
+EMPTY_PROJECTION_ROWS = [
+    (INFINITY, INFINITY, "nothing projects to the annulus about 1/0"),
+    ({INFINITY}, [], "nothing projects to the annulus about 1/0"),
+    (INFINITY, Slope(0, 1), "one side does not project to 1/0"),
+    (Slope(3, 2), [INFINITY], "one side does not project to 1/0"),
+    ([], {Slope(3, 2), Slope(1, 1)}, "one side does not project to 1/0"),
+]
+
+
 class TestAnnularProjection:
     def test_examples(self):
         assert annular_projection(INFINITY, Slope(5, 2)) == frozenset({2, 3})
@@ -231,13 +257,7 @@ class TestAnnularProjection:
         with pytest.raises(EmptyProjectionError):
             annular_distance(INFINITY, INFINITY, Slope(0, 1))
 
-    @pytest.mark.parametrize("beta, gamma, message", [
-        (INFINITY, INFINITY, "nothing projects to the annulus about 1/0"),
-        ({INFINITY}, [], "nothing projects to the annulus about 1/0"),
-        (INFINITY, Slope(0, 1), "one side does not project to 1/0"),
-        (Slope(3, 2), [INFINITY], "one side does not project to 1/0"),
-        ([], {Slope(3, 2), Slope(1, 1)}, "one side does not project to 1/0"),
-    ])
+    @pytest.mark.parametrize("beta, gamma, message", EMPTY_PROJECTION_ROWS)
     def test_empty_projection_messages(self, beta, gamma, message):
         with pytest.raises(EmptyProjectionError) as info:
             annular_distance(INFINITY, beta, gamma)
@@ -297,6 +317,98 @@ class TestAnnularProjection:
                 continue
             proj = annular_projection(alpha, beta)
             assert max(proj) - min(proj) <= 1
+
+
+def set_annular_distance(alpha, beta, gamma) -> int:
+    """The set-based annular distance the integer kernel replaced: the slow
+    twin of `annular_distance`."""
+    bs = {beta} if isinstance(beta, Slope) else set(beta)
+    gs = {gamma} if isinstance(gamma, Slope) else set(gamma)
+    pb = annular_projection_set(alpha, bs)
+    pg = annular_projection_set(alpha, gs)
+    if not pb and not pg:
+        raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
+    if not pb or not pg:
+        raise EmptyProjectionError(f"one side does not project to {alpha}")
+    proj = pb | pg
+    return max(proj) - min(proj)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyProjectionError as exc:
+        return ("EmptyProjectionError", str(exc))
+
+
+class TestLinkSpanSlowTwin:
+    """`link_span` and `annular_distance` against the set-based projections."""
+
+    @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
+    def test_single_slopes(self, qmax):
+        rng = random.Random(qmax)
+        for _ in range(1500):
+            alpha, beta, gamma = (random_slope(rng, qmax) for _ in range(3))
+            pts = annular_projection(alpha, beta)
+            assert link_span(alpha, beta) == ((min(pts), max(pts)) if pts else None)
+            assert _outcome(annular_distance, alpha, beta, gamma) \
+                == _outcome(set_annular_distance, alpha, beta, gamma)
+
+    @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
+    def test_slope_sets(self, qmax):
+        rng = random.Random(qmax + 1)
+        for _ in range(500):
+            alpha = random_slope(rng, qmax)
+            sides = []
+            for _ in range(2):
+                side = [random_slope(rng, qmax) for _ in range(rng.randrange(0, 5))]
+                if rng.random() < 0.3:
+                    side.append(alpha)  # contributes nothing
+                sides.append(rng.choice((set, frozenset, list, tuple))(side))
+            pts = annular_projection_set(alpha, sides[0])
+            assert link_span(alpha, sides[0]) == ((min(pts), max(pts)) if pts else None)
+            assert _outcome(annular_distance, alpha, *sides) \
+                == _outcome(set_annular_distance, alpha, *sides)
+
+    def test_sets_containing_alpha(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            alpha = random_slope(rng, 1000)
+            others = {random_slope(rng, 1000) for _ in range(3)} - {alpha}
+            beta = rng.choice(sorted(others, key=str))
+            with_alpha = others | {alpha}
+            assert link_span(alpha, with_alpha) == link_span(alpha, others)
+            assert annular_distance(alpha, with_alpha, beta) \
+                == set_annular_distance(alpha, with_alpha, beta) \
+                == annular_distance(alpha, others, beta)
+
+    @pytest.mark.parametrize("beta, gamma, message", EMPTY_PROJECTION_ROWS)
+    def test_empty_projection_messages(self, beta, gamma, message):
+        assert _outcome(set_annular_distance, INFINITY, beta, gamma) \
+            == _outcome(annular_distance, INFINITY, beta, gamma) \
+            == ("EmptyProjectionError", message)
+
+    def test_empty_cases_at_other_sites(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            alpha, beta = random_slope(rng, 500), random_slope(rng, 500)
+            for sides in ((alpha, alpha), ([alpha], []), (alpha, beta), ([], [beta, alpha])):
+                assert _outcome(annular_distance, alpha, *sides) \
+                    == _outcome(set_annular_distance, alpha, *sides)
+            assert link_span(alpha, alpha) is None and link_span(alpha, []) is None
+
+    def test_alpha_at_infinity(self):
+        rng = random.Random(10)
+        for _ in range(500):
+            beta = random_slope(rng, 10 ** 4)
+            gamma = {random_slope(rng, 10 ** 4) for _ in range(rng.randrange(1, 4))}
+            if beta.is_infinity:
+                assert link_span(INFINITY, beta) is None
+                continue
+            fl = beta.p // beta.q
+            assert link_span(INFINITY, beta) == (fl, fl + (1 if beta.p % beta.q else 0))
+            assert _outcome(annular_distance, INFINITY, beta, gamma) \
+                == _outcome(set_annular_distance, INFINITY, beta, gamma)
 
 
 class TestBoundedSubgraph:

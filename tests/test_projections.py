@@ -6,8 +6,9 @@ import pytest
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.projections import (Constants, OverlapError, TableSystem, TorusAnnuli,
-                                TreeSystem, behrstock_scan, bgit_scan,
+from rgflab.projections import (BehrstockReport, BgitReport, Constants, OverlapError,
+                                TableSystem, TorusAnnuli, TreeSystem, _site_dist,
+                                behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 greedy_overlap_chain, iota_tau_indices,
                                 persistence_check, random_slope,
@@ -213,3 +214,190 @@ class TestEstimateConstants:
                    if len({a, b, c}) == 3][:200]
         rep = behrstock_scan(sys_, triples, B=1)
         assert rep.B_emp <= 1
+
+
+def pairwise_bgit_scan(system, site, geodesic):
+    """The O(L^2) `bgit_scan` that `path_diam` replaced: its slow twin."""
+    path = list(geodesic)
+    for u, v in zip(path, path[1:]):
+        if system.ambient_dist(u, v) != 1:
+            raise ValueError("input sequence is not an ambient geodesic")
+    if len(path) >= 2 and system.ambient_dist(path[0], path[-1]) != len(path) - 1:
+        raise ValueError("input sequence is not distance-realizing")
+    for v in path:
+        if not system.projects(site, v):
+            return BgitReport(False, None, v)
+    diam = 0
+    for i in range(len(path)):
+        for j in range(i, len(path)):
+            d = system.proj_dist(site, path[i], path[j])
+            if d > diam:
+                diam = d
+    return BgitReport(True, diam)
+
+
+def nine_call_behrstock_scan(system, triples, B=None):
+    """The `behrstock_scan` that made 9 distance calls per triple, three of
+    them repeats: its slow twin."""
+    if B is None:
+        B = system.constants.B
+    violations = []
+    worst = 0
+    count = 0
+    for triple in triples:
+        x, y, z = triple
+        for u, v in ((x, y), (y, z), (x, z)):
+            if not system.overlaps(u, v):
+                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        count += 1
+        for mid, o1, o2 in ((y, x, z), (x, y, z), (z, x, y)):
+            d_mid = _site_dist(system, mid, o1, o2)
+            d_max = max(_site_dist(system, o1, mid, o2), _site_dist(system, o2, mid, o1))
+            level = min(d_mid, d_max)
+            if level > worst:
+                worst = level
+            if B is not None and d_mid >= B and d_max >= B:
+                violations.append((triple, mid, d_mid, d_max))
+    return BehrstockReport(count, violations, worst + 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyProjectionError, OverlapError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def asymmetric_table(rng, n, missing=0.0):
+    """A table system on n mutually overlapping sites whose projection
+    distances are random and asymmetric, d_y(a, b) != d_y(b, a); a share
+    `missing` of the entries off the diagonal is left out."""
+    proj = {}
+    for y in range(n):
+        rows = {}
+        for a in range(n):
+            for b in range(n):
+                if a == y or b == y:
+                    continue
+                if a == b:
+                    rows[f"{a},{b}"] = rng.randrange(0, 2)
+                elif rng.random() >= missing:
+                    rows[f"{a},{b}"] = rng.randrange(0, 9)
+        proj[str(y)] = rows
+    path_len = [[abs(i - j) for j in range(n)] for i in range(n)]
+    return TableSystem({
+        "sites": [f"S{i}" for i in range(n)],
+        "overlap": [[i != j for j in range(n)] for i in range(n)],
+        "ambient": path_len,
+        "proj": proj,
+        "constants": {"M": 0, "B": 3},
+    })
+
+
+class TestBgitSlowTwin:
+    @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
+    def test_torus_geodesics(self, torus, qmax):
+        rng = random.Random(qmax)
+        projecting = 0
+        for _ in range(300):
+            site = random_slope(rng, qmax)
+            base = random_slope(rng, qmax)
+            if rng.random() < 0.5:
+                far = act(twist_about(site, rng.randrange(1, 12)), base)
+            else:
+                far = random_slope(rng, qmax)
+            path = farey_geodesic(base, far)
+            rep = bgit_scan(torus, site, path)
+            assert rep == pairwise_bgit_scan(torus, site, path)
+            projecting += rep.all_project
+        assert projecting > 100
+
+    def test_torus_multicurve_vertices(self, torus):
+        path = [frozenset({Slope(0, 1)}), frozenset({Slope(0, 1), Slope(1, 1)})]
+        for site in (INFINITY, Slope(1, 2), Slope(-3, 5), Slope(1, 1)):
+            assert bgit_scan(torus, site, path) == pairwise_bgit_scan(torus, site, path)
+        assert bgit_scan(torus, INFINITY, []) == pairwise_bgit_scan(torus, INFINITY, [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_geodesics(self, seed):
+        fast, slow = (synthetic_system(7, seed=seed, threshold=4, decoys=6) for _ in range(2))
+        rng = random.Random(seed)
+        sites = fast.sites()
+        vertices = sorted(fast.tree.adj)
+        projecting = 0
+        for _ in range(150):
+            site = rng.choice(sites)
+            a, b = rng.choice(vertices), rng.choice(vertices)
+            path = fast.ambient_geodesic(a, b)
+            rep = bgit_scan(fast, site, path)
+            assert rep == pairwise_bgit_scan(slow, site, path)
+            # a tree geodesic that misses the unit ball leaves in one direction
+            assert rep.diameter in (None, 0)
+            projecting += rep.all_project
+        assert projecting > 60
+        # both fill in the same unscored directions, in the same order
+        assert {v: list(c.items()) for v, c in fast.link_coords.items()} \
+            == {v: list(c.items()) for v, c in slow.link_coords.items()}
+
+    def test_table_paths(self):
+        rng = random.Random(5)
+        table = asymmetric_table(rng, 7, missing=0.1)
+        for _ in range(200):
+            i = rng.randrange(7)
+            j = rng.randrange(7)
+            path = list(range(i, j + 1)) if i <= j else list(range(i, j - 1, -1))
+            site = rng.randrange(7)
+            assert _outcome(bgit_scan, table, site, path) \
+                == _outcome(pairwise_bgit_scan, table, site, path)
+
+
+class TestBehrstockSlowTwin:
+    @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
+    def test_torus(self, torus, qmax):
+        triples = sample_overlapping_triples(torus, 400, random.Random(qmax), qmax=qmax)
+        for B in (None, 1, 2, 3):
+            assert behrstock_scan(torus, triples, B=B) == nine_call_behrstock_scan(torus, triples, B)
+
+    def test_torus_overlap_error(self, torus):
+        triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
+        assert _outcome(behrstock_scan, torus, triples) \
+            == _outcome(nine_call_behrstock_scan, torus, triples) \
+            == ("OverlapError", "sites Slope(1/0), Slope(1/0) do not overlap")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tree(self, seed):
+        fast, slow = (synthetic_system(6, seed=seed, threshold=3, decoys=4) for _ in range(2))
+        rng = random.Random(seed)
+        sites = fast.sites()
+        triples = []
+        while len(triples) < 150:
+            t = tuple(rng.sample(sites, 3))
+            if all(fast.overlaps(u, v) for u, v in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))):
+                triples.append(t)
+        for B in (None, 1, 2, 4):
+            assert behrstock_scan(fast, triples, B=B) == nine_call_behrstock_scan(slow, triples, B)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_asymmetric_table(self, seed):
+        rng = random.Random(seed)
+        table = asymmetric_table(rng, 6)
+        triples = [tuple(rng.sample(range(6), 3)) for _ in range(120)]
+        asymmetric = sum(table.proj_dist(y, a, b) != table.proj_dist(y, b, a)
+                         for y, a, b in triples)
+        assert asymmetric > 50
+        for B in (None, 1, 4, 7):
+            assert behrstock_scan(table, triples, B=B) == nine_call_behrstock_scan(table, triples, B)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_missing_entries_raise_the_same_error(self, seed):
+        # the six distances are read in the twin's first-use order, so the
+        # first missing entry is the one both report
+        rng = random.Random(seed)
+        table = asymmetric_table(rng, 6, missing=0.15)
+        raised = 0
+        for _ in range(60):
+            triples = [tuple(rng.sample(range(6), 3)) for _ in range(3)]
+            got = _outcome(behrstock_scan, table, triples, 2)
+            assert got == _outcome(nine_call_behrstock_scan, table, triples, 2)
+            raised += isinstance(got, tuple)
+        assert raised > 10
