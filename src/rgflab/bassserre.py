@@ -51,7 +51,7 @@ class FactorSpec:
     def _elements(self) -> tuple:
         out = {}
         for m in enumerate_ball(self.group, self.budget).values():
-            if not m.is_identity(projective=True):
+            if not m.is_identity():
                 out.setdefault(m.projective_key(), m)
         return tuple(out[key] for key in sorted(out))
 
@@ -75,7 +75,7 @@ class FactorSpec:
         return alpha, n
 
 
-def syllables_mul(factors, word1: tuple, word2: tuple) -> tuple:
+def syllables_mul(word1: tuple, word2: tuple) -> tuple:
     """Concatenate two alternating normal forms, reducing at the seam."""
     left = list(word1)
     right = list(word2)
@@ -84,7 +84,7 @@ def syllables_mul(factors, word1: tuple, word2: tuple) -> tuple:
         prod = left[-1][1].mul(right[0][1])
         left.pop()
         right.pop(0)
-        if not prod.is_identity(projective=True):
+        if not prod.is_identity():
             left.append((i, prod))
             break
     return tuple(left) + tuple(right)
@@ -183,7 +183,7 @@ def build_ball(factors: list, radius: int) -> TreeBall:
         else:
             g = prefixes[u]
             for tail in [()] + [((u.factor, m),) for m in elements[u.factor]]:
-                w = syllables_mul(factors, g, tail)
+                w = syllables_mul(g, tail)
                 v = type2_vertex(w)
                 words.setdefault(v, w)
                 fan.append(v)
@@ -220,7 +220,7 @@ def tree_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
         return 0
     a = ball.words[v] if v.kind == 2 else ball.prefixes[v]
     b = ball.words[w] if w.kind == 2 else ball.prefixes[w]
-    c = syllables_mul(ball.factors, syllables_inv(a), b)
+    c = syllables_mul(syllables_inv(a), b)
     if v.kind == 2 and w.kind == 2:
         return 2 * len(c)
     if v.kind == 2:
@@ -503,7 +503,7 @@ def cyclically_reduce(word: tuple) -> tuple:
         i = w[0][0]
         merged = w[-1][1].mul(w[0][1])
         w = w[1:-1]
-        if not merged.is_identity(projective=True):
+        if not merged.is_identity():
             w = ((i, merged),) + w
     return w
 
@@ -535,10 +535,11 @@ def loxodromic_scan(words: list) -> LoxodromicReport:
     return LoxodromicReport(len(traces), not failures, traces, skipped, failures)
 
 
-def random_alternating_word(factors: list, rng, min_syllables: int = 2,
-                            max_syllables: int = 6) -> tuple:
+def random_alternating_word(factors: list, rng) -> tuple:
+    """An alternating word of 2 to 6 syllables, each a random nontrivial
+    element of a factor other than the previous syllable's."""
     elements = [f.elements() for f in factors]
-    n = rng.randrange(min_syllables, max_syllables + 1)
+    n = rng.randrange(2, 7)
     word = ()
     last = -1
     for _ in range(n):

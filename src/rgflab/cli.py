@@ -71,10 +71,10 @@ def emit(records, out_path=None):
     _write("".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records), out_path)
 
 
-def emit_csv(pairs, out_path=None, header=("d_T", "d_S")):
+def emit_csv(pairs, out_path=None):
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
+    writer.writerow(("d_T", "d_S"))
     for row in sorted(pairs):
         writer.writerow(row)
     _write(buf.getvalue(), out_path)
@@ -104,13 +104,23 @@ def family_from_json(doc: dict) -> FamilySpec:
     return FamilySpec(factors, betas)
 
 
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _env_seed() -> int | None:
+    """The seed in $RGFLAB_SEED, or None when it is unset; a value that is
+    not an integer is a usage error."""
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if env is None:
+        return None
+    try:
         return int(env)
-    raise SystemExit_usage("a seed is required for sampled scans (--seed or $" + SEED_ENV + ")")
+    except ValueError:
+        raise SystemExit_usage(f"bad ${SEED_ENV} {env!r}: not an integer")
+
+
+def _seed(args) -> int:
+    seed = args.seed if args.seed is not None else _env_seed()
+    if seed is None:
+        raise SystemExit_usage("a seed is required for sampled scans (--seed or $" + SEED_ENV + ")")
+    return seed
 
 
 class SystemExit_usage(Exception):
@@ -445,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = add_parser("delta-estimate", help="four-point delta on slope samples")
     pd.add_argument("--points", type=_int_at_least(1), default=40)
     pd.add_argument("--qmax", type=_int_at_least(1), default=50)
-    pd.add_argument("--max-quadruples", type=int, default=200000)
+    pd.add_argument("--max-quadruples", type=_int_at_least(1), default=200000)
     pd.set_defaults(func=cmd_delta_estimate)
 
     pc = add_parser("constants", help="empirical projection constants")
@@ -459,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("action", choices=("check",))
     pp.add_argument("--sequences", type=_int_at_least(1), default=50)
     pp.add_argument("--max-length", type=_int_at_least(3), default=8)
-    pp.add_argument("--M", type=int)
-    pp.add_argument("--B", type=int)
+    # the least bounds any system declares (a tree system's M = 0, B = 1)
+    pp.add_argument("--M", type=_int_at_least(0))
+    pp.add_argument("--B", type=_int_at_least(1))
     pp.set_defaults(func=cmd_persistence)
 
     pr = add_parser("raag", help="normal forms and graph components")
@@ -571,11 +582,9 @@ def main(argv=None) -> int:
         conf = _config_defaults(parser, args)
         if conf is not None:
             args = parser.parse_args(argv)
+        seed_used = args.seed if args.seed is not None else _env_seed()
         code, records, pairs = args.func(args)
         echoed = _echoed_argv(_subparser(parser, args.command), argv)
-        seed_used = getattr(args, "seed", None)
-        if seed_used is None and os.environ.get(SEED_ENV) is not None:
-            seed_used = int(os.environ[SEED_ENV])
         config_echo = {"record": "config", "argv": echoed, "seed": seed_used}
         if conf is not None:
             config_echo["config_values"] = conf

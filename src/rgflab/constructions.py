@@ -291,27 +291,28 @@ class TwistOrbitFamily:
     constants: dict = field(default_factory=dict)
 
 
-def twist_orbit_family(dprime: int, base: Slope = Slope(0, 1), window: int = 5,
-                       M_emp: int | None = None, factor_budget: int = 2,
-                       seed: int = 0, max_bumps: int = 6) -> TwistOrbitFamily:
+def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
+                       factor_budget: int = 2, seed: int = 0) -> TwistOrbitFamily:
     """Family of twist groups about the orbit of a curve under a twist about
     a curve at distance exactly D'.
 
     The annulus about the center y displaces alpha_0 by more than M under
     g^n for |n| >= N, so every pairwise geodesic stops near y and distances
     land in [2D' - 6, 2D' + 4]; the Gromov products then exceed D' - 8 = D.
-    The window lists the twist exponents k N for k centered at zero.
+    The window lists the twist exponents k N for k centered at zero.  The
+    base curve alpha_0 is 0/1, and N is doubled at most six times.
     """
     if dprime <= 8:
         raise ValueError("need D' > 8")
     if M_emp is None:
         M_emp = _estimated_M(seed)
+    base = Slope(0, 1)
     y = slope_at_distance(base, dprime)
     D = dprime - 8
     ks = [k - (window - 1) // 2 for k in range(window)]
 
     N = M_emp + 1
-    for _ in range(max_bumps):
+    for _ in range(6):
         if farey.annular_distance(y, base, act(twist_about(y, N), base)) <= M_emp:
             raise AssertionError("twist depth fails its defining displacement")
         factors = []
@@ -346,12 +347,13 @@ class ConjugateTwistFindings:
 
 def conjugate_twist_family(D: int, alpha: Slope | None = None,
                            beta: Slope | None = None, M_emp: int | None = None,
-                           factor_budget: int = 1, twist_power: int | None = None,
-                           relation_budget: int = 6, seed: int = 0) -> ConjugateTwistFindings:
+                           factor_budget: int = 1, relation_budget: int = 6,
+                           seed: int = 0) -> ConjugateTwistFindings:
     """The separated-but-not-misaligned triple {H_a, H_b, T H_b T^-1}.
 
-    T is a large twist in the first factor, so the conjugate factor's curve
-    T(beta) is far from beta on the other side of alpha; the triple passes
+    T, the (M_emp + 2)-th power of the twist in the first factor, is large,
+    so the conjugate factor's curve T(beta) is far from beta on the other
+    side of alpha; the triple passes
     separation at D yet its Gromov product at alpha stays tiny, and the
     generated group satisfies the visible relation T h T^-1 = (ThT^-1).
     """
@@ -365,7 +367,7 @@ def conjugate_twist_family(D: int, alpha: Slope | None = None,
         raise ValueError("alpha and beta closer than D")
     if M_emp is None:
         M_emp = _estimated_M(seed)
-    t_power = twist_power if twist_power is not None else M_emp + 2
+    t_power = M_emp + 2
     T = twist_about(alpha, t_power)
     t_beta = act(T, beta)
     if farey.annular_distance(alpha, beta, t_beta) < M_emp:

@@ -117,10 +117,9 @@ class MappingClass:
     def trace(self) -> int:
         return self.a + self.d
 
-    def is_identity(self, projective: bool = True) -> bool:
-        if (self.a, self.b, self.c, self.d) == (1, 0, 0, 1):
-            return True
-        return projective and (self.a, self.b, self.c, self.d) == (-1, 0, 0, -1)
+    def is_identity(self) -> bool:
+        """Identity up to sign, the identity of the projective action."""
+        return (self.a, self.b, self.c, self.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
 
     def projective_key(self) -> tuple:
         """Canonical key identifying M with -M."""
@@ -264,46 +263,32 @@ def farey_distance(a: Slope, b: Slope) -> int:
 
 
 def _geodesic_from_infinity(s: Slope) -> list:
-    """One geodesic from 1/0 to s, built by walking the convergent fans."""
+    """One geodesic from 1/0 to s through convergents of s, walked back from
+    s in one loop over the convergent index k.
+
+    From convergent k the walk steps to convergent k - 1 (always adjacent),
+    or skips to k - 2 (adjacent when a_k = 1) when that saves a step: exactly
+    when a_k = 1 and the distance rose from convergent k - 2 to k - 1.  The
+    steps of `_distance_profile` are 0 or 1, so that is the whole choice.
+    """
     if s.is_infinity:
         return [INFINITY]
     if s.q == 1:
         return [INFINITY, s]
     cf = _continued_fraction(s.p, s.q)
-    dists = _distance_profile(s.p, s.q)
-    # convergents with their (p, q) vectors; index k >= -1
+    dists = _distance_profile(s.p, s.q)   # dists[k + 1] is D of convergent k
+    # convergents with their (p, q) vectors; conv[k + 1] is convergent k >= -1
     conv = [(1, 0), (cf[0], 1)]
     for ak in cf[1:]:
         conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
-
     path = []  # from s back toward infinity
-
-    def walk(k: int):
-        # emit the convergent chain starting at convergent index k (>= -1)
-        if k == -1:
-            path.append((1, 0))
-            return
-        if k == 0:
-            path.append(conv[1])
-            path.append((1, 0))
-            return
-        pk, qk = conv[k + 1]
-        path.append((pk, qk))
-        # position j in the fan around convergent k-1, based at k-2
-        j = cf[k]
-        d_base = dists[k]      # D_{k-1} in profile indexing: dists[k] = D of conv k-1
-        d_prev = dists[k - 1]  # D of convergent k-2
-        while True:
-            if 1 + d_base <= j + min(d_base, d_prev):
-                walk(k - 1)
-                return
-            j -= 1
-            if j == 0:
-                walk(k - 2)
-                return
-            path.append((j * conv[k][0] + conv[k - 1][0], j * conv[k][1] + conv[k - 1][1]))
-
-    walk(len(cf) - 1)
+    k = len(cf) - 1
+    while k > 0:
+        path.append(conv[k + 1])
+        k -= 2 if cf[k] == 1 and dists[k] > dists[k - 1] else 1
+    if k == 0:
+        path.append(conv[1])
+    path.append((1, 0))
     path.reverse()
     return [Slope.of(p, q) for p, q in path]
 

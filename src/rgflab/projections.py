@@ -12,7 +12,6 @@ are both runnable.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ from .raag import nearest_overlaps
 class Constants:
     M: int | None = None      # geodesic-image bound
     B: int | None = None      # Behrstock constant
-    c: Fraction | None = None  # translation constant
 
 
 class OverlapError(ValueError):
@@ -47,15 +45,7 @@ class TorusAnnuli:
     """
 
     has_geodesics = True
-
-    def __init__(self, sites=None, constants: Constants | None = None):
-        self.site_list = list(sites) if sites is not None else None
-        self.constants = constants or Constants(c=Fraction(1))
-
-    def sites(self):
-        if self.site_list is None:
-            raise ValueError("torus system has unboundedly many sites; pass a slope list")
-        return list(self.site_list)
+    constants = Constants()      # declares neither M nor B
 
     @staticmethod
     def _components(obj):
@@ -73,26 +63,19 @@ class TorusAnnuli:
     def proj_dist(self, site: Slope, a, b) -> int:
         return farey.annular_distance(site, a, b)
 
-    def proj_diam(self, site: Slope, obj) -> int:
-        span = farey.link_span(site, obj)
-        if span is None:
-            raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
-        return span[1] - span[0]
-
     def path_diam(self, site: Slope, path) -> int:
-        """Projection diameter of the union of a projecting path's objects:
-        one span fold, equal to the largest pairwise `proj_dist`."""
-        lo, hi = farey.link_span(site, [c for v in path for c in self._components(v)])
-        return hi - lo
+        """Projection diameter of the union of a path's objects: one span
+        fold, equal to the largest pairwise `proj_dist`."""
+        span = farey.link_span(site, [c for v in path for c in self._components(v)])
+        if span is None:
+            raise farey.EmptyProjectionError(f"nothing projects to the annulus about {site}")
+        return span[1] - span[0]
 
     def ambient_dist(self, a, b) -> int:
         return farey.slope_set_distance(self._components(a), self._components(b))
 
     def ambient_geodesic(self, a: Slope, b: Slope):
         return farey.farey_geodesic(a, b)
-
-    def to_json(self) -> dict:
-        return {"kind": "torus", "sites": [str(s) for s in (self.site_list or [])]}
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +96,12 @@ class TreeSystem:
     """
 
     has_geodesics = True
+    constants = Constants(M=0, B=1)
 
-    def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict,
-                 constants: Constants | None = None):
+    def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict):
         self.tree = tree
         self.positions = dict(positions)          # site -> tree vertex
         self.link_coords = {v: dict(cs) for v, cs in link_coords.items()}
-        self.constants = constants or Constants(M=0, B=1)
 
     def sites(self):
         return list(self.positions)
@@ -153,11 +135,6 @@ class TreeSystem:
             if not self.projects(site, obj):
                 raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
         return abs(self._coord(site, a) - self._coord(site, b))
-
-    def proj_diam(self, site, obj) -> int:
-        if not self.projects(site, obj):
-            raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
-        return 0
 
     def path_diam(self, site, path) -> int:
         """Largest pairwise `proj_dist` over a projecting path: the spread of
@@ -214,10 +191,6 @@ class TableSystem:
         cs = doc.get("constants", {})
         self.constants = Constants(M=cs.get("M"), B=cs.get("B"))
 
-    @staticmethod
-    def load(text: str) -> "TableSystem":
-        return TableSystem(json.loads(text))
-
     def sites(self):
         return list(range(len(self.names)))
 
@@ -236,9 +209,6 @@ class TableSystem:
         except KeyError:
             raise farey.EmptyProjectionError(f"{a},{b} do not both project to {site}")
 
-    def proj_diam(self, site, obj) -> int:
-        return self.proj_dist(site, obj, obj)
-
     def path_diam(self, site, path) -> int:
         """Largest pairwise table entry over a path; with no coordinates to
         fold, every ordered pair (i <= j) is read."""
@@ -252,12 +222,11 @@ class TableSystem:
         return None
 
 
-def synthetic_system(n_sites: int, seed: int, threshold: int = 3,
-                     spine_gap: tuple = (3, 5), decoys: int = 0,
+def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 0,
                      block_sizes=None) -> TreeSystem:
     """Build a positive instance on a caterpillar tree.
 
-    Spine sites sit at tree distance >= 3 apart; hidden link coordinates make
+    Spine sites sit 3 to 5 tree edges apart; hidden link coordinates make
     each interior site see its neighbors `threshold` apart, so sequences of
     spine sites satisfy the persistence hypotheses at M + 3B <= threshold.
     `block_sizes[i]` extra sites may share the i-th spine position, producing
@@ -277,7 +246,7 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3,
     adj[0] = []
     for i in range(n_sites):
         if i > 0:
-            gap = rng.randrange(spine_gap[0], spine_gap[1] + 1)
+            gap = rng.randrange(3, 6)
             for _ in range(gap):
                 add_edge(node, node + 1)
                 node += 1
@@ -310,7 +279,7 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3,
             for k in range(size):
                 positions[f"B{i}.{k}"] = spine[i]
     tree = GraphOracle(adj)
-    return TreeSystem(tree, positions, link_coords, Constants(M=0, B=1))
+    return TreeSystem(tree, positions, link_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +450,6 @@ def persistence_check(system, sequence, M: int | None = None, B: int | None = No
                              gaps3, final_ok, worst, failures)
 
 
-def iota_tau_indices(system, sequence) -> tuple:
-    """Nearest-overlapping predecessor and successor for each index."""
-    seq = list(sequence)
-    return nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
-
-
 @dataclass
 class GeneralPersistenceReport:
     sequence: list
@@ -501,7 +464,8 @@ class GeneralPersistenceReport:
 
 def greedy_overlap_chain(system, sequence) -> list:
     """Index chain 0, tau(0), tau(tau(0)), ... of consecutive overlaps."""
-    _, tau = iota_tau_indices(system, sequence)
+    seq = list(sequence)
+    _, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
     chain = [0]
     while tau[chain[-1]] is not None:
         chain.append(tau[chain[-1]])
@@ -517,7 +481,7 @@ def general_persistence_check(system, sequence, M: int | None = None,
     M = system.constants.M if M is None else M
     B = system.constants.B if B is None else B
     seq = list(sequence)
-    iota, tau = iota_tau_indices(system, seq)
+    iota, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
     failures = []
     hyp = True
     for j in range(len(seq)):
@@ -583,7 +547,7 @@ class ConstantEstimates:
     stable: bool = True
 
 
-def sample_overlapping_triples(system, n: int, rng: random.Random, qmax: int = 10000):
+def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
     triples = []
     while len(triples) < n:
         x, y, z = (random_slope(rng, qmax) for _ in range(3))
@@ -593,8 +557,7 @@ def sample_overlapping_triples(system, n: int, rng: random.Random, qmax: int = 1
 
 
 def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
-                       n_geodesics: int = 400, qmax: int = 1000,
-                       twist_span: int = 12) -> ConstantEstimates:
+                       n_geodesics: int = 400, qmax: int = 1000) -> ConstantEstimates:
     """Deterministic seeded estimation of (M, B, c) for a torus system.
 
     Each constant is the least value making its axiom hold on the sample and
@@ -603,8 +566,7 @@ def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
     """
 
     def scan_B(r):
-        return behrstock_scan(system, sample_overlapping_triples(system, n_triples, r, qmax),
-                              B=None if system.constants.B is None else system.constants.B).B_emp
+        return behrstock_scan(system, sample_overlapping_triples(n_triples, r, qmax)).B_emp
 
     def scan_M(r):
         if not getattr(system, "has_geodesics", False):
@@ -617,7 +579,7 @@ def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
                 base = random_slope(r, qmax)
                 if base == site:
                     continue
-                n = r.randrange(1, twist_span)
+                n = r.randrange(1, 12)
                 a, b = base, act(twist_about(site, n), base)
             else:
                 a, b = random_slope(r, qmax), random_slope(r, qmax)

@@ -290,14 +290,6 @@ def nearest_overlaps(n: int, overlap) -> tuple:
     return iota, tau
 
 
-def iota_tau(overlaps: list) -> tuple:
-    """Brute-force nearest-overlapping indices for a 0-indexed sequence.
-
-    overlaps[j][t] is a symmetric boolean table.
-    """
-    return nearest_overlaps(len(overlaps), lambda i, j: overlaps[i][j])
-
-
 def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -> Bookkeeping:
     """Flatten an alternating word over a free-product decomposition.
 
@@ -320,6 +312,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
 
     letters = []
     sigma = []
+    owner = []      # owner[t]: the subword that letter t comes from
     prev_part = None
     for k, w in subwords:
         if k == prev_part:
@@ -331,21 +324,13 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
         for g, _ in nf:
             if part_of[g] != k:
                 raise ValueError(f"generator x{g + 1} not in part {k}")
+        owner.extend([len(sigma)] * len(nf))
         sigma.append(len(letters))
         letters.extend(nf)
 
     n = len(letters)
     nu = [g for g, _ in letters]
-    table = [[letters_overlap(graph, nu[j], nu[t]) for t in range(n)] for j in range(n)]
-    iota, tau = iota_tau(table)
-
-    bounds = sigma + [n]
-
-    def subword_of(t: int) -> int:
-        for s in range(len(sigma)):
-            if bounds[s] <= t < bounds[s + 1]:
-                return s
-        raise IndexError(t)
+    iota, tau = nearest_overlaps(n, lambda i, j: letters_overlap(graph, nu[i], nu[j]))
 
     ok = True
     violations = []
@@ -356,7 +341,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
             if t == j:
                 continue
             commutes = nu[t] == nu[j] or graph.commute(nu[t], nu[j])
-            shared = subword_of(t) == subword_of(j)
+            shared = owner[t] == owner[j]
             if not (commutes and shared):
                 ok = False
                 violations.append((j, t, "commute" if not commutes else "subword"))

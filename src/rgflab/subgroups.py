@@ -59,12 +59,12 @@ class MatrixGroup:
     budget: int = 6
 
     @staticmethod
-    def of(*gens, budget: int = 6) -> "MatrixGroup":
+    def of(*gens) -> "MatrixGroup":
         mats = tuple(g if isinstance(g, MappingClass) else MappingClass.from_entries(g)
                      for g in gens)
         if not mats:
             raise ValueError("a group needs at least one generator")
-        return MatrixGroup(mats, budget)
+        return MatrixGroup(mats)
 
     def step_generators(self) -> list:
         out = []
@@ -235,11 +235,11 @@ class MultitwistReport:
     witness: object = None
 
 
-def is_multitwist(group: MatrixGroup, word_budget: int = 4) -> MultitwistReport:
+def is_multitwist(group: MatrixGroup) -> MultitwistReport:
     """A subgroup lies in a twist group iff every generator is parabolic or
     central and the parabolic ones share a fixed slope (one curve suffices on
     the torus).  Failing pairs get, when possible, a short word of trace
-    above 2 as an explicit witness."""
+    above 2, of at most four letters, as an explicit witness."""
     parabolics, offender = _parabolic_generators(group)
     if offender is not None:
         return MultitwistReport(False, None, offender)
@@ -247,7 +247,7 @@ def is_multitwist(group: MatrixGroup, word_budget: int = 4) -> MultitwistReport:
     for g, s in parabolics:
         if s != slope:
             first = parabolics[0][0]
-            witness = _pseudo_anosov_word(MatrixGroup((first, g)), word_budget)
+            witness = _pseudo_anosov_word(MatrixGroup((first, g)), 4)
             return MultitwistReport(False, None, witness if witness else (first, g))
     return MultitwistReport(True, slope, None)
 

@@ -173,10 +173,10 @@ def test_04_twist_translation():
 
 
 def test_05_behrstock_scan(torus):
-    sample1 = sample_overlapping_triples(torus, 10 ** 5, random.Random(21), qmax=10 ** 4)
+    sample1 = sample_overlapping_triples(10 ** 5, random.Random(21), qmax=10 ** 4)
     rep1 = behrstock_scan(torus, sample1, B=10)
     b_emp = rep1.B_emp
-    sample2 = sample_overlapping_triples(torus, 10 ** 5, random.Random(22), qmax=10 ** 4)
+    sample2 = sample_overlapping_triples(10 ** 5, random.Random(22), qmax=10 ** 4)
     rep2 = behrstock_scan(torus, sample2, B=b_emp)
     ok = len(rep2.violations) == 0
     report(5, ok,
@@ -287,7 +287,7 @@ def test_09_embedding_pipeline(torus_constants):
     rng = random.Random(51)
     words = []
     while len(words) < 100:
-        w = random_alternating_word(factors, rng, 2, 6)
+        w = random_alternating_word(factors, rng)
         from rgflab.bassserre import cyclically_reduce
         if len(cyclically_reduce(w)) >= 2:
             words.append(w)
@@ -305,7 +305,7 @@ def test_09_embedding_pipeline(torus_constants):
 def test_10_conjugate_twist_reproduction(torus_constants):
     cf = conjugate_twist_family(10, M_emp=torus_constants.M_emp)
     witness_ok = (cf.relation_found and len(cf.relation_witness) <= 6
-                  and word_matrix(cf.relation_witness).is_identity(projective=True))
+                  and word_matrix(cf.relation_witness).is_identity())
     mis_ok = (not cf.misalignment.ok) and cf.misalignment.minimum <= 3
     report(10, cf.separation.ok and mis_ok and witness_ok,
            f"triple at D=10: separation min {cf.separation.minimum} >= 10; "
@@ -330,7 +330,7 @@ def test_11_algebra_anchors():
         letters = sum(max(abs(m.projective_key()[1]), abs(m.projective_key()[2]))
                       for _, m in rel.witness)
     ok = sanov.no_relation and not rel.no_relation and letters is not None \
-        and letters <= 12 and word_matrix(rel.witness).is_identity(projective=True)
+        and letters <= 12 and word_matrix(rel.witness).is_identity()
     report(11, ok,
            f"shear pair (e=2): no relation to budget 10 ({sanov.words_checked} "
            f"words); full-twist pair: relation witness with {letters} letters (<= 12)")

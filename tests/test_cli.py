@@ -136,6 +136,17 @@ BAD_INPUT_ROWS = [
      "rgflab constants: error: argument --triples: must be at least 1, got 0"),
     ("constants-geodesics-0", ["constants", "estimate", "--geodesics", "0", "--seed", "1"],
      "rgflab constants: error: argument --geodesics: must be at least 1, got 0"),
+    # a delta computed from no quadruples was reported as "delta": 0
+    ("max-quadruples-0", ["delta-estimate", "--max-quadruples", "0", "--seed", "1"],
+     "rgflab delta-estimate: error: argument --max-quadruples: must be at least 1, got 0"),
+    ("max-quadruples-negative", ["delta-estimate", "--max-quadruples", "-5", "--seed", "1"],
+     "rgflab delta-estimate: error: argument --max-quadruples: must be at least 1, got -5"),
+    # bounds below any system's (M = 0, B = 1) made every hypothesis hold
+    # vacuously and the check pass with "violations": 0
+    ("persistence-M-negative", ["persistence", "check", "--M", "-1", "--seed", "1"],
+     "rgflab persistence: error: argument --M: must be at least 0, got -1"),
+    ("persistence-B-0", ["persistence", "check", "--B", "0", "--seed", "1"],
+     "rgflab persistence: error: argument --B: must be at least 1, got 0"),
 ]
 
 BAD_FAMILIES = {
@@ -258,6 +269,17 @@ class TestSeedHandling:
         monkeypatch.setenv("RGFLAB_SEED", "5")
         code, lines, _ = run(["delta-estimate", "--points", "8", "--qmax", "10"], tmp_path)
         assert code == PASS and lines[1]["seed"] == 5
+
+    @pytest.mark.parametrize("argv", [["farey", "dist", "1/0", "3/7"],
+                                      ["delta-estimate", "--points", "8", "--qmax", "10"]],
+                             ids=["seedless", "seeded"])
+    def test_malformed_env_seed_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RGFLAB_SEED", "abc")
+        out = tmp_path / "o.jsonl"
+        assert main(argv + ["--output", str(out)]) == USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: bad $RGFLAB_SEED 'abc': not an integer\n"
+        assert not out.exists()
 
 
 class TestRaagCommands:

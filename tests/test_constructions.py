@@ -186,7 +186,7 @@ class TestConjugateTwistFamily:
         assert cf.misalignment.minimum <= 3
         assert cf.relation_found
         assert len(cf.relation_witness) <= 6
-        assert word_matrix(cf.relation_witness).is_identity(projective=True)
+        assert word_matrix(cf.relation_witness).is_identity()
 
     def test_witness_mixes_conjugate_factors(self):
         cf = conjugate_twist_family(8, M_emp=3)

@@ -1,15 +1,24 @@
 """Every module-level function and class of the package, and every
-non-dunder method and property of a module-level class, has a caller.
+non-dunder method and property of a module-level class, has a caller; and
+every option of them is set by some caller, and every parameter is read.
 
 A name counts as referenced when it appears as a name, an attribute or an
 imported name anywhere in `src/`, `tests/` or `scripts/`, except inside its
 own definition (recursion keeps nothing alive).  Methods are counted by
 attribute name, so a method shares its references with every other
 definition of that name.
+
+An option (a parameter with a default) counts as set when some call in the
+same trees passes it, by keyword or by position, with anything but a
+literal equal to its default; a call with `*args` or `**kwargs` may pass
+anything.  Calls match a function and a method by the called name, and
+`__init__` by the class name.  A parameter counts as read when its name is
+loaded in the body; methods defined on more than one class implement a
+shared interface, so their signatures are exempt from that rule.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +61,93 @@ def dead_definitions() -> list:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _is_default(value, default) -> bool:
+    return (isinstance(value, ast.Constant) and isinstance(default, ast.Constant)
+            and type(value.value) is type(default.value) and value.value == default.value)
+
+
+def _sets(call, index, name, default) -> bool:
+    """Whether `call` passes the option `name` (at position `index`, None
+    for keyword-only) with anything but its literal default."""
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == name:
+            return not _is_default(kw.value, default)
+    for i, arg in enumerate(call.args if index is not None else ()):
+        if isinstance(arg, ast.Starred):
+            return True
+        if i == index:
+            return not _is_default(arg, default)
+    return False
+
+
+def _options(fn, offset):
+    """(name, call position or None, default node) per option of `fn`."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for k, (p, d) in enumerate(zip(pos[first:], a.defaults)):
+        yield p.arg, first + k - offset, d
+    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield p.arg, None, d
+
+
+def _signatures():
+    """(label, definition, called name, leading bound parameters, shared)
+    for every module-level function and every method, `__init__` included,
+    of a module-level class."""
+    trees = [(path.stem, ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    defined = Counter(m.name for _, tree in trees for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      for m in node.body if isinstance(m, ast.FunctionDef))
+    for stem, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{stem}.{node.name}", node, node.name, 0, False
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef) or \
+                        (m.name.startswith("__") and m.name != "__init__"):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                called = node.name if m.name == "__init__" else m.name
+                yield (f"{stem}.{node.name}.{m.name}", m, called, 0 if static else 1,
+                       defined[m.name] > 1)
+
+
+def option_creep() -> list:
+    calls = defaultdict(list)
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    calls[_callee(node)].append(node)
+    found = []
+    for label, fn, called, offset, shared in _signatures():
+        for name, index, default in _options(fn, offset):
+            if not any(_sets(c, index, name, default) for c in calls[called]):
+                found.append(f"{label}({name}=) is never set")
+        if shared:
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        a = fn.args
+        for p in (a.posonlyargs + a.args)[offset:] + a.kwonlyargs:
+            if p.arg not in read:
+                found.append(f"{label}({p.arg}) is never read")
+    return found
+
+
+def test_no_option_creep():
+    assert option_creep() == []

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClass,
                           Slope, _continued_fraction, _distance_profile,
-                          _distance_to_infinity, act, adjacent, annular_distance,
-                          annular_projection, annular_projection_set, bounded_neighbors,
+                          _distance_to_infinity, _geodesic_from_infinity, act,
+                          adjacent, annular_distance, annular_projection,
+                          annular_projection_set, bounded_neighbors,
                           bounded_vertices, conjugator_to_infinity, farey_distance,
                           farey_geodesic, is_geodesic, link_span, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
@@ -169,6 +170,73 @@ class TestGeodesic:
         a = act(twist_about(Slope(5, 8), 200), Slope(1, 3))
         path = farey_geodesic(INFINITY, a)
         assert is_geodesic(path)
+
+
+def recursive_geodesic_from_infinity(s: Slope) -> list:
+    """The recursive convergent-fan walk that `_geodesic_from_infinity`
+    replaced, kept as its slow twin: it recurses once per partial quotient."""
+    if s.is_infinity:
+        return [INFINITY]
+    if s.q == 1:
+        return [INFINITY, s]
+    cf = _continued_fraction(s.p, s.q)
+    dists = _distance_profile(s.p, s.q)
+    conv = [(1, 0), (cf[0], 1)]
+    for ak in cf[1:]:
+        conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
+    path = []
+
+    def walk(k):
+        if k == -1:
+            path.append((1, 0))
+            return
+        if k == 0:
+            path.append(conv[1])
+            path.append((1, 0))
+            return
+        path.append(conv[k + 1])
+        j = cf[k]
+        d_base, d_prev = dists[k], dists[k - 1]
+        while True:
+            if 1 + d_base <= j + min(d_base, d_prev):
+                walk(k - 1)
+                return
+            j -= 1
+            if j == 0:
+                walk(k - 2)
+                return
+            path.append((j * conv[k][0] + conv[k - 1][0], j * conv[k][1] + conv[k - 1][1]))
+
+    walk(len(cf) - 1)
+    path.reverse()
+    return [Slope.of(p, q) for p, q in path]
+
+
+class TestGeodesicSlowTwin:
+    @pytest.mark.parametrize("qmax", [3, 30, 1000, 10 ** 4])
+    def test_seeded_slopes(self, qmax):
+        rng = random.Random(qmax)
+        for _ in range(2000):
+            s = random_slope(rng, qmax)
+            assert _geodesic_from_infinity(s) == recursive_geodesic_from_infinity(s), s
+
+    @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
+    def test_shaped_expansions(self, kind):
+        rng = random.Random(len(kind))
+        for n in [2, 3, 4, 5, 17, 64, 255] + [rng.randint(2, 255) for _ in range(8)]:
+            s = _from_cf([rng.randint(-9, 9)] + _tail(rng, kind, n - 1))
+            assert _geodesic_from_infinity(s) == recursive_geodesic_from_infinity(s), (kind, n)
+
+    @pytest.mark.parametrize("pattern", [[2], [3], [1, 2], [5]])
+    @pytest.mark.parametrize("terms", [1200, 2400])
+    def test_long_expansions(self, pattern, terms):
+        # the recursive walk raised RecursionError on these
+        tail = (pattern * terms)[:terms]
+        tail[-1] = max(tail[-1], 2)
+        s = _from_cf([0] + tail)
+        path = farey_geodesic(INFINITY, s)
+        assert path[0] == INFINITY and path[-1] == s
+        assert is_geodesic(path) and len(path) - 1 == farey_distance(INFINITY, s)
 
 
 class TestAction:

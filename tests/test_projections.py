@@ -6,11 +6,12 @@ import pytest
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
+from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, Constants, OverlapError,
                                 TableSystem, TorusAnnuli, TreeSystem, _site_dist,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
-                                greedy_overlap_chain, iota_tau_indices,
+                                greedy_overlap_chain,
                                 persistence_check, random_slope,
                                 sample_overlapping_triples, synthetic_system,
                                 twist_pivot_sequence)
@@ -32,7 +33,12 @@ class TestTorusSystem:
             site, obj = random_slope(rng, 30), random_slope(rng, 30)
             if site == obj:
                 continue
-            assert torus.proj_diam(site, obj) <= 1
+            assert torus.path_diam(site, [obj]) <= 1
+
+    @pytest.mark.parametrize("path", [[Slope(0, 1)], []], ids=["only-the-site", "empty"])
+    def test_path_diam_of_nothing_projecting(self, torus, path):
+        with pytest.raises(EmptyProjectionError):
+            torus.path_diam(Slope(0, 1), path)
 
     def test_non_overlapping_boundaries_project_close(self, torus):
         # a single multicurve has projection diameter at most 2 anywhere
@@ -52,12 +58,12 @@ class TestBehrstock:
 
     def test_torus_scan_records_bemp(self, torus):
         rng = random.Random(2)
-        triples = sample_overlapping_triples(torus, 500, rng, qmax=200)
+        triples = sample_overlapping_triples(500, rng, qmax=200)
         rep = behrstock_scan(torus, triples, B=10)
         assert rep.scanned == 500
         assert not rep.violations
         assert 1 <= rep.B_emp <= 10
-        fresh = sample_overlapping_triples(torus, 500, random.Random(3), qmax=200)
+        fresh = sample_overlapping_triples(500, random.Random(3), qmax=200)
         assert not behrstock_scan(torus, fresh, B=rep.B_emp).violations
 
     def test_synthetic_by_construction(self):
@@ -149,7 +155,7 @@ class TestGeneralPersistence:
                 name = f"B{i}.{k}"
                 if name in sys_.positions:
                     seq.append(name)
-        iota, tau = iota_tau_indices(sys_, seq)
+        iota, tau = nearest_overlaps(len(seq), lambda i, j: sys_.overlaps(seq[i], seq[j]))
         # brute force against the definition
         for j in range(len(seq)):
             before = [t for t in range(j) if sys_.overlaps(seq[t], seq[j])]
@@ -162,7 +168,7 @@ class TestGeneralPersistence:
 
     def test_equal_sites_non_overlapping(self, torus):
         seq = [INFINITY, INFINITY]
-        iota, tau = iota_tau_indices(torus, seq)
+        iota, tau = nearest_overlaps(2, lambda i, j: torus.overlaps(seq[i], seq[j]))
         assert iota == [None, None] and tau == [None, None]
 
     def test_repeated_torus_sites_handled(self, torus):
@@ -354,7 +360,7 @@ class TestBgitSlowTwin:
 class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
-        triples = sample_overlapping_triples(torus, 400, random.Random(qmax), qmax=qmax)
+        triples = sample_overlapping_triples(400, random.Random(qmax), qmax=qmax)
         for B in (None, 1, 2, 3):
             assert behrstock_scan(torus, triples, B=B) == nine_call_behrstock_scan(torus, triples, B)
 

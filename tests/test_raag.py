@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rgflab.raag import (AbstractFamily, BOUNDARY_ANNULUS, DISJOINT, NESTED,
                          OVERLAP, PresentationGraph, admissibility_check,
-                         components, concat, inverse_word, iota_tau,
-                         letters_overlap, normal_form, power_threshold,
+                         components, concat, inverse_word, letters_overlap,
+                         nearest_overlaps, normal_form, power_threshold,
                          random_rewrite, rewrite_moves, support_bookkeeping,
                          word)
 
@@ -337,7 +337,7 @@ class TestSupportBookkeeping:
             for i in range(n):
                 for j in range(i + 1, n):
                     table[i][j] = table[j][i] = rng.random() < 0.5
-            iota, tau = iota_tau(table)
+            iota, tau = nearest_overlaps(n, lambda i, j: table[i][j])
             for j in range(n):
                 before = [t for t in range(j) if table[j][t]]
                 after = [t for t in range(j + 1, n) if table[j][t]]
