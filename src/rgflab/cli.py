@@ -97,7 +97,12 @@ def family_from_json(doc: dict) -> FamilySpec:
     for fd in doc["factors"]:
         group = subgroups.MatrixGroup.of(*[MappingClass.from_entries(e) for e in fd["generators"]])
         boundary = frozenset(Slope.parse(s) for s in fd["boundary"])
-        factors.append(FactorSpec(fd["name"], group, boundary, fd.get("budget", 2)))
+        budget = fd.get("budget", 2)
+        # a budget of 0 enumerates no factor elements: empty fans and
+        # searches that then certify anything
+        if budget < 1:
+            raise ValueError(f"factor budget must be at least 1, got {budget}")
+        factors.append(FactorSpec(fd["name"], group, boundary, budget))
     betas = None
     if "betas" in doc:
         betas = [frozenset(Slope.parse(s) for s in b) for b in doc["betas"]]
@@ -157,15 +162,15 @@ def cmd_farey(args):
     if args.action == "dist":
         d = farey.farey_distance(a, b)
         bfs, stable = farey.stabilized_bfs_distance(a, b, args.oracle_bound)
-        rec = {"record": "farey-dist", "a": str(a), "b": str(b), "distance": d,
+        rec = {"record": "farey-dist", "a": a, "b": b, "distance": d,
                "oracle": {"value": bfs, "stabilized": stable,
                           "bounds": [args.oracle_bound, 2 * args.oracle_bound],
                           "agrees": bfs == d}}
         code = PASS if bfs == d else (FAIL if stable else NO_VERDICT)
         return code, [rec], None
     path = farey.farey_geodesic(a, b)
-    rec = {"record": "farey-geodesic", "a": str(a), "b": str(b),
-           "length": len(path) - 1, "vertices": [str(v) for v in path],
+    rec = {"record": "farey-geodesic", "a": a, "b": b,
+           "length": len(path) - 1, "vertices": path,
            "valid": farey.is_geodesic(path)}
     return (PASS if rec["valid"] else FAIL), [rec], None
 
@@ -189,13 +194,13 @@ def cmd_delta_estimate(args):
     rec = {"record": "delta-estimate", "delta": est.delta, "points": args.points,
            "qmax": args.qmax, "exhaustive": est.exhaustive,
            "quadruples": est.quadruples_scanned, "seed": seed,
-           "witness": [str(x) for x in est.witness] if est.witness else None}
+           "witness": est.witness}
     return PASS, [rec], None
 
 
 def cmd_constants(args):
     seed = _seed(args)
-    est = estimate_constants(TorusAnnuli(), seed=seed, n_triples=args.triples,
+    est = estimate_constants(seed=seed, n_triples=args.triples,
                              n_geodesics=args.geodesics, qmax=args.qmax)
     rec = {"record": "constants", "M_emp": est.M_emp, "B_emp": est.B_emp,
            "c_emp": est.c_emp, "stable": est.stable, "samples": est.samples,
@@ -207,8 +212,7 @@ def cmd_persistence(args):
     seed = _seed(args)
     rng = random.Random(seed)
     torus = TorusAnnuli()
-    M = args.M if args.M is not None else 3
-    B = args.B if args.B is not None else 2
+    M, B = args.M, args.B
     strength = M + 3 * B + 2
     base = Slope(0, 1)
     start = constructions.slope_at_distance(base, 3)
@@ -290,7 +294,7 @@ def cmd_tree(args):
     if args.action == "qi":
         rep, rec = _qi_certificate(family.factors, args.radius, args.base_curve, args.kappa)
         rec.update({"kappa_given": rep.kappa_given, "kappa_given_ok": rep.kappa_given_ok,
-                    "envelope": {str(k): v for k, v in sorted(rep.lower_envelope.items())},
+                    "envelope": rep.lower_envelope,
                     "fit": rep.fit})
         code = PASS if rep.benchmark_ok and (rep.kappa_given_ok in (None, True)) else FAIL
         return code, [rec], rep.pairs
@@ -355,9 +359,9 @@ def cmd_experiment(args):
         tw = twist_orbit_family(args.dprime, window=args.window, seed=seed,
                                 factor_budget=args.factor_budget)
         records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
-                    "N": tw.N, "center": str(tw.center), "window": tw.window,
+                    "N": tw.N, "center": tw.center, "window": tw.window,
                     "constants": tw.constants,
-                    "boundaries": [sorted(str(s) for s in f.boundary) for f in tw.family.factors]},
+                    "boundaries": [f.boundary for f in tw.family.factors]},
                    {"record": "prop91-separation", "min": tw.separation.minimum,
                     "matrix": tw.separation.matrix, "ok": tw.separation.ok,
                     "window_ok": tw.distance_window_ok},
@@ -370,12 +374,12 @@ def cmd_experiment(args):
         return (PASS if ok else FAIL), records, qi.pairs
 
     if args.kind == "theorem-b":
-        est = estimate_constants(TorusAnnuli(), seed=seed, n_triples=args.triples,
+        est = estimate_constants(seed=seed, n_triples=args.triples,
                                  n_geodesics=args.geodesics, qmax=args.qmax)
         rng = random.Random(seed + 7)
         curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
         factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
-        delta = Fraction(args.delta) if args.delta is not None else Fraction(1)
+        delta = Fraction(args.delta)
         dd = constructions.definite_distance_scan(factor, curves, est.M_emp)
         gb = constructions.gromov_bound_scan(factor, curves, delta, dd.K_emp)
         A, D = separation_constants(gb.Kp_emp, delta)
@@ -414,8 +418,8 @@ def cmd_experiment(args):
                                 relation_budget=args.budget,
                                 factor_budget=args.factor_budget)
     records = [{"record": "example92-family", "D": cf.D,
-                "T": list(cf.T.entries()),
-                "boundaries": [sorted(str(s) for s in f.boundary) for f in cf.family.factors]},
+                "T": cf.T,
+                "boundaries": [f.boundary for f in cf.family.factors]},
                {"record": "example92-separation", "min": cf.separation.minimum,
                 "ok": cf.separation.ok},
                {"record": "example92-misalignment", "min": cf.misalignment.minimum,
@@ -469,14 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("action", choices=("check",))
     pp.add_argument("--sequences", type=_int_at_least(1), default=50)
     pp.add_argument("--max-length", type=_int_at_least(3), default=8)
-    # the least bounds any system declares (a tree system's M = 0, B = 1)
-    pp.add_argument("--M", type=_int_at_least(0))
-    pp.add_argument("--B", type=_int_at_least(1))
+    # least values: a tree system's bounds, M = 0 and B = 1
+    pp.add_argument("--M", type=_int_at_least(0), default=3)
+    pp.add_argument("--B", type=_int_at_least(1), default=2)
     pp.set_defaults(func=cmd_persistence)
 
     pr = add_parser("raag", help="normal forms and graph components")
     pr.add_argument("action", choices=("nf", "components"))
-    pr.add_argument("--vertices", type=int, required=True)
+    pr.add_argument("--vertices", type=_int_at_least(0), required=True)
     pr.add_argument("--edges", default="[]", help='JSON list of [i, j] pairs, 0-based')
     pr.add_argument("--word", default="", help='e.g. "x1^2 x2^-1"')
     pr.set_defaults(func=cmd_raag)
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcert.add_argument("--D", type=_int_at_least(1), default=5)
     pcert.add_argument("--A", type=_int_at_least(1), default=2)
     pcert.add_argument("--L", type=_int_at_least(1), default=11)
-    pcert.add_argument("--shell-bound", type=int, default=40)
+    pcert.add_argument("--shell-bound", type=_int_at_least(0), default=40)
     pcert.set_defaults(func=cmd_cert)
 
     pe = add_parser("experiment", help="end-to-end reproductions")
@@ -507,13 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--radius", type=_int_at_least(0), default=6)
     pe.add_argument("--D", type=_int_at_least(8), default=8)
     pe.add_argument("--budget", type=_int_at_least(2), default=8)
-    pe.add_argument("--factor-budget", type=int, default=2)
+    pe.add_argument("--factor-budget", type=_int_at_least(1), default=2)
     pe.add_argument("--words", type=_int_at_least(1), default=100)
     pe.add_argument("--curve-samples", type=_int_at_least(1), default=60)
     pe.add_argument("--triples", type=_int_at_least(1), default=1000)
     pe.add_argument("--geodesics", type=_int_at_least(1), default=300)
     pe.add_argument("--qmax", type=_int_at_least(1), default=800)
-    pe.add_argument("--delta", type=int)
+    pe.add_argument("--delta", type=_int_at_least(0), default=1)
     pe.set_defaults(func=cmd_experiment)
     return p
 

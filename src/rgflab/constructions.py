@@ -250,8 +250,7 @@ def separation_constants(Kp, delta) -> tuple:
 def _estimated_M(seed: int) -> int:
     """Geodesic-image bound M_emp from a small seeded torus sample, for
     family generators called without one."""
-    return estimate_constants(TorusAnnuli(), seed=seed, n_triples=400,
-                              n_geodesics=200, qmax=500).M_emp
+    return estimate_constants(seed=seed, n_triples=400, n_geodesics=200, qmax=500).M_emp
 
 
 def slope_at_distance(base: Slope, d: int) -> Slope:

@@ -3,11 +3,12 @@ the Behrstock inequality, bounded geodesic images, and the two projection
 persistence arguments.
 
 A system exposes sites, a symmetric irreflexive overlap relation, projection
-distances between objects at a site, and an ambient metric on objects.  Two
-instances are provided: annuli in the Farey graph, and synthetic systems
-built from a hidden tree embedding so the axioms hold by construction.  All
-checks take thresholds (M, B) explicitly; declared and empirical constants
-are both runnable.
+distances between objects at a site, and an ambient metric on objects with
+geodesics.  The projection distance d_Y(a, b) is the diameter of the union
+of the two projections, so it is symmetric in a and b.  Two instances are
+provided: annuli in the Farey graph, and synthetic systems built from a
+hidden tree embedding so the axioms hold by construction.  All checks take
+thresholds (M, B) explicitly.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from . import farey
 from .farey import Slope, act, twist_about
 from .hypgraph import GraphOracle
 from .raag import nearest_overlaps
-
-
-@dataclass
-class Constants:
-    M: int | None = None      # geodesic-image bound
-    B: int | None = None      # Behrstock constant
 
 
 class OverlapError(ValueError):
@@ -43,9 +38,6 @@ class TorusAnnuli:
     Sites are slopes; every pair of distinct slopes overlaps.  Objects are
     slopes or frozen sets of slopes; the boundary of a site is its core.
     """
-
-    has_geodesics = True
-    constants = Constants()      # declares neither M nor B
 
     @staticmethod
     def _components(obj):
@@ -94,9 +86,6 @@ class TreeSystem:
     in different directions the site sits on their geodesic, so each sees the
     other two in a single direction (Behrstock with B = 1).
     """
-
-    has_geodesics = True
-    constants = Constants(M=0, B=1)
 
     def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict):
         self.tree = tree
@@ -147,79 +136,6 @@ class TreeSystem:
 
     def ambient_geodesic(self, a, b):
         return self.tree.geodesic(self._pos(a), self._pos(b))
-
-    def to_json(self) -> dict:
-        """Site-level tables: the serialization interface for synthetic systems."""
-        sites = self.sites()
-        index = {s: i for i, s in enumerate(sites)}
-        overlap = [[self.overlaps(y, z) if y != z else False for z in sites] for y in sites]
-        ambient = [[self.ambient_dist(y, z) for z in sites] for y in sites]
-        proj = {}
-        for y in sites:
-            rows = {}
-            for a in sites:
-                for b in sites:
-                    if self.projects(y, a) and self.projects(y, b):
-                        rows[f"{index[a]},{index[b]}"] = self.proj_dist(y, a, b)
-            proj[str(index[y])] = rows
-        return {
-            "kind": "tables",
-            "sites": [str(s) for s in sites],
-            "overlap": overlap,
-            "ambient": ambient,
-            "proj": proj,
-            "constants": {"M": self.constants.M, "B": self.constants.B},
-        }
-
-
-class TableSystem:
-    """Projection system backed by explicit tables (the JSON interface)."""
-
-    has_geodesics = False
-
-    def __init__(self, doc: dict):
-        self.names = list(doc["sites"])
-        self._overlap = doc["overlap"]
-        self._ambient = doc["ambient"]
-        self._proj = {}
-        for site, rows in doc["proj"].items():
-            table = {}
-            for pair, value in rows.items():
-                a, b = pair.split(",")
-                table[(int(a), int(b))] = value
-            self._proj[int(site)] = table
-        cs = doc.get("constants", {})
-        self.constants = Constants(M=cs.get("M"), B=cs.get("B"))
-
-    def sites(self):
-        return list(range(len(self.names)))
-
-    def boundary(self, site):
-        return site
-
-    def overlaps(self, y, z) -> bool:
-        return bool(self._overlap[y][z])
-
-    def projects(self, site, obj) -> bool:
-        return (obj, obj) in self._proj.get(site, {})
-
-    def proj_dist(self, site, a, b) -> int:
-        try:
-            return self._proj[site][(a, b)]
-        except KeyError:
-            raise farey.EmptyProjectionError(f"{a},{b} do not both project to {site}")
-
-    def path_diam(self, site, path) -> int:
-        """Largest pairwise table entry over a path; with no coordinates to
-        fold, every ordered pair (i <= j) is read."""
-        return max(self.proj_dist(site, path[i], path[j])
-                   for i in range(len(path)) for j in range(i, len(path)))
-
-    def ambient_dist(self, a, b) -> int:
-        return self._ambient[a][b]
-
-    def ambient_geodesic(self, a, b):
-        return None
 
 
 def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 0,
@@ -302,10 +218,8 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
 
     A triple violates level b when some arrangement has d_Y(X, Z) >= b and
     max(d_X(Y, Z), d_Z(X, Y)) >= b; B_emp is the least b with no violations
-    on the sample.
+    on the sample.  With B None only B_emp is measured.
     """
-    if B is None:
-        B = system.constants.B
     violations = []
     worst = 0
     count = 0
@@ -315,18 +229,12 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
             if not system.overlaps(u, v):
                 raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
-        # each of the six ordered distances once, in the order the three
-        # arrangements below first need them: that order decides which
-        # missing table entry raises
-        y_xz = _site_dist(system, y, x, z)
-        x_yz = _site_dist(system, x, y, z)
-        z_yx = _site_dist(system, z, y, x)
-        z_xy = _site_dist(system, z, x, y)
-        x_zy = _site_dist(system, x, z, y)
-        y_zx = _site_dist(system, y, z, x)
-        for mid, d_mid, d_max in ((y, y_xz, max(x_yz, z_yx)),
-                                  (x, x_yz, max(y_xz, z_xy)),
-                                  (z, z_xy, max(x_zy, y_zx))):
+        # projection distances are symmetric, so three reads serve all
+        # three arrangements
+        a = _site_dist(system, x, y, z)
+        b = _site_dist(system, y, x, z)
+        c = _site_dist(system, z, x, y)
+        for mid, d_mid, d_max in ((y, b, max(a, c)), (x, a, max(b, c)), (z, c, max(a, b))):
             level = min(d_mid, d_max)
             if level > worst:
                 worst = level
@@ -377,13 +285,11 @@ class PersistenceReport:
                 and self.monotone_ok and self.final_distance_ok)
 
 
-def persistence_check(system, sequence, M: int | None = None, B: int | None = None) -> PersistenceReport:
+def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
     """Consecutive overlaps plus middle projections >= M + 3B make middle
     projections >= M + B persist to all triples, ambient distances monotone
     over nested index pairs, and, under 3-separated gaps, d(Y_1, Y_n) >= n-1.
     """
-    M = system.constants.M if M is None else M
-    B = system.constants.B if B is None else B
     seq = list(sequence)
     n = len(seq)
     failures = []
@@ -472,14 +378,12 @@ def greedy_overlap_chain(system, sequence) -> list:
     return chain
 
 
-def general_persistence_check(system, sequence, M: int | None = None,
-                              B: int | None = None, subsequence=None) -> GeneralPersistenceReport:
+def general_persistence_check(system, sequence, M: int, B: int,
+                              subsequence=None) -> GeneralPersistenceReport:
     """Skip-index persistence: hypotheses at M + 6B against the nearest
     overlapping neighbors imply the plain persistence hypotheses (at M + 3B)
     for any subsequence with consecutive overlaps, which is then checked.
     """
-    M = system.constants.M if M is None else M
-    B = system.constants.B if B is None else B
     seq = list(sequence)
     iota, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
     failures = []
@@ -540,8 +444,8 @@ def twist_pivot_sequence(a0: Slope, a1: Slope, strength: int, length: int,
 
 @dataclass
 class ConstantEstimates:
-    M_emp: int | None
-    B_emp: int | None
+    M_emp: int
+    B_emp: int
     c_emp: Fraction | None
     samples: dict = field(default_factory=dict)
     stable: bool = True
@@ -556,21 +460,19 @@ def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
     return triples
 
 
-def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
+def estimate_constants(seed: int = 0, n_triples: int = 2000,
                        n_geodesics: int = 400, qmax: int = 1000) -> ConstantEstimates:
-    """Deterministic seeded estimation of (M, B, c) for a torus system.
+    """Deterministic seeded estimation of (M, B, c) for the torus system.
 
     Each constant is the least value making its axiom hold on the sample and
     is re-validated on a disjoint fresh sample; `stable` records agreement.
-    Systems without ambient geodesics get M_emp = None.
     """
+    system = TorusAnnuli()
 
     def scan_B(r):
         return behrstock_scan(system, sample_overlapping_triples(n_triples, r, qmax)).B_emp
 
     def scan_M(r):
-        if not getattr(system, "has_geodesics", False):
-            return None
         worst = 0
         for _ in range(n_geodesics):
             site = random_slope(r, qmax)
@@ -612,9 +514,9 @@ def estimate_constants(system, seed: int = 0, n_triples: int = 2000,
     b1, b2 = scan_B(random.Random(seed)), scan_B(random.Random(seed + 1001))
     m1, m2 = scan_M(random.Random(seed + 2)), scan_M(random.Random(seed + 1003))
     c1, c2 = scan_c(random.Random(seed + 4)), scan_c(random.Random(seed + 1005))
-    stable = (b2 <= b1) and (m1 is None or m2 <= m1) and (c1 is None or c2 >= c1)
+    stable = (b2 <= b1) and (m2 <= m1) and (c1 is None or c2 >= c1)
     return ConstantEstimates(
-        M_emp=None if m1 is None else max(m1, m2),
+        M_emp=max(m1, m2),
         B_emp=max(b1, b2),
         c_emp=None if c1 is None else min(c1, c2),
         samples={"B": (b1, b2), "M": (m1, m2), "c": (c1, c2)},

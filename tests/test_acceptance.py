@@ -63,9 +63,9 @@ def delta_emp():
 
 
 @pytest.fixture(scope="module")
-def torus_constants(torus):
+def torus_constants():
     from rgflab.projections import estimate_constants
-    est = estimate_constants(torus, seed=0, n_triples=1500, n_geodesics=400, qmax=1000)
+    est = estimate_constants(seed=0, n_triples=1500, n_geodesics=400, qmax=1000)
     assert est.M_emp is not None and est.B_emp is not None
     return est
 

@@ -1,10 +1,12 @@
+import argparse
 import json
 import os
 import signal
 
 import pytest
 
-from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, family_from_json, family_to_json, main
+from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, family_from_json, \
+    family_to_json, main
 from rgflab.constructions import FamilySpec, slope_at_distance
 from rgflab.bassserre import FactorSpec
 from rgflab.farey import INFINITY, Slope
@@ -147,6 +149,29 @@ BAD_INPUT_ROWS = [
      "rgflab persistence: error: argument --M: must be at least 0, got -1"),
     ("persistence-B-0", ["persistence", "check", "--B", "0", "--seed", "1"],
      "rgflab persistence: error: argument --B: must be at least 1, got 0"),
+    # a factor budget of 0 enumerates no factor elements: prop91 passed on a
+    # 3-pair QI certificate, theorem-b and example92 failed with a traceback
+    # or an empty-factor certificate
+    ("prop91-factor-budget-0", ["experiment", "prop91", "--factor-budget", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+    ("theorem-b-factor-budget-0",
+     ["experiment", "theorem-b", "--factor-budget", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+    ("example92-factor-budget-0",
+     ["experiment", "example92", "--factor-budget", "0", "--seed", "1"],
+     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+    ("family-factor-budget-0-free-product", ["tree", "free-product", "--family", "BUDGET0"],
+     "usage error: bad family file BUDGET0: ValueError('factor budget must be at least 1, got 0')"),
+    ("family-factor-budget-0-qi", ["tree", "qi", "--family", "BUDGET0"],
+     "usage error: bad family file BUDGET0: ValueError('factor budget must be at least 1, got 0')"),
+    # was a `need D' > 8` traceback
+    ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
+     "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
+    ("raag-vertices-negative", ["raag", "components", "--vertices", "-3"],
+     "rgflab raag: error: argument --vertices: must be at least 0, got -3"),
+    ("shell-bound-negative",
+     ["cert", "displacing", "--family", "FAMILY", "--shell-bound", "-1"],
+     "rgflab cert: error: argument --shell-bound: must be at least 0, got -1"),
 ]
 
 BAD_FAMILIES = {
@@ -154,6 +179,11 @@ BAD_FAMILIES = {
     "DET2": json.dumps({"factors": [{"name": "A", "generators": [[2, 0, 0, 1]],
                                      "boundary": ["1/0"]}]}),
     "NOGENS": json.dumps({"factors": [{"name": "A", "boundary": ["1/0"]}]}),
+    # the full-twist pair with factor budget 0: free-product reported
+    # "no_relation": true from 0 words, qi passed on 1 pair
+    "BUDGET0": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "budget": 0},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 0}]}),
 }
 
 
@@ -174,6 +204,17 @@ def test_bad_input_is_usage_error(argv, err_start, family_file, tmp_path, capsys
     if err_start.startswith("usage error:"):
         assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_every_integer_flag_has_a_least_value():
+    # every integer is a valid seed; any other bare `int` flag accepts
+    # values (0, negatives) that make scans empty or certificates vacuous
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    bare = sorted({opt for sub in subparsers.choices.values() for action in sub._actions
+                   if action.type is int and "--seed" not in action.option_strings
+                   for opt in action.option_strings})
+    assert bare == []
 
 
 class CommandHung(BaseException):

@@ -1,14 +1,13 @@
-import json
 import random
 
 import pytest
 
-from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
-    farey_geodesic, twist_about
+from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, adjacent, \
+    conjugator_to_infinity, farey_distance, farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
 from rgflab.raag import nearest_overlaps
-from rgflab.projections import (BehrstockReport, BgitReport, Constants, OverlapError,
-                                TableSystem, TorusAnnuli, TreeSystem, _site_dist,
+from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
+                                TorusAnnuli, TreeSystem, _site_dist,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 greedy_overlap_chain,
@@ -185,29 +184,9 @@ class TestGeneralPersistence:
             general_persistence_check(torus, seq, M=3, B=2, subsequence=[0, 1])
 
 
-class TestSyntheticSerialization:
-    def test_round_trip(self):
-        sys_ = synthetic_system(5, seed=11, threshold=4, decoys=2)
-        doc = json.loads(json.dumps(sys_.to_json()))
-        table = TableSystem(doc)
-        sites = sys_.sites()
-        for i, a in enumerate(sites):
-            for j, b in enumerate(sites):
-                if i != j:
-                    assert table.overlaps(i, j) == sys_.overlaps(a, b)
-                    assert table.ambient_dist(i, j) == sys_.ambient_dist(a, b)
-        rep = persistence_check(table, [sites.index(f"Y{i}") for i in range(5)], M=0, B=1)
-        assert rep.hypothesis_ok and rep.conclusions_ok
-
-    def test_table_system_has_no_geodesics(self):
-        sys_ = synthetic_system(4, seed=0)
-        table = TableSystem(sys_.to_json())
-        assert table.ambient_geodesic(0, 1) is None
-
-
 class TestEstimateConstants:
-    def test_torus_constants(self, torus):
-        est = estimate_constants(torus, seed=0, n_triples=300, n_geodesics=150, qmax=300)
+    def test_torus_constants(self):
+        est = estimate_constants(seed=0, n_triples=300, n_geodesics=150, qmax=300)
         assert est.c_emp == 1
         assert est.B_emp >= 1
         assert est.M_emp is not None and est.M_emp >= 2
@@ -245,8 +224,6 @@ def pairwise_bgit_scan(system, site, geodesic):
 def nine_call_behrstock_scan(system, triples, B=None):
     """The `behrstock_scan` that made 9 distance calls per triple, three of
     them repeats: its slow twin."""
-    if B is None:
-        B = system.constants.B
     violations = []
     worst = 0
     count = 0
@@ -272,32 +249,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except (EmptyProjectionError, OverlapError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
-
-
-def asymmetric_table(rng, n, missing=0.0):
-    """A table system on n mutually overlapping sites whose projection
-    distances are random and asymmetric, d_y(a, b) != d_y(b, a); a share
-    `missing` of the entries off the diagonal is left out."""
-    proj = {}
-    for y in range(n):
-        rows = {}
-        for a in range(n):
-            for b in range(n):
-                if a == y or b == y:
-                    continue
-                if a == b:
-                    rows[f"{a},{b}"] = rng.randrange(0, 2)
-                elif rng.random() >= missing:
-                    rows[f"{a},{b}"] = rng.randrange(0, 9)
-        proj[str(y)] = rows
-    path_len = [[abs(i - j) for j in range(n)] for i in range(n)]
-    return TableSystem({
-        "sites": [f"S{i}" for i in range(n)],
-        "overlap": [[i != j for j in range(n)] for i in range(n)],
-        "ambient": path_len,
-        "proj": proj,
-        "constants": {"M": 0, "B": 3},
-    })
 
 
 class TestBgitSlowTwin:
@@ -345,17 +296,6 @@ class TestBgitSlowTwin:
         assert {v: list(c.items()) for v, c in fast.link_coords.items()} \
             == {v: list(c.items()) for v, c in slow.link_coords.items()}
 
-    def test_table_paths(self):
-        rng = random.Random(5)
-        table = asymmetric_table(rng, 7, missing=0.1)
-        for _ in range(200):
-            i = rng.randrange(7)
-            j = rng.randrange(7)
-            path = list(range(i, j + 1)) if i <= j else list(range(i, j - 1, -1))
-            site = rng.randrange(7)
-            assert _outcome(bgit_scan, table, site, path) \
-                == _outcome(pairwise_bgit_scan, table, site, path)
-
 
 class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
@@ -383,27 +323,54 @@ class TestBehrstockSlowTwin:
         for B in (None, 1, 2, 4):
             assert behrstock_scan(fast, triples, B=B) == nine_call_behrstock_scan(slow, triples, B)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_asymmetric_table(self, seed):
-        rng = random.Random(seed)
-        table = asymmetric_table(rng, 6)
-        triples = [tuple(rng.sample(range(6), 3)) for _ in range(120)]
-        asymmetric = sum(table.proj_dist(y, a, b) != table.proj_dist(y, b, a)
-                         for y, a, b in triples)
-        assert asymmetric > 50
-        for B in (None, 1, 4, 7):
-            assert behrstock_scan(table, triples, B=B) == nine_call_behrstock_scan(table, triples, B)
+
+def _farey_edge(rng, qmax):
+    """A two-curve multicurve object: a slope with one of its Farey neighbours."""
+    s = random_slope(rng, qmax)
+    t = act(conjugator_to_infinity(s).inv(), Slope(rng.randrange(-qmax, qmax + 1), 1))
+    assert adjacent(s, t)
+    return frozenset({s, t})
+
+
+class TestProjectionSymmetry:
+    """d_Y(a, b) is the diameter of the union of two projections, so it is
+    symmetric; `behrstock_scan` reads one distance per site on that ground."""
+
+    @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
+    def test_torus(self, torus, qmax):
+        rng = random.Random(qmax)
+        multicurves = nonzero = checked = 0
+        while checked < 400:
+            site = random_slope(rng, qmax)
+            a, b = (_farey_edge(rng, qmax) if rng.random() < 0.5 else random_slope(rng, qmax)
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                # twisted about the site, so the distance is large
+                twist = twist_about(site, rng.randrange(1, 12))
+                b = act(twist, a) if isinstance(a, Slope) else frozenset(act(twist, c) for c in a)
+            if not (torus.projects(site, a) and torus.projects(site, b)):
+                continue
+            d = torus.proj_dist(site, a, b)
+            assert d == torus.proj_dist(site, b, a)
+            checked += 1
+            multicurves += isinstance(a, frozenset) + isinstance(b, frozenset)
+            nonzero += d > 2
+        assert multicurves > 200 and nonzero > 100
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_missing_entries_raise_the_same_error(self, seed):
-        # the six distances are read in the twin's first-use order, so the
-        # first missing entry is the one both report
+    def test_tree(self, seed):
+        sys_ = synthetic_system(7, seed=seed, threshold=4, decoys=6)
         rng = random.Random(seed)
-        table = asymmetric_table(rng, 6, missing=0.15)
-        raised = 0
-        for _ in range(60):
-            triples = [tuple(rng.sample(range(6), 3)) for _ in range(3)]
-            got = _outcome(behrstock_scan, table, triples, 2)
-            assert got == _outcome(nine_call_behrstock_scan, table, triples, 2)
-            raised += isinstance(got, tuple)
-        assert raised > 10
+        sites = sys_.sites()
+        objects = sites + sorted(sys_.tree.adj)
+        nonzero = 0
+        checked = 0
+        while checked < 300:
+            site, a, b = rng.choice(sites), rng.choice(objects), rng.choice(objects)
+            if not (sys_.projects(site, a) and sys_.projects(site, b)):
+                continue
+            d = sys_.proj_dist(site, a, b)
+            assert d == sys_.proj_dist(site, b, a)
+            checked += 1
+            nonzero += d > 0
+        assert nonzero > 30
