@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -289,30 +289,121 @@ class QiReport:
 
 
 def qi_certificate(ball: TreeBall, images: dict, kappa: int | None = None) -> QiReport:
-    """Scan all type-1 pairs of the labeled ball against the affine lower
-    bound d_S >= d_T / kappa - kappa, and against the benchmark
-    d_S >= d_T/2 - 4 that displacing families achieve.
+    """Scan all type-1 pairs of the labeled ball (`qi_pairs`) against the
+    affine lower bound d_S >= d_T / kappa - kappa and the benchmark
+    d_S >= d_T/2 - 4 that displacing families achieve (`qi_report`)."""
+    return qi_report(qi_pairs(ball, images), kappa)
+
+
+def qi_pairs(ball: TreeBall, images: dict) -> list:
+    """(d_T, d_S) for every type-1 pair of the labeled ball, in
+    `type1_pairs` order, from one breadth-first walk per source vertex over
+    integer vertex ids.
+
+    d_T is the depth of the walk, exact because the ball is a connected
+    subtree of the Bass-Serre tree.  For a source with one image slope alpha,
+    d_S is the distance from 1/0 after `conjugator_to_infinity(alpha)`,
+    resumed from the previous type-1 vertex u on the tree path: u keeps the
+    convergent matrix T of its image's partial quotients before the last one
+    and the distance state after them (`farey.distance_state`), as
+    R = adj(T) C with C the conjugator.  A child's image beta has the
+    complete quotient x = R.beta; when x > 1, its continued fraction is T's
+    followed by x's, so only x is expanded (`farey.distance_tail`), memoised
+    on the exact key (x, state).  Otherwise the child takes the full kernel.
+    A pair with an image of more than one slope takes
+    `farey.slope_set_distance`.  Resume points live for one source.
+    """
+    # type-2 leaves lie on no path between type-1 vertices, so no walk needs them
+    verts = [v for v, fan in ball.adjacency.items() if v.kind == 1 or len(fan) > 1]
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[w] for w in ball.adjacency[v] if w in index] for v in verts]
+    t1 = [index[v] for v in ball.vertices(1)]
+    rank = [-1] * len(verts)
+    for k, i in enumerate(t1):
+        rank[i] = k
+    slope = [None] * len(verts)          # the image slope, when there is one
+    for i in t1:
+        if len(images[verts[i]]) == 1:
+            (slope[i],) = images[verts[i]]
+    # bounded, so a family whose tails do not repeat cannot grow it unchecked
+    tail = lru_cache(maxsize=4096)(farey.distance_tail)
+
+    pairs = []
+    for k, src in enumerate(t1):
+        conj = None if slope[src] is None else conjugator_to_infinity(slope[src])
+        parent = {}
+        resume = {src: None}             # type-1 id -> (R, d, up) or None
+        row = [None] * (len(t1) - k - 1)
+        for v, u, d in hypgraph.bfs([src], adj.__getitem__):
+            parent[v] = u
+            if rank[v] <= k:
+                continue
+            # v, then the type-1 vertices above it not yet settled (lower ranks)
+            path = [v]
+            while parent[parent[path[-1]]] not in resume:
+                path.append(parent[parent[path[-1]]])
+            for w in reversed(path):     # ends with v, whose d_S is left in ds
+                if conj is None or slope[w] is None:
+                    resume[w] = None
+                else:
+                    ds, resume[w] = _resumed_distance(resume[parent[parent[w]]],
+                                                      slope[w], conj, tail)
+            if conj is None or slope[v] is None:
+                ds = farey.slope_set_distance(images[verts[src]], images[verts[v]])
+            row[rank[v] - k - 1] = (d, ds)
+        pairs += row
+    return pairs
+
+
+def _resumed_distance(point, beta: Slope, conj: MappingClass, tail) -> tuple:
+    """(distance from 1/0 to conj.beta, resume point of beta), given the
+    resume point (R, d, up) of the previous type-1 vertex on the path, or
+    None; `tail` is the memoised `farey.distance_tail`.  See `qi_pairs`."""
+    if point is not None:
+        (r0, r1, r2, r3), d, up = point
+        x, y = r0 * beta.p + r1 * beta.q, r2 * beta.p + r3 * beta.q
+        if y < 0:
+            x, y = -x, -y
+        if x > y > 0:
+            added, before, up, (a, b, c, e) = tail(x, y, up)
+            return d + added, ((e * r0 - b * r2, e * r1 - b * r3,
+                                a * r2 - c * r0, a * r3 - c * r1), d + before, up)
+    s = act(conj, beta)
+    dist, point = farey.distance_state(s.p, s.q)
+    if point is None:
+        return dist, None
+    (a, b, c, e), d, up = point
+    return dist, ((e * conj.a - b * conj.c, e * conj.b - b * conj.d,
+                   a * conj.c - c * conj.a, a * conj.d - c * conj.b), d, up)
+
+
+def qi_report(pairs: list, kappa: int | None = None) -> QiReport:
+    """The certificate of a pair table: the least integer kappa with
+    d_S >= d_T / kappa - kappa on every pair, whether a given kappa holds,
+    the benchmark d_S >= d_T/2 - 4, and the lower envelope with its fit.
 
     Both bounds are checked in integers, multiplied through: for k >= 1,
     d_S >= d_T/k - k holds iff k * (d_S + k) >= d_T, and the benchmark
-    holds iff 2 * d_S >= d_T - 8.  So `kappa` must be at least 1.
+    holds iff 2 * d_S >= d_T - 8.  So `kappa` must be at least 1.  Every
+    bound, and the least ratio d_S/d_T, is monotone in d_S, so each is read
+    off the envelope d_T -> min d_S.
     """
     if kappa is not None and kappa < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa}")
-    pairs = []
     envelope = {}
-    for v, w in ball.type1_pairs():
-        dt = tree_distance(ball, v, w)
-        ds = farey.slope_set_distance(images[v], images[w])
-        pairs.append((dt, ds))
+    for dt, ds in pairs:
         if dt not in envelope or ds < envelope[dt]:
             envelope[dt] = ds
 
     def holds(k):
-        return all(k * (ds + k) >= dt for dt, ds in pairs)
+        return all(k * (ds + k) >= dt for dt, ds in envelope.items())
 
-    min_ratio = min((Fraction(ds, dt) for dt, ds in pairs if dt > 0), default=None)
-    bench = all(2 * ds >= dt - 8 for dt, ds in pairs)
+    least = None                  # (d_T, d_S) of the least ratio, cross-multiplied
+    for dt, ds in envelope.items():
+        if dt > 0 and (least is None or ds * least[0] < least[1] * dt):
+            least = (dt, ds)
+    min_ratio = None if least is None else Fraction(least[1], least[0])
+    bench = all(2 * ds >= dt - 8 for dt, ds in envelope.items())
     kappa_witness = None
     if pairs:
         kappa_witness = 1

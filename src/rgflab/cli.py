@@ -98,6 +98,10 @@ def family_from_json(doc: dict) -> FamilySpec:
         group = subgroups.MatrixGroup.of(*[MappingClass.from_entries(e) for e in fd["generators"]])
         boundary = frozenset(Slope.parse(s) for s in fd["boundary"])
         budget = fd.get("budget", 2)
+        # a fractional budget would silently run the search of the next
+        # integer, and JSON true would pass as 1 (bool is an int)
+        if type(budget) is not int:
+            raise ValueError(f"factor budget must be an integer, got {budget!r}")
         # a budget of 0 enumerates no factor elements: empty fans and
         # searches that then certify anything
         if budget < 1:

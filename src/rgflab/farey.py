@@ -253,6 +253,53 @@ def _distance_to_infinity(s: Slope) -> int:
     return d
 
 
+def distance_tail(p: int, q: int, up: bool) -> tuple:
+    """The loop of `_distance_to_infinity` resumed on a complete quotient
+    x = p/q > 1, from a state whose last step rose iff `up`.
+
+    A slope T.x, with T the convergent matrix of a prefix [a_0; a_1, ..., a_j]
+    and x > 1, has the continued fraction of that prefix followed by the one
+    of x, so its distance is the distance d of the prefix's convergent plus
+    the `added` this returns.  Returns (added, before, up_before, L):
+    `before` of `added` comes before x's last partial quotient, `up_before`
+    is whether the step before that one rose, and L = (a, b, c, d) is the
+    convergent matrix of x's quotients before the last, so T.L is the next
+    resume point, with state (d + before, up_before).  The last quotient of
+    x is at least 2, so it always adds one.
+    """
+    added = 0
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k, r = divmod(p, q)
+        if not r:
+            return added + 1, added, up, (a, b, c, d)
+        if k == 1 and up:
+            up = False
+        else:
+            added += 1
+            up = True
+        a, b, c, d = a * k + b, a, c * k + d, c
+        p, q = q, r
+
+
+def distance_state(p: int, q: int) -> tuple:
+    """(distance from 1/0 to p/q, resume point) for a canonical pair (q >= 0).
+
+    The resume point is (T, d, up): T = (a, b, c, d) the convergent matrix of
+    the partial quotients before the last one, and (d, up) the state of the
+    loop of `_distance_to_infinity` after them, which `distance_tail`
+    continues from.  It is None for 1/0 and the integers, which have no
+    quotient after a_0 to resume before.
+    """
+    if not q:
+        return 0, None
+    a0, r = divmod(p, q)
+    if not r:
+        return 1, None
+    added, before, up, (a, b, c, d) = distance_tail(q, r, True)
+    return 1 + added, ((a0 * a + c, a0 * b + d, a, b), 1 + before, up)
+
+
 def farey_distance(a: Slope, b: Slope) -> int:
     """Exact Farey graph distance."""
     if a == b:

@@ -255,7 +255,8 @@ class Bookkeeping:
     sigma[s] = index of the first letter of subword s; iota/tau give, for each
     letter, the nearest earlier/later letter whose support overlaps it (None
     at the ends).  claim_ok records that every letter strictly between
-    iota(j) and tau(j) commutes with letter j and shares its subword.
+    iota(j) and tau(j) commutes with letter j; such a letter always shares
+    j's subword (`support_bookkeeping` shows why).
     """
 
     letters: list
@@ -297,6 +298,14 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
     between distinct blocks; `subwords` is a list of (part_index, word) with
     consecutive part indices distinct.  Subwords are put in normal form
     before concatenation.
+
+    Once the partition is validated, every letter t strictly between iota(j)
+    and tau(j) lies in letter j's subword, so only commuting is checked.  Say
+    t < j, with t in subword a and j in subword b > a.  Subword b - 1 lies in
+    a part other than b's, and no edge joins distinct parts, so its letters
+    overlap letter j.  If b - 1 = a, that makes t <= iota(j); otherwise
+    subword b - 1 lies between t and j, and again iota(j) > t.  The case
+    t > j is the mirror image.
     """
     part_of = {}
     for k, block in enumerate(parts):
@@ -312,7 +321,6 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
 
     letters = []
     sigma = []
-    owner = []      # owner[t]: the subword that letter t comes from
     prev_part = None
     for k, w in subwords:
         if k == prev_part:
@@ -324,7 +332,6 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
         for g, _ in nf:
             if part_of[g] != k:
                 raise ValueError(f"generator x{g + 1} not in part {k}")
-        owner.extend([len(sigma)] * len(nf))
         sigma.append(len(letters))
         letters.extend(nf)
 
@@ -340,11 +347,9 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
         for t in range(lo + 1, hi):
             if t == j:
                 continue
-            commutes = nu[t] == nu[j] or graph.commute(nu[t], nu[j])
-            shared = owner[t] == owner[j]
-            if not (commutes and shared):
+            if not (nu[t] == nu[j] or graph.commute(nu[t], nu[j])):
                 ok = False
-                violations.append((j, t, "commute" if not commutes else "subword"))
+                violations.append((j, t, "commute"))
     return Bookkeeping(letters, nu, sigma, iota, tau, ok, violations)
 
 

@@ -2,17 +2,18 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-from rgflab.farey import INFINITY, MappingClass, Slope, act, farey_distance, twist_about
+from rgflab.farey import (INFINITY, MappingClass, Slope, act, farey_distance,
+                          slope_set_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
 from rgflab import bassserre
 from rgflab.bassserre import (FactorSpec, FreeProductReport, ball_bfs_distance,
                               build_ball, coset_well_defined, cyclically_reduce,
                               free_product_check, loxodromic_scan, phi,
-                              pingpong_certificate, qi_certificate,
+                              pingpong_certificate, qi_certificate, qi_pairs,
+                              qi_report,
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, type1_vertex,
                               type2_vertex, word_matrix)
@@ -184,13 +185,8 @@ class TestQiCertificate:
         ([(8, 0), (10, 1)], 3, True),     # 2 * 0 == 8 - 8 and 2 * 1 == 10 - 8
         ([(9, 0)], 3, False),             # 3 * (0 + 3) == 9 but 2 * 0 < 9 - 8
     ])
-    def test_bounds_hold_with_equality(self, pairs, kappa_witness, benchmark_ok,
-                                       monkeypatch):
-        # (d_T, d_S) pairs fed in through stand-ins for both distances
-        monkeypatch.setattr(bassserre, "tree_distance", lambda ball, dt, ds: dt)
-        monkeypatch.setattr(bassserre.farey, "slope_set_distance", lambda dt, ds: ds)
-        ball = SimpleNamespace(type1_pairs=lambda: pairs)
-        rep = qi_certificate(ball, {x: x for x in range(11)}, kappa=kappa_witness)
+    def test_bounds_hold_with_equality(self, pairs, kappa_witness, benchmark_ok):
+        rep = qi_report(pairs, kappa=kappa_witness)
         assert rep.pairs == pairs
         assert (rep.kappa_witness, rep.kappa_given_ok, rep.benchmark_ok) == (
             kappa_witness, True, benchmark_ok)
@@ -200,6 +196,67 @@ class TestQiCertificate:
         for kappa in (0, -2):
             with pytest.raises(ValueError):
                 qi_certificate(ball, phi(ball, Slope(1, 1)), kappa=kappa)
+
+    def test_min_ratio_matches_fraction_form(self):
+        rng = random.Random(5)
+        tables = [[], [(0, 3)], [(2, 1), (4, 2), (6, 3)]]
+        tables += [[(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 40))]
+                   for _ in range(200)]
+        for pairs in tables:
+            want = min((Fraction(ds, dt) for dt, ds in pairs if dt > 0), default=None)
+            assert qi_report(pairs).min_ratio == want
+
+
+def theorem_b_family():
+    """The family of `experiment theorem-b --seed 11`: D' = 49, M_emp = 3."""
+    from rgflab.constructions import twist_orbit_family
+    return twist_orbit_family(49, window=3, seed=11, M_emp=3)
+
+
+def two_slope_factors(budget=2):
+    """A finite factor swapping 1/0 and 0/1, with that pair as its boundary,
+    and twist factors about 2/1 and -1/3 (so the scan both resumes, past
+    steps that rose and steps that did not, and falls back)."""
+    swap = MatrixGroup.of(MappingClass(0, -1, 1, 0))
+    return [FactorSpec("S", swap, frozenset({INFINITY, Slope(0, 1)}), budget),
+            FactorSpec.twist("T", Slope(2, 1), budget=budget),
+            FactorSpec.twist("U", Slope(-1, 3), budget=budget)]
+
+
+def slow_pair(ball, images, v, w):
+    return tree_distance(ball, v, w), slope_set_distance(images[v], images[w])
+
+
+class TestQiPairsSlowTwin:
+    """The resumed scan against `tree_distance` and `slope_set_distance`."""
+
+    # two-twist at radius 5 resumes past a step that did not rise, before a
+    # quotient of 1, where the state's `up` flag decides the distance
+    @pytest.mark.parametrize("family, radius", [
+        *itertools.product(["two-twist", "theorem-b", "two-slope"], [1, 2, 3, 4]),
+        ("two-twist", 5)])
+    def test_every_pair(self, family, radius):
+        if family == "two-twist":
+            factors, base = two_twist_factors(), Slope(1, 1)
+        elif family == "theorem-b":
+            tw = theorem_b_family()
+            factors, base = tw.family.factors, tw.base
+        else:
+            factors, base = two_slope_factors(), Slope(1, 3)
+        ball = build_ball(factors, radius)
+        images = phi(ball, base)
+        want = [slow_pair(ball, images, v, w) for v, w in ball.type1_pairs()]
+        assert qi_pairs(ball, images) == want
+
+    def test_sample_at_radius_six(self):
+        tw = theorem_b_family()
+        ball = build_ball(tw.family.factors, 6)
+        images = phi(ball, tw.base)
+        got = qi_pairs(ball, images)
+        todo = list(ball.type1_pairs())
+        assert len(got) == len(todo) == 23871
+        for k in random.Random(6).sample(range(len(todo)), 2000):
+            assert got[k] == slow_pair(ball, images, *todo[k]), k
 
 
 class TestFreeProductCheck:

@@ -164,6 +164,13 @@ BAD_INPUT_ROWS = [
      "usage error: bad family file BUDGET0: ValueError('factor budget must be at least 1, got 0')"),
     ("family-factor-budget-0-qi", ["tree", "qi", "--family", "BUDGET0"],
      "usage error: bad family file BUDGET0: ValueError('factor budget must be at least 1, got 0')"),
+    # a budget of 1.5 ran the budget-2 search and exited 0
+    ("family-factor-budget-fraction", ["tree", "free-product", "--family", "BUDGETHALF"],
+     "usage error: bad family file BUDGETHALF: "
+     "ValueError('factor budget must be an integer, got 1.5')"),
+    ("family-factor-budget-bool", ["tree", "qi", "--family", "BUDGETBOOL"],
+     "usage error: bad family file BUDGETBOOL: "
+     "ValueError('factor budget must be an integer, got True')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
@@ -184,6 +191,12 @@ BAD_FAMILIES = {
     "BUDGET0": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "budget": 0},
         {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 0}]}),
+    "BUDGETHALF": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "budget": 1.5},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 1.5}]}),
+    "BUDGETBOOL": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "budget": True},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 2}]}),
 }
 
 

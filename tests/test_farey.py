@@ -8,7 +8,8 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           _distance_to_infinity, _geodesic_from_infinity, act,
                           adjacent, annular_distance, annular_projection,
                           annular_projection_set, bounded_neighbors,
-                          bounded_vertices, conjugator_to_infinity, farey_distance,
+                          bounded_vertices, conjugator_to_infinity,
+                          distance_state, distance_tail, farey_distance,
                           farey_geodesic, is_geodesic, link_span, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
 from rgflab.projections import random_slope
@@ -148,6 +149,42 @@ class TestDistanceKernel:
             if not ma.is_infinity and ma != mb:
                 s = act(conjugator_to_infinity(ma), mb)
                 assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1]
+
+
+class TestResumableKernel:
+    """`distance_tail` resumed after every prefix of a continued fraction, and
+    `distance_state`, against `_distance_to_infinity` and the profile."""
+
+    @pytest.mark.parametrize("terms", [16, 128, 512])
+    @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
+    def test_split_after_every_prefix(self, kind, terms):
+        rng = random.Random(terms + len(kind))
+        for _ in range(3):
+            cf = [rng.randint(-99, 99)] + _tail(rng, kind, terms - 1)
+            s = _from_cf(cf)
+            want = _distance_to_infinity(s)
+            dists = _distance_profile(s.p, s.q)      # dists[k + 1]: D of convergent k
+            conv = [(1, 0), (cf[0], 1)]              # conv[k + 1]: convergent k >= -1
+            for ak in cf[1:]:
+                conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
+            n = len(cf) - 1
+            last = ((conv[n][0], conv[n - 1][0], conv[n][1], conv[n - 1][1]),
+                    dists[n], dists[n] > dists[n - 1])
+            assert distance_state(s.p, s.q) == (want, last)
+            for j in range(n):
+                # resume after a_0..a_j, from the state of convergent j
+                d, up = dists[j + 1], dists[j + 1] > dists[j]
+                x = _from_cf(cf[j + 1:])
+                added, before, up_before, (a, b, c, e) = distance_tail(x.p, x.q, up)
+                assert d + added == want, (j, kind, terms)
+                (p1, q1), (p0, q0) = conv[j + 1], conv[j]
+                assert ((p1 * a + p0 * c, p1 * b + p0 * e, q1 * a + q0 * c, q1 * b + q0 * e),
+                        d + before, up_before) == last, j
+
+    def test_state_of_integers_and_infinity(self):
+        assert distance_state(1, 0) == (0, None)
+        for p in (-7, 0, 12):
+            assert distance_state(p, 1) == (1, None)
 
 
 class TestGeodesic:

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,43 @@ class TestAdmissibility:
         assert fam.realization_graph().edges == frozenset()
 
 
+def random_decompositions(rng, count):
+    """Up to `count` random (graph, parts, subwords) for `support_bookkeeping`:
+    parts are blocks of a random graph with no edges between them."""
+    for _ in range(count):
+        # parts = components of a random graph grouped into >= 2 blocks
+        n = rng.randrange(3, 7)
+        comps = []
+        v = 0
+        while v < n:
+            size = min(n - v, rng.randrange(1, 3))
+            comps.append(list(range(v, v + size)))
+            v += size
+        if len(comps) < 2:
+            continue
+        edges = []
+        for block in comps:
+            for i in block:
+                for j in block:
+                    if i < j and rng.random() < 0.6:
+                        edges.append((i, j))
+        g = PresentationGraph.of(n, edges)
+        subwords = []
+        last = None
+        for _ in range(rng.randrange(1, 5)):
+            k = rng.choice([i for i in range(len(comps)) if i != last])
+            block = comps[k]
+            w = tuple((rng.choice(block), rng.choice([-2, -1, 1, 2]))
+                      for _ in range(rng.randrange(1, 5)))
+            if not normal_form(g, w):
+                continue
+            subwords.append((k, w))
+            last = k
+        if not subwords:
+            continue
+        yield g, comps, subwords
+
+
 class TestSupportBookkeeping:
     def test_single_subword(self):
         g = PresentationGraph.of(3, [(0, 1)])
@@ -294,40 +332,26 @@ class TestSupportBookkeeping:
             support_bookkeeping(g, [[0], [1]], [(0, word((0, 1)))])
 
     def test_randomized_claim_holds(self):
-        rng = random.Random(5)
-        for _ in range(400):
-            # parts = components of a random graph grouped into >= 2 blocks
-            n = rng.randrange(3, 7)
-            comps = []
-            v = 0
-            while v < n:
-                size = min(n - v, rng.randrange(1, 3))
-                comps.append(list(range(v, v + size)))
-                v += size
-            if len(comps) < 2:
-                continue
-            edges = []
-            for block in comps:
-                for i in block:
-                    for j in block:
-                        if i < j and rng.random() < 0.6:
-                            edges.append((i, j))
-            g = PresentationGraph.of(n, edges)
-            subwords = []
-            last = None
-            for _ in range(rng.randrange(1, 5)):
-                k = rng.choice([i for i in range(len(comps)) if i != last])
-                block = comps[k]
-                w = tuple((rng.choice(block), rng.choice([-2, -1, 1, 2]))
-                          for _ in range(rng.randrange(1, 5)))
-                if not normal_form(g, w):
-                    continue
-                subwords.append((k, w))
-                last = k
-            if not subwords:
-                continue
+        for g, comps, subwords in random_decompositions(random.Random(5), 400):
             bk = support_bookkeeping(g, comps, subwords)
             assert bk.claim_ok, (g.edges, subwords, bk.violations)
+
+    def test_letters_between_nearest_overlaps_share_the_subword(self):
+        # why no letter of another subword can sit strictly between iota(j)
+        # and tau(j): letters of consecutive subwords always overlap
+        for g, comps, subwords in random_decompositions(random.Random(7), 400):
+            bk = support_bookkeeping(g, comps, subwords)
+            owner = [bisect_right(bk.sigma, t) - 1 for t in range(len(bk.nu))]
+            for s in range(1, len(bk.sigma)):
+                for t in range(bk.sigma[s - 1], bk.sigma[s]):
+                    for u in range(bk.sigma[s], len(bk.nu)):
+                        if owner[u] == s:
+                            assert letters_overlap(g, bk.nu[t], bk.nu[u])
+            for j in range(len(bk.nu)):
+                lo = -1 if bk.iota[j] is None else bk.iota[j]
+                hi = len(bk.nu) if bk.tau[j] is None else bk.tau[j]
+                assert all(owner[t] == owner[j] for t in range(lo + 1, hi)), (subwords, j)
+
 
     def test_iota_tau_brute_force(self):
         rng = random.Random(6)
