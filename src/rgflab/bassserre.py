@@ -105,48 +105,30 @@ def _word_key(word: tuple) -> tuple:
     return tuple((i, m.projective_key()) for i, m in word)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Tree vertex: kind 2 carries a normal form; kind 1 a coset (prefix, factor)."""
-
-    kind: int
-    prefix: tuple          # projective keys, canonical label
-    factor: int = -1
-
-    def __repr__(self):
-        if self.kind == 2:
-            return f"v2({len(self.prefix)} syl)"
-        return f"v1({len(self.prefix)} syl; H{self.factor})"
-
-
-def type2_vertex(word: tuple) -> Vertex:
-    return Vertex(2, _word_key(word))
-
-def type1_vertex(word: tuple, i: int) -> Vertex:
-    prefix = word[:-1] if word and word[-1][0] == i else word
-    return Vertex(1, _word_key(prefix), i)
-
-
 @dataclass
 class TreeBall:
-    """Radius-r ball about v(1) in the Bass-Serre tree.
+    """Radius-r ball about v(1) in the Bass-Serre tree, over integer vertex
+    ids: 0 is the center v(1), and ids follow breadth-first discovery order.
 
-    Coset fans at type-1 vertices are enumerated only up to the per-factor
-    budget; `truncated` marks vertices whose fan was cut, never silently.
+    Vertex v is an element (kind 2, factor -1) whose label is its normal
+    form, or a coset gH_i (kind 1, factor i) whose label is the canonical
+    prefix g.  `adjacency[v]` lists v's parent first, then its children.
+    Coset fans are enumerated only up to the per-factor budget; `truncated`
+    holds the ids whose fan was cut, never silently.
     """
 
     factors: list
-    radius: int
-    adjacency: dict
-    distance: dict                 # from the center v(1)
-    words: dict                    # type-2 vertex -> normal form (with matrices)
-    prefixes: dict                 # type-1 vertex -> prefix normal form
-    truncated: set = field(default_factory=set)
+    kind: list
+    factor: list
+    label: list
+    distance: list                 # from the center v(1)
+    adjacency: list
+    truncated: set
 
     def vertices(self, kind: int | None = None):
         if kind is None:
-            return list(self.adjacency)
-        return [v for v in self.adjacency if v.kind == kind]
+            return list(range(len(self.kind)))
+        return [v for v, k in enumerate(self.kind) if k == kind]
 
     def type1_pairs(self):
         t1 = self.vertices(1)
@@ -156,47 +138,43 @@ class TreeBall:
 
 
 def build_ball(factors: list, radius: int) -> TreeBall:
-    """Breadth-first ball construction; deterministic for fixed budgets."""
+    """Breadth-first ball construction; deterministic for fixed budgets.
+
+    The ball is a tree, so a fan is its vertex's parent plus new children:
+    an element g gets the cosets gH_j for each j other than g's last
+    factor, and a coset gH_i the elements g.(i, h), one per enumerated h.
+    """
     if not factors:
         raise ValueError("need at least one factor")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     elements = [f.elements() for f in factors]
     infinite = [not _factor_closed(f) for f in factors]
+    ball = TreeBall(list(factors), [2], [-1], [()], [], [[]], set())
 
-    center = type2_vertex(())
-    adjacency = {center: set()}
-    distance = {}
-    words = {center: ()}
-    prefixes = {}
-    truncated = set()
-
-    def neighbours(u):
-        """The fan at u, recording edges and the first label of each vertex."""
-        fan = []
-        if u.kind == 2:
-            g = words[u]
-            for i in range(len(factors)):
-                v = type1_vertex(g, i)
-                prefixes.setdefault(v, g[:-1] if g and g[-1][0] == i else g)
-                fan.append(v)
+    def children(u):
+        """Number the children of u, recording their labels and edges."""
+        g = ball.label[u]
+        if ball.kind[u] == 2:
+            last = g[-1][0] if g else -1
+            fan = [(1, j, g) for j in range(len(factors)) if j != last]
         else:
-            g = prefixes[u]
-            for tail in [()] + [((u.factor, m),) for m in elements[u.factor]]:
-                w = syllables_mul(g, tail)
-                v = type2_vertex(w)
-                words.setdefault(v, w)
-                fan.append(v)
-        for v in fan:
-            adjacency[u].add(v)
-            adjacency.setdefault(v, set()).add(u)
-        return fan
+            i = ball.factor[u]
+            fan = [(2, -1, g + ((i, h),)) for h in elements[i]]
+        new = range(len(ball.kind), len(ball.kind) + len(fan))
+        for kind, j, label in fan:
+            ball.kind.append(kind)
+            ball.factor.append(j)
+            ball.label.append(label)
+            ball.adjacency.append([u])
+        ball.adjacency[u] += new
+        return new
 
-    for v, _, d in hypgraph.bfs([center], neighbours, radius):
-        distance[v] = d
-        if v.kind == 1 and infinite[v.factor]:
-            truncated.add(v)
-    return TreeBall(list(factors), radius, adjacency, distance, words, prefixes, truncated)
+    for v, _, d in hypgraph.bfs([0], children, radius):
+        ball.distance.append(d)
+        if ball.kind[v] == 1 and infinite[ball.factor[v]]:
+            ball.truncated.add(v)
+    return ball
 
 
 def _factor_closed(f: FactorSpec) -> bool:
@@ -204,7 +182,7 @@ def _factor_closed(f: FactorSpec) -> bool:
     return finite
 
 
-def tree_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
+def tree_distance(ball: TreeBall, v: int, w: int) -> int:
     """Exact free-product tree distance between ball vertices.
 
     Between elements, d(v(g), v(g')) is twice the syllable length of the
@@ -218,25 +196,20 @@ def tree_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
     """
     if v == w:
         return 0
-    a = ball.words[v] if v.kind == 2 else ball.prefixes[v]
-    b = ball.words[w] if w.kind == 2 else ball.prefixes[w]
-    c = syllables_mul(syllables_inv(a), b)
-    if v.kind == 2 and w.kind == 2:
+    c = syllables_mul(syllables_inv(ball.label[v]), ball.label[w])
+    if ball.kind[v] == 2 and ball.kind[w] == 2:
         return 2 * len(c)
-    if v.kind == 2:
-        drop = 1 if c and c[-1][0] == w.factor else 0
-        return 1 + 2 * (len(c) - drop)
-    if w.kind == 2:
-        drop = 1 if c and c[0][0] == v.factor else 0
-        return 1 + 2 * (len(c) - drop)
-    drop_front = 1 if c and c[0][0] == v.factor else 0
-    drop_back = 1 if c and c[-1][0] == w.factor else 0
+    # an element's factor is -1, which no syllable has, so it drops nothing
+    drop_front = 1 if c and c[0][0] == ball.factor[v] else 0
+    drop_back = 1 if c and c[-1][0] == ball.factor[w] else 0
+    if ball.kind[v] == 2 or ball.kind[w] == 2:
+        return 1 + 2 * (len(c) - drop_front - drop_back)
     if len(c) == 1 and drop_front and drop_back:
         raise AssertionError("distinct cosets cannot share a canonical label")
     return 2 + 2 * (len(c) - drop_front - drop_back)
 
 
-def ball_bfs_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
+def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:
     """Path-walk oracle: BFS in the constructed ball."""
     for x, _, d in hypgraph.bfs([v], ball.adjacency.__getitem__):
         if x == w:
@@ -248,26 +221,25 @@ def ball_bfs_distance(ball: TreeBall, v: Vertex, w: Vertex) -> int:
 # The orbit map into the Farey graph.
 
 
-def phi(ball: TreeBall, base_curve: Slope) -> dict:
-    """Vertex labels in the curve graph: v(gH_i) -> g . boundary(H_i) and
-    v(g) -> {g . base_curve}."""
-    images = {}
-    for v in ball.vertices():
-        if v.kind == 2:
-            m = word_matrix(ball.words[v])
-            images[v] = frozenset({act(m, base_curve)})
+def phi(ball: TreeBall, base_curve: Slope) -> list:
+    """Vertex labels in the curve graph, indexed by vertex id:
+    v(gH_i) -> g . boundary(H_i) and v(g) -> {g . base_curve}."""
+    images = []
+    for kind, i, g in zip(ball.kind, ball.factor, ball.label):
+        m = word_matrix(g)
+        if kind == 2:
+            images.append(frozenset({act(m, base_curve)}))
         else:
-            m = word_matrix(ball.prefixes[v])
-            images[v] = frozenset(act(m, s) for s in ball.factors[v.factor].boundary)
+            images.append(frozenset(act(m, s) for s in ball.factors[i].boundary))
     return images
 
 
-def coset_well_defined(ball: TreeBall, v: Vertex) -> bool:
+def coset_well_defined(ball: TreeBall, v: int) -> bool:
     """Representatives g and g*h (h in the factor) must give one image set."""
-    if v.kind != 1:
+    if ball.kind[v] != 1:
         raise ValueError("well-definedness is about type-1 vertices")
-    f = ball.factors[v.factor]
-    m = word_matrix(ball.prefixes[v])
+    f = ball.factors[ball.factor[v]]
+    m = word_matrix(ball.label[v])
     base = frozenset(act(m, s) for s in f.boundary)
     for h in f.elements():
         mh = m.mul(h)
@@ -288,17 +260,16 @@ class QiReport:
     fit: tuple | None = None      # least-squares (slope, intercept) on the envelope
 
 
-def qi_certificate(ball: TreeBall, images: dict, kappa: int | None = None) -> QiReport:
+def qi_certificate(ball: TreeBall, images: list, kappa: int | None = None) -> QiReport:
     """Scan all type-1 pairs of the labeled ball (`qi_pairs`) against the
     affine lower bound d_S >= d_T / kappa - kappa and the benchmark
     d_S >= d_T/2 - 4 that displacing families achieve (`qi_report`)."""
     return qi_report(qi_pairs(ball, images), kappa)
 
 
-def qi_pairs(ball: TreeBall, images: dict) -> list:
+def qi_pairs(ball: TreeBall, images: list) -> list:
     """(d_T, d_S) for every type-1 pair of the labeled ball, in
-    `type1_pairs` order, from one breadth-first walk per source vertex over
-    integer vertex ids.
+    `type1_pairs` order, from one breadth-first walk per source vertex.
 
     d_T is the depth of the walk, exact because the ball is a connected
     subtree of the Bass-Serre tree.  For a source with one image slope alpha,
@@ -313,18 +284,16 @@ def qi_pairs(ball: TreeBall, images: dict) -> list:
     A pair with an image of more than one slope takes
     `farey.slope_set_distance`.  Resume points live for one source.
     """
+    kind, adjacency = ball.kind, ball.adjacency
     # type-2 leaves lie on no path between type-1 vertices, so no walk needs them
-    verts = [v for v, fan in ball.adjacency.items() if v.kind == 1 or len(fan) > 1]
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in ball.adjacency[v] if w in index] for v in verts]
-    t1 = [index[v] for v in ball.vertices(1)]
-    rank = [-1] * len(verts)
+    adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
+    t1 = ball.vertices(1)
+    rank = [-1] * len(kind)
+    slope = [None] * len(kind)           # the image slope, when there is one
     for k, i in enumerate(t1):
         rank[i] = k
-    slope = [None] * len(verts)          # the image slope, when there is one
-    for i in t1:
-        if len(images[verts[i]]) == 1:
-            (slope[i],) = images[verts[i]]
+        if len(images[i]) == 1:
+            (slope[i],) = images[i]
     # bounded, so a family whose tails do not repeat cannot grow it unchecked
     tail = lru_cache(maxsize=4096)(farey.distance_tail)
 
@@ -349,7 +318,7 @@ def qi_pairs(ball: TreeBall, images: dict) -> list:
                     ds, resume[w] = _resumed_distance(resume[parent[parent[w]]],
                                                       slope[w], conj, tail)
             if conj is None or slope[v] is None:
-                ds = farey.slope_set_distance(images[verts[src]], images[verts[v]])
+                ds = farey.slope_set_distance(images[src], images[v])
             row[rank[v] - k - 1] = (d, ds)
         pairs += row
     return pairs

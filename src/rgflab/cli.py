@@ -9,8 +9,8 @@ verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -56,28 +56,33 @@ def _jsonable(obj):
     return obj
 
 
-def _write(text: str, out_path=None):
+@contextlib.contextmanager
+def _destination(out_path=None):
+    """stdout, or `out_path` opened for writing; a path that cannot be
+    written is a usage error."""
     if not out_path:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise SystemExit_usage(f"cannot write report {out_path}: {exc}")
 
 
 def emit(records, out_path=None):
-    _write("".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records), out_path)
+    text = "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records)
+    with _destination(out_path) as fh:
+        fh.write(text)
 
 
 def emit_csv(pairs, out_path=None):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("d_T", "d_S"))
-    for row in sorted(pairs):
-        writer.writerow(row)
-    _write(buf.getvalue(), out_path)
+    """Write the pair table, sorted; sorts `pairs` in place."""
+    pairs.sort()
+    with _destination(out_path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("d_T", "d_S"))
+        writer.writerows(pairs)
 
 
 def family_to_json(family: FamilySpec) -> dict:
@@ -291,8 +296,8 @@ def cmd_tree(args):
                  "type1": len(ball.vertices(1)), "type2": len(ball.vertices(2)),
                  "truncated": len(ball.truncated)}]
         for v in ball.vertices():
-            recs.append({"record": "tree-vertex", "kind": v.kind,
-                         "syllables": len(v.prefix), "factor": v.factor,
+            recs.append({"record": "tree-vertex", "kind": ball.kind[v],
+                         "syllables": len(ball.label[v]), "factor": ball.factor[v],
                          "distance": ball.distance[v]})
         return PASS, recs, None
     if args.action == "qi":

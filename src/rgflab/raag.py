@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -254,9 +254,11 @@ class Bookkeeping:
     letters[t] = (generator, exponent); nu[t] = generator of letter t;
     sigma[s] = index of the first letter of subword s; iota/tau give, for each
     letter, the nearest earlier/later letter whose support overlaps it (None
-    at the ends).  claim_ok records that every letter strictly between
-    iota(j) and tau(j) commutes with letter j; such a letter always shares
-    j's subword (`support_bookkeeping` shows why).
+    at the ends).  Every letter strictly between iota(j) and tau(j) equals
+    or commutes with letter j, by definition: iota(j) and tau(j) are the
+    nearest letters that overlap j, and a letter overlaps j unless it
+    equals or commutes with it.  Such a letter also shares j's subword
+    (`support_bookkeeping` shows why).
     """
 
     letters: list
@@ -264,8 +266,6 @@ class Bookkeeping:
     sigma: list
     iota: list
     tau: list
-    claim_ok: bool
-    violations: list = field(default_factory=list)
 
 
 def letters_overlap(graph: PresentationGraph, gi: int, gj: int) -> bool:
@@ -300,7 +300,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
     before concatenation.
 
     Once the partition is validated, every letter t strictly between iota(j)
-    and tau(j) lies in letter j's subword, so only commuting is checked.  Say
+    and tau(j) lies in letter j's subword.  Say
     t < j, with t in subword a and j in subword b > a.  Subword b - 1 lies in
     a part other than b's, and no edge joins distinct parts, so its letters
     overlap letter j.  If b - 1 = a, that makes t <= iota(j); otherwise
@@ -338,19 +338,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
     n = len(letters)
     nu = [g for g, _ in letters]
     iota, tau = nearest_overlaps(n, lambda i, j: letters_overlap(graph, nu[i], nu[j]))
-
-    ok = True
-    violations = []
-    for j in range(n):
-        lo = iota[j] if iota[j] is not None else -1
-        hi = tau[j] if tau[j] is not None else n
-        for t in range(lo + 1, hi):
-            if t == j:
-                continue
-            if not (nu[t] == nu[j] or graph.commute(nu[t], nu[j])):
-                ok = False
-                violations.append((j, t, "commute"))
-    return Bookkeeping(letters, nu, sigma, iota, tau, ok, violations)
+    return Bookkeeping(letters, nu, sigma, iota, tau)
 
 
 def power_threshold(c, B: int, M: int, D: int):

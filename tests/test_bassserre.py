@@ -9,14 +9,13 @@ from rgflab.farey import (INFINITY, MappingClass, Slope, act, farey_distance,
                           slope_set_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
 from rgflab import bassserre
-from rgflab.bassserre import (FactorSpec, FreeProductReport, ball_bfs_distance,
-                              build_ball, coset_well_defined, cyclically_reduce,
-                              free_product_check, loxodromic_scan, phi,
-                              pingpong_certificate, qi_certificate, qi_pairs,
-                              qi_report,
+from rgflab.bassserre import (FactorSpec, FreeProductReport, _word_key,
+                              ball_bfs_distance, build_ball, coset_well_defined,
+                              cyclically_reduce, free_product_check,
+                              loxodromic_scan, phi, pingpong_certificate,
+                              qi_certificate, qi_pairs, qi_report,
                               random_alternating_word, syllables_inv,
-                              syllables_mul, tree_distance, type1_vertex,
-                              type2_vertex, word_matrix)
+                              syllables_mul, tree_distance, word_matrix)
 
 
 def two_twist_factors(budget=2):
@@ -38,7 +37,7 @@ class TestBuildBall:
     def test_radius_zero(self):
         ball = build_ball(two_twist_factors(), radius=0)
         assert len(ball.adjacency) == 1
-        assert ball.vertices(2) == [type2_vertex(())]
+        assert ball.vertices(2) == [0] and ball.label == [()]
 
     def test_closed_form_counts(self):
         factors = two_twist_factors(budget=1)   # elements T, T^-1 per factor
@@ -54,13 +53,12 @@ class TestBuildBall:
 
     def test_distances_match_bfs_oracle(self):
         ball = build_ball(two_twist_factors(budget=2), radius=4)
-        verts = list(ball.adjacency)
-        for v, w in itertools.combinations(verts, 2):
+        for v, w in itertools.combinations(ball.vertices(), 2):
             assert tree_distance(ball, v, w) == ball_bfs_distance(ball, v, w)
 
     def test_three_factor_distances(self):
         ball = build_ball(separated_factors(budget=1), radius=3)
-        verts = list(ball.adjacency)
+        verts = ball.vertices()
         rng = random.Random(0)
         for _ in range(300):
             v, w = rng.choice(verts), rng.choice(verts)
@@ -68,9 +66,8 @@ class TestBuildBall:
 
     def test_type2_distance_is_twice_syllable_length(self):
         ball = build_ball(two_twist_factors(), radius=4)
-        center = type2_vertex(())
         for v in ball.vertices(2):
-            assert tree_distance(ball, center, v) == 2 * len(ball.words[v])
+            assert tree_distance(ball, 0, v) == 2 * len(ball.label[v])
 
     def test_bipartite_parity(self):
         ball = build_ball(two_twist_factors(), radius=3)
@@ -103,13 +100,16 @@ class TestPhi:
         factors = two_twist_factors()
         ball = build_ball(factors, radius=2)
         images = phi(ball, Slope(1, 1))
-        assert images[type1_vertex((), 0)] == frozenset({INFINITY})
-        assert images[type1_vertex((), 1)] == frozenset({Slope(0, 1)})
+        # the center's fan: the cosets H_0 and H_1, with the empty prefix
+        assert ball.adjacency[0] == [1, 2] and ball.factor[1:3] == [0, 1]
+        assert ball.label[1] == ball.label[2] == ()
+        assert images[1] == frozenset({INFINITY})
+        assert images[2] == frozenset({Slope(0, 1)})
 
     def test_center_maps_to_base_curve(self):
         ball = build_ball(two_twist_factors(), radius=1)
         images = phi(ball, Slope(1, 1))
-        assert images[type2_vertex(())] == frozenset({Slope(1, 1)})
+        assert images[0] == frozenset({Slope(1, 1)})
 
     def test_coset_well_definedness(self):
         ball = build_ball(separated_factors(), radius=3)
@@ -120,16 +120,16 @@ class TestPhi:
         factors = two_twist_factors()
         ball = build_ball(factors, radius=3)
         images = phi(ball, Slope(1, 1))
+        element = {_word_key(ball.label[v]): v for v in ball.vertices(2)}
         # multiplying a type-2 label by a factor element inside the same coset
         # translates the image by that element
         for v in ball.vertices(2):
-            w = ball.words[v]
+            w = ball.label[v]
             m = word_matrix(w)
             for i, f in enumerate(factors):
                 for h in f.elements()[:2]:
-                    shifted = syllables_mul(w, ((i, h),))
-                    target = type2_vertex(shifted)
-                    if target in images:
+                    target = element.get(_word_key(syllables_mul(w, ((i, h),))))
+                    if target is not None:
                         assert images[target] == frozenset({act(m.mul(h), Slope(1, 1))})
 
 
@@ -227,6 +227,36 @@ def slow_pair(ball, images, v, w):
     return tree_distance(ball, v, w), slope_set_distance(images[v], images[w])
 
 
+def tree_family(name):
+    """(factors, base curve) of a named test family."""
+    if name == "two-twist":
+        return two_twist_factors(), Slope(1, 1)
+    if name == "three-factor":
+        return separated_factors(), Slope(1, 2)
+    if name == "theorem-b":
+        tw = theorem_b_family()
+        return tw.family.factors, tw.base
+    return two_slope_factors(), Slope(1, 3)
+
+
+class TestTreeShape:
+    """`build_ball` numbers a tree: it adds no edge between vertices it has
+    already seen and gives no two vertices one label, which is why it needs
+    no dedup by label."""
+
+    @pytest.mark.parametrize("family, radius", itertools.product(
+        ["two-twist", "three-factor", "two-slope", "theorem-b"], range(6)))
+    def test_ball_is_a_tree_in_breadth_first_order(self, family, radius):
+        ball = build_ball(tree_family(family)[0], radius)
+        n = len(ball.kind)
+        assert sum(map(len, ball.adjacency)) == 2 * (n - 1)
+        assert all(ball.distance[v] == ball.distance[ball.adjacency[v][0]] + 1
+                   for v in range(1, n))
+        assert ball.distance == sorted(ball.distance)
+        keys = {(k, i, _word_key(g)) for k, i, g in zip(ball.kind, ball.factor, ball.label)}
+        assert len(keys) == n
+
+
 class TestQiPairsSlowTwin:
     """The resumed scan against `tree_distance` and `slope_set_distance`."""
 
@@ -236,13 +266,7 @@ class TestQiPairsSlowTwin:
         *itertools.product(["two-twist", "theorem-b", "two-slope"], [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
-        if family == "two-twist":
-            factors, base = two_twist_factors(), Slope(1, 1)
-        elif family == "theorem-b":
-            tw = theorem_b_family()
-            factors, base = tw.family.factors, tw.base
-        else:
-            factors, base = two_slope_factors(), Slope(1, 3)
+        factors, base = tree_family(family)
         ball = build_ball(factors, radius)
         images = phi(ball, base)
         want = [slow_pair(ball, images, v, w) for v, w in ball.type1_pairs()]

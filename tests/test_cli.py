@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import signal
@@ -583,3 +584,45 @@ class TestDeterminism:
                   "--seed", "4", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Two fixed family files: three separated twist factors, and a finite factor
+# with a two-slope boundary beside two twists (so some images are multicurves)
+TREE_FAMILIES = {
+    "three-twist": {"factors": [
+        {"name": "A", "generators": [[1, 0, -1, 1]], "boundary": ["0/1"], "budget": 2},
+        {"name": "B", "generators": [[2031, 4900, -841, -2029]], "boundary": ["-70/29"],
+         "budget": 2},
+        {"name": "C", "generators": [[79570261, 192099600, -32959081, -79570259]],
+         "boundary": ["-13860/5741"], "budget": 2}]},
+    "two-slope": {"factors": [
+        {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": ["0/1", "1/0"], "budget": 2},
+        {"name": "T", "generators": [[-1, 4, -1, 3]], "boundary": ["2/1"], "budget": 2},
+        {"name": "U", "generators": [[4, 1, -9, -2]], "boundary": ["-1/3"], "budget": 2}]},
+}
+
+# sha256 of the `tree build` report, the `tree qi` report and the `tree qi`
+# CSV at radius 4, each report without its `config` record
+TREE_DIGESTS = {
+    "three-twist": ("512cd197ed683ad8d55eed0c9507b72318e41d9269fdf246dcdad2ab0b93a756",
+                    "e422cfb35444623a6769ff69d17ec390b6c20daed22db3ae8c106bf3284cfddb",
+                    "90ccd0b54b11203773071600a3ee7027b2e8d17f119f84ba4427c70557cbea25"),
+    "two-slope": ("a200759dc109d916451ea9523fb2771f92ce2dd2c0a235a465241700e012fb1c",
+                  "41940963ab801f2c59e64c85dd0d3007fff23354f1a4e132d19042432c080a96",
+                  "b0abf2d6cbdac5bfcf0974001587e3a5a0f3695789d75180eca10140ac464405"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_FAMILIES))
+def test_tree_layer_reports_are_pinned(name, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(TREE_FAMILIES[name]))
+    flags = ["--family", str(path), "--radius", "4", "--base-curve", "1/3"]
+    build, qi = tmp_path / "build.jsonl", tmp_path / "qi.jsonl"
+    assert main(["tree", "build", *flags, "--output", str(build)]) == PASS
+    assert main(["tree", "qi", *flags, "--output", str(qi)]) == PASS
+    blobs = [build.read_bytes(), qi.read_bytes(), (tmp_path / "qi.jsonl.csv").read_bytes()]
+    for blob in blobs[:2]:
+        assert json.loads(blob.split(b"\n", 1)[0])["record"] == "config"
+    blobs[:2] = [blob.split(b"\n", 1)[1] for blob in blobs[:2]]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == TREE_DIGESTS[name]

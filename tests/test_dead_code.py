@@ -15,6 +15,12 @@ anything.  Calls match a function and a method by the called name, and
 `__init__` by the class name.  A parameter counts as read when its name is
 loaded in the body; methods defined on more than one class implement a
 shared interface, so their signatures are exempt from that rule.
+
+A dataclass field with a default counts as dead when no construction (a
+call by the class name, or a `replace` keyword) passes it anything but a
+literal equal to its default, and no attribute of that name is loaded
+anywhere in the same trees.  Fields, like methods, are counted by
+attribute name.
 """
 
 import ast
@@ -126,13 +132,23 @@ def _signatures():
                        defined[m.name] > 1)
 
 
-def option_creep() -> list:
+def _calls_and_loads(searched) -> tuple:
+    """The calls in `searched` by called name, and the attribute names loaded
+    there."""
     calls = defaultdict(list)
-    for top in SEARCHED:
+    loaded = set()
+    for top in searched:
         for path in sorted(top.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Call):
                     calls[_callee(node)].append(node)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    return calls, loaded
+
+
+def option_creep() -> list:
+    calls, _ = _calls_and_loads(SEARCHED)
     found = []
     for label, fn, called, offset, shared in _signatures():
         for name, index, default in _options(fn, offset):
@@ -151,3 +167,83 @@ def option_creep() -> list:
 
 def test_no_option_creep():
     assert option_creep() == []
+
+
+def _is_dataclass(cls) -> bool:
+    for d in cls.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (getattr(f, "id", None) or getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_default(value):
+    """The default node of a field's assigned value, None without one;
+    for `field(default_factory=...)` the call itself, which no literal
+    equals."""
+    if not (isinstance(value, ast.Call) and _callee(value) == "field"):
+        return value
+    for kw in value.keywords:
+        if kw.arg == "default":
+            return kw.value
+        if kw.arg == "default_factory":
+            return value
+    return None
+
+
+def unused_fields(package=PACKAGE, searched=SEARCHED) -> list:
+    calls, loaded = _calls_and_loads(searched)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            fields = [f for f in cls.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            for index, f in enumerate(fields):
+                name = f.target.id
+                default = None if f.value is None else _field_default(f.value)
+                if default is None or name in loaded:
+                    continue
+                if not (any(_sets(c, index, name, default) for c in calls[cls.name])
+                        or any(_sets(c, None, name, default) for c in calls["replace"])):
+                    found.append(f"{path.stem}.{cls.name}.{name}")
+    return found
+
+
+def test_no_unused_fields():
+    assert unused_fields() == []
+
+
+PLANTED = """
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Report:
+    count: int
+    note: str = ""
+    tags: list = field(default_factory=list)
+    level: int = 0
+    extra: list = field(default_factory=list)
+    label: str = field(default="x")
+
+
+def make():
+    first = Report(1, "", level=2)
+    second = Report(2, "", label="y")
+    return first.count + len(second.extra)
+"""
+
+
+def test_unused_fields_fire_on_a_planted_module(tmp_path):
+    # `note` is set only to its default and `tags` never; neither is read
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "planted.py").write_text(PLANTED)
+    assert unused_fields(package, [tmp_path]) == ["planted.Report.note", "planted.Report.tags"]
+    (tmp_path / "reader.py").write_text(
+        "import dataclasses\n"
+        "def show(report):\n"
+        "    return dataclasses.replace(report, tags=['a']).note\n")
+    assert unused_fields(package, [tmp_path]) == []
