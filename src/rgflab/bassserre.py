@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -269,23 +269,18 @@ def qi_certificate(ball: TreeBall, images: list, kappa: int | None = None) -> Qi
 
 def qi_pairs(ball: TreeBall, images: list) -> list:
     """(d_T, d_S) for every type-1 pair of the labeled ball, in
-    `type1_pairs` order, from one breadth-first walk per source vertex.
+    `type1_pairs` order, from one depth-first walk per source vertex.
 
-    d_T is the depth of the walk, exact because the ball is a connected
-    subtree of the Bass-Serre tree.  For a source with one image slope alpha,
-    d_S is the distance from 1/0 after `conjugator_to_infinity(alpha)`,
-    resumed from the previous type-1 vertex u on the tree path: u keeps the
-    convergent matrix T of its image's partial quotients before the last one
-    and the distance state after them (`farey.distance_state`), as
-    R = adj(T) C with C the conjugator.  A child's image beta has the
-    complete quotient x = R.beta; when x > 1, its continued fraction is T's
-    followed by x's, so only x is expanded (`farey.distance_tail`), memoised
-    on the exact key (x, state).  Otherwise the child takes the full kernel.
-    A pair with an image of more than one slope takes
-    `farey.slope_set_distance`.  Resume points live for one source.
+    The walk steps between type-1 vertices across the type-2 fans, adding 2
+    to d_T each time; the ball is a tree, so it keeps no seen-set, and type-2
+    leaves lie on no path between type-1 vertices, so it skips them.  A pair
+    with single-slope images takes `farey.resumed_distance` from the source
+    conjugated to 1/0, resumed from the previous type-1 vertex on the path,
+    whose resume point rides on the stack; any other pair takes
+    `farey.slope_set_distance`.  A vertex ranked at or before the source,
+    with no fan but the one it was reached through, is skipped.
     """
     kind, adjacency = ball.kind, ball.adjacency
-    # type-2 leaves lie on no path between type-1 vertices, so no walk needs them
     adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
     t1 = ball.vertices(1)
     rank = [-1] * len(kind)
@@ -294,56 +289,33 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
         rank[i] = k
         if len(images[i]) == 1:
             (slope[i],) = images[i]
-    # bounded, so a family whose tails do not repeat cannot grow it unchecked
-    tail = lru_cache(maxsize=4096)(farey.distance_tail)
 
     pairs = []
     for k, src in enumerate(t1):
         conj = None if slope[src] is None else conjugator_to_infinity(slope[src])
-        parent = {}
-        resume = {src: None}             # type-1 id -> (R, d, up) or None
         row = [None] * (len(t1) - k - 1)
-        for v, u, d in hypgraph.bfs([src], adj.__getitem__):
-            parent[v] = u
-            if rank[v] <= k:
-                continue
-            # v, then the type-1 vertices above it not yet settled (lower ranks)
-            path = [v]
-            while parent[parent[path[-1]]] not in resume:
-                path.append(parent[parent[path[-1]]])
-            for w in reversed(path):     # ends with v, whose d_S is left in ds
-                if conj is None or slope[w] is None:
-                    resume[w] = None
-                else:
-                    ds, resume[w] = _resumed_distance(resume[parent[parent[w]]],
-                                                      slope[w], conj, tail)
-            if conj is None or slope[v] is None:
-                ds = farey.slope_set_distance(images[src], images[v])
-            row[rank[v] - k - 1] = (d, ds)
+        stack = [(src, -1, 0, None)]     # (vertex, fan it came through, d_T, resume point)
+        while stack:
+            u, via, d, point = stack.pop()
+            d += 2
+            for fan in adj[u]:
+                if fan == via:
+                    continue
+                for v in adj[fan]:
+                    leaf = len(adj[v]) == 1
+                    if v == u or (leaf and rank[v] <= k):
+                        continue
+                    resume = None
+                    if conj is not None and slope[v] is not None:
+                        ds, resume = farey.resumed_distance(point, slope[v], conj)
+                    elif rank[v] > k:
+                        ds = farey.slope_set_distance(images[src], images[v])
+                    if rank[v] > k:
+                        row[rank[v] - k - 1] = (d, ds)
+                    if not leaf:
+                        stack.append((v, fan, d, resume))
         pairs += row
     return pairs
-
-
-def _resumed_distance(point, beta: Slope, conj: MappingClass, tail) -> tuple:
-    """(distance from 1/0 to conj.beta, resume point of beta), given the
-    resume point (R, d, up) of the previous type-1 vertex on the path, or
-    None; `tail` is the memoised `farey.distance_tail`.  See `qi_pairs`."""
-    if point is not None:
-        (r0, r1, r2, r3), d, up = point
-        x, y = r0 * beta.p + r1 * beta.q, r2 * beta.p + r3 * beta.q
-        if y < 0:
-            x, y = -x, -y
-        if x > y > 0:
-            added, before, up, (a, b, c, e) = tail(x, y, up)
-            return d + added, ((e * r0 - b * r2, e * r1 - b * r3,
-                                a * r2 - c * r0, a * r3 - c * r1), d + before, up)
-    s = act(conj, beta)
-    dist, point = farey.distance_state(s.p, s.q)
-    if point is None:
-        return dist, None
-    (a, b, c, e), d, up = point
-    return dist, ((e * conj.a - b * conj.c, e * conj.b - b * conj.d,
-                   a * conj.c - c * conj.a, a * conj.d - c * conj.b), d, up)
 
 
 def qi_report(pairs: list, kappa: int | None = None) -> QiReport:

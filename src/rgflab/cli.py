@@ -100,7 +100,7 @@ def family_to_json(family: FamilySpec) -> dict:
 def family_from_json(doc: dict) -> FamilySpec:
     factors = []
     for fd in doc["factors"]:
-        group = subgroups.MatrixGroup.of(*[MappingClass.from_entries(e) for e in fd["generators"]])
+        group = subgroups.MatrixGroup.of(*fd["generators"])
         boundary = frozenset(Slope.parse(s) for s in fd["boundary"])
         budget = fd.get("budget", 2)
         # a fractional budget would silently run the search of the next
@@ -281,7 +281,14 @@ def _word_str(w) -> str:
 def _load_family(args) -> FamilySpec:
     try:
         with open(args.family) as fh:
-            return family_from_json(json.load(fh))
+            family = family_from_json(json.load(fh))
+        # the coset images g.boundary(H_i) are well defined only when every
+        # generator keeps its factor's boundary; ping-pong reads no boundary
+        moved = [f.name for f in family.factors for g in f.group.generators
+                 if frozenset(act(g, s) for s in f.boundary) != f.boundary]
+        if moved and args.action != "pingpong":
+            raise ValueError(f"a generator of factor {moved[0]} does not preserve its boundary")
+        return family
     except OSError as exc:
         raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:

@@ -136,8 +136,10 @@ class MappingClass:
 
     @staticmethod
     def from_entries(entries) -> "MappingClass":
-        a, b, c, d = entries
-        return MappingClass(int(a), int(b), int(c), int(d))
+        # int() would truncate 1.9 to 1, and JSON true would pass as 1
+        if len(entries) != 4 or any(type(x) is not int for x in entries):
+            raise ValueError(f"matrix entries must be four integers, got {entries!r}")
+        return MappingClass(*entries)
 
 
 def act(m: MappingClass, s: Slope) -> Slope:
@@ -253,9 +255,12 @@ def _distance_to_infinity(s: Slope) -> int:
     return d
 
 
+# bounded, so a family whose tails do not repeat cannot grow it unchecked
+@lru_cache(maxsize=4096)
 def distance_tail(p: int, q: int, up: bool) -> tuple:
     """The loop of `_distance_to_infinity` resumed on a complete quotient
-    x = p/q > 1, from a state whose last step rose iff `up`.
+    x = p/q > 1, from a state whose last step rose iff `up`; memoised, since
+    the tails along one orbit repeat.
 
     A slope T.x, with T the convergent matrix of a prefix [a_0; a_1, ..., a_j]
     and x > 1, has the continued fraction of that prefix followed by the one
@@ -264,8 +269,8 @@ def distance_tail(p: int, q: int, up: bool) -> tuple:
     `before` of `added` comes before x's last partial quotient, `up_before`
     is whether the step before that one rose, and L = (a, b, c, d) is the
     convergent matrix of x's quotients before the last, so T.L is the next
-    resume point, with state (d + before, up_before).  The last quotient of
-    x is at least 2, so it always adds one.
+    convergent matrix to resume from, with state (d + before, up_before).
+    The last quotient of x is at least 2, so it always adds one.
     """
     added = 0
     a, b, c, d = 1, 0, 0, 1
@@ -282,22 +287,38 @@ def distance_tail(p: int, q: int, up: bool) -> tuple:
         p, q = q, r
 
 
-def distance_state(p: int, q: int) -> tuple:
-    """(distance from 1/0 to p/q, resume point) for a canonical pair (q >= 0).
+def resumed_distance(point, beta: Slope, conj: MappingClass) -> tuple:
+    """(distance from 1/0 to conj.beta, resume point of beta), given the
+    resume point of a slope alpha earlier on a walk, or None.
 
-    The resume point is (T, d, up): T = (a, b, c, d) the convergent matrix of
-    the partial quotients before the last one, and (d, up) the state of the
-    loop of `_distance_to_infinity` after them, which `distance_tail`
-    continues from.  It is None for 1/0 and the integers, which have no
-    quotient after a_0 to resume before.
+    A resume point is (R, d, up): R = adj(T).conj, with T the convergent
+    matrix of conj.alpha's partial quotients before the last one, and (d, up)
+    the state of `_distance_to_infinity` after them.  When x = R.beta > 1,
+    conj.beta's continued fraction is T's followed by x's, so only x is
+    expanded (`distance_tail`).  Otherwise conj.beta is expanded in full:
+    a_0, with T = [[a_0, 1], [1, 0]] and state (1, True), then the rest.
+    1/0 and the integers have no quotient after a_0, so no resume point.
     """
-    if not q:
-        return 0, None
-    a0, r = divmod(p, q)
-    if not r:
-        return 1, None
-    added, before, up, (a, b, c, d) = distance_tail(q, r, True)
-    return 1 + added, ((a0 * a + c, a0 * b + d, a, b), 1 + before, up)
+    tail = distance_tail
+    if point is not None:
+        r, d, up = point
+        x, y = r[0] * beta.p + r[1] * beta.q, r[2] * beta.p + r[3] * beta.q
+        if y < 0:
+            x, y = -x, -y
+    if point is None or not x > y > 0:
+        s = act(conj, beta)
+        if not s.q:
+            return 0, None
+        a0, y = divmod(s.p, s.q)
+        if not y:
+            return 1, None
+        x, d, up = s.q, 1, True
+        r = (-conj.c, -conj.d, a0 * conj.c - conj.a, a0 * conj.d - conj.b)
+        tail = distance_tail.__wrapped__        # a one-off: kept out of the memo
+    added, before, up, (a, b, c, e) = tail(x, y, up)
+    r0, r1, r2, r3 = r
+    return d + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+                       d + before, up)
 
 
 def farey_distance(a: Slope, b: Slope) -> int:

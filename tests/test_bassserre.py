@@ -263,7 +263,8 @@ class TestQiPairsSlowTwin:
     # two-twist at radius 5 resumes past a step that did not rise, before a
     # quotient of 1, where the state's `up` flag decides the distance
     @pytest.mark.parametrize("family, radius", [
-        *itertools.product(["two-twist", "theorem-b", "two-slope"], [1, 2, 3, 4]),
+        *itertools.product(["two-twist", "three-factor", "theorem-b", "two-slope"],
+                           [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
         factors, base = tree_family(family)

@@ -172,6 +172,18 @@ BAD_INPUT_ROWS = [
     ("family-factor-budget-bool", ["tree", "qi", "--family", "BUDGETBOOL"],
      "usage error: bad family file BUDGETBOOL: "
      "ValueError('factor budget must be an integer, got True')"),
+    # int() truncated these entries: the full twists ran, and free-product
+    # exited 0 with a relation
+    ("family-generator-fraction", ["tree", "free-product", "--family", "GENFRACTION"],
+     "usage error: bad family file GENFRACTION: "
+     "ValueError('matrix entries must be four integers, got [1, 1.9, 0, 1]')"),
+    ("family-generator-bool", ["tree", "free-product", "--family", "GENBOOL"],
+     "usage error: bad family file GENBOOL: "
+     "ValueError('matrix entries must be four integers, got [1, 0, True, 1]')"),
+    # no coset image was well defined, and qi passed with the benchmark OK
+    ("family-boundary-moved", ["tree", "qi", "--family", "MOVED", "--radius", "3"],
+     "usage error: bad family file MOVED: "
+     "ValueError('a generator of factor A does not preserve its boundary')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
@@ -198,6 +210,16 @@ BAD_FAMILIES = {
     "BUDGETBOOL": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "budget": True},
         {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 2}]}),
+    "GENFRACTION": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1.9, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}]}),
+    "GENBOOL": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, True, 1]], "boundary": ["0/1"]}]}),
+    # twists about 1/0 and 0/1 with the boundaries swapped
+    "MOVED": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["0/1"]},
+        {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["1/0"]}]}),
 }
 
 

@@ -24,6 +24,8 @@ attribute name.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -247,3 +249,19 @@ def test_unused_fields_fire_on_a_planted_module(tmp_path):
         "def show(report):\n"
         "    return dataclasses.replace(report, tags=['a']).note\n")
     assert unused_fields(package, [tmp_path]) == []
+
+
+def test_traced_entry_points_exist():
+    # the benchmark's tracer wraps these by name, from outside the trees
+    # searched above, so a deleted one would break only the traced run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module("rgflab." + modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    assert tracer.TARGETS and missing == []

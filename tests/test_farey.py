@@ -9,8 +9,8 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           adjacent, annular_distance, annular_projection,
                           annular_projection_set, bounded_neighbors,
                           bounded_vertices, conjugator_to_infinity,
-                          distance_state, distance_tail, farey_distance,
-                          farey_geodesic, is_geodesic, link_span, slope_set_distance,
+                          distance_tail, farey_distance, farey_geodesic,
+                          is_geodesic, link_span, resumed_distance, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
 from rgflab.projections import random_slope
 
@@ -153,12 +153,14 @@ class TestDistanceKernel:
 
 class TestResumableKernel:
     """`distance_tail` resumed after every prefix of a continued fraction, and
-    `distance_state`, against `_distance_to_infinity` and the profile."""
+    `resumed_distance` from no point and from a point that ends after every
+    prefix, against `_distance_to_infinity` and the profile."""
 
     @pytest.mark.parametrize("terms", [16, 128, 512])
     @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
     def test_split_after_every_prefix(self, kind, terms):
         rng = random.Random(terms + len(kind))
+        one = MappingClass.identity()
         for _ in range(3):
             cf = [rng.randint(-99, 99)] + _tail(rng, kind, terms - 1)
             s = _from_cf(cf)
@@ -170,7 +172,9 @@ class TestResumableKernel:
             n = len(cf) - 1
             last = ((conv[n][0], conv[n - 1][0], conv[n][1], conv[n - 1][1]),
                     dists[n], dists[n] > dists[n - 1])
-            assert distance_state(s.p, s.q) == (want, last)
+            (t0, t1, t2, t3), d_last, up_last = last
+            adj_last = ((t3, -t1, -t2, t0), d_last, up_last)
+            assert resumed_distance(None, s, one) == (want, adj_last)
             for j in range(n):
                 # resume after a_0..a_j, from the state of convergent j
                 d, up = dists[j + 1], dists[j + 1] > dists[j]
@@ -180,11 +184,15 @@ class TestResumableKernel:
                 (p1, q1), (p0, q0) = conv[j + 1], conv[j]
                 assert ((p1 * a + p0 * c, p1 * b + p0 * e, q1 * a + q0 * c, q1 * b + q0 * e),
                         d + before, up_before) == last, j
+                # a slope whose quotients before the last are a_0..a_j
+                _, point = resumed_distance(None, _from_cf(cf[:j + 1] + [2]), one)
+                assert resumed_distance(point, s, one) == (want, adj_last), j
 
     def test_state_of_integers_and_infinity(self):
-        assert distance_state(1, 0) == (0, None)
+        one = MappingClass.identity()
+        assert resumed_distance(None, INFINITY, one) == (0, None)
         for p in (-7, 0, 12):
-            assert distance_state(p, 1) == (1, None)
+            assert resumed_distance(None, Slope(p, 1), one) == (1, None)
 
 
 class TestGeodesic:
