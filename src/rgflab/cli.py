@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import farey
-from .farey import INFINITY, MappingClass, Slope, act
+from .farey import INFINITY, Slope, act
 from . import hypgraph
 from .hypgraph import FareyOracle
 from . import projections
@@ -43,15 +43,13 @@ PASS, FAIL, USAGE, NO_VERDICT = 0, 1, 2, 3
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else obj.numerator
-    if isinstance(obj, Slope):
+    if isinstance(obj, Slope):      # before the tuple case: a slope is a tuple
         return str(obj)
-    if isinstance(obj, MappingClass):
-        return list(obj.entries())
     if isinstance(obj, (frozenset, set)):
         return sorted(_jsonable(x) for x in obj)
     if isinstance(obj, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):     # a MappingClass is the tuple of its entries
         return [_jsonable(x) for x in obj]
     return obj
 

@@ -7,28 +7,39 @@ BFS serves as the independent oracle.  Annular subsurface projections are
 modelled on the link of a vertex, which is a bi-infinite line: the projection
 of a slope is the floor/ceiling pair of its image under a canonical matrix
 sending the site to infinity.
+
+`Slope` and `MappingClass` are immutable tuples: a slope equals and hashes as
+(p, q), a matrix as (a, b, c, d), the hashes of the frozen dataclasses they
+replaced, so set orders and report bytes are unchanged.  Constructors
+validate; `Slope._reduced` and the arithmetic here build through
+`tuple.__new__` without the re-check.  A slope iterates as p, q, so slopes
+and bare tuples never share a container, and every "slope or iterable of
+slopes" entry point tests `isinstance(x, Slope)` first.  `entries()` stays
+beside `tuple(m)`: the benchmark's tracer keys enumerated balls on it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(NamedTuple("_Slope", [("p", int), ("q", int)])):
     """A slope p/q in lowest terms with q >= 0; the slope 1/0 is infinity."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise ValueError(f"slope not in canonical form: {self.p}/{self.q}")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"slope not reduced: {self.p}/{self.q}")
+    def __new__(cls, p: int, q: int):
+        if q < 0 or (q == 0 and p != 1):
+            raise ValueError(f"slope not in canonical form: {p}/{q}")
+        if math.gcd(abs(p), q) != 1:
+            raise ValueError(f"slope not reduced: {p}/{q}")
+        return _new(cls, (p, q))
 
     @staticmethod
     def of(p: int, q: int) -> "Slope":
@@ -37,20 +48,14 @@ class Slope:
             raise ValueError("zero vector is not a slope")
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        g = math.gcd(abs(p), q)
-        return Slope(p // g, q // g)
+        g = math.gcd(p, q)
+        return _new(Slope, (p // g, q // g))
 
     @staticmethod
     def _reduced(p: int, q: int) -> "Slope":
-        """Slope from a canonical pair already known to be in lowest terms.
-
-        Skips the validation of `__post_init__`; only for values that are
-        reduced by construction, such as images under `act`.
-        """
-        s = object.__new__(Slope)
-        object.__setattr__(s, "p", p)
-        object.__setattr__(s, "q", q)
-        return s
+        """Slope from a canonical pair known to be in lowest terms (such as
+        images under `act`), without the constructor's validation."""
+        return _new(Slope, (p, q))
 
     @staticmethod
     def parse(text: str) -> "Slope":
@@ -73,8 +78,7 @@ class Slope:
 INFINITY = Slope(1, 0)
 
 
-@dataclass(frozen=True)
-class MappingClass:
+class MappingClass(NamedTuple("_MappingClass", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """An integer matrix [[a, b], [c, d]] with determinant one.
 
     Entries are arbitrary precision; words in twist generators blow up
@@ -82,29 +86,25 @@ class MappingClass:
     identically.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise ValueError("determinant must be 1")
+        return _new(cls, (a, b, c, d))
 
     @staticmethod
     def identity() -> "MappingClass":
-        return MappingClass(1, 0, 0, 1)
+        return _new(MappingClass, (1, 0, 0, 1))
 
     def mul(self, other: "MappingClass") -> "MappingClass":
-        return MappingClass(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(MappingClass, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def inv(self) -> "MappingClass":
-        return MappingClass(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return _new(MappingClass, (d, -b, -c, a))
 
     def pow(self, n: int) -> "MappingClass":
         base = self if n >= 0 else self.inv()
@@ -119,20 +119,16 @@ class MappingClass:
 
     def is_identity(self) -> bool:
         """Identity up to sign, the identity of the projective action."""
-        return (self.a, self.b, self.c, self.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
+        return self in ((1, 0, 0, 1), (-1, 0, 0, -1))
 
     def projective_key(self) -> tuple:
-        """Canonical key identifying M with -M."""
-        t = (self.a, self.b, self.c, self.d)
-        for x in t:
-            if x > 0:
-                return t
-            if x < 0:
-                return (-t[0], -t[1], -t[2], -t[3])
-        return t
+        """Canonical key identifying M with -M: the sign that makes the first
+        nonzero entry positive, which is a, or b when a = 0 (as ad - bc = 1)."""
+        a, b, c, d = self
+        return tuple(self) if a > 0 or (not a and b > 0) else (-a, -b, -c, -d)
 
     def entries(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     @staticmethod
     def from_entries(entries) -> "MappingClass":
@@ -148,11 +144,13 @@ def act(m: MappingClass, s: Slope) -> Slope:
     A determinant-one matrix maps primitive vectors to primitive vectors, so
     the image needs a sign fix but no gcd.
     """
-    p = m.a * s.p + m.b * s.q
-    q = m.c * s.p + m.d * s.q
+    a, b, c, d = m
+    x, y = s
+    p = a * x + b * y
+    q = c * x + d * y
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return Slope._reduced(p, q)
+    return _new(Slope, (p, q))
 
 
 def adjacent(a: Slope, b: Slope) -> bool:
@@ -182,15 +180,12 @@ def conjugator_to_infinity(alpha: Slope) -> MappingClass:
     so link coordinates shift uniformly and projection diameters do not
     depend on the convention.
     """
-    if alpha.is_infinity:
+    p, q = alpha
+    if not q:
         return MappingClass.identity()
-    p, q = alpha.p, alpha.q
-    if q == 1:
-        a, b = 0, 1
-    else:
-        a = pow(p, -1, q)          # the unique inverse in [0, q)
-        b = (1 - a * p) // q
-    return MappingClass(a, b, -q, p)
+    a = pow(p, -1, q)          # the unique inverse in [0, q); 0 when q = 1
+    b = (1 - a * p) // q
+    return _new(MappingClass, (a, b, -q, p))
 
 
 def _continued_fraction(p: int, q: int) -> list:
@@ -237,9 +232,10 @@ def _distance_to_infinity(s: Slope) -> int:
     distance `d` and whether the last step rose; a quotient of 1 is
     recognised by p - q < q, which saves the division for it.
     """
-    if s.is_infinity:
+    p, q = s
+    if not q:
         return 0
-    p, q = s.q, s.p % s.q
+    p, q = q, p % q
     d, up = 1, True
     while q:
         r = p - q
@@ -349,7 +345,7 @@ def _geodesic_from_infinity(s: Slope) -> list:
     conv = [(1, 0), (cf[0], 1)]
     for ak in cf[1:]:
         conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
-    path = []  # from s back toward infinity
+    path = []  # from s back toward infinity; convergents are in lowest terms
     k = len(cf) - 1
     while k > 0:
         path.append(conv[k + 1])
@@ -358,7 +354,7 @@ def _geodesic_from_infinity(s: Slope) -> list:
         path.append(conv[1])
     path.append((1, 0))
     path.reverse()
-    return [Slope.of(p, q) for p, q in path]
+    return [Slope._reduced(p, q) for p, q in path]
 
 
 def farey_geodesic(a: Slope, b: Slope) -> list:
@@ -427,19 +423,13 @@ def _span(m: MappingClass, curves):
     the ceiling is one more unless the remainder is zero.  The denominator
     vanishes exactly on the site.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if isinstance(curves, Slope):
-        den = c * curves.p + d * curves.q
-        if not den:
-            return None
-        lo, r = divmod(a * curves.p + b * curves.q, den)
-        return (lo, lo + 1) if r else (lo, lo)
+    a, b, c, d = m
     lo = hi = None
-    for s in curves:
-        den = c * s.p + d * s.q
+    for p, q in (curves,) if isinstance(curves, Slope) else curves:
+        den = c * p + d * q
         if not den:
             continue
-        fl, r = divmod(a * s.p + b * s.q, den)
+        fl, r = divmod(a * p + b * q, den)
         if lo is None or fl < lo:
             lo = fl
         if r:
@@ -460,9 +450,16 @@ def annular_distance(alpha: Slope, beta, gamma) -> int:
     """Diameter in Z of the union of the projections of beta and gamma.
 
     Either argument may be a slope or an iterable of slopes; components equal
-    to alpha are skipped.
+    to alpha are skipped.  Two bare slopes other than alpha take one pass.
     """
     m = conjugator_to_infinity(alpha)
+    if isinstance(beta, Slope) and isinstance(gamma, Slope) and beta != alpha != gamma:
+        a, b, c, d = m
+        (bp, bq), (gp, gq) = beta, gamma
+        lo_b, r_b = divmod(a * bp + b * bq, c * bp + d * bq)
+        lo_g, r_g = divmod(a * gp + b * gq, c * gp + d * gq)
+        hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)
+        return (hi_b if hi_b > hi_g else hi_g) - (lo_b if lo_b < lo_g else lo_g)
     sb = _span(m, beta)
     sg = _span(m, gamma)
     if sb is None or sg is None:
@@ -473,17 +470,13 @@ def annular_distance(alpha: Slope, beta, gamma) -> int:
 
 
 def slope_set_distance(A, B) -> int:
-    """Distance between slope sets as the diameter of their union."""
+    """Distance between slope sets as the diameter of their union; for two
+    slopes, their Farey distance."""
+    if isinstance(A, Slope) and isinstance(B, Slope):
+        return 0 if A == B else farey_distance(A, B)
     aset = {A} if isinstance(A, Slope) else set(A)
     bset = {B} if isinstance(B, Slope) else set(B)
-    pts = list(aset | bset)
-    best = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = farey_distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
+    return max((farey_distance(u, v) for u, v in combinations(list(aset | bset), 2)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,9 @@ class TorusAnnuli:
     """Annular projection system of the once-punctured torus.
 
     Sites are slopes; every pair of distinct slopes overlaps.  Objects are
-    slopes or frozen sets of slopes; the boundary of a site is its core.
+    slopes or frozen sets of slopes (a slope is a tuple: test for it first);
+    the boundary of a site is its core.
     """
-
-    @staticmethod
-    def _components(obj):
-        return {obj} if isinstance(obj, Slope) else set(obj)
 
     def boundary(self, site: Slope):
         return site
@@ -50,7 +47,7 @@ class TorusAnnuli:
         return y != z
 
     def projects(self, site: Slope, obj) -> bool:
-        return any(c != site for c in self._components(obj))
+        return obj != site if isinstance(obj, Slope) else any(c != site for c in obj)
 
     def proj_dist(self, site: Slope, a, b) -> int:
         return farey.annular_distance(site, a, b)
@@ -58,13 +55,14 @@ class TorusAnnuli:
     def path_diam(self, site: Slope, path) -> int:
         """Projection diameter of the union of a path's objects: one span
         fold, equal to the largest pairwise `proj_dist`."""
-        span = farey.link_span(site, [c for v in path for c in self._components(v)])
+        span = farey.link_span(site, [c for v in path
+                                      for c in ((v,) if isinstance(v, Slope) else v)])
         if span is None:
             raise farey.EmptyProjectionError(f"nothing projects to the annulus about {site}")
         return span[1] - span[0]
 
     def ambient_dist(self, a, b) -> int:
-        return farey.slope_set_distance(self._components(a), self._components(b))
+        return farey.slope_set_distance(a, b)
 
     def ambient_geodesic(self, a: Slope, b: Slope):
         return farey.farey_geodesic(a, b)
@@ -421,13 +419,23 @@ def general_persistence_check(system, sequence, M: int, B: int,
 
 
 def random_slope(rng: random.Random, qmax: int) -> Slope:
+    """p/q with q uniform in [0, qmax] and p in [-qmax, qmax], redrawn until
+    reduced (q = 0 gives 1/0).  The loops are `Random.randrange`'s own over
+    `getrandbits`, so the draws are exactly those of randrange."""
+    bits = rng.getrandbits
+    wq, wp = qmax + 1, 2 * qmax + 1        # the widths of the two ranges
+    kq, kp = wq.bit_length(), wp.bit_length()
     while True:
-        q = rng.randrange(0, qmax + 1)
-        if q == 0:
+        q = bits(kq)
+        while q >= wq:
+            q = bits(kq)
+        if not q:
             return farey.INFINITY
-        p = rng.randrange(-qmax, qmax + 1)
-        if math.gcd(abs(p), q) == 1:
-            return Slope(p, q)
+        p = bits(kp)
+        while p >= wp:
+            p = bits(kp)
+        if math.gcd(p - qmax, q) == 1:
+            return Slope._reduced(p - qmax, q)
 
 
 def twist_pivot_sequence(a0: Slope, a1: Slope, strength: int, length: int,

@@ -648,3 +648,38 @@ def test_tree_layer_reports_are_pinned(name, tmp_path):
         assert json.loads(blob.split(b"\n", 1)[0])["record"] == "config"
     blobs[:2] = [blob.split(b"\n", 1)[1] for blob in blobs[:2]]
     assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == TREE_DIGESTS[name]
+
+
+# Geometry-layer runs at small sizes: constants at a seed whose fresh sample
+# agrees (exit 0) and at one where it demands more (exit 3), the four-point
+# scan, persistence, and the two Farey actions
+GEOMETRY_RUNS = {
+    "constants-stable": (["constants", "estimate", "--seed", "0", "--triples", "300",
+                          "--geodesics", "60"], PASS),
+    "constants-unstable": (["constants", "estimate", "--seed", "1", "--triples", "300",
+                            "--geodesics", "60"], NO_VERDICT),
+    "delta": (["delta-estimate", "--seed", "3", "--points", "14", "--qmax", "30"], PASS),
+    "persistence": (["persistence", "check", "--seed", "2", "--sequences", "20"], PASS),
+    "farey-dist": (["farey", "dist", "3/8", "13/5", "--oracle-bound", "16"], PASS),
+    "farey-geodesic": (["farey", "geodesic", "2/7", "1393/985"], PASS),
+}
+
+# sha256 of each report without its `config` record
+GEOMETRY_DIGESTS = {
+    "constants-stable": "b4a5db4f63fd7891180ab452bd39b133ae78b12444292c9f0c69bd600fafa283",
+    "constants-unstable": "fd7c74dc6188e712fdecbfdbc0436f227060121a6170f820cf8005e1571156e8",
+    "delta": "837b3c3b33a1e54ab9043745b6ed73796a0c0fcdb71a8fa3403e5c5cfc2a0331",
+    "farey-dist": "229b8a86b2503d7633d2c2e1cd45317853e1ae19c3132b36953903b5be60824f",
+    "farey-geodesic": "93542ddb77a50e22bfb445ad604967428d5612f1ee836ddc55418cf0039d5f9a",
+    "persistence": "f11aa09ff7e7a69a4f7fd86617c6e2da276c2f1198fa72dc1f53c27e9e3d7567",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_RUNS))
+def test_geometry_layer_reports_are_pinned(name, tmp_path):
+    argv, code = GEOMETRY_RUNS[name]
+    out = tmp_path / "report.jsonl"
+    assert main(argv + ["--output", str(out)]) == code
+    config, body = out.read_bytes().split(b"\n", 1)
+    assert json.loads(config)["record"] == "config"
+    assert hashlib.sha256(body).hexdigest() == GEOMETRY_DIGESTS[name]

@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import random
 
 import pytest
@@ -12,7 +15,7 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           distance_tail, farey_distance, farey_geodesic,
                           is_geodesic, link_span, resumed_distance, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
-from rgflab.projections import random_slope
+from rgflab.projections import TorusAnnuli, random_slope
 
 
 def slopes_strategy(qmax=30):
@@ -40,6 +43,89 @@ class TestSlope:
     def test_parse_round_trip(self):
         for text in ("1/0", "0/1", "-5/8", "3"):
             assert str(Slope.parse(text)) in (text, text + "/1")
+
+
+class TestValueTypes:
+    """The contract of the tuple-backed `Slope` and `MappingClass`."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Slope(2, 4), "slope not reduced: 2/4"),
+        (lambda: Slope(0, 0), "slope not in canonical form: 0/0"),
+        (lambda: Slope(1, -2), "slope not in canonical form: 1/-2"),
+        (lambda: Slope(-1, 0), "slope not in canonical form: -1/0"),
+        (lambda: Slope.of(0, 0), "zero vector is not a slope"),
+        (lambda: MappingClass(1, 1, 1, 1), "determinant must be 1"),
+        (lambda: MappingClass.from_entries([1, 1.9, 0, 1]),
+         "matrix entries must be four integers, got [1, 1.9, 0, 1]"),
+    ])
+    def test_constructor_errors(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_immutable(self):
+        s, m = Slope(1, 2), MappingClass(1, 2, 0, 1)
+        for obj, name in ((s, "p"), (s, "q"), (s, "r"), (m, "a"), (m, "d"), (m, "e")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 3)
+        assert s == Slope(1, 2) and m == MappingClass(1, 2, 0, 1)
+
+    def test_hashes_are_the_dataclass_hashes(self):
+        # the frozen dataclasses hashed their fields as a tuple, and set
+        # iteration order follows the hash
+        rng = random.Random(3)
+        for _ in range(300):
+            s = random_slope(rng, rng.choice((1, 50, 10 ** 6)))
+            assert hash(s) == hash((s.p, s.q))
+            m = twist_about(s, rng.randrange(-9, 10))
+            assert hash(m) == hash((m.a, m.b, m.c, m.d))
+        slopes = [Slope(p, q) for q in range(1, 9) for p in range(-9, 10) if math.gcd(p, q) == 1]
+        assert [(s.p, s.q) for s in set(slopes)] == list({(s.p, s.q) for s in slopes})
+
+    def test_reduced_is_the_validated_slope(self):
+        for p, q in ((1, 0), (0, 1), (-5, 8), (12345678901234567, 98765432109876543)):
+            assert Slope._reduced(p, q) == Slope(p, q)
+            assert type(Slope._reduced(p, q)) is Slope
+
+    def test_pickle_copy_str_repr(self):
+        s, m = Slope(-5, 8), MappingClass(2, 1, 1, 1)
+        for obj in (s, INFINITY, m, MappingClass.identity()):
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+                assert twin == obj and type(twin) is type(obj) and hash(twin) == hash(obj)
+        assert (str(s), repr(s), str(INFINITY)) == ("-5/8", "Slope(-5/8)", "1/0")
+        assert repr(m) == str(m) == "MappingClass(a=2, b=1, c=1, d=1)"
+        assert m.entries() == (2, 1, 1, 1) and type(m.entries()) is tuple
+
+    def test_projective_key_makes_the_first_nonzero_entry_positive(self):
+        rng = random.Random(5)
+        mats = [MappingClass(-1, 0, 0, -1), MappingClass(0, -1, 1, 0), MappingClass(0, 1, -1, 0)]
+        mats += [twist_about(random_slope(rng, 50), rng.randrange(-5, 6)).mul(
+            MappingClass(0, -1, 1, 0).pow(rng.randrange(4))) for _ in range(200)]
+        for m in mats:
+            first = next(x for x in m.entries() if x)
+            key = m.projective_key()
+            assert key == (m.entries() if first > 0 else tuple(-x for x in m.entries()))
+            assert type(key) is tuple and key == m.inv().inv().projective_key()
+
+    def test_bare_slope_is_one_curve_not_a_pair(self):
+        # a slope is a tuple (p, q); every "slope or iterable" entry point
+        # must read it as the one curve {slope}
+        torus = TorusAnnuli()
+        rng = random.Random(4)
+        for _ in range(400):
+            site, beta, gamma = (random_slope(rng, rng.choice((3, 100, 10 ** 5)))
+                                 for _ in range(3))
+            for b, g in ((beta, gamma), (beta, site), (site, site)):
+                assert _outcome(annular_distance, site, b, g) \
+                    == _outcome(annular_distance, site, {b}, {g}) \
+                    == _outcome(annular_distance, site, b, {g})
+                assert slope_set_distance(b, g) == slope_set_distance({b}, {g}) \
+                    == slope_set_distance(b, [g])
+                assert torus.projects(site, b) == torus.projects(site, frozenset({b}))
+                assert torus.ambient_dist(b, g) == torus.ambient_dist(frozenset({b}), g)
+                assert _outcome(torus.path_diam, site, [b, g]) \
+                    == _outcome(torus.path_diam, site, [frozenset({b}), g])
+            assert link_span(site, beta) == link_span(site, {beta})
 
 
 class TestAdjacency:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -374,3 +375,28 @@ class TestProjectionSymmetry:
             checked += 1
             nonzero += d > 0
         assert nonzero > 30
+
+
+def randrange_random_slope(rng, qmax):
+    """The `random_slope` that drew through `rng.randrange`: its slow twin."""
+    while True:
+        q = rng.randrange(0, qmax + 1)
+        if q == 0:
+            return INFINITY
+        p = rng.randrange(-qmax, qmax + 1)
+        if math.gcd(abs(p), q) == 1:
+            return Slope(p, q)
+
+
+class TestRandomSlopeSlowTwin:
+    @pytest.mark.parametrize("qmax", [1, 2, 50, 200, 800, 1000, 10 ** 4, 2 ** 20])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_draw_for_draw(self, seed, qmax):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            s = random_slope(fast, qmax)
+            assert s == randrange_random_slope(slow, qmax)
+            assert type(s) is Slope and Slope(s.p, s.q) == s
+            # the generators stay in step, so later draws agree too
+            assert fast.random() == slow.random()
+        assert fast.getstate() == slow.getstate()
