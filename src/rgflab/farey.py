@@ -171,7 +171,6 @@ def _xgcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-@lru_cache(maxsize=65536)
 def conjugator_to_infinity(alpha: Slope) -> MappingClass:
     """The canonical determinant-one matrix sending alpha to 1/0.
 
@@ -201,18 +200,18 @@ def _continued_fraction(p: int, q: int) -> list:
     return out
 
 
-def _distance_profile(p: int, q: int) -> list:
-    """Graph distances from infinity to the convergents of p/q.
+def _distance_profile(cf: list) -> list:
+    """Graph distances from infinity to the convergents of [a0; a1, ..., an],
+    the `_continued_fraction` of a slope.
 
     Returns [D_{-1}, D_0, ..., D_n] where D_k is the Farey distance from 1/0
     to the k-th convergent.  Follows the parent recursion in the Stern-Brocot
-    tree: every geodesic leaving p/q first steps to one of its two mediant
+    tree: every geodesic leaving the slope first steps to one of its two mediant
     parents, and fans of intermediate fractions collapse to the closed form
       D_{k+1} = min(1 + D_k, a_{k+1} + min(D_k, D_{k-1})).
     The whole profile is what `_geodesic_from_infinity` walks back along; its
     last entry is the test oracle for the one-pass `_distance_to_infinity`.
     """
-    cf = _continued_fraction(p, q)
     dists = [0, 1]
     for ak in cf[1:]:
         dists.append(min(1 + dists[-1], ak + min(dists[-1], dists[-2])))
@@ -340,7 +339,7 @@ def _geodesic_from_infinity(s: Slope) -> list:
     if s.q == 1:
         return [INFINITY, s]
     cf = _continued_fraction(s.p, s.q)
-    dists = _distance_profile(s.p, s.q)   # dists[k + 1] is D of convergent k
+    dists = _distance_profile(cf)   # dists[k + 1] is D of convergent k
     # convergents with their (p, q) vectors; conv[k + 1] is convergent k >= -1
     conv = [(1, 0), (cf[0], 1)]
     for ak in cf[1:]:

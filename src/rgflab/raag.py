@@ -6,12 +6,15 @@ Words are tuples of syllables (generator index, nonzero exponent).  The
 normal form is the lexicographically least reduced spelling: syllables of the
 same generator merge whenever only commuting syllables separate them, and
 among the commutation-equivalent reduced spellings the canonical one emits,
-at every step, the least available generator.
+at every step, the least available generator.  It is built in one insertion
+pass: each syllable merges into the last syllable of its generator that only
+commuting ones follow, or is inserted before the first of those commuting
+followers with a larger generator, so the prefix read so far is always in
+normal form.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,63 +69,47 @@ def inverse_word(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def _reduce_heap(graph: PresentationGraph, w: Word) -> list:
-    """Fully cancelled spelling: append syllables one at a time, merging into
-    the nearest same-generator syllable visible through commuting ones."""
-    out = []
-    for g, e in w:
-        if e == 0:
-            continue
-        near = graph.neighbours[g]
-        j = len(out) - 1
-        while j >= 0:
-            gj, ej = out[j]
-            if gj == g:
-                if ej + e == 0:
-                    out.pop(j)
-                else:
-                    out[j] = (g, ej + e)
-                break
-            if gj not in near:
-                j = -1
-                break
-            j -= 1
-        else:
-            j = -1
-        if j < 0:
-            out.append((g, e))
-    return out
-
-
 def normal_form(graph: PresentationGraph, w: Word) -> Word:
     """The unique reduced spelling; equal outputs iff equal group elements.
 
-    Kahn's topological sort of the reduced syllables, where an earlier
-    syllable blocks a later one unless its generator is among the later
-    one's `graph.neighbours`; a heap of (generator, position) keys emits the
-    least available generator at every step.
+    One insertion pass keeps `out` in normal form after every syllable (the
+    lexicographic trace normal form of Anisimov and Knuth, "Inhomogeneous
+    sorting", 1979).  The normal form is the greedy least-generator linear
+    extension of the dependence order, in which an earlier syllable precedes
+    a later one unless their generators commute.  For a syllable (g, e), scan
+    `out` back over the syllables whose generators are in
+    `graph.neighbours[g]`, noting the earliest of them with a generator
+    above g:
+    - if the scan stops on a syllable of g, merge the exponents there, which
+      keeps the order, and drop the syllable when they cancel.  It is then
+      maximal in the order, since every later syllable commutes with it, and
+      deleting a maximal element leaves the greedy order of the rest
+      unchanged;
+    - otherwise (g, e) is a new maximal element.  Greedy order restricted to
+      the old syllables is unchanged, and the new one is emitted as soon as it
+      is available and less than the old choice: right before the earliest
+      scanned syllable with a larger generator, or at the end.
     """
     graph.check_word(w)
-    reduced = _reduce_heap(graph, w)
-    m = len(reduced)
-    preds = [0] * m
-    succs = [[] for _ in range(m)]
-    for i in range(m):
-        near = graph.neighbours[reduced[i][0]]
-        for j in range(i + 1, m):
-            if reduced[j][0] not in near:
-                preds[j] += 1
-                succs[i].append(j)
+    neighbours = graph.neighbours
     out = []
-    avail = [(reduced[i][0], i) for i in range(m) if preds[i] == 0]
-    heapq.heapify(avail)
-    while avail:
-        _, i = heapq.heappop(avail)
-        out.append(reduced[i])
-        for j in succs[i]:
-            preds[j] -= 1
-            if preds[j] == 0:
-                heapq.heappush(avail, (reduced[j][0], j))
+    for g, e in w:
+        if not e:
+            continue
+        near = neighbours[g]
+        j = ins = len(out)
+        while j and out[j - 1][0] in near:
+            j -= 1
+            if out[j][0] > g:
+                ins = j
+        if j and out[j - 1][0] == g:
+            e += out[j - 1][1]
+            if e:
+                out[j - 1] = (g, e)
+            else:
+                del out[j - 1]
+        else:
+            out.insert(ins, (g, e))
     return tuple(out)
 
 

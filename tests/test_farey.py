@@ -206,12 +206,13 @@ class TestDistanceKernel:
             cf = [a0] + _tail(rng, kind, n - 1) if n > 1 else [a0]
             s = _from_cf(cf)
             assert _continued_fraction(s.p, s.q) == cf
-            assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1], (kind, n)
+            assert _distance_to_infinity(s) == _distance_profile(cf)[-1], (kind, n)
 
     def test_integers_and_infinity(self):
         assert _distance_to_infinity(INFINITY) == 0
         for p in (-7, -1, 0, 1, 12):
-            assert _distance_to_infinity(Slope(p, 1)) == 1 == _distance_profile(p, 1)[-1]
+            cf = _continued_fraction(p, 1)
+            assert _distance_to_infinity(Slope(p, 1)) == 1 == _distance_profile(cf)[-1]
 
     def test_negative_numerators(self):
         rng = random.Random(9)
@@ -220,7 +221,8 @@ class TestDistanceKernel:
             p = -rng.randint(1, 10 ** 60)
             s = Slope.of(p, q)
             assert s.p < 0
-            assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1]
+            cf = _continued_fraction(s.p, s.q)
+            assert _distance_to_infinity(s) == _distance_profile(cf)[-1]
 
     def test_invariant_under_large_conjugators(self):
         rng = random.Random(11)
@@ -234,7 +236,8 @@ class TestDistanceKernel:
             assert farey_distance(ma, mb) == farey_distance(a, b)
             if not ma.is_infinity and ma != mb:
                 s = act(conjugator_to_infinity(ma), mb)
-                assert _distance_to_infinity(s) == _distance_profile(s.p, s.q)[-1]
+                cf = _continued_fraction(s.p, s.q)
+                assert _distance_to_infinity(s) == _distance_profile(cf)[-1]
 
 
 class TestResumableKernel:
@@ -251,7 +254,7 @@ class TestResumableKernel:
             cf = [rng.randint(-99, 99)] + _tail(rng, kind, terms - 1)
             s = _from_cf(cf)
             want = _distance_to_infinity(s)
-            dists = _distance_profile(s.p, s.q)      # dists[k + 1]: D of convergent k
+            dists = _distance_profile(_continued_fraction(s.p, s.q))  # [k + 1]: D of conv. k
             conv = [(1, 0), (cf[0], 1)]              # conv[k + 1]: convergent k >= -1
             for ak in cf[1:]:
                 conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
@@ -311,7 +314,7 @@ def recursive_geodesic_from_infinity(s: Slope) -> list:
     if s.q == 1:
         return [INFINITY, s]
     cf = _continued_fraction(s.p, s.q)
-    dists = _distance_profile(s.p, s.q)
+    dists = _distance_profile(cf)
     conv = [(1, 0), (cf[0], 1)]
     for ak in cf[1:]:
         conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))

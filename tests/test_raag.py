@@ -179,6 +179,36 @@ class TestNormalFormSlowTwin:
                 checked += 1
         assert checked >= 2000
 
+    @staticmethod
+    def long_cancelling_words(seed, per_graph):
+        """Seeded words of up to 80 syllables with exponents in {-1, 0, 1, 2}
+        on graphs of 1-10 vertices, so that a cancellation often re-exposes
+        syllables that were hidden behind the cancelled one."""
+        rng = random.Random(seed)
+        graphs = [PresentationGraph.of(1, [])]
+        graphs += [random_graph(rng, max_n=10, p=p) for p in (0.2, 0.5, 0.8) for _ in range(8)]
+        for g in graphs:
+            for _ in range(per_graph):
+                yield g, tuple((rng.randrange(g.n), rng.choice((-1, 0, 1, 2)))
+                               for _ in range(rng.randrange(0, 81)))
+
+    def test_long_cancelling_words_match_oracle(self):
+        checked = 0
+        for g, w in self.long_cancelling_words(6, 84):
+            assert normal_form(g, w) == sorted_list_normal_form(g, w), (g, w)
+            checked += 1
+        assert checked >= 2000
+
+    def test_one_syllable_extends_the_normal_form(self):
+        """The invariant the insertion pass relies on: appending a syllable
+        to a word or to its normal form gives the same normal form."""
+        for g, w in self.long_cancelling_words(7, 12):
+            nf = normal_form(g, w)
+            for x in range(g.n):
+                for e in (-1, 0, 1, 2):
+                    s = ((x, e),)
+                    assert normal_form(g, w + s) == normal_form(g, nf + s), (g, w, s)
+
     def test_zero_exponents_and_no_vertices(self):
         g = PresentationGraph.of(3, [(0, 2)])
         w = word((0, 0), (2, 0), (1, 0))
