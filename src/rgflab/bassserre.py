@@ -267,20 +267,157 @@ def qi_certificate(ball: TreeBall, images: list, kappa: int | None = None) -> Qi
     return qi_report(qi_pairs(ball, images), kappa)
 
 
+def _mat_mul(m: tuple, n: tuple) -> tuple:
+    """Product of 2x2 integer matrices as (a, b, c, d) tuples, of either
+    determinant sign (a resume matrix has determinant -1 or 1)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _sign_key(m: tuple) -> tuple:
+    """m or -m, whichever has its first nonzero entry positive."""
+    a, b, c, d = m
+    return m if a > 0 or (not a and b > 0) else (-a, -b, -c, -d)
+
+
+class ResumeTable:
+    """The Farey resume of `qi_pairs` as a finite transducer: interned
+    states and steps, and transitions filled on first use.  One table serves
+    one scan; it is the scan's only memo.
+
+    A state is (M, up) for a type-1 vertex v with a single-slope image: M is
+    R_v W_v up to sign, with R_v the matrix of v's resume point (see
+    `farey.resumed_distance`) and W_v the `word_matrix` of v's label, and up
+    the point's `distance_tail` flag.  A step from v to a type-1 vertex w
+    across a fan is (S, j), S = W_v^-1 W_w and j the factor of w: S is h
+    going down through the child fan v.h, I to a sibling, and h^-1 going up.
+    w's image is W_v S b_j, b_j the boundary slope of factor j, so its
+    complete quotient from v's point is x = R_v W_v S b_j = M S b_j.  When
+    x > 1, `distance_tail(x, up)` gives (added, before, up', L), and w's
+    point has R_w = adj(L) R_v, so w's state (adj(L) M S, up') is a function
+    of (state, step) alone.  The entry `trans[state][step]` is then
+    (added, before, next state): w's distance is v's additive d plus added,
+    and w's additive d is v's plus before.  Signs cancel throughout, since x
+    is sign-normalised and adj(L) (-M) S = -(adj(L) M S).
+
+    A step with x <= 1 is the entry `FALLBACK`: w's distance then needs the
+    full kernel of w's conjugated image, which depends on the source and not
+    only on the state, so nothing is cached and w's state is read off that
+    kernel's point (`resume`).  A vertex with no point (an image at 1/0 or
+    an integer) is in the state `no_point`, and a step into a factor with
+    other than one boundary slope is a fallback too.
+
+    The first ring.  State i, for i below the number of factors, is the root
+    of a source of factor i, with additive d 0.  Let the source be gH_i,
+    W = W_g, and C = `conjugator_to_infinity`.  C(W b_i) W and C(b_i) both
+    send b_i to 1/0, so C(W b_i) W C(b_i)^-1 fixes 1/0 and is +-P, P the
+    shear x -> x + n: C(W b_i) = +-P C(b_i) W^-1.  A first-ring neighbour w
+    across step (S, j) has image W S b_j, so its conjugated image is y + n
+    with y = C(b_i) S b_j.  The Farey distance from 1/0 is invariant under
+    the shear, an automorphism fixing 1/0, and y + n has y's partial
+    quotients except a_0 + n; so the distance, `before` and `up` of the full
+    kernel are those of y.  With T_a = [[a, 1], [1, 0]], adj(T_{a+n}) P =
+    adj(T_a), so w's resume matrix adj(L) adj(T_{a_0 + n}) C(W b_i) is
+    +-adj(L) adj(T_{a_0}) C(b_i) W^-1 = +-R_y W^-1, R_y the resume matrix of
+    `resumed_distance(None, S b_j, C(b_i))`, and w's M = R_y W^-1 W S = R_y S.
+    So the root's entry for (S, j) is that call's distance, its point's d
+    and the state (R_y S, up), whatever the source's label: one kernel per
+    (factor, step) for the whole scan.
+    """
+
+    FALLBACK = object()
+
+    def __init__(self, boundary: list):
+        self.boundary = boundary        # per factor: its one boundary slope, or None
+        self.no_point = len(boundary)
+        self.step_ids = {}              # (projective key of S, j) -> step id
+        self.steps = []                 # step id -> (S, j)
+        self.state_ids = {}             # (M up to sign, up) -> state id
+        self.matrix = [None] * (len(boundary) + 1)   # M; none for the roots and no_point
+        self.up = [None] * (len(boundary) + 1)
+        self.trans = [{} for _ in range(len(boundary) + 1)]
+
+    @classmethod
+    def of(cls, factors: list) -> "ResumeTable":
+        return cls([next(iter(f.boundary)) if len(f.boundary) == 1 else None
+                    for f in factors])
+
+    def step(self, s: MappingClass, j: int) -> int:
+        key = (s.projective_key(), j)
+        sid = self.step_ids.get(key)
+        if sid is None:
+            sid = self.step_ids[key] = len(self.steps)
+            self.steps.append((s, j))
+        return sid
+
+    def state(self, m: tuple, up: bool) -> int:
+        key = (_sign_key(m), up)
+        sid = self.state_ids.get(key)
+        if sid is None:
+            sid = self.state_ids[key] = len(self.matrix)
+            self.matrix.append(key[0])
+            self.up.append(up)
+            self.trans.append({})
+        return sid
+
+    def resume(self, point, w: MappingClass) -> tuple:
+        """(state, additive d) of a vertex with label matrix w whose full
+        kernel gave the resume point `point`."""
+        if point is None:
+            return self.no_point, 0
+        r, d, up = point
+        return self.state(_mat_mul(r, w), up), d
+
+    def entry(self, state: int, step: int):
+        """trans[state][step], computed on first use."""
+        row = self.trans[state]
+        t = row.get(step)
+        if t is None:
+            t = row[step] = self._transition(state, step)
+        return t
+
+    def _transition(self, state: int, step: int):
+        s, j = self.steps[step]
+        b = self.boundary[j]
+        if b is None or state == self.no_point:
+            return self.FALLBACK
+        if state < self.no_point:                       # a root: the first ring
+            if self.boundary[state] is None:
+                return self.FALLBACK
+            ds, point = farey.resumed_distance(None, act(s, b),
+                                               conjugator_to_infinity(self.boundary[state]))
+            next_state, d = self.resume(point, s)
+            return ds, d, next_state
+        m = _mat_mul(self.matrix[state], s)
+        x, y = m[0] * b.p + m[1] * b.q, m[2] * b.p + m[3] * b.q
+        if y < 0:
+            x, y = -x, -y
+        if not x > y > 0:
+            return self.FALLBACK
+        added, before, up, (a, lb, c, d) = farey.distance_tail(x, y, self.up[state])
+        return added, before, self.state(_mat_mul((d, -lb, -c, a), m), up)
+
+
 def qi_pairs(ball: TreeBall, images: list) -> list:
-    """(d_T, d_S) for every type-1 pair of the labeled ball, in
-    `type1_pairs` order, from one depth-first walk per source vertex.
+    """(d_T, d_S) for every type-1 pair of the labeled ball `images =
+    phi(ball, base)`, in `type1_pairs` order, from one depth-first walk per
+    source vertex.
 
     The walk steps between type-1 vertices across the type-2 fans, adding 2
     to d_T each time; the ball is a tree, so it keeps no seen-set, and type-2
-    leaves lie on no path between type-1 vertices, so it skips them.  A pair
-    with single-slope images takes `farey.resumed_distance` from the source
-    conjugated to 1/0, resumed from the previous type-1 vertex on the path,
-    whose resume point rides on the stack; any other pair takes
-    `farey.slope_set_distance`.  A vertex ranked at or before the source,
-    with no fan but the one it was reached through, is skipped.
+    leaves lie on no path between type-1 vertices, so it skips them.  A
+    vertex ranked at or before the source, with no fan but the one it was
+    reached through, is skipped.  Every directed step gets its `ResumeTable`
+    step id once per scan.  Each stack entry carries its vertex's state and
+    additive d, so a pair with single-slope images costs one lookup of
+    `trans[state][step]` and two additions; the source is in the root state
+    of its factor.  A fallback takes `farey.resumed_distance` from the
+    source conjugated to 1/0 in full, and a pair with a multi-slope image
+    `farey.slope_set_distance`.
     """
-    kind, adjacency = ball.kind, ball.adjacency
+    kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
+                                            ball.factor, ball.distance)
     adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
     t1 = ball.vertices(1)
     rank = [-1] * len(kind)
@@ -290,30 +427,67 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
         if len(images[i]) == 1:
             (slope[i],) = images[i]
 
+    table = ResumeTable.of(ball.factors)
+    fallback = table.FALLBACK
+    sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
+    down, up = {}, {}                    # steps into and out of v across its parent fan
+    for v in t1:
+        if label[v]:
+            j, h = label[v][-1]
+            down[v] = table.step(h, factor[v])
+            up[v] = table.step(h.inv(), j)
+    edges = []                           # per vertex: (fan, [(w, step id, leaf)])
+    for u in range(len(kind)):
+        edges.append([])
+        if kind[u] != 1:
+            continue
+        for fan in adj[u]:
+            out = []
+            for w in adj[fan]:
+                if w == u:
+                    continue
+                if dist[w] < dist[fan]:
+                    sid = up[u]
+                elif dist[fan] < dist[u]:
+                    sid = sibling[factor[w]]
+                else:
+                    sid = down[w]
+                out.append((w, sid, len(adj[w]) == 1))
+            edges[u].append((fan, out))
+
+    trans = table.trans
     pairs = []
     for k, src in enumerate(t1):
         conj = None if slope[src] is None else conjugator_to_infinity(slope[src])
         row = [None] * (len(t1) - k - 1)
-        stack = [(src, -1, 0, None)]     # (vertex, fan it came through, d_T, resume point)
+        # (vertex, fan it came through, d_T, state, additive d)
+        stack = [(src, -1, 0, factor[src], 0)]
         while stack:
-            u, via, d, point = stack.pop()
-            d += 2
-            for fan in adj[u]:
+            u, via, dt, state, d = stack.pop()
+            dt += 2
+            row_t = trans[state]
+            for fan, out in edges[u]:
                 if fan == via:
                     continue
-                for v in adj[fan]:
-                    leaf = len(adj[v]) == 1
-                    if v == u or (leaf and rank[v] <= k):
+                for v, sid, leaf in out:
+                    r = rank[v] - k - 1
+                    if leaf and r < 0:
                         continue
-                    resume = None
-                    if conj is not None and slope[v] is not None:
-                        ds, resume = farey.resumed_distance(point, slope[v], conj)
-                    elif rank[v] > k:
-                        ds = farey.slope_set_distance(images[src], images[v])
-                    if rank[v] > k:
-                        row[rank[v] - k - 1] = (d, ds)
+                    t = row_t.get(sid) or table.entry(state, sid)
+                    if t is not fallback:
+                        added, before, nxt = t
+                        ds = d + added
+                        nd = d + before
+                    elif conj is not None and slope[v] is not None:
+                        ds, point = farey.resumed_distance(None, slope[v], conj)
+                        nxt, nd = table.resume(point, word_matrix(label[v]))
+                    else:
+                        ds = farey.slope_set_distance(images[src], images[v]) if r >= 0 else None
+                        nxt, nd = table.no_point, 0
+                    if r >= 0:
+                        row[r] = (dt, ds)
                     if not leaf:
-                        stack.append((v, fan, d, resume))
+                        stack.append((v, fan, dt, nxt, nd))
         pairs += row
     return pairs
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import farey
@@ -75,12 +75,13 @@ def emit(records, out_path=None):
 
 
 def emit_csv(pairs, out_path=None):
-    """Write the pair table, sorted; sorts `pairs` in place."""
-    pairs.sort()
+    """Write the pair table, sorted, from the count of each distinct pair:
+    the bytes of `csv.writer` on the sorted rows (CRLF line ends), without
+    sorting the rows.  `pairs` is left as it is."""
+    counts = Counter(pairs)
+    text = "d_T,d_S\r\n" + "".join(f"{dt},{ds}\r\n" * counts[dt, ds] for dt, ds in sorted(counts))
     with _destination(out_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("d_T", "d_S"))
-        writer.writerows(pairs)
+        fh.write(text)
 
 
 def family_to_json(family: FamilySpec) -> dict:

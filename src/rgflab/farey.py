@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -250,12 +249,10 @@ def _distance_to_infinity(s: Slope) -> int:
     return d
 
 
-# bounded, so a family whose tails do not repeat cannot grow it unchecked
-@lru_cache(maxsize=4096)
 def distance_tail(p: int, q: int, up: bool) -> tuple:
     """The loop of `_distance_to_infinity` resumed on a complete quotient
-    x = p/q > 1, from a state whose last step rose iff `up`; memoised, since
-    the tails along one orbit repeat.
+    x = p/q > 1, from a state whose last step rose iff `up`.  It keeps no
+    memo: `bassserre.ResumeTable` caches its results per pair scan.
 
     A slope T.x, with T the convergent matrix of a prefix [a_0; a_1, ..., a_j]
     and x > 1, has the continued fraction of that prefix followed by the one
@@ -294,7 +291,6 @@ def resumed_distance(point, beta: Slope, conj: MappingClass) -> tuple:
     a_0, with T = [[a_0, 1], [1, 0]] and state (1, True), then the rest.
     1/0 and the integers have no quotient after a_0, so no resume point.
     """
-    tail = distance_tail
     if point is not None:
         r, d, up = point
         x, y = r[0] * beta.p + r[1] * beta.q, r[2] * beta.p + r[3] * beta.q
@@ -309,8 +305,7 @@ def resumed_distance(point, beta: Slope, conj: MappingClass) -> tuple:
             return 1, None
         x, d, up = s.q, 1, True
         r = (-conj.c, -conj.d, a0 * conj.c - conj.a, a0 * conj.d - conj.b)
-        tail = distance_tail.__wrapped__        # a one-off: kept out of the memo
-    added, before, up, (a, b, c, e) = tail(x, y, up)
+    added, before, up, (a, b, c, e) = distance_tail(x, y, up)
     r0, r1, r2, r3 = r
     return d + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
                        d + before, up)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from rgflab.farey import (INFINITY, MappingClass, Slope, act, farey_distance,
-                          slope_set_distance, twist_about)
+from rgflab.farey import (INFINITY, MappingClass, Slope, act, conjugator_to_infinity,
+                          farey_distance, slope_set_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
-from rgflab import bassserre
+from rgflab import bassserre, farey
 from rgflab.bassserre import (FactorSpec, FreeProductReport, _word_key,
                               ball_bfs_distance, build_ball, coset_well_defined,
                               cyclically_reduce, free_product_check,
@@ -236,6 +236,11 @@ def tree_family(name):
     if name == "theorem-b":
         tw = theorem_b_family()
         return tw.family.factors, tw.base
+    if name == "prop91":
+        # the family of `experiment prop91 --seed 7`
+        from rgflab.constructions import twist_orbit_family
+        tw = twist_orbit_family(20, window=5, seed=7)
+        return tw.family.factors, tw.base
     return two_slope_factors(), Slope(1, 3)
 
 
@@ -258,12 +263,13 @@ class TestTreeShape:
 
 
 class TestQiPairsSlowTwin:
-    """The resumed scan against `tree_distance` and `slope_set_distance`."""
+    """The table-driven scan against `tree_distance` and `slope_set_distance`."""
 
     # two-twist at radius 5 resumes past a step that did not rise, before a
-    # quotient of 1, where the state's `up` flag decides the distance
+    # quotient of 1, where the state's `up` flag decides the distance; it
+    # also has 33 fallback transitions (x <= 1), which are never cached
     @pytest.mark.parametrize("family, radius", [
-        *itertools.product(["two-twist", "three-factor", "theorem-b", "two-slope"],
+        *itertools.product(["two-twist", "three-factor", "theorem-b", "two-slope", "prop91"],
                            [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
@@ -282,6 +288,108 @@ class TestQiPairsSlowTwin:
         assert len(got) == len(todo) == 23871
         for k in random.Random(6).sample(range(len(todo)), 2000):
             assert got[k] == slow_pair(ball, images, *todo[k]), k
+
+
+def _entries(table, states, fallback=False):
+    """The number of cached entries, or with `fallback` of fallback entries,
+    in the rows of `states`."""
+    return sum((t is table.FALLBACK) == fallback for st in states for t in table.trans[st].values())
+
+
+def _recorded_scan(monkeypatch, family, radius):
+    """Run `qi_pairs` on a family, counting `farey.distance_tail` and
+    `farey.resumed_distance` calls; returns the ball, its images, the pairs,
+    the counts and the scan's `ResumeTable`."""
+    tables = []
+
+    class Recorded(bassserre.ResumeTable):
+        def __init__(self, boundary):
+            super().__init__(boundary)
+            tables.append(self)
+
+    calls = {"distance_tail": 0, "resumed_distance": 0}
+
+    def counted(name):
+        inner = getattr(farey, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(bassserre, "ResumeTable", Recorded)
+    for name in calls:
+        monkeypatch.setattr(farey, name, counted(name))
+    factors, base = tree_family(family)
+    ball = build_ball(factors, radius)
+    images = phi(ball, base)
+    pairs = qi_pairs(ball, images)
+    (table,) = tables
+    return ball, images, pairs, calls, table
+
+
+class TestResumeTable:
+    """The transducer behind `qi_pairs`: the first-ring lemma and its work."""
+
+    @pytest.mark.parametrize("family, radius", itertools.product(
+        ["two-twist", "three-factor", "theorem-b", "two-slope"], [1, 2, 3, 4]))
+    def test_first_ring_lemma(self, family, radius):
+        """The root entry of a source's factor, keyed by the step S = W_src^-1
+        W_v alone, equals the full kernel from the source's own conjugator:
+        the same distance, point d and up, and a state R.W_v up to sign."""
+        factors, base = tree_family(family)
+        ball = build_ball(factors, radius)
+        images = phi(ball, base)
+        table = bassserre.ResumeTable.of(factors)
+        checked = 0
+        for src in ball.vertices(1):
+            w_src = word_matrix(ball.label[src])
+            for fan in ball.adjacency[src]:
+                for v in ball.adjacency[fan]:
+                    if v == src or ball.kind[v] != 1:
+                        continue
+                    w_v = word_matrix(ball.label[v])
+                    step = table.step(w_src.inv().mul(w_v), ball.factor[v])
+                    got = table.entry(ball.factor[src], step)
+                    if len(images[src]) != 1 or len(images[v]) != 1:
+                        assert got is table.FALLBACK
+                        continue
+                    (s_src,), (s_v,) = images[src], images[v]
+                    ds, point = farey.resumed_distance(None, s_v, conjugator_to_infinity(s_src))
+                    assert got[0] == ds
+                    checked += 1
+                    if point is None:
+                        assert got[2] == table.no_point
+                        continue
+                    r, d, up = point
+                    a, b, c, e = bassserre._mat_mul(r, w_v)
+                    assert (got[1], table.up[got[2]]) == (d, up)
+                    assert table.matrix[got[2]] in ((a, b, c, e), (-a, -b, -c, -e))
+        assert checked
+
+    def test_work_is_pinned_on_theorem_b(self, monkeypatch):
+        """Deterministic counters, like the pinned digests: at radius 6 the
+        scan runs 54 first-ring kernels and no other full kernel, and 270
+        `distance_tail` calls (54 first-ring tails and 216 transitions into
+        15 states) for 23,871 pairs."""
+        _, _, pairs, calls, table = _recorded_scan(monkeypatch, "theorem-b", 6)
+        roots = range(table.no_point)
+        states = range(table.no_point + 1, len(table.matrix))
+        assert len(pairs) == 23871
+        assert _entries(table, roots) == 54
+        assert calls == {"resumed_distance": 54, "distance_tail": 270}
+        assert (_entries(table, states), len(states)) == (216, 15)
+        assert _entries(table, states, fallback=True) == 0
+
+    def test_fallbacks_are_uncached(self, monkeypatch):
+        """two-twist at radius 5 has 33 fallback transitions; each visit
+        through one runs a full kernel, and every pair still matches the
+        slow twin."""
+        ball, images, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
+        states = range(table.no_point + 1, len(table.matrix))
+        assert _entries(table, states, fallback=True) == 33
+        assert calls["resumed_distance"] > _entries(table, range(table.no_point))
+        assert pairs == [slow_pair(ball, images, v, w) for v, w in ball.type1_pairs()]
 
 
 class TestFreeProductCheck:
