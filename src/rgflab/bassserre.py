@@ -101,10 +101,6 @@ def word_matrix(word: tuple) -> MappingClass:
     return out
 
 
-def _word_key(word: tuple) -> tuple:
-    return tuple((i, m.projective_key()) for i, m in word)
-
-
 @dataclass
 class TreeBall:
     """Radius-r ball about v(1) in the Bass-Serre tree, over integer vertex
@@ -320,7 +316,7 @@ class ResumeTable:
     kernel are those of y.  With T_a = [[a, 1], [1, 0]], adj(T_{a+n}) P =
     adj(T_a), so w's resume matrix adj(L) adj(T_{a_0 + n}) C(W b_i) is
     +-adj(L) adj(T_{a_0}) C(b_i) W^-1 = +-R_y W^-1, R_y the resume matrix of
-    `resumed_distance(None, S b_j, C(b_i))`, and w's M = R_y W^-1 W S = R_y S.
+    `resumed_distance(S b_j, C(b_i))`, and w's M = R_y W^-1 W S = R_y S.
     So the root's entry for (S, j) is that call's distance, its point's d
     and the state (R_y S, up), whatever the source's label: one kernel per
     (factor, step) for the whole scan.
@@ -385,7 +381,7 @@ class ResumeTable:
         if state < self.no_point:                       # a root: the first ring
             if self.boundary[state] is None:
                 return self.FALLBACK
-            ds, point = farey.resumed_distance(None, act(s, b),
+            ds, point = farey.resumed_distance(act(s, b),
                                                conjugator_to_infinity(self.boundary[state]))
             next_state, d = self.resume(point, s)
             return ds, d, next_state
@@ -412,9 +408,9 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
     step id once per scan.  Each stack entry carries its vertex's state and
     additive d, so a pair with single-slope images costs one lookup of
     `trans[state][step]` and two additions; the source is in the root state
-    of its factor.  A fallback takes `farey.resumed_distance` from the
-    source conjugated to 1/0 in full, and a pair with a multi-slope image
-    `farey.slope_set_distance`.
+    of its factor.  A fallback takes the full kernel
+    `farey.resumed_distance` of the target's slope under the source's
+    conjugator, and a pair with a multi-slope image `farey.slope_set_distance`.
     """
     kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
                                             ball.factor, ball.distance)
@@ -479,7 +475,7 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
                         ds = d + added
                         nd = d + before
                     elif conj is not None and slope[v] is not None:
-                        ds, point = farey.resumed_distance(None, slope[v], conj)
+                        ds, point = farey.resumed_distance(slope[v], conj)
                         nxt, nd = table.resume(point, word_matrix(label[v]))
                     else:
                         ds = farey.slope_set_distance(images[src], images[v]) if r >= 0 else None

@@ -186,41 +186,15 @@ def conjugator_to_infinity(alpha: Slope) -> MappingClass:
     return _new(MappingClass, (a, b, -q, p))
 
 
-def _continued_fraction(p: int, q: int) -> list:
-    """Floor continued fraction [a0; a1, ..., an] of p/q with q >= 1.
-
-    For non-integers the expansion ends with an >= 2.
-    """
-    out = []
-    while q:
-        a, r = divmod(p, q)
-        out.append(a)
-        p, q = q, r
-    return out
-
-
-def _distance_profile(cf: list) -> list:
-    """Graph distances from infinity to the convergents of [a0; a1, ..., an],
-    the `_continued_fraction` of a slope.
-
-    Returns [D_{-1}, D_0, ..., D_n] where D_k is the Farey distance from 1/0
-    to the k-th convergent.  Follows the parent recursion in the Stern-Brocot
-    tree: every geodesic leaving the slope first steps to one of its two mediant
-    parents, and fans of intermediate fractions collapse to the closed form
-      D_{k+1} = min(1 + D_k, a_{k+1} + min(D_k, D_{k-1})).
-    The whole profile is what `_geodesic_from_infinity` walks back along; its
-    last entry is the test oracle for the one-pass `_distance_to_infinity`.
-    """
-    dists = [0, 1]
-    for ak in cf[1:]:
-        dists.append(min(1 + dists[-1], ak + min(dists[-1], dists[-2])))
-    return dists
-
-
 def _distance_to_infinity(s: Slope) -> int:
     """Farey distance from 1/0 to s in one pass of Euclid's algorithm.
 
-    Solves the recursion of `_distance_profile` exactly.  By induction on k,
+    Let D_k be the distance from 1/0 to the k-th convergent of s = [a_0; a_1,
+    ..., a_n], with D_{-1} = 0 and D_0 = 1.  Every geodesic leaving a
+    convergent first steps to one of its two mediant parents in the
+    Stern-Brocot tree, and the fans of intermediate fractions collapse to
+      D_{k+1} = min(1 + D_k, a_{k+1} + min(D_k, D_{k-1})),
+    whose list form is the test oracle of this loop.  By induction on k,
     0 <= D_k - D_{k-1} <= 1: it holds for D_0 - D_{-1} = 1, and if it holds
     at k then, after a rise (D_k = D_{k-1} + 1), the recursion gives
     D_{k+1} = min(D_k + 1, D_k + a_{k+1} - 1), and after a flat step
@@ -279,87 +253,84 @@ def distance_tail(p: int, q: int, up: bool) -> tuple:
         p, q = q, r
 
 
-def resumed_distance(point, beta: Slope, conj: MappingClass) -> tuple:
-    """(distance from 1/0 to conj.beta, resume point of beta), given the
-    resume point of a slope alpha earlier on a walk, or None.
+def resumed_distance(beta: Slope, conj: MappingClass) -> tuple:
+    """(distance from 1/0 to conj.beta, resume point of conj.beta).
 
     A resume point is (R, d, up): R = adj(T).conj, with T the convergent
-    matrix of conj.alpha's partial quotients before the last one, and (d, up)
-    the state of `_distance_to_infinity` after them.  When x = R.beta > 1,
-    conj.beta's continued fraction is T's followed by x's, so only x is
-    expanded (`distance_tail`).  Otherwise conj.beta is expanded in full:
-    a_0, with T = [[a_0, 1], [1, 0]] and state (1, True), then the rest.
-    1/0 and the integers have no quotient after a_0, so no resume point.
+    matrix of conj.beta's partial quotients before the last one, and (d, up)
+    the state of `_distance_to_infinity` after them.  The expansion takes
+    a_0, with T = [[a_0, 1], [1, 0]] and state (1, True), then the rest in
+    `distance_tail`.  1/0 and the integers have no quotient after a_0, so no
+    resume point.  A later slope gamma resumes from it when x = R.gamma > 1:
+    conj.gamma's continued fraction is then T's followed by x's, and only x
+    is expanded (`bassserre.ResumeTable`).
     """
-    if point is not None:
-        r, d, up = point
-        x, y = r[0] * beta.p + r[1] * beta.q, r[2] * beta.p + r[3] * beta.q
-        if y < 0:
-            x, y = -x, -y
-    if point is None or not x > y > 0:
-        s = act(conj, beta)
-        if not s.q:
-            return 0, None
-        a0, y = divmod(s.p, s.q)
-        if not y:
-            return 1, None
-        x, d, up = s.q, 1, True
-        r = (-conj.c, -conj.d, a0 * conj.c - conj.a, a0 * conj.d - conj.b)
-    added, before, up, (a, b, c, e) = distance_tail(x, y, up)
-    r0, r1, r2, r3 = r
-    return d + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
-                       d + before, up)
+    s = act(conj, beta)
+    if not s.q:
+        return 0, None
+    a0, y = divmod(s.p, s.q)
+    if not y:
+        return 1, None
+    r0, r1, r2, r3 = -conj.c, -conj.d, a0 * conj.c - conj.a, a0 * conj.d - conj.b
+    added, before, up, (a, b, c, e) = distance_tail(s.q, y, True)
+    return 1 + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+                       1 + before, up)
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
-    """Exact Farey graph distance."""
+    """Exact Farey graph distance; an edge (|ps - rq| = 1) needs no Euclid."""
     if a == b:
         return 0
-    if a.is_infinity:
+    (p, q), (r, s) = a, b
+    if p * s - r * q in (1, -1):
+        return 1
+    if not q:
         return _distance_to_infinity(b)
     return _distance_to_infinity(act(conjugator_to_infinity(a), b))
 
 
-def _geodesic_from_infinity(s: Slope) -> list:
-    """One geodesic from 1/0 to s through convergents of s, walked back from
-    s in one loop over the convergent index k.
-
-    From convergent k the walk steps to convergent k - 1 (always adjacent),
-    or skips to k - 2 (adjacent when a_k = 1) when that saves a step: exactly
-    when a_k = 1 and the distance rose from convergent k - 2 to k - 1.  The
-    steps of `_distance_profile` are 0 or 1, so that is the whole choice.
-    """
-    if s.is_infinity:
-        return [INFINITY]
-    if s.q == 1:
-        return [INFINITY, s]
-    cf = _continued_fraction(s.p, s.q)
-    dists = _distance_profile(cf)   # dists[k + 1] is D of convergent k
-    # convergents with their (p, q) vectors; conv[k + 1] is convergent k >= -1
-    conv = [(1, 0), (cf[0], 1)]
-    for ak in cf[1:]:
-        conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
-    path = []  # from s back toward infinity; convergents are in lowest terms
-    k = len(cf) - 1
-    while k > 0:
-        path.append(conv[k + 1])
-        k -= 2 if cf[k] == 1 and dists[k] > dists[k - 1] else 1
-    if k == 0:
-        path.append(conv[1])
-    path.append((1, 0))
-    path.reverse()
-    return [Slope._reduced(p, q) for p, q in path]
-
-
 def farey_geodesic(a: Slope, b: Slope) -> list:
-    """A geodesic [a, ..., b]; endpoints included, length farey_distance(a, b)."""
+    """A geodesic [a, ..., b]; endpoints included, length farey_distance(a, b).
+
+    One pass of Euclid's algorithm on s = C.b = [a_0; a_1, ..., a_n], with
+    C = `conjugator_to_infinity(a)`, through convergents of s mapped back by
+    C^-1 = adj(C).  The mapped convergents v_k = C^-1 (p_k, q_k) follow the
+    recurrence of the convergents, v_k = a_k v_{k-1} + v_{k-2}, from the two
+    columns of C^-1: v_{-1} = C^-1 (1, 0), which is a, and
+    v_{-2} = C^-1 (0, 1).  They are primitive, so each needs a sign fix only.
+
+    The path is the walk back from s that steps from convergent k to k - 1
+    (always adjacent) or skips to k - 2 (adjacent when a_k = 1) when the
+    distance D_k from 1/0 is flat at k, D_k = D_{k-1}: that is, when a_k = 1
+    and step k - 1 rose (see `_distance_to_infinity`; step 0 rises).  Skipping
+    saves a step exactly then, since the steps of D are 0 or 1.  A flat step
+    is never followed by another, as the step after a flat one rises.  So the
+    walk visits k + 1 whenever step k + 1 is flat, and convergent k is on the
+    path exactly when step k + 1 rises; s itself is always on it.  The loop
+    therefore emits v_k as soon as a_{k+1} is known, from 1/0's image a
+    forward, with no list of convergents and no walk back.
+    """
     if a == b:
         return [a]
-    if a.is_infinity:
-        return _geodesic_from_infinity(b)
     m = conjugator_to_infinity(a)
-    minv = m.inv()
-    return [act(minv, v) for v in _geodesic_from_infinity(act(m, b))]
+    p, q = act(m, b)
+    e, f, g, h = m
+    v, w = (h, -g), (-f, e)         # v_{k-1} and v_{k-2}, from k = 0
+    path = []
+    up = False                      # step 0 always rises: a_0 never skips 1/0
+    while True:
+        k, r = divmod(p, q)
+        if k == 1 and up:
+            up = False
+        else:
+            x, y = v
+            path.append(_new(Slope, (x, y) if y > 0 or (not y and x > 0) else (-x, -y)))
+            up = True
+        if not r:
+            path.append(b)
+            return path
+        v, w = (k * v[0] + w[0], k * v[1] + w[1]), v
+        p, q = q, r
 
 
 def is_geodesic(path: list) -> bool:

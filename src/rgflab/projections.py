@@ -217,27 +217,39 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
     A triple violates level b when some arrangement has d_Y(X, Z) >= b and
     max(d_X(Y, Z), d_Z(X, Y)) >= b; B_emp is the least b with no violations
     on the sample.  With B None only B_emp is measured.
+
+    Projection distances are symmetric, so three reads serve all three
+    arrangements: d_x(y, z), d_y(x, z) and d_z(x, y), each site's boundary
+    read once.  The level of a triple, the greatest b it violates, is
+    max_i min(d_i, max_{j != i} d_j), and that is the median of the three.
+    With d_1 <= d_2 <= d_3 sorted: for i = 3 and for i = 2 the term is
+    min(d_i, d_3 or d_2) = d_2, and for i = 1 it is d_1 <= d_2; ties change
+    nothing.  So some arrangement violates level b exactly when the median
+    is at least b, and only such a triple goes through the arrangements to
+    list its violations.
     """
     violations = []
     worst = 0
     count = 0
+    overlaps, boundary, proj_dist = system.overlaps, system.boundary, system.proj_dist
     for triple in triples:
         x, y, z = triple
         for u, v in ((x, y), (y, z), (x, z)):
-            if not system.overlaps(u, v):
+            if not overlaps(u, v):
                 raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
-        # projection distances are symmetric, so three reads serve all
-        # three arrangements
-        a = _site_dist(system, x, y, z)
-        b = _site_dist(system, y, x, z)
-        c = _site_dist(system, z, x, y)
-        for mid, d_mid, d_max in ((y, b, max(a, c)), (x, a, max(b, c)), (z, c, max(a, b))):
-            level = min(d_mid, d_max)
-            if level > worst:
-                worst = level
-            if B is not None and d_mid >= B and d_max >= B:
-                violations.append((triple, mid, d_mid, d_max))
+        bx, by, bz = boundary(x), boundary(y), boundary(z)
+        a = proj_dist(x, by, bz)
+        b = proj_dist(y, bx, bz)
+        c = proj_dist(z, bx, by)
+        lo, hi = (a, b) if a < b else (b, a)
+        level = lo if c < lo else hi if c > hi else c
+        if level > worst:
+            worst = level
+        if B is not None and level >= B:
+            for mid, d_mid, d_max in ((y, b, max(a, c)), (x, a, max(b, c)), (z, c, max(a, b))):
+                if d_mid >= B and d_max >= B:
+                    violations.append((triple, mid, d_mid, d_max))
     return BehrstockReport(count, violations, worst + 1)
 
 
@@ -418,11 +430,13 @@ def general_persistence_check(system, sequence, M: int, B: int,
 # Generators for positive torus instances and constant estimation.
 
 
-def random_slope(rng: random.Random, qmax: int) -> Slope:
-    """p/q with q uniform in [0, qmax] and p in [-qmax, qmax], redrawn until
-    reduced (q = 0 gives 1/0).  The loops are `Random.randrange`'s own over
-    `getrandbits`, so the draws are exactly those of randrange."""
-    bits = rng.getrandbits
+def random_slopes(rng: random.Random, qmax: int):
+    """Endless stream of p/q with q uniform in [0, qmax] and p in
+    [-qmax, qmax], redrawn until reduced (q = 0 gives 1/0).  The loops are
+    `Random.randrange`'s own over `getrandbits`, so the draws are exactly
+    those of randrange.  A generator draws only when a slope is taken, so
+    other draws from `rng` may come between two slopes."""
+    bits, gcd, reduced = rng.getrandbits, math.gcd, Slope._reduced
     wq, wp = qmax + 1, 2 * qmax + 1        # the widths of the two ranges
     kq, kp = wq.bit_length(), wp.bit_length()
     while True:
@@ -430,12 +444,19 @@ def random_slope(rng: random.Random, qmax: int) -> Slope:
         while q >= wq:
             q = bits(kq)
         if not q:
-            return farey.INFINITY
+            yield farey.INFINITY
+            continue
         p = bits(kp)
         while p >= wp:
             p = bits(kp)
-        if math.gcd(p - qmax, q) == 1:
-            return Slope._reduced(p - qmax, q)
+        p -= qmax
+        if gcd(p, q) == 1:
+            yield reduced(p, q)
+
+
+def random_slope(rng: random.Random, qmax: int) -> Slope:
+    """One slope of `random_slopes`."""
+    return next(random_slopes(rng, qmax))
 
 
 def twist_pivot_sequence(a0: Slope, a1: Slope, strength: int, length: int,
@@ -460,9 +481,10 @@ class ConstantEstimates:
 
 
 def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
+    draw = random_slopes(rng, qmax).__next__
     triples = []
     while len(triples) < n:
-        x, y, z = (random_slope(rng, qmax) for _ in range(3))
+        x, y, z = draw(), draw(), draw()
         if x != y and y != z and x != z:
             triples.append((x, y, z))
     return triples
@@ -482,17 +504,18 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
 
     def scan_M(r):
         worst = 0
+        draw = random_slopes(r, qmax).__next__
         for _ in range(n_geodesics):
-            site = random_slope(r, qmax)
+            site = draw()
             # stress with twisted pairs around the site plus random pairs
             if r.random() < 0.5:
-                base = random_slope(r, qmax)
+                base = draw()
                 if base == site:
                     continue
                 n = r.randrange(1, 12)
                 a, b = base, act(twist_about(site, n), base)
             else:
-                a, b = random_slope(r, qmax), random_slope(r, qmax)
+                a, b = draw(), draw()
             if a == b:
                 continue
             path = system.ambient_geodesic(a, b)
@@ -504,13 +527,14 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
         return worst
 
     def scan_c(r):
-        # a draw with beta = site is skipped; `random_slope(r, 50)` repeats
-        # a slope with probability 0.0013, so all 200 draws skip with
+        # a draw with beta = site is skipped; a slope of `random_slopes(r, 50)`
+        # repeats with probability 0.0013, so all 200 draws skip with
         # probability below 10^-577 and the minimum is over a nonempty sample
         ratios = []
+        draw = random_slopes(r, 50).__next__
         for _ in range(200):
-            site = random_slope(r, 50)
-            beta = random_slope(r, 50)
+            site = draw()
+            beta = draw()
             if beta == site:
                 continue
             n = r.randrange(1, 100)

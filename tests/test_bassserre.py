@@ -9,13 +9,19 @@ from rgflab.farey import (INFINITY, MappingClass, Slope, act, conjugator_to_infi
                           farey_distance, slope_set_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
 from rgflab import bassserre, farey
-from rgflab.bassserre import (FactorSpec, FreeProductReport, _word_key,
-                              ball_bfs_distance, build_ball, coset_well_defined,
+from rgflab.bassserre import (FactorSpec, FreeProductReport, ball_bfs_distance,
+                              build_ball, coset_well_defined,
                               cyclically_reduce, free_product_check,
                               loxodromic_scan, phi, pingpong_certificate,
                               qi_certificate, qi_pairs, qi_report,
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, word_matrix)
+
+
+def _word_key(word: tuple) -> tuple:
+    """A hashable key of a word of (factor, matrix) syllables, identifying
+    each matrix with its negative."""
+    return tuple((i, m.projective_key()) for i, m in word)
 
 
 def two_twist_factors(budget=2):
@@ -355,7 +361,7 @@ class TestResumeTable:
                         assert got is table.FALLBACK
                         continue
                     (s_src,), (s_v,) = images[src], images[v]
-                    ds, point = farey.resumed_distance(None, s_v, conjugator_to_infinity(s_src))
+                    ds, point = farey.resumed_distance(s_v, conjugator_to_infinity(s_src))
                     assert got[0] == ds
                     checked += 1
                     if point is None:
@@ -497,7 +503,7 @@ class TestLazyRelationSearch:
         if eager.witness is None:
             assert lazy.witness is None
         else:
-            assert bassserre._word_key(lazy.witness) == bassserre._word_key(eager.witness)
+            assert _word_key(lazy.witness) == _word_key(eager.witness)
 
     def test_witness_at_odd_total(self):
         rep = free_product_check(_order_three_triple(), 5)
@@ -510,7 +516,7 @@ class TestLazyRelationSearch:
         # at every budget from 4 up
         reps = [free_product_check(_twist_pair(1, 6), b) for b in (4, 9, 40)]
         assert {r.words_checked for r in reps} == {367}
-        assert len({bassserre._word_key(r.witness) for r in reps}) == 1
+        assert len({_word_key(r.witness) for r in reps}) == 1
 
 
 class TestFactorSpec:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClass,
-                          Slope, _continued_fraction, _distance_profile,
-                          _distance_to_infinity, _geodesic_from_infinity, act,
+                          Slope, _distance_to_infinity, act,
                           adjacent, annular_distance, annular_projection,
                           annular_projection_set, bounded_neighbors,
                           bounded_vertices, conjugator_to_infinity,
@@ -170,6 +169,31 @@ class TestDistance:
             assert farey_distance(a, c) <= farey_distance(a, b) + farey_distance(b, c)
 
 
+def _continued_fraction(p: int, q: int) -> list:
+    """Floor continued fraction [a0; a1, ..., an] of p/q with q >= 1.
+
+    For non-integers the expansion ends with an >= 2.
+    """
+    out = []
+    while q:
+        a, r = divmod(p, q)
+        out.append(a)
+        p, q = q, r
+    return out
+
+
+def _distance_profile(cf: list) -> list:
+    """Graph distances from infinity to the convergents of [a0; a1, ..., an]:
+    [D_{-1}, D_0, ..., D_n], from the recursion
+      D_{k+1} = min(1 + D_k, a_{k+1} + min(D_k, D_{k-1})).
+    The list form of what `_distance_to_infinity` keeps in two variables,
+    and its slow twin."""
+    dists = [0, 1]
+    for ak in cf[1:]:
+        dists.append(min(1 + dists[-1], ak + min(dists[-1], dists[-2])))
+    return dists
+
+
 def _from_cf(cf) -> Slope:
     """The slope with floor continued fraction [a0; a1, ..., an]."""
     p, q = cf[-1], 1
@@ -240,9 +264,24 @@ class TestDistanceKernel:
                 assert _distance_to_infinity(s) == _distance_profile(cf)[-1]
 
 
+def _resume(point, s: Slope) -> tuple:
+    """`distance_tail` from a resume point (R, d, up) on the complete
+    quotient x = R.s, and the next point (adj(L).R, d + before, up'): the
+    resume step of `bassserre.ResumeTable`, for a slope whose quotients
+    start with those of the point's prefix."""
+    (r0, r1, r2, r3), d, up = point
+    x, y = r0 * s.p + r1 * s.q, r2 * s.p + r3 * s.q
+    if y < 0:
+        x, y = -x, -y
+    assert x > y > 0
+    added, before, up, (a, b, c, e) = distance_tail(x, y, up)
+    return d + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
+                       d + before, up)
+
+
 class TestResumableKernel:
     """`distance_tail` resumed after every prefix of a continued fraction, and
-    `resumed_distance` from no point and from a point that ends after every
+    `resumed_distance` in full and from a point that ends after every
     prefix, against `_distance_to_infinity` and the profile."""
 
     @pytest.mark.parametrize("terms", [16, 128, 512])
@@ -263,7 +302,7 @@ class TestResumableKernel:
                     dists[n], dists[n] > dists[n - 1])
             (t0, t1, t2, t3), d_last, up_last = last
             adj_last = ((t3, -t1, -t2, t0), d_last, up_last)
-            assert resumed_distance(None, s, one) == (want, adj_last)
+            assert resumed_distance(s, one) == (want, adj_last)
             for j in range(n):
                 # resume after a_0..a_j, from the state of convergent j
                 d, up = dists[j + 1], dists[j + 1] > dists[j]
@@ -273,15 +312,16 @@ class TestResumableKernel:
                 (p1, q1), (p0, q0) = conv[j + 1], conv[j]
                 assert ((p1 * a + p0 * c, p1 * b + p0 * e, q1 * a + q0 * c, q1 * b + q0 * e),
                         d + before, up_before) == last, j
-                # a slope whose quotients before the last are a_0..a_j
-                _, point = resumed_distance(None, _from_cf(cf[:j + 1] + [2]), one)
-                assert resumed_distance(point, s, one) == (want, adj_last), j
+                # from the point of a slope whose quotients before the last
+                # are a_0..a_j, composed through adj(L)
+                _, point = resumed_distance(_from_cf(cf[:j + 1] + [2]), one)
+                assert _resume(point, s) == (want, adj_last), j
 
     def test_state_of_integers_and_infinity(self):
         one = MappingClass.identity()
-        assert resumed_distance(None, INFINITY, one) == (0, None)
+        assert resumed_distance(INFINITY, one) == (0, None)
         for p in (-7, 0, 12):
-            assert resumed_distance(None, Slope(p, 1), one) == (1, None)
+            assert resumed_distance(Slope(p, 1), one) == (1, None)
 
 
 class TestGeodesic:
@@ -306,9 +346,52 @@ class TestGeodesic:
         assert is_geodesic(path)
 
 
+def _geodesic_from_infinity(s: Slope) -> list:
+    """One geodesic from 1/0 to s through convergents of s, walked back from
+    s over the convergent index k with the whole distance profile: the slow
+    twin of `farey_geodesic` from 1/0.
+
+    From convergent k the walk steps to convergent k - 1 (always adjacent),
+    or skips to k - 2 (adjacent when a_k = 1) when that saves a step: exactly
+    when a_k = 1 and the distance rose from convergent k - 2 to k - 1.  The
+    steps of `_distance_profile` are 0 or 1, so that is the whole choice.
+    """
+    if s.is_infinity:
+        return [INFINITY]
+    if s.q == 1:
+        return [INFINITY, s]
+    cf = _continued_fraction(s.p, s.q)
+    dists = _distance_profile(cf)   # dists[k + 1] is D of convergent k
+    # convergents with their (p, q) vectors; conv[k + 1] is convergent k >= -1
+    conv = [(1, 0), (cf[0], 1)]
+    for ak in cf[1:]:
+        conv.append((ak * conv[-1][0] + conv[-2][0], ak * conv[-1][1] + conv[-2][1]))
+    path = []  # from s back toward infinity; convergents are in lowest terms
+    k = len(cf) - 1
+    while k > 0:
+        path.append(conv[k + 1])
+        k -= 2 if cf[k] == 1 and dists[k] > dists[k - 1] else 1
+    if k == 0:
+        path.append(conv[1])
+    path.append((1, 0))
+    path.reverse()
+    return [Slope(p, q) for p, q in path]
+
+
+def two_stage_geodesic(a: Slope, b: Slope) -> list:
+    """The `farey_geodesic` that sent a to 1/0, walked back from the image
+    of b with `_geodesic_from_infinity`, then mapped each vertex back: the
+    slow twin of the one-pass geodesic."""
+    if a == b:
+        return [a]
+    m = conjugator_to_infinity(a)
+    return [act(m.inv(), v) for v in _geodesic_from_infinity(act(m, b))]
+
+
 def recursive_geodesic_from_infinity(s: Slope) -> list:
-    """The recursive convergent-fan walk that `_geodesic_from_infinity`
-    replaced, kept as its slow twin: it recurses once per partial quotient."""
+    """The recursive convergent-fan walk that the loop of
+    `_geodesic_from_infinity` replaced, kept as its slow twin: it recurses
+    once per partial quotient."""
     if s.is_infinity:
         return [INFINITY]
     if s.q == 1:
@@ -352,14 +435,16 @@ class TestGeodesicSlowTwin:
         rng = random.Random(qmax)
         for _ in range(2000):
             s = random_slope(rng, qmax)
-            assert _geodesic_from_infinity(s) == recursive_geodesic_from_infinity(s), s
+            assert farey_geodesic(INFINITY, s) == _geodesic_from_infinity(s) \
+                == recursive_geodesic_from_infinity(s), s
 
     @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
     def test_shaped_expansions(self, kind):
         rng = random.Random(len(kind))
         for n in [2, 3, 4, 5, 17, 64, 255] + [rng.randint(2, 255) for _ in range(8)]:
             s = _from_cf([rng.randint(-9, 9)] + _tail(rng, kind, n - 1))
-            assert _geodesic_from_infinity(s) == recursive_geodesic_from_infinity(s), (kind, n)
+            assert farey_geodesic(INFINITY, s) == _geodesic_from_infinity(s) \
+                == recursive_geodesic_from_infinity(s), (kind, n)
 
     @pytest.mark.parametrize("pattern", [[2], [3], [1, 2], [5]])
     @pytest.mark.parametrize("terms", [1200, 2400])
@@ -371,6 +456,82 @@ class TestGeodesicSlowTwin:
         path = farey_geodesic(INFINITY, s)
         assert path[0] == INFINITY and path[-1] == s
         assert is_geodesic(path) and len(path) - 1 == farey_distance(INFINITY, s)
+        assert path == _geodesic_from_infinity(s)
+
+
+def _edge_from(rng, s: Slope, spread: int) -> Slope:
+    """A Farey neighbour of s: the image of an integer under C(s)^-1."""
+    return act(conjugator_to_infinity(s).inv(), Slope(rng.randrange(-spread, spread + 1), 1))
+
+
+class TestOnePassGeodesic:
+    """`farey_geodesic` in one Euclid loop in a's frame against the
+    two-stage twin, on fixed seeds: 1/0 on either side, integers, equal
+    slopes, Farey neighbours, random pairs, and twisted pairs T_site^n(base)
+    in both orders; 5,600 pairs per qmax, 22,400 in all."""
+
+    @pytest.mark.parametrize("qmax", [1, 50, 1000, 10 ** 6])
+    def test_matches_two_stage_twin(self, qmax):
+        rng = random.Random(qmax + 17)
+        kinds = dict.fromkeys(["infinity", "integer", "equal", "edge", "random", "twisted"], 0)
+        for _ in range(2800):
+            a = random_slope(rng, qmax)
+            kind = rng.choice(list(kinds))
+            if kind == "infinity":
+                b = INFINITY
+            elif kind == "integer":
+                b = Slope(rng.randrange(-qmax - 3, qmax + 4), 1)
+            elif kind == "equal":
+                b = a
+            elif kind == "edge":
+                b = _edge_from(rng, a, qmax + 3)
+            elif kind == "random":
+                b = random_slope(rng, qmax)
+            else:
+                site = random_slope(rng, qmax)
+                b = act(twist_about(site, rng.choice([-1, 1]) * rng.randrange(1, 40)), a)
+            kinds[kind] += 1
+            for u, v in ((a, b), (b, a)):
+                path = farey_geodesic(u, v)
+                assert path == two_stage_geodesic(u, v), (u, v)
+                assert all(type(x) is Slope for x in path)
+                assert len(path) - 1 == farey_distance(u, v)
+        assert min(kinds.values()) > 400
+
+    @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
+    def test_shaped_expansions_in_a_frame(self, kind):
+        # long runs of quotients 1 after a conjugator with large entries
+        rng = random.Random(len(kind) + 50)
+        for n in [1, 2, 3, 4, 5, 17, 64, 255] + [rng.randint(2, 255) for _ in range(8)]:
+            a = random_slope(rng, 10 ** 6)
+            x = _from_cf([rng.randint(-9, 9)] + (_tail(rng, kind, n - 1) if n > 1 else []))
+            b = act(conjugator_to_infinity(a).inv(), x)
+            for u, v in ((a, b), (b, a)):
+                path = farey_geodesic(u, v)
+                assert path == two_stage_geodesic(u, v), (kind, n)
+                assert is_geodesic(path)
+
+
+class TestEdgeRule:
+    """`farey_distance` reads 1 off |ps - rq| = 1 with no Euclid; checked
+    against the stabilized BFS oracle on edges and on non-adjacent pairs."""
+
+    def test_against_bfs_oracle(self):
+        rng = random.Random(23)
+        o, o2 = BfsOracle(14), BfsOracle(28)
+        verts = bounded_vertices(7)
+        edges = nonadjacent = 0
+        while edges < 300 or nonadjacent < 300:
+            a = rng.choice(verts)
+            b = _edge_from(rng, a, 7) if rng.random() < 0.5 else rng.choice(verts)
+            if a == b or max(abs(b.p), b.q) > 7:
+                continue
+            d1 = o.distances_from(a)[b]
+            assert d1 == o2.distances_from(a)[b], "oracle did not stabilize"
+            assert farey_distance(a, b) == farey_distance(b, a) == d1, (a, b)
+            assert (d1 == 1) == adjacent(a, b)
+            edges += d1 == 1
+            nonadjacent += d1 > 1
 
 
 class TestAction:

@@ -12,7 +12,7 @@ from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 greedy_overlap_chain,
-                                persistence_check, random_slope,
+                                persistence_check, random_slope, random_slopes,
                                 sample_overlapping_triples, synthetic_system,
                                 twist_pivot_sequence)
 
@@ -399,4 +399,40 @@ class TestRandomSlopeSlowTwin:
             assert type(s) is Slope and Slope(s.p, s.q) == s
             # the generators stay in step, so later draws agree too
             assert fast.random() == slow.random()
+        assert fast.getstate() == slow.getstate()
+
+
+class TestSlopeStreamSlowTwin:
+    """`random_slopes` draws only when a slope is taken: draw for draw
+    against `randrange_random_slope`, with other draws from the generator
+    interleaved."""
+
+    @pytest.mark.parametrize("qmax", [1, 50, 1000, 10 ** 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_interleaved_as_scan_M(self, seed, qmax):
+        fast, slow = random.Random(seed), random.Random(seed)
+        draw = random_slopes(fast, qmax).__next__
+        for _ in range(400):
+            assert draw() == randrange_random_slope(slow, qmax)
+            coin = fast.random()
+            assert coin == slow.random()
+            if coin < 0.5:
+                assert draw() == randrange_random_slope(slow, qmax)
+                assert fast.randrange(1, 12) == slow.randrange(1, 12)
+            else:
+                assert (draw(), draw()) == (randrange_random_slope(slow, qmax),
+                                            randrange_random_slope(slow, qmax))
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("qmax", [1, 2, 100, 10 ** 4])
+    @pytest.mark.parametrize("n", [0, 1, 250])
+    def test_triples_leave_the_generator_state(self, n, qmax):
+        fast, slow = random.Random(n + qmax), random.Random(n + qmax)
+        triples = sample_overlapping_triples(n, fast, qmax)
+        twin = []
+        while len(twin) < n:
+            x, y, z = (randrange_random_slope(slow, qmax) for _ in range(3))
+            if x != y and y != z and x != z:
+                twin.append((x, y, z))
+        assert triples == twin
         assert fast.getstate() == slow.getstate()
