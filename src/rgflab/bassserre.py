@@ -265,7 +265,7 @@ def qi_certificate(ball: TreeBall, images: list, kappa: int | None = None) -> Qi
 
 def _mat_mul(m: tuple, n: tuple) -> tuple:
     """Product of 2x2 integer matrices as (a, b, c, d) tuples, of either
-    determinant sign (a resume matrix has determinant -1 or 1)."""
+    determinant sign (a state's matrix adj(L) M has determinant -1 or 1)."""
     a, b, c, d = m
     e, f, g, h = n
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
@@ -278,61 +278,64 @@ def _sign_key(m: tuple) -> tuple:
 
 
 class ResumeTable:
-    """The Farey resume of `qi_pairs` as a finite transducer: interned
+    """The Farey distances of `qi_pairs` as a finite transducer: interned
     states and steps, and transitions filled on first use.  One table serves
-    one scan; it is the scan's only memo.
+    one scan; it is the scan's only memo, and `advance` is the one place a
+    Farey distance is resumed.
 
-    A state is (M, up) for a type-1 vertex v with a single-slope image: M is
-    R_v W_v up to sign, with R_v the matrix of v's resume point (see
-    `farey.resumed_distance`) and W_v the `word_matrix` of v's label, and up
-    the point's `distance_tail` flag.  A step from v to a type-1 vertex w
+    A state is (M, up) for a type-1 vertex v with a single-slope image, seen
+    from a source vertex.  With C the `conjugator_to_infinity` of the
+    source's slope, W_v the `word_matrix` of v's label and b_i the boundary
+    slope of v's factor, C W_v b_i is v's image with the source's at 1/0.
+    Its continued fraction starts with a prefix of convergent matrix T, and
+    M = adj(T) C W_v up to sign, so M b_i is the complete quotient after the
+    prefix; up is the `distance_tail` flag after the prefix, and None when
+    the prefix is empty.  Each vertex also carries its additive d, the
+    distance of the prefix's convergent.  A step from v to a type-1 vertex w
     across a fan is (S, j), S = W_v^-1 W_w and j the factor of w: S is h
-    going down through the child fan v.h, I to a sibling, and h^-1 going up.
-    w's image is W_v S b_j, b_j the boundary slope of factor j, so its
-    complete quotient from v's point is x = R_v W_v S b_j = M S b_j.  When
-    x > 1, `distance_tail(x, up)` gives (added, before, up', L), and w's
-    point has R_w = adj(L) R_v, so w's state (adj(L) M S, up') is a function
-    of (state, step) alone.  The entry `trans[state][step]` is then
-    (added, before, next state): w's distance is v's additive d plus added,
-    and w's additive d is v's plus before.  Signs cancel throughout, since x
-    is sign-normalised and adj(L) (-M) S = -(adj(L) M S).
+    going down through the child fan v.h, I to a sibling, and h^-1 going
+    up.  w's image is W_v S b_j, so `advance(M S, b_j, up)` reads w's
+    distance and state off v's, and the entry `trans[state][step]` is a
+    function of (state, step) alone.
 
-    A step with x <= 1 is the entry `FALLBACK`: w's distance then needs the
-    full kernel of w's conjugated image, which depends on the source and not
-    only on the state, so nothing is cached and w's state is read off that
-    kernel's point (`resume`).  A vertex with no point (an image at 1/0 or
-    an integer) is in the state `no_point`, and a step into a factor with
-    other than one boundary slope is a fallback too.
+    A step from a prefix with a complete quotient x <= 1 is the entry
+    `FALLBACK`: w's distance then needs the tail from an empty prefix,
+    `advance(C W_w, b_j, None)`, which depends on the source and not only on
+    the state, so nothing is cached.  The state `no_point` has no matrix:
+    it is the state of a vertex whose image, or whose source's, has more
+    than one slope, and every step from it, or into a factor with other
+    than one boundary slope, is a fallback too.
 
-    The first ring.  State i, for i below the number of factors, is the root
-    of a source of factor i, with additive d 0.  Let the source be gH_i,
-    W = W_g, and C = `conjugator_to_infinity`.  C(W b_i) W and C(b_i) both
-    send b_i to 1/0, so C(W b_i) W C(b_i)^-1 fixes 1/0 and is +-P, P the
-    shear x -> x + n: C(W b_i) = +-P C(b_i) W^-1.  A first-ring neighbour w
-    across step (S, j) has image W S b_j, so its conjugated image is y + n
-    with y = C(b_i) S b_j.  The Farey distance from 1/0 is invariant under
-    the shear, an automorphism fixing 1/0, and y + n has y's partial
-    quotients except a_0 + n; so the distance, `before` and `up` of the full
-    kernel are those of y.  With T_a = [[a, 1], [1, 0]], adj(T_{a+n}) P =
-    adj(T_a), so w's resume matrix adj(L) adj(T_{a_0 + n}) C(W b_i) is
-    +-adj(L) adj(T_{a_0}) C(b_i) W^-1 = +-R_y W^-1, R_y the resume matrix of
-    `resumed_distance(S b_j, C(b_i))`, and w's M = R_y W^-1 W S = R_y S.
-    So the root's entry for (S, j) is that call's distance, its point's d
-    and the state (R_y S, up), whatever the source's label: one kernel per
-    (factor, step) for the whole scan.
+    The first ring, and every empty prefix.  Let P be a shear x -> x + n,
+    which fixes 1/0; then `advance(P m, b, None)` returns the entry of
+    `advance(m, b, None)`, up to a shear of the next state's matrix.  P
+    changes only the quotient a_0 of x = m.b, to a_0 + n, and the tail with
+    up False adds one for a_0 whatever its value, so added, before and up
+    are those of x.  With T_a = [[a, 1], [1, 0]], adj(T_{a+n}) P = adj(T_a),
+    and L starts with T_{a_0} (T_{a_0+n} for P x), so the next state
+    adj(L) P m is adj(L) m; when x is 1/0 or an integer the prefix stays
+    empty and the next matrix is P m, which the next step absorbs in the
+    same way.  The root of a source gH_i, with W = W_g, is the state
+    (C(b_i), None) with additive d 0, whatever g is: C(W b_i) W and C(b_i)
+    both send b_i to 1/0, so C(W b_i) W C(b_i)^-1 fixes 1/0 and is +-P, and
+    the source's own empty prefix gives `advance(C(W b_i) W S, b_j, None)`,
+    the entry from C(b_i) up to sign and a shear.  So one tail per (factor,
+    step) serves the whole scan.
     """
 
     FALLBACK = object()
 
     def __init__(self, boundary: list):
         self.boundary = boundary        # per factor: its one boundary slope, or None
-        self.no_point = len(boundary)
         self.step_ids = {}              # (projective key of S, j) -> step id
         self.steps = []                 # step id -> (S, j)
         self.state_ids = {}             # (M up to sign, up) -> state id
-        self.matrix = [None] * (len(boundary) + 1)   # M; none for the roots and no_point
-        self.up = [None] * (len(boundary) + 1)
-        self.trans = [{} for _ in range(len(boundary) + 1)]
+        self.no_point = 0
+        self.matrix = [None]            # state id -> M; none for no_point
+        self.up = [None]
+        self.trans = [{}]
+        self.root = [self.no_point if b is None else self.state(conjugator_to_infinity(b), None)
+                     for b in boundary]
 
     @classmethod
     def of(cls, factors: list) -> "ResumeTable":
@@ -347,7 +350,7 @@ class ResumeTable:
             self.steps.append((s, j))
         return sid
 
-    def state(self, m: tuple, up: bool) -> int:
+    def state(self, m: tuple, up: bool | None) -> int:
         key = (_sign_key(m), up)
         sid = self.state_ids.get(key)
         if sid is None:
@@ -356,14 +359,6 @@ class ResumeTable:
             self.up.append(up)
             self.trans.append({})
         return sid
-
-    def resume(self, point, w: MappingClass) -> tuple:
-        """(state, additive d) of a vertex with label matrix w whose full
-        kernel gave the resume point `point`."""
-        if point is None:
-            return self.no_point, 0
-        r, d, up = point
-        return self.state(_mat_mul(r, w), up), d
 
     def entry(self, state: int, step: int):
         """trans[state][step], computed on first use."""
@@ -375,23 +370,36 @@ class ResumeTable:
 
     def _transition(self, state: int, step: int):
         s, j = self.steps[step]
-        b = self.boundary[j]
-        if b is None or state == self.no_point:
+        b, m = self.boundary[j], self.matrix[state]
+        if b is None or m is None:
             return self.FALLBACK
-        if state < self.no_point:                       # a root: the first ring
-            if self.boundary[state] is None:
-                return self.FALLBACK
-            ds, point = farey.resumed_distance(act(s, b),
-                                               conjugator_to_infinity(self.boundary[state]))
-            next_state, d = self.resume(point, s)
-            return ds, d, next_state
-        m = _mat_mul(self.matrix[state], s)
+        return self.advance(_mat_mul(m, s), b, self.up[state])
+
+    def advance(self, m: tuple, b: Slope, up: bool | None):
+        """(added, before, next state) of the vertex with complete quotient
+        x = m.b after the prefix of a state with flag `up`, or `FALLBACK`.
+
+        After a prefix x must be greater than 1, for the prefix's continued
+        fraction to go on with x's; then `distance_tail(x, up)` gives
+        (added, before, up', L), and adj(L) strips x's quotients before the
+        last, so the next state is (adj(L) m, up').  An empty prefix (up
+        None) takes any x: 1/0 adds nothing and an integer one, leaving the
+        prefix empty and the state (m, None), and any other x runs the tail
+        with up False.  Signs cancel, since x is sign-normalised and
+        adj(L) (-m) = -(adj(L) m).
+        """
         x, y = m[0] * b.p + m[1] * b.q, m[2] * b.p + m[3] * b.q
         if y < 0:
             x, y = -x, -y
-        if not x > y > 0:
+        if up is None:
+            if not y:
+                return 0, 0, self.state(m, None)
+            if not x % y:
+                return 1, 0, self.state(m, None)
+            up = False
+        elif not x > y > 0:
             return self.FALLBACK
-        added, before, up, (a, lb, c, d) = farey.distance_tail(x, y, self.up[state])
+        added, before, up, (a, lb, c, d) = farey.distance_tail(x, y, up)
         return added, before, self.state(_mat_mul((d, -lb, -c, a), m), up)
 
 
@@ -408,9 +416,9 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
     step id once per scan.  Each stack entry carries its vertex's state and
     additive d, so a pair with single-slope images costs one lookup of
     `trans[state][step]` and two additions; the source is in the root state
-    of its factor.  A fallback takes the full kernel
-    `farey.resumed_distance` of the target's slope under the source's
-    conjugator, and a pair with a multi-slope image `farey.slope_set_distance`.
+    of its factor.  A fallback is one uncached `ResumeTable.advance` from
+    the empty prefix of the source's own conjugator, and a pair with a
+    multi-slope image takes `farey.slope_set_distance`.
     """
     kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
                                             ball.factor, ball.distance)
@@ -457,7 +465,7 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
         conj = None if slope[src] is None else conjugator_to_infinity(slope[src])
         row = [None] * (len(t1) - k - 1)
         # (vertex, fan it came through, d_T, state, additive d)
-        stack = [(src, -1, 0, factor[src], 0)]
+        stack = [(src, -1, 0, table.root[factor[src]], 0)]
         while stack:
             u, via, dt, state, d = stack.pop()
             dt += 2
@@ -475,8 +483,8 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
                         ds = d + added
                         nd = d + before
                     elif conj is not None and slope[v] is not None:
-                        ds, point = farey.resumed_distance(slope[v], conj)
-                        nxt, nd = table.resume(point, word_matrix(label[v]))
+                        ds, nd, nxt = table.advance(_mat_mul(conj, word_matrix(label[v])),
+                                                    table.boundary[factor[v]], None)
                     else:
                         ds = farey.slope_set_distance(images[src], images[v]) if r >= 0 else None
                         nxt, nd = table.no_point, 0

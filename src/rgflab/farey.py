@@ -225,18 +225,22 @@ def _distance_to_infinity(s: Slope) -> int:
 
 def distance_tail(p: int, q: int, up: bool) -> tuple:
     """The loop of `_distance_to_infinity` resumed on a complete quotient
-    x = p/q > 1, from a state whose last step rose iff `up`.  It keeps no
-    memo: `bassserre.ResumeTable` caches its results per pair scan.
+    x = p/q, from a state whose last step rose iff `up`.  It keeps no memo:
+    `bassserre.ResumeTable` caches its results per pair scan.
 
     A slope T.x, with T the convergent matrix of a prefix [a_0; a_1, ..., a_j]
     and x > 1, has the continued fraction of that prefix followed by the one
     of x, so its distance is the distance d of the prefix's convergent plus
-    the `added` this returns.  Returns (added, before, up_before, L):
-    `before` of `added` comes before x's last partial quotient, `up_before`
-    is whether the step before that one rose, and L = (a, b, c, d) is the
-    convergent matrix of x's quotients before the last, so T.L is the next
-    convergent matrix to resume from, with state (d + before, up_before).
-    The last quotient of x is at least 2, so it always adds one.
+    the `added` this returns.  With `up` False the prefix may also be empty,
+    and then x is any p/q with q > 0: its first quotient a_0 is any integer
+    and adds one, as in `_distance_to_infinity`, so `added` is the distance
+    from 1/0 to p/q.  Returns (added, before, up_before, L): `before` of
+    `added` comes before x's last partial quotient, `up_before` is whether
+    the step before that one rose, and L = (a, b, c, d) is the convergent
+    matrix of x's quotients before the last, so T.L is the next convergent
+    matrix to resume from, with state (d + before, up_before).  The last
+    quotient adds one: after a prefix it is at least 2, as x > 1, and from
+    an empty prefix an integer's only quotient is a_0.
     """
     added = 0
     a, b, c, d = 1, 0, 0, 1
@@ -251,30 +255,6 @@ def distance_tail(p: int, q: int, up: bool) -> tuple:
             up = True
         a, b, c, d = a * k + b, a, c * k + d, c
         p, q = q, r
-
-
-def resumed_distance(beta: Slope, conj: MappingClass) -> tuple:
-    """(distance from 1/0 to conj.beta, resume point of conj.beta).
-
-    A resume point is (R, d, up): R = adj(T).conj, with T the convergent
-    matrix of conj.beta's partial quotients before the last one, and (d, up)
-    the state of `_distance_to_infinity` after them.  The expansion takes
-    a_0, with T = [[a_0, 1], [1, 0]] and state (1, True), then the rest in
-    `distance_tail`.  1/0 and the integers have no quotient after a_0, so no
-    resume point.  A later slope gamma resumes from it when x = R.gamma > 1:
-    conj.gamma's continued fraction is then T's followed by x's, and only x
-    is expanded (`bassserre.ResumeTable`).
-    """
-    s = act(conj, beta)
-    if not s.q:
-        return 0, None
-    a0, y = divmod(s.p, s.q)
-    if not y:
-        return 1, None
-    r0, r1, r2, r3 = -conj.c, -conj.d, a0 * conj.c - conj.a, a0 * conj.d - conj.b
-    added, before, up, (a, b, c, e) = distance_tail(s.q, y, True)
-    return 1 + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
-                       1 + before, up)
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
@@ -467,12 +447,9 @@ def bounded_neighbors(s: Slope, bound: int) -> list:
     _, x, y = _xgcd(p, q)
     # p*(-y) - q*(-x) = ... solve p*s0 - q*r0 = +-1 with base (r0, s0)
     for r0, s0 in ((-y, x), (y, -x)):
-        # family (r0 + t p, s0 + t q)
-        if q:
-            lo = -(bound + s0) // q - 2
-            hi = (bound - s0) // q + 2
-        else:
-            lo, hi = -2 * bound, 2 * bound
+        # family (r0 + t p, s0 + t q); q >= 1, since 1/0 returned above
+        lo = -(bound + s0) // q - 2
+        hi = (bound - s0) // q + 2
         for t in range(lo, hi + 1):
             r, sden = r0 + t * p, s0 + t * q
             if abs(r) <= bound and abs(sden) <= bound and (r, sden) != (0, 0):

@@ -303,29 +303,29 @@ def _entries(table, states, fallback=False):
 
 
 def _recorded_scan(monkeypatch, family, radius):
-    """Run `qi_pairs` on a family, counting `farey.distance_tail` and
-    `farey.resumed_distance` calls; returns the ball, its images, the pairs,
-    the counts and the scan's `ResumeTable`."""
+    """Run `qi_pairs` on a family, counting `farey.distance_tail` calls and
+    `ResumeTable.advance` calls from an empty prefix (full kernels); returns
+    the ball, its images, the pairs, the counts and the scan's table."""
     tables = []
+    calls = {"distance_tail": 0, "full_kernel": 0}
 
     class Recorded(bassserre.ResumeTable):
         def __init__(self, boundary):
             super().__init__(boundary)
             tables.append(self)
 
-    calls = {"distance_tail": 0, "resumed_distance": 0}
+        def advance(self, m, b, up):
+            calls["full_kernel"] += up is None
+            return super().advance(m, b, up)
 
-    def counted(name):
-        inner = getattr(farey, name)
+    tail = farey.distance_tail
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        return wrapper
+    def counted_tail(*args):
+        calls["distance_tail"] += 1
+        return tail(*args)
 
     monkeypatch.setattr(bassserre, "ResumeTable", Recorded)
-    for name in calls:
-        monkeypatch.setattr(farey, name, counted(name))
+    monkeypatch.setattr(farey, "distance_tail", counted_tail)
     factors, base = tree_family(family)
     ball = build_ball(factors, radius)
     images = phi(ball, base)
@@ -334,20 +334,39 @@ def _recorded_scan(monkeypatch, family, radius):
     return ball, images, pairs, calls, table
 
 
+def _states(table):
+    """(roots, other empty-prefix states, states after a prefix) of a table;
+    `no_point` is in none of them."""
+    roots = sorted(set(table.root) - {table.no_point})
+    empty = [st for st in range(len(table.matrix))
+             if table.up[st] is None and st != table.no_point and st not in roots]
+    prefixed = [st for st in range(len(table.matrix)) if table.up[st] is not None]
+    return roots, empty, prefixed
+
+
+def _up_to_shear(m, n):
+    """Whether n = +-P m for a shear P = [[1, k], [0, 1]], which fixes 1/0:
+    that is, n adj(m) has c = 0 and a = d = +-1."""
+    a, b, c, d = bassserre._mat_mul(n, (m[3], -m[1], -m[2], m[0]))
+    return c == 0 and a == d and a in (1, -1)
+
+
 class TestResumeTable:
     """The transducer behind `qi_pairs`: the first-ring lemma and its work."""
 
     @pytest.mark.parametrize("family, radius", itertools.product(
         ["two-twist", "three-factor", "theorem-b", "two-slope"], [1, 2, 3, 4]))
     def test_first_ring_lemma(self, family, radius):
-        """The root entry of a source's factor, keyed by the step S = W_src^-1
-        W_v alone, equals the full kernel from the source's own conjugator:
-        the same distance, point d and up, and a state R.W_v up to sign."""
+        """The entry of a source's root, keyed by the step S = W_src^-1 W_v
+        alone, equals `advance` from the empty prefix of the source's own
+        conjugator, C(s_src) W_v: the same distance, d and up, and a state
+        matrix equal up to sign, or up to a shear fixing 1/0 when the prefix
+        stays empty."""
         factors, base = tree_family(family)
         ball = build_ball(factors, radius)
         images = phi(ball, base)
         table = bassserre.ResumeTable.of(factors)
-        checked = 0
+        checked = empty = 0
         for src in ball.vertices(1):
             w_src = word_matrix(ball.label[src])
             for fan in ball.adjacency[src]:
@@ -356,45 +375,82 @@ class TestResumeTable:
                         continue
                     w_v = word_matrix(ball.label[v])
                     step = table.step(w_src.inv().mul(w_v), ball.factor[v])
-                    got = table.entry(ball.factor[src], step)
+                    got = table.entry(table.root[ball.factor[src]], step)
                     if len(images[src]) != 1 or len(images[v]) != 1:
                         assert got is table.FALLBACK
                         continue
                     (s_src,), (s_v,) = images[src], images[v]
-                    ds, point = farey.resumed_distance(s_v, conjugator_to_infinity(s_src))
-                    assert got[0] == ds
+                    b_v = table.boundary[ball.factor[v]]
+                    assert act(w_v, b_v) == s_v
+                    want = table.advance(bassserre._mat_mul(conjugator_to_infinity(s_src), w_v),
+                                         b_v, None)
+                    assert got[:2] == want[:2]
+                    assert want[0] == farey_distance(s_src, s_v)
+                    up = table.up[got[2]]
+                    assert up == table.up[want[2]]
+                    m, n = table.matrix[got[2]], table.matrix[want[2]]
+                    if up is None:
+                        assert _up_to_shear(m, n)
+                        empty += 1
+                    else:
+                        assert n in (m, tuple(-x for x in m))
                     checked += 1
-                    if point is None:
-                        assert got[2] == table.no_point
-                        continue
-                    r, d, up = point
-                    a, b, c, e = bassserre._mat_mul(r, w_v)
-                    assert (got[1], table.up[got[2]]) == (d, up)
-                    assert table.matrix[got[2]] in ((a, b, c, e), (-a, -b, -c, -e))
         assert checked
+        if family == "two-twist":
+            assert empty                 # 1/0 and 0/1 are Farey neighbours
+
+    def test_empty_prefix_at_infinity_and_integers(self):
+        """From an empty prefix the image 1/0 adds nothing and an integer
+        one, and both keep the prefix empty: the next state is (m, None),
+        for either sign of m."""
+        table = bassserre.ResumeTable([INFINITY])
+        assert table.root == [table.state((1, 0, 0, 1), None)]
+        rng = random.Random(18)
+        for _ in range(50):
+            s = Slope.of(rng.randint(-999, 999), rng.randint(1, 999))
+            m = conjugator_to_infinity(s)
+            t = act(m.inv(), Slope(rng.randint(-9, 9), 1))     # a Farey neighbour of s
+            for mm in (tuple(m), tuple(-x for x in m)):
+                state = table.state(mm, None)
+                assert table.advance(mm, s, None) == (0, 0, state)
+                assert table.advance(mm, t, None) == (1, 0, state)
 
     def test_work_is_pinned_on_theorem_b(self, monkeypatch):
         """Deterministic counters, like the pinned digests: at radius 6 the
-        scan runs 54 first-ring kernels and no other full kernel, and 270
-        `distance_tail` calls (54 first-ring tails and 216 transitions into
-        15 states) for 23,871 pairs."""
+        scan runs 54 full kernels, the entries of its 3 roots, and no other,
+        and 270 `distance_tail` calls (54 first-ring tails and 216
+        transitions into 15 states) for 23,871 pairs."""
         _, _, pairs, calls, table = _recorded_scan(monkeypatch, "theorem-b", 6)
-        roots = range(table.no_point)
-        states = range(table.no_point + 1, len(table.matrix))
+        roots, empty, states = _states(table)
         assert len(pairs) == 23871
-        assert _entries(table, roots) == 54
-        assert calls == {"resumed_distance": 54, "distance_tail": 270}
+        assert (_entries(table, roots), len(roots), empty) == (54, 3, [])
+        assert calls == {"full_kernel": 54, "distance_tail": 270}
         assert (_entries(table, states), len(states)) == (216, 15)
+        assert _entries(table, states, fallback=True) == 0
+
+    def test_work_is_pinned_on_prop91(self, monkeypatch):
+        """At radius 4: 180 root entries, 280 entries into 25 states and 460
+        `distance_tail` calls, with no fallback."""
+        _, _, pairs, calls, table = _recorded_scan(monkeypatch, "prop91", 4)
+        roots, empty, states = _states(table)
+        assert len(pairs) == 3570
+        assert (_entries(table, roots), empty) == (180, [])
+        assert calls == {"full_kernel": 180, "distance_tail": 460}
+        assert (_entries(table, states), len(states)) == (280, 25)
         assert _entries(table, states, fallback=True) == 0
 
     def test_fallbacks_are_uncached(self, monkeypatch):
         """two-twist at radius 5 has 33 fallback transitions; each visit
         through one runs a full kernel, and every pair still matches the
-        slow twin."""
+        slow twin.  Its images at 1/0 and at integers keep the prefix empty:
+        the 258 entries of the roots and of 46 more empty-prefix states are
+        cached like any other, and with the 127 fallback visits the scan
+        runs 385 full kernels and 293 `distance_tail` calls."""
         ball, images, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
-        states = range(table.no_point + 1, len(table.matrix))
+        roots, empty, states = _states(table)
         assert _entries(table, states, fallback=True) == 33
-        assert calls["resumed_distance"] > _entries(table, range(table.no_point))
+        assert (_entries(table, roots + empty), len(roots), len(empty)) == (258, 2, 46)
+        assert calls == {"full_kernel": 385, "distance_tail": 293}
         assert pairs == [slow_pair(ball, images, v, w) for v, w in ball.type1_pairs()]
 
 

@@ -106,6 +106,8 @@ BAD_INPUT_ROWS = [
      "rgflab experiment: error: argument --budget: must be at least 2, got 1"),
     ("radius-negative", ["tree", "build", "--family", "FAMILY", "--radius", "-1"],
      "rgflab tree: error: argument --radius: must be at least 0, got -1"),
+    ("radius-not-an-integer", ["tree", "build", "--family", "FAMILY", "--radius", "abc"],
+     "rgflab tree: error: argument --radius: bad integer 'abc'"),
     ("max-length-2", ["persistence", "check", "--max-length", "2", "--seed", "1"],
      "rgflab persistence: error: argument --max-length: must be at least 3, got 2"),
     # were tracebacks (ValueError from build_ball and the family builder)
@@ -365,6 +367,11 @@ class TestRaagCommands:
                              tmp_path)
         assert code == PASS and lines[1]["normal_form"] == "x2"
 
+    def test_empty_normal_form_prints_one(self, tmp_path):
+        code, lines, _ = run(["raag", "nf", "--vertices", "2", "--word", "x1 x2 x2^-1 x1^-1"],
+                             tmp_path)
+        assert code == PASS and lines[1]["normal_form"] == "1"
+
     def test_generator_out_of_range_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
         assert main(["raag", "nf", "--vertices", "2", "--word", "x1 x3",
@@ -528,19 +535,26 @@ class TestExperiments:
 
 CONFIG_ROWS = [
     # (id, config file text or None for a missing file, extra flags,
-    #  exit code, points in the report)
-    ("missing-file", None, [], USAGE, None),
-    ("truncated-json", '{"seed": 9, "poi', [], USAGE, None),
-    ("unknown-key", '{"seed": 9, "bogus": 1}', [], USAGE, None),
+    #  exit code, points in the report, or the start of the one stderr line
+    #  of a usage error, CONF standing for the file's path)
+    ("missing-file", None, [], USAGE, "usage error: cannot read config CONF: [Errno 2]"),
+    ("truncated-json", '{"seed": 9, "poi', [], USAGE,
+     "usage error: cannot read config CONF: Unterminated string"),
+    ("unknown-key", '{"seed": 9, "bogus": 1}', [], USAGE,
+     "usage error: unknown config key 'bogus' for delta-estimate"),
+    ("json-list", "[9, 8]", [], USAGE, "usage error: config CONF must hold a JSON object"),
+    # argparse never checks a default against the flag's choices
+    ("value-not-a-choice", '{"seed": 9, "format": "xml"}', [], USAGE,
+     "usage error: config key 'format': 'xml' not in ['json', 'csv']"),
     ("flag-overrides-file", '{"seed": 9, "points": 8, "qmax": 10}', ["--points", "6"], PASS, 6),
     ("file-values-echoed", '{"seed": 9, "points": 8, "qmax": 10}', [], PASS, 8),
 ]
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("text, flags, code, points", [r[1:] for r in CONFIG_ROWS],
+    @pytest.mark.parametrize("text, flags, code, want", [r[1:] for r in CONFIG_ROWS],
                              ids=[r[0] for r in CONFIG_ROWS])
-    def test_config_rows(self, tmp_path, capsys, text, flags, code, points):
+    def test_config_rows(self, tmp_path, capsys, text, flags, code, want):
         conf = tmp_path / "conf.json"
         if text is not None:
             conf.write_text(text)
@@ -548,11 +562,12 @@ class TestConfigFile:
         assert main(["delta-estimate", "--config", str(conf), *flags,
                      "--output", str(out)]) == code
         if code == USAGE:
-            assert len(capsys.readouterr().err.splitlines()) == 1
+            (err,) = capsys.readouterr().err.splitlines()
+            assert err.startswith(want.replace("CONF", str(conf)))
             assert not out.exists()
             return
         config, rec = [json.loads(l) for l in out.read_text().splitlines()]
-        assert rec["points"] == points and rec["seed"] == 9
+        assert rec["points"] == want and rec["seed"] == 9
         assert config["config_values"] == json.loads(text)
 
     def test_shared_flag_before_subcommand_is_usage_error(self, tmp_path):
@@ -560,6 +575,16 @@ class TestConfigFile:
         code = main(["--output", str(out), "delta-estimate", "--seed", "3",
                      "--points", "6", "--qmax", "8"])
         assert code == USAGE and not out.exists()
+
+
+def test_report_to_stdout_without_output(tmp_path, capsys):
+    argv = ["farey", "dist", "1/0", "5/8"]
+    assert main(argv) == PASS
+    captured = capsys.readouterr()
+    _, _, out = run(argv, tmp_path)
+    assert captured.err == ""
+    assert captured.out == out.read_text()
+    assert json.loads(captured.out.splitlines()[1])["distance"] == 3
 
 
 class TestConfigEcho:

@@ -12,7 +12,7 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           annular_projection_set, bounded_neighbors,
                           bounded_vertices, conjugator_to_infinity,
                           distance_tail, farey_distance, farey_geodesic,
-                          is_geodesic, link_span, resumed_distance, slope_set_distance,
+                          is_geodesic, link_span, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
 from rgflab.projections import TorusAnnuli, random_slope
 
@@ -264,6 +264,13 @@ class TestDistanceKernel:
                 assert _distance_to_infinity(s) == _distance_profile(cf)[-1]
 
 
+def _point(s: Slope) -> tuple:
+    """The resume point (adj(L), before, up) of s from the empty prefix:
+    `distance_tail(s, False)` and the adj(L) of `bassserre.ResumeTable`."""
+    _, before, up, (a, b, c, e) = distance_tail(s.p, s.q, False)
+    return (e, -b, -c, a), before, up
+
+
 def _resume(point, s: Slope) -> tuple:
     """`distance_tail` from a resume point (R, d, up) on the complete
     quotient x = R.s, and the next point (adj(L).R, d + before, up'): the
@@ -280,15 +287,15 @@ def _resume(point, s: Slope) -> tuple:
 
 
 class TestResumableKernel:
-    """`distance_tail` resumed after every prefix of a continued fraction, and
-    `resumed_distance` in full and from a point that ends after every
-    prefix, against `_distance_to_infinity` and the profile."""
+    """`distance_tail` resumed after every prefix of a continued fraction,
+    and from the empty prefix (up False) in full and through a point that
+    ends after every prefix, against `_distance_to_infinity` and the
+    profile."""
 
     @pytest.mark.parametrize("terms", [16, 128, 512])
     @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
     def test_split_after_every_prefix(self, kind, terms):
         rng = random.Random(terms + len(kind))
-        one = MappingClass.identity()
         for _ in range(3):
             cf = [rng.randint(-99, 99)] + _tail(rng, kind, terms - 1)
             s = _from_cf(cf)
@@ -302,7 +309,7 @@ class TestResumableKernel:
                     dists[n], dists[n] > dists[n - 1])
             (t0, t1, t2, t3), d_last, up_last = last
             adj_last = ((t3, -t1, -t2, t0), d_last, up_last)
-            assert resumed_distance(s, one) == (want, adj_last)
+            assert distance_tail(s.p, s.q, False) == (want, d_last, up_last, last[0])
             for j in range(n):
                 # resume after a_0..a_j, from the state of convergent j
                 d, up = dists[j + 1], dists[j + 1] > dists[j]
@@ -314,14 +321,34 @@ class TestResumableKernel:
                         d + before, up_before) == last, j
                 # from the point of a slope whose quotients before the last
                 # are a_0..a_j, composed through adj(L)
-                _, point = resumed_distance(_from_cf(cf[:j + 1] + [2]), one)
-                assert _resume(point, s) == (want, adj_last), j
+                assert _resume(_point(_from_cf(cf[:j + 1] + [2])), s) == (want, adj_last), j
 
-    def test_state_of_integers_and_infinity(self):
-        one = MappingClass.identity()
-        assert resumed_distance(INFINITY, one) == (0, None)
-        for p in (-7, 0, 12):
-            assert resumed_distance(Slope(p, 1), one) == (1, None)
+    def test_empty_prefix_on_a_grid(self):
+        """Every reduced p/q with 1 <= q < 60 and |p| <= 400: a_0 negative,
+        zero and positive, integers included."""
+        checked = 0
+        for q in range(1, 60):
+            for p in range(-400, 401):
+                if math.gcd(p, q) == 1:
+                    assert distance_tail(p, q, False)[0] == _distance_to_infinity(Slope(p, q))
+                    checked += 1
+        assert checked == 29079
+
+    @pytest.mark.parametrize("kind", ["ones", "large", "mixed"])
+    @pytest.mark.parametrize("a0", ["negative", "zero", "positive"])
+    def test_empty_prefix_any_a0(self, a0, kind):
+        rng = random.Random(f"{a0}-{kind}")
+        for _ in range(40):
+            head = {"negative": -rng.randint(1, 10 ** 6), "zero": 0,
+                    "positive": rng.randint(1, 10 ** 6)}[a0]
+            s = _from_cf([head] + _tail(rng, kind, rng.randint(1, 60)))
+            assert distance_tail(s.p, s.q, False)[0] == _distance_to_infinity(s), s
+
+    def test_state_of_integers(self):
+        """An integer's only quotient is a_0: one step, nothing before it and
+        an empty L, so `ResumeTable` keeps the prefix empty."""
+        for p in (-10 ** 30, -7, 0, 1, 12, 10 ** 30):
+            assert distance_tail(p, 1, False) == (1, 0, False, (1, 0, 0, 1))
 
 
 class TestGeodesic:

@@ -135,6 +135,34 @@ class TestPersistence:
         rep = persistence_check(sys_, sites, M=0, B=1)
         assert rep.hypothesis_ok and rep.conclusions_ok
 
+    def test_repeated_slope_does_not_overlap(self, torus):
+        rep = persistence_check(torus, [INFINITY, INFINITY, Slope(0, 1)], M=3, B=2)
+        assert not rep.hypothesis_ok
+        assert not rep.pairwise_overlap_ok and not rep.middle_bound_ok
+        assert rep.worst_triple is None
+        assert rep.failures == ["consecutive sites 0,1 do not overlap",
+                                "sites 0,1 do not overlap"]
+
+    def test_middle_projection_below_M_plus_B(self, torus):
+        # a Farey triangle: 1/0 and 1/1 project one apart to the link of 0/1
+        rep = persistence_check(torus, [INFINITY, Slope(0, 1), Slope(1, 1)], M=3, B=2)
+        assert rep.pairwise_overlap_ok and not rep.middle_bound_ok
+        assert rep.monotone_ok and not rep.gaps_at_least_3
+        assert rep.worst_triple == (0, 1, 2)
+        assert rep.failures == ["middle projection at 1 is 1 < M+3B = 9",
+                                "projection d_1(0,2) = 1 < M+B"]
+
+    def test_final_distance_under_separated_gaps(self, torus):
+        seq = [Slope(0, 1), Slope(-8, 5), INFINITY]
+        assert [farey_distance(u, v) for u, v in zip(seq, seq[1:])] == [3, 3]
+        rep = persistence_check(torus, seq, M=0, B=1)
+        assert rep.gaps_at_least_3 and not rep.final_distance_ok
+        assert rep.middle_bound_ok and not rep.monotone_ok
+        assert rep.failures == ["middle projection at 1 is 1 < M+3B = 3",
+                                "d(0,2) = 1 < d(0,1) = 3",
+                                "d(0,2) = 1 < d(1,2) = 3",
+                                "d(Y_1, Y_n) = 1 < n-1 = 2"]
+
 
 class TestGeneralPersistence:
     def test_all_overlapping_reduces_to_plain(self, torus):
@@ -178,6 +206,15 @@ class TestGeneralPersistence:
         rep = general_persistence_check(torus, seq, M=3, B=2)
         assert rep.subsequence == [0, 1, 3, 4]
         assert rep.chained.conclusions_ok
+
+    def test_hypothesis_and_interior_failures(self, torus):
+        rep = general_persistence_check(torus, [INFINITY, Slope(0, 1), Slope(1, 1)], M=3, B=2)
+        assert (rep.iota, rep.tau, rep.subsequence) == ([None, 0, 1], [1, 2, None], [0, 1, 2])
+        assert not rep.hypothesis_ok and not rep.interior_bound_ok
+        assert rep.failures == ["d_1(iota, tau) = 1 < M+6B = 15",
+                                "subsequence projection d_1(0,2) = 1 < M+3B"]
+        assert rep.chained.failures == ["middle projection at 1 is 1 < M+3B = 9",
+                                        "projection d_1(0,2) = 1 < M+B"]
 
     def test_explicit_subsequence_validated(self, torus):
         seq = [INFINITY, INFINITY]
