@@ -277,6 +277,17 @@ def _sign_key(m: tuple) -> tuple:
     return m if a > 0 or (not a and b > 0) else (-a, -b, -c, -d)
 
 
+def _shear_key(m: tuple) -> tuple:
+    """The one representative of +-P m over all shears P: x -> x + n, which
+    fixes 1/0: the sign that makes c > 0, or d > 0 when c = 0, then a
+    reduced mod c, or b mod d when c = 0.  P m is (a + nc, b + nd, c, d)."""
+    a, b, c, d = m
+    if c < 0 or (not c and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    n = a // c if c else b // d
+    return a - n * c, b - n * d, c, d
+
+
 class ResumeTable:
     """The Farey distances of `qi_pairs` as a finite transducer: interned
     states and steps, and transitions filled on first use.  One table serves
@@ -320,7 +331,11 @@ class ResumeTable:
     both send b_i to 1/0, so C(W b_i) W C(b_i)^-1 fixes 1/0 and is +-P, and
     the source's own empty prefix gives `advance(C(W b_i) W S, b_j, None)`,
     the entry from C(b_i) up to sign and a shear.  So one tail per (factor,
-    step) serves the whole scan.
+    step) serves the whole scan.  For the same reason `state` interns an
+    empty-prefix state (m, None) up to sign and a shear of m
+    (`_shear_key`): from P m and from m every step gives the same added,
+    before and up, and next states equal up to sign or a shear, so the two
+    share one row.
     """
 
     FALLBACK = object()
@@ -351,7 +366,9 @@ class ResumeTable:
         return sid
 
     def state(self, m: tuple, up: bool | None) -> int:
-        key = (_sign_key(m), up)
+        """The id of state (m, up), interned up to sign, and with an empty
+        prefix also up to a shear of m (see the class docstring)."""
+        key = (_sign_key(m) if up is not None else _shear_key(m), up)
         sid = self.state_ids.get(key)
         if sid is None:
             sid = self.state_ids[key] = len(self.matrix)
@@ -384,9 +401,9 @@ class ResumeTable:
         (added, before, up', L), and adj(L) strips x's quotients before the
         last, so the next state is (adj(L) m, up').  An empty prefix (up
         None) takes any x: 1/0 adds nothing and an integer one, leaving the
-        prefix empty and the state (m, None), and any other x runs the tail
-        with up False.  Signs cancel, since x is sign-normalised and
-        adj(L) (-m) = -(adj(L) m).
+        prefix empty and the state (m, None), interned up to a shear, and
+        any other x runs the tail with up False.  Signs cancel, since x is
+        sign-normalised and adj(L) (-m) = -(adj(L) m).
         """
         x, y = m[0] * b.p + m[1] * b.q, m[2] * b.p + m[3] * b.q
         if y < 0:

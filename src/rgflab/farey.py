@@ -21,7 +21,6 @@ beside `tuple(m)`: the benchmark's tracer keys enumerated balls on it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
@@ -322,13 +321,23 @@ def is_geodesic(path: list) -> bool:
 
 
 def twist_about(alpha: Slope, n: int) -> MappingClass:
-    """The n-th power of the Dehn twist about alpha.
+    """The n-th power of the Dehn twist about alpha = p/q.
 
-    Conjugate of the shear [[1, n], [0, 1]] by the canonical matrix sending
-    alpha to infinity; fixes alpha, and is parabolic for n != 0.
+    The conjugate C^-1 [[1, n], [0, 1]] C of the shear by the canonical matrix
+    C = `conjugator_to_infinity(alpha)`, in closed form; it fixes alpha, and
+    is parabolic for n != 0.  With e_1 and e_2 the standard basis, the shear
+    is I + n e_1 e_2^T, so the conjugate is I + n (C^-1 e_1)(e_2^T C).  For
+    q >= 1, C = [[a, b], [-q, p]] with determinant one, so C^-1 = adj(C) =
+    [[p, -b], [q, a]]: C^-1 e_1 = (p, q) and e_2^T C = (-q, p), whatever a
+    and b are.  So the twist is
+      I + n (p, q)^T (-q, p) = [[1 - npq, np^2], [-nq^2, 1 + npq]],
+    the same integer matrix as the product, not only up to sign.  At 1/0,
+    C = I and (p, q) = (1, 0) give the shear itself.  No modular inverse is
+    needed.
     """
-    m = conjugator_to_infinity(alpha)
-    return m.inv().mul(MappingClass(1, n, 0, 1)).mul(m)
+    p, q = alpha
+    npq = n * p * q
+    return _new(MappingClass, (1 - npq, n * p * p, -n * q * q, 1 + npq))
 
 
 def annular_projection(alpha: Slope, beta: Slope) -> frozenset:
@@ -395,16 +404,25 @@ def annular_distance(alpha: Slope, beta, gamma) -> int:
     """Diameter in Z of the union of the projections of beta and gamma.
 
     Either argument may be a slope or an iterable of slopes; components equal
-    to alpha are skipped.  Two bare slopes other than alpha take one pass.
+    to alpha are skipped.  Two bare slopes other than alpha take one pass
+    that reads the entries of `conjugator_to_infinity(alpha)` in place, with
+    no matrix built: for alpha = p/q with q >= 1 the conjugator is
+    [[a, b], [-q, p]] with a = p^-1 mod q and b = (1 - ap)/q, and at 1/0 it
+    is the identity, so each slope is its own image.
     """
-    m = conjugator_to_infinity(alpha)
     if isinstance(beta, Slope) and isinstance(gamma, Slope) and beta != alpha != gamma:
-        a, b, c, d = m
         (bp, bq), (gp, gq) = beta, gamma
-        lo_b, r_b = divmod(a * bp + b * bq, c * bp + d * bq)
-        lo_g, r_g = divmod(a * gp + b * gq, c * gp + d * gq)
+        p, q = alpha
+        if q:
+            a = pow(p, -1, q)
+            b = (1 - a * p) // q
+            bp, bq = a * bp + b * bq, p * bq - q * bp
+            gp, gq = a * gp + b * gq, p * gq - q * gp
+        lo_b, r_b = divmod(bp, bq)
+        lo_g, r_g = divmod(gp, gq)
         hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)
         return (hi_b if hi_b > hi_g else hi_g) - (lo_b if lo_b < lo_g else lo_g)
+    m = conjugator_to_infinity(alpha)
     sb = _span(m, beta)
     sg = _span(m, gamma)
     if sb is None or sg is None:
@@ -464,31 +482,50 @@ class BfsOracle:
     Distances computed here can only overestimate true Farey distances; the
     declared contract is stabilization, i.e. a value is accepted once it
     agrees across two denominator bounds.
+
+    The first search numbers the `bounded_vertices` of the bound and turns
+    each one's `bounded_neighbors` into a list of numbers; every search then
+    runs over those lists with a list of distances.  A source outside the
+    bound starts from its own bounded neighbours at distance 1.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
-        self._adj = {}
+        self._graph = None              # (vertices, vertex -> number, adjacency)
         self._dist_cache = {}
 
-    def _neighbors(self, s: Slope):
-        if s not in self._adj:
-            self._adj[s] = bounded_neighbors(s, self.bound)
-        return self._adj[s]
+    def _indexed(self):
+        if self._graph is None:
+            verts = bounded_vertices(self.bound)
+            index = {s: i for i, s in enumerate(verts)}
+            adj = [[index[v] for v in bounded_neighbors(s, self.bound)] for s in verts]
+            self._graph = verts, index, adj
+        return self._graph
 
     def distances_from(self, src: Slope) -> dict:
+        """BFS distances from src to every slope it reaches, as a dict in
+        the order the search reaches them, src first."""
         if src in self._dist_cache:
             return self._dist_cache[src]
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self._neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+        verts, index, adj = self._indexed()
+        dist = [-1] * len(verts)
+        i = index.get(src)
+        if i is None:
+            queue, first = [index[v] for v in bounded_neighbors(src, self.bound)], 1
+        else:
+            queue, first = [i], 0
+        for v in queue:
+            dist[v] = first
+        for u in queue:                 # the list grows as the search goes
+            du = dist[u] + 1
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du
                     queue.append(v)
-        self._dist_cache[src] = dist
-        return dist
+        out = {src: 0}
+        out.update(zip(map(verts.__getitem__, queue), map(dist.__getitem__, queue)))
+        self._dist_cache[src] = out
+        return out
 
     def distance(self, a: Slope, b: Slope):
         """BFS distance within the bound, or None if not reachable."""

@@ -234,9 +234,10 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
     overlaps, boundary, proj_dist = system.overlaps, system.boundary, system.proj_dist
     for triple in triples:
         x, y, z = triple
-        for u, v in ((x, y), (y, z), (x, z)):
-            if not overlaps(u, v):
-                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        if not (overlaps(x, y) and overlaps(y, z) and overlaps(x, z)):
+            for u, v in ((x, y), (y, z), (x, z)):
+                if not overlaps(u, v):
+                    raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
         bx, by, bz = boundary(x), boundary(y), boundary(z)
         a = proj_dist(x, by, bz)
@@ -344,8 +345,13 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
     else:
         middle = False
 
-    amb = [[system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[j]))
-            for j in range(n)] for i in range(n)]
+    # the ambient metric is symmetric and the diagonal is never read, so
+    # each distance is computed once, above the diagonal, and mirrored
+    bd = [system.boundary(y) for y in seq]
+    amb = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            amb[i][j] = amb[j][i] = system.ambient_dist(bd[i], bd[j])
     monotone = True
     for i in range(n):
         for j in range(i, n):
@@ -519,7 +525,7 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
             if a == b:
                 continue
             path = system.ambient_geodesic(a, b)
-            if any(v == site for v in path):
+            if site in path:
                 continue
             rep = bgit_scan(system, site, path)
             if rep.all_project and rep.diameter > worst:

@@ -402,7 +402,8 @@ class TestResumeTable:
     def test_empty_prefix_at_infinity_and_integers(self):
         """From an empty prefix the image 1/0 adds nothing and an integer
         one, and both keep the prefix empty: the next state is (m, None),
-        for either sign of m."""
+        for either sign of m and after any shear P: x -> x + n, which
+        interns as m does.  After a prefix, P m is another state."""
         table = bassserre.ResumeTable([INFINITY])
         assert table.root == [table.state((1, 0, 0, 1), None)]
         rng = random.Random(18)
@@ -410,10 +411,16 @@ class TestResumeTable:
             s = Slope.of(rng.randint(-999, 999), rng.randint(1, 999))
             m = conjugator_to_infinity(s)
             t = act(m.inv(), Slope(rng.randint(-9, 9), 1))     # a Farey neighbour of s
-            for mm in (tuple(m), tuple(-x for x in m)):
-                state = table.state(mm, None)
+            state = table.state(tuple(m), None)
+            n = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            for mm in (tuple(m), tuple(-x for x in m), bassserre._mat_mul((1, n, 0, 1), m)):
+                assert table.state(mm, None) == state
                 assert table.advance(mm, s, None) == (0, 0, state)
                 assert table.advance(mm, t, None) == (1, 0, state)
+            sheared = bassserre._mat_mul((1, n, 0, 1), m)
+            assert table.state(sheared, True) != table.state(tuple(m), True)
+        # 50 empty-prefix states, one per slope, and 100 after a prefix
+        assert len(set(table.state_ids.values()) - set(table.root)) == 50 + 100
 
     def test_work_is_pinned_on_theorem_b(self, monkeypatch):
         """Deterministic counters, like the pinned digests: at radius 6 the
@@ -443,14 +450,15 @@ class TestResumeTable:
         """two-twist at radius 5 has 33 fallback transitions; each visit
         through one runs a full kernel, and every pair still matches the
         slow twin.  Its images at 1/0 and at integers keep the prefix empty:
-        the 258 entries of the roots and of 46 more empty-prefix states are
-        cached like any other, and with the 127 fallback visits the scan
-        runs 385 full kernels and 293 `distance_tail` calls."""
+        the 118 entries of the roots and of 12 more empty-prefix states,
+        interned up to a shear, are cached like any other, and with the 127
+        fallback visits the scan runs 245 full kernels and 230
+        `distance_tail` calls."""
         ball, images, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
         roots, empty, states = _states(table)
         assert _entries(table, states, fallback=True) == 33
-        assert (_entries(table, roots + empty), len(roots), len(empty)) == (258, 2, 46)
-        assert calls == {"full_kernel": 385, "distance_tail": 293}
+        assert (_entries(table, roots + empty), len(roots), len(empty)) == (118, 2, 12)
+        assert calls == {"full_kernel": 245, "distance_tail": 230}
         assert pairs == [slow_pair(ball, images, v, w) for v, w in ball.type1_pairs()]
 
 

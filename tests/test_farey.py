@@ -141,6 +141,19 @@ class TestAdjacency:
             assert adjacent(a, b) == adjacent(b, a)
 
 
+def dict_bfs_distances(src: Slope, bound: int) -> dict:
+    """The BFS over `bounded_neighbors` with a dict of distances that
+    `BfsOracle` replaced: its slow twin."""
+    dist = {src: 0}
+    queue = [src]
+    for u in queue:
+        for v in bounded_neighbors(u, bound):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 class TestDistance:
     def test_examples(self):
         assert farey_distance(INFINITY, Slope(0, 1)) == 1
@@ -156,6 +169,18 @@ class TestDistance:
             for b in verts[i + 1:]:
                 assert d1[b] == d2[b], "oracle did not stabilize"
                 assert farey_distance(a, b) == d1[b]
+
+    @pytest.mark.parametrize("bound", [1, 3, 8])
+    def test_indexed_search_matches_dict_search(self, bound):
+        """`BfsOracle` against the dict BFS it replaced, item for item and in
+        order, from sources inside and outside the bound."""
+        oracle = BfsOracle(bound)
+        outside = [Slope(bound + 1, 1), Slope(-2 * bound - 1, 2), Slope(1, bound + 1),
+                   Slope(3 * bound + 1, 3 * bound + 2)]
+        for src in bounded_vertices(bound) + outside:
+            assert list(oracle.distances_from(src).items()) \
+                == list(dict_bfs_distances(src, bound).items()), src
+        assert oracle.distance(outside[0], Slope(bound, 1)) == 1
 
     def test_stabilized_helper(self):
         value, stable = stabilized_bfs_distance(INFINITY, Slope(5, 8), 16)
@@ -621,6 +646,32 @@ class TestTwist:
         for alpha in bounded_vertices(9):
             m = conjugator_to_infinity(alpha)
             assert act(m, alpha) == INFINITY
+
+
+def conjugated_twist(alpha: Slope, n: int) -> MappingClass:
+    """The conjugation product C^-1 [[1, n], [0, 1]] C that `twist_about`
+    replaced: its slow twin."""
+    c = conjugator_to_infinity(alpha)
+    return c.inv().mul(MappingClass(1, n, 0, 1)).mul(c)
+
+
+class TestTwistSlowTwin:
+    """The closed form of `twist_about` against the conjugation product,
+    entry for entry: the same integer matrix, not only up to sign."""
+
+    def test_bounded_vertices(self):
+        for alpha in bounded_vertices(12):
+            for n in range(-6, 7):
+                got = twist_about(alpha, n)
+                assert type(got) is MappingClass
+                assert tuple(got) == tuple(conjugated_twist(alpha, n)), (alpha, n)
+
+    def test_seeded_slopes(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            alpha = random_slope(rng, 10 ** 6)
+            n = rng.randint(-1000, 1000)
+            assert tuple(twist_about(alpha, n)) == tuple(conjugated_twist(alpha, n)), (alpha, n)
 
 
 EMPTY_PROJECTION_ROWS = [

@@ -8,7 +8,7 @@ from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, adjacent, \
 from rgflab.constructions import slope_at_distance
 from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
-                                TorusAnnuli, TreeSystem, _site_dist,
+                                PersistenceReport, TorusAnnuli, TreeSystem, _site_dist,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 greedy_overlap_chain,
@@ -348,6 +348,18 @@ class TestBehrstockSlowTwin:
             == _outcome(nine_call_behrstock_scan, torus, triples) \
             == ("OverlapError", "sites Slope(1/0), Slope(1/0) do not overlap")
 
+    # the first failing pair, in the order (x, y), (y, z), (x, z), names the
+    # error; (x, z) is the case above
+    @pytest.mark.parametrize("bad, pair", [
+        ((Slope(2, 1), Slope(2, 1), Slope(0, 1)), "Slope(2/1), Slope(2/1)"),
+        ((Slope(0, 1), Slope(1, 3), Slope(1, 3)), "Slope(1/3), Slope(1/3)"),
+        ((Slope(1, 4), Slope(1, 4), Slope(1, 4)), "Slope(1/4), Slope(1/4)")])
+    def test_torus_overlap_error_names_the_first_pair(self, torus, bad, pair):
+        triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), bad]
+        assert _outcome(behrstock_scan, torus, triples) \
+            == _outcome(nine_call_behrstock_scan, torus, triples) \
+            == ("OverlapError", f"sites {pair} do not overlap")
+
     @pytest.mark.parametrize("seed", range(3))
     def test_tree(self, seed):
         fast, slow = (synthetic_system(6, seed=seed, threshold=3, decoys=4) for _ in range(2))
@@ -360,6 +372,140 @@ class TestBehrstockSlowTwin:
                 triples.append(t)
         for B in (None, 1, 2, 4):
             assert behrstock_scan(fast, triples, B=B) == nine_call_behrstock_scan(slow, triples, B)
+
+
+def full_matrix_persistence_check(system, sequence, M, B):
+    """The `persistence_check` that filled the whole n x n matrix of ambient
+    distances, each off-diagonal one twice: its slow twin."""
+    seq = list(sequence)
+    n = len(seq)
+    failures = []
+    if n <= 2:
+        hyp = all(system.overlaps(seq[i], seq[i + 1]) for i in range(n - 1))
+        gaps3 = all(system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[i + 1])) >= 3
+                    for i in range(n - 1))
+        return PersistenceReport(seq, M, B, hyp, True, True, True, gaps3, True, None)
+    hyp = True
+    for i in range(n - 1):
+        if not system.overlaps(seq[i], seq[i + 1]):
+            hyp = False
+            failures.append(f"consecutive sites {i},{i+1} do not overlap")
+    if hyp:
+        for j in range(1, n - 1):
+            d = _site_dist(system, seq[j], seq[j - 1], seq[j + 1])
+            if d < M + 3 * B:
+                hyp = False
+                failures.append(f"middle projection at {j} is {d} < M+3B = {M + 3*B}")
+    pairwise = True
+    for i in range(n):
+        for k in range(i + 1, n):
+            if not system.overlaps(seq[i], seq[k]):
+                pairwise = False
+                failures.append(f"sites {i},{k} do not overlap")
+    middle = True
+    worst = None
+    worst_val = None
+    if pairwise:
+        for j in range(1, n - 1):
+            for i in range(j):
+                for k in range(j + 1, n):
+                    d = _site_dist(system, seq[j], seq[i], seq[k])
+                    if worst_val is None or d < worst_val:
+                        worst_val, worst = d, (i, j, k)
+                    if d < M + B:
+                        middle = False
+                        failures.append(f"projection d_{j}({i},{k}) = {d} < M+B")
+    else:
+        middle = False
+    amb = [[system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[j]))
+            for j in range(n)] for i in range(n)]
+    monotone = True
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j + 1, n):
+                for l in range(k, n):
+                    if amb[i][l] < amb[j][k]:
+                        monotone = False
+                        failures.append(
+                            f"d({i},{l}) = {amb[i][l]} < d({j},{k}) = {amb[j][k]}")
+    gaps3 = all(amb[i][i + 1] >= 3 for i in range(n - 1))
+    final_ok = True
+    if gaps3 and amb[0][n - 1] < n - 1:
+        final_ok = False
+        failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
+    return PersistenceReport(seq, M, B, hyp, pairwise, middle, monotone,
+                             gaps3, final_ok, worst, failures)
+
+
+class _CountedDistances:
+    """A system whose `ambient_dist` calls are counted."""
+
+    def __init__(self, system):
+        self.system, self.calls = system, 0
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def ambient_dist(self, a, b):
+        self.calls += 1
+        return self.system.ambient_dist(a, b)
+
+
+def _persistence_twins(system, seq, M, B):
+    """The report of `persistence_check`, after asserting it equals the twin's
+    field for field (failures in order), with one ambient distance per pair."""
+    counted = _CountedDistances(system)
+    rep = persistence_check(counted, seq, M, B)
+    assert rep == full_matrix_persistence_check(system, seq, M, B)
+    n = len(seq)
+    assert counted.calls == (n * (n - 1) // 2 if n > 2 else max(n - 1, 0))
+    return rep
+
+
+class TestPersistenceSlowTwin:
+    """`persistence_check` against the full-matrix twin, on sequences that
+    pass and that fail each check."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_torus_pivot_sequences(self, torus, seed):
+        rng = random.Random(seed)
+        a0 = Slope(0, 1)
+        failed = {"hypothesis": 0, "middle": 0, "monotone": 0, "final": 0, "passed": 0}
+        for _ in range(60):
+            length = rng.randrange(1, 8)
+            kind = rng.randrange(3)
+            if kind == 0:        # strong twists: the hypotheses hold
+                seq = twist_pivot_sequence(a0, slope_at_distance(a0, 3), 12, length, rng)
+            elif kind == 1:      # weak twists from a neighbour of a0
+                seq = twist_pivot_sequence(a0, slope_at_distance(a0, rng.randrange(1, 4)),
+                                           rng.randrange(0, 3), length, rng)
+            else:                # random slopes, with repeats
+                seq = [random_slope(rng, rng.choice((3, 50, 10 ** 4))) for _ in range(length)]
+            M, B = rng.randrange(0, 4), rng.randrange(1, 3)
+            rep = _persistence_twins(torus, seq[:length], M, B)
+            failed["hypothesis"] += not rep.hypothesis_ok
+            failed["middle"] += not rep.middle_bound_ok
+            failed["monotone"] += not rep.monotone_ok
+            failed["final"] += not rep.final_distance_ok
+            failed["passed"] += rep.hypothesis_ok and rep.conclusions_ok
+        assert all(failed.values()), failed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synthetic_sequences(self, seed):
+        system = synthetic_system(7, seed=seed, threshold=3, decoys=5, block_sizes=[1, 2, 0, 1])
+        rng = random.Random(seed)
+        sites = system.sites()
+        spine = [s for s in sites if s.startswith("Y")]
+        outcomes = set()
+        for _ in range(80):
+            if rng.random() < 0.3:
+                start = rng.randrange(len(spine))
+                seq = spine[start:start + rng.randrange(1, 8)]
+            else:
+                seq = [rng.choice(sites) for _ in range(rng.randrange(1, 7))]
+            rep = _persistence_twins(system, seq, rng.randrange(0, 3), rng.randrange(1, 3))
+            outcomes.add((rep.hypothesis_ok, rep.conclusions_ok))
+        assert len(outcomes) >= 3, outcomes
 
 
 def _farey_edge(rng, qmax):
