@@ -408,7 +408,9 @@ def annular_distance(alpha: Slope, beta, gamma) -> int:
     that reads the entries of `conjugator_to_infinity(alpha)` in place, with
     no matrix built: for alpha = p/q with q >= 1 the conjugator is
     [[a, b], [-q, p]] with a = p^-1 mod q and b = (1 - ap)/q, and at 1/0 it
-    is the identity, so each slope is its own image.
+    is the identity, so each slope is its own image.  Any matrix sending
+    alpha to 1/0 gives the same diameter, and the test of bare slopes
+    against one-element sets checks this branch against the `_span` path.
     """
     if isinstance(beta, Slope) and isinstance(gamma, Slope) and beta != alpha != gamma:
         (bp, bq), (gp, gq) = beta, gamma

@@ -234,10 +234,9 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
     overlaps, boundary, proj_dist = system.overlaps, system.boundary, system.proj_dist
     for triple in triples:
         x, y, z = triple
-        if not (overlaps(x, y) and overlaps(y, z) and overlaps(x, z)):
-            for u, v in ((x, y), (y, z), (x, z)):
-                if not overlaps(u, v):
-                    raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        for u, v in ((x, y), (y, z), (x, z)):
+            if not overlaps(u, v):
+                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
         bx, by, bz = boundary(x), boundary(y), boundary(z)
         a = proj_dist(x, by, bz)
