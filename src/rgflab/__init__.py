@@ -4,7 +4,7 @@ axioms, Bass-Serre orbit maps, and certificate checkers.
 """
 
 from .farey import INFINITY, MappingClass, Slope, act, adjacent, annular_distance, \
-    annular_projection, farey_distance, farey_geodesic, twist_about
+    farey_distance, farey_geodesic, twist_about
 from .hypgraph import check_gp_geodesic_bound, check_local_to_global, \
     estimate_delta, gromov_product
 from .raag import PresentationGraph, admissibility_check, components, \

@@ -40,15 +40,12 @@ class FactorSpec:
         gen = farey.twist_about(alpha, power)
         return FactorSpec(name, MatrixGroup.of(gen), frozenset({alpha}), budget)
 
-    def elements(self) -> tuple:
-        """Nontrivial elements (projectively deduped), deterministic order;
-        enumerated once per factor."""
-        return self._elements
-
     # cached properties live in the instance __dict__, outside the dataclass
     # fields, so `==`, `hash` and `repr` do not see them
     @cached_property
-    def _elements(self) -> tuple:
+    def elements(self) -> tuple:
+        """Nontrivial elements (projectively deduped), deterministic order;
+        enumerated once per factor."""
         out = {}
         for m in enumerate_ball(self.group, self.budget).values():
             if not m.is_identity():
@@ -126,12 +123,6 @@ class TreeBall:
             return list(range(len(self.kind)))
         return [v for v, k in enumerate(self.kind) if k == kind]
 
-    def type1_pairs(self):
-        t1 = self.vertices(1)
-        for i in range(len(t1)):
-            for j in range(i + 1, len(t1)):
-                yield t1[i], t1[j]
-
 
 def build_ball(factors: list, radius: int) -> TreeBall:
     """Breadth-first ball construction; deterministic for fixed budgets.
@@ -144,8 +135,8 @@ def build_ball(factors: list, radius: int) -> TreeBall:
         raise ValueError("need at least one factor")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    elements = [f.elements() for f in factors]
-    infinite = [not _factor_closed(f) for f in factors]
+    elements = [f.elements for f in factors]
+    infinite = [not group_is_finite(f.group, f.budget)[0] for f in factors]
     ball = TreeBall(list(factors), [2], [-1], [()], [], [[]], set())
 
     def children(u):
@@ -171,11 +162,6 @@ def build_ball(factors: list, radius: int) -> TreeBall:
         if ball.kind[v] == 1 and infinite[ball.factor[v]]:
             ball.truncated.add(v)
     return ball
-
-
-def _factor_closed(f: FactorSpec) -> bool:
-    finite, _ = group_is_finite(f.group, f.budget)
-    return finite
 
 
 def tree_distance(ball: TreeBall, v: int, w: int) -> int:
@@ -205,14 +191,6 @@ def tree_distance(ball: TreeBall, v: int, w: int) -> int:
     return 2 + 2 * (len(c) - drop_front - drop_back)
 
 
-def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:
-    """Path-walk oracle: BFS in the constructed ball."""
-    for x, _, d in hypgraph.bfs([v], ball.adjacency.__getitem__):
-        if x == w:
-            return d
-    raise KeyError("vertex not reachable inside the ball")
-
-
 # ---------------------------------------------------------------------------
 # The orbit map into the Farey graph.
 
@@ -228,20 +206,6 @@ def phi(ball: TreeBall, base_curve: Slope) -> list:
         else:
             images.append(frozenset(act(m, s) for s in ball.factors[i].boundary))
     return images
-
-
-def coset_well_defined(ball: TreeBall, v: int) -> bool:
-    """Representatives g and g*h (h in the factor) must give one image set."""
-    if ball.kind[v] != 1:
-        raise ValueError("well-definedness is about type-1 vertices")
-    f = ball.factors[ball.factor[v]]
-    m = word_matrix(ball.label[v])
-    base = frozenset(act(m, s) for s in f.boundary)
-    for h in f.elements():
-        mh = m.mul(h)
-        if frozenset(act(mh, s) for s in f.boundary) != base:
-            return False
-    return True
 
 
 @dataclass
@@ -269,12 +233,6 @@ def _mat_mul(m: tuple, n: tuple) -> tuple:
     a, b, c, d = m
     e, f, g, h = n
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-def _sign_key(m: tuple) -> tuple:
-    """m or -m, whichever has its first nonzero entry positive."""
-    a, b, c, d = m
-    return m if a > 0 or (not a and b > 0) else (-a, -b, -c, -d)
 
 
 def _shear_key(m: tuple) -> tuple:
@@ -368,7 +326,7 @@ class ResumeTable:
     def state(self, m: tuple, up: bool | None) -> int:
         """The id of state (m, up), interned up to sign, and with an empty
         prefix also up to a shear of m (see the class docstring)."""
-        key = (_sign_key(m) if up is not None else _shear_key(m), up)
+        key = (MappingClass.projective_key(m) if up is not None else _shear_key(m), up)
         sid = self.state_ids.get(key)
         if sid is None:
             sid = self.state_ids[key] = len(self.matrix)
@@ -382,15 +340,11 @@ class ResumeTable:
         row = self.trans[state]
         t = row.get(step)
         if t is None:
-            t = row[step] = self._transition(state, step)
+            s, j = self.steps[step]
+            b, m = self.boundary[j], self.matrix[state]
+            t = row[step] = (self.FALLBACK if b is None or m is None
+                             else self.advance(_mat_mul(m, s), b, self.up[state]))
         return t
-
-    def _transition(self, state: int, step: int):
-        s, j = self.steps[step]
-        b, m = self.boundary[j], self.matrix[state]
-        if b is None or m is None:
-            return self.FALLBACK
-        return self.advance(_mat_mul(m, s), b, self.up[state])
 
     def advance(self, m: tuple, b: Slope, up: bool | None):
         """(added, before, next state) of the vertex with complete quotient
@@ -422,7 +376,8 @@ class ResumeTable:
 
 def qi_pairs(ball: TreeBall, images: list) -> list:
     """(d_T, d_S) for every type-1 pair of the labeled ball `images =
-    phi(ball, base)`, in `type1_pairs` order, from one depth-first walk per
+    phi(ball, base)`: with t = `ball.vertices(1)`, the pairs (t[i], t[j]) for
+    i < j in lexicographic order of (i, j), from one depth-first walk per
     source vertex.
 
     The walk steps between type-1 vertices across the type-2 fans, adding 2
@@ -665,7 +620,7 @@ def _search_size(factors: list, budget: int) -> int:
     syllables end in factor i: ends_1[i] = e_i and
     ends_k[i] = e_i * (sum(ends_{k-1}) - ends_{k-1}[i]).
     """
-    sizes = [len(f.elements()) for f in factors]
+    sizes = [len(f.elements) for f in factors]
     ends = [sizes]
     total = 0
     for t in range(2, budget + 1):
@@ -691,7 +646,7 @@ def _relation_search(factors: list, budget: int) -> FreeProductReport:
     """
     if len(factors) < 2:
         return FreeProductReport(True, None, budget, 0)
-    elements = [f.elements() for f in factors]
+    elements = [f.elements for f in factors]
 
     # layers[k]: (word, matrix) for the alternating words of k syllables;
     # index[k]: projective key of the matrix -> the words of layers[k]
@@ -765,7 +720,7 @@ def loxodromic_scan(words: list) -> LoxodromicReport:
 def random_alternating_word(factors: list, rng) -> tuple:
     """An alternating word of 2 to 6 syllables, each a random nontrivial
     element of a factor other than the previous syllable's."""
-    elements = [f.elements() for f in factors]
+    elements = [f.elements for f in factors]
     n = rng.randrange(2, 7)
     word = ()
     last = -1

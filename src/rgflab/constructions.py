@@ -132,7 +132,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     stab_ok = True
     for j, f in enumerate(family.factors):
         bj = family.beta(j)
-        for h in f.elements():
+        for h in f.elements:
             if frozenset(act(h, s) for s in bj) != bj:
                 stab_ok = False
     sep_ok = True
@@ -147,7 +147,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     for j in range(n):
         bj = family.beta(j)
         shell = _shell_sites(bj, shell_bound)
-        elements = family.factors[j].elements()
+        elements = family.factors[j].elements
         for i in range(n):
             for k in range(n):
                 if i == j or k == j:
@@ -194,7 +194,7 @@ def definite_distance_scan(factor: FactorSpec, sample_curves, M_emp: int) -> Def
         d_bdry = farey.slope_set_distance({a}, boundary)
         if d_bdry <= 3:
             continue
-        for g in factor.elements():
+        for g in factor.elements:
             moved = farey.farey_distance(a, act(g, a))
             count += 1
             if moved == 0:
@@ -225,7 +225,7 @@ def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoun
     for a in sample_curves:
         if a in boundary:
             continue
-        for g in factor.elements():
+        for g in factor.elements:
             ga = act(g, a)
             gp = gromov_product_sets({a}, {ga}, boundary)
             count += 1

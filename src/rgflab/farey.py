@@ -104,13 +104,6 @@ class MappingClass(NamedTuple("_MappingClass", [("a", int), ("b", int), ("c", in
         a, b, c, d = self
         return _new(MappingClass, (d, -b, -c, a))
 
-    def pow(self, n: int) -> "MappingClass":
-        base = self if n >= 0 else self.inv()
-        out = MappingClass.identity()
-        for _ in range(abs(n)):
-            out = out.mul(base)
-        return out
-
     @property
     def trace(self) -> int:
         return self.a + self.d
@@ -121,7 +114,8 @@ class MappingClass(NamedTuple("_MappingClass", [("a", int), ("b", int), ("c", in
 
     def projective_key(self) -> tuple:
         """Canonical key identifying M with -M: the sign that makes the first
-        nonzero entry positive, which is a, or b when a = 0 (as ad - bc = 1)."""
+        nonzero entry positive, which is a, or b when a = 0 (as ad - bc = 1).
+        It serves any integer 4-tuple with ad - bc = -1 too."""
         a, b, c, d = self
         return tuple(self) if a > 0 or (not a and b > 0) else (-a, -b, -c, -d)
 
@@ -340,31 +334,8 @@ def twist_about(alpha: Slope, n: int) -> MappingClass:
     return _new(MappingClass, (1 - npq, n * p * p, -n * q * q, 1 + npq))
 
 
-def annular_projection(alpha: Slope, beta: Slope) -> frozenset:
-    """Coarse projection of beta to the annulus about alpha, as a set.
-
-    Empty iff beta equals alpha; otherwise the floor/ceiling pair of the
-    conjugated slope, read as positions in the link of alpha.  The set form
-    is the reference for the integer kernel `link_span`.
-    """
-    if alpha == beta:
-        return frozenset()
-    s = act(conjugator_to_infinity(alpha), beta)
-    fl = s.p // s.q
-    return frozenset({fl, fl + 1}) if s.p % s.q else frozenset({fl})
-
-
 class EmptyProjectionError(ValueError):
     pass
-
-
-def annular_projection_set(alpha: Slope, curves) -> frozenset:
-    """Union of annular projections of a set of curves (components equal to
-    alpha contribute nothing); the set form of `link_span`."""
-    out = set()
-    for beta in curves:
-        out |= annular_projection(alpha, beta)
-    return frozenset(out)
 
 
 def _span(m: MappingClass, curves):
@@ -494,7 +465,6 @@ class BfsOracle:
     def __init__(self, bound: int):
         self.bound = bound
         self._graph = None              # (vertices, vertex -> number, adjacency)
-        self._dist_cache = {}
 
     def _indexed(self):
         if self._graph is None:
@@ -506,9 +476,8 @@ class BfsOracle:
 
     def distances_from(self, src: Slope) -> dict:
         """BFS distances from src to every slope it reaches, as a dict in
-        the order the search reaches them, src first."""
-        if src in self._dist_cache:
-            return self._dist_cache[src]
+        the order the search reaches them, src first; nothing is kept
+        between calls."""
         verts, index, adj = self._indexed()
         dist = [-1] * len(verts)
         i = index.get(src)
@@ -526,7 +495,6 @@ class BfsOracle:
                     queue.append(v)
         out = {src: 0}
         out.update(zip(map(verts.__getitem__, queue), map(dist.__getitem__, queue)))
-        self._dist_cache[src] = out
         return out
 
     def distance(self, a: Slope, b: Slope):

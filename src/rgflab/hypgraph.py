@@ -192,7 +192,7 @@ def bfs(sources, neighbours, depth=None):
 
 
 # ---------------------------------------------------------------------------
-# Concrete oracles for finite graphs (test models and synthetic instances).
+# Concrete oracles: finite graphs (the synthetic instances) and the Farey graph.
 
 
 class GraphOracle:
@@ -228,22 +228,6 @@ class GraphOracle:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-
-def cycle_oracle(n: int) -> GraphOracle:
-    adj = {i: [(i - 1) % n, (i + 1) % n] for i in range(n)}
-    return GraphOracle(adj)
-
-
-def random_tree(n: int, seed: int) -> GraphOracle:
-    """Uniform-ish random tree on vertices 0..n-1 (random attachment)."""
-    rng = random.Random(seed)
-    adj = {0: []}
-    for v in range(1, n):
-        u = rng.randrange(v)
-        adj.setdefault(u, []).append(v)
-        adj[v] = [u]
-    return GraphOracle(adj)
 
 
 class FareyOracle:

@@ -110,12 +110,8 @@ class TreeSystem:
         return path[1]
 
     def _coord(self, site, obj) -> int:
-        v = self.positions[site]
-        d = self._direction(site, obj)
-        coords = self.link_coords.setdefault(v, {})
-        if d not in coords:
-            coords[d] = 0
-        return coords[d]
+        """The hidden coordinate of obj's direction at site; 0 if unscored."""
+        return self.link_coords.get(self.positions[site], {}).get(self._direction(site, obj), 0)
 
     def proj_dist(self, site, a, b) -> int:
         for obj in (a, b):
@@ -383,21 +379,12 @@ class GeneralPersistenceReport:
     failures: list = field(default_factory=list)
 
 
-def greedy_overlap_chain(system, sequence) -> list:
-    """Index chain 0, tau(0), tau(tau(0)), ... of consecutive overlaps."""
-    seq = list(sequence)
-    _, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
-    chain = [0]
-    while tau[chain[-1]] is not None:
-        chain.append(tau[chain[-1]])
-    return chain
-
-
 def general_persistence_check(system, sequence, M: int, B: int,
                               subsequence=None) -> GeneralPersistenceReport:
     """Skip-index persistence: hypotheses at M + 6B against the nearest
     overlapping neighbors imply the plain persistence hypotheses (at M + 3B)
     for any subsequence with consecutive overlaps, which is then checked.
+    The default subsequence is the greedy chain 0, tau(0), tau(tau(0)), ...
     """
     seq = list(sequence)
     iota, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
@@ -410,7 +397,9 @@ def general_persistence_check(system, sequence, M: int, B: int,
                 hyp = False
                 failures.append(f"d_{j}(iota, tau) = {d} < M+6B = {M + 6*B}")
 
-    idx = list(subsequence) if subsequence is not None else greedy_overlap_chain(system, seq)
+    idx = [0] if subsequence is None else list(subsequence)
+    while subsequence is None and tau[idx[-1]] is not None:
+        idx.append(tau[idx[-1]])
     for a, b in zip(idx, idx[1:]):
         if not system.overlaps(seq[a], seq[b]):
             raise OverlapError(f"subsequence indices {a},{b} do not overlap")

@@ -15,7 +15,6 @@ normal form.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,14 +60,6 @@ class PresentationGraph:
 Word = tuple  # tuple of (generator, exponent) pairs
 
 
-def word(*syllables) -> Word:
-    return tuple((int(g), int(e)) for g, e in syllables)
-
-
-def inverse_word(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
-
-
 def normal_form(graph: PresentationGraph, w: Word) -> Word:
     """The unique reduced spelling; equal outputs iff equal group elements.
 
@@ -111,63 +102,6 @@ def normal_form(graph: PresentationGraph, w: Word) -> Word:
         else:
             out.insert(ins, (g, e))
     return tuple(out)
-
-
-def concat(*words) -> Word:
-    out = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
-# --- rewriting rules, exposed for the confluence property test -------------
-
-
-def rewrite_moves(graph: PresentationGraph, w: Word) -> list:
-    """All single applications of: drop a zero syllable; merge two syllables
-    of one generator across a commuting block; move a syllable left across a
-    commuting block headed by a larger generator.  Each move yields a
-    shortlex-smaller word, so random application terminates."""
-    moves = []
-    n = len(w)
-    for i, (g, e) in enumerate(w):
-        if e == 0:
-            moves.append(w[:i] + w[i + 1:])
-    for i in range(n):
-        gi, ei = w[i]
-        for j in range(i + 1, n):
-            gj, ej = w[j]
-            if gj == gi:
-                if all(graph.commute(gi, w[k][0]) for k in range(i + 1, j)):
-                    merged = (gi, ei + ej)
-                    mid = w[i + 1:j]
-                    moves.append(w[:i] + (merged,) + mid + w[j + 1:])
-                break
-            if not graph.commute(gi, gj):
-                break
-    for j in range(n):
-        # move w[j] left past any block it commutes with, landing before a
-        # larger generator; every such move is strictly shortlex-decreasing
-        gj, ej = w[j]
-        i = j - 1
-        while i >= 0:
-            gi = w[i][0]
-            if gi == gj or not graph.commute(gi, gj):
-                break
-            if gj < gi:
-                moves.append(w[:i] + ((gj, ej),) + w[i:j] + w[j + 1:])
-            i -= 1
-    return moves
-
-
-def random_rewrite(graph: PresentationGraph, w: Word, rng: random.Random) -> Word:
-    """Apply applicable moves in random order until none remain."""
-    current = tuple(w)
-    while True:
-        moves = rewrite_moves(graph, current)
-        if not moves:
-            return current
-        current = moves[rng.randrange(len(moves))]
 
 
 # --- components -------------------------------------------------------------

@@ -35,7 +35,7 @@ def nielsen_thurston_type(m: MappingClass) -> NTType:
     """Trichotomy by trace: |tr| < 2 periodic, |tr| = 2 parabolic hence
     reducible with a unique fixed slope, |tr| > 2 pseudo-Anosov.  The center
     gets its own tag since it acts trivially on slopes."""
-    if (m.a, m.b, m.c, m.d) in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+    if m.is_identity():
         return NTType(CENTRAL)
     t = abs(m.trace)
     if t < 2:

@@ -16,15 +16,13 @@ import pytest
 from rgflab.farey import (INFINITY, BfsOracle, MappingClass, Slope, act,
                           annular_distance, bounded_vertices, farey_distance,
                           farey_geodesic, twist_about)
-from rgflab.hypgraph import (FareyOracle, check_local_to_global, cycle_oracle,
-                             estimate_delta, gromov_product, point_to_path_distance,
-                             random_tree)
+from rgflab.hypgraph import (FareyOracle, check_local_to_global, estimate_delta,
+                             gromov_product, point_to_path_distance)
 from rgflab.projections import (TorusAnnuli, behrstock_scan, persistence_check,
                                 general_persistence_check, random_slope,
                                 sample_overlapping_triples, synthetic_system,
                                 twist_pivot_sequence)
-from rgflab.raag import (PresentationGraph, components, concat, inverse_word,
-                         normal_form, random_rewrite)
+from rgflab.raag import PresentationGraph, components, normal_form
 from rgflab.subgroups import MatrixGroup
 from rgflab.bassserre import (FactorSpec, build_ball, free_product_check,
                               loxodromic_scan, phi, qi_certificate,
@@ -33,6 +31,7 @@ from rgflab.constructions import (FamilySpec, check_misaligned, check_separated,
                                   conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
+from oracles import concat, cycle_oracle, inverse_word, random_rewrite, random_tree
 
 
 def report(number: int, ok: bool, detail: str):

@@ -16,9 +16,10 @@ anything.  Calls match a function and a method by the called name, and
 loaded in the body; methods defined on more than one class implement a
 shared interface, so their signatures are exempt from that rule.
 
-A private module-level function (`_name`) must also be referenced from
-`src/` itself: one that only tests reference is a test helper, and lives
-in `tests/`.
+Every module-level function and class, public or private, must also be
+referenced from `src/` itself: one that only tests reference is a test
+helper, and lives in `tests/`.  A name the package's `__init__` exports is
+referenced there, so those exports are the allow-list of paper layers.
 
 A dataclass field with a default counts as dead when no construction (a
 call by the class name, or a `replace` keyword) passes it anything but a
@@ -76,7 +77,7 @@ def test_no_dead_definitions():
 
 
 def helpers_for_tests_only(package=PACKAGE, source=ROOT / "src") -> list:
-    """Private module-level functions of `package` that nothing under
+    """Module-level functions and classes of `package` that nothing under
     `source` references outside their own definition."""
     refs = Counter()
     for path in sorted(source.rglob("*.py")):
@@ -84,14 +85,13 @@ def helpers_for_tests_only(package=PACKAGE, source=ROOT / "src") -> list:
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
+            if (isinstance(node, DEFINITIONS) and not node.name.startswith("__")
                     and refs[node.name] - _names(node)[node.name] <= 0):
                 found.append(f"{path.stem}.{node.name}")
     return found
 
 
-def test_no_private_function_serves_only_tests():
+def test_no_definition_serves_only_tests():
     assert helpers_for_tests_only() == []
 
 
@@ -108,27 +108,35 @@ def _recursive(n):
     return 0 if n == 0 else _recursive(n - 1)
 
 
-def public(x):
-    return _used(x)
+class Exported:
+    def run(self, x):
+        return _used(x)
+
+
+def tested(x):
+    return x - 1
 """
 
 
 def test_helpers_for_tests_only_fire_on_a_planted_module(tmp_path):
-    # `_only_tested` is referenced from a test file alone, and `_recursive`
-    # only from its own body; `_used` has a caller in the package
+    # `_only_tested` and the public `tested` are referenced from a test file
+    # alone, and `_recursive` only from its own body; `_used` has a caller
+    # in the package, and `Exported` is exported by the package's `__init__`
     source = tmp_path / "src"
     package = source / "pkg"
     package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .planted import Exported\n")
     (package / "planted.py").write_text(PLANTED_HELPERS)
     (tmp_path / "test_planted.py").write_text(
-        "from pkg.planted import _only_tested\n"
+        "from pkg.planted import _only_tested, tested\n"
         "def test_it():\n"
-        "    assert _only_tested(2) == 4\n")
-    assert helpers_for_tests_only(package, source) == ["planted._only_tested", "planted._recursive"]
+        "    assert _only_tested(2) == tested(5) == 4\n")
+    assert helpers_for_tests_only(package, source) == [
+        "planted._only_tested", "planted._recursive", "planted.tested"]
     (source / "caller.py").write_text(
         "from pkg import planted\n"
         "def run():\n"
-        "    return planted._only_tested(1) + planted._recursive(3)\n")
+        "    return planted._only_tested(1) + planted._recursive(3) + planted.tested(0)\n")
     assert helpers_for_tests_only(package, source) == []
 
 

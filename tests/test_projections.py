@@ -11,7 +11,6 @@ from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
                                 PersistenceReport, TorusAnnuli, TreeSystem, _site_dist,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
-                                greedy_overlap_chain,
                                 persistence_check, random_slope, random_slopes,
                                 sample_overlapping_triples, synthetic_system,
                                 twist_pivot_sequence)
@@ -216,6 +215,17 @@ class TestGeneralPersistence:
         assert rep.chained.failures == ["middle projection at 1 is 1 < M+3B = 9",
                                         "projection d_1(0,2) = 1 < M+B"]
 
+    def test_overlaps_scanned_once(self):
+        # the default chain follows the tau of the one nearest-overlap scan
+        system = synthetic_system(6, seed=9, threshold=7, block_sizes=[0, 2, 0, 0, 2, 0])
+        seq = ["Y0", "Y1", "B1.0", "B1.1", "Y2", "Y3", "Y4", "B4.0", "B4.1", "Y5"]
+        counted, scan, chained = (_Counted(system, "overlaps") for _ in range(3))
+        rep = general_persistence_check(counted, seq, M=0, B=1)
+        nearest_overlaps(len(seq), lambda i, j: scan.overlaps(seq[i], seq[j]))
+        persistence_check(chained, [seq[i] for i in rep.subsequence], 0, 1)
+        assert rep.subsequence == [0, 1, 4, 5, 6, 9]
+        assert counted.calls == scan.calls + len(rep.subsequence) - 1 + chained.calls
+
     def test_explicit_subsequence_validated(self, torus):
         seq = [INFINITY, INFINITY]
         with pytest.raises(OverlapError):
@@ -330,7 +340,7 @@ class TestBgitSlowTwin:
             assert rep.diameter in (None, 0)
             projecting += rep.all_project
         assert projecting > 60
-        # both fill in the same unscored directions, in the same order
+        # the scans leave both systems with the same hidden coordinates
         assert {v: list(c.items()) for v, c in fast.link_coords.items()} \
             == {v: list(c.items()) for v, c in slow.link_coords.items()}
 
@@ -437,24 +447,26 @@ def full_matrix_persistence_check(system, sequence, M, B):
                              gaps3, final_ok, worst, failures)
 
 
-class _CountedDistances:
-    """A system whose `ambient_dist` calls are counted."""
+class _Counted:
+    """A system whose calls of one method are counted."""
 
-    def __init__(self, system):
+    def __init__(self, system, method):
         self.system, self.calls = system, 0
+        real = getattr(system, method)
+
+        def counted(*args):
+            self.calls += 1
+            return real(*args)
+        setattr(self, method, counted)
 
     def __getattr__(self, name):
         return getattr(self.system, name)
-
-    def ambient_dist(self, a, b):
-        self.calls += 1
-        return self.system.ambient_dist(a, b)
 
 
 def _persistence_twins(system, seq, M, B):
     """The report of `persistence_check`, after asserting it equals the twin's
     field for field (failures in order), with one ambient distance per pair."""
-    counted = _CountedDistances(system)
+    counted = _Counted(system, "ambient_dist")
     rep = persistence_check(counted, seq, M, B)
     assert rep == full_matrix_persistence_check(system, seq, M, B)
     n = len(seq)
