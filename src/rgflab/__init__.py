@@ -9,8 +9,7 @@ from .hypgraph import check_gp_geodesic_bound, check_local_to_global, \
     estimate_delta, gromov_product
 from .raag import PresentationGraph, admissibility_check, components, \
     normal_form, power_threshold, support_bookkeeping
-from .subgroups import MatrixGroup, canonical_reducing_system, is_multitwist, \
-    nielsen_thurston_type, orbit
+from .subgroups import MatrixGroup, canonical_reducing_system, nielsen_thurston_type
 from .projections import TorusAnnuli, behrstock_scan, bgit_scan, \
     estimate_constants, general_persistence_check, persistence_check, \
     synthetic_system

@@ -130,10 +130,10 @@ def _env_seed() -> int | None:
 
 
 def _seed(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is None:
+    """The seed `main` resolved; a usage error when there is none."""
+    if args.seed is None:
         raise SystemExit_usage("a seed is required for sampled scans (--seed or $" + SEED_ENV + ")")
-    return seed
+    return args.seed
 
 
 class SystemExit_usage(Exception):
@@ -281,12 +281,15 @@ def _load_family(args) -> FamilySpec:
     try:
         with open(args.family) as fh:
             family = family_from_json(json.load(fh))
-        # the coset images g.boundary(H_i) are well defined only when every
+        # the coset images g.boundary(H_i) are empty, so every distance check
+        # vacuous, when a boundary is, and well defined only when every
         # generator keeps its factor's boundary; ping-pong reads no boundary
-        moved = [f.name for f in family.factors for g in f.group.generators
-                 if frozenset(act(g, s) for s in f.boundary) != f.boundary]
-        if moved and args.action != "pingpong":
-            raise ValueError(f"a generator of factor {moved[0]} does not preserve its boundary")
+        for f in family.factors if args.action != "pingpong" else ():
+            if not f.boundary:
+                raise ValueError(f"factor {f.name} has an empty boundary")
+            if any(frozenset(act(g, s) for s in f.boundary) != f.boundary
+                   for g in f.group.generators):
+                raise ValueError(f"a generator of factor {f.name} does not preserve its boundary")
         return family
     except OSError as exc:
         raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
@@ -601,10 +604,11 @@ def main(argv=None) -> int:
         conf = _config_defaults(parser, args)
         if conf is not None:
             args = parser.parse_args(argv)
-        seed_used = args.seed if args.seed is not None else _env_seed()
+        if args.seed is None:
+            args.seed = _env_seed()
         code, records, pairs = args.func(args)
         echoed = _echoed_argv(_subparser(parser, args.command), argv)
-        config_echo = {"record": "config", "argv": echoed, "seed": seed_used}
+        config_echo = {"record": "config", "argv": echoed, "seed": args.seed}
         if conf is not None:
             config_echo["config_values"] = conf
         records = [config_echo] + records

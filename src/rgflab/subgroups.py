@@ -1,28 +1,23 @@
-"""Reducible-subgroup machinery on the torus model.
+"""Reducible subgroups on the torus model.
 
-Subgroups of the matrix group are given by generator lists with an
-enumeration budget.  Orbit computations are budgeted semi-decisions: an
-overflowing orbit is reported as budget-limited, never claimed infinite,
-except where a parabolic strict-growth certificate upgrades the answer to
-exact.
+A subgroup of SL(2, Z) is given by its generators.  Each element is typed
+by its trace (Nielsen-Thurston), the Bass-Serre factors walk their balls
+here, and the canonical reducing system of a subgroup has a closed form:
+the common fixed slope of its parabolic generators (proved in
+`canonical_reducing_system`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .farey import INFINITY, MappingClass, Slope, act
+from .farey import MappingClass, Slope
 from .hypgraph import bfs
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
 PSEUDO_ANOSOV = "pseudo_anosov"
 CENTRAL = "central"
-
-EXACT = "exact"
-BUDGET_LIMITED = "budget-limited"
-
-OVERFLOW = "overflow"
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,6 @@ class MatrixGroup:
     """Finitely generated subgroup with a deterministic enumeration order."""
 
     generators: tuple
-    budget: int = 6
 
     @staticmethod
     def of(*gens) -> "MatrixGroup":
@@ -74,10 +68,9 @@ class MatrixGroup:
         return out
 
 
-def _ball(group: MatrixGroup, length: int | None) -> tuple:
-    """BFS ball {entries: matrix} of the given radius (the group's budget by
-    default), and whether it closed: some sphere inside the radius was empty."""
-    length = group.budget if length is None else length
+def _ball(group: MatrixGroup, length: int) -> tuple:
+    """BFS ball {entries: matrix} of the given radius, and whether it closed:
+    some sphere inside the radius was empty."""
     steps = group.step_generators()
     seen = {}
     deepest = 0     # distances arrive in nondecreasing order
@@ -87,7 +80,7 @@ def _ball(group: MatrixGroup, length: int | None) -> tuple:
     return seen, deepest < length
 
 
-def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
+def enumerate_ball(group: MatrixGroup, length: int) -> dict:
     """Shortlex ball {word: matrix} over generators and inverses.
 
     Keys are exact matrix entries (no projective collapsing); the identity is
@@ -96,8 +89,8 @@ def enumerate_ball(group: MatrixGroup, length: int | None = None) -> dict:
     return _ball(group, length)[0]
 
 
-def group_is_finite(group: MatrixGroup, length: int | None = None):
-    """(finite?, size_or_None): exact when the ball closes within the budget."""
+def group_is_finite(group: MatrixGroup, length: int):
+    """(finite?, size_or_None): exact when the ball closes within `length`."""
     seen, closed = _ball(group, length)
     return (True, len(seen)) if closed else (False, None)
 
@@ -127,133 +120,51 @@ def common_parabolic_fixed_slope(group: MatrixGroup) -> Slope | None:
 
 
 @dataclass
-class OrbitResult:
-    slopes: frozenset | None      # exact orbit when finite
-    overflowed: bool
-    certified_infinite: bool
-    visited: int
-
-    @property
-    def finite(self) -> bool:
-        return self.slopes is not None
-
-
-def orbit(group: MatrixGroup, s: Slope, budget: int = 200) -> OrbitResult:
-    """BFS slope orbit, halting once more than `budget` slopes are seen.
-
-    A common-fixed-slope parabolic group moving s certifies an infinite
-    orbit without enumeration: the powers of a shear translate the link.
-    """
-    fixed = common_parabolic_fixed_slope(group)
-    if fixed is not None and s != fixed:
-        return OrbitResult(None, False, True, 0)
-    steps = group.step_generators()
-    seen = set()
-    for v, _, d in bfs([s], lambda v: [act(g, v) for g in steps]):
-        if d and len(seen) >= budget:
-            return OrbitResult(None, True, False, len(seen))
-        seen.add(v)
-    return OrbitResult(frozenset(seen), False, False, len(seen))
-
-
-@dataclass
 class ReducingSystemReport:
-    """Canonical reducing system of a budgeted group.
-
-    On the torus any two distinct curves intersect, so the system is the
-    unique verified finite-orbit slope when exactly one exists and empty
-    otherwise; `confidence` records whether every candidate was resolved.
-    """
+    """The canonical reducing system, as a set of at most one slope, and
+    the witness that the group lies in no twist group (None when it does)."""
 
     boundary: frozenset
-    confidence: str
-    orbit_witnesses: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    witness: object
 
 
-DEFAULT_SEEDS = (INFINITY, Slope(0, 1), Slope(1, 1))
+def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
+    """The canonical reducing system of `group` in closed form: the common
+    fixed slope of the parabolic generators when every generator is
+    parabolic or central and the parabolic ones agree, and empty otherwise.
 
+    On the torus any two distinct curves meet, so the system is the unique
+    slope with a finite orbit when G is infinite, and empty otherwise.
 
-def candidate_slopes(group: MatrixGroup, seeds=DEFAULT_SEEDS, closure_budget: int = 25) -> list:
-    """Fixed slopes of parabolic generators plus a budgeted orbit closure of
-    the seed set: the walk from the seeds adds slopes until `closure_budget`
-    are held (the seeds and fixed slopes are always kept)."""
-    seen = set()
-    for g in group.generators:
-        t = nielsen_thurston_type(g)
-        if t.tag == REDUCIBLE:
-            seen.add(t.fixed_slope)
-    steps = group.step_generators()
-    for v, _, d in bfs(seeds, lambda v: [act(g, v) for g in steps]):
-        if d and len(seen) >= closure_budget:
-            break
-        seen.add(v)
-    return sorted(seen, key=lambda v: (v.q, v.p))
+    Boundary.  Let G be infinite and let the slope a have a finite G-orbit.
+    Then Stab_G(a) has finite index, so it is infinite; it lies in
+    Stab(a) = {+-T_a^n}, so it holds a nontrivial parabolic.  For g in G,
+    Stab_G(a) & Stab_G(ga) also has finite index, as ga has a finite orbit
+    too, so it holds a nontrivial parabolic fixing a and ga.  A parabolic
+    fixes one slope only, so ga = a: the finite-orbit slopes are the slopes
+    G fixes.  G fixes a exactly when every generator is central or
+    parabolic about a; some generator is then parabolic, or G would be
+    finite.  And a parabolic generator makes G infinite.
 
-
-def canonical_reducing_system(group: MatrixGroup, candidates=None,
-                              budget: int = 200) -> ReducingSystemReport:
-    notes = []
-    ball = enumerate_ball(group, min(group.budget, 4))
-    for m in ball.values():
-        if nielsen_thurston_type(m).tag == PSEUDO_ANOSOV:
-            notes.append(f"pseudo-Anosov word with trace {m.trace}")
-            return ReducingSystemReport(frozenset(), EXACT, {}, notes)
-    finite, size = group_is_finite(group)
-    if finite:
-        notes.append(f"group is finite of order {size}")
-        return ReducingSystemReport(frozenset(), EXACT, {}, notes)
-
-    if candidates is None:
-        candidates = candidate_slopes(group)
-    witnesses = {}
-    finite_orbit = []
-    unresolved = []
-    for s in candidates:
-        res = orbit(group, s, budget)
-        if res.finite:
-            witnesses[s] = len(res.slopes)
-            finite_orbit.append(s)
-        elif res.certified_infinite:
-            witnesses[s] = "infinite"
-        else:
-            witnesses[s] = OVERFLOW
-            unresolved.append(s)
-
-    confidence = EXACT if not unresolved else BUDGET_LIMITED
-    if len(finite_orbit) == 1:
-        return ReducingSystemReport(frozenset(finite_orbit), confidence, witnesses, notes)
-    if len(finite_orbit) > 1:
-        notes.append("multiple finite-orbit slopes intersect pairwise")
-    return ReducingSystemReport(frozenset(), confidence, witnesses, notes)
-
-
-@dataclass
-class MultitwistReport:
-    is_multitwist: bool
-    common_slope: Slope | None = None
-    witness: object = None
-
-
-def is_multitwist(group: MatrixGroup) -> MultitwistReport:
-    """A subgroup lies in a twist group iff every generator is parabolic or
-    central and the parabolic ones share a fixed slope (one curve suffices on
-    the torus).  Failing pairs get, when possible, a short word of trace
-    above 2, of at most four letters, as an explicit witness."""
+    Witness.  It is the (tag, generator) of the first generator neither
+    parabolic nor central; else, for the first parabolic f and the first
+    parabolic g about another slope, the pseudo-Anosov fg when |tr fg| > 2
+    and fg^-1 otherwise.  For tr(fg) + tr(fg^-1) = tr f tr g = +-4, and
+    conjugating f to +-[[1, n], [0, 1]] makes g = +-(T^m about p/q) with
+    q != 0, so tr(fg) = +-(2 - nmq^2) and tr(fg^-1) = +-(2 + nmq^2) with
+    nmq^2 != 0: one of the two exceeds 2 in absolute value.  That is the
+    first |trace| > 2 element of the shortlex ball over f, g and their
+    inverses, which begins 1, f, f^-1, g, g^-1, f^2, fg, fg^-1 (f^2 has
+    trace 2).
+    """
     parabolics, offender = _parabolic_generators(group)
     if offender is not None:
-        return MultitwistReport(False, None, offender)
-    slope = parabolics[0][1] if parabolics else None
-    for g, s in parabolics:
-        if s != slope:
-            first = parabolics[0][0]
-            witness = _pseudo_anosov_word(MatrixGroup((first, g)), 4)
-            return MultitwistReport(False, None, witness if witness else (first, g))
-    return MultitwistReport(True, slope, None)
-
-
-def _pseudo_anosov_word(group: MatrixGroup, length: int) -> MappingClass | None:
-    for m in enumerate_ball(group, length).values():
-        if abs(m.trace) > 2:
-            return m
-    return None
+        return ReducingSystemReport(frozenset(), offender)
+    slopes = frozenset(s for _, s in parabolics)
+    if len(slopes) <= 1:
+        return ReducingSystemReport(slopes, None)
+    first, slope = parabolics[0]
+    g = next(g for g, s in parabolics if s != slope)
+    product = first.mul(g)
+    return ReducingSystemReport(
+        frozenset(), product if abs(product.trace) > 2 else first.mul(g.inv()))

@@ -4,8 +4,6 @@ are estimated once per session with fixed seeds; all sampled scans are
 deterministic.
 """
 
-import itertools
-import json
 import random
 import sys
 import time
@@ -27,8 +25,7 @@ from rgflab.subgroups import MatrixGroup
 from rgflab.bassserre import (FactorSpec, build_ball, free_product_check,
                               loxodromic_scan, phi, qi_certificate,
                               random_alternating_word, word_matrix)
-from rgflab.constructions import (FamilySpec, check_misaligned, check_separated,
-                                  conjugate_twist_family, slope_at_distance,
+from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
 from oracles import concat, cycle_oracle, inverse_word, random_rewrite, random_tree

@@ -186,6 +186,14 @@ BAD_INPUT_ROWS = [
     ("family-boundary-moved", ["tree", "qi", "--family", "MOVED", "--radius", "3"],
      "usage error: bad family file MOVED: "
      "ValueError('a generator of factor A does not preserve its boundary')"),
+    # the coset images were empty: qi reported the benchmark OK from an
+    # all-zero envelope, and misaligned passed as vacuous
+    ("family-boundary-empty-qi", ["tree", "qi", "--family", "EMPTYBOUNDARY", "--radius", "2"],
+     "usage error: bad family file EMPTYBOUNDARY: "
+     "ValueError('factor B has an empty boundary')"),
+    ("family-boundary-empty-misaligned", ["cert", "misaligned", "--family", "EMPTYBOUNDARY"],
+     "usage error: bad family file EMPTYBOUNDARY: "
+     "ValueError('factor B has an empty boundary')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
@@ -222,6 +230,10 @@ BAD_FAMILIES = {
     "MOVED": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["0/1"]},
         {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["1/0"]}]}),
+    # the shear pair with no boundary for its second factor
+    "EMPTYBOUNDARY": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": []}]}),
 }
 
 

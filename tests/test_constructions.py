@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rgflab.farey import INFINITY, Slope, act, farey_distance, twist_about
+from rgflab.farey import INFINITY, Slope, farey_distance
 from rgflab.bassserre import FactorSpec, word_matrix
 from rgflab.constructions import (FamilySpec, check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,

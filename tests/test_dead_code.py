@@ -17,9 +17,12 @@ loaded in the body; methods defined on more than one class implement a
 shared interface, so their signatures are exempt from that rule.
 
 Every module-level function and class, public or private, must also be
-referenced from `src/` itself: one that only tests reference is a test
-helper, and lives in `tests/`.  A name the package's `__init__` exports is
-referenced there, so those exports are the allow-list of paper layers.
+referenced from `src/` itself, by a load in its module outside a function
+that binds the name, a `from .module import name`, or `module.name` after
+`from . import module`: one that only tests reference is a test helper,
+and lives in `tests/`.  The package's `__init__` imports its exports, so
+those are the allow-list of paper layers.  No module imports a name it
+never loads (`__init__` re-exports and `__future__` aside).
 
 A dataclass field with a default counts as dead when no construction (a
 call by the class name, or a `replace` keyword) passes it anything but a
@@ -76,18 +79,49 @@ def test_no_dead_definitions():
     assert dead_definitions() == []
 
 
+def _loads(node, local=frozenset(), out=None) -> Counter:
+    """Loads of each name under `node`, except inside a function that binds
+    the name, as a parameter or by assignment, anywhere in it."""
+    out = Counter() if out is None else out
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | {n.arg if isinstance(n, ast.arg) else n.id for n in ast.walk(node)
+                         if isinstance(n, ast.arg) or isinstance(getattr(n, "ctx", None), ast.Store)
+                         and isinstance(n, ast.Name)}
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        out[node.id] += 1
+    for child in ast.iter_child_nodes(node):
+        _loads(child, local, out)
+    return out
+
+
 def helpers_for_tests_only(package=PACKAGE, source=ROOT / "src") -> list:
-    """Module-level functions and classes of `package` that nothing under
-    `source` references outside their own definition."""
+    """Module-level functions and classes of `package` that no reference
+    under `source` binds to outside their own definition."""
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(package.glob("*.py"))}
     refs = Counter()
     for path in sorted(source.rglob("*.py")):
-        refs += _names(ast.parse(path.read_text(), str(path)))
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        aliases = {}
+        for node in nodes:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            top, _, rest = (node.module or "").partition(".")
+            mod = (node.module or "") if node.level else rest if top == package.name else None
+            for a in node.names if mod is not None else ():
+                if mod:
+                    refs[mod, a.name] += 1
+                elif a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+        refs.update((aliases[n.value.id], n.attr) for n in nodes if isinstance(n, ast.Attribute)
+                    and getattr(n.value, "id", None) in aliases)
     found = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
+    for stem, tree in modules.items():
+        loads = _loads(tree)
+        for node in tree.body:
             if (isinstance(node, DEFINITIONS) and not node.name.startswith("__")
-                    and refs[node.name] - _names(node)[node.name] <= 0):
-                found.append(f"{path.stem}.{node.name}")
+                    and refs[stem, node.name] + loads[node.name] - _loads(node)[node.name] <= 0):
+                found.append(f"{stem}.{node.name}")
     return found
 
 
@@ -112,6 +146,9 @@ class Exported:
     def run(self, x):
         return _used(x)
 
+    def shadow(self, tested):
+        return tested
+
 
 def tested(x):
     return x - 1
@@ -121,7 +158,7 @@ def tested(x):
 def test_helpers_for_tests_only_fire_on_a_planted_module(tmp_path):
     # `_only_tested` and the public `tested` are referenced from a test file
     # alone, and `_recursive` only from its own body; `_used` has a caller
-    # in the package, and `Exported` is exported by the package's `__init__`
+    # in its module, and `Exported` is exported by the package's `__init__`
     source = tmp_path / "src"
     package = source / "pkg"
     package.mkdir(parents=True)
@@ -131,13 +168,51 @@ def test_helpers_for_tests_only_fire_on_a_planted_module(tmp_path):
         "from pkg.planted import _only_tested, tested\n"
         "def test_it():\n"
         "    assert _only_tested(2) == tested(5) == 4\n")
+    # a parameter or a local variable of that name binds to nothing of
+    # `planted`, in its own module or in another
+    (source / "shadow.py").write_text(
+        "def run(_only_tested):\n"
+        "    tested = _only_tested + 1\n"
+        "    return tested\n")
     assert helpers_for_tests_only(package, source) == [
         "planted._only_tested", "planted._recursive", "planted.tested"]
     (source / "caller.py").write_text(
         "from pkg import planted\n"
+        "from pkg.planted import tested\n"
         "def run():\n"
-        "    return planted._only_tested(1) + planted._recursive(3) + planted.tested(0)\n")
+        "    return planted._only_tested(1) + planted._recursive(3) + tested(0)\n")
     assert helpers_for_tests_only(package, source) == []
+
+
+def unused_imports(searched=SEARCHED) -> list:
+    """"dir/file.py:line name" for each name a module imports and never loads."""
+    found = []
+    for path in sorted(p for top in searched for p in top.rglob("*.py")
+                       if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = _loads(tree)
+        found += [f"{path.parent.name}/{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (a.asname or a.name.partition(".")[0] for a in node.names)
+                  if not loaded[name]]
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
+def test_unused_imports_fire_on_a_planted_module(tmp_path):
+    # `json` and the local `path` are never loaded (`gcd` binds `g`, and
+    # `os.path` binds `os`); `__init__` only re-exports
+    (tmp_path / "__init__.py").write_text("from .planted import run\n")
+    (tmp_path / "planted.py").write_text(
+        "from __future__ import annotations\nimport json\nimport os.path\n"
+        "from math import gcd as g\ndef run(x):\n    from os import path\n"
+        "    return os.sep + str(g(x, 2))\n")
+    assert unused_imports([tmp_path]) == [f"{tmp_path.name}/planted.py:{line} {name}"
+                                          for line, name in ((2, "json"), (6, "path"))]
 
 
 def _callee(call):

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgflab.farey import INFINITY, Slope, act, bounded_vertices, twist_about
-from rgflab.hypgraph import (DeltaEstimate, FareyOracle, GeodesicsUnsupported,
-                             GraphOracle, bfs, check_gp_geodesic_bound,
-                             check_local_to_global, estimate_delta,
-                             gromov_product, point_to_path_distance)
+from rgflab.farey import INFINITY, Slope, bounded_vertices
+from rgflab.hypgraph import (DeltaEstimate, FareyOracle, GeodesicsUnsupported, bfs,
+                             check_gp_geodesic_bound, check_local_to_global,
+                             estimate_delta, gromov_product, point_to_path_distance)
 from rgflab.projections import random_slope
 from oracles import cycle_oracle, random_tree
 

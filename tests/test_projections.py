@@ -8,7 +8,7 @@ from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, adjacent, \
 from rgflab.constructions import slope_at_distance
 from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
-                                PersistenceReport, TorusAnnuli, TreeSystem, _site_dist,
+                                PersistenceReport, TorusAnnuli, _site_dist,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 persistence_check, random_slope, random_slopes,

@@ -1,13 +1,13 @@
 import random
+from math import gcd
 
 import pytest
 
 from rgflab.farey import INFINITY, MappingClass, Slope, act, twist_about
-from rgflab.subgroups import (BUDGET_LIMITED, CENTRAL, EXACT, MatrixGroup, NTType,
-                              PERIODIC, PSEUDO_ANOSOV, REDUCIBLE, candidate_slopes,
+from rgflab.subgroups import (CENTRAL, MatrixGroup, NTType, PERIODIC, PSEUDO_ANOSOV,
+                              REDUCIBLE, ReducingSystemReport, _parabolic_generators,
                               canonical_reducing_system, common_parabolic_fixed_slope,
-                              enumerate_ball, group_is_finite, is_multitwist,
-                              nielsen_thurston_type, orbit)
+                              enumerate_ball, group_is_finite, nielsen_thurston_type)
 
 
 class TestNielsenThurstonType:
@@ -44,26 +44,30 @@ class TestNielsenThurstonType:
 
 
 class TestOrbit:
+    # slope orbits by the frontier loop against the closed-form boundary
+
     def test_fixed_point(self):
         g = MatrixGroup.of(twist_about(Slope(2, 3), 1))
-        res = orbit(g, Slope(2, 3))
-        assert res.finite and res.slopes == frozenset({Slope(2, 3)})
+        assert frontier_orbit(g, Slope(2, 3), 200) == frozenset({Slope(2, 3)})
+        assert canonical_reducing_system(g).boundary == frozenset({Slope(2, 3)})
 
     def test_parabolic_certificate(self):
+        # a parabolic translates the link of its fixed slope
         g = MatrixGroup.of(twist_about(INFINITY, 1))
-        res = orbit(g, Slope(0, 1), budget=2)
-        assert res.certified_infinite and not res.finite
+        assert frontier_orbit(g, Slope(0, 1), 200) is None
+        assert canonical_reducing_system(g).boundary == frozenset({INFINITY})
 
     def test_finite_cyclic(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 0))
         for s in (INFINITY, Slope(1, 3), Slope(2, 5)):
-            res = orbit(g, s, budget=10)
-            assert res.finite and len(res.slopes) <= 2
+            assert len(frontier_orbit(g, s, 10)) <= 2
+        assert canonical_reducing_system(g).boundary == frozenset()
 
     def test_overflow_is_a_value(self):
         g = MatrixGroup.of(MappingClass(2, 1, 1, 1))
-        res = orbit(g, Slope(0, 1), budget=5)
-        assert res.overflowed and not res.finite and not res.certified_infinite
+        assert frontier_orbit(g, Slope(0, 1), 5) is None
+        assert canonical_reducing_system(g) == ReducingSystemReport(
+            frozenset(), (PSEUDO_ANOSOV, MappingClass(2, 1, 1, 1)))
 
 
 class TestEnumeration:
@@ -107,33 +111,52 @@ def frontier_ball(group, length):
 
 
 def frontier_orbit(group, s, budget):
-    """Slow twin of `orbit` past its parabolic certificate: (slopes or None,
-    overflowed, visited) from the frontier loop."""
+    """The slope orbit of s by the frontier loop, or None when a sphere
+    adds slopes to `budget` or more already seen."""
     steps = group.step_generators()
-    seen = {s}
-    frontier = [s]
+    seen, frontier = {s}, {s}
     while frontier:
-        nxt = []
-        for v in frontier:
-            for g in steps:
-                w = act(g, v)
-                if w not in seen:
-                    if len(seen) >= budget:
-                        return None, True, len(seen)
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen), False, len(seen)
+        frontier = {act(g, v) for v in frontier for g in steps} - seen
+        if frontier and len(seen) >= budget:
+            return None
+        seen |= frontier
+    return frozenset(seen)
+
+
+def ball_witness(group):
+    """Slow twin of the witness: the offender, or the first |trace| > 2 element
+    of the length-4 ball over the first two parabolics about distinct slopes."""
+    parabolics, offender = _parabolic_generators(group)
+    others = [g for g, s in parabolics or () if s != parabolics[0][1]]
+    if not others:
+        return offender
+    pair = MatrixGroup((parabolics[0][0], others[0]))
+    return next(m for m in enumerate_ball(pair, 4).values() if abs(m.trace) > 2)
 
 
 GENERATOR_POOL = [MappingClass(1, 1, 0, 1), MappingClass(1, 0, 1, 1), MappingClass(0, -1, 1, 0),
                   MappingClass(-1, 0, 0, -1), MappingClass(2, 1, 1, 1), MappingClass(0, -1, 1, 1),
                   twist_about(Slope(1, 2), 2), twist_about(Slope(-2, 3), -1)]
 
+TWIST_SLOPES = [INFINITY, Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(-2, 3), Slope(3, 5)]
+
+SMALL_SLOPES = [INFINITY] + [Slope(p, q) for q in range(1, 5) for p in range(-4, 5)
+                             if gcd(p, q) == 1]
+
 
 def random_group(seed):
     rng = random.Random(seed)
     return MatrixGroup.of(*rng.sample(GENERATOR_POOL, rng.randint(1, 3)))
+
+
+def random_twist_group(seed):
+    """One to three twists about one or several slopes, each negated now
+    and then."""
+    rng = random.Random(seed)
+    return MatrixGroup.of(*(
+        twist_about(rng.choice(TWIST_SLOPES[:rng.randint(1, 6)]), rng.choice([-3, -2, -1, 1, 2]))
+        .mul(rng.choice([MappingClass.identity(), MappingClass(-1, 0, 0, -1)]))
+        for _ in range(rng.randint(1, 3))))
 
 
 class TestWalkSlowTwins:
@@ -147,15 +170,23 @@ class TestWalkSlowTwins:
         assert group_is_finite(g, budget) == ((True, len(seen)) if closed else (False, None))
 
     @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("budget", [0, 1, 5])
+    @pytest.mark.parametrize("budget", [0, 1, 5, 200])
     def test_orbit_matches_frontier_loop(self, seed, budget):
-        g = random_group(seed)
-        for s in (INFINITY, Slope(0, 1), Slope(2, 3), Slope(-1, 2)):
-            res = orbit(g, s, budget)
-            if res.certified_infinite:
-                assert common_parabolic_fixed_slope(g) not in (None, s)
+        # an infinite group's finite slope orbits are its fixed slopes, so a
+        # frontier orbit is finite exactly on the closed-form boundary,
+        # whatever the budget; a finite group gets the empty system
+        for g in (random_group(seed), random_twist_group(seed)):
+            boundary = canonical_reducing_system(g).boundary
+            if frontier_ball(g, 6)[1]:
+                assert boundary == frozenset()
                 continue
-            assert (res.slopes, res.overflowed, res.visited) == frontier_orbit(g, s, budget)
+            for s in SMALL_SLOPES + sorted(boundary):
+                assert (frontier_orbit(g, s, budget) is not None) == (s in boundary), s
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_witness_matches_ball_pick(self, seed):
+        for g in (random_group(seed), random_twist_group(seed)):
+            assert canonical_reducing_system(g).witness == ball_witness(g)
 
     def test_finite_ball_closes_where_the_twin_does(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 1))      # order 6
@@ -165,52 +196,22 @@ class TestWalkSlowTwins:
             assert frontier_ball(g, length)[1] == (length >= 4)
 
 
-class TestCandidateSlopes:
-    MODULAR = MatrixGroup.of(MappingClass(1, 1, 0, 1), MappingClass(1, 0, 1, 1))
-
-    @pytest.mark.parametrize("budget", [5, 10, 25, 40])
-    def test_stops_at_the_budget(self, budget):
-        assert len(candidate_slopes(self.MODULAR, closure_budget=budget)) == budget
-
-    def test_seeds_and_fixed_slopes_always_kept(self):
-        g = MatrixGroup.of(twist_about(Slope(1, 2), 1))
-        assert candidate_slopes(g, closure_budget=0) == [INFINITY, Slope(0, 1), Slope(1, 1),
-                                                         Slope(1, 2)]
-
-    def test_finite_closure_is_complete(self):
-        g = MatrixGroup.of(MappingClass(0, -1, 1, 0))      # x -> -1/x
-        assert candidate_slopes(g) == [INFINITY, Slope(-1, 1), Slope(0, 1), Slope(1, 1)]
-
-    def test_reached_fixed_slopes_are_expanded(self):
-        # from 1/1 the walk meets the fixed slopes 0 and 1/0 at distance 1;
-        # -1/1 lies at distance 2 only through them
-        steps = self.MODULAR.step_generators()
-        ball = {Slope(1, 1)}
-        for _ in range(2):
-            ball |= {act(g, v) for v in ball for g in steps}
-        got = candidate_slopes(self.MODULAR, seeds=[Slope(1, 1)], closure_budget=len(ball))
-        assert len(ball) == 12 and Slope(-1, 1) in ball
-        assert set(got) == ball
-
-
 class TestCanonicalReducingSystem:
     def test_single_twist(self):
         rep = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(0, 1), 3)))
         assert rep.boundary == frozenset({Slope(0, 1)})
-        assert rep.confidence == EXACT
 
     def test_pseudo_anosov_empty(self):
         rep = canonical_reducing_system(MatrixGroup.of(MappingClass(2, 1, 1, 1)))
-        assert rep.boundary == frozenset() and rep.confidence == EXACT
+        assert rep.boundary == frozenset()
 
     def test_finite_group_empty(self):
         rep = canonical_reducing_system(MatrixGroup.of(MappingClass(0, -1, 1, 0)))
-        assert rep.boundary == frozenset() and rep.confidence == EXACT
+        assert rep.boundary == frozenset()
 
     def test_mixed_twists_empty(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
-        rep = canonical_reducing_system(g)
-        assert rep.boundary == frozenset()
+        assert canonical_reducing_system(g).boundary == frozenset()
 
     def test_group_invariance(self):
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2))
@@ -226,34 +227,32 @@ class TestCanonicalReducingSystem:
             assert deep.boundary == base.boundary
 
     def test_budget_limited_reported(self):
-        # generators parabolic with distinct fixed slopes but tiny budgets:
-        # no certificate applies and the ball may miss the pseudo-Anosov word
-        g = MatrixGroup(
-            (twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)), budget=0)
-        rep = canonical_reducing_system(g, candidates=[Slope(7, 9)], budget=3)
-        assert rep.confidence in (EXACT, BUDGET_LIMITED)
+        # parabolic generators about distinct slopes: ab has trace 1, so
+        # the witness is the two-letter word ab^-1
+        a, b = twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)
+        rep = canonical_reducing_system(MatrixGroup.of(a, b))
+        assert rep.boundary == frozenset()
+        assert a.mul(b).trace == 1
+        assert rep.witness == a.mul(b.inv()) and rep.witness.trace == 3
 
 
 class TestMultitwist:
     def test_common_slope(self):
         g = MatrixGroup.of(twist_about(INFINITY, 2), twist_about(INFINITY, 5))
-        rep = is_multitwist(g)
-        assert rep.is_multitwist and rep.common_slope == INFINITY
+        rep = canonical_reducing_system(g)
+        assert rep.witness is None and rep.boundary == frozenset({INFINITY})
 
     def test_distinct_slopes_with_pa_witness(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
-        rep = is_multitwist(g)
-        assert not rep.is_multitwist
+        rep = canonical_reducing_system(g)
         assert isinstance(rep.witness, MappingClass)
         assert abs(rep.witness.trace) > 2
 
     def test_torsion_witness(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 0))
-        rep = is_multitwist(g)
-        assert not rep.is_multitwist
-        assert rep.witness[0] == PERIODIC
+        assert canonical_reducing_system(g).witness == (PERIODIC, MappingClass(0, -1, 1, 0))
 
     def test_central_generators_ignored(self):
         g = MatrixGroup.of(MappingClass(-1, 0, 0, -1), twist_about(Slope(1, 3), 4))
-        rep = is_multitwist(g)
-        assert rep.is_multitwist and rep.common_slope == Slope(1, 3)
+        rep = canonical_reducing_system(g)
+        assert rep.witness is None and rep.boundary == frozenset({Slope(1, 3)})
