@@ -18,13 +18,13 @@ from math import gcd
 
 from . import farey, hypgraph
 from .farey import MappingClass, Slope, act, conjugator_to_infinity
-from .subgroups import (MatrixGroup, common_parabolic_fixed_slope, enumerate_ball,
-                        group_is_finite)
+from .subgroups import MatrixGroup, canonical_reducing_system, enumerate_ball, group_is_finite
 
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One free-product factor: a torus matrix group with its reducing system.
+    """One free-product factor: a torus matrix group with its reducing system,
+    one slope, or None for a group with no reducing curve.
 
     `budget` bounds the factor elements enumerated when building coset fans
     and relation searches: word length in the group's generators.
@@ -32,13 +32,13 @@ class FactorSpec:
 
     name: str
     group: MatrixGroup
-    boundary: frozenset
+    boundary: Slope | None
     budget: int = 2
 
     @staticmethod
     def twist(name: str, alpha: Slope, power: int = 1, budget: int = 2) -> "FactorSpec":
         gen = farey.twist_about(alpha, power)
-        return FactorSpec(name, MatrixGroup.of(gen), frozenset({alpha}), budget)
+        return FactorSpec(name, MatrixGroup.of(gen), alpha, budget)
 
     # cached properties live in the instance __dict__, outside the dataclass
     # fields, so `==`, `hash` and `repr` do not see them
@@ -61,7 +61,7 @@ class FactorSpec:
         n is the gcd of the generators' translations there; central
         generators translate by 0 and leave it unchanged.
         """
-        alpha = common_parabolic_fixed_slope(self.group)
+        alpha = canonical_reducing_system(self.group).boundary
         if alpha is None:
             return None
         c = conjugator_to_infinity(alpha)
@@ -196,16 +196,11 @@ def tree_distance(ball: TreeBall, v: int, w: int) -> int:
 
 
 def phi(ball: TreeBall, base_curve: Slope) -> list:
-    """Vertex labels in the curve graph, indexed by vertex id:
-    v(gH_i) -> g . boundary(H_i) and v(g) -> {g . base_curve}."""
-    images = []
-    for kind, i, g in zip(ball.kind, ball.factor, ball.label):
-        m = word_matrix(g)
-        if kind == 2:
-            images.append(frozenset({act(m, base_curve)}))
-        else:
-            images.append(frozenset(act(m, s) for s in ball.factors[i].boundary))
-    return images
+    """Vertex labels in the curve graph, indexed by vertex id, one slope
+    each: v(gH_i) -> g . boundary(H_i) and v(g) -> g . base_curve.  Every
+    factor needs a boundary slope."""
+    return [act(word_matrix(g), base_curve if kind == 2 else ball.factors[i].boundary)
+            for kind, i, g in zip(ball.kind, ball.factor, ball.label)]
 
 
 @dataclass
@@ -252,28 +247,25 @@ class ResumeTable:
     one scan; it is the scan's only memo, and `advance` is the one place a
     Farey distance is resumed.
 
-    A state is (M, up) for a type-1 vertex v with a single-slope image, seen
-    from a source vertex.  With C the `conjugator_to_infinity` of the
-    source's slope, W_v the `word_matrix` of v's label and b_i the boundary
-    slope of v's factor, C W_v b_i is v's image with the source's at 1/0.
-    Its continued fraction starts with a prefix of convergent matrix T, and
-    M = adj(T) C W_v up to sign, so M b_i is the complete quotient after the
-    prefix; up is the `distance_tail` flag after the prefix, and None when
-    the prefix is empty.  Each vertex also carries its additive d, the
-    distance of the prefix's convergent.  A step from v to a type-1 vertex w
-    across a fan is (S, j), S = W_v^-1 W_w and j the factor of w: S is h
-    going down through the child fan v.h, I to a sibling, and h^-1 going
-    up.  w's image is W_v S b_j, so `advance(M S, b_j, up)` reads w's
-    distance and state off v's, and the entry `trans[state][step]` is a
-    function of (state, step) alone.
+    A state is (M, up) for a type-1 vertex v, seen from a source vertex.
+    With C the `conjugator_to_infinity` of the source's slope, W_v the
+    `word_matrix` of v's label and b_i the boundary slope of v's factor,
+    C W_v b_i is v's image with the source's at 1/0.  Its continued fraction
+    starts with a prefix of convergent matrix T, and M = adj(T) C W_v up to
+    sign, so M b_i is the complete quotient after the prefix; up is the
+    `distance_tail` flag after the prefix, and None when the prefix is
+    empty.  Each vertex also carries its additive d, the distance of the
+    prefix's convergent.  A step from v to a type-1 vertex w across a fan is
+    (S, j), S = W_v^-1 W_w and j the factor of w: S is h going down through
+    the child fan v.h, I to a sibling, and h^-1 going up.  w's image is
+    W_v S b_j, so `advance(M S, b_j, up)` reads w's distance and state off
+    v's, and the entry `trans[state][step]` is a function of (state, step)
+    alone.
 
     A step from a prefix with a complete quotient x <= 1 is the entry
     `FALLBACK`: w's distance then needs the tail from an empty prefix,
     `advance(C W_w, b_j, None)`, which depends on the source and not only on
-    the state, so nothing is cached.  The state `no_point` has no matrix:
-    it is the state of a vertex whose image, or whose source's, has more
-    than one slope, and every step from it, or into a factor with other
-    than one boundary slope, is a fallback too.
+    the state, so nothing is cached.
 
     The first ring, and every empty prefix.  Let P be a shear x -> x + n,
     which fixes 1/0; then `advance(P m, b, None)` returns the entry of
@@ -299,21 +291,14 @@ class ResumeTable:
     FALLBACK = object()
 
     def __init__(self, boundary: list):
-        self.boundary = boundary        # per factor: its one boundary slope, or None
+        self.boundary = boundary        # per factor: its boundary slope
         self.step_ids = {}              # (projective key of S, j) -> step id
         self.steps = []                 # step id -> (S, j)
         self.state_ids = {}             # (M up to sign, up) -> state id
-        self.no_point = 0
-        self.matrix = [None]            # state id -> M; none for no_point
-        self.up = [None]
-        self.trans = [{}]
-        self.root = [self.no_point if b is None else self.state(conjugator_to_infinity(b), None)
-                     for b in boundary]
-
-    @classmethod
-    def of(cls, factors: list) -> "ResumeTable":
-        return cls([next(iter(f.boundary)) if len(f.boundary) == 1 else None
-                    for f in factors])
+        self.matrix = []                # state id -> M
+        self.up = []
+        self.trans = []
+        self.root = [self.state(conjugator_to_infinity(b), None) for b in boundary]
 
     def step(self, s: MappingClass, j: int) -> int:
         key = (s.projective_key(), j)
@@ -341,9 +326,8 @@ class ResumeTable:
         t = row.get(step)
         if t is None:
             s, j = self.steps[step]
-            b, m = self.boundary[j], self.matrix[state]
-            t = row[step] = (self.FALLBACK if b is None or m is None
-                             else self.advance(_mat_mul(m, s), b, self.up[state]))
+            t = row[step] = self.advance(_mat_mul(self.matrix[state], s), self.boundary[j],
+                                         self.up[state])
         return t
 
     def advance(self, m: tuple, b: Slope, up: bool | None):
@@ -386,24 +370,21 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
     vertex ranked at or before the source, with no fan but the one it was
     reached through, is skipped.  Every directed step gets its `ResumeTable`
     step id once per scan.  Each stack entry carries its vertex's state and
-    additive d, so a pair with single-slope images costs one lookup of
-    `trans[state][step]` and two additions; the source is in the root state
-    of its factor.  A fallback is one uncached `ResumeTable.advance` from
-    the empty prefix of the source's own conjugator, and a pair with a
-    multi-slope image takes `farey.slope_set_distance`.
+    additive d, so a pair costs one lookup of `trans[state][step]` and two
+    additions; the source is in the root state of its factor.  The only
+    fallback, a complete quotient x <= 1 after a prefix, is one uncached
+    `ResumeTable.advance` from the empty prefix of the source's own
+    conjugator.
     """
     kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
                                             ball.factor, ball.distance)
     adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
     t1 = ball.vertices(1)
     rank = [-1] * len(kind)
-    slope = [None] * len(kind)           # the image slope, when there is one
     for k, i in enumerate(t1):
         rank[i] = k
-        if len(images[i]) == 1:
-            (slope[i],) = images[i]
 
-    table = ResumeTable.of(ball.factors)
+    table = ResumeTable([f.boundary for f in ball.factors])
     fallback = table.FALLBACK
     sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
     down, up = {}, {}                    # steps into and out of v across its parent fan
@@ -434,7 +415,7 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
     trans = table.trans
     pairs = []
     for k, src in enumerate(t1):
-        conj = None if slope[src] is None else conjugator_to_infinity(slope[src])
+        conj = conjugator_to_infinity(images[src])
         row = [None] * (len(t1) - k - 1)
         # (vertex, fan it came through, d_T, state, additive d)
         stack = [(src, -1, 0, table.root[factor[src]], 0)]
@@ -454,12 +435,9 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
                         added, before, nxt = t
                         ds = d + added
                         nd = d + before
-                    elif conj is not None and slope[v] is not None:
+                    else:
                         ds, nd, nxt = table.advance(_mat_mul(conj, word_matrix(label[v])),
                                                     table.boundary[factor[v]], None)
-                    else:
-                        ds = farey.slope_set_distance(images[src], images[v]) if r >= 0 else None
-                        nxt, nd = table.no_point, 0
                     if r >= 0:
                         row[r] = (dt, ds)
                     if not leaf:

@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import farey
-from .farey import INFINITY, Slope, act
+from .farey import INFINITY, Slope
 from . import hypgraph
 from .hypgraph import FareyOracle
 from . import projections
@@ -45,8 +45,6 @@ def _jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else obj.numerator
     if isinstance(obj, Slope):      # before the tuple case: a slope is a tuple
         return str(obj)
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(x) for x in obj)
     if isinstance(obj, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):     # a MappingClass is the tuple of its entries
@@ -88,19 +86,27 @@ def family_to_json(family: FamilySpec) -> dict:
     doc = {"factors": [
         {"name": f.name,
          "generators": [list(g.entries()) for g in f.group.generators],
-         "boundary": sorted(str(s) for s in f.boundary),
+         "boundary": [] if f.boundary is None else [str(f.boundary)],
          "budget": f.budget}
         for f in family.factors]}
     if family.betas is not None:
-        doc["betas"] = [sorted(str(s) for s in b) for b in family.betas]
+        doc["betas"] = [[str(b)] for b in family.betas]
     return doc
+
+
+def _one_slope(texts, what: str) -> Slope:
+    """The slope of a list of one `p/q` string: a torus curve system."""
+    if len(texts) != 1:
+        raise ValueError(f"{what} must be one slope, got {texts!r}")
+    return Slope.parse(texts[0])
 
 
 def family_from_json(doc: dict) -> FamilySpec:
     factors = []
     for fd in doc["factors"]:
         group = subgroups.MatrixGroup.of(*fd["generators"])
-        boundary = frozenset(Slope.parse(s) for s in fd["boundary"])
+        boundary = (_one_slope(fd["boundary"], f"the boundary of factor {fd['name']}")
+                    if fd["boundary"] else None)
         budget = fd.get("budget", 2)
         # a fractional budget would silently run the search of the next
         # integer, and JSON true would pass as 1 (bool is an int)
@@ -113,7 +119,7 @@ def family_from_json(doc: dict) -> FamilySpec:
         factors.append(FactorSpec(fd["name"], group, boundary, budget))
     betas = None
     if "betas" in doc:
-        betas = [frozenset(Slope.parse(s) for s in b) for b in doc["betas"]]
+        betas = [_one_slope(b, "a betas entry") for b in doc["betas"]]
     return FamilySpec(factors, betas)
 
 
@@ -281,15 +287,14 @@ def _load_family(args) -> FamilySpec:
     try:
         with open(args.family) as fh:
             family = family_from_json(json.load(fh))
-        # the coset images g.boundary(H_i) are empty, so every distance check
-        # vacuous, when a boundary is, and well defined only when every
-        # generator keeps its factor's boundary; ping-pong reads no boundary
+        # the coset images g.boundary(H_i) are well defined, and the fans
+        # nonempty, when each boundary is its factor's canonical reducing
+        # system, which a finite factor lacks; ping-pong reads no boundary
         for f in family.factors if args.action != "pingpong" else ():
-            if not f.boundary:
-                raise ValueError(f"factor {f.name} has an empty boundary")
-            if any(frozenset(act(g, s) for s in f.boundary) != f.boundary
-                   for g in f.group.generators):
-                raise ValueError(f"a generator of factor {f.name} does not preserve its boundary")
+            system = subgroups.canonical_reducing_system(f.group).boundary
+            if f.boundary is None or f.boundary != system:
+                raise ValueError(f"factor {f.name} has boundary {f.boundary or 'none'}, not "
+                                 f"its canonical reducing system {system or 'none'}")
         return family
     except OSError as exc:
         raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
@@ -379,7 +384,7 @@ def cmd_experiment(args):
         records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
                     "N": tw.N, "center": tw.center, "window": tw.window,
                     "constants": tw.constants,
-                    "boundaries": [f.boundary for f in tw.family.factors]},
+                    "boundaries": [[f.boundary] for f in tw.family.factors]},
                    {"record": "prop91-separation", "min": tw.separation.minimum,
                     "matrix": tw.separation.matrix, "ok": tw.separation.ok,
                     "window_ok": tw.distance_window_ok},
@@ -437,7 +442,7 @@ def cmd_experiment(args):
                                 factor_budget=args.factor_budget)
     records = [{"record": "example92-family", "D": cf.D,
                 "T": cf.T,
-                "boundaries": [f.boundary for f in cf.family.factors]},
+                "boundaries": [[f.boundary] for f in cf.family.factors]},
                {"record": "example92-separation", "min": cf.separation.minimum,
                 "ok": cf.separation.ok},
                {"record": "example92-misalignment", "min": cf.misalignment.minimum,

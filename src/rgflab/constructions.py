@@ -19,7 +19,7 @@ from .projections import TorusAnnuli, estimate_constants
 @dataclass
 class FamilySpec:
     """Free-product factors with reducing systems and optional displacing
-    multicurves (each beta_i must be stabilized by its factor)."""
+    curves, one slope each (each beta_i must be fixed by its factor)."""
 
     factors: list
     betas: list | None = None
@@ -27,7 +27,7 @@ class FamilySpec:
     def boundaries(self) -> list:
         return [f.boundary for f in self.factors]
 
-    def beta(self, i: int) -> frozenset:
+    def beta(self, i: int) -> Slope:
         if self.betas is not None:
             return self.betas[i]
         return self.factors[i].boundary
@@ -42,8 +42,8 @@ class SeparationReport:
 
 
 def check_separated(family: FamilySpec, D: int) -> SeparationReport:
-    """Pairwise curve-graph distances of the reducing systems, as diameters
-    of unions, against the threshold D.  Vacuous for a single factor."""
+    """Pairwise curve-graph distances of the reducing systems against the
+    threshold D.  Vacuous for a single factor."""
     bs = family.boundaries()
     n = len(bs)
     matrix = [[0] * n for _ in range(n)]
@@ -66,8 +66,8 @@ class MisalignmentReport:
     vacuous: bool = False
 
 
-def gromov_product_sets(A, B, C) -> Fraction:
-    """(A | B)_C with distances taken as diameters of unions."""
+def gromov_product_sets(A: Slope, B: Slope, C: Slope) -> Fraction:
+    """(A | B)_C of three curve systems, one slope each."""
     return Fraction(farey.slope_set_distance(C, A) + farey.slope_set_distance(B, C)
                     - farey.slope_set_distance(A, B), 2)
 
@@ -105,22 +105,19 @@ class DisplacingReport:
     ok: bool
 
 
-def _shell_sites(beta: frozenset, shell_bound: int) -> list:
-    """Annuli within distance one of the multicurve: its components and, for
-    each, the stretch of its link within `shell_bound` positions of zero (the
-    link of a vertex is the conjugated integer line, so this enumerates bona
-    fide Farey neighbors whatever the denominators)."""
-    sites = set(beta)
-    for b in beta:
-        minv = farey.conjugator_to_infinity(b).inv()
-        for k in range(-shell_bound, shell_bound + 1):
-            sites.add(act(minv, Slope(k, 1)))
+def _shell_sites(beta: Slope, shell_bound: int) -> list:
+    """Annuli within distance one of the curve: the curve itself and the
+    stretch of its link within `shell_bound` positions of zero (the link of
+    a vertex is the conjugated integer line, so this enumerates bona fide
+    Farey neighbors whatever the denominators)."""
+    minv = farey.conjugator_to_infinity(beta).inv()
+    sites = {beta}.union(act(minv, Slope(k, 1)) for k in range(-shell_bound, shell_bound + 1))
     return sorted(sites, key=lambda s: (s.q, abs(s.p), s.p))
 
 
 def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> DisplacingReport:
     """Existence, for every nontrivial factor element, of a nearby annulus
-    displacing the neighboring multicurves by at least L.
+    displacing the neighboring curves by at least L.
 
     For all ordered (i, j, k) with i != j != k (i = k allowed) and every
     enumerated nontrivial h in the j-th factor, search annuli Y with
@@ -129,12 +126,8 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     """
     torus = TorusAnnuli()
     n = len(family.factors)
-    stab_ok = True
-    for j, f in enumerate(family.factors):
-        bj = family.beta(j)
-        for h in f.elements:
-            if frozenset(act(h, s) for s in bj) != bj:
-                stab_ok = False
+    stab_ok = all(act(h, family.beta(j)) == family.beta(j)
+                  for j, f in enumerate(family.factors) for h in f.elements)
     sep_ok = True
     for i in range(n):
         for j in range(i + 1, n):
@@ -154,7 +147,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
                     continue
                 bi, bk = family.beta(i), family.beta(k)
                 for e_idx, h in enumerate(elements):
-                    hbk = frozenset(act(h, s) for s in bk)
+                    hbk = act(h, bk)
                     best = None
                     best_site = None
                     for site in shell:
@@ -191,7 +184,7 @@ def definite_distance_scan(factor: FactorSpec, sample_curves, M_emp: int) -> Def
     count = 0
     boundary = factor.boundary
     for a in sample_curves:
-        d_bdry = farey.slope_set_distance({a}, boundary)
+        d_bdry = farey.slope_set_distance(a, boundary)
         if d_bdry <= 3:
             continue
         for g in factor.elements:
@@ -223,11 +216,11 @@ def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoun
     count = 0
     boundary = factor.boundary
     for a in sample_curves:
-        if a in boundary:
+        if a == boundary:
             continue
         for g in factor.elements:
             ga = act(g, a)
-            gp = gromov_product_sets({a}, {ga}, boundary)
+            gp = gromov_product_sets(a, ga, boundary)
             count += 1
             if gp > worst:
                 worst = gp

@@ -12,16 +12,16 @@ sending the site to infinity.
 (p, q), a matrix as (a, b, c, d), the hashes of the frozen dataclasses they
 replaced, so set orders and report bytes are unchanged.  Constructors
 validate; `Slope._reduced` and the arithmetic here build through
-`tuple.__new__` without the re-check.  A slope iterates as p, q, so slopes
-and bare tuples never share a container, and every "slope or iterable of
-slopes" entry point tests `isinstance(x, Slope)` first.  `entries()` stays
-beside `tuple(m)`: the benchmark's tracer keys enumerated balls on it.
+`tuple.__new__` without the re-check.  A curve system on the punctured
+torus is a single slope, since any two distinct curves meet, so every entry
+point takes slopes; only `link_span` takes an iterable of them, a path.
+`entries()` stays beside `tuple(m)`: the benchmark's tracer keys enumerated
+balls on it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 _new = tuple.__new__
@@ -338,19 +338,20 @@ class EmptyProjectionError(ValueError):
     pass
 
 
-def _span(m: MappingClass, curves):
-    """(least floor, greatest ceiling) of the images of `curves` under the
-    conjugator m of a site, or None when every curve is the site itself.
+def link_span(alpha: Slope, path):
+    """(lo, hi): the extreme positions, in the link of alpha, of the annular
+    projections of an iterable of slopes; None when nothing projects.  The
+    projection diameter is hi - lo.
 
-    `curves` is a slope or an iterable of slopes.  The floor and ceiling of
-    the image (a*p + b*q)/(c*p + d*q) need neither a reduced fraction nor a
-    sign fix: one divmod rounds down for either sign of the denominator, and
-    the ceiling is one more unless the remainder is zero.  The denominator
-    vanishes exactly on the site.
+    The floor and ceiling of a slope's image (a*p + b*q)/(c*p + d*q) under
+    the conjugator [[a, b], [c, d]] of alpha need neither a reduced fraction
+    nor a sign fix: one divmod rounds down for either sign of the
+    denominator, and the ceiling is one more unless the remainder is zero.
+    The denominator vanishes exactly on alpha, which is skipped.
     """
-    a, b, c, d = m
+    a, b, c, d = conjugator_to_infinity(alpha)
     lo = hi = None
-    for p, q in (curves,) if isinstance(curves, Slope) else curves:
+    for p, q in path:
         den = c * p + d * q
         if not den:
             continue
@@ -364,55 +365,39 @@ def _span(m: MappingClass, curves):
     return None if lo is None else (lo, hi)
 
 
-def link_span(alpha: Slope, curves):
-    """(lo, hi): the extreme positions, in the link of alpha, of the annular
-    projections of a slope or an iterable of slopes; None when nothing
-    projects.  The projection diameter is hi - lo."""
-    return _span(conjugator_to_infinity(alpha), curves)
+def annular_distance(alpha: Slope, beta: Slope, gamma: Slope) -> int:
+    """Diameter in Z of the union of the projections of beta and gamma to the
+    annulus about alpha; `EmptyProjectionError` when either is alpha.
 
-
-def annular_distance(alpha: Slope, beta, gamma) -> int:
-    """Diameter in Z of the union of the projections of beta and gamma.
-
-    Either argument may be a slope or an iterable of slopes; components equal
-    to alpha are skipped.  Two bare slopes other than alpha take one pass
-    that reads the entries of `conjugator_to_infinity(alpha)` in place, with
-    no matrix built: for alpha = p/q with q >= 1 the conjugator is
+    One pass reads the entries of `conjugator_to_infinity(alpha)` in place,
+    with no matrix built: for alpha = p/q with q >= 1 the conjugator is
     [[a, b], [-q, p]] with a = p^-1 mod q and b = (1 - ap)/q, and at 1/0 it
     is the identity, so each slope is its own image.  Any matrix sending
-    alpha to 1/0 gives the same diameter, and the test of bare slopes
-    against one-element sets checks this branch against the `_span` path.
+    alpha to 1/0 gives the same diameter.
     """
-    if isinstance(beta, Slope) and isinstance(gamma, Slope) and beta != alpha != gamma:
-        (bp, bq), (gp, gq) = beta, gamma
-        p, q = alpha
-        if q:
-            a = pow(p, -1, q)
-            b = (1 - a * p) // q
-            bp, bq = a * bp + b * bq, p * bq - q * bp
-            gp, gq = a * gp + b * gq, p * gq - q * gp
-        lo_b, r_b = divmod(bp, bq)
-        lo_g, r_g = divmod(gp, gq)
-        hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)
-        return (hi_b if hi_b > hi_g else hi_g) - (lo_b if lo_b < lo_g else lo_g)
-    m = conjugator_to_infinity(alpha)
-    sb = _span(m, beta)
-    sg = _span(m, gamma)
-    if sb is None or sg is None:
-        if sb is None and sg is None:
+    if beta == alpha or gamma == alpha:
+        if beta == gamma:
             raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
         raise EmptyProjectionError(f"one side does not project to {alpha}")
-    return max(sb[1], sg[1]) - min(sb[0], sg[0])
+    (bp, bq), (gp, gq) = beta, gamma
+    p, q = alpha
+    if q:
+        a = pow(p, -1, q)
+        b = (1 - a * p) // q
+        bp, bq = a * bp + b * bq, p * bq - q * bp
+        gp, gq = a * gp + b * gq, p * gq - q * gp
+    lo_b, r_b = divmod(bp, bq)
+    lo_g, r_g = divmod(gp, gq)
+    hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)
+    return (hi_b if hi_b > hi_g else hi_g) - (lo_b if lo_b < lo_g else lo_g)
 
 
-def slope_set_distance(A, B) -> int:
-    """Distance between slope sets as the diameter of their union; for two
-    slopes, their Farey distance."""
-    if isinstance(A, Slope) and isinstance(B, Slope):
-        return 0 if A == B else farey_distance(A, B)
-    aset = {A} if isinstance(A, Slope) else set(A)
-    bset = {B} if isinstance(B, Slope) else set(B)
-    return max((farey_distance(u, v) for u, v in combinations(list(aset | bset), 2)), default=0)
+def slope_set_distance(a: Slope, b: Slope) -> int:
+    """Farey distance between two single-slope curve systems (reducing
+    systems, displacing curves or orbit-map images), with no call to
+    `farey_distance` when they are equal.  The name stays, as
+    `perfbench/tracer.py` traces it."""
+    return 0 if a == b else farey_distance(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ A system exposes sites, a symmetric irreflexive overlap relation, projection
 distances between objects at a site, and an ambient metric on objects with
 geodesics.  The projection distance d_Y(a, b) is the diameter of the union
 of the two projections, so it is symmetric in a and b.  Two instances are
-provided: annuli in the Farey graph, and synthetic systems built from a
-hidden tree embedding so the axioms hold by construction.  All checks take
-thresholds (M, B) explicitly.
+provided: annuli in the Farey graph, whose sites and objects are slopes, and
+synthetic systems built from a hidden tree embedding so the axioms hold by
+construction.  All checks take thresholds (M, B) explicitly.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class TorusAnnuli:
     """Annular projection system of the once-punctured torus.
 
     Sites are slopes; every pair of distinct slopes overlaps.  Objects are
-    slopes or frozen sets of slopes (a slope is a tuple: test for it first);
-    the boundary of a site is its core.
+    slopes too, since a curve system on the punctured torus is one curve; the
+    boundary of a site is its core.
     """
 
     def boundary(self, site: Slope):
@@ -46,22 +46,21 @@ class TorusAnnuli:
     def overlaps(self, y: Slope, z: Slope) -> bool:
         return y != z
 
-    def projects(self, site: Slope, obj) -> bool:
-        return obj != site if isinstance(obj, Slope) else any(c != site for c in obj)
+    def projects(self, site: Slope, obj: Slope) -> bool:
+        return obj != site
 
-    def proj_dist(self, site: Slope, a, b) -> int:
+    def proj_dist(self, site: Slope, a: Slope, b: Slope) -> int:
         return farey.annular_distance(site, a, b)
 
     def path_diam(self, site: Slope, path) -> int:
-        """Projection diameter of the union of a path's objects: one span
+        """Projection diameter of the union of a path's slopes: one span
         fold, equal to the largest pairwise `proj_dist`."""
-        span = farey.link_span(site, [c for v in path
-                                      for c in ((v,) if isinstance(v, Slope) else v)])
+        span = farey.link_span(site, path)
         if span is None:
             raise farey.EmptyProjectionError(f"nothing projects to the annulus about {site}")
         return span[1] - span[0]
 
-    def ambient_dist(self, a, b) -> int:
+    def ambient_dist(self, a: Slope, b: Slope) -> int:
         return farey.slope_set_distance(a, b)
 
     def ambient_geodesic(self, a: Slope, b: Slope):
@@ -299,12 +298,6 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
     seq = list(sequence)
     n = len(seq)
     failures = []
-    if n <= 2:
-        hyp = all(system.overlaps(seq[i], seq[i + 1]) for i in range(n - 1))
-        gaps3 = all(system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[i + 1])) >= 3
-                    for i in range(n - 1))
-        return PersistenceReport(seq, M, B, hyp, True, True, True, gaps3, True, None)
-
     hyp = True
     for i in range(n - 1):
         if not system.overlaps(seq[i], seq[i + 1]):
@@ -359,7 +352,7 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
 
     gaps3 = all(amb[i][i + 1] >= 3 for i in range(n - 1))
     final_ok = True
-    if gaps3 and amb[0][n - 1] < n - 1:
+    if gaps3 and n and amb[0][n - 1] < n - 1:
         final_ok = False
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
 

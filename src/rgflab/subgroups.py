@@ -110,28 +110,20 @@ def _parabolic_generators(group: MatrixGroup) -> tuple:
     return parabolics, None
 
 
-def common_parabolic_fixed_slope(group: MatrixGroup) -> Slope | None:
-    """The common fixed slope when every generator is parabolic or central
-    and the parabolic ones agree; None otherwise."""
-    parabolics, _ = _parabolic_generators(group)
-    if not parabolics or len({s for _, s in parabolics}) > 1:
-        return None
-    return parabolics[0][1]
-
-
 @dataclass
 class ReducingSystemReport:
-    """The canonical reducing system, as a set of at most one slope, and
-    the witness that the group lies in no twist group (None when it does)."""
+    """The canonical reducing system, one slope or None when it is empty,
+    and the witness that the group lies in no twist group (None when it
+    does)."""
 
-    boundary: frozenset
+    boundary: Slope | None
     witness: object
 
 
 def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
     """The canonical reducing system of `group` in closed form: the common
     fixed slope of the parabolic generators when every generator is
-    parabolic or central and the parabolic ones agree, and empty otherwise.
+    parabolic or central and the parabolic ones agree, and None otherwise.
 
     On the torus any two distinct curves meet, so the system is the unique
     slope with a finite orbit when G is infinite, and empty otherwise.
@@ -159,12 +151,12 @@ def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
     """
     parabolics, offender = _parabolic_generators(group)
     if offender is not None:
-        return ReducingSystemReport(frozenset(), offender)
-    slopes = frozenset(s for _, s in parabolics)
-    if len(slopes) <= 1:
-        return ReducingSystemReport(slopes, None)
-    first, slope = parabolics[0]
-    g = next(g for g, s in parabolics if s != slope)
+        return ReducingSystemReport(None, offender)
+    slope = parabolics[0][1] if parabolics else None
+    g = next((g for g, s in parabolics if s != slope), None)
+    if g is None:
+        return ReducingSystemReport(slope, None)
+    first = parabolics[0][0]
     product = first.mul(g)
     return ReducingSystemReport(
-        frozenset(), product if abs(product.trace) > 2 else first.mul(g.inv()))
+        None, product if abs(product.trace) > 2 else first.mul(g.inv()))

@@ -26,13 +26,13 @@ def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:
 
 
 def coset_well_defined(ball: TreeBall, v: int) -> bool:
-    """Representatives g and g*h (h in the factor) must give one image set."""
+    """Representatives g and g*h (h in the factor) must give one image."""
     if ball.kind[v] != 1:
         raise ValueError("well-definedness is about type-1 vertices")
     f = ball.factors[ball.factor[v]]
     m = word_matrix(ball.label[v])
-    base = frozenset(act(m, s) for s in f.boundary)
-    return all(frozenset(act(m.mul(h), s) for s in f.boundary) == base for h in f.elements)
+    base = act(m, f.boundary)
+    return all(act(m.mul(h), f.boundary) == base for h in f.elements)
 
 
 def matrix_power(m: MappingClass, n: int) -> MappingClass:
@@ -59,8 +59,8 @@ def annular_projection(alpha: Slope, beta: Slope) -> frozenset:
 
 
 def annular_projection_set(alpha: Slope, curves) -> frozenset:
-    """Union of annular projections of a set of curves (components equal to
-    alpha contribute nothing); the set form of `link_span`."""
+    """Union of annular projections of an iterable of slopes, such as a path
+    (slopes equal to alpha contribute nothing); the set form of `link_span`."""
     return frozenset().union(*(annular_projection(alpha, beta) for beta in curves))
 
 

@@ -311,15 +311,15 @@ def test_10_conjugate_twist_reproduction(torus_constants):
 
 def test_11_algebra_anchors():
     free_a = FactorSpec("A", MatrixGroup.of(MappingClass(1, 2, 0, 1)),
-                        frozenset({INFINITY}), budget=5)
+                        INFINITY, budget=5)
     free_b = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 2, 1)),
-                        frozenset({Slope(0, 1)}), budget=5)
+                        Slope(0, 1), budget=5)
     sanov = free_product_check([free_a, free_b], budget=10)
 
     full_a = FactorSpec("A", MatrixGroup.of(MappingClass(1, 1, 0, 1)),
-                        frozenset({INFINITY}), budget=6)
+                        INFINITY, budget=6)
     full_b = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 1, 1)),
-                        frozenset({Slope(0, 1)}), budget=6)
+                        Slope(0, 1), budget=6)
     rel = free_product_check([full_a, full_b], budget=12)
     letters = None
     if rel.witness is not None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rgflab.farey import (INFINITY, MappingClass, Slope, act, conjugator_to_infinity,
-                          farey_distance, slope_set_distance, twist_about)
+                          farey_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
 from rgflab import bassserre, farey
 from rgflab.bassserre import (FactorSpec, FreeProductReport, build_ball,
@@ -109,13 +109,13 @@ class TestPhi:
         # the center's fan: the cosets H_0 and H_1, with the empty prefix
         assert ball.adjacency[0] == [1, 2] and ball.factor[1:3] == [0, 1]
         assert ball.label[1] == ball.label[2] == ()
-        assert images[1] == frozenset({INFINITY})
-        assert images[2] == frozenset({Slope(0, 1)})
+        assert images[1] == INFINITY
+        assert images[2] == Slope(0, 1)
 
     def test_center_maps_to_base_curve(self):
         ball = build_ball(two_twist_factors(), radius=1)
         images = phi(ball, Slope(1, 1))
-        assert images[0] == frozenset({Slope(1, 1)})
+        assert images[0] == Slope(1, 1)
 
     def test_coset_well_definedness(self):
         ball = build_ball(separated_factors(), radius=3)
@@ -136,7 +136,7 @@ class TestPhi:
                 for h in f.elements[:2]:
                     target = element.get(_word_key(syllables_mul(w, ((i, h),))))
                     if target is not None:
-                        assert images[target] == frozenset({act(m.mul(h), Slope(1, 1))})
+                        assert images[target] == act(m.mul(h), Slope(1, 1))
 
 
 class TestQiCertificate:
@@ -220,17 +220,16 @@ def theorem_b_family():
 
 
 def two_slope_factors(budget=2):
-    """A finite factor swapping 1/0 and 0/1, with that pair as its boundary,
-    and twist factors about 2/1 and -1/3 (so the scan both resumes, past
-    steps that rose and steps that did not, and falls back)."""
+    """A finite factor swapping 1/0 and 0/1, with no reducing curve (boundary
+    None), beside twists about 2/1 and -1/3; `phi` cannot map its ball."""
     swap = MatrixGroup.of(MappingClass(0, -1, 1, 0))
-    return [FactorSpec("S", swap, frozenset({INFINITY, Slope(0, 1)}), budget),
+    return [FactorSpec("S", swap, None, budget),
             FactorSpec.twist("T", Slope(2, 1), budget=budget),
             FactorSpec.twist("U", Slope(-1, 3), budget=budget)]
 
 
 def slow_pair(ball, images, v, w):
-    return tree_distance(ball, v, w), slope_set_distance(images[v], images[w])
+    return tree_distance(ball, v, w), farey_distance(images[v], images[w])
 
 
 def tree_family(name):
@@ -269,14 +268,13 @@ class TestTreeShape:
 
 
 class TestQiPairsSlowTwin:
-    """The table-driven scan against `tree_distance` and `slope_set_distance`."""
+    """The table-driven scan against `tree_distance` and `farey_distance`."""
 
     # two-twist at radius 5 resumes past a step that did not rise, before a
     # quotient of 1, where the state's `up` flag decides the distance; it
     # also has 33 fallback transitions (x <= 1), which are never cached
     @pytest.mark.parametrize("family, radius", [
-        *itertools.product(["two-twist", "three-factor", "theorem-b", "two-slope", "prop91"],
-                           [1, 2, 3, 4]),
+        *itertools.product(["two-twist", "three-factor", "theorem-b", "prop91"], [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
         factors, base = tree_family(family)
@@ -335,11 +333,10 @@ def _recorded_scan(monkeypatch, family, radius):
 
 
 def _states(table):
-    """(roots, other empty-prefix states, states after a prefix) of a table;
-    `no_point` is in none of them."""
-    roots = sorted(set(table.root) - {table.no_point})
+    """(roots, other empty-prefix states, states after a prefix) of a table."""
+    roots = sorted(set(table.root))
     empty = [st for st in range(len(table.matrix))
-             if table.up[st] is None and st != table.no_point and st not in roots]
+             if table.up[st] is None and st not in roots]
     prefixed = [st for st in range(len(table.matrix)) if table.up[st] is not None]
     return roots, empty, prefixed
 
@@ -355,7 +352,7 @@ class TestResumeTable:
     """The transducer behind `qi_pairs`: the first-ring lemma and its work."""
 
     @pytest.mark.parametrize("family, radius", itertools.product(
-        ["two-twist", "three-factor", "theorem-b", "two-slope"], [1, 2, 3, 4]))
+        ["two-twist", "three-factor", "theorem-b"], [1, 2, 3, 4]))
     def test_first_ring_lemma(self, family, radius):
         """The entry of a source's root, keyed by the step S = W_src^-1 W_v
         alone, equals `advance` from the empty prefix of the source's own
@@ -365,7 +362,7 @@ class TestResumeTable:
         factors, base = tree_family(family)
         ball = build_ball(factors, radius)
         images = phi(ball, base)
-        table = bassserre.ResumeTable.of(factors)
+        table = bassserre.ResumeTable([f.boundary for f in factors])
         checked = empty = 0
         for src in ball.vertices(1):
             w_src = word_matrix(ball.label[src])
@@ -376,10 +373,7 @@ class TestResumeTable:
                     w_v = word_matrix(ball.label[v])
                     step = table.step(w_src.inv().mul(w_v), ball.factor[v])
                     got = table.entry(table.root[ball.factor[src]], step)
-                    if len(images[src]) != 1 or len(images[v]) != 1:
-                        assert got is table.FALLBACK
-                        continue
-                    (s_src,), (s_v,) = images[src], images[v]
+                    s_src, s_v = images[src], images[v]
                     b_v = table.boundary[ball.factor[v]]
                     assert act(w_v, b_v) == s_v
                     want = table.advance(bassserre._mat_mul(conjugator_to_infinity(s_src), w_v),
@@ -464,14 +458,14 @@ class TestResumeTable:
 
 class TestFreeProductCheck:
     def test_sanov_pair_free(self):
-        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 2, 0, 1)), frozenset({INFINITY}), budget=5)
-        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 2, 1)), frozenset({Slope(0, 1)}), budget=5)
+        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 2, 0, 1)), INFINITY, budget=5)
+        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 2, 1)), Slope(0, 1), budget=5)
         rep = free_product_check([fa, fb], budget=10)
         assert rep.no_relation and rep.witness is None
 
     def test_full_twists_have_relation(self):
-        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 1, 0, 1)), frozenset({INFINITY}), budget=6)
-        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 1, 1)), frozenset({Slope(0, 1)}), budget=6)
+        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 1, 0, 1)), INFINITY, budget=6)
+        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 1, 1)), Slope(0, 1), budget=6)
         rep = free_product_check([fa, fb], budget=12)
         assert not rep.no_relation
         assert word_matrix(rep.witness).is_identity()
@@ -534,17 +528,17 @@ def eager_free_product_check(factors: list, budget: int = 8) -> FreeProductRepor
 
 
 def _twist_pair(e: int, budget: int) -> list:
-    return [FactorSpec("A", MatrixGroup.of(MappingClass(1, e, 0, 1)), frozenset({INFINITY}), budget),
-            FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, e, 1)), frozenset({Slope(0, 1)}), budget)]
+    return [FactorSpec("A", MatrixGroup.of(MappingClass(1, e, 0, 1)), INFINITY, budget),
+            FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, e, 1)), Slope(0, 1), budget)]
 
 
 def _order_three_triple() -> list:
     # T, U and (TU)^-1 multiply to the identity: a witness of 3 syllables,
     # found at the odd total 3 after no pair of factors meets at total 2
     t, u = MappingClass(1, 1, 0, 1), MappingClass(1, 0, -1, 1)
-    return [FactorSpec("T", MatrixGroup.of(t), frozenset({INFINITY}), 1),
-            FactorSpec("U", MatrixGroup.of(u), frozenset({Slope(0, 1)}), 1),
-            FactorSpec("V", MatrixGroup.of(t.mul(u).inv()), frozenset({Slope(1, 1)}), 1)]
+    return [FactorSpec("T", MatrixGroup.of(t), INFINITY, 1),
+            FactorSpec("U", MatrixGroup.of(u), Slope(0, 1), 1),
+            FactorSpec("V", MatrixGroup.of(t.mul(u).inv()), Slope(1, 1), 1)]
 
 
 SLOW_TWIN_CASES = (
@@ -597,7 +591,7 @@ class TestFactorSpec:
     def test_elements_match_the_uncached_list(self):
         # the list `elements` built on every call before it was cached
         for f in two_twist_factors(3) + [FactorSpec("P", MatrixGroup.of(
-                MappingClass(2, 1, 1, 1), MappingClass(-1, 0, 0, -1)), frozenset(), 2)]:
+                MappingClass(2, 1, 1, 1), MappingClass(-1, 0, 0, -1)), None, 2)]:
             out, seen = [], set()
             for m in bassserre.enumerate_ball(f.group, f.budget).values():
                 if m.is_identity():
@@ -621,7 +615,7 @@ class TestFactorSpec:
         assert len(f.elements) == 2 and f.parabolic == (INFINITY, 2)
         assert repr(f) == before == repr(fresh) == (
             "FactorSpec(name='A', group=MatrixGroup(generators=(MappingClass(a=1, b=2, "
-            "c=0, d=1),)), boundary=frozenset({Slope(1/0)}), budget=1)")
+            "c=0, d=1),)), boundary=Slope(1/0), budget=1)")
         assert f == fresh and hash(f) == hash(fresh)
         assert [x.name for x in dataclasses.fields(f)] == ["name", "group", "boundary", "budget"]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -639,7 +633,7 @@ class TestFactorSpec:
         ([MappingClass(-1, 0, 0, -1)], None),                    # central only
     ])
     def test_parabolic(self, gens, expected):
-        assert FactorSpec("F", MatrixGroup.of(*gens), frozenset()).parabolic == expected
+        assert FactorSpec("F", MatrixGroup.of(*gens), None).parabolic == expected
 
 
 def _example92_factors(D):
@@ -701,7 +695,7 @@ class TestPingPongCertificate:
         ([FactorSpec.twist("A", INFINITY, 2)], None, "fewer than two factors"),
         ([], None, "fewer than two factors"),
         ([FactorSpec.twist("A", INFINITY, 2),
-          FactorSpec("P", MatrixGroup.of(MappingClass(2, 1, 1, 1)), frozenset())],
+          FactorSpec("P", MatrixGroup.of(MappingClass(2, 1, 1, 1)), None)],
          None, "factor 1 is not parabolic"),
         ([FactorSpec.twist("A", Slope(0, 1), 2), FactorSpec.twist("B", INFINITY, 2),
           FactorSpec.twist("C", Slope(0, 1), 3)],

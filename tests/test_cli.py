@@ -185,15 +185,33 @@ BAD_INPUT_ROWS = [
     # no coset image was well defined, and qi passed with the benchmark OK
     ("family-boundary-moved", ["tree", "qi", "--family", "MOVED", "--radius", "3"],
      "usage error: bad family file MOVED: "
-     "ValueError('a generator of factor A does not preserve its boundary')"),
+     "ValueError('factor A has boundary 0/1, not its canonical reducing system 1/0')"),
     # the coset images were empty: qi reported the benchmark OK from an
     # all-zero envelope, and misaligned passed as vacuous
     ("family-boundary-empty-qi", ["tree", "qi", "--family", "EMPTYBOUNDARY", "--radius", "2"],
      "usage error: bad family file EMPTYBOUNDARY: "
-     "ValueError('factor B has an empty boundary')"),
+     "ValueError('factor B has boundary none, not its canonical reducing system 0/1')"),
     ("family-boundary-empty-misaligned", ["cert", "misaligned", "--family", "EMPTYBOUNDARY"],
      "usage error: bad family file EMPTYBOUNDARY: "
-     "ValueError('factor B has an empty boundary')"),
+     "ValueError('factor B has boundary none, not its canonical reducing system 0/1')"),
+    # -I alone has no nontrivial element, so its fans were empty: free-product
+    # reported "no_relation": true from 4 words and qi passed
+    ("family-central-free-product", ["tree", "free-product", "--family", "CENTRAL"],
+     "usage error: bad family file CENTRAL: "
+     "ValueError('factor A has boundary 1/0, not its canonical reducing system none')"),
+    ("family-central-qi", ["tree", "qi", "--family", "CENTRAL", "--radius", "3"],
+     "usage error: bad family file CENTRAL: "
+     "ValueError('factor A has boundary 1/0, not its canonical reducing system none')"),
+    # on the torus a curve system is one slope
+    ("family-two-slope-boundary", ["tree", "qi", "--family", "TWOSLOPE"],
+     "usage error: bad family file TWOSLOPE: ValueError(\"the boundary of factor S must be "
+     "one slope, got ['0/1', '1/0']\")"),
+    ("family-two-slope-beta", ["cert", "displacing", "--family", "BETAPAIR"],
+     "usage error: bad family file BETAPAIR: ValueError(\"a betas entry must be one "
+     "slope, got ['1/0', '0/1']\")"),
+    ("family-empty-beta", ["cert", "displacing", "--family", "EMPTYBETA"],
+     "usage error: bad family file EMPTYBETA: "
+     "ValueError('a betas entry must be one slope, got []')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
@@ -234,6 +252,21 @@ BAD_FAMILIES = {
     "EMPTYBOUNDARY": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
         {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": []}]}),
+    # -I, which fixes every slope, beside the twist about 0/1
+    "CENTRAL": json.dumps({"factors": [
+        {"name": "A", "generators": [[-1, 0, 0, -1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}]}),
+    # a finite factor swapping 1/0 and 0/1 beside twists about 2/1 and -1/3
+    "TWOSLOPE": json.dumps({"factors": [
+        {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": ["0/1", "1/0"], "budget": 2},
+        {"name": "T", "generators": [[-1, 4, -1, 3]], "boundary": ["2/1"], "budget": 2},
+        {"name": "U", "generators": [[4, 1, -9, -2]], "boundary": ["-1/3"], "budget": 2}]}),
+    "BETAPAIR": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
+        "betas": [["1/0", "0/1"]]}),
+    "EMPTYBETA": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
+        "betas": [[]]}),
 }
 
 
@@ -418,7 +451,7 @@ class TestTreeAndCert(object):
         assert csv_text.splitlines()[0] == "d_T,d_S"
 
     def test_tree_qi_kappa_failure_exits_one(self, tmp_path):
-        # adjacent twist factors: image multicurves collide, so kappa = 1
+        # adjacent twist factors: image curves collide, so kappa = 1
         # cannot hold and the failure report carries the envelope witness
         fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=2),
                           FactorSpec.twist("B", Slope(0, 1), budget=2)])
@@ -463,7 +496,7 @@ class TestTreeAndCert(object):
         ([2, 1, 1, 1], 2, NO_VERDICT, [], None),        # a pseudo-Anosov factor
     ], ids=["shear-pair", "full-twists", "pseudo-anosov"])
     def test_cert_pingpong(self, generator, power, code, windows, pair, tmp_path):
-        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator), frozenset({INFINITY})),
+        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator), INFINITY),
                           FactorSpec.twist("B", Slope(0, 1), power=power)])
         path = tmp_path / "family.json"
         path.write_text(json.dumps(family_to_json(fam)))
@@ -480,14 +513,17 @@ class TestTreeAndCert(object):
 
 class TestFamilyJson:
     def test_round_trip(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=3)],
-                         betas=[frozenset({INFINITY, Slope(0, 1)})])
+        fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=3),
+                          FactorSpec("F", MatrixGroup.of([0, -1, 1, 0]), None)],
+                         betas=[Slope(0, 1), Slope(1, 1)])
         doc = family_to_json(fam)
+        assert [f["boundary"] for f in doc["factors"]] == [["1/0"], []]
+        assert doc["betas"] == [["0/1"], ["1/1"]]
         back = family_from_json(json.loads(json.dumps(doc)))
         assert back.factors[0].name == "A"
-        assert back.factors[0].boundary == frozenset({INFINITY})
+        assert [f.boundary for f in back.factors] == [INFINITY, None]
         assert back.factors[0].budget == 3
-        assert back.betas == [frozenset({INFINITY, Slope(0, 1)})]
+        assert back.betas == [Slope(0, 1), Slope(1, 1)]
 
 
 class TestPersistenceAndConstants:
@@ -645,8 +681,7 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-# Two fixed family files: three separated twist factors, and a finite factor
-# with a two-slope boundary beside two twists (so some images are multicurves)
+# A fixed family file: three separated twist factors
 TREE_FAMILIES = {
     "three-twist": {"factors": [
         {"name": "A", "generators": [[1, 0, -1, 1]], "boundary": ["0/1"], "budget": 2},
@@ -654,10 +689,6 @@ TREE_FAMILIES = {
          "budget": 2},
         {"name": "C", "generators": [[79570261, 192099600, -32959081, -79570259]],
          "boundary": ["-13860/5741"], "budget": 2}]},
-    "two-slope": {"factors": [
-        {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": ["0/1", "1/0"], "budget": 2},
-        {"name": "T", "generators": [[-1, 4, -1, 3]], "boundary": ["2/1"], "budget": 2},
-        {"name": "U", "generators": [[4, 1, -9, -2]], "boundary": ["-1/3"], "budget": 2}]},
 }
 
 # sha256 of the `tree build` report, the `tree qi` report and the `tree qi`
@@ -666,9 +697,6 @@ TREE_DIGESTS = {
     "three-twist": ("512cd197ed683ad8d55eed0c9507b72318e41d9269fdf246dcdad2ab0b93a756",
                     "e422cfb35444623a6769ff69d17ec390b6c20daed22db3ae8c106bf3284cfddb",
                     "90ccd0b54b11203773071600a3ee7027b2e8d17f119f84ba4427c70557cbea25"),
-    "two-slope": ("a200759dc109d916451ea9523fb2771f92ce2dd2c0a235a465241700e012fb1c",
-                  "41940963ab801f2c59e64c85dd0d3007fff23354f1a4e132d19042432c080a96",
-                  "b0abf2d6cbdac5bfcf0974001587e3a5a0f3695789d75180eca10140ac464405"),
 }
 
 

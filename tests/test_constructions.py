@@ -26,15 +26,14 @@ class TestSeparation:
         assert rep.ok and rep.minimum is None
 
     def test_diameter_of_union_convention(self):
-        # a spread-out multicurve contributes its own diameter
-        f1 = FactorSpec("A", FactorSpec.twist("x", INFINITY).group,
-                        frozenset({Slope(0, 1), Slope(5, 8)}))
-        f2 = FactorSpec.twist("B", INFINITY)
-        fam = FamilySpec([f1, f2])
+        # a reducing system on the torus is one slope, so the diameter of
+        # the union of two systems is their Farey distance, 0 when they agree
+        fam = FamilySpec([FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
+                          FactorSpec.twist("C", Slope(5, 8), power=2)])
         rep = check_separated(fam, 1)
-        union = [Slope(0, 1), Slope(5, 8), INFINITY]
-        want = max(farey_distance(u, v) for u in union for v in union)
-        assert rep.matrix[0][1] == want
+        assert rep.matrix == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
+        assert rep.matrix[0][1] == farey_distance(Slope(5, 8), INFINITY)
+        assert (rep.minimum, rep.ok) == (0, False)
 
 
 class TestMisalignment:
@@ -58,7 +57,7 @@ class TestMisalignment:
 
     def test_gromov_product_sets_arithmetic(self):
         a, b, c = Slope(0, 1), slope_at_distance(Slope(0, 1), 6), INFINITY
-        g = gromov_product_sets({a}, {b}, {c})
+        g = gromov_product_sets(a, b, c)
         want = Fraction(farey_distance(c, a) + farey_distance(b, c) - farey_distance(a, b), 2)
         assert g == want
 

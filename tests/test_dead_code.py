@@ -34,6 +34,10 @@ attribute name.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -409,3 +413,30 @@ def test_traced_entry_points_exist():
         if not callable(owner):
             missing.append(f"{modname}.{attr}")
     assert tracer.TARGETS and missing == []
+
+
+
+
+TRACED_PASS = """import json, sys, rgflab.cli as cli, tracer
+t = tracer.Tracer()
+t.install()
+codes = [cli.main(argv + ["--output", "out.jsonl"]) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(t.counts), sorted(set(t.names))]))
+"""
+
+
+def test_traced_pass_reads_every_counter(tmp_path):
+    # a small pass under the tracer, in a fresh interpreter since `install`
+    # rebinds the package's functions: every counter it reads off a result
+    # (pair lists, ball sizes, words, triples, quadruples) is there
+    argvs = [["experiment", "theorem-b", "--seed", "11", "--radius", "2", "--triples", "50",
+              "--geodesics", "20", "--curve-samples", "10", "--words", "5"],
+             ["delta-estimate", "--seed", "3", "--points", "6", "--qmax", "10"]]
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}")
+    codes, counts, names = json.loads(subprocess.run(
+        [sys.executable, "-c", TRACED_PASS, json.dumps(argvs)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True).stdout)
+    assert codes == [0, 0] and {"farey.slope_set_distance", "bassserre.phi"} <= set(names)
+    assert {"bassserre.qi_certificate.pairs", "bassserre.ball.vertices",
+            "bassserre.free_product_check.words_checked", "projections.behrstock_scan.triples",
+            "hypgraph.estimate_delta.quadruples"} <= set(counts)

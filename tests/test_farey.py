@@ -13,6 +13,7 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           distance_tail, farey_distance, farey_geodesic,
                           is_geodesic, link_span, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
+from rgflab import farey
 from rgflab.projections import TorusAnnuli, random_slope
 from oracles import annular_projection, annular_projection_set, matrix_power
 
@@ -107,8 +108,8 @@ class TestValueTypes:
             assert type(key) is tuple and key == m.inv().inv().projective_key()
 
     def test_bare_slope_is_one_curve_not_a_pair(self):
-        # a slope is a tuple (p, q); every "slope or iterable" entry point
-        # must read it as the one curve {slope}
+        # a slope is a tuple (p, q); every entry point must read it as one
+        # curve, never as the two integers p and q
         torus = TorusAnnuli()
         rng = random.Random(4)
         for _ in range(400):
@@ -116,15 +117,15 @@ class TestValueTypes:
                                  for _ in range(3))
             for b, g in ((beta, gamma), (beta, site), (site, site)):
                 assert _outcome(annular_distance, site, b, g) \
-                    == _outcome(annular_distance, site, {b}, {g}) \
-                    == _outcome(annular_distance, site, b, {g})
-                assert slope_set_distance(b, g) == slope_set_distance({b}, {g}) \
-                    == slope_set_distance(b, [g])
-                assert torus.projects(site, b) == torus.projects(site, frozenset({b}))
-                assert torus.ambient_dist(b, g) == torus.ambient_dist(frozenset({b}), g)
-                assert _outcome(torus.path_diam, site, [b, g]) \
-                    == _outcome(torus.path_diam, site, [frozenset({b}), g])
-            assert link_span(site, beta) == link_span(site, {beta})
+                    == _outcome(set_annular_distance, site, b, g)
+                assert slope_set_distance(b, g) == torus.ambient_dist(b, g) == farey_distance(b, g)
+                assert torus.projects(site, b) == (b != site)
+                pts = annular_projection(site, b) | annular_projection(site, g)
+                assert _outcome(torus.path_diam, site, [b, g]) == (
+                    max(pts) - min(pts) if pts else
+                    ("EmptyProjectionError", f"nothing projects to the annulus about {site}"))
+            pts = annular_projection(site, beta)
+            assert link_span(site, [beta]) == ((min(pts), max(pts)) if pts else None)
 
 
 class TestAdjacency:
@@ -680,10 +681,11 @@ class TestTwistSlowTwin:
 
 EMPTY_PROJECTION_ROWS = [
     (INFINITY, INFINITY, "nothing projects to the annulus about 1/0"),
-    ({INFINITY}, [], "nothing projects to the annulus about 1/0"),
+    # the other spellings of 1/0 parse to the site too
+    (Slope.parse("-1/0"), Slope.of(2, 0), "nothing projects to the annulus about 1/0"),
     (INFINITY, Slope(0, 1), "one side does not project to 1/0"),
-    (Slope(3, 2), [INFINITY], "one side does not project to 1/0"),
-    ([], {Slope(3, 2), Slope(1, 1)}, "one side does not project to 1/0"),
+    (Slope(3, 2), INFINITY, "one side does not project to 1/0"),
+    (Slope(-7, 1), Slope.parse("-1/0"), "one side does not project to 1/0"),
 ]
 
 
@@ -767,16 +769,11 @@ class TestAnnularProjection:
 def set_annular_distance(alpha, beta, gamma) -> int:
     """The set-based annular distance the integer kernel replaced: the slow
     twin of `annular_distance`."""
-    bs = {beta} if isinstance(beta, Slope) else set(beta)
-    gs = {gamma} if isinstance(gamma, Slope) else set(gamma)
-    pb = annular_projection_set(alpha, bs)
-    pg = annular_projection_set(alpha, gs)
-    if not pb and not pg:
-        raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
+    pb, pg = annular_projection(alpha, beta), annular_projection(alpha, gamma)
     if not pb or not pg:
-        raise EmptyProjectionError(f"one side does not project to {alpha}")
-    proj = pb | pg
-    return max(proj) - min(proj)
+        raise EmptyProjectionError(f"one side does not project to {alpha}" if pb or pg
+                                   else f"nothing projects to the annulus about {alpha}")
+    return max(pb | pg) - min(pb | pg)
 
 
 def _outcome(fn, *args):
@@ -786,34 +783,50 @@ def _outcome(fn, *args):
         return ("EmptyProjectionError", str(exc))
 
 
+def _mixed_slope(rng, qmax):
+    """A random slope, 1/0 or an integer slope, one time in three each."""
+    return rng.choice((INFINITY, Slope(rng.randint(-qmax, qmax), 1), random_slope(rng, qmax)))
+
+
 class TestLinkSpanSlowTwin:
     """`link_span` and `annular_distance` against the set-based projections."""
 
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_single_slopes(self, qmax):
+        # 1/0 and integer slopes on every side: the conjugator of 1/0 is the
+        # identity, and an integer site has q = 1
         rng = random.Random(qmax)
         for _ in range(1500):
-            alpha, beta, gamma = (random_slope(rng, qmax) for _ in range(3))
+            alpha, beta, gamma = (_mixed_slope(rng, qmax) for _ in range(3))
             pts = annular_projection(alpha, beta)
-            assert link_span(alpha, beta) == ((min(pts), max(pts)) if pts else None)
+            assert link_span(alpha, [beta]) == ((min(pts), max(pts)) if pts else None)
             assert _outcome(annular_distance, alpha, beta, gamma) \
                 == _outcome(set_annular_distance, alpha, beta, gamma)
 
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_slope_sets(self, qmax):
+        # `link_span` folds any iterable of slopes, the site among them
         rng = random.Random(qmax + 1)
         for _ in range(500):
             alpha = random_slope(rng, qmax)
-            sides = []
-            for _ in range(2):
-                side = [random_slope(rng, qmax) for _ in range(rng.randrange(0, 5))]
-                if rng.random() < 0.3:
-                    side.append(alpha)  # contributes nothing
-                sides.append(rng.choice((set, frozenset, list, tuple))(side))
-            pts = annular_projection_set(alpha, sides[0])
-            assert link_span(alpha, sides[0]) == ((min(pts), max(pts)) if pts else None)
-            assert _outcome(annular_distance, alpha, *sides) \
-                == _outcome(set_annular_distance, alpha, *sides)
+            side = [random_slope(rng, qmax) for _ in range(rng.randrange(0, 5))]
+            if rng.random() < 0.3:
+                side.append(alpha)  # contributes nothing
+            side = rng.choice((set, frozenset, list, tuple))(side)
+            pts = annular_projection_set(alpha, side)
+            assert link_span(alpha, side) == ((min(pts), max(pts)) if pts else None)
+
+    def test_geodesic_paths(self):
+        # the fold `path_diam` runs: a Farey geodesic, often through the site
+        rng = random.Random(11)
+        through = 0
+        for _ in range(500):
+            alpha, a = random_slope(rng, 1000), random_slope(rng, 1000)
+            path = farey_geodesic(a, act(twist_about(alpha, rng.randrange(1, 12)), a))
+            through += alpha in path
+            pts = annular_projection_set(alpha, path)
+            assert link_span(alpha, path) == ((min(pts), max(pts)) if pts else None)
+        assert through > 10
 
     def test_sets_containing_alpha(self):
         rng = random.Random(8)
@@ -823,9 +836,10 @@ class TestLinkSpanSlowTwin:
             beta = rng.choice(sorted(others, key=str))
             with_alpha = others | {alpha}
             assert link_span(alpha, with_alpha) == link_span(alpha, others)
-            assert annular_distance(alpha, with_alpha, beta) \
-                == set_annular_distance(alpha, with_alpha, beta) \
-                == annular_distance(alpha, others, beta)
+            for sides in ((alpha, beta), (beta, alpha)):
+                assert _outcome(annular_distance, alpha, *sides) \
+                    == _outcome(set_annular_distance, alpha, *sides) \
+                    == ("EmptyProjectionError", f"one side does not project to {alpha}")
 
     @pytest.mark.parametrize("beta, gamma, message", EMPTY_PROJECTION_ROWS)
     def test_empty_projection_messages(self, beta, gamma, message):
@@ -837,21 +851,18 @@ class TestLinkSpanSlowTwin:
         rng = random.Random(9)
         for _ in range(200):
             alpha, beta = random_slope(rng, 500), random_slope(rng, 500)
-            for sides in ((alpha, alpha), ([alpha], []), (alpha, beta), ([], [beta, alpha])):
+            for sides in ((alpha, alpha), (alpha, beta), (beta, alpha), (beta, beta)):
                 assert _outcome(annular_distance, alpha, *sides) \
                     == _outcome(set_annular_distance, alpha, *sides)
-            assert link_span(alpha, alpha) is None and link_span(alpha, []) is None
+            assert link_span(alpha, [alpha]) is None and link_span(alpha, []) is None
 
     def test_alpha_at_infinity(self):
+        # the conjugator of 1/0 is the identity: a slope's floor and ceiling
         rng = random.Random(10)
         for _ in range(500):
-            beta = random_slope(rng, 10 ** 4)
-            gamma = {random_slope(rng, 10 ** 4) for _ in range(rng.randrange(1, 4))}
-            if beta.is_infinity:
-                assert link_span(INFINITY, beta) is None
-                continue
-            fl = beta.p // beta.q
-            assert link_span(INFINITY, beta) == (fl, fl + (1 if beta.p % beta.q else 0))
+            beta, gamma = random_slope(rng, 10 ** 4), random_slope(rng, 10 ** 4)
+            want = None if beta.is_infinity else (beta.p // beta.q, -(-beta.p // beta.q))
+            assert link_span(INFINITY, [beta]) == want
             assert _outcome(annular_distance, INFINITY, beta, gamma) \
                 == _outcome(set_annular_distance, INFINITY, beta, gamma)
 
@@ -872,10 +883,9 @@ class TestBoundedSubgraph:
             assert set(bounded_neighbors(s, bound)) == expected
 
 
-def test_slope_set_distance_diameter_of_union():
-    A = {Slope(0, 1), Slope(1, 1)}
-    B = {Slope(5, 8)}
-    union = list(A | B)
-    want = max(farey_distance(u, v) for u in union for v in union)
-    assert slope_set_distance(A, B) == want
+def test_slope_set_distance_diameter_of_union(monkeypatch):
+    # a curve system on the torus is one slope, so the diameter of the union
+    # of two systems is their Farey distance; equal ones need no kernel call
     assert slope_set_distance(Slope(0, 1), Slope(5, 8)) == farey_distance(Slope(0, 1), Slope(5, 8))
+    monkeypatch.setattr(farey, "farey_distance", None)
+    assert slope_set_distance(Slope(5, 8), Slope(5, 8)) == 0

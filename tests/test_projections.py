@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, adjacent, \
-    conjugator_to_infinity, farey_distance, farey_geodesic, twist_about
+from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
+    farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
 from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
@@ -40,7 +40,7 @@ class TestTorusSystem:
             torus.path_diam(Slope(0, 1), path)
 
     def test_non_overlapping_boundaries_project_close(self, torus):
-        # a single multicurve has projection diameter at most 2 anywhere
+        # a single curve has projection diameter at most 2 anywhere
         rng = random.Random(1)
         for _ in range(100):
             site = random_slope(rng, 30)
@@ -133,6 +133,20 @@ class TestPersistence:
         sites = [s for s in sys_.sites() if s.startswith("Y")]
         rep = persistence_check(sys_, sites, M=0, B=1)
         assert rep.hypothesis_ok and rep.conclusions_ok
+
+    def test_pair_that_does_not_overlap(self, torus):
+        # a pair is checked like any sequence: [s, s] does not overlap
+        for s in (INFINITY, Slope(-3, 5)):
+            rep = persistence_check(torus, [s, s], M=3, B=2)
+            assert not (rep.hypothesis_ok or rep.pairwise_overlap_ok or rep.conclusions_ok)
+            assert rep.failures == ["consecutive sites 0,1 do not overlap",
+                                    "sites 0,1 do not overlap"]
+
+    @pytest.mark.parametrize("seq", [[], [INFINITY]], ids=["empty", "one-site"])
+    def test_sequences_below_two_sites(self, torus, seq):
+        rep = persistence_check(torus, seq, M=3, B=2)
+        assert rep.hypothesis_ok and rep.conclusions_ok and rep.gaps_at_least_3
+        assert rep.failures == [] and rep.worst_triple is None
 
     def test_repeated_slope_does_not_overlap(self, torus):
         rep = persistence_check(torus, [INFINITY, INFINITY, Slope(0, 1)], M=3, B=2)
@@ -316,11 +330,6 @@ class TestBgitSlowTwin:
             assert rep == pairwise_bgit_scan(torus, site, path)
             projecting += rep.all_project
         assert projecting > 100
-
-    def test_torus_multicurve_vertices(self, torus):
-        path = [frozenset({Slope(0, 1)}), frozenset({Slope(0, 1), Slope(1, 1)})]
-        for site in (INFINITY, Slope(1, 2), Slope(-3, 5), Slope(1, 1)):
-            assert bgit_scan(torus, site, path) == pairwise_bgit_scan(torus, site, path)
         assert bgit_scan(torus, INFINITY, []) == pairwise_bgit_scan(torus, INFINITY, [])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -390,11 +399,6 @@ def full_matrix_persistence_check(system, sequence, M, B):
     seq = list(sequence)
     n = len(seq)
     failures = []
-    if n <= 2:
-        hyp = all(system.overlaps(seq[i], seq[i + 1]) for i in range(n - 1))
-        gaps3 = all(system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[i + 1])) >= 3
-                    for i in range(n - 1))
-        return PersistenceReport(seq, M, B, hyp, True, True, True, gaps3, True, None)
     hyp = True
     for i in range(n - 1):
         if not system.overlaps(seq[i], seq[i + 1]):
@@ -440,7 +444,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
                             f"d({i},{l}) = {amb[i][l]} < d({j},{k}) = {amb[j][k]}")
     gaps3 = all(amb[i][i + 1] >= 3 for i in range(n - 1))
     final_ok = True
-    if gaps3 and amb[0][n - 1] < n - 1:
+    if gaps3 and n and amb[0][n - 1] < n - 1:
         final_ok = False
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
     return PersistenceReport(seq, M, B, hyp, pairwise, middle, monotone,
@@ -470,7 +474,7 @@ def _persistence_twins(system, seq, M, B):
     rep = persistence_check(counted, seq, M, B)
     assert rep == full_matrix_persistence_check(system, seq, M, B)
     n = len(seq)
-    assert counted.calls == (n * (n - 1) // 2 if n > 2 else max(n - 1, 0))
+    assert counted.calls == n * (n - 1) // 2
     return rep
 
 
@@ -520,14 +524,6 @@ class TestPersistenceSlowTwin:
         assert len(outcomes) >= 3, outcomes
 
 
-def _farey_edge(rng, qmax):
-    """A two-curve multicurve object: a slope with one of its Farey neighbours."""
-    s = random_slope(rng, qmax)
-    t = act(conjugator_to_infinity(s).inv(), Slope(rng.randrange(-qmax, qmax + 1), 1))
-    assert adjacent(s, t)
-    return frozenset({s, t})
-
-
 class TestProjectionSymmetry:
     """d_Y(a, b) is the diameter of the union of two projections, so it is
     symmetric; `behrstock_scan` reads one distance per site on that ground."""
@@ -535,23 +531,19 @@ class TestProjectionSymmetry:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
         rng = random.Random(qmax)
-        multicurves = nonzero = checked = 0
+        nonzero = checked = 0
         while checked < 400:
-            site = random_slope(rng, qmax)
-            a, b = (_farey_edge(rng, qmax) if rng.random() < 0.5 else random_slope(rng, qmax)
-                    for _ in range(2))
+            site, a, b = (random_slope(rng, qmax) for _ in range(3))
             if rng.random() < 0.5:
                 # twisted about the site, so the distance is large
-                twist = twist_about(site, rng.randrange(1, 12))
-                b = act(twist, a) if isinstance(a, Slope) else frozenset(act(twist, c) for c in a)
+                b = act(twist_about(site, rng.randrange(1, 12)), a)
             if not (torus.projects(site, a) and torus.projects(site, b)):
                 continue
             d = torus.proj_dist(site, a, b)
             assert d == torus.proj_dist(site, b, a)
             checked += 1
-            multicurves += isinstance(a, frozenset) + isinstance(b, frozenset)
             nonzero += d > 2
-        assert multicurves > 200 and nonzero > 100
+        assert nonzero > 100
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tree(self, seed):

@@ -6,8 +6,8 @@ import pytest
 from rgflab.farey import INFINITY, MappingClass, Slope, act, twist_about
 from rgflab.subgroups import (CENTRAL, MatrixGroup, NTType, PERIODIC, PSEUDO_ANOSOV,
                               REDUCIBLE, ReducingSystemReport, _parabolic_generators,
-                              canonical_reducing_system, common_parabolic_fixed_slope,
-                              enumerate_ball, group_is_finite, nielsen_thurston_type)
+                              canonical_reducing_system, enumerate_ball, group_is_finite,
+                              nielsen_thurston_type)
 
 
 class TestNielsenThurstonType:
@@ -49,25 +49,25 @@ class TestOrbit:
     def test_fixed_point(self):
         g = MatrixGroup.of(twist_about(Slope(2, 3), 1))
         assert frontier_orbit(g, Slope(2, 3), 200) == frozenset({Slope(2, 3)})
-        assert canonical_reducing_system(g).boundary == frozenset({Slope(2, 3)})
+        assert canonical_reducing_system(g).boundary == Slope(2, 3)
 
     def test_parabolic_certificate(self):
         # a parabolic translates the link of its fixed slope
         g = MatrixGroup.of(twist_about(INFINITY, 1))
         assert frontier_orbit(g, Slope(0, 1), 200) is None
-        assert canonical_reducing_system(g).boundary == frozenset({INFINITY})
+        assert canonical_reducing_system(g).boundary == INFINITY
 
     def test_finite_cyclic(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 0))
         for s in (INFINITY, Slope(1, 3), Slope(2, 5)):
             assert len(frontier_orbit(g, s, 10)) <= 2
-        assert canonical_reducing_system(g).boundary == frozenset()
+        assert canonical_reducing_system(g).boundary is None
 
     def test_overflow_is_a_value(self):
         g = MatrixGroup.of(MappingClass(2, 1, 1, 1))
         assert frontier_orbit(g, Slope(0, 1), 5) is None
         assert canonical_reducing_system(g) == ReducingSystemReport(
-            frozenset(), (PSEUDO_ANOSOV, MappingClass(2, 1, 1, 1)))
+            None, (PSEUDO_ANOSOV, MappingClass(2, 1, 1, 1)))
 
 
 class TestEnumeration:
@@ -86,9 +86,9 @@ class TestEnumeration:
 
     def test_common_fixed_slope(self):
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2), twist_about(Slope(1, 2), -3))
-        assert common_parabolic_fixed_slope(g) == Slope(1, 2)
+        assert canonical_reducing_system(g).boundary == Slope(1, 2)
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2), twist_about(Slope(0, 1), 1))
-        assert common_parabolic_fixed_slope(g) is None
+        assert canonical_reducing_system(g).boundary is None
 
 
 def frontier_ball(group, length):
@@ -178,10 +178,10 @@ class TestWalkSlowTwins:
         for g in (random_group(seed), random_twist_group(seed)):
             boundary = canonical_reducing_system(g).boundary
             if frontier_ball(g, 6)[1]:
-                assert boundary == frozenset()
+                assert boundary is None
                 continue
-            for s in SMALL_SLOPES + sorted(boundary):
-                assert (frontier_orbit(g, s, budget) is not None) == (s in boundary), s
+            for s in SMALL_SLOPES + ([] if boundary is None else [boundary]):
+                assert (frontier_orbit(g, s, budget) is not None) == (s == boundary), s
 
     @pytest.mark.parametrize("seed", range(40))
     def test_witness_matches_ball_pick(self, seed):
@@ -199,26 +199,25 @@ class TestWalkSlowTwins:
 class TestCanonicalReducingSystem:
     def test_single_twist(self):
         rep = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(0, 1), 3)))
-        assert rep.boundary == frozenset({Slope(0, 1)})
+        assert rep.boundary == Slope(0, 1)
 
     def test_pseudo_anosov_empty(self):
         rep = canonical_reducing_system(MatrixGroup.of(MappingClass(2, 1, 1, 1)))
-        assert rep.boundary == frozenset()
+        assert rep.boundary is None
 
     def test_finite_group_empty(self):
         rep = canonical_reducing_system(MatrixGroup.of(MappingClass(0, -1, 1, 0)))
-        assert rep.boundary == frozenset()
+        assert rep.boundary is None
 
     def test_mixed_twists_empty(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
-        assert canonical_reducing_system(g).boundary == frozenset()
+        assert canonical_reducing_system(g).boundary is None
 
     def test_group_invariance(self):
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2))
         rep = canonical_reducing_system(g)
         for m in enumerate_ball(g, 3).values():
-            for s in rep.boundary:
-                assert act(m, s) in rep.boundary
+            assert act(m, rep.boundary) == rep.boundary
 
     def test_finite_index_stability(self):
         base = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(2, 3), 1)))
@@ -231,7 +230,7 @@ class TestCanonicalReducingSystem:
         # the witness is the two-letter word ab^-1
         a, b = twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)
         rep = canonical_reducing_system(MatrixGroup.of(a, b))
-        assert rep.boundary == frozenset()
+        assert rep.boundary is None
         assert a.mul(b).trace == 1
         assert rep.witness == a.mul(b.inv()) and rep.witness.trace == 3
 
@@ -240,7 +239,7 @@ class TestMultitwist:
     def test_common_slope(self):
         g = MatrixGroup.of(twist_about(INFINITY, 2), twist_about(INFINITY, 5))
         rep = canonical_reducing_system(g)
-        assert rep.witness is None and rep.boundary == frozenset({INFINITY})
+        assert rep.witness is None and rep.boundary == INFINITY
 
     def test_distinct_slopes_with_pa_witness(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
@@ -255,4 +254,4 @@ class TestMultitwist:
     def test_central_generators_ignored(self):
         g = MatrixGroup.of(MappingClass(-1, 0, 0, -1), twist_about(Slope(1, 3), 4))
         rep = canonical_reducing_system(g)
-        assert rep.witness is None and rep.boundary == frozenset({Slope(1, 3)})
+        assert rep.witness is None and rep.boundary == Slope(1, 3)
