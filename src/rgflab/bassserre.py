@@ -23,25 +23,29 @@ from .subgroups import MatrixGroup, canonical_reducing_system, enumerate_ball, g
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One free-product factor: a torus matrix group with its reducing system,
-    one slope, or None for a group with no reducing curve.
+    """One free-product factor: a torus matrix group, named, with a budget.
 
     `budget` bounds the factor elements enumerated when building coset fans
-    and relation searches: word length in the group's generators.
+    and relation searches: word length in the group's generators.  The
+    factor's reducing system, `boundary`, is derived from the generators.
     """
 
     name: str
     group: MatrixGroup
-    boundary: Slope | None
     budget: int = 2
 
     @staticmethod
     def twist(name: str, alpha: Slope, power: int = 1, budget: int = 2) -> "FactorSpec":
-        gen = farey.twist_about(alpha, power)
-        return FactorSpec(name, MatrixGroup.of(gen), alpha, budget)
+        return FactorSpec(name, MatrixGroup.of(farey.twist_about(alpha, power)), budget)
 
     # cached properties live in the instance __dict__, outside the dataclass
     # fields, so `==`, `hash` and `repr` do not see them
+    @cached_property
+    def boundary(self) -> Slope | None:
+        """The canonical reducing system of the group: one slope, or None for
+        a group with no reducing curve."""
+        return canonical_reducing_system(self.group).boundary
+
     @cached_property
     def elements(self) -> tuple:
         """Nontrivial elements (projectively deduped), deterministic order;
@@ -61,7 +65,7 @@ class FactorSpec:
         n is the gcd of the generators' translations there; central
         generators translate by 0 and leave it unchanged.
         """
-        alpha = canonical_reducing_system(self.group).boundary
+        alpha = self.boundary
         if alpha is None:
             return None
         c = conjugator_to_infinity(alpha)
@@ -195,11 +199,15 @@ def tree_distance(ball: TreeBall, v: int, w: int) -> int:
 # The orbit map into the Farey graph.
 
 
-def phi(ball: TreeBall, base_curve: Slope) -> list:
-    """Vertex labels in the curve graph, indexed by vertex id, one slope
-    each: v(gH_i) -> g . boundary(H_i) and v(g) -> g . base_curve.  Every
-    factor needs a boundary slope."""
-    return [act(word_matrix(g), base_curve if kind == 2 else ball.factors[i].boundary)
+def phi(ball: TreeBall, base: Slope) -> list:
+    """The equivariant orbit map: vertex labels in the curve graph, indexed
+    by vertex id, one slope each: v(gH_i) -> g . boundary(H_i) and
+    v(g) -> g . base.  Every factor needs a boundary slope.
+
+    The certificates read only the type-1 images, which do not depend on
+    `base`; `qi_pairs` computes what it needs of them itself, and this map
+    gives the images of its slow twin."""
+    return [act(word_matrix(g), base if kind == 2 else ball.factors[i].boundary)
             for kind, i, g in zip(ball.kind, ball.factor, ball.label)]
 
 
@@ -209,17 +217,17 @@ class QiReport:
     min_ratio: Fraction | None
     kappa_witness: int | None     # least integer k with d_S >= d_T/k - k on all pairs
     benchmark_ok: bool            # d_S >= d_T/2 - 4 on all pairs
-    kappa_given: int | None = None
     kappa_given_ok: bool | None = None
     lower_envelope: dict = field(default_factory=dict)   # d_T -> min d_S
     fit: tuple | None = None      # least-squares (slope, intercept) on the envelope
 
 
-def qi_certificate(ball: TreeBall, images: list, kappa: int | None = None) -> QiReport:
-    """Scan all type-1 pairs of the labeled ball (`qi_pairs`) against the
-    affine lower bound d_S >= d_T / kappa - kappa and the benchmark
-    d_S >= d_T/2 - 4 that displacing families achieve (`qi_report`)."""
-    return qi_report(qi_pairs(ball, images), kappa)
+def qi_certificate(ball: TreeBall, kappa: int | None = None) -> QiReport:
+    """Scan all type-1 pairs of the ball (`qi_pairs`) against the affine
+    lower bound d_S >= d_T / kappa - kappa and the benchmark
+    d_S >= d_T/2 - 4 that displacing families achieve (`qi_report`).  It
+    reads the ball and each factor's reducing system, and no base curve."""
+    return qi_report(qi_pairs(ball), kappa)
 
 
 def _mat_mul(m: tuple, n: tuple) -> tuple:
@@ -358,11 +366,12 @@ class ResumeTable:
         return added, before, self.state(_mat_mul((d, -lb, -c, a), m), up)
 
 
-def qi_pairs(ball: TreeBall, images: list) -> list:
-    """(d_T, d_S) for every type-1 pair of the labeled ball `images =
-    phi(ball, base)`: with t = `ball.vertices(1)`, the pairs (t[i], t[j]) for
-    i < j in lexicographic order of (i, j), from one depth-first walk per
-    source vertex.
+def qi_pairs(ball: TreeBall) -> list:
+    """(d_T, d_S) for every type-1 pair of the ball, d_S between the images
+    g . boundary(H_i) of the orbit map (`phi`): with t = `ball.vertices(1)`,
+    the pairs (t[i], t[j]) for i < j in lexicographic order of (i, j), from
+    one depth-first walk per source vertex.  The scan reads only the ball
+    and each factor's reducing system.
 
     The walk steps between type-1 vertices across the type-2 fans, adding 2
     to d_T each time; the ball is a tree, so it keeps no seen-set, and type-2
@@ -374,7 +383,8 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
     additions; the source is in the root state of its factor.  The only
     fallback, a complete quotient x <= 1 after a prefix, is one uncached
     `ResumeTable.advance` from the empty prefix of the source's own
-    conjugator.
+    conjugator, which is computed from the source's label and boundary on
+    the source's first fallback.
     """
     kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
                                             ball.factor, ball.distance)
@@ -414,8 +424,9 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
 
     trans = table.trans
     pairs = []
+    boundary = table.boundary
     for k, src in enumerate(t1):
-        conj = conjugator_to_infinity(images[src])
+        conj = None
         row = [None] * (len(t1) - k - 1)
         # (vertex, fan it came through, d_T, state, additive d)
         stack = [(src, -1, 0, table.root[factor[src]], 0)]
@@ -436,8 +447,11 @@ def qi_pairs(ball: TreeBall, images: list) -> list:
                         ds = d + added
                         nd = d + before
                     else:
+                        if conj is None:
+                            conj = conjugator_to_infinity(
+                                act(word_matrix(label[src]), boundary[factor[src]]))
                         ds, nd, nxt = table.advance(_mat_mul(conj, word_matrix(label[v])),
-                                                    table.boundary[factor[v]], None)
+                                                    boundary[factor[v]], None)
                     if r >= 0:
                         row[r] = (dt, ds)
                     if not leaf:
@@ -493,8 +507,7 @@ def qi_report(pairs: list, kappa: int | None = None) -> QiReport:
             slope = Fraction(n * sxy - sx * sy, den)
             fit = (slope, Fraction(sy, n) - slope * Fraction(sx, n))
 
-    return QiReport(pairs, min_ratio, kappa_witness, bench, kappa, given_ok,
-                    envelope, fit)
+    return QiReport(pairs, min_ratio, kappa_witness, bench, given_ok, envelope, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +685,6 @@ def cyclically_reduce(word: tuple) -> tuple:
 class LoxodromicReport:
     checked: int
     all_loxodromic: bool
-    traces: list
     skipped: int                 # words conjugate into a factor
     failures: list = field(default_factory=list)
 
@@ -680,7 +692,6 @@ class LoxodromicReport:
 def loxodromic_scan(words: list) -> LoxodromicReport:
     """Every cyclically reduced word of syllable length >= 2 must act as a
     pseudo-Anosov on the torus: |trace| > 2."""
-    traces = []
     failures = []
     skipped = 0
     for w in words:
@@ -689,10 +700,9 @@ def loxodromic_scan(words: list) -> LoxodromicReport:
             skipped += 1
             continue
         t = word_matrix(red).trace
-        traces.append(t)
         if abs(t) <= 2:
             failures.append((red, t))
-    return LoxodromicReport(len(traces), not failures, traces, skipped, failures)
+    return LoxodromicReport(len(words) - skipped, not failures, skipped, failures)
 
 
 def random_alternating_word(factors: list, rng) -> tuple:

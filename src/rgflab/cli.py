@@ -2,8 +2,8 @@
 reporting JSON-lines records (plus CSV pair tables for plotting).
 
 Exit codes: 0 all checks passed, 1 a certificate or check failed (the report
-carries a witness record), 2 usage error, 3 a budget was exhausted without a
-verdict.
+carries a witness record), 2 usage error, 3 no verdict: a budget was
+exhausted, or the scan behind a certificate was empty.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .projections import TorusAnnuli, estimate_constants
 from . import raag
 from . import subgroups
 from . import bassserre
-from .bassserre import (FactorSpec, build_ball, free_product_check, phi,
-                        pingpong_certificate, qi_certificate)
+from .bassserre import (FactorSpec, build_ball, free_product_check, pingpong_certificate,
+                        qi_certificate)
 from . import constructions
 from .constructions import (FamilySpec, check_displacing, check_misaligned,
                             check_separated, conjugate_twist_family,
@@ -102,10 +102,12 @@ def _one_slope(texts, what: str) -> Slope:
 
 
 def family_from_json(doc: dict) -> FamilySpec:
+    """The family of a family file.  A factor's `boundary` is derived from its
+    generators, so the declared one must be its canonical reducing system."""
     factors = []
     for fd in doc["factors"]:
         group = subgroups.MatrixGroup.of(*fd["generators"])
-        boundary = (_one_slope(fd["boundary"], f"the boundary of factor {fd['name']}")
+        declared = (_one_slope(fd["boundary"], f"the boundary of factor {fd['name']}")
                     if fd["boundary"] else None)
         budget = fd.get("budget", 2)
         # a fractional budget would silently run the search of the next
@@ -116,7 +118,11 @@ def family_from_json(doc: dict) -> FamilySpec:
         # searches that then certify anything
         if budget < 1:
             raise ValueError(f"factor budget must be at least 1, got {budget}")
-        factors.append(FactorSpec(fd["name"], group, boundary, budget))
+        factor = FactorSpec(fd["name"], group, budget)
+        if declared != factor.boundary:
+            raise ValueError(f"factor {factor.name} has boundary {declared or 'none'}, not its "
+                             f"canonical reducing system {factor.boundary or 'none'}")
+        factors.append(factor)
     betas = None
     if "betas" in doc:
         betas = [_one_slope(b, "a betas entry") for b in doc["betas"]]
@@ -287,14 +293,11 @@ def _load_family(args) -> FamilySpec:
     try:
         with open(args.family) as fh:
             family = family_from_json(json.load(fh))
-        # the coset images g.boundary(H_i) are well defined, and the fans
-        # nonempty, when each boundary is its factor's canonical reducing
-        # system, which a finite factor lacks; ping-pong reads no boundary
+        # the coset images g.boundary(H_i) need each factor's reducing system,
+        # which a finite or pseudo-Anosov factor lacks; ping-pong reads none
         for f in family.factors if args.action != "pingpong" else ():
-            system = subgroups.canonical_reducing_system(f.group).boundary
-            if f.boundary is None or f.boundary != system:
-                raise ValueError(f"factor {f.name} has boundary {f.boundary or 'none'}, not "
-                                 f"its canonical reducing system {system or 'none'}")
+            if f.boundary is None:
+                raise ValueError(f"factor {f.name} has no canonical reducing system")
         return family
     except OSError as exc:
         raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
@@ -315,12 +318,12 @@ def cmd_tree(args):
                          "distance": ball.distance[v]})
         return PASS, recs, None
     if args.action == "qi":
-        rep, rec = _qi_certificate(family.factors, args.radius, args.base_curve, args.kappa)
-        rec.update({"kappa_given": rep.kappa_given, "kappa_given_ok": rep.kappa_given_ok,
+        rep, rec = _qi_certificate(family.factors, args.radius, args.kappa)
+        rec.update({"kappa_given": args.kappa, "kappa_given_ok": rep.kappa_given_ok,
                     "envelope": rep.lower_envelope,
                     "fit": rep.fit})
-        code = PASS if rep.benchmark_ok and (rep.kappa_given_ok in (None, True)) else FAIL
-        return code, [rec], rep.pairs
+        ok = rep.benchmark_ok and rep.kappa_given_ok in (None, True)
+        return _verdict(ok, rep.pairs), [rec], rep.pairs
     rep = free_product_check(family.factors, budget=args.budget)
     rec = {"record": "free-product", "budget": args.budget,
            "identity_convention": "projective",
@@ -329,11 +332,18 @@ def cmd_tree(args):
     return PASS, [rec], None
 
 
-def _qi_certificate(factors, radius: int, base: Slope, kappa=None):
-    """The embedding certificate on the tree ball of `radius` with its orbit
-    map through `base`, and the qi-certificate record every command shares."""
+def _verdict(ok: bool, settled) -> int:
+    """FAIL when a check failed; otherwise NO_VERDICT when the scan behind the
+    certificate settled nothing (it was empty: no pairs, no second factor,
+    no triple; or a budgeted search missed), and PASS."""
+    return FAIL if not ok else PASS if settled else NO_VERDICT
+
+
+def _qi_certificate(factors, radius: int, kappa=None):
+    """The embedding certificate on the tree ball of `radius`, and the
+    qi-certificate record every command shares."""
     ball = build_ball(factors, radius)
-    rep = qi_certificate(ball, phi(ball, base), kappa=kappa)
+    rep = qi_certificate(ball, kappa=kappa)
     rec = {"record": "qi-certificate", "radius": radius,
            "pairs": len(rep.pairs), "min_ratio": rep.min_ratio,
            "kappa_witness": rep.kappa_witness,
@@ -353,13 +363,13 @@ def cmd_cert(args):
         rep = check_separated(family, args.D)
         rec = {"record": "cert-separated", "D": args.D, "min": rep.minimum,
                "matrix": rep.matrix, "ok": rep.ok}
-        return (PASS if rep.ok else FAIL), [rec], None
+        return _verdict(rep.ok, rep.minimum is not None), [rec], None
     if args.action == "misaligned":
         rep = check_misaligned(family, args.A)
         rec = {"record": "cert-misaligned", "A": args.A, "min": rep.minimum,
                "ok": rep.ok, "vacuous": rep.vacuous,
                "table": {f"{i},{j},{k}": v for (i, j, k), v in sorted(rep.table.items())}}
-        return (PASS if rep.ok else FAIL), [rec], None
+        return _verdict(rep.ok, not rep.vacuous), [rec], None
     if args.action == "pingpong":
         rep = pingpong_certificate(family.factors)
         rec = {"record": "cert-pingpong", "certified": rep.certified,
@@ -371,9 +381,10 @@ def cmd_cert(args):
     rec = {"record": "cert-displacing", "L": args.L,
            "stabilize_ok": rep.stabilize_ok, "separation_ok": rep.separation_ok,
            "min_margin": rep.min_margin, "misses": rep.misses, "ok": rep.ok}
-    if rep.misses:
-        return NO_VERDICT, [rec], None
-    return (PASS if rep.ok else FAIL), [rec], None
+    # a miss disproves nothing, but a curve its factor moves, or two curves
+    # too close, fails the certificate whatever the search found
+    settled = not rep.misses and rep.min_margin is not None
+    return _verdict(rep.stabilize_ok and rep.separation_ok, settled), [rec], None
 
 
 def cmd_experiment(args):
@@ -390,11 +401,11 @@ def cmd_experiment(args):
                     "window_ok": tw.distance_window_ok},
                    {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
                     "ok": tw.misalignment.ok}]
-        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius, tw.base)
+        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
         records.append(qi_rec)
         records.append({"record": "family-json", "family": family_to_json(tw.family)})
         ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
-        return (PASS if ok else FAIL), records, qi.pairs
+        return _verdict(ok, qi.pairs), records, qi.pairs
 
     if args.kind == "theorem-b":
         est = estimate_constants(seed=seed, n_triples=args.triples,
@@ -417,7 +428,7 @@ def cmd_experiment(args):
                                 factor_budget=args.factor_budget)
         sep_at_D = check_separated(tw.family, int(D))
         mis_at_A = check_misaligned(tw.family, A)
-        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius, tw.base)
+        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
         fp = free_product_check(tw.family.factors, budget=args.budget)
         rng2 = random.Random(seed + 11)
         words = [bassserre.random_alternating_word(tw.family.factors, rng2)
@@ -435,7 +446,7 @@ def cmd_experiment(args):
         ]
         ok = (sep_at_D.ok and mis_at_A.ok and fp.no_relation and qi.benchmark_ok
               and lox.all_loxodromic)
-        return (PASS if ok else FAIL), records, qi.pairs
+        return _verdict(ok, qi.pairs), records, qi.pairs
 
     cf = conjugate_twist_family(args.D, seed=seed,
                                 relation_budget=args.budget,
@@ -512,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("action", choices=("build", "qi", "free-product"))
     pt.add_argument("--family", required=True, help="FamilySpec JSON file")
     pt.add_argument("--radius", type=_int_at_least(0), default=4)
-    pt.add_argument("--base-curve", type=_slope_arg, default="1/1")
     pt.add_argument("--kappa", type=_int_at_least(1))
     # a relation has at least two syllables: a smaller budget searches nothing
     pt.add_argument("--budget", type=_int_at_least(2), default=8)

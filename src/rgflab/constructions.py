@@ -35,7 +35,6 @@ class FamilySpec:
 
 @dataclass
 class SeparationReport:
-    D: int
     matrix: list
     minimum: int | None
     ok: bool
@@ -54,12 +53,11 @@ def check_separated(family: FamilySpec, D: int) -> SeparationReport:
             matrix[i][j] = matrix[j][i] = d
             if minimum is None or d < minimum:
                 minimum = d
-    return SeparationReport(D, matrix, minimum, minimum is None or minimum >= D)
+    return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
 
 
 @dataclass
 class MisalignmentReport:
-    A: Fraction
     table: dict
     minimum: Fraction | None
     ok: bool
@@ -79,7 +77,7 @@ def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
     bs = family.boundaries()
     n = len(bs)
     if n < 3:
-        return MisalignmentReport(A, {}, None, True, vacuous=True)
+        return MisalignmentReport({}, None, True, vacuous=True)
     table = {}
     minimum = None
     for k in range(n):
@@ -91,12 +89,11 @@ def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
                 table[(i, j, k)] = g
                 if minimum is None or g < minimum:
                     minimum = g
-    return MisalignmentReport(A, table, minimum, minimum >= A)
+    return MisalignmentReport(table, minimum, minimum >= A)
 
 
 @dataclass
 class DisplacingReport:
-    L: int
     stabilize_ok: bool
     separation_ok: bool          # d(beta_i, beta_j) >= 5 pairwise
     min_margin: int | None
@@ -163,7 +160,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
                         if min_margin is None or best < min_margin:
                             min_margin = best
     ok = stab_ok and sep_ok and not misses
-    return DisplacingReport(L, stab_ok, sep_ok, min_margin, witnesses, misses, ok)
+    return DisplacingReport(stab_ok, sep_ok, min_margin, witnesses, misses, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,6 @@ def slope_at_distance(base: Slope, d: int) -> Slope:
 class TwistOrbitFamily:
     family: FamilySpec
     center: Slope                # the distant curve y
-    base: Slope                  # alpha_0
     dprime: int
     D: int                       # dprime - 8
     N: int
@@ -318,8 +314,8 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
             2 * dprime - 6 <= sep.matrix[i][j] <= 2 * dprime + 4
             for i in range(len(ks)) for j in range(i + 1, len(ks)))
         if sep.ok and (mis.vacuous or mis.ok) and window_ok:
-            return TwistOrbitFamily(fam, y, base, dprime, D, N, ks, sep, mis,
-                                    window_ok, {"M_emp": M_emp})
+            return TwistOrbitFamily(fam, y, dprime, D, N, ks, sep, mis, window_ok,
+                                    {"M_emp": M_emp})
         N *= 2
     raise AssertionError(
         f"distance window failed for all twist depths up to {N}; "

@@ -96,15 +96,10 @@ def check_gp_geodesic_bound(x, y, z, oracle, delta) -> bool:
 class ChainReport:
     """Outcome of the local-to-global check on one chain."""
 
-    chain: list
-    A: Fraction
-    delta: Fraction
     D: Fraction                  # A + 6*delta
     hypothesis_ok: bool
     conclusion_ok: bool
     geodesic_ok: bool | None     # None when the oracle has no geodesics
-    end_distance: int
-    sum_gaps: int
     slack: Fraction              # d(x0,xn) - (sum - 2D(n-1)); >= 0 when hypothesis holds
     failures: list = field(default_factory=list)
 
@@ -162,7 +157,7 @@ def check_local_to_global(chain, A, delta, oracle) -> ChainReport:
                 failures.append(f"point {i} farther than D from a geodesic")
         concl = concl and geo_ok
 
-    return ChainReport(pts, A, delta, D, hyp, concl, geo_ok, end, total, slack, failures)
+    return ChainReport(D, hyp, concl, geo_ok, slack, failures)
 
 
 def bfs(sources, neighbours, depth=None):

@@ -5,7 +5,9 @@ persistence arguments.
 A system exposes sites, a symmetric irreflexive overlap relation, projection
 distances between objects at a site, and an ambient metric on objects with
 geodesics.  The projection distance d_Y(a, b) is the diameter of the union
-of the two projections, so it is symmetric in a and b.  Two instances are
+of the two projections, so it is symmetric in a and b.  A site is itself an
+object, so the checks pass sites straight to `proj_dist` and
+`ambient_dist`.  Two instances are
 provided: annuli in the Farey graph, whose sites and objects are slopes, and
 synthetic systems built from a hidden tree embedding so the axioms hold by
 construction.  All checks take thresholds (M, B) explicitly.
@@ -36,12 +38,9 @@ class TorusAnnuli:
     """Annular projection system of the once-punctured torus.
 
     Sites are slopes; every pair of distinct slopes overlaps.  Objects are
-    slopes too, since a curve system on the punctured torus is one curve; the
-    boundary of a site is its core.
+    slopes too, since a curve system on the punctured torus is one curve, and
+    a site is the object of its core curve.
     """
-
-    def boundary(self, site: Slope):
-        return site
 
     def overlaps(self, y: Slope, z: Slope) -> bool:
         return y != z
@@ -82,6 +81,9 @@ class TreeSystem:
     one direction (images have diameter 0), and if two objects leave a site
     in different directions the site sits on their geodesic, so each sees the
     other two in a single direction (Behrstock with B = 1).
+
+    Objects are tree vertices or sites: every object argument resolves
+    through `_pos`, so a site stands for the vertex it occupies.
     """
 
     def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict):
@@ -91,9 +93,6 @@ class TreeSystem:
 
     def sites(self):
         return list(self.positions)
-
-    def boundary(self, site):
-        return self.positions[site]
 
     def _pos(self, obj):
         return self.positions.get(obj, obj)
@@ -195,10 +194,6 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 
 # Scans and checks.
 
 
-def _site_dist(system, y, a_site, b_site) -> int:
-    return system.proj_dist(y, system.boundary(a_site), system.boundary(b_site))
-
-
 @dataclass
 class BehrstockReport:
     scanned: int
@@ -214,8 +209,8 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
     on the sample.  With B None only B_emp is measured.
 
     Projection distances are symmetric, so three reads serve all three
-    arrangements: d_x(y, z), d_y(x, z) and d_z(x, y), each site's boundary
-    read once.  The level of a triple, the greatest b it violates, is
+    arrangements: d_x(y, z), d_y(x, z) and d_z(x, y), each site passed as
+    an object.  The level of a triple, the greatest b it violates, is
     max_i min(d_i, max_{j != i} d_j), and that is the median of the three.
     With d_1 <= d_2 <= d_3 sorted: for i = 3 and for i = 2 the term is
     min(d_i, d_3 or d_2) = d_2, and for i = 1 it is d_1 <= d_2; ties change
@@ -226,17 +221,16 @@ def behrstock_scan(system, triples, B: int | None = None) -> BehrstockReport:
     violations = []
     worst = 0
     count = 0
-    overlaps, boundary, proj_dist = system.overlaps, system.boundary, system.proj_dist
+    overlaps, proj_dist = system.overlaps, system.proj_dist
     for triple in triples:
         x, y, z = triple
         for u, v in ((x, y), (y, z), (x, z)):
             if not overlaps(u, v):
                 raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
-        bx, by, bz = boundary(x), boundary(y), boundary(z)
-        a = proj_dist(x, by, bz)
-        b = proj_dist(y, bx, bz)
-        c = proj_dist(z, bx, by)
+        a = proj_dist(x, y, z)
+        b = proj_dist(y, x, z)
+        c = proj_dist(z, x, y)
         lo, hi = (a, b) if a < b else (b, a)
         level = lo if c < lo else hi if c > hi else c
         if level > worst:
@@ -272,9 +266,6 @@ def bgit_scan(system, site, geodesic) -> BgitReport:
 
 @dataclass
 class PersistenceReport:
-    sequence: list
-    M: int
-    B: int
     hypothesis_ok: bool
     pairwise_overlap_ok: bool
     middle_bound_ok: bool
@@ -305,7 +296,7 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
             failures.append(f"consecutive sites {i},{i+1} do not overlap")
     if hyp:
         for j in range(1, n - 1):
-            d = _site_dist(system, seq[j], seq[j - 1], seq[j + 1])
+            d = system.proj_dist(seq[j], seq[j - 1], seq[j + 1])
             if d < M + 3 * B:
                 hyp = False
                 failures.append(f"middle projection at {j} is {d} < M+3B = {M + 3*B}")
@@ -324,7 +315,7 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
         for j in range(1, n - 1):
             for i in range(j):
                 for k in range(j + 1, n):
-                    d = _site_dist(system, seq[j], seq[i], seq[k])
+                    d = system.proj_dist(seq[j], seq[i], seq[k])
                     if worst_val is None or d < worst_val:
                         worst_val, worst = d, (i, j, k)
                     if d < M + B:
@@ -335,11 +326,10 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
 
     # the ambient metric is symmetric and the diagonal is never read, so
     # each distance is computed once, above the diagonal, and mirrored
-    bd = [system.boundary(y) for y in seq]
     amb = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         for j in range(i + 1, n):
-            amb[i][j] = amb[j][i] = system.ambient_dist(bd[i], bd[j])
+            amb[i][j] = amb[j][i] = system.ambient_dist(seq[i], seq[j])
     monotone = True
     for i in range(n):
         for j in range(i, n):
@@ -356,13 +346,11 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
         final_ok = False
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
 
-    return PersistenceReport(seq, M, B, hyp, pairwise, middle, monotone,
-                             gaps3, final_ok, worst, failures)
+    return PersistenceReport(hyp, pairwise, middle, monotone, gaps3, final_ok, worst, failures)
 
 
 @dataclass
 class GeneralPersistenceReport:
-    sequence: list
     iota: list
     tau: list
     hypothesis_ok: bool
@@ -385,7 +373,7 @@ def general_persistence_check(system, sequence, M: int, B: int,
     hyp = True
     for j in range(len(seq)):
         if iota[j] is not None and tau[j] is not None:
-            d = _site_dist(system, seq[j], seq[iota[j]], seq[tau[j]])
+            d = system.proj_dist(seq[j], seq[iota[j]], seq[tau[j]])
             if d < M + 6 * B:
                 hyp = False
                 failures.append(f"d_{j}(iota, tau) = {d} < M+6B = {M + 6*B}")
@@ -402,15 +390,14 @@ def general_persistence_check(system, sequence, M: int, B: int,
     for jj in range(1, len(sub) - 1):
         for ii in range(jj):
             for kk in range(jj + 1, len(sub)):
-                d = _site_dist(system, sub[jj], sub[ii], sub[kk])
+                d = system.proj_dist(sub[jj], sub[ii], sub[kk])
                 if d < M + 3 * B:
                     interior_ok = False
                     failures.append(
                         f"subsequence projection d_{jj}({ii},{kk}) = {d} < M+3B")
 
     chained = persistence_check(system, sub, M, B)
-    return GeneralPersistenceReport(seq, iota, tau, hyp, idx, interior_ok,
-                                    chained, failures)
+    return GeneralPersistenceReport(iota, tau, hyp, idx, interior_ok, chained, failures)
 
 
 # ---------------------------------------------------------------------------

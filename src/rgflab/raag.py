@@ -172,8 +172,8 @@ def admissibility_check(family: AbstractFamily):
 class Bookkeeping:
     """Letters of an alternating word with their support indices.
 
-    letters[t] = (generator, exponent); nu[t] = generator of letter t;
-    sigma[s] = index of the first letter of subword s; iota/tau give, for each
+    nu[t] = generator of letter t of the flattened word (the subwords' normal
+    forms, concatenated); sigma[s] = index of the first letter of subword s; iota/tau give, for each
     letter, the nearest earlier/later letter whose support overlaps it (None
     at the ends).  Every letter strictly between iota(j) and tau(j) equals
     or commutes with letter j, by definition: iota(j) and tau(j) are the
@@ -182,7 +182,6 @@ class Bookkeeping:
     (`support_bookkeeping` shows why).
     """
 
-    letters: list
     nu: list
     sigma: list
     iota: list
@@ -240,7 +239,7 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
         if part_of[i] != part_of[j]:
             raise ValueError(f"edge ({i}, {j}) crosses distinct parts")
 
-    letters = []
+    nu = []
     sigma = []
     prev_part = None
     for k, w in subwords:
@@ -253,13 +252,11 @@ def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -
         for g, _ in nf:
             if part_of[g] != k:
                 raise ValueError(f"generator x{g + 1} not in part {k}")
-        sigma.append(len(letters))
-        letters.extend(nf)
+        sigma.append(len(nu))
+        nu.extend(g for g, _ in nf)
 
-    n = len(letters)
-    nu = [g for g, _ in letters]
-    iota, tau = nearest_overlaps(n, lambda i, j: letters_overlap(graph, nu[i], nu[j]))
-    return Bookkeeping(letters, nu, sigma, iota, tau)
+    iota, tau = nearest_overlaps(len(nu), lambda i, j: letters_overlap(graph, nu[i], nu[j]))
+    return Bookkeeping(nu, sigma, iota, tau)
 
 
 def power_threshold(c, B: int, M: int, D: int):

@@ -143,8 +143,7 @@ class TestQiCertificate:
     def test_single_pair_arithmetic(self):
         factors = two_twist_factors()
         ball = build_ball(factors, radius=1)
-        images = phi(ball, Slope(1, 1))
-        rep = qi_certificate(ball, images)
+        rep = qi_certificate(ball)
         assert rep.pairs == [(2, 1)]      # d_T = 2, d_S(1/0, 0/1) = 1
         assert rep.min_ratio == Fraction(1, 2)
         assert rep.benchmark_ok           # 1 >= 1 - 4
@@ -152,8 +151,7 @@ class TestQiCertificate:
     def test_kappa_witness_bound(self):
         factors = separated_factors()
         ball = build_ball(factors, radius=2)
-        images = phi(ball, Slope(1, 2))
-        rep = qi_certificate(ball, images, kappa=50)
+        rep = qi_certificate(ball, kappa=50)
         assert rep.kappa_given_ok
         assert all(Fraction(ds) >= Fraction(dt, rep.kappa_witness) - rep.kappa_witness
                    for dt, ds in rep.pairs)
@@ -164,15 +162,14 @@ class TestQiCertificate:
         k = []
         for radius in (2, 4):
             ball = build_ball(factors, radius)
-            rep = qi_certificate(ball, phi(ball, Slope(1, 2)))
+            rep = qi_certificate(ball)
             k.append(rep.kappa_witness)
         assert k[0] <= k[1]
 
     def test_integer_forms_match_fraction_forms(self):
         # adjacent twist factors at radius 3: kappa = 1 fails on this family
         ball = build_ball(two_twist_factors(), radius=3)
-        images = phi(ball, Slope(1, 1))
-        rep = qi_certificate(ball, images)
+        rep = qi_certificate(ball)
 
         def fraction_form(k):
             return all(Fraction(ds) >= Fraction(dt, k) - k for dt, ds in rep.pairs)
@@ -183,7 +180,7 @@ class TestQiCertificate:
         assert rep.benchmark_ok == all(Fraction(ds) >= Fraction(dt, 2) - 4
                                        for dt, ds in rep.pairs)
         for kappa in range(1, 8):
-            assert qi_certificate(ball, images, kappa=kappa).kappa_given_ok == fraction_form(kappa)
+            assert qi_certificate(ball, kappa=kappa).kappa_given_ok == fraction_form(kappa)
 
     @pytest.mark.parametrize("pairs, kappa_witness, benchmark_ok", [
         ([(2, 1)], 1, True),              # 1 * (1 + 1) == 2
@@ -201,7 +198,7 @@ class TestQiCertificate:
         ball = build_ball(two_twist_factors(), radius=1)
         for kappa in (0, -2):
             with pytest.raises(ValueError):
-                qi_certificate(ball, phi(ball, Slope(1, 1)), kappa=kappa)
+                qi_certificate(ball, kappa=kappa)
 
     def test_min_ratio_matches_fraction_form(self):
         rng = random.Random(5)
@@ -223,7 +220,7 @@ def two_slope_factors(budget=2):
     """A finite factor swapping 1/0 and 0/1, with no reducing curve (boundary
     None), beside twists about 2/1 and -1/3; `phi` cannot map its ball."""
     swap = MatrixGroup.of(MappingClass(0, -1, 1, 0))
-    return [FactorSpec("S", swap, None, budget),
+    return [FactorSpec("S", swap, budget),
             FactorSpec.twist("T", Slope(2, 1), budget=budget),
             FactorSpec.twist("U", Slope(-1, 3), budget=budget)]
 
@@ -233,20 +230,23 @@ def slow_pair(ball, images, v, w):
 
 
 def tree_family(name):
-    """(factors, base curve) of a named test family."""
+    """The factors of a named test family."""
     if name == "two-twist":
-        return two_twist_factors(), Slope(1, 1)
+        return two_twist_factors()
     if name == "three-factor":
-        return separated_factors(), Slope(1, 2)
+        return separated_factors()
     if name == "theorem-b":
-        tw = theorem_b_family()
-        return tw.family.factors, tw.base
+        return theorem_b_family().family.factors
     if name == "prop91":
         # the family of `experiment prop91 --seed 7`
         from rgflab.constructions import twist_orbit_family
-        tw = twist_orbit_family(20, window=5, seed=7)
-        return tw.family.factors, tw.base
-    return two_slope_factors(), Slope(1, 3)
+        return twist_orbit_family(20, window=5, seed=7).family.factors
+    return two_slope_factors()
+
+
+# base curves of the orbit map: they move the type-2 images only, which no
+# pair reads
+BASE_CURVES = (Slope(1, 1), Slope(5, 7), Slope(-3, 2))
 
 
 class TestTreeShape:
@@ -257,7 +257,7 @@ class TestTreeShape:
     @pytest.mark.parametrize("family, radius", itertools.product(
         ["two-twist", "three-factor", "two-slope", "theorem-b"], range(6)))
     def test_ball_is_a_tree_in_breadth_first_order(self, family, radius):
-        ball = build_ball(tree_family(family)[0], radius)
+        ball = build_ball(tree_family(family), radius)
         n = len(ball.kind)
         assert sum(map(len, ball.adjacency)) == 2 * (n - 1)
         assert all(ball.distance[v] == ball.distance[ball.adjacency[v][0]] + 1
@@ -268,7 +268,8 @@ class TestTreeShape:
 
 
 class TestQiPairsSlowTwin:
-    """The table-driven scan against `tree_distance` and `farey_distance`."""
+    """The table-driven scan against `tree_distance` and `farey_distance`
+    between the images of `phi`, whatever its base curve."""
 
     # two-twist at radius 5 resumes past a step that did not rise, before a
     # quotient of 1, where the state's `up` flag decides the distance; it
@@ -277,17 +278,16 @@ class TestQiPairsSlowTwin:
         *itertools.product(["two-twist", "three-factor", "theorem-b", "prop91"], [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
-        factors, base = tree_family(family)
-        ball = build_ball(factors, radius)
-        images = phi(ball, base)
-        want = [slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)]
-        assert qi_pairs(ball, images) == want
+        ball = build_ball(tree_family(family), radius)
+        got = qi_pairs(ball)
+        for base in BASE_CURVES:
+            images = phi(ball, base)
+            assert got == [slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)], base
 
     def test_sample_at_radius_six(self):
-        tw = theorem_b_family()
-        ball = build_ball(tw.family.factors, 6)
-        images = phi(ball, tw.base)
-        got = qi_pairs(ball, images)
+        ball = build_ball(tree_family("theorem-b"), 6)
+        images = phi(ball, BASE_CURVES[0])
+        got = qi_pairs(ball)
         todo = list(type1_pairs(ball))
         assert len(got) == len(todo) == 23871
         for k in random.Random(6).sample(range(len(todo)), 2000):
@@ -303,7 +303,7 @@ def _entries(table, states, fallback=False):
 def _recorded_scan(monkeypatch, family, radius):
     """Run `qi_pairs` on a family, counting `farey.distance_tail` calls and
     `ResumeTable.advance` calls from an empty prefix (full kernels); returns
-    the ball, its images, the pairs, the counts and the scan's table."""
+    the ball, the pairs, the counts and the scan's table."""
     tables = []
     calls = {"distance_tail": 0, "full_kernel": 0}
 
@@ -324,12 +324,10 @@ def _recorded_scan(monkeypatch, family, radius):
 
     monkeypatch.setattr(bassserre, "ResumeTable", Recorded)
     monkeypatch.setattr(farey, "distance_tail", counted_tail)
-    factors, base = tree_family(family)
-    ball = build_ball(factors, radius)
-    images = phi(ball, base)
-    pairs = qi_pairs(ball, images)
+    ball = build_ball(tree_family(family), radius)
+    pairs = qi_pairs(ball)
     (table,) = tables
-    return ball, images, pairs, calls, table
+    return ball, pairs, calls, table
 
 
 def _states(table):
@@ -359,9 +357,9 @@ class TestResumeTable:
         conjugator, C(s_src) W_v: the same distance, d and up, and a state
         matrix equal up to sign, or up to a shear fixing 1/0 when the prefix
         stays empty."""
-        factors, base = tree_family(family)
+        factors = tree_family(family)
         ball = build_ball(factors, radius)
-        images = phi(ball, base)
+        images = phi(ball, BASE_CURVES[0])
         table = bassserre.ResumeTable([f.boundary for f in factors])
         checked = empty = 0
         for src in ball.vertices(1):
@@ -421,7 +419,7 @@ class TestResumeTable:
         scan runs 54 full kernels, the entries of its 3 roots, and no other,
         and 270 `distance_tail` calls (54 first-ring tails and 216
         transitions into 15 states) for 23,871 pairs."""
-        _, _, pairs, calls, table = _recorded_scan(monkeypatch, "theorem-b", 6)
+        _, pairs, calls, table = _recorded_scan(monkeypatch, "theorem-b", 6)
         roots, empty, states = _states(table)
         assert len(pairs) == 23871
         assert (_entries(table, roots), len(roots), empty) == (54, 3, [])
@@ -432,7 +430,7 @@ class TestResumeTable:
     def test_work_is_pinned_on_prop91(self, monkeypatch):
         """At radius 4: 180 root entries, 280 entries into 25 states and 460
         `distance_tail` calls, with no fallback."""
-        _, _, pairs, calls, table = _recorded_scan(monkeypatch, "prop91", 4)
+        _, pairs, calls, table = _recorded_scan(monkeypatch, "prop91", 4)
         roots, empty, states = _states(table)
         assert len(pairs) == 3570
         assert (_entries(table, roots), empty) == (180, [])
@@ -448,7 +446,8 @@ class TestResumeTable:
         interned up to a shear, are cached like any other, and with the 127
         fallback visits the scan runs 245 full kernels and 230
         `distance_tail` calls."""
-        ball, images, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
+        ball, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
+        images = phi(ball, BASE_CURVES[0])
         roots, empty, states = _states(table)
         assert _entries(table, states, fallback=True) == 33
         assert (_entries(table, roots + empty), len(roots), len(empty)) == (118, 2, 12)
@@ -458,14 +457,14 @@ class TestResumeTable:
 
 class TestFreeProductCheck:
     def test_sanov_pair_free(self):
-        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 2, 0, 1)), INFINITY, budget=5)
-        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 2, 1)), Slope(0, 1), budget=5)
+        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 2, 0, 1)), budget=5)
+        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 2, 1)), budget=5)
         rep = free_product_check([fa, fb], budget=10)
         assert rep.no_relation and rep.witness is None
 
     def test_full_twists_have_relation(self):
-        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 1, 0, 1)), INFINITY, budget=6)
-        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 1, 1)), Slope(0, 1), budget=6)
+        fa = FactorSpec("A", MatrixGroup.of(MappingClass(1, 1, 0, 1)), budget=6)
+        fb = FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, 1, 1)), budget=6)
         rep = free_product_check([fa, fb], budget=12)
         assert not rep.no_relation
         assert word_matrix(rep.witness).is_identity()
@@ -484,7 +483,7 @@ class TestFreeProductCheck:
         a = free_product_check(factors, budget=6).no_relation
         b = free_product_check(list(reversed(factors)), budget=6).no_relation
         inverted = [FactorSpec(f.name, MatrixGroup.of(*[g.inv() for g in f.group.generators]),
-                               f.boundary, f.budget) for f in factors]
+                               f.budget) for f in factors]
         c = free_product_check(inverted, budget=6).no_relation
         assert a == b == c
 
@@ -528,17 +527,16 @@ def eager_free_product_check(factors: list, budget: int = 8) -> FreeProductRepor
 
 
 def _twist_pair(e: int, budget: int) -> list:
-    return [FactorSpec("A", MatrixGroup.of(MappingClass(1, e, 0, 1)), INFINITY, budget),
-            FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, e, 1)), Slope(0, 1), budget)]
+    return [FactorSpec("A", MatrixGroup.of(MappingClass(1, e, 0, 1)), budget),
+            FactorSpec("B", MatrixGroup.of(MappingClass(1, 0, e, 1)), budget)]
 
 
 def _order_three_triple() -> list:
     # T, U and (TU)^-1 multiply to the identity: a witness of 3 syllables,
     # found at the odd total 3 after no pair of factors meets at total 2
     t, u = MappingClass(1, 1, 0, 1), MappingClass(1, 0, -1, 1)
-    return [FactorSpec("T", MatrixGroup.of(t), INFINITY, 1),
-            FactorSpec("U", MatrixGroup.of(u), Slope(0, 1), 1),
-            FactorSpec("V", MatrixGroup.of(t.mul(u).inv()), Slope(1, 1), 1)]
+    return [FactorSpec("T", MatrixGroup.of(t), 1), FactorSpec("U", MatrixGroup.of(u), 1),
+            FactorSpec("V", MatrixGroup.of(t.mul(u).inv()), 1)]
 
 
 SLOW_TWIN_CASES = (
@@ -562,6 +560,11 @@ class TestLazyRelationSearch:
             assert lazy.witness is None
         else:
             assert _word_key(lazy.witness) == _word_key(eager.witness)
+
+    def test_order_three_triple_has_a_periodic_factor(self):
+        # (TU)^-1 has trace 1, so V has no reducing curve: the relation
+        # search reads no boundary
+        assert [f.boundary for f in _order_three_triple()] == [INFINITY, Slope(0, 1), None]
 
     def test_witness_at_odd_total(self):
         rep = free_product_check(_order_three_triple(), 5)
@@ -591,7 +594,7 @@ class TestFactorSpec:
     def test_elements_match_the_uncached_list(self):
         # the list `elements` built on every call before it was cached
         for f in two_twist_factors(3) + [FactorSpec("P", MatrixGroup.of(
-                MappingClass(2, 1, 1, 1), MappingClass(-1, 0, 0, -1)), None, 2)]:
+                MappingClass(2, 1, 1, 1), MappingClass(-1, 0, 0, -1)), 2)]:
             out, seen = [], set()
             for m in bassserre.enumerate_ball(f.group, f.budget).values():
                 if m.is_identity():
@@ -612,12 +615,12 @@ class TestFactorSpec:
         f = FactorSpec.twist("A", INFINITY, power=2, budget=1)
         fresh = FactorSpec.twist("A", INFINITY, power=2, budget=1)
         before = repr(f)
-        assert len(f.elements) == 2 and f.parabolic == (INFINITY, 2)
+        assert len(f.elements) == 2 and f.parabolic == (INFINITY, 2) and f.boundary == INFINITY
         assert repr(f) == before == repr(fresh) == (
             "FactorSpec(name='A', group=MatrixGroup(generators=(MappingClass(a=1, b=2, "
-            "c=0, d=1),)), boundary=Slope(1/0), budget=1)")
+            "c=0, d=1),)), budget=1)")
         assert f == fresh and hash(f) == hash(fresh)
-        assert [x.name for x in dataclasses.fields(f)] == ["name", "group", "boundary", "budget"]
+        assert [x.name for x in dataclasses.fields(f)] == ["name", "group", "budget"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.budget = 2
 
@@ -633,7 +636,7 @@ class TestFactorSpec:
         ([MappingClass(-1, 0, 0, -1)], None),                    # central only
     ])
     def test_parabolic(self, gens, expected):
-        assert FactorSpec("F", MatrixGroup.of(*gens), None).parabolic == expected
+        assert FactorSpec("F", MatrixGroup.of(*gens)).parabolic == expected
 
 
 def _example92_factors(D):
@@ -695,7 +698,7 @@ class TestPingPongCertificate:
         ([FactorSpec.twist("A", INFINITY, 2)], None, "fewer than two factors"),
         ([], None, "fewer than two factors"),
         ([FactorSpec.twist("A", INFINITY, 2),
-          FactorSpec("P", MatrixGroup.of(MappingClass(2, 1, 1, 1)), None)],
+          FactorSpec("P", MatrixGroup.of(MappingClass(2, 1, 1, 1)))],
          None, "factor 1 is not parabolic"),
         ([FactorSpec.twist("A", Slope(0, 1), 2), FactorSpec.twist("B", INFINITY, 2),
           FactorSpec.twist("C", Slope(0, 1), 3)],

@@ -2,7 +2,9 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +54,6 @@ BAD_SLOPE_ROWS = [
     ("letters", ["farey", "dist", "abc", "1/2"], "abc"),
     ("zero-vector", ["farey", "dist", "0/0", "1/2"], "0/0"),
     ("second-argument", ["farey", "geodesic", "1/2", "1/x"], "1/x"),
-    ("base-curve", ["tree", "qi", "--family", "FAMILY", "--base-curve", "1/2/3"], "1/2/3"),
 ]
 
 
@@ -186,6 +187,15 @@ BAD_INPUT_ROWS = [
     ("family-boundary-moved", ["tree", "qi", "--family", "MOVED", "--radius", "3"],
      "usage error: bad family file MOVED: "
      "ValueError('factor A has boundary 0/1, not its canonical reducing system 1/0')"),
+    # the boundary is derived from the generators, so a declared one that
+    # differs is refused by every action, ping-pong included
+    ("family-boundary-moved-pingpong", ["cert", "pingpong", "--family", "MOVED"],
+     "usage error: bad family file MOVED: "
+     "ValueError('factor A has boundary 0/1, not its canonical reducing system 1/0')"),
+    # a finite factor has no reducing system, so no coset image
+    ("family-periodic-qi", ["tree", "qi", "--family", "PERIODIC", "--radius", "2"],
+     "usage error: bad family file PERIODIC: "
+     "ValueError('factor S has no canonical reducing system')"),
     # the coset images were empty: qi reported the benchmark OK from an
     # all-zero envelope, and misaligned passed as vacuous
     ("family-boundary-empty-qi", ["tree", "qi", "--family", "EMPTYBOUNDARY", "--radius", "2"],
@@ -261,6 +271,10 @@ BAD_FAMILIES = {
         {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": ["0/1", "1/0"], "budget": 2},
         {"name": "T", "generators": [[-1, 4, -1, 3]], "boundary": ["2/1"], "budget": 2},
         {"name": "U", "generators": [[4, 1, -9, -2]], "boundary": ["-1/3"], "budget": 2}]}),
+    # the swap of 1/0 and 0/1, of order 4, beside the twist about 0/1
+    "PERIODIC": json.dumps({"factors": [
+        {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": []},
+        {"name": "T", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}]}),
     "BETAPAIR": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
         "betas": [["1/0", "0/1"]]}),
@@ -445,7 +459,7 @@ class TestTreeAndCert(object):
 
     def test_tree_qi_writes_csv(self, family_file, tmp_path):
         code, lines, out = run(["tree", "qi", "--family", family_file,
-                                "--radius", "2", "--base-curve", "1/1"], tmp_path)
+                                "--radius", "2"], tmp_path)
         assert code == PASS
         csv_text = (tmp_path / "out.jsonl.csv").read_text()
         assert csv_text.splitlines()[0] == "d_T,d_S"
@@ -496,7 +510,7 @@ class TestTreeAndCert(object):
         ([2, 1, 1, 1], 2, NO_VERDICT, [], None),        # a pseudo-Anosov factor
     ], ids=["shear-pair", "full-twists", "pseudo-anosov"])
     def test_cert_pingpong(self, generator, power, code, windows, pair, tmp_path):
-        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator), INFINITY),
+        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator)),
                           FactorSpec.twist("B", Slope(0, 1), power=power)])
         path = tmp_path / "family.json"
         path.write_text(json.dumps(family_to_json(fam)))
@@ -511,10 +525,77 @@ class TestTreeAndCert(object):
         assert main(["cert", "separated", "--family", "/nonexistent.json"]) == USAGE
 
 
+# one twist about 1/0, and the shear pair; with betas, displacing curves
+# their twists move
+ONE_TWIST = {"factors": [{"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]}]}
+SHEAR = {"factors": [{"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+                     {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}]}
+SCAN_FAMILIES = {
+    "ONE": ONE_TWIST,
+    "ONEMOVEDBETA": {**ONE_TWIST, "betas": [["0/1"]]},
+    "SHEAR": SHEAR,
+    "SHEARMOVEDBETAS": {**SHEAR, "betas": [["1/1"], ["0/1"]]},
+}
+
+NO_VERDICT_ROWS = [
+    # (id, argv, exit code, record, fields that show why); an empty scan is
+    # no verdict, and a failed check still exits 1
+    ("qi-one-factor", ["tree", "qi", "--family", "ONE", "--radius", "4"], NO_VERDICT,
+     "qi-certificate", {"pairs": 0, "benchmark_half_dT_minus_4": True}),
+    ("qi-radius-0", ["tree", "qi", "--family", "SHEAR", "--radius", "0"], NO_VERDICT,
+     "qi-certificate", {"pairs": 0}),
+    ("displacing-one-factor", ["cert", "displacing", "--family", "ONE"], NO_VERDICT,
+     "cert-displacing", {"min_margin": None, "misses": [], "ok": True}),
+    ("displacing-one-factor-moved-beta", ["cert", "displacing", "--family", "ONEMOVEDBETA"],
+     FAIL, "cert-displacing", {"min_margin": None, "stabilize_ok": False}),
+    ("separated-one-factor", ["cert", "separated", "--family", "ONE"], NO_VERDICT,
+     "cert-separated", {"min": None, "ok": True}),
+    ("misaligned-two-factors", ["cert", "misaligned", "--family", "SHEAR"], NO_VERDICT,
+     "cert-misaligned", {"vacuous": True, "ok": True}),
+    ("prop91-radius-0", ["experiment", "prop91", "--seed", "7", "--radius", "0"], NO_VERDICT,
+     "qi-certificate", {"pairs": 0}),
+    ("theorem-b-radius-0", ["experiment", "theorem-b", "--seed", "11", "--radius", "0"],
+     NO_VERDICT, "qi-certificate", {"pairs": 0}),
+    # displacing curves their factors move fail the certificate beside the
+    # search's misses; this exited 3
+    ("displacing-misses-moved-betas", ["cert", "displacing", "--family", "SHEARMOVEDBETAS"],
+     FAIL, "cert-displacing", {"stabilize_ok": False, "separation_ok": False, "ok": False}),
+]
+
+
+@pytest.mark.parametrize("argv, code, record, fields", [r[1:] for r in NO_VERDICT_ROWS],
+                         ids=[r[0] for r in NO_VERDICT_ROWS])
+def test_no_verdict_unless_a_check_failed(argv, code, record, fields, tmp_path):
+    files = {}
+    for name, doc in SCAN_FAMILIES.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    got, lines, _ = run([files.get(tok, tok) for tok in argv], tmp_path)
+    assert got == code
+    rec = next(line for line in lines if line["record"] == record)
+    assert {k: rec[k] for k in fields} == fields
+
+
+def test_readme_commands_parse(tmp_path):
+    # every `rgflab ...` line of the README's CLI section names only actions
+    # and flags that exist; nothing runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps(ONE_TWIST))
+    lines = [line for line in section.splitlines() if line.startswith("rgflab ")]
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        args = parser.parse_args([str(family) if tok == "fam.json" else tok for tok in argv])
+        assert args.command == argv[0]
+    assert len(lines) >= 17
+
+
 class TestFamilyJson:
     def test_round_trip(self):
         fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=3),
-                          FactorSpec("F", MatrixGroup.of([0, -1, 1, 0]), None)],
+                          FactorSpec("F", MatrixGroup.of([0, -1, 1, 0]))],
                          betas=[Slope(0, 1), Slope(1, 1)])
         doc = family_to_json(fam)
         assert [f["boundary"] for f in doc["factors"]] == [["1/0"], []]
@@ -704,7 +785,7 @@ TREE_DIGESTS = {
 def test_tree_layer_reports_are_pinned(name, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(TREE_FAMILIES[name]))
-    flags = ["--family", str(path), "--radius", "4", "--base-curve", "1/3"]
+    flags = ["--family", str(path), "--radius", "4"]
     build, qi = tmp_path / "build.jsonl", tmp_path / "qi.jsonl"
     assert main(["tree", "build", *flags, "--output", str(build)]) == PASS
     assert main(["tree", "qi", *flags, "--output", str(qi)]) == PASS

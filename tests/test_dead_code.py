@@ -24,11 +24,12 @@ and lives in `tests/`.  The package's `__init__` imports its exports, so
 those are the allow-list of paper layers.  No module imports a name it
 never loads (`__init__` re-exports and `__future__` aside).
 
-A dataclass field with a default counts as dead when no construction (a
-call by the class name, or a `replace` keyword) passes it anything but a
-literal equal to its default, and no attribute of that name is loaded
-anywhere in the same trees.  Fields, like methods, are counted by
-attribute name.
+A dataclass field counts as dead when no attribute of that name is loaded
+anywhere in the same trees and, for a field with a default, no
+construction (a call by the class name, or a `replace` keyword) passes it
+anything but a literal equal to its default.  Fields, like methods, are
+counted by attribute name; a load off `args`, the parsed command line, reads
+a flag and counts for no field.
 """
 
 import ast
@@ -284,7 +285,8 @@ def _signatures():
 
 def _calls_and_loads(searched) -> tuple:
     """The calls in `searched` by called name, and the attribute names loaded
-    there."""
+    there, except off `args`: a parsed command line reads its flags, so
+    `args.M` reads no report's `M`."""
     calls = defaultdict(list)
     loaded = set()
     for top in searched:
@@ -292,7 +294,8 @@ def _calls_and_loads(searched) -> tuple:
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Call):
                     calls[_callee(node)].append(node)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and getattr(node.value, "id", None) != "args"):
                     loaded.add(node.attr)
     return calls, loaded
 
@@ -352,10 +355,11 @@ def unused_fields(package=PACKAGE, searched=SEARCHED) -> list:
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             for index, f in enumerate(fields):
                 name = f.target.id
-                default = None if f.value is None else _field_default(f.value)
-                if default is None or name in loaded:
+                if name in loaded:
                     continue
-                if not (any(_sets(c, index, name, default) for c in calls[cls.name])
+                default = None if f.value is None else _field_default(f.value)
+                if default is None or not (
+                        any(_sets(c, index, name, default) for c in calls[cls.name])
                         or any(_sets(c, None, name, default) for c in calls["replace"])):
                     found.append(f"{path.stem}.{cls.name}.{name}")
     return found
@@ -372,6 +376,7 @@ from dataclasses import dataclass, field
 @dataclass
 class Report:
     count: int
+    origin: str
     note: str = ""
     tags: list = field(default_factory=list)
     level: int = 0
@@ -379,23 +384,25 @@ class Report:
     label: str = field(default="x")
 
 
-def make():
-    first = Report(1, "", level=2)
-    second = Report(2, "", label="y")
-    return first.count + len(second.extra)
+def make(args):
+    first = Report(1, "a", "", level=2)
+    second = Report(2, "b", "", label="y")
+    return first.count + len(second.extra) + args.origin
 """
 
 
 def test_unused_fields_fire_on_a_planted_module(tmp_path):
-    # `note` is set only to its default and `tags` never; neither is read
+    # `origin` has no default and is never read (`args.origin` is a flag),
+    # `note` is set only to its default and `tags` never, and neither is read
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "planted.py").write_text(PLANTED)
-    assert unused_fields(package, [tmp_path]) == ["planted.Report.note", "planted.Report.tags"]
+    assert unused_fields(package, [tmp_path]) == [
+        "planted.Report.origin", "planted.Report.note", "planted.Report.tags"]
     (tmp_path / "reader.py").write_text(
         "import dataclasses\n"
         "def show(report):\n"
-        "    return dataclasses.replace(report, tags=['a']).note\n")
+        "    return dataclasses.replace(report, tags=['a']).note + report.origin\n")
     assert unused_fields(package, [tmp_path]) == []
 
 
@@ -436,7 +443,7 @@ def test_traced_pass_reads_every_counter(tmp_path):
     codes, counts, names = json.loads(subprocess.run(
         [sys.executable, "-c", TRACED_PASS, json.dumps(argvs)], cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True).stdout)
-    assert codes == [0, 0] and {"farey.slope_set_distance", "bassserre.phi"} <= set(names)
+    assert codes == [0, 0] and {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
     assert {"bassserre.qi_certificate.pairs", "bassserre.ball.vertices",
             "bassserre.free_product_check.words_checked", "projections.behrstock_scan.triples",
             "hypgraph.estimate_delta.quadruples"} <= set(counts)

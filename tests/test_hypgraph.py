@@ -139,8 +139,9 @@ class TestEstimateDelta:
 
 
 def permutation_scan(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate:
-    """Slow twin of `estimate_delta`: every ordering of every 4-set in
-    Fraction arithmetic, distances memoized by point."""
+    """Slow twin of `estimate_delta`: every ordering of every 4-set, with the
+    three Gromov products at w of each ordering, each doubled to an integer,
+    and distances memoized by point."""
     pts = list(points)
     if len(pts) < 4:
         return DeltaEstimate(Fraction(0), None, 0, True)
@@ -151,13 +152,13 @@ def permutation_scan(points, oracle, max_quadruples=None, seed=0) -> DeltaEstima
             cache[(u, v)] = cache[(v, u)] = oracle.dist(u, v)
         return cache[(u, v)]
 
-    def deficiency(x, y, z, w):
-        xz = Fraction(d(x, w) + d(z, w) - d(x, z), 2)
-        yz = Fraction(d(y, w) + d(z, w) - d(y, z), 2)
-        xy = Fraction(d(x, w) + d(y, w) - d(x, y), 2)
+    def twice_deficiency(x, y, z, w):
+        xz = d(x, w) + d(z, w) - d(x, z)          # 2 (x | z)_w
+        yz = d(y, w) + d(z, w) - d(y, z)          # 2 (y | z)_w
+        xy = d(x, w) + d(y, w) - d(x, y)          # 2 (x | y)_w
         return min(xz, yz) - xy
 
-    best, witness, total = Fraction(0), None, 0
+    best, witness, total = 0, None, 0
     n = len(pts)
     if max_quadruples is None or n * (n - 1) * (n - 2) * (n - 3) <= max_quadruples:
         quads = (p for q in itertools.combinations(range(n), 4)
@@ -170,10 +171,10 @@ def permutation_scan(points, oracle, max_quadruples=None, seed=0) -> DeltaEstima
     for idx in quads:
         total += 1
         quad = tuple(pts[i] for i in idx)
-        val = deficiency(*quad)
+        val = twice_deficiency(*quad)
         if val > best:
             best, witness = val, quad
-    return DeltaEstimate(best, witness, total, exhaustive)
+    return DeltaEstimate(Fraction(best, 2), witness, total, exhaustive)
 
 
 def farey_point_set(seed):

@@ -8,7 +8,7 @@ from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_dista
 from rgflab.constructions import slope_at_distance
 from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
-                                PersistenceReport, TorusAnnuli, _site_dist,
+                                PersistenceReport, TorusAnnuli,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, general_persistence_check,
                                 persistence_check, random_slope, random_slopes,
@@ -296,8 +296,8 @@ def nine_call_behrstock_scan(system, triples, B=None):
                 raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
         count += 1
         for mid, o1, o2 in ((y, x, z), (x, y, z), (z, x, y)):
-            d_mid = _site_dist(system, mid, o1, o2)
-            d_max = max(_site_dist(system, o1, mid, o2), _site_dist(system, o2, mid, o1))
+            d_mid = system.proj_dist(mid, o1, o2)
+            d_max = max(system.proj_dist(o1, mid, o2), system.proj_dist(o2, mid, o1))
             level = min(d_mid, d_max)
             if level > worst:
                 worst = level
@@ -406,7 +406,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
             failures.append(f"consecutive sites {i},{i+1} do not overlap")
     if hyp:
         for j in range(1, n - 1):
-            d = _site_dist(system, seq[j], seq[j - 1], seq[j + 1])
+            d = system.proj_dist(seq[j], seq[j - 1], seq[j + 1])
             if d < M + 3 * B:
                 hyp = False
                 failures.append(f"middle projection at {j} is {d} < M+3B = {M + 3*B}")
@@ -423,7 +423,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
         for j in range(1, n - 1):
             for i in range(j):
                 for k in range(j + 1, n):
-                    d = _site_dist(system, seq[j], seq[i], seq[k])
+                    d = system.proj_dist(seq[j], seq[i], seq[k])
                     if worst_val is None or d < worst_val:
                         worst_val, worst = d, (i, j, k)
                     if d < M + B:
@@ -431,8 +431,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
                         failures.append(f"projection d_{j}({i},{k}) = {d} < M+B")
     else:
         middle = False
-    amb = [[system.ambient_dist(system.boundary(seq[i]), system.boundary(seq[j]))
-            for j in range(n)] for i in range(n)]
+    amb = [[system.ambient_dist(seq[i], seq[j]) for j in range(n)] for i in range(n)]
     monotone = True
     for i in range(n):
         for j in range(i, n):
@@ -447,8 +446,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
     if gaps3 and n and amb[0][n - 1] < n - 1:
         final_ok = False
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
-    return PersistenceReport(seq, M, B, hyp, pairwise, middle, monotone,
-                             gaps3, final_ok, worst, failures)
+    return PersistenceReport(hyp, pairwise, middle, monotone, gaps3, final_ok, worst, failures)
 
 
 class _Counted:

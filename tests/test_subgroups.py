@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from rgflab.bassserre import FactorSpec
 from rgflab.farey import INFINITY, MappingClass, Slope, act, twist_about
 from rgflab.subgroups import (CENTRAL, MatrixGroup, NTType, PERIODIC, PSEUDO_ANOSOV,
                               REDUCIBLE, ReducingSystemReport, _parabolic_generators,
@@ -157,6 +158,31 @@ def random_twist_group(seed):
         twist_about(rng.choice(TWIST_SLOPES[:rng.randint(1, 6)]), rng.choice([-3, -2, -1, 1, 2]))
         .mul(rng.choice([MappingClass.identity(), MappingClass(-1, 0, 0, -1)]))
         for _ in range(rng.randint(1, 3))))
+
+
+class TestFactorBoundary:
+    """`FactorSpec.boundary` is derived: the group's canonical reducing
+    system, fixed by every generator, and the twist slope of a twist
+    factor."""
+
+    @pytest.mark.parametrize("gens", [[g] for g in GENERATOR_POOL] + [GENERATOR_POOL[:2]],
+                             ids=[f"pool-{k}" for k in range(len(GENERATOR_POOL))] + ["pair"])
+    def test_generator_pool(self, gens):
+        group = MatrixGroup.of(*gens)
+        f = FactorSpec("F", group)
+        assert f.boundary == canonical_reducing_system(group).boundary
+        assert f.boundary is None or all(act(g, f.boundary) == f.boundary for g in gens)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_groups(self, seed):
+        for group in (random_group(seed), random_twist_group(seed)):
+            f = FactorSpec("F", group)
+            assert f.boundary == canonical_reducing_system(group).boundary
+            assert f.boundary is None or all(act(g, f.boundary) == f.boundary
+                                             for g in group.generators)
+        rng = random.Random(seed)
+        alpha = rng.choice(SMALL_SLOPES)
+        assert FactorSpec.twist("T", alpha, rng.choice([-3, -1, 1, 2])).boundary == alpha
 
 
 class TestWalkSlowTwins:
