@@ -44,7 +44,7 @@ class FactorSpec:
     def boundary(self) -> Slope | None:
         """The canonical reducing system of the group: one slope, or None for
         a group with no reducing curve."""
-        return canonical_reducing_system(self.group).boundary
+        return canonical_reducing_system(self.group)
 
     @cached_property
     def elements(self) -> tuple:
@@ -584,7 +584,6 @@ def pingpong_certificate(factors: list) -> PingPongReport:
 class FreeProductReport:
     no_relation: bool
     witness: tuple | None         # alternating word mapping to +-identity
-    budget: int
     words_checked: int
 
 
@@ -599,7 +598,7 @@ def free_product_check(factors: list, budget: int = 8) -> FreeProductReport:
     covers.  Otherwise `_relation_search` runs.
     """
     if pingpong_certificate(factors).certified:
-        return FreeProductReport(True, None, budget, _search_size(factors, budget))
+        return FreeProductReport(True, None, _search_size(factors, budget))
     return _relation_search(factors, budget)
 
 
@@ -636,7 +635,7 @@ def _relation_search(factors: list, budget: int) -> FreeProductReport:
     if any.
     """
     if len(factors) < 2:
-        return FreeProductReport(True, None, budget, 0)
+        return FreeProductReport(True, None, 0)
     elements = [f.elements for f in factors]
 
     # layers[k]: (word, matrix) for the alternating words of k syllables;
@@ -665,8 +664,8 @@ def _relation_search(factors: list, budget: int) -> FreeProductReport:
             checked += 1
             for cand in index[b].get(m.inv().projective_key(), ()):
                 if cand[0][0] != word[-1][0]:
-                    return FreeProductReport(False, word + cand, budget, checked)
-    return FreeProductReport(True, None, budget, checked)
+                    return FreeProductReport(False, word + cand, checked)
+    return FreeProductReport(True, None, checked)
 
 
 def cyclically_reduce(word: tuple) -> tuple:
@@ -686,23 +685,20 @@ class LoxodromicReport:
     checked: int
     all_loxodromic: bool
     skipped: int                 # words conjugate into a factor
-    failures: list = field(default_factory=list)
 
 
 def loxodromic_scan(words: list) -> LoxodromicReport:
     """Every cyclically reduced word of syllable length >= 2 must act as a
     pseudo-Anosov on the torus: |trace| > 2."""
-    failures = []
+    all_loxodromic = True
     skipped = 0
     for w in words:
         red = cyclically_reduce(w)
         if len(red) < 2:
             skipped += 1
-            continue
-        t = word_matrix(red).trace
-        if abs(t) <= 2:
-            failures.append((red, t))
-    return LoxodromicReport(len(words) - skipped, not failures, skipped, failures)
+        elif abs(word_matrix(red).trace) <= 2:
+            all_loxodromic = False
+    return LoxodromicReport(len(words) - skipped, all_loxodromic, skipped)
 
 
 def random_alternating_word(factors: list, rng) -> tuple:

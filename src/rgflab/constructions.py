@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
 from .bassserre import FactorSpec, free_product_check
-from .projections import TorusAnnuli, estimate_constants
+from .projections import TorusAnnuli, geodesic_image_bounds
 
 
 @dataclass
@@ -97,7 +97,6 @@ class DisplacingReport:
     stabilize_ok: bool
     separation_ok: bool          # d(beta_i, beta_j) >= 5 pairwise
     min_margin: int | None
-    witnesses: dict              # (i, j, k, element index) -> (site, margin)
     misses: list                 # tuples with no witness inside the shell
     ok: bool
 
@@ -131,7 +130,6 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
             if farey.slope_set_distance(family.beta(i), family.beta(j)) < 5:
                 sep_ok = False
 
-    witnesses = {}
     misses = []
     min_margin = None
     for j in range(n):
@@ -146,21 +144,18 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
                 for e_idx, h in enumerate(elements):
                     hbk = act(h, bk)
                     best = None
-                    best_site = None
                     for site in shell:
                         if not torus.projects(site, bi) or not torus.projects(site, hbk):
                             continue
                         d = torus.proj_dist(site, bi, hbk)
                         if best is None or d > best:
-                            best, best_site = d, site
+                            best = d
                     if best is None or best < L:
                         misses.append((i, j, k, e_idx, best))
-                    else:
-                        witnesses[(i, j, k, e_idx)] = (best_site, best)
-                        if min_margin is None or best < min_margin:
-                            min_margin = best
+                    elif min_margin is None or best < min_margin:
+                        min_margin = best
     ok = stab_ok and sep_ok and not misses
-    return DisplacingReport(stab_ok, sep_ok, min_margin, witnesses, misses, ok)
+    return DisplacingReport(stab_ok, sep_ok, min_margin, misses, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +233,9 @@ def separation_constants(Kp, delta) -> tuple:
 
 
 def _estimated_M(seed: int) -> int:
-    """Geodesic-image bound M_emp from a small seeded torus sample, for
-    family generators called without one."""
-    return estimate_constants(seed=seed, n_triples=400, n_geodesics=200, qmax=500).M_emp
+    """Geodesic-image bound M_emp from a small seeded torus sample, the M_emp
+    of `estimate_constants(seed, 400, 200, 500)`, for the family generators."""
+    return max(geodesic_image_bounds(seed, 200, 500))
 
 
 def slope_at_distance(base: Slope, d: int) -> Slope:
@@ -333,28 +328,22 @@ class ConjugateTwistFindings:
     D: int
 
 
-def conjugate_twist_family(D: int, alpha: Slope | None = None,
-                           beta: Slope | None = None, M_emp: int | None = None,
-                           factor_budget: int = 1, relation_budget: int = 6,
+def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int = 6,
                            seed: int = 0) -> ConjugateTwistFindings:
-    """The separated-but-not-misaligned triple {H_a, H_b, T H_b T^-1}.
+    """The separated-but-not-misaligned triple {H_a, H_b, T H_b T^-1}, with
+    alpha = 1/0 and beta the slope at distance D from it.
 
-    T, the (M_emp + 2)-th power of the twist in the first factor, is large,
-    so the conjugate factor's curve T(beta) is far from beta on the other
-    side of alpha; the triple passes
-    separation at D yet its Gromov product at alpha stays tiny, and the
-    generated group satisfies the visible relation T h T^-1 = (ThT^-1).
+    T, the (M_emp + 2)-th power of the twist in the first factor, with M_emp
+    the seeded geodesic-image bound, is large, so the conjugate factor's
+    curve T(beta) is far from beta on the other side of alpha; the triple
+    passes separation at D yet its Gromov product at alpha stays tiny, and
+    the generated group satisfies the visible relation T h T^-1 = (ThT^-1).
     """
     if D < 8:
         raise ValueError("need D >= 8 so that 2D - 8 >= D")
-    if alpha is None:
-        alpha = INFINITY
-    if beta is None:
-        beta = slope_at_distance(alpha, D)
-    if farey.farey_distance(alpha, beta) < D:
-        raise ValueError("alpha and beta closer than D")
-    if M_emp is None:
-        M_emp = _estimated_M(seed)
+    alpha = INFINITY
+    beta = slope_at_distance(alpha, D)
+    M_emp = _estimated_M(seed)
     t_power = M_emp + 2
     T = twist_about(alpha, t_power)
     t_beta = act(T, beta)

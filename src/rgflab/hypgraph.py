@@ -52,8 +52,6 @@ def estimate_delta(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate
     """
     pts = list(points)
     n = len(pts)
-    if n < 4:
-        return DeltaEstimate(Fraction(0), None, 0, True)
     d = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         d[i][j] = d[j][i] = oracle.dist(pts[i], pts[j])

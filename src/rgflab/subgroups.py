@@ -95,32 +95,7 @@ def group_is_finite(group: MatrixGroup, length: int):
     return (True, len(seen)) if closed else (False, None)
 
 
-def _parabolic_generators(group: MatrixGroup) -> tuple:
-    """([(generator, fixed slope)] over the parabolic generators, skipping
-    central ones; or (None, (tag, generator)) for the first generator that is
-    neither parabolic nor central."""
-    parabolics = []
-    for g in group.generators:
-        t = nielsen_thurston_type(g)
-        if t.tag == CENTRAL:
-            continue
-        if t.tag != REDUCIBLE:
-            return None, (t.tag, g)
-        parabolics.append((g, t.fixed_slope))
-    return parabolics, None
-
-
-@dataclass
-class ReducingSystemReport:
-    """The canonical reducing system, one slope or None when it is empty,
-    and the witness that the group lies in no twist group (None when it
-    does)."""
-
-    boundary: Slope | None
-    witness: object
-
-
-def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
+def canonical_reducing_system(group: MatrixGroup) -> Slope | None:
     """The canonical reducing system of `group` in closed form: the common
     fixed slope of the parabolic generators when every generator is
     parabolic or central and the parabolic ones agree, and None otherwise.
@@ -128,7 +103,7 @@ def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
     On the torus any two distinct curves meet, so the system is the unique
     slope with a finite orbit when G is infinite, and empty otherwise.
 
-    Boundary.  Let G be infinite and let the slope a have a finite G-orbit.
+    Let G be infinite and let the slope a have a finite G-orbit.
     Then Stab_G(a) has finite index, so it is infinite; it lies in
     Stab(a) = {+-T_a^n}, so it holds a nontrivial parabolic.  For g in G,
     Stab_G(a) & Stab_G(ga) also has finite index, as ga has a finite orbit
@@ -137,26 +112,12 @@ def canonical_reducing_system(group: MatrixGroup) -> ReducingSystemReport:
     G fixes.  G fixes a exactly when every generator is central or
     parabolic about a; some generator is then parabolic, or G would be
     finite.  And a parabolic generator makes G infinite.
-
-    Witness.  It is the (tag, generator) of the first generator neither
-    parabolic nor central; else, for the first parabolic f and the first
-    parabolic g about another slope, the pseudo-Anosov fg when |tr fg| > 2
-    and fg^-1 otherwise.  For tr(fg) + tr(fg^-1) = tr f tr g = +-4, and
-    conjugating f to +-[[1, n], [0, 1]] makes g = +-(T^m about p/q) with
-    q != 0, so tr(fg) = +-(2 - nmq^2) and tr(fg^-1) = +-(2 + nmq^2) with
-    nmq^2 != 0: one of the two exceeds 2 in absolute value.  That is the
-    first |trace| > 2 element of the shortlex ball over f, g and their
-    inverses, which begins 1, f, f^-1, g, g^-1, f^2, fg, fg^-1 (f^2 has
-    trace 2).
     """
-    parabolics, offender = _parabolic_generators(group)
-    if offender is not None:
-        return ReducingSystemReport(None, offender)
-    slope = parabolics[0][1] if parabolics else None
-    g = next((g for g, s in parabolics if s != slope), None)
-    if g is None:
-        return ReducingSystemReport(slope, None)
-    first = parabolics[0][0]
-    product = first.mul(g)
-    return ReducingSystemReport(
-        None, product if abs(product.trace) > 2 else first.mul(g.inv()))
+    slopes = set()
+    for g in group.generators:
+        t = nielsen_thurston_type(g)
+        if t.tag == REDUCIBLE:
+            slopes.add(t.fixed_slope)
+        elif t.tag != CENTRAL:
+            return None
+    return slopes.pop() if len(slopes) == 1 else None

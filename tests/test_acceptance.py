@@ -169,17 +169,15 @@ def test_04_twist_translation():
 
 
 def test_05_behrstock_scan(torus):
+    # a sample has no violation at level B exactly when its B_emp <= B
     sample1 = sample_overlapping_triples(10 ** 5, random.Random(21), qmax=10 ** 4)
-    rep1 = behrstock_scan(torus, sample1, B=10)
-    b_emp = rep1.B_emp
+    b_emp = behrstock_scan(torus, sample1).B_emp
     sample2 = sample_overlapping_triples(10 ** 5, random.Random(22), qmax=10 ** 4)
-    rep2 = behrstock_scan(torus, sample2, B=b_emp)
-    ok = len(rep2.violations) == 0
-    report(5, ok,
-           f"B_emp={b_emp} on 10^5 triples; fresh 10^5 sample: "
-           f"{len(rep2.violations)} violations at B_emp "
-           f"(reference constant for genuine subsurface projections: B=10, "
-           f"{len(rep1.violations)} violations observed at it)")
+    fresh = behrstock_scan(torus, sample2).B_emp
+    report(5, fresh <= b_emp,
+           f"B_emp={b_emp} on 10^5 triples; fresh 10^5 sample: B_emp={fresh}, so no "
+           f"violations at B_emp (reference constant for genuine subsurface "
+           f"projections: B=10, {'no' if b_emp <= 10 else 'some'} violations at it)")
 
 
 def test_06_persistence(torus, torus_constants):
@@ -298,7 +296,9 @@ def test_09_embedding_pipeline(torus_constants):
 
 
 def test_10_conjugate_twist_reproduction(torus_constants):
-    cf = conjugate_twist_family(10, M_emp=torus_constants.M_emp)
+    # the family's own seeded M_emp is the session estimate, 3: T = T_alpha^5
+    cf = conjugate_twist_family(10, seed=0)
+    assert cf.T == twist_about(INFINITY, torus_constants.M_emp + 2)
     witness_ok = (cf.relation_found and len(cf.relation_witness) <= 6
                   and word_matrix(cf.relation_witness).is_identity())
     mis_ok = (not cf.misalignment.ok) and cf.misalignment.minimum <= 3

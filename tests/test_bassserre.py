@@ -476,7 +476,7 @@ class TestFreeProductCheck:
 
     def test_single_factor_vacuous(self):
         fa = FactorSpec.twist("A", INFINITY)
-        assert free_product_check([fa], budget=6) == FreeProductReport(True, None, 6, 0)
+        assert free_product_check([fa], budget=6) == FreeProductReport(True, None, 0)
 
     def test_symmetry_under_reordering_and_inversion(self):
         factors = separated_factors(budget=1)
@@ -492,7 +492,7 @@ def eager_free_product_check(factors: list, budget: int = 8) -> FreeProductRepor
     """Slow twin of `free_product_check`: builds every half-length layer and
     index before it searches, as the search did before it went lazy."""
     if len(factors) < 2:
-        return FreeProductReport(True, None, budget, 0)
+        return FreeProductReport(True, None, 0)
     elements = [f.elements for f in factors]
     half = (budget + 1) // 2
     by_len = [[((), MappingClass.identity())]]
@@ -520,10 +520,10 @@ def eager_free_product_check(factors: list, budget: int = 8) -> FreeProductRepor
             checked += 1
             for cand in index[b].get(m.inv().projective_key(), ()):
                 if not cand and m.is_identity():
-                    return FreeProductReport(False, word, budget, checked)
+                    return FreeProductReport(False, word, checked)
                 if cand and cand[0][0] != word[-1][0]:
-                    return FreeProductReport(False, word + cand, budget, checked)
-    return FreeProductReport(True, None, budget, checked)
+                    return FreeProductReport(False, word + cand, checked)
+    return FreeProductReport(True, None, checked)
 
 
 def _twist_pair(e: int, budget: int) -> list:
@@ -554,7 +554,6 @@ class TestLazyRelationSearch:
         lazy = free_product_check(factors, budget)
         eager = eager_free_product_check(factors, budget)
         assert lazy.no_relation == eager.no_relation
-        assert lazy.budget == eager.budget
         assert lazy.words_checked == eager.words_checked
         if eager.witness is None:
             assert lazy.witness is None
@@ -717,7 +716,7 @@ class TestPingPongCertificate:
             raise AssertionError("the search ran on a certified family")
         monkeypatch.setattr(bassserre, "_relation_search", refuse)
         assert free_product_check(_twist_pair(2, 5), budget) == FreeProductReport(
-            True, None, budget, words)
+            True, None, words)
 
     def test_fast_path_matches_slow_twins(self):
         # every distinct certified family of the table, at budgets 0-8
@@ -780,6 +779,14 @@ class TestLoxodromic:
         rep = loxodromic_scan([w])
         assert rep.all_loxodromic and rep.checked == 1
 
+    def test_periodic_word_fails(self):
+        # twists about the adjacent slopes 1/0 and 0/1: their product has
+        # trace 1, a periodic class, beside a pseudo-Anosov word of trace 3
+        t1, t2 = twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)
+        assert word_matrix(((0, t1), (1, t2))).trace == 1
+        rep = loxodromic_scan([((0, t1), (1, t2.inv())), ((0, t1), (1, t2))])
+        assert not rep.all_loxodromic and rep.checked == 2
+
     def test_conjugates_skipped(self):
         t1, t2 = twist_about(INFINITY, 2), twist_about(Slope(0, 1), 3)
         w = ((0, t1), (1, t2), (0, t1.inv()))
@@ -791,4 +798,4 @@ class TestLoxodromic:
         rng = random.Random(1)
         words = [random_alternating_word(factors, rng) for _ in range(60)]
         rep = loxodromic_scan(words)
-        assert rep.all_loxodromic, rep.failures
+        assert rep.all_loxodromic

@@ -147,6 +147,9 @@ BAD_INPUT_ROWS = [
      "rgflab delta-estimate: error: argument --max-quadruples: must be at least 1, got 0"),
     ("max-quadruples-negative", ["delta-estimate", "--max-quadruples", "-5", "--seed", "1"],
      "rgflab delta-estimate: error: argument --max-quadruples: must be at least 1, got -5"),
+    # below four points there is no quadruple: "delta": 0 from "quadruples": 0
+    ("points-3", ["delta-estimate", "--points", "3", "--seed", "1"],
+     "rgflab delta-estimate: error: argument --points: must be at least 4, got 3"),
     # bounds below any system's (M = 0, B = 1) made every hypothesis hold
     # vacuously and the check pass with "violations": 0
     ("persistence-M-negative", ["persistence", "check", "--M", "-1", "--seed", "1"],
@@ -340,7 +343,7 @@ SLOPE_SAMPLE_ROWS = [
     ("points-equal-q1-slopes", ["delta-estimate", "--points", "4", "--qmax", "1"], PASS, None),
     ("points-equal-counted", ["delta-estimate", "--points", "8", "--qmax", "2"], PASS, None),
     ("points-zero", ["delta-estimate", "--points", "0"], USAGE,
-     "rgflab delta-estimate: error: argument --points: must be at least 1, got 0"),
+     "rgflab delta-estimate: error: argument --points: must be at least 4, got 0"),
     ("delta-qmax-zero", ["delta-estimate", "--qmax", "0"], USAGE,
      "rgflab delta-estimate: error: argument --qmax: must be at least 1, got 0"),
     ("delta-qmax-negative", ["delta-estimate", "--qmax", "-1"], USAGE,
@@ -556,6 +559,14 @@ NO_VERDICT_ROWS = [
      "qi-certificate", {"pairs": 0}),
     ("theorem-b-radius-0", ["experiment", "theorem-b", "--seed", "11", "--radius", "0"],
      NO_VERDICT, "qi-certificate", {"pairs": 0}),
+    # every sampled curve lies within 3 of the boundary, so the K scan checked
+    # nothing and A and D came from no sample; these exited 0
+    ("theorem-b-no-far-curve",
+     ["experiment", "theorem-b", "--seed", "4", "--curve-samples", "1", "--radius", "2"],
+     NO_VERDICT, "theorem-b-constants", {"K_emp": 1, "Kp_emp": 0, "A": 6, "D": 39}),
+    ("theorem-b-two-near-curves",
+     ["experiment", "theorem-b", "--seed", "10", "--curve-samples", "2"],
+     NO_VERDICT, "theorem-b-constants", {"K_emp": 1, "Kp_emp": 0, "A": 6, "D": 39}),
     # displacing curves their factors move fail the certificate beside the
     # search's misses; this exited 3
     ("displacing-misses-moved-betas", ["cert", "displacing", "--family", "SHEARMOVEDBETAS"],

@@ -5,12 +5,12 @@ import pytest
 
 from rgflab.farey import INFINITY, Slope, farey_distance
 from rgflab.bassserre import FactorSpec, word_matrix
-from rgflab.constructions import (FamilySpec, check_displacing, check_misaligned,
+from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
                                   definite_distance_scan, gromov_bound_scan,
                                   gromov_product_sets, separation_constants,
                                   slope_at_distance, twist_orbit_family)
-from rgflab.projections import random_slope
+from rgflab.projections import estimate_constants, random_slope
 
 
 class TestSeparation:
@@ -79,9 +79,8 @@ class TestDisplacing:
         assert rep.stabilize_ok and rep.separation_ok
         assert rep.ok, rep.misses
         assert rep.min_margin >= L
-        for (i, j, k, _), (_, margin) in rep.witnesses.items():
-            if i == k:
-                assert margin >= power - 1
+        tight = check_displacing(fam, power - 1)
+        assert all(i != k for i, _, k, _, _ in tight.misses)
 
     def test_close_betas_fail_condition_two(self):
         a = Slope(0, 1)
@@ -177,9 +176,19 @@ class TestTwistOrbitFamily:
         assert tw.separation.minimum >= 2 * A_measured - 4 - 16
 
 
+class TestEstimatedM:
+    def test_matches_the_full_estimate(self):
+        # the family generators' M_emp reads the geodesic-image samples of
+        # the full estimate at the same seed and sizes, without its other scans
+        for seed in range(40):
+            assert _estimated_M(seed) == estimate_constants(seed, 400, 200, 500).M_emp
+
+
 class TestConjugateTwistFamily:
+    # the seeded geodesic-image bound M_emp is 3 on seeds 0-11
+
     def test_findings(self):
-        cf = conjugate_twist_family(8, M_emp=3)
+        cf = conjugate_twist_family(8, seed=0)
         assert cf.separation.ok
         assert not cf.misalignment.ok
         assert cf.misalignment.minimum <= 3
@@ -188,11 +197,7 @@ class TestConjugateTwistFamily:
         assert word_matrix(cf.relation_witness).is_identity()
 
     def test_witness_mixes_conjugate_factors(self):
-        cf = conjugate_twist_family(8, M_emp=3)
+        cf = conjugate_twist_family(8, seed=11)
         factors_used = {i for i, _ in cf.relation_witness}
         assert {1, 2} <= factors_used     # both twist factors appear
         assert 0 in factors_used          # threaded through the twisting factor
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            conjugate_twist_family(8, alpha=INFINITY, beta=Slope(0, 1), M_emp=3)

@@ -1,20 +1,23 @@
 """Every module-level function and class of the package, and every
 non-dunder method and property of a module-level class, has a caller; and
-every option of them is set by some caller, and every parameter is read.
+every option of them is set by a command, and every parameter is read.
 
 A name counts as referenced when it appears as a name, an attribute or an
-imported name anywhere in `src/`, `tests/` or `scripts/`, except inside its
-own definition (recursion keeps nothing alive).  Methods are counted by
+imported name anywhere in `src/` or `tests/`, except inside its own
+definition (recursion keeps nothing alive).  Methods are counted by
 attribute name, so a method shares its references with every other
 definition of that name.
 
 An option (a parameter with a default) counts as set when some call in the
-same trees passes it, by keyword or by position, with anything but a
-literal equal to its default; a call with `*args` or `**kwargs` may pass
-anything.  Calls match a function and a method by the called name, and
-`__init__` by the class name.  A parameter counts as read when its name is
-loaded in the body; methods defined on more than one class implement a
-shared interface, so their signatures are exempt from that rule.
+program or the benchmark (`src/` and `perfbench/`) passes it, by keyword or
+by position, with anything but a literal equal to its default; a call with
+`*args` or `**kwargs` may pass anything, and so may whatever receives a
+function passed to it as an argument.  A test alone sets no option: only
+for the paper layers that no command reaches yet (`TEST_ONLY_LAYERS`) do the
+calls in `tests/` count too.  Calls match a function and a method by the
+called name, and `__init__` by the class name.  A parameter counts as read
+when its name is loaded in the body; methods defined on more than one class
+implement a shared interface, so their signatures are exempt from that rule.
 
 Every module-level function and class, public or private, must also be
 referenced from `src/` itself, by a load in its module outside a function
@@ -25,11 +28,12 @@ those are the allow-list of paper layers.  No module imports a name it
 never loads (`__init__` re-exports and `__future__` aside).
 
 A dataclass field counts as dead when no attribute of that name is loaded
-anywhere in the same trees and, for a field with a default, no
-construction (a call by the class name, or a `replace` keyword) passes it
-anything but a literal equal to its default.  Fields, like methods, are
-counted by attribute name; a load off `args`, the parsed command line, reads
-a flag and counts for no field.
+in the program or the benchmark (and, for a class of `TEST_ONLY_LAYERS`, in
+the tests) and, for a field with a default, no such construction (a call by
+the class name, or a `replace` keyword) passes it anything but a literal
+equal to its default.  Fields, like methods, are counted by attribute name;
+a load off `args`, the parsed command line, reads a flag and counts for no
+field.
 """
 
 import ast
@@ -44,7 +48,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rgflab"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "scripts"]
+TESTS = ROOT / "tests"
+SEARCHED = [ROOT / "src", TESTS]
+# the program and the benchmark: the callers and readers an option or a field
+# needs, since a value only a test sets or reads changes no command's output
+COMMANDS = [ROOT / "src", ROOT / "perfbench"]
+# paper layers that no command reaches yet, whose options and fields the
+# tests alone exercise
+TEST_ONLY_LAYERS = ("ChainReport", "synthetic_system", "general_persistence_check",
+                    "GeneralPersistenceReport", "Bookkeeping")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -258,19 +270,20 @@ def _options(fn, offset):
             yield p.arg, None, d
 
 
-def _signatures():
-    """(label, definition, called name, leading bound parameters, shared)
-    for every module-level function and every method, `__init__` included,
-    of a module-level class."""
+def _signatures(package):
+    """(label, owner, definition, called name, leading bound parameters,
+    shared) for every module-level function and every method, `__init__`
+    included, of a module-level class; the owner is the function's name or
+    the class's."""
     trees = [(path.stem, ast.parse(path.read_text(), str(path)))
-             for path in sorted(PACKAGE.glob("*.py"))]
+             for path in sorted(package.glob("*.py"))]
     defined = Counter(m.name for _, tree in trees for node in tree.body
                       if isinstance(node, ast.ClassDef)
                       for m in node.body if isinstance(m, ast.FunctionDef))
     for stem, tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                yield f"{stem}.{node.name}", node, node.name, 0, False
+                yield f"{stem}.{node.name}", node.name, node, node.name, 0, False
             if not isinstance(node, ast.ClassDef):
                 continue
             for m in node.body:
@@ -279,14 +292,19 @@ def _signatures():
                     continue
                 static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
                 called = node.name if m.name == "__init__" else m.name
-                yield (f"{stem}.{node.name}.{m.name}", m, called, 0 if static else 1,
-                       defined[m.name] > 1)
+                yield (f"{stem}.{node.name}.{m.name}", node.name, m, called,
+                       0 if static else 1, defined[m.name] > 1)
+
+
+# a call that may pass anything, as `f(**kwargs)` does
+ANY_CALL = ast.Call(ast.Name("f"), [], [ast.keyword(None, ast.Name("kwargs"))])
 
 
 def _calls_and_loads(searched) -> tuple:
     """The calls in `searched` by called name, and the attribute names loaded
     there, except off `args`: a parsed command line reads its flags, so
-    `args.M` reads no report's `M`."""
+    `args.M` reads no report's `M`.  A function passed as an argument, as the
+    benchmark passes `cli.main` to its timer, may be called with anything."""
     calls = defaultdict(list)
     loaded = set()
     for top in searched:
@@ -294,16 +312,29 @@ def _calls_and_loads(searched) -> tuple:
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Call):
                     calls[_callee(node)].append(node)
+                    for arg in node.args:
+                        name = getattr(arg, "id", None) or getattr(arg, "attr", None)
+                        if name:
+                            calls[name].append(ANY_CALL)
                 elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                       and getattr(node.value, "id", None) != "args"):
                     loaded.add(node.attr)
     return calls, loaded
 
 
-def option_creep() -> list:
-    calls, _ = _calls_and_loads(SEARCHED)
+def _readers(commands, tests, layers):
+    """`_calls_and_loads` for the owner `name`: of `commands`, or of
+    `commands` and `tests` when `name` is one of `layers`."""
+    counted = {False: _calls_and_loads(commands), True: _calls_and_loads(commands + tests)}
+    return lambda name: counted[name in layers]
+
+
+def option_creep(package=PACKAGE, commands=COMMANDS, tests=(TESTS,),
+                 layers=TEST_ONLY_LAYERS) -> list:
+    readers = _readers(list(commands), list(tests), layers)
     found = []
-    for label, fn, called, offset, shared in _signatures():
+    for label, owner, fn, called, offset, shared in _signatures(package):
+        calls, _ = readers(owner)
         for name, index, default in _options(fn, offset):
             if not any(_sets(c, index, name, default) for c in calls[called]):
                 found.append(f"{label}({name}=) is never set")
@@ -344,13 +375,15 @@ def _field_default(value):
     return None
 
 
-def unused_fields(package=PACKAGE, searched=SEARCHED) -> list:
-    calls, loaded = _calls_and_loads(searched)
+def unused_fields(package=PACKAGE, commands=COMMANDS, tests=(TESTS,),
+                  layers=TEST_ONLY_LAYERS) -> list:
+    readers = _readers(list(commands), list(tests), layers)
     found = []
     for path in sorted(package.glob("*.py")):
         for cls in ast.parse(path.read_text(), str(path)).body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
+            calls, loaded = readers(cls.name)
             fields = [f for f in cls.body
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             for index, f in enumerate(fields):
@@ -397,13 +430,66 @@ def test_unused_fields_fire_on_a_planted_module(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "planted.py").write_text(PLANTED)
-    assert unused_fields(package, [tmp_path]) == [
+    assert unused_fields(package, [tmp_path], tests=[]) == [
         "planted.Report.origin", "planted.Report.note", "planted.Report.tags"]
     (tmp_path / "reader.py").write_text(
         "import dataclasses\n"
         "def show(report):\n"
         "    return dataclasses.replace(report, tags=['a']).note + report.origin\n")
-    assert unused_fields(package, [tmp_path]) == []
+    assert unused_fields(package, [tmp_path], tests=[]) == []
+
+
+PLANTED_TESTED = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Report:
+    count: int
+    origin: str
+
+
+def scan(x, level=None):
+    return Report(x if level is None else level, "a")
+
+
+def total(x):
+    return scan(x).count
+"""
+
+
+def test_test_only_callers_count_for_nothing(tmp_path):
+    # a test alone sets `level` and reads `origin`; the package reads `count`
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "planted.py").write_text(PLANTED_TESTED)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_planted.py").write_text(
+        "from pkg.planted import scan\n"
+        "def test_it():\n"
+        "    assert scan(1, level=2).origin == 'a'\n")
+    where = dict(package=package, commands=[tmp_path / "src"], tests=[tests])
+    assert option_creep(**where, layers=()) == ["planted.scan(level=) is never set"]
+    assert unused_fields(**where, layers=()) == ["planted.Report.origin"]
+    # a layer no command reaches yet counts its tests
+    assert option_creep(**where, layers=("scan",)) == []
+    assert unused_fields(**where, layers=("Report",)) == []
+    # a command that passes `scan` on, as the benchmark passes `cli.main` to
+    # its timer, may have it called with anything
+    (tmp_path / "src" / "timer.py").write_text(
+        "from pkg.planted import scan\n"
+        "def run(timer):\n"
+        "    return timer(scan, 2)\n")
+    assert option_creep(**where, layers=()) == []
+    assert unused_fields(**where, layers=()) == ["planted.Report.origin"]
+    (tmp_path / "src" / "caller.py").write_text(
+        "from pkg.planted import scan\n"
+        "def run():\n"
+        "    return scan(2, level=3).origin\n")
+    (tmp_path / "src" / "timer.py").unlink()
+    assert option_creep(**where, layers=()) == []
+    assert unused_fields(**where, layers=()) == []
 
 
 def test_traced_entry_points_exist():

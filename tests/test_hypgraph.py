@@ -110,8 +110,14 @@ class TestBfs:
 
 class TestEstimateDelta:
     def test_small_sets(self):
+        # below four points the scan has no quadruple, whatever its budget
         t = random_tree(3, 0)
-        assert estimate_delta(t.points(), t) == DeltaEstimate(Fraction(0), None, 0, True)
+        pts = list(t.points())
+        assert len(pts) == 3
+        for k in range(4):
+            for max_quadruples in (None, 0, 5):
+                assert estimate_delta(pts[:k], t, max_quadruples) \
+                    == DeltaEstimate(Fraction(0), None, 0, True)
 
     def test_trees_are_zero(self):
         for seed in range(10):

@@ -58,20 +58,18 @@ class TestBehrstock:
     def test_torus_scan_records_bemp(self, torus):
         rng = random.Random(2)
         triples = sample_overlapping_triples(500, rng, qmax=200)
-        rep = behrstock_scan(torus, triples, B=10)
+        rep = behrstock_scan(torus, triples)
         assert rep.scanned == 500
-        assert not rep.violations
         assert 1 <= rep.B_emp <= 10
         fresh = sample_overlapping_triples(500, random.Random(3), qmax=200)
-        assert not behrstock_scan(torus, fresh, B=rep.B_emp).violations
+        assert behrstock_scan(torus, fresh).B_emp <= rep.B_emp
 
     def test_synthetic_by_construction(self):
         sys_ = synthetic_system(7, seed=0, threshold=5)
         sites = [s for s in sys_.sites() if s.startswith("Y")]
         triples = [(sites[i], sites[j], sites[k])
                    for i in range(5) for j in range(i + 1, 6) for k in range(j + 1, 7)]
-        rep = behrstock_scan(sys_, triples, B=1)
-        assert not rep.violations and rep.B_emp == 1
+        assert behrstock_scan(sys_, triples).B_emp == 1
 
 
 class TestBgit:
@@ -81,7 +79,7 @@ class TestBgit:
 
     def test_core_fails_to_project(self, torus):
         rep = bgit_scan(torus, Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
-        assert not rep.all_project and rep.witness == Slope(1, 1)
+        assert not rep.all_project and rep.diameter is None
 
     def test_requires_geodesic(self, torus):
         with pytest.raises(ValueError):
@@ -102,8 +100,8 @@ class TestBgit:
             if torus.proj_dist(site, base, far) <= M_emp:
                 continue
             checked += 1
-            rep = bgit_scan(torus, site, farey_geodesic(base, far))
-            assert not rep.all_project and rep.witness == site
+            path = farey_geodesic(base, far)
+            assert site in path and not bgit_scan(torus, site, path).all_project
         assert checked > 20
 
 
@@ -121,7 +119,9 @@ class TestPersistence:
             rep = persistence_check(torus, seq, M=3, B=2)
             assert rep.hypothesis_ok, rep.failures
             assert rep.conclusions_ok, rep.failures
-            assert rep.gaps_at_least_3 and rep.final_distance_ok
+            # gaps of 3 or more, so the final-distance conclusion is tested
+            assert all(farey_distance(u, v) >= 3 for u, v in zip(seq, seq[1:]))
+            assert rep.final_distance_ok
 
     def test_hypothesis_failure_reported(self, torus):
         rep = persistence_check(torus, [INFINITY, Slope(0, 1), INFINITY], M=3, B=2)
@@ -145,14 +145,12 @@ class TestPersistence:
     @pytest.mark.parametrize("seq", [[], [INFINITY]], ids=["empty", "one-site"])
     def test_sequences_below_two_sites(self, torus, seq):
         rep = persistence_check(torus, seq, M=3, B=2)
-        assert rep.hypothesis_ok and rep.conclusions_ok and rep.gaps_at_least_3
-        assert rep.failures == [] and rep.worst_triple is None
+        assert rep.hypothesis_ok and rep.conclusions_ok and rep.failures == []
 
     def test_repeated_slope_does_not_overlap(self, torus):
         rep = persistence_check(torus, [INFINITY, INFINITY, Slope(0, 1)], M=3, B=2)
         assert not rep.hypothesis_ok
         assert not rep.pairwise_overlap_ok and not rep.middle_bound_ok
-        assert rep.worst_triple is None
         assert rep.failures == ["consecutive sites 0,1 do not overlap",
                                 "sites 0,1 do not overlap"]
 
@@ -160,8 +158,7 @@ class TestPersistence:
         # a Farey triangle: 1/0 and 1/1 project one apart to the link of 0/1
         rep = persistence_check(torus, [INFINITY, Slope(0, 1), Slope(1, 1)], M=3, B=2)
         assert rep.pairwise_overlap_ok and not rep.middle_bound_ok
-        assert rep.monotone_ok and not rep.gaps_at_least_3
-        assert rep.worst_triple == (0, 1, 2)
+        assert rep.monotone_ok and rep.final_distance_ok
         assert rep.failures == ["middle projection at 1 is 1 < M+3B = 9",
                                 "projection d_1(0,2) = 1 < M+B"]
 
@@ -169,7 +166,7 @@ class TestPersistence:
         seq = [Slope(0, 1), Slope(-8, 5), INFINITY]
         assert [farey_distance(u, v) for u, v in zip(seq, seq[1:])] == [3, 3]
         rep = persistence_check(torus, seq, M=0, B=1)
-        assert rep.gaps_at_least_3 and not rep.final_distance_ok
+        assert not rep.final_distance_ok
         assert rep.middle_bound_ok and not rep.monotone_ok
         assert rep.failures == ["middle projection at 1 is 1 < M+3B = 3",
                                 "d(0,2) = 1 < d(0,1) = 3",
@@ -259,8 +256,7 @@ class TestEstimateConstants:
         sites = [s for s in sys_.sites() if s.startswith("Y")]
         triples = [(a, b, c) for a in sites for b in sites for c in sites
                    if len({a, b, c}) == 3][:200]
-        rep = behrstock_scan(sys_, triples, B=1)
-        assert rep.B_emp <= 1
+        assert behrstock_scan(sys_, triples).B_emp <= 1
 
 
 def pairwise_bgit_scan(system, site, geodesic):
@@ -273,7 +269,7 @@ def pairwise_bgit_scan(system, site, geodesic):
         raise ValueError("input sequence is not distance-realizing")
     for v in path:
         if not system.projects(site, v):
-            return BgitReport(False, None, v)
+            return BgitReport(False, None)
     diam = 0
     for i in range(len(path)):
         for j in range(i, len(path)):
@@ -283,10 +279,9 @@ def pairwise_bgit_scan(system, site, geodesic):
     return BgitReport(True, diam)
 
 
-def nine_call_behrstock_scan(system, triples, B=None):
+def nine_call_behrstock_scan(system, triples):
     """The `behrstock_scan` that made 9 distance calls per triple, three of
     them repeats: its slow twin."""
-    violations = []
     worst = 0
     count = 0
     for triple in triples:
@@ -301,9 +296,7 @@ def nine_call_behrstock_scan(system, triples, B=None):
             level = min(d_mid, d_max)
             if level > worst:
                 worst = level
-            if B is not None and d_mid >= B and d_max >= B:
-                violations.append((triple, mid, d_mid, d_max))
-    return BehrstockReport(count, violations, worst + 1)
+    return BehrstockReport(count, worst + 1)
 
 
 def _outcome(fn, *args):
@@ -358,8 +351,7 @@ class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
         triples = sample_overlapping_triples(400, random.Random(qmax), qmax=qmax)
-        for B in (None, 1, 2, 3):
-            assert behrstock_scan(torus, triples, B=B) == nine_call_behrstock_scan(torus, triples, B)
+        assert behrstock_scan(torus, triples) == nine_call_behrstock_scan(torus, triples)
 
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
@@ -389,8 +381,7 @@ class TestBehrstockSlowTwin:
             t = tuple(rng.sample(sites, 3))
             if all(fast.overlaps(u, v) for u, v in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))):
                 triples.append(t)
-        for B in (None, 1, 2, 4):
-            assert behrstock_scan(fast, triples, B=B) == nine_call_behrstock_scan(slow, triples, B)
+        assert behrstock_scan(fast, triples) == nine_call_behrstock_scan(slow, triples)
 
 
 def full_matrix_persistence_check(system, sequence, M, B):
@@ -417,15 +408,11 @@ def full_matrix_persistence_check(system, sequence, M, B):
                 pairwise = False
                 failures.append(f"sites {i},{k} do not overlap")
     middle = True
-    worst = None
-    worst_val = None
     if pairwise:
         for j in range(1, n - 1):
             for i in range(j):
                 for k in range(j + 1, n):
                     d = system.proj_dist(seq[j], seq[i], seq[k])
-                    if worst_val is None or d < worst_val:
-                        worst_val, worst = d, (i, j, k)
                     if d < M + B:
                         middle = False
                         failures.append(f"projection d_{j}({i},{k}) = {d} < M+B")
@@ -446,7 +433,7 @@ def full_matrix_persistence_check(system, sequence, M, B):
     if gaps3 and n and amb[0][n - 1] < n - 1:
         final_ok = False
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
-    return PersistenceReport(hyp, pairwise, middle, monotone, gaps3, final_ok, worst, failures)
+    return PersistenceReport(hyp, pairwise, middle, monotone, final_ok, failures)
 
 
 class _Counted:

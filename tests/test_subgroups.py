@@ -6,9 +6,8 @@ import pytest
 from rgflab.bassserre import FactorSpec
 from rgflab.farey import INFINITY, MappingClass, Slope, act, twist_about
 from rgflab.subgroups import (CENTRAL, MatrixGroup, NTType, PERIODIC, PSEUDO_ANOSOV,
-                              REDUCIBLE, ReducingSystemReport, _parabolic_generators,
-                              canonical_reducing_system, enumerate_ball, group_is_finite,
-                              nielsen_thurston_type)
+                              REDUCIBLE, canonical_reducing_system, enumerate_ball,
+                              group_is_finite, nielsen_thurston_type)
 
 
 class TestNielsenThurstonType:
@@ -50,25 +49,25 @@ class TestOrbit:
     def test_fixed_point(self):
         g = MatrixGroup.of(twist_about(Slope(2, 3), 1))
         assert frontier_orbit(g, Slope(2, 3), 200) == frozenset({Slope(2, 3)})
-        assert canonical_reducing_system(g).boundary == Slope(2, 3)
+        assert canonical_reducing_system(g) == Slope(2, 3)
 
     def test_parabolic_certificate(self):
         # a parabolic translates the link of its fixed slope
         g = MatrixGroup.of(twist_about(INFINITY, 1))
         assert frontier_orbit(g, Slope(0, 1), 200) is None
-        assert canonical_reducing_system(g).boundary == INFINITY
+        assert canonical_reducing_system(g) == INFINITY
 
     def test_finite_cyclic(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 0))
         for s in (INFINITY, Slope(1, 3), Slope(2, 5)):
             assert len(frontier_orbit(g, s, 10)) <= 2
-        assert canonical_reducing_system(g).boundary is None
+        assert canonical_reducing_system(g) is None
 
     def test_overflow_is_a_value(self):
         g = MatrixGroup.of(MappingClass(2, 1, 1, 1))
         assert frontier_orbit(g, Slope(0, 1), 5) is None
-        assert canonical_reducing_system(g) == ReducingSystemReport(
-            None, (PSEUDO_ANOSOV, MappingClass(2, 1, 1, 1)))
+        assert canonical_reducing_system(g) is None
+        assert ball_witness(g) == MappingClass(2, 1, 1, 1)
 
 
 class TestEnumeration:
@@ -87,9 +86,9 @@ class TestEnumeration:
 
     def test_common_fixed_slope(self):
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2), twist_about(Slope(1, 2), -3))
-        assert canonical_reducing_system(g).boundary == Slope(1, 2)
+        assert canonical_reducing_system(g) == Slope(1, 2)
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2), twist_about(Slope(0, 1), 1))
-        assert canonical_reducing_system(g).boundary is None
+        assert canonical_reducing_system(g) is None
 
 
 def frontier_ball(group, length):
@@ -125,12 +124,24 @@ def frontier_orbit(group, s, budget):
 
 
 def ball_witness(group):
-    """Slow twin of the witness: the offender, or the first |trace| > 2 element
-    of the length-4 ball over the first two parabolics about distinct slopes."""
-    parabolics, offender = _parabolic_generators(group)
-    others = [g for g, s in parabolics or () if s != parabolics[0][1]]
-    if not others:
+    """An element that puts a group in no twist group, found by a walk: the
+    first generator neither parabolic nor central, else the first
+    |trace| > 2 element of the length-4 ball over the first two parabolic
+    generators about distinct slopes; None when there is neither.
+
+    The second exists: for parabolics f, g about distinct slopes,
+    tr(fg) + tr(fg^-1) = tr f tr g = +-4, and conjugating f to
+    +-[[1, n], [0, 1]] makes g = +-(T^m about p/q) with q != 0, so
+    tr(fg) = +-(2 - nmq^2) and tr(fg^-1) = +-(2 + nmq^2) with nmq^2 != 0:
+    one of the two exceeds 2 in absolute value."""
+    types = [(g, nielsen_thurston_type(g)) for g in group.generators]
+    offender = next((g for g, t in types if t.tag not in (CENTRAL, REDUCIBLE)), None)
+    if offender is not None:
         return offender
+    parabolics = [(g, t.fixed_slope) for g, t in types if t.tag == REDUCIBLE]
+    others = [g for g, s in parabolics if s != parabolics[0][1]]
+    if not others:
+        return None
     pair = MatrixGroup((parabolics[0][0], others[0]))
     return next(m for m in enumerate_ball(pair, 4).values() if abs(m.trace) > 2)
 
@@ -170,14 +181,14 @@ class TestFactorBoundary:
     def test_generator_pool(self, gens):
         group = MatrixGroup.of(*gens)
         f = FactorSpec("F", group)
-        assert f.boundary == canonical_reducing_system(group).boundary
+        assert f.boundary == canonical_reducing_system(group)
         assert f.boundary is None or all(act(g, f.boundary) == f.boundary for g in gens)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_groups(self, seed):
         for group in (random_group(seed), random_twist_group(seed)):
             f = FactorSpec("F", group)
-            assert f.boundary == canonical_reducing_system(group).boundary
+            assert f.boundary == canonical_reducing_system(group)
             assert f.boundary is None or all(act(g, f.boundary) == f.boundary
                                              for g in group.generators)
         rng = random.Random(seed)
@@ -202,7 +213,7 @@ class TestWalkSlowTwins:
         # frontier orbit is finite exactly on the closed-form boundary,
         # whatever the budget; a finite group gets the empty system
         for g in (random_group(seed), random_twist_group(seed)):
-            boundary = canonical_reducing_system(g).boundary
+            boundary = canonical_reducing_system(g)
             if frontier_ball(g, 6)[1]:
                 assert boundary is None
                 continue
@@ -211,8 +222,12 @@ class TestWalkSlowTwins:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_witness_matches_ball_pick(self, seed):
+        # the system is empty exactly when the group is central or a walk
+        # finds an element that no twist group holds
         for g in (random_group(seed), random_twist_group(seed)):
-            assert canonical_reducing_system(g).witness == ball_witness(g)
+            central = all(m.is_identity() for m in g.generators)
+            assert (canonical_reducing_system(g) is None) == (
+                central or ball_witness(g) is not None)
 
     def test_finite_ball_closes_where_the_twin_does(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 1))      # order 6
@@ -224,60 +239,56 @@ class TestWalkSlowTwins:
 
 class TestCanonicalReducingSystem:
     def test_single_twist(self):
-        rep = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(0, 1), 3)))
-        assert rep.boundary == Slope(0, 1)
+        assert canonical_reducing_system(MatrixGroup.of(twist_about(Slope(0, 1), 3))) \
+            == Slope(0, 1)
 
     def test_pseudo_anosov_empty(self):
-        rep = canonical_reducing_system(MatrixGroup.of(MappingClass(2, 1, 1, 1)))
-        assert rep.boundary is None
+        assert canonical_reducing_system(MatrixGroup.of(MappingClass(2, 1, 1, 1))) is None
 
     def test_finite_group_empty(self):
-        rep = canonical_reducing_system(MatrixGroup.of(MappingClass(0, -1, 1, 0)))
-        assert rep.boundary is None
+        assert canonical_reducing_system(MatrixGroup.of(MappingClass(0, -1, 1, 0))) is None
 
     def test_mixed_twists_empty(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
-        assert canonical_reducing_system(g).boundary is None
+        assert canonical_reducing_system(g) is None
 
     def test_group_invariance(self):
         g = MatrixGroup.of(twist_about(Slope(1, 2), 2))
-        rep = canonical_reducing_system(g)
+        boundary = canonical_reducing_system(g)
         for m in enumerate_ball(g, 3).values():
-            assert act(m, rep.boundary) == rep.boundary
+            assert act(m, boundary) == boundary
 
     def test_finite_index_stability(self):
         base = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(2, 3), 1)))
         for k in range(2, 11):
             deep = canonical_reducing_system(MatrixGroup.of(twist_about(Slope(2, 3), k)))
-            assert deep.boundary == base.boundary
+            assert deep == base
 
     def test_budget_limited_reported(self):
         # parabolic generators about distinct slopes: ab has trace 1, so
         # the witness is the two-letter word ab^-1
         a, b = twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1)
-        rep = canonical_reducing_system(MatrixGroup.of(a, b))
-        assert rep.boundary is None
+        g = MatrixGroup.of(a, b)
+        assert canonical_reducing_system(g) is None
         assert a.mul(b).trace == 1
-        assert rep.witness == a.mul(b.inv()) and rep.witness.trace == 3
+        assert ball_witness(g) == a.mul(b.inv()) and ball_witness(g).trace == 3
 
 
 class TestMultitwist:
     def test_common_slope(self):
         g = MatrixGroup.of(twist_about(INFINITY, 2), twist_about(INFINITY, 5))
-        rep = canonical_reducing_system(g)
-        assert rep.witness is None and rep.boundary == INFINITY
+        assert canonical_reducing_system(g) == INFINITY and ball_witness(g) is None
 
     def test_distinct_slopes_with_pa_witness(self):
         g = MatrixGroup.of(twist_about(INFINITY, 1), twist_about(Slope(0, 1), 1))
-        rep = canonical_reducing_system(g)
-        assert isinstance(rep.witness, MappingClass)
-        assert abs(rep.witness.trace) > 2
+        assert canonical_reducing_system(g) is None
+        assert abs(ball_witness(g).trace) > 2
 
     def test_torsion_witness(self):
         g = MatrixGroup.of(MappingClass(0, -1, 1, 0))
-        assert canonical_reducing_system(g).witness == (PERIODIC, MappingClass(0, -1, 1, 0))
+        assert canonical_reducing_system(g) is None
+        assert ball_witness(g) == MappingClass(0, -1, 1, 0)
 
     def test_central_generators_ignored(self):
         g = MatrixGroup.of(MappingClass(-1, 0, 0, -1), twist_about(Slope(1, 3), 4))
-        rep = canonical_reducing_system(g)
-        assert rep.witness is None and rep.boundary == Slope(1, 3)
+        assert canonical_reducing_system(g) == Slope(1, 3) and ball_witness(g) is None
