@@ -10,10 +10,11 @@ gH_i drops a trailing i-syllable from g, which makes the label canonical.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 
 from . import farey, hypgraph
@@ -213,7 +214,7 @@ def phi(ball: TreeBall, base: Slope) -> list:
 
 @dataclass
 class QiReport:
-    pairs: list                   # (d_T, d_S) per type-1 pair
+    pairs: PairCounts             # (d_T, d_S) -> number of type-1 pairs
     min_ratio: Fraction | None
     kappa_witness: int | None     # least integer k with d_S >= d_T/k - k on all pairs
     benchmark_ok: bool            # d_S >= d_T/2 - 4 on all pairs
@@ -252,8 +253,7 @@ def _shear_key(m: tuple) -> tuple:
 class ResumeTable:
     """The Farey distances of `qi_pairs` as a finite transducer: interned
     states and steps, and transitions filled on first use.  One table serves
-    one scan; it is the scan's only memo, and `advance` is the one place a
-    Farey distance is resumed.
+    one scan, and `advance` is the one place a Farey distance is resumed.
 
     A state is (M, up) for a type-1 vertex v, seen from a source vertex.
     With C the `conjugator_to_infinity` of the source's slope, W_v the
@@ -366,101 +366,113 @@ class ResumeTable:
         return added, before, self.state(_mat_mul((d, -lb, -c, a), m), up)
 
 
-def qi_pairs(ball: TreeBall) -> list:
-    """(d_T, d_S) for every type-1 pair of the ball, d_S between the images
-    g . boundary(H_i) of the orbit map (`phi`): with t = `ball.vertices(1)`,
-    the pairs (t[i], t[j]) for i < j in lexicographic order of (i, j), from
-    one depth-first walk per source vertex.  The scan reads only the ball
-    and each factor's reducing system.
+class PairCounts(Counter):
+    """(d_T, d_S) -> the number of unordered type-1 pairs; its length is their number."""
 
-    The walk steps between type-1 vertices across the type-2 fans, adding 2
-    to d_T each time; the ball is a tree, so it keeps no seen-set, and type-2
-    leaves lie on no path between type-1 vertices, so it skips them.  A
-    vertex ranked at or before the source, with no fan but the one it was
-    reached through, is skipped.  Every directed step gets its `ResumeTable`
-    step id once per scan.  Each stack entry carries its vertex's state and
-    additive d, so a pair costs one lookup of `trans[state][step]` and two
-    additions; the source is in the root state of its factor.  The only
-    fallback, a complete quotient x <= 1 after a prefix, is one uncached
-    `ResumeTable.advance` from the empty prefix of the source's own
-    conjugator, which is computed from the source's label and boundary on
-    the source's first fallback.
+    def __len__(self):
+        return self.total()
+
+
+class _Fallback(Exception):
+    """A group without a source met a fallback entry, which depends on the source."""
+
+
+def qi_pairs(ball: TreeBall) -> PairCounts:
+    """The count of each (d_T, d_S) over the unordered type-1 pairs of the
+    ball, d_S between the images g . boundary(H_i) of `phi`; it reads only
+    the ball and each factor's reducing system.
+
+    Ordered pairs are counted, then halved: d_T and d_S are symmetric.  From
+    a source the walk climbs the ancestor cosets, across the type-2 fans
+    with their `ResumeTable` states and additive d, and adds what lies
+    `below` the source and, at each coset on the way, its `level`: its
+    siblings, its parent and the parent's other child fans, each with all
+    below.  The subtree below a coset depends only on its depth and factor,
+    and a state fixes each d_S below up to the additive d, so `group`
+    memoises a histogram of (d_T, d_S - d) on (state, depth, factor, and a
+    level's up step) and defers it, shifted, in `terms` (histogram 0 is one
+    pair).  A group that meets a fallback entry (x <= 1 after a prefix) is
+    walked per source, from the source's own conjugator.
     """
-    kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
-                                            ball.factor, ball.distance)
-    adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
-    t1 = ball.vertices(1)
-    rank = [-1] * len(kind)
-    for k, i in enumerate(t1):
-        rank[i] = k
-
+    adjacency, label, factor, dist = ball.adjacency, ball.label, ball.factor, ball.distance
     table = ResumeTable([f.boundary for f in ball.factors])
-    fallback = table.FALLBACK
+    boundary = table.boundary
     sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
     down, up = {}, {}                    # steps into and out of v across its parent fan
-    for v in t1:
+    for v in ball.vertices(1):
         if label[v]:
             j, h = label[v][-1]
-            down[v] = table.step(h, factor[v])
-            up[v] = table.step(h.inv(), j)
-    edges = []                           # per vertex: (fan, [(w, step id, leaf)])
-    for u in range(len(kind)):
-        edges.append([])
-        if kind[u] != 1:
-            continue
-        for fan in adj[u]:
-            out = []
-            for w in adj[fan]:
-                if w == u:
-                    continue
-                if dist[w] < dist[fan]:
-                    sid = up[u]
-                elif dist[fan] < dist[u]:
-                    sid = sibling[factor[w]]
-                else:
-                    sid = down[w]
-                out.append((w, sid, len(adj[w]) == 1))
-            edges[u].append((fan, out))
+            down[v], up[v] = table.step(h, factor[v]), table.step(h.inv(), j)
+    hists, memo, conj, terms = [{(0, 0): 1}], {}, {}, Counter()
 
-    trans = table.trans
-    pairs = []
-    boundary = table.boundary
-    for k, src in enumerate(t1):
-        conj = None
-        row = [None] * (len(t1) - k - 1)
-        # (vertex, fan it came through, d_T, state, additive d)
-        stack = [(src, -1, 0, table.root[factor[src]], 0)]
-        while stack:
-            u, via, dt, state, d = stack.pop()
-            dt += 2
-            row_t = trans[state]
-            for fan, out in edges[u]:
-                if fan == via:
-                    continue
-                for v, sid, leaf in out:
-                    r = rank[v] - k - 1
-                    if leaf and r < 0:
-                        continue
-                    t = row_t.get(sid) or table.entry(state, sid)
-                    if t is not fallback:
-                        added, before, nxt = t
-                        ds = d + added
-                        nd = d + before
-                    else:
-                        if conj is None:
-                            conj = conjugator_to_infinity(
-                                act(word_matrix(label[src]), boundary[factor[src]]))
-                        ds, nd, nxt = table.advance(_mat_mul(conj, word_matrix(label[v])),
-                                                    boundary[factor[v]], None)
-                    if r >= 0:
-                        row[r] = (dt, ds)
-                    if not leaf:
-                        stack.append((v, fan, dt, nxt, nd))
-        pairs += row
-    return pairs
+    def move(state, sid, v, d, src):
+        """(d_S, additive d, state) of v, one step from a vertex in `state`."""
+        t = table.entry(state, sid)
+        if t is not table.FALLBACK:
+            return d + t[0], d + t[1], t[2]
+        if src is None:
+            raise _Fallback
+        if src not in conj:
+            conj[src] = conjugator_to_infinity(act(word_matrix(label[src]), boundary[factor[src]]))
+        return table.advance(_mat_mul(conj[src], word_matrix(label[v])), boundary[factor[v]], None)
+
+    def visit(terms, steps, state, dt, d, src):
+        for w, sid in steps:
+            ds, nd, nxt = move(state, sid, w, d, src)
+            terms[0, dt, ds] += 1
+            group(terms, below, w, nxt, dt, nd, src)
+
+    def below(terms, v, state, dt, d, src, skip=None):
+        visit(terms, [(w, down[w]) for fan in adjacency[v][1:] if fan != skip
+                      for w in adjacency[fan][1:]], state, dt + 2, d, src)
+
+    def level(terms, u, state, dt, d, src):
+        p = adjacency[u][0]
+        visit(terms, [(w, sibling[factor[w]]) for w in (adjacency[p][1:] if p else adjacency[0])
+                      if w != u], state, dt + 2, d, src)
+        if p:
+            ds, nd, nxt = move(state, up[u], adjacency[p][0], d, src)
+            terms[0, dt + 2, ds] += 1
+            below(terms, adjacency[p][0], nxt, dt + 2, nd, src, skip=p)
+
+    def group(terms, f, v, state, dt, d, src):
+        key = (f, state, dist[v], factor[v], up.get(v) if f is level else None)
+        if key not in memo:
+            try:
+                local = Counter()
+                f(local, v, state, 0, 0, None)
+                memo[key] = len(hists)
+                hists.append(flat(local))
+            except _Fallback:
+                memo[key] = None
+        if memo[key] is None:
+            f(terms, v, state, dt, d, src)
+        else:
+            terms[memo[key], dt, d] += 1
+
+    def flat(terms):
+        out = Counter()
+        for (h, dt, d), m in terms.items():
+            for (a, b), n in hists[h].items():
+                out[a + dt, b + d] += m * n
+        return out
+
+    for src in ball.vertices(1):
+        u, state, dt, d = src, table.root[factor[src]], 0, 0
+        group(terms, below, src, state, 0, 0, src)
+        while True:
+            group(terms, level, u, state, dt, d, src)
+            if not (p := adjacency[u][0]):
+                break
+            _, d, state = move(state, up[u], adjacency[p][0], d, src)
+            u, dt = adjacency[p][0], dt + 2
+    ordered = flat(terms)
+    if any(n % 2 for n in ordered.values()):
+        raise AssertionError("an odd count of ordered pairs: d_T or d_S is not symmetric")
+    return PairCounts({pair: n // 2 for pair, n in ordered.items()})
 
 
-def qi_report(pairs: list, kappa: int | None = None) -> QiReport:
+def qi_report(pairs: PairCounts, kappa: int | None = None) -> QiReport:
     """The certificate of a pair table: the least integer kappa with
     d_S >= d_T / kappa - kappa on every pair, whether a given kappa holds,
     the benchmark d_S >= d_T/2 - 4, and the lower envelope with its fit.
@@ -481,27 +493,15 @@ def qi_report(pairs: list, kappa: int | None = None) -> QiReport:
     def holds(k):
         return all(k * (ds + k) >= dt for dt, ds in envelope.items())
 
-    least = None                  # (d_T, d_S) of the least ratio, cross-multiplied
-    for dt, ds in envelope.items():
-        if dt > 0 and (least is None or ds * least[0] < least[1] * dt):
-            least = (dt, ds)
-    min_ratio = None if least is None else Fraction(least[1], least[0])
+    min_ratio = min((Fraction(ds, dt) for dt, ds in envelope.items() if dt > 0), default=None)
     bench = all(2 * ds >= dt - 8 for dt, ds in envelope.items())
-    kappa_witness = None
-    if pairs:
-        kappa_witness = 1
-        while not holds(kappa_witness):
-            kappa_witness += 1
+    kappa_witness = next(k for k in count(1) if holds(k)) if pairs else None
     given_ok = None if kappa is None else holds(kappa)
 
     fit = None
     if len(envelope) >= 2:
-        xs = sorted(envelope)
-        n = len(xs)
-        sx = sum(xs)
-        sy = sum(envelope[x] for x in xs)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * envelope[x] for x in xs)
+        n, sx, sy = len(envelope), sum(envelope), sum(envelope.values())
+        sxx, sxy = sum(x * x for x in envelope), sum(x * y for x, y in envelope.items())
         den = n * sxx - sx * sx
         if den:
             slope = Fraction(n * sxy - sx * sy, den)

@@ -15,7 +15,6 @@ import os
 import random
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import farey
@@ -72,13 +71,15 @@ def emit(records, out_path=None):
 
 
 def emit_csv(pairs, out_path=None):
-    """Write the pair table, sorted, from the count of each distinct pair:
-    the bytes of `csv.writer` on the sorted rows (CRLF line ends), without
-    sorting the rows.  `pairs` is left as it is."""
-    counts = Counter(pairs)
-    text = "d_T,d_S\r\n" + "".join(f"{dt},{ds}\r\n" * counts[dt, ds] for dt, ds in sorted(counts))
+    """Write the pair table, a `PairCounts`, sorted: the bytes of `csv.writer`
+    on the sorted rows (CRLF line ends), each group of equal rows in pieces
+    of at most 8192 rows, so that memory stays bounded."""
     with _destination(out_path) as fh:
-        fh.write(text)
+        fh.write("d_T,d_S\r\n")
+        for (dt, ds), n in sorted(pairs.items()):
+            row = f"{dt},{ds}\r\n"
+            for k in range(0, n, 8192):
+                fh.write(row * min(8192, n - k))
 
 
 def family_to_json(family: FamilySpec) -> dict:

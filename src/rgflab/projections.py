@@ -213,7 +213,8 @@ def behrstock_scan(system, triples) -> BehrstockReport:
     max_i min(d_i, max_{j != i} d_j), and that is the median of the three.
     With d_1 <= d_2 <= d_3 sorted: for i = 3 and for i = 2 the term is
     min(d_i, d_3 or d_2) = d_2, and for i = 1 it is d_1 <= d_2; ties change
-    nothing.
+    nothing.  So when the first two are at most the worst level so far, so
+    is the median, and the third is not read.
     """
     worst = 0
     count = 0
@@ -225,11 +226,8 @@ def behrstock_scan(system, triples) -> BehrstockReport:
         count += 1
         a = proj_dist(x, y, z)
         b = proj_dist(y, x, z)
-        c = proj_dist(z, x, y)
-        lo, hi = (a, b) if a < b else (b, a)
-        level = lo if c < lo else hi if c > hi else c
-        if level > worst:
-            worst = level
+        if a > worst or b > worst:
+            worst = max(worst, sorted((a, b, proj_dist(z, x, y)))[1])
     return BehrstockReport(count, worst + 1)
 
 

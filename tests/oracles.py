@@ -5,7 +5,7 @@ checks `raag.normal_form`."""
 import random
 from itertools import chain, combinations
 
-from rgflab.bassserre import TreeBall, word_matrix
+from rgflab.bassserre import ResumeTable, TreeBall, _mat_mul, word_matrix
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
 from rgflab.hypgraph import GraphOracle, bfs
 from rgflab.raag import PresentationGraph, Word
@@ -13,8 +13,101 @@ from rgflab.raag import PresentationGraph, Word
 
 def type1_pairs(ball: TreeBall):
     """The type-1 vertex pairs (t[i], t[j]), i < j, of t = `ball.vertices(1)`,
-    in lexicographic order of (i, j): the order of `qi_pairs`."""
+    in lexicographic order of (i, j): the order of `listed_qi_pairs`."""
     return combinations(ball.vertices(1), 2)
+
+
+def listed_qi_pairs(ball: TreeBall) -> list:
+    """The slow twin of `qi_pairs`, the pair scan that listed what it now
+    counts: (d_T, d_S) for the type-1 pairs (t[i], t[j]), i < j, of
+    t = `ball.vertices(1)`, in the order of `type1_pairs`, from one
+    depth-first walk per source vertex.
+
+    The walk steps between type-1 vertices across the type-2 fans, adding 2
+    to d_T each time; the ball is a tree, so it keeps no seen-set, and type-2
+    leaves lie on no path between type-1 vertices, so it skips them.  A
+    vertex ranked at or before the source, with no fan but the one it was
+    reached through, is skipped.  Every directed step gets its `ResumeTable`
+    step id once per scan.  Each stack entry carries its vertex's state and
+    additive d, so a pair costs one lookup of `trans[state][step]` and two
+    additions; the source is in the root state of its factor.  The only
+    fallback, a complete quotient x <= 1 after a prefix, is one uncached
+    `ResumeTable.advance` from the empty prefix of the source's own
+    conjugator, which is computed from the source's label and boundary on
+    the source's first fallback.
+    """
+    kind, adjacency, label, factor, dist = (ball.kind, ball.adjacency, ball.label,
+                                            ball.factor, ball.distance)
+    adj = [[w for w in fan if kind[w] == 1 or len(adjacency[w]) > 1] for fan in adjacency]
+    t1 = ball.vertices(1)
+    rank = [-1] * len(kind)
+    for k, i in enumerate(t1):
+        rank[i] = k
+
+    table = ResumeTable([f.boundary for f in ball.factors])
+    fallback = table.FALLBACK
+    sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
+    down, up = {}, {}                    # steps into and out of v across its parent fan
+    for v in t1:
+        if label[v]:
+            j, h = label[v][-1]
+            down[v] = table.step(h, factor[v])
+            up[v] = table.step(h.inv(), j)
+    edges = []                           # per vertex: (fan, [(w, step id, leaf)])
+    for u in range(len(kind)):
+        edges.append([])
+        if kind[u] != 1:
+            continue
+        for fan in adj[u]:
+            out = []
+            for w in adj[fan]:
+                if w == u:
+                    continue
+                if dist[w] < dist[fan]:
+                    sid = up[u]
+                elif dist[fan] < dist[u]:
+                    sid = sibling[factor[w]]
+                else:
+                    sid = down[w]
+                out.append((w, sid, len(adj[w]) == 1))
+            edges[u].append((fan, out))
+
+    trans = table.trans
+    pairs = []
+    boundary = table.boundary
+    for k, src in enumerate(t1):
+        conj = None
+        row = [None] * (len(t1) - k - 1)
+        # (vertex, fan it came through, d_T, state, additive d)
+        stack = [(src, -1, 0, table.root[factor[src]], 0)]
+        while stack:
+            u, via, dt, state, d = stack.pop()
+            dt += 2
+            row_t = trans[state]
+            for fan, out in edges[u]:
+                if fan == via:
+                    continue
+                for v, sid, leaf in out:
+                    r = rank[v] - k - 1
+                    if leaf and r < 0:
+                        continue
+                    t = row_t.get(sid) or table.entry(state, sid)
+                    if t is not fallback:
+                        added, before, nxt = t
+                        ds = d + added
+                        nd = d + before
+                    else:
+                        if conj is None:
+                            conj = conjugator_to_infinity(
+                                act(word_matrix(label[src]), boundary[factor[src]]))
+                        ds, nd, nxt = table.advance(_mat_mul(conj, word_matrix(label[v])),
+                                                    boundary[factor[v]], None)
+                    if r >= 0:
+                        row[r] = (dt, ds)
+                    if not leaf:
+                        stack.append((v, fan, dt, nxt, nd))
+        pairs += row
+    return pairs
 
 
 def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:

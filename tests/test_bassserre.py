@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,13 @@ from rgflab.farey import (INFINITY, MappingClass, Slope, act, conjugator_to_infi
                           farey_distance, twist_about)
 from rgflab.subgroups import MatrixGroup
 from rgflab import bassserre, farey
-from rgflab.bassserre import (FactorSpec, FreeProductReport, build_ball,
+from rgflab.bassserre import (FactorSpec, FreeProductReport, PairCounts, build_ball,
                               cyclically_reduce, free_product_check,
                               loxodromic_scan, phi, pingpong_certificate,
                               qi_certificate, qi_pairs, qi_report,
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, word_matrix)
-from oracles import ball_bfs_distance, coset_well_defined, type1_pairs
+from oracles import ball_bfs_distance, coset_well_defined, listed_qi_pairs, type1_pairs
 
 
 def _word_key(word: tuple) -> tuple:
@@ -144,7 +145,8 @@ class TestQiCertificate:
         factors = two_twist_factors()
         ball = build_ball(factors, radius=1)
         rep = qi_certificate(ball)
-        assert rep.pairs == [(2, 1)]      # d_T = 2, d_S(1/0, 0/1) = 1
+        assert rep.pairs == PairCounts({(2, 1): 1})      # d_T = 2, d_S(1/0, 0/1) = 1
+        assert len(rep.pairs) == 1
         assert rep.min_ratio == Fraction(1, 2)
         assert rep.benchmark_ok           # 1 >= 1 - 4
 
@@ -189,8 +191,8 @@ class TestQiCertificate:
         ([(9, 0)], 3, False),             # 3 * (0 + 3) == 9 but 2 * 0 < 9 - 8
     ])
     def test_bounds_hold_with_equality(self, pairs, kappa_witness, benchmark_ok):
-        rep = qi_report(pairs, kappa=kappa_witness)
-        assert rep.pairs == pairs
+        rep = qi_report(PairCounts(pairs), kappa=kappa_witness)
+        assert rep.pairs == PairCounts(pairs)
         assert (rep.kappa_witness, rep.kappa_given_ok, rep.benchmark_ok) == (
             kappa_witness, True, benchmark_ok)
 
@@ -207,7 +209,7 @@ class TestQiCertificate:
                    for _ in range(200)]
         for pairs in tables:
             want = min((Fraction(ds, dt) for dt, ds in pairs if dt > 0), default=None)
-            assert qi_report(pairs).min_ratio == want
+            assert qi_report(PairCounts(pairs)).min_ratio == want
 
 
 def theorem_b_family():
@@ -241,6 +243,11 @@ def tree_family(name):
         # the family of `experiment prop91 --seed 7`
         from rgflab.constructions import twist_orbit_family
         return twist_orbit_family(20, window=5, seed=7).family.factors
+    if name == "three-twist":
+        # the family of the pinned `tree` reports in tests/test_cli.py
+        return [FactorSpec(n, MatrixGroup.of(MappingClass(*g)), 2) for n, g in (
+            ("A", (1, 0, -1, 1)), ("B", (2031, 4900, -841, -2029)),
+            ("C", (79570261, 192099600, -32959081, -79570259)))]
     return two_slope_factors()
 
 
@@ -268,12 +275,13 @@ class TestTreeShape:
 
 
 class TestQiPairsSlowTwin:
-    """The table-driven scan against `tree_distance` and `farey_distance`
-    between the images of `phi`, whatever its base curve."""
+    """The counting scan against the list scan it replaced, and against
+    `tree_distance` and `farey_distance` between the images of `phi`,
+    whatever its base curve."""
 
     # two-twist at radius 5 resumes past a step that did not rise, before a
     # quotient of 1, where the state's `up` flag decides the distance; it
-    # also has 33 fallback transitions (x <= 1), which are never cached
+    # also meets 42 fallback entries (x <= 1), whose values are never cached
     @pytest.mark.parametrize("family, radius", [
         *itertools.product(["two-twist", "three-factor", "theorem-b", "prop91"], [1, 2, 3, 4]),
         ("two-twist", 5)])
@@ -282,7 +290,20 @@ class TestQiPairsSlowTwin:
         got = qi_pairs(ball)
         for base in BASE_CURVES:
             images = phi(ball, base)
-            assert got == [slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)], base
+            assert got == Counter(slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)), base
+
+    # from radius 3 two-twist, three-factor and three-twist meet fallback
+    # entries, whose groups are walked per source; theorem-b and prop91
+    # have none, so every group is memoised
+    @pytest.mark.parametrize("family, radius", itertools.product(
+        ["two-twist", "three-factor", "theorem-b", "prop91", "three-twist"], range(7)))
+    def test_counts_match_the_list_scan(self, family, radius):
+        ball = build_ball(tree_family(family), radius)
+        got = qi_pairs(ball)
+        assert isinstance(got, PairCounts)
+        assert got == Counter(listed_qi_pairs(ball))
+        n = len(ball.vertices(1))
+        assert len(got) == sum(got.values()) == n * (n - 1) // 2
 
     def test_sample_at_radius_six(self):
         ball = build_ball(tree_family("theorem-b"), 6)
@@ -290,8 +311,10 @@ class TestQiPairsSlowTwin:
         got = qi_pairs(ball)
         todo = list(type1_pairs(ball))
         assert len(got) == len(todo) == 23871
-        for k in random.Random(6).sample(range(len(todo)), 2000):
-            assert got[k] == slow_pair(ball, images, *todo[k]), k
+        sample = Counter(slow_pair(ball, images, *todo[k])
+                         for k in random.Random(6).sample(range(len(todo)), 2000))
+        assert all(got[pair] >= n for pair, n in sample.items()), sample - got
+        assert len(sample) > 1
 
 
 def _entries(table, states, fallback=False):
@@ -428,31 +451,34 @@ class TestResumeTable:
         assert _entries(table, states, fallback=True) == 0
 
     def test_work_is_pinned_on_prop91(self, monkeypatch):
-        """At radius 4: 180 root entries, 280 entries into 25 states and 460
-        `distance_tail` calls, with no fallback."""
+        """At radius 4: 180 root entries, 400 entries into 25 states and 580
+        `distance_tail` calls, with no fallback.  The ordered walk steps into
+        every type-1 vertex from every other, so it also takes the reverse
+        steps into leaves that a walk over unordered pairs skips; from
+        radius 6 on prop91 both take 900."""
         _, pairs, calls, table = _recorded_scan(monkeypatch, "prop91", 4)
         roots, empty, states = _states(table)
         assert len(pairs) == 3570
         assert (_entries(table, roots), empty) == (180, [])
-        assert calls == {"full_kernel": 180, "distance_tail": 460}
-        assert (_entries(table, states), len(states)) == (280, 25)
+        assert calls == {"full_kernel": 180, "distance_tail": 580}
+        assert (_entries(table, states), len(states)) == (400, 25)
         assert _entries(table, states, fallback=True) == 0
 
     def test_fallbacks_are_uncached(self, monkeypatch):
-        """two-twist at radius 5 has 33 fallback transitions; each visit
-        through one runs a full kernel, and every pair still matches the
-        slow twin.  Its images at 1/0 and at integers keep the prefix empty:
-        the 118 entries of the roots and of 12 more empty-prefix states,
-        interned up to a shear, are cached like any other, and with the 127
-        fallback visits the scan runs 245 full kernels and 230
-        `distance_tail` calls."""
+        """two-twist at radius 5 has 42 fallback entries; each visit through
+        one runs a full kernel, and every pair still matches the slow twin.
+        Its images at 1/0 and at integers keep the prefix empty: the 120
+        entries of the roots and of 14 more empty-prefix states, interned up
+        to a shear, are cached like any other, and with the 190 fallback
+        visits the scan runs 310 full kernels and 300 `distance_tail`
+        calls."""
         ball, pairs, calls, table = _recorded_scan(monkeypatch, "two-twist", 5)
         images = phi(ball, BASE_CURVES[0])
         roots, empty, states = _states(table)
-        assert _entries(table, states, fallback=True) == 33
-        assert (_entries(table, roots + empty), len(roots), len(empty)) == (118, 2, 12)
-        assert calls == {"full_kernel": 245, "distance_tail": 230}
-        assert pairs == [slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)]
+        assert _entries(table, states, fallback=True) == 42
+        assert (_entries(table, roots + empty), len(roots), len(empty)) == (120, 2, 14)
+        assert calls == {"full_kernel": 310, "distance_tail": 300}
+        assert pairs == Counter(slow_pair(ball, images, v, w) for v, w in type1_pairs(ball))
 
 
 class TestFreeProductCheck:

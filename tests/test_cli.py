@@ -1,17 +1,20 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shlex
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, family_from_json, \
-    family_to_json, main
+from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, emit_csv, \
+    family_from_json, family_to_json, main
 from rgflab.constructions import FamilySpec, slope_at_distance
-from rgflab.bassserre import FactorSpec
+from rgflab.bassserre import FactorSpec, PairCounts
 from rgflab.farey import INFINITY, Slope
 from rgflab.subgroups import MatrixGroup
 
@@ -466,6 +469,28 @@ class TestTreeAndCert(object):
         assert code == PASS
         csv_text = (tmp_path / "out.jsonl.csv").read_text()
         assert csv_text.splitlines()[0] == "d_T,d_S"
+
+    def test_csv_bytes_across_pieces(self, tmp_path):
+        """Groups of equal rows longer than a piece give the bytes of
+        `csv.writer` on the sorted rows."""
+        pairs = PairCounts({(4, 3): 8192, (2, 1): 2 * 8192 + 5, (2, 0): 1, (6, 9): 8191})
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["d_T", "d_S"])
+        writer.writerows(sorted(pairs.elements()))
+        emit_csv(pairs, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
+
+    def test_csv_memory_is_bounded(self):
+        """Ten million equal rows go out in pieces, never as one string of
+        about 50 MB."""
+        tracemalloc.start()
+        try:
+            emit_csv(PairCounts({(2, 1): 10 ** 7}), os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_tree_qi_kappa_failure_exits_one(self, tmp_path):
         # adjacent twist factors: image curves collide, so kappa = 1

@@ -353,6 +353,23 @@ class TestBehrstockSlowTwin:
         triples = sample_overlapping_triples(400, random.Random(qmax), qmax=qmax)
         assert behrstock_scan(torus, triples) == nine_call_behrstock_scan(torus, triples)
 
+    @pytest.mark.parametrize("seed", [0, 1001])
+    def test_torus_at_the_estimate_size(self, torus, seed):
+        """The two samples of `constants estimate --seed 0`: 10,000 triples
+        at qmax 1000.  Once the worst level is reached, the scan reads the
+        third distance of a triple only when one of the first two exceeds
+        it, which is rare."""
+        triples = sample_overlapping_triples(10000, random.Random(seed), qmax=1000)
+        calls = []
+
+        class Counted(TorusAnnuli):
+            def proj_dist(self, site, a, b):
+                calls.append(site)
+                return super().proj_dist(site, a, b)
+
+        assert behrstock_scan(Counted(), triples) == nine_call_behrstock_scan(torus, triples)
+        assert 2 * len(triples) <= len(calls) < 2.05 * len(triples)
+
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
         assert _outcome(behrstock_scan, torus, triples) \
