@@ -5,14 +5,11 @@ axioms, Bass-Serre orbit maps, and certificate checkers.
 
 from .farey import INFINITY, MappingClass, Slope, act, adjacent, annular_distance, \
     farey_distance, farey_geodesic, twist_about
-from .hypgraph import check_gp_geodesic_bound, check_local_to_global, \
-    estimate_delta, gromov_product
-from .raag import PresentationGraph, admissibility_check, components, \
-    normal_form, power_threshold, support_bookkeeping
+from .hypgraph import check_local_to_global, estimate_delta, gromov_product
+from .raag import PresentationGraph, components, normal_form, power_threshold
 from .subgroups import MatrixGroup, canonical_reducing_system, nielsen_thurston_type
 from .projections import TorusAnnuli, behrstock_scan, bgit_scan, \
-    estimate_constants, general_persistence_check, persistence_check, \
-    synthetic_system
+    estimate_constants, persistence_check
 from .bassserre import FactorSpec, build_ball, free_product_check, \
     loxodromic_scan, phi, pingpong_certificate, qi_certificate, tree_distance
 from .constructions import FamilySpec, check_displacing, check_misaligned, \

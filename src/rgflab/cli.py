@@ -123,9 +123,15 @@ def family_from_json(doc: dict) -> FamilySpec:
             raise ValueError(f"factor {factor.name} has boundary {declared or 'none'}, not its "
                              f"canonical reducing system {factor.boundary or 'none'}")
         factors.append(factor)
+    # no factor builds no ball, and the certificates pass vacuously
+    if not factors:
+        raise ValueError("a family needs at least one factor")
     betas = None
     if "betas" in doc:
         betas = [_one_slope(b, "a betas entry") for b in doc["betas"]]
+        # betas[i] is the displacing curve of factor i
+        if len(betas) != len(factors):
+            raise ValueError(f"betas needs one entry per factor: {len(betas)} for {len(factors)}")
     return FamilySpec(factors, betas)
 
 

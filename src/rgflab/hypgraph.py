@@ -18,10 +18,6 @@ from itertools import combinations
 from . import farey
 
 
-class GeodesicsUnsupported(RuntimeError):
-    """Raised by checks that need actual geodesics from an oracle without them."""
-
-
 def gromov_product(x, y, z, oracle) -> Fraction:
     """(x | y)_z = (d(x,z) + d(y,z) - d(x,y)) / 2."""
     return Fraction(oracle.dist(x, z) + oracle.dist(y, z) - oracle.dist(x, y), 2)
@@ -77,17 +73,6 @@ def estimate_delta(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate
 
 def point_to_path_distance(z, path, oracle):
     return min(oracle.dist(z, v) for v in path)
-
-
-def check_gp_geodesic_bound(x, y, z, oracle, delta) -> bool:
-    """d(z, [x,y]) - 4*delta <= (x|y)_z <= d(z, [x,y]) for one geodesic [x,y]."""
-    geod = getattr(oracle, "geodesic", None)
-    if geod is None:
-        raise GeodesicsUnsupported("oracle provides no geodesics")
-    path = geod(x, y)
-    dz = point_to_path_distance(z, path, oracle)
-    gp = gromov_product(x, y, z, oracle)
-    return dz - 4 * Fraction(delta) <= gp <= dz
 
 
 @dataclass
@@ -185,42 +170,7 @@ def bfs(sources, neighbours, depth=None):
 
 
 # ---------------------------------------------------------------------------
-# Concrete oracles: finite graphs (the synthetic instances) and the Farey graph.
-
-
-class GraphOracle:
-    """BFS metric on an explicit undirected graph given as an adjacency dict."""
-
-    def __init__(self, adjacency: dict):
-        self.adj = {u: sorted(vs, key=repr) for u, vs in adjacency.items()}
-        self._bfs_cache = {}
-
-    def points(self):
-        return list(self.adj)
-
-    def _bfs(self, src):
-        got = self._bfs_cache.get(src)
-        if got is None:
-            dist, parent = {}, {}
-            for v, p, d in bfs([src], self.adj.__getitem__):
-                dist[v] = d
-                parent[v] = p
-            got = self._bfs_cache[src] = (dist, parent)
-        return got
-
-    def dist(self, a, b) -> int:
-        dist, _ = self._bfs(a)
-        if b not in dist:
-            raise KeyError(f"{b!r} unreachable from {a!r}")
-        return dist[b]
-
-    def geodesic(self, a, b) -> list:
-        _, parent = self._bfs(a)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+# The concrete oracle: the Farey graph.
 
 
 class FareyOracle:

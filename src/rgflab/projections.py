@@ -7,10 +7,8 @@ distances between objects at a site, and an ambient metric on objects with
 geodesics.  The projection distance d_Y(a, b) is the diameter of the union
 of the two projections, so it is symmetric in a and b.  A site is itself an
 object, so the checks pass sites straight to `proj_dist` and
-`ambient_dist`.  Two instances are
-provided: annuli in the Farey graph, whose sites and objects are slopes, and
-synthetic systems built from a hidden tree embedding so the axioms hold by
-construction.  All checks take thresholds (M, B) explicitly.
+`ambient_dist`.  The instance is the annuli in the Farey graph, whose
+sites and objects are slopes.  All checks take thresholds (M, B) explicitly.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from fractions import Fraction
 
 from . import farey
 from .farey import Slope, act, twist_about
-from .hypgraph import GraphOracle
-from .raag import nearest_overlaps
 
 
 class OverlapError(ValueError):
@@ -64,130 +60,6 @@ class TorusAnnuli:
 
     def ambient_geodesic(self, a: Slope, b: Slope):
         return farey.farey_geodesic(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic instances from a hidden tree embedding.
-
-
-class TreeSystem:
-    """Projection system read off a tree with numbered directions.
-
-    Sites occupy tree vertices; two sites overlap iff their positions are at
-    tree distance at least 2.  The projection of an object to a site is the
-    direction (neighbor of the site's position) its geodesic leaves through,
-    scored by a hidden integer coordinate on the link.  Both axioms then hold
-    by construction: a geodesic missing the unit ball about a site stays in
-    one direction (images have diameter 0), and if two objects leave a site
-    in different directions the site sits on their geodesic, so each sees the
-    other two in a single direction (Behrstock with B = 1).
-
-    Objects are tree vertices or sites: every object argument resolves
-    through `_pos`, so a site stands for the vertex it occupies.
-    """
-
-    def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict):
-        self.tree = tree
-        self.positions = dict(positions)          # site -> tree vertex
-        self.link_coords = {v: dict(cs) for v, cs in link_coords.items()}
-
-    def sites(self):
-        return list(self.positions)
-
-    def _pos(self, obj):
-        return self.positions.get(obj, obj)
-
-    def overlaps(self, y, z) -> bool:
-        return self.tree.dist(self.positions[y], self.positions[z]) >= 2
-
-    def projects(self, site, obj) -> bool:
-        return self.tree.dist(self.positions[site], self._pos(obj)) >= 2
-
-    def _direction(self, site, obj):
-        path = self.tree.geodesic(self.positions[site], self._pos(obj))
-        return path[1]
-
-    def _coord(self, site, obj) -> int:
-        """The hidden coordinate of obj's direction at site; 0 if unscored."""
-        return self.link_coords.get(self.positions[site], {}).get(self._direction(site, obj), 0)
-
-    def proj_dist(self, site, a, b) -> int:
-        for obj in (a, b):
-            if not self.projects(site, obj):
-                raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
-        return abs(self._coord(site, a) - self._coord(site, b))
-
-    def path_diam(self, site, path) -> int:
-        """Largest pairwise `proj_dist` over a projecting path: the spread of
-        its link coordinates."""
-        coords = [self._coord(site, v) for v in path]
-        return max(coords) - min(coords)
-
-    def ambient_dist(self, a, b) -> int:
-        return self.tree.dist(self._pos(a), self._pos(b))
-
-    def ambient_geodesic(self, a, b):
-        return self.tree.geodesic(self._pos(a), self._pos(b))
-
-
-def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 0,
-                     block_sizes=None) -> TreeSystem:
-    """Build a positive instance on a caterpillar tree.
-
-    Spine sites sit 3 to 5 tree edges apart; hidden link coordinates make
-    each interior site see its neighbors `threshold` apart, so sequences of
-    spine sites satisfy the persistence hypotheses at M + 3B <= threshold.
-    `block_sizes[i]` extra sites may share the i-th spine position, producing
-    mutually non-overlapping blocks for the skip-index machinery.
-    """
-    rng = random.Random(seed)
-    adj = {}
-
-    def add_edge(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    positions = {}
-    link_coords = {}
-    spine = []
-    node = 0
-    adj[0] = []
-    for i in range(n_sites):
-        if i > 0:
-            gap = rng.randrange(3, 6)
-            for _ in range(gap):
-                add_edge(node, node + 1)
-                node += 1
-        spine.append(node)
-        positions[f"Y{i}"] = node
-    # hidden coordinates: the two spine directions at each interior site are
-    # `threshold + jitter` apart
-    for i, v in enumerate(spine):
-        coords = {}
-        nbrs = adj[v]
-        back = [u for u in nbrs if u < v]
-        fwd = [u for u in nbrs if u > v]
-        if back:
-            coords[back[0]] = 0
-        if fwd:
-            coords[fwd[0]] = threshold + rng.randrange(0, 3)
-        link_coords[v] = coords
-    # decoy leaves with random coordinates
-    for _ in range(decoys):
-        v = spine[rng.randrange(len(spine))]
-        node += 1
-        add_edge(v, node)
-        node += 1
-        add_edge(node - 1, node)
-        positions[f"D{node}"] = node
-        link_coords[v][adj[v][-1]] = rng.randrange(-2, threshold + 3)
-    # block sites sharing spine positions (pairwise non-overlapping)
-    if block_sizes:
-        for i, size in enumerate(block_sizes):
-            for k in range(size):
-                positions[f"B{i}.{k}"] = spine[i]
-    tree = GraphOracle(adj)
-    return TreeSystem(tree, positions, link_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -330,57 +202,6 @@ def persistence_check(system, sequence, M: int, B: int) -> PersistenceReport:
         failures.append(f"d(Y_1, Y_n) = {amb[0][n-1]} < n-1 = {n-1}")
 
     return PersistenceReport(hyp, pairwise, middle, monotone, final_ok, failures)
-
-
-@dataclass
-class GeneralPersistenceReport:
-    iota: list
-    tau: list
-    hypothesis_ok: bool
-    subsequence: list
-    interior_bound_ok: bool
-    chained: PersistenceReport | None
-    failures: list = field(default_factory=list)
-
-
-def general_persistence_check(system, sequence, M: int, B: int,
-                              subsequence=None) -> GeneralPersistenceReport:
-    """Skip-index persistence: hypotheses at M + 6B against the nearest
-    overlapping neighbors imply the plain persistence hypotheses (at M + 3B)
-    for any subsequence with consecutive overlaps, which is then checked.
-    The default subsequence is the greedy chain 0, tau(0), tau(tau(0)), ...
-    """
-    seq = list(sequence)
-    iota, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
-    failures = []
-    hyp = True
-    for j in range(len(seq)):
-        if iota[j] is not None and tau[j] is not None:
-            d = system.proj_dist(seq[j], seq[iota[j]], seq[tau[j]])
-            if d < M + 6 * B:
-                hyp = False
-                failures.append(f"d_{j}(iota, tau) = {d} < M+6B = {M + 6*B}")
-
-    idx = [0] if subsequence is None else list(subsequence)
-    while subsequence is None and tau[idx[-1]] is not None:
-        idx.append(tau[idx[-1]])
-    for a, b in zip(idx, idx[1:]):
-        if not system.overlaps(seq[a], seq[b]):
-            raise OverlapError(f"subsequence indices {a},{b} do not overlap")
-    sub = [seq[i] for i in idx]
-
-    interior_ok = True
-    for jj in range(1, len(sub) - 1):
-        for ii in range(jj):
-            for kk in range(jj + 1, len(sub)):
-                d = system.proj_dist(sub[jj], sub[ii], sub[kk])
-                if d < M + 3 * B:
-                    interior_ok = False
-                    failures.append(
-                        f"subsequence projection d_{jj}({ii},{kk}) = {d} < M+3B")
-
-    chained = persistence_check(system, sub, M, B)
-    return GeneralPersistenceReport(iota, tau, hyp, idx, interior_ok, chained, failures)
 
 
 # ---------------------------------------------------------------------------

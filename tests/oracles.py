@@ -1,14 +1,21 @@
 """Definitions only the tests call: reference twins of package kernels, small
-graph models, and RAAG word builders with the confluent rewriting system that
-checks `raag.normal_form`."""
+graph models with the product-versus-geodesic sandwich, the synthetic tree
+projection system with the skip-index persistence check, and RAAG word
+builders with the confluent rewriting system that checks `raag.normal_form`,
+beside admissible support families and the letter bookkeeping along
+alternating words."""
 
 import random
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations
 
+from rgflab import farey
 from rgflab.bassserre import ResumeTable, TreeBall, _mat_mul, word_matrix
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
-from rgflab.hypgraph import GraphOracle, bfs
-from rgflab.raag import PresentationGraph, Word
+from rgflab.hypgraph import bfs, gromov_product, point_to_path_distance
+from rgflab.projections import OverlapError, PersistenceReport, persistence_check
+from rgflab.raag import PresentationGraph, Word, normal_form
 
 
 def type1_pairs(ball: TreeBall):
@@ -157,6 +164,54 @@ def annular_projection_set(alpha: Slope, curves) -> frozenset:
     return frozenset().union(*(annular_projection(alpha, beta) for beta in curves))
 
 
+class GraphOracle:
+    """BFS metric on an explicit undirected graph given as an adjacency dict."""
+
+    def __init__(self, adjacency: dict):
+        self.adj = {u: sorted(vs, key=repr) for u, vs in adjacency.items()}
+        self._bfs_cache = {}
+
+    def points(self):
+        return list(self.adj)
+
+    def _bfs(self, src):
+        got = self._bfs_cache.get(src)
+        if got is None:
+            dist, parent = {}, {}
+            for v, p, d in bfs([src], self.adj.__getitem__):
+                dist[v] = d
+                parent[v] = p
+            got = self._bfs_cache[src] = (dist, parent)
+        return got
+
+    def dist(self, a, b) -> int:
+        dist, _ = self._bfs(a)
+        if b not in dist:
+            raise KeyError(f"{b!r} unreachable from {a!r}")
+        return dist[b]
+
+    def geodesic(self, a, b) -> list:
+        _, parent = self._bfs(a)
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+class GeodesicsUnsupported(RuntimeError):
+    """Raised by checks that need actual geodesics from an oracle without them."""
+
+def check_gp_geodesic_bound(x, y, z, oracle, delta) -> bool:
+    """d(z, [x,y]) - 4*delta <= (x|y)_z <= d(z, [x,y]) for one geodesic [x,y]."""
+    geod = getattr(oracle, "geodesic", None)
+    if geod is None:
+        raise GeodesicsUnsupported("oracle provides no geodesics")
+    path = geod(x, y)
+    dz = point_to_path_distance(z, path, oracle)
+    gp = gromov_product(x, y, z, oracle)
+    return dz - 4 * Fraction(delta) <= gp <= dz
+
+
 def cycle_oracle(n: int) -> GraphOracle:
     return GraphOracle({i: [(i - 1) % n, (i + 1) % n] for i in range(n)})
 
@@ -170,6 +225,174 @@ def random_tree(n: int, seed: int) -> GraphOracle:
         adj.setdefault(u, []).append(v)
         adj[v] = [u]
     return GraphOracle(adj)
+
+
+class TreeSystem:
+    """Projection system read off a tree with numbered directions.
+
+    Sites occupy tree vertices; two sites overlap iff their positions are at
+    tree distance at least 2.  The projection of an object to a site is the
+    direction (neighbor of the site's position) its geodesic leaves through,
+    scored by a hidden integer coordinate on the link.  Both axioms then hold
+    by construction: a geodesic missing the unit ball about a site stays in
+    one direction (images have diameter 0), and if two objects leave a site
+    in different directions the site sits on their geodesic, so each sees the
+    other two in a single direction (Behrstock with B = 1).
+
+    Objects are tree vertices or sites: every object argument resolves
+    through `_pos`, so a site stands for the vertex it occupies.
+    """
+
+    def __init__(self, tree: GraphOracle, positions: dict, link_coords: dict):
+        self.tree = tree
+        self.positions = dict(positions)          # site -> tree vertex
+        self.link_coords = {v: dict(cs) for v, cs in link_coords.items()}
+
+    def sites(self):
+        return list(self.positions)
+
+    def _pos(self, obj):
+        return self.positions.get(obj, obj)
+
+    def overlaps(self, y, z) -> bool:
+        return self.tree.dist(self.positions[y], self.positions[z]) >= 2
+
+    def projects(self, site, obj) -> bool:
+        return self.tree.dist(self.positions[site], self._pos(obj)) >= 2
+
+    def _direction(self, site, obj):
+        path = self.tree.geodesic(self.positions[site], self._pos(obj))
+        return path[1]
+
+    def _coord(self, site, obj) -> int:
+        """The hidden coordinate of obj's direction at site; 0 if unscored."""
+        return self.link_coords.get(self.positions[site], {}).get(self._direction(site, obj), 0)
+
+    def proj_dist(self, site, a, b) -> int:
+        for obj in (a, b):
+            if not self.projects(site, obj):
+                raise farey.EmptyProjectionError(f"{obj} does not project to {site}")
+        return abs(self._coord(site, a) - self._coord(site, b))
+
+    def path_diam(self, site, path) -> int:
+        """Largest pairwise `proj_dist` over a projecting path: the spread of
+        its link coordinates."""
+        coords = [self._coord(site, v) for v in path]
+        return max(coords) - min(coords)
+
+    def ambient_dist(self, a, b) -> int:
+        return self.tree.dist(self._pos(a), self._pos(b))
+
+    def ambient_geodesic(self, a, b):
+        return self.tree.geodesic(self._pos(a), self._pos(b))
+
+def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 0,
+                     block_sizes=None) -> TreeSystem:
+    """Build a positive instance on a caterpillar tree.
+
+    Spine sites sit 3 to 5 tree edges apart; hidden link coordinates make
+    each interior site see its neighbors `threshold` apart, so sequences of
+    spine sites satisfy the persistence hypotheses at M + 3B <= threshold.
+    `block_sizes[i]` extra sites may share the i-th spine position, producing
+    mutually non-overlapping blocks for the skip-index machinery.
+    """
+    rng = random.Random(seed)
+    adj = {}
+
+    def add_edge(u, v):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    positions = {}
+    link_coords = {}
+    spine = []
+    node = 0
+    adj[0] = []
+    for i in range(n_sites):
+        if i > 0:
+            gap = rng.randrange(3, 6)
+            for _ in range(gap):
+                add_edge(node, node + 1)
+                node += 1
+        spine.append(node)
+        positions[f"Y{i}"] = node
+    # hidden coordinates: the two spine directions at each interior site are
+    # `threshold + jitter` apart
+    for i, v in enumerate(spine):
+        coords = {}
+        nbrs = adj[v]
+        back = [u for u in nbrs if u < v]
+        fwd = [u for u in nbrs if u > v]
+        if back:
+            coords[back[0]] = 0
+        if fwd:
+            coords[fwd[0]] = threshold + rng.randrange(0, 3)
+        link_coords[v] = coords
+    # decoy leaves with random coordinates
+    for _ in range(decoys):
+        v = spine[rng.randrange(len(spine))]
+        node += 1
+        add_edge(v, node)
+        node += 1
+        add_edge(node - 1, node)
+        positions[f"D{node}"] = node
+        link_coords[v][adj[v][-1]] = rng.randrange(-2, threshold + 3)
+    # block sites sharing spine positions (pairwise non-overlapping)
+    if block_sizes:
+        for i, size in enumerate(block_sizes):
+            for k in range(size):
+                positions[f"B{i}.{k}"] = spine[i]
+    tree = GraphOracle(adj)
+    return TreeSystem(tree, positions, link_coords)
+
+@dataclass
+class GeneralPersistenceReport:
+    iota: list
+    tau: list
+    hypothesis_ok: bool
+    subsequence: list
+    interior_bound_ok: bool
+    chained: PersistenceReport | None
+    failures: list = field(default_factory=list)
+
+def general_persistence_check(system, sequence, M: int, B: int,
+                              subsequence=None) -> GeneralPersistenceReport:
+    """Skip-index persistence: hypotheses at M + 6B against the nearest
+    overlapping neighbors imply the plain persistence hypotheses (at M + 3B)
+    for any subsequence with consecutive overlaps, which is then checked.
+    The default subsequence is the greedy chain 0, tau(0), tau(tau(0)), ...
+    """
+    seq = list(sequence)
+    iota, tau = nearest_overlaps(len(seq), lambda i, j: system.overlaps(seq[i], seq[j]))
+    failures = []
+    hyp = True
+    for j in range(len(seq)):
+        if iota[j] is not None and tau[j] is not None:
+            d = system.proj_dist(seq[j], seq[iota[j]], seq[tau[j]])
+            if d < M + 6 * B:
+                hyp = False
+                failures.append(f"d_{j}(iota, tau) = {d} < M+6B = {M + 6*B}")
+
+    idx = [0] if subsequence is None else list(subsequence)
+    while subsequence is None and tau[idx[-1]] is not None:
+        idx.append(tau[idx[-1]])
+    for a, b in zip(idx, idx[1:]):
+        if not system.overlaps(seq[a], seq[b]):
+            raise OverlapError(f"subsequence indices {a},{b} do not overlap")
+    sub = [seq[i] for i in idx]
+
+    interior_ok = True
+    for jj in range(1, len(sub) - 1):
+        for ii in range(jj):
+            for kk in range(jj + 1, len(sub)):
+                d = system.proj_dist(sub[jj], sub[ii], sub[kk])
+                if d < M + 3 * B:
+                    interior_ok = False
+                    failures.append(
+                        f"subsequence projection d_{jj}({ii},{kk}) = {d} < M+3B")
+
+    chained = persistence_check(system, sub, M, B)
+    return GeneralPersistenceReport(iota, tau, hyp, idx, interior_ok, chained, failures)
 
 
 def word(*syllables) -> Word:
@@ -227,3 +450,133 @@ def random_rewrite(graph: PresentationGraph, w: Word, rng: random.Random) -> Wor
         if not moves:
             return current
         current = moves[rng.randrange(len(moves))]
+
+
+DISJOINT = "disjoint"
+OVERLAP = "overlap"
+NESTED = "nested"
+BOUNDARY_ANNULUS = "boundary-annulus"
+EQUAL = "equal"
+
+
+@dataclass(frozen=True)
+class AbstractFamily:
+    """Declared pairwise relations among abstract supports S_1..S_n.
+
+    The realization graph has an edge exactly where supports are disjoint;
+    admissibility bars nesting and boundary annuli between distinct members.
+    """
+
+    n: int
+    relations: tuple  # ((i, j, relation), ...) for i < j
+
+    @staticmethod
+    def of(n: int, rels: dict) -> "AbstractFamily":
+        table = []
+        for (i, j), r in sorted(rels.items()):
+            if not (0 <= i < j < n):
+                raise ValueError(f"bad pair ({i}, {j})")
+            if r not in (DISJOINT, OVERLAP, NESTED, BOUNDARY_ANNULUS, EQUAL):
+                raise ValueError(f"unknown relation {r!r}")
+            table.append((i, j, r))
+        if len(table) != n * (n - 1) // 2:
+            raise ValueError("every unordered pair needs a declared relation")
+        return AbstractFamily(n, tuple(table))
+
+    def realization_graph(self) -> PresentationGraph:
+        edges = [(i, j) for i, j, r in self.relations if r == DISJOINT]
+        return PresentationGraph.of(self.n, edges)
+
+def admissibility_check(family: AbstractFamily):
+    """(ok, violating_pair): no distinct pair may be nested or a boundary annulus."""
+    for i, j, r in family.relations:
+        if r in (NESTED, BOUNDARY_ANNULUS, EQUAL):
+            return False, (i, j)
+    return True, None
+
+@dataclass
+class Bookkeeping:
+    """Letters of an alternating word with their support indices.
+
+    nu[t] = generator of letter t of the flattened word (the subwords' normal
+    forms, concatenated); sigma[s] = index of the first letter of subword s; iota/tau give, for each
+    letter, the nearest earlier/later letter whose support overlaps it (None
+    at the ends).  Every letter strictly between iota(j) and tau(j) equals
+    or commutes with letter j, by definition: iota(j) and tau(j) are the
+    nearest letters that overlap j, and a letter overlaps j unless it
+    equals or commutes with it.  Such a letter also shares j's subword
+    (`support_bookkeeping` shows why).
+    """
+
+    nu: list
+    sigma: list
+    iota: list
+    tau: list
+
+def letters_overlap(graph: PresentationGraph, gi: int, gj: int) -> bool:
+    """Supports overlap iff distinct and not disjoint (no realization edge)."""
+    return gi != gj and not graph.commute(gi, gj)
+
+def nearest_overlaps(n: int, overlap) -> tuple:
+    """(iota, tau) for positions 0..n-1: iota[j] is the largest t < j and
+    tau[j] the least t > j with overlap(min(j, t), max(j, t)), None where no
+    such t exists."""
+    iota = [None] * n
+    tau = [None] * n
+    for j in range(n):
+        for t in range(j - 1, -1, -1):
+            if overlap(t, j):
+                iota[j] = t
+                break
+        for t in range(j + 1, n):
+            if overlap(j, t):
+                tau[j] = t
+                break
+    return iota, tau
+
+def support_bookkeeping(graph: PresentationGraph, parts: list, subwords: list) -> Bookkeeping:
+    """Flatten an alternating word over a free-product decomposition.
+
+    `parts` partitions the vertices of `graph` into blocks with no edges
+    between distinct blocks; `subwords` is a list of (part_index, word) with
+    consecutive part indices distinct.  Subwords are put in normal form
+    before concatenation.
+
+    Once the partition is validated, every letter t strictly between iota(j)
+    and tau(j) lies in letter j's subword.  Say
+    t < j, with t in subword a and j in subword b > a.  Subword b - 1 lies in
+    a part other than b's, and no edge joins distinct parts, so its letters
+    overlap letter j.  If b - 1 = a, that makes t <= iota(j); otherwise
+    subword b - 1 lies between t and j, and again iota(j) > t.  The case
+    t > j is the mirror image.
+    """
+    part_of = {}
+    for k, block in enumerate(parts):
+        for v in block:
+            if v in part_of:
+                raise ValueError(f"vertex {v} in two parts")
+            part_of[v] = k
+    if set(part_of) != set(range(graph.n)):
+        raise ValueError("parts must partition the vertices")
+    for i, j in graph.edges:
+        if part_of[i] != part_of[j]:
+            raise ValueError(f"edge ({i}, {j}) crosses distinct parts")
+
+    nu = []
+    sigma = []
+    prev_part = None
+    for k, w in subwords:
+        if k == prev_part:
+            raise ValueError("consecutive subwords from the same part")
+        prev_part = k
+        nf = normal_form(graph, w)
+        if not nf:
+            raise ValueError("empty subword after reduction breaks alternation")
+        for g, _ in nf:
+            if part_of[g] != k:
+                raise ValueError(f"generator x{g + 1} not in part {k}")
+        sigma.append(len(nu))
+        nu.extend(g for g, _ in nf)
+
+    iota, tau = nearest_overlaps(len(nu), lambda i, j: letters_overlap(graph, nu[i], nu[j]))
+    return Bookkeeping(nu, sigma, iota, tau)

@@ -17,8 +17,7 @@ from rgflab.farey import (INFINITY, BfsOracle, MappingClass, Slope, act,
 from rgflab.hypgraph import (FareyOracle, check_local_to_global, estimate_delta,
                              gromov_product, point_to_path_distance)
 from rgflab.projections import (TorusAnnuli, behrstock_scan, persistence_check,
-                                general_persistence_check, random_slope,
-                                sample_overlapping_triples, synthetic_system,
+                                random_slope, sample_overlapping_triples,
                                 twist_pivot_sequence)
 from rgflab.raag import PresentationGraph, components, normal_form
 from rgflab.subgroups import MatrixGroup
@@ -28,7 +27,8 @@ from rgflab.bassserre import (FactorSpec, build_ball, free_product_check,
 from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
-from oracles import concat, cycle_oracle, inverse_word, random_rewrite, random_tree
+from oracles import (concat, cycle_oracle, general_persistence_check, inverse_word,
+                     random_rewrite, random_tree, synthetic_system)
 
 
 def report(number: int, ok: bool, detail: str):

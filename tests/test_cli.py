@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import signal
 import tracemalloc
@@ -228,6 +229,24 @@ BAD_INPUT_ROWS = [
     ("family-empty-beta", ["cert", "displacing", "--family", "EMPTYBETA"],
      "usage error: bad family file EMPTYBETA: "
      "ValueError('a betas entry must be one slope, got []')"),
+    # no factor: build and qi were `need at least one factor` tracebacks, the
+    # four certificates exited 3 and free-product passed on 0 words
+    ("family-no-factors-build", ["tree", "build", "--family", "NOFACTORS"],
+     "usage error: bad family file NOFACTORS: ValueError('a family needs at least one factor')"),
+    ("family-no-factors-qi", ["tree", "qi", "--family", "NOFACTORS"],
+     "usage error: bad family file NOFACTORS: ValueError('a family needs at least one factor')"),
+    ("family-no-factors-free-product", ["tree", "free-product", "--family", "NOFACTORS"],
+     "usage error: bad family file NOFACTORS: ValueError('a family needs at least one factor')"),
+    ("family-no-factors-pingpong", ["cert", "pingpong", "--family", "NOFACTORS"],
+     "usage error: bad family file NOFACTORS: ValueError('a family needs at least one factor')"),
+    # a short betas list was an IndexError traceback in the displacing scan,
+    # and a long one was cut short
+    ("family-betas-short", ["cert", "displacing", "--family", "SHORTBETAS"],
+     "usage error: bad family file SHORTBETAS: "
+     "ValueError('betas needs one entry per factor: 1 for 2')"),
+    ("family-betas-long", ["cert", "displacing", "--family", "LONGBETAS"],
+     "usage error: bad family file LONGBETAS: "
+     "ValueError('betas needs one entry per factor: 2 for 1')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
@@ -287,6 +306,15 @@ BAD_FAMILIES = {
     "EMPTYBETA": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
         "betas": [[]]}),
+    "NOFACTORS": json.dumps({"factors": []}),
+    # the shear pair with one displacing curve, and one twist with two
+    "SHORTBETAS": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}],
+        "betas": [["1/1"]]}),
+    "LONGBETAS": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
+        "betas": [["0/1"], ["1/1"]]}),
 }
 
 
@@ -402,6 +430,65 @@ def test_bad_path_is_usage_error(argv, err, family_file, tmp_path, capsys):
     assert main(argv) == USAGE
     assert capsys.readouterr().err.splitlines() == [err.replace("DIR", d)]
     assert os.listdir(d) == []
+
+
+# valid factors (twists about 1/0, 0/1, 2/1 and -1/3, the shear pair, and a
+# finite factor that only ping-pong accepts), and wrong-typed values
+FUZZ_FACTORS = [
+    {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
+    {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"], "budget": 1},
+    {"name": "C", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+    {"name": "D", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]},
+    {"name": "T", "generators": [[-1, 4, -1, 3]], "boundary": ["2/1"], "budget": 1},
+    {"name": "U", "generators": [[4, 1, -9, -2]], "boundary": ["-1/3"], "budget": 1},
+    {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": []},
+]
+FUZZ_JUNK = [None, 0, -1, 1.5, True, "", "x", "1/0", "0/0", [], [[]], {}, [1, 2],
+             ["1/0", "0/1"], ["1/x"], [[1, 1, 0]], [["a"]], [[1, 1, 0, 1], [1, 0, 1, 1]],
+             {"name": "A"}]
+FUZZ_ACTIONS = [["tree", "build", "--radius", "2"], ["tree", "qi", "--radius", "2"],
+                ["tree", "free-product", "--budget", "3"], ["cert", "separated"],
+                ["cert", "misaligned"], ["cert", "displacing", "--shell-bound", "4"],
+                ["cert", "pingpong"]]
+
+
+def fuzz_family(rng: random.Random):
+    """A family document: valid factors, some with a field dropped or given a
+    wrong type, an empty or junk factor list, and betas of any length."""
+    if rng.random() < 0.05:
+        return rng.choice(FUZZ_JUNK)
+    factors = []
+    for _ in range(rng.choice([0, 1, 2, 2, 3])):
+        fd = dict(rng.choice(FUZZ_FACTORS))
+        if rng.random() < 0.2:
+            key = rng.choice(["name", "generators", "boundary", "budget"])
+            if rng.random() < 0.3:
+                fd.pop(key, None)
+            else:
+                fd[key] = rng.choice(FUZZ_JUNK)
+        factors.append(fd if rng.random() < 0.95 else rng.choice(FUZZ_JUNK))
+    doc = {"factors": factors if rng.random() < 0.95 else rng.choice(FUZZ_JUNK)}
+    if rng.random() < 0.05:
+        del doc["factors"]
+    if rng.random() < 0.4:
+        n = max(0, len(factors) + rng.choice([-1, 0, 0, 1]))
+        doc["betas"] = [[rng.choice(["1/0", "0/1", "1/1", "2/1"])] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            doc["betas"][rng.randrange(n)] = rng.choice(FUZZ_JUNK)
+    return doc
+
+
+def test_family_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    # seeded documents, each on one family action in turn: every call
+    # returns an exit code of the CLI, and none raises
+    rng = random.Random(26)
+    family, out = tmp_path / "family.json", str(tmp_path / "o.jsonl")
+    for case in range(300):
+        family.write_text(json.dumps(fuzz_family(rng)))
+        action = FUZZ_ACTIONS[case % len(FUZZ_ACTIONS)]
+        code = main(action + ["--family", str(family), "--output", out])
+        assert code in (PASS, FAIL, USAGE, NO_VERDICT), (case, action, family.read_text())
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSeedHandling:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import INFINITY, Slope, bounded_vertices
-from rgflab.hypgraph import (DeltaEstimate, FareyOracle, GeodesicsUnsupported, bfs,
-                             check_gp_geodesic_bound, check_local_to_global,
+from rgflab.hypgraph import (DeltaEstimate, FareyOracle, bfs, check_local_to_global,
                              estimate_delta, gromov_product, point_to_path_distance)
 from rgflab.projections import random_slope
-from oracles import cycle_oracle, random_tree
+from oracles import (GeodesicsUnsupported, check_gp_geodesic_bound, cycle_oracle,
+                     random_tree)
 
 
 class DistOnly:

@@ -6,14 +6,13 @@ import pytest
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.raag import nearest_overlaps
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
                                 PersistenceReport, TorusAnnuli,
                                 behrstock_scan, bgit_scan,
-                                estimate_constants, general_persistence_check,
-                                persistence_check, random_slope, random_slopes,
-                                sample_overlapping_triples, synthetic_system,
-                                twist_pivot_sequence)
+                                estimate_constants, persistence_check,
+                                random_slope, random_slopes,
+                                sample_overlapping_triples, twist_pivot_sequence)
+from oracles import general_persistence_check, nearest_overlaps, synthetic_system
 
 
 @pytest.fixture(scope="module")

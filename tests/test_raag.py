@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgflab.raag import (AbstractFamily, BOUNDARY_ANNULUS, DISJOINT, NESTED,
-                         OVERLAP, PresentationGraph, admissibility_check,
-                         components, letters_overlap, nearest_overlaps,
-                         normal_form, power_threshold, support_bookkeeping)
-from oracles import concat, inverse_word, random_rewrite, rewrite_moves, word
+from rgflab.raag import PresentationGraph, components, normal_form, power_threshold
+from oracles import (AbstractFamily, BOUNDARY_ANNULUS, DISJOINT, NESTED, OVERLAP,
+                     admissibility_check, concat, inverse_word, letters_overlap,
+                     nearest_overlaps, random_rewrite, rewrite_moves,
+                     support_bookkeeping, word)
 
 
 def random_graph(rng, max_n=6, p=0.5):
