@@ -230,7 +230,8 @@ def cmd_constants(args):
     rec = {"record": "constants", "M_emp": est.M_emp, "B_emp": est.B_emp,
            "c_emp": est.c_emp, "stable": est.stable, "samples": est.samples,
            "seed": seed}
-    return (PASS if est.stable else NO_VERDICT), [rec], None
+    # an M sample of 0 found no projecting geodesic (see geodesic_image_bounds)
+    return _verdict(True, est.stable and all(est.samples["M"])), [rec], None
 
 
 def cmd_persistence(args):
@@ -350,7 +351,7 @@ def _qi_certificate(factors, radius: int, kappa=None):
     ball = build_ball(factors, radius)
     rep = qi_certificate(ball, kappa=kappa)
     rec = {"record": "qi-certificate", "radius": radius,
-           "pairs": len(rep.pairs), "min_ratio": rep.min_ratio,
+           "pairs": rep.pairs.total(), "min_ratio": rep.min_ratio,
            "kappa_witness": rep.kappa_witness,
            "benchmark_half_dT_minus_4": rep.benchmark_ok}
     return rep, rec
@@ -453,9 +454,9 @@ def cmd_experiment(args):
         ]
         ok = (separated_at_D and misaligned_at_A and fp.no_relation and qi.benchmark_ok
               and lox.all_loxodromic)
-        # A and D derived from no curve far enough from the boundary are no
-        # constants at all
-        return _verdict(ok, qi.pairs and dd.samples and gb.samples), records, qi.pairs
+        # A and D derived from no curve far enough from the boundary, or M
+        # from no projecting geodesic, are no constants at all
+        return _verdict(ok, qi.pairs and dd.samples and gb.samples and est.M_emp), records, qi.pairs
 
     cf = conjugate_twist_family(args.D, seed=seed,
                                 relation_budget=args.budget,

@@ -216,10 +216,10 @@ def _distance_to_infinity(s: Slope) -> int:
     return d
 
 
-def distance_tail(p: int, q: int, up: bool) -> tuple:
+def distance_tail(p: int, q: int, up: bool, memo: dict) -> tuple:
     """The loop of `_distance_to_infinity` resumed on a complete quotient
-    x = p/q, from a state whose last step rose iff `up`.  It keeps no memo:
-    `bassserre.ResumeTable` caches its results per pair scan.
+    x = p/q, from a state whose last step rose iff `up`, with a memo that the
+    caller owns (`bassserre.ResumeTable` keeps one per pair scan).
 
     A slope T.x, with T the convergent matrix of a prefix [a_0; a_1, ..., a_j]
     and x > 1, has the continued fraction of that prefix followed by the one
@@ -234,20 +234,28 @@ def distance_tail(p: int, q: int, up: bool) -> tuple:
     matrix to resume from, with state (d + before, up_before).  The last
     quotient adds one: after a prefix it is at least 2, as x > 1, and from
     an empty prefix an integer's only quotient is a_0.
+
+    The memo maps (p, q, up) to this value at every complete quotient the
+    Euclid loop passes.  A call stops at the first key already there, and on
+    the way back fills its own path: a step of quotient k adds its increment
+    (0 when k = 1 after a rise, else 1) to `added` and `before`, keeps
+    `up_before`, and gives L = T_k L' with T_k = [[k, 1], [1, 0]].
     """
-    added = 0
-    a, b, c, d = 1, 0, 0, 1
-    while True:
+    path = []
+    while (p, q, up) not in memo:
         k, r = divmod(p, q)
         if not r:
-            return added + 1, added, up, (a, b, c, d)
-        if k == 1 and up:
-            up = False
-        else:
-            added += 1
-            up = True
-        a, b, c, d = a * k + b, a, c * k + d, c
+            memo[p, q, up] = (1, 0, up, (1, 0, 0, 1))
+            break
+        path.append((p, q, up, k))
+        up = k != 1 or not up
         p, q = q, r
+    added, before, up_before, (a, b, c, d) = t = memo[p, q, up]
+    for p, q, up, k in reversed(path):
+        inc = k != 1 or not up
+        added, before, a, b, c, d = added + inc, before + inc, k * a + c, k * b + d, a, b
+        t = memo[p, q, up] = (added, before, up_before, (a, b, c, d))
+    return t
 
 
 def farey_distance(a: Slope, b: Slope) -> int:

@@ -272,7 +272,10 @@ def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:
     """The least M bounding every projecting geodesic image, on the two
     disjoint seeded samples of `estimate_constants`: each sample has
     `n_geodesics` draws of a site and a geodesic, half of them twisted
-    about the site and half random, from slopes of `random_slopes(., qmax)`."""
+    about the site and half random, from slopes of `random_slopes(., qmax)`.
+    A sample's bound is 0 exactly when none of its geodesics projects: two
+    distinct slopes never share one integer image, so a projecting geodesic
+    has diameter at least 1."""
     system = TorusAnnuli()
 
     def scan(r):

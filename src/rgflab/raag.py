@@ -38,9 +38,6 @@ class PresentationGraph:
             es.add((min(i, j), max(i, j)))
         return PresentationGraph(n, frozenset(es))
 
-    def commute(self, i: int, j: int) -> bool:
-        return i != j and (min(i, j), max(i, j)) in self.edges
-
     @cached_property
     def neighbours(self) -> tuple:
         """neighbours[i]: the generators that commute with i (not a field, so

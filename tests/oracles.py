@@ -135,6 +135,24 @@ def coset_well_defined(ball: TreeBall, v: int) -> bool:
     return all(act(m.mul(h), f.boundary) == base for h in f.elements)
 
 
+def plain_distance_tail(p: int, q: int, up: bool) -> tuple:
+    """The slow twin of `farey.distance_tail`: its Euclid loop with no memo,
+    building `added` and L = T_{a_1} T_{a_2} ... forward from x = p/q."""
+    added = 0
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k, r = divmod(p, q)
+        if not r:
+            return added + 1, added, up, (a, b, c, d)
+        if k == 1 and up:
+            up = False
+        else:
+            added += 1
+            up = True
+        a, b, c, d = a * k + b, a, c * k + d, c
+        p, q = q, r
+
+
 def matrix_power(m: MappingClass, n: int) -> MappingClass:
     """m^n by repeated multiplication; n may be negative."""
     base = m if n >= 0 else m.inv()
@@ -407,6 +425,12 @@ def concat(*words) -> Word:
     return tuple(chain(*words))
 
 
+def commute(graph: PresentationGraph, i: int, j: int) -> bool:
+    """Whether generators i and j are distinct and joined by an edge: the
+    edge-set test that `PresentationGraph.neighbours` replaces in the package."""
+    return i != j and (min(i, j), max(i, j)) in graph.edges
+
+
 def rewrite_moves(graph: PresentationGraph, w: Word) -> list:
     """All single applications of: drop a zero syllable; merge two syllables
     of one generator across a commuting block; move a syllable left across a
@@ -422,10 +446,10 @@ def rewrite_moves(graph: PresentationGraph, w: Word) -> list:
         for j in range(i + 1, n):
             gj, ej = w[j]
             if gj == gi:
-                if all(graph.commute(gi, w[k][0]) for k in range(i + 1, j)):
+                if all(commute(graph, gi, w[k][0]) for k in range(i + 1, j)):
                     moves.append(w[:i] + ((gi, ei + ej),) + w[i + 1:j] + w[j + 1:])
                 break
-            if not graph.commute(gi, gj):
+            if not commute(graph, gi, gj):
                 break
     for j in range(n):
         # move w[j] left past any block it commutes with, landing before a
@@ -434,7 +458,7 @@ def rewrite_moves(graph: PresentationGraph, w: Word) -> list:
         i = j - 1
         while i >= 0:
             gi = w[i][0]
-            if gi == gj or not graph.commute(gi, gj):
+            if gi == gj or not commute(graph, gi, gj):
                 break
             if gj < gi:
                 moves.append(w[:i] + ((gj, ej),) + w[i:j] + w[j + 1:])
@@ -515,7 +539,7 @@ class Bookkeeping:
 
 def letters_overlap(graph: PresentationGraph, gi: int, gj: int) -> bool:
     """Supports overlap iff distinct and not disjoint (no realization edge)."""
-    return gi != gj and not graph.commute(gi, gj)
+    return gi != gj and not commute(graph, gi, gj)
 
 def nearest_overlaps(n: int, overlap) -> tuple:
     """(iota, tau) for positions 0..n-1: iota[j] is the largest t < j and

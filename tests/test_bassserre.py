@@ -16,7 +16,8 @@ from rgflab.bassserre import (FactorSpec, FreeProductReport, PairCounts, build_b
                               qi_certificate, qi_pairs, qi_report,
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, word_matrix)
-from oracles import ball_bfs_distance, coset_well_defined, listed_qi_pairs, type1_pairs
+from oracles import (ball_bfs_distance, coset_well_defined, listed_qi_pairs,
+                     plain_distance_tail, type1_pairs)
 
 
 def _word_key(word: tuple) -> tuple:
@@ -479,6 +480,19 @@ class TestResumeTable:
         assert (_entries(table, roots + empty), len(roots), len(empty)) == (120, 2, 14)
         assert calls == {"full_kernel": 310, "distance_tail": 300}
         assert pairs == Counter(slow_pair(ball, images, v, w) for v, w in type1_pairs(ball))
+
+
+    @pytest.mark.parametrize("family, radius, steps", [
+        ("theorem-b", 6, 364), ("prop91", 4, 417), ("two-twist", 5, 50),
+        ("three-factor", 4, 100)])
+    def test_euclid_steps_are_pinned(self, monkeypatch, family, radius, steps):
+        """The scan's `distance_tail` memo holds one entry per Euclid step, so
+        its size is the Euclid work of the whole scan: theorem-b at radius 6
+        ran 26,970 steps without it, and the [0; 2, ..., 2] tails its calls
+        share collapse to 364.  Every entry equals the memo-free twin."""
+        _, _, _, table = _recorded_scan(monkeypatch, family, radius)
+        assert len(table.tails) == steps
+        assert all(plain_distance_tail(*key) == t for key, t in table.tails.items())
 
 
 class TestFreeProductCheck:

@@ -15,7 +15,8 @@ import pytest
 from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, emit_csv, \
     family_from_json, family_to_json, main
 from rgflab.constructions import FamilySpec, slope_at_distance
-from rgflab.bassserre import FactorSpec, PairCounts
+from rgflab import cli
+from rgflab.bassserre import FactorSpec, PairCounts, qi_report
 from rgflab.farey import INFINITY, Slope
 from rgflab.subgroups import MatrixGroup
 
@@ -579,6 +580,20 @@ class TestTreeAndCert(object):
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
+    def test_pair_counts_past_index_size(self, monkeypatch):
+        """2**70 pairs, past what `len` can return: the verdict reads
+        `bool` and the qi-certificate record reads `total()`."""
+        huge = PairCounts({(2, 1): 2 ** 70, (4, 3): 1})
+        with pytest.raises(OverflowError):
+            len(huge)
+        assert huge and not PairCounts() and not PairCounts({(2, 1): 0})
+        assert (cli._verdict(True, huge), cli._verdict(False, huge)) == (PASS, FAIL)
+        monkeypatch.setattr(cli, "build_ball", lambda factors, radius: None)
+        monkeypatch.setattr(cli, "qi_certificate", lambda ball, kappa: qi_report(huge, kappa))
+        rep, rec = cli._qi_certificate([], 3)
+        assert rep.pairs is huge and rep.benchmark_ok
+        assert (rec["pairs"], rec["kappa_witness"]) == (2 ** 70 + 1, 1)
+
     def test_tree_qi_kappa_failure_exits_one(self, tmp_path):
         # adjacent twist factors: image curves collide, so kappa = 1
         # cannot hold and the failure report carries the envelope witness
@@ -679,6 +694,17 @@ NO_VERDICT_ROWS = [
     ("theorem-b-two-near-curves",
      ["experiment", "theorem-b", "--seed", "10", "--curve-samples", "2"],
      NO_VERDICT, "theorem-b-constants", {"K_emp": 1, "Kp_emp": 0, "A": 6, "D": 39}),
+    # at qmax 1 no sampled geodesic projects to its site, so M is a maximum
+    # over nothing; these exited 0
+    ("constants-no-projecting-geodesic",
+     ["constants", "estimate", "--qmax", "1", "--seed", "6", "--triples", "5",
+      "--geodesics", "5"],
+     NO_VERDICT, "constants", {"M_emp": 0, "samples": {"B": [2, 2], "M": [0, 0],
+                                                       "c": ["100/99", "99/98"]}}),
+    ("theorem-b-no-projecting-geodesic",
+     ["experiment", "theorem-b", "--seed", "1", "--qmax", "1", "--triples", "1",
+      "--geodesics", "1", "--radius", "1", "--curve-samples", "1"],
+     NO_VERDICT, "theorem-b-constants", {"M_emp": 0}),
     # displacing curves their factors move fail the certificate beside the
     # search's misses; this exited 3
     ("displacing-misses-moved-betas", ["cert", "displacing", "--family", "SHEARMOVEDBETAS"],

@@ -6,7 +6,9 @@ A name counts as referenced when it appears as a name, an attribute or an
 imported name anywhere in `src/` or `tests/`, except inside its own
 definition (recursion keeps nothing alive).  Methods are counted by
 attribute name, so a method shares its references with every other
-definition of that name.
+definition of that name.  A method must also be referenced, so counted, in
+the program or the benchmark (`src/` and `perfbench/`): one that only tests
+call is a test helper, and lives in `tests/`.
 
 An option (a parameter with a default) counts as set when some call in the
 program or the benchmark (`src/` and `perfbench/`) passes it, by keyword or
@@ -73,13 +75,16 @@ def _names(tree) -> Counter:
     return out
 
 
-def dead_definitions() -> list:
+def dead_definitions(package=PACKAGE, searched=SEARCHED) -> list:
+    """Module-level definitions of `package`, and the non-dunder methods of
+    its module-level classes, whose name no file under `searched` references
+    outside the definition itself."""
     refs = Counter()
-    for top in SEARCHED:
+    for top in searched:
         for path in sorted(top.rglob("*.py")):
             refs += _names(ast.parse(path.read_text(), str(path)))
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if not isinstance(node, DEFINITIONS):
                 continue
@@ -95,6 +100,53 @@ def dead_definitions() -> list:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def test_no_method_serves_only_tests():
+    # module-level definitions have the finer rule of `helpers_for_tests_only`
+    assert dead_definitions(searched=COMMANDS) == []
+
+
+PLANTED_METHODS = """
+class Graph:
+    def neighbours(self, i):
+        return self.edges(i)
+
+    def edges(self, i):
+        return [i]
+
+    def commute(self, i, j):
+        return j in self.neighbours(i)
+
+    def depth(self, n):
+        return 0 if n == 0 else self.depth(n - 1)
+"""
+
+
+def test_test_only_methods_fire_on_a_planted_module(tmp_path):
+    # a command calls `neighbours`, which calls `edges`; a test alone calls
+    # `commute`, and `depth` only itself
+    source, tests, bench = tmp_path / "src", tmp_path / "tests", tmp_path / "bench"
+    package = source / "pkg"
+    for folder in (package, tests, bench):
+        folder.mkdir(parents=True)
+    (package / "planted.py").write_text(PLANTED_METHODS)
+    (source / "command.py").write_text(
+        "from pkg.planted import Graph\n"
+        "def run():\n"
+        "    return Graph().neighbours(1)\n")
+    (tests / "test_planted.py").write_text(
+        "from pkg.planted import Graph\n"
+        "def test_it():\n"
+        "    assert Graph().commute(1, 1)\n")
+    assert dead_definitions(package, [source, tests]) == ["planted.Graph.depth"]
+    assert dead_definitions(package, [source, bench]) == [
+        "planted.Graph.commute", "planted.Graph.depth"]
+    # the benchmark counts as a caller
+    (bench / "timer.py").write_text(
+        "def time_it(graph):\n"
+        "    return graph.commute(0, 1) + graph.depth(2)\n")
+    assert dead_definitions(package, [source, bench]) == []
 
 
 def _loads(node, local=frozenset(), out=None) -> Counter:

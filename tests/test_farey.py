@@ -15,7 +15,8 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           stabilized_bfs_distance, twist_about)
 from rgflab import farey
 from rgflab.projections import TorusAnnuli, random_slope
-from oracles import annular_projection, annular_projection_set, matrix_power
+from oracles import (annular_projection, annular_projection_set, matrix_power,
+                     plain_distance_tail)
 
 
 def slopes_strategy(qmax=30):
@@ -292,8 +293,8 @@ class TestDistanceKernel:
 
 def _point(s: Slope) -> tuple:
     """The resume point (adj(L), before, up) of s from the empty prefix:
-    `distance_tail(s, False)` and the adj(L) of `bassserre.ResumeTable`."""
-    _, before, up, (a, b, c, e) = distance_tail(s.p, s.q, False)
+    `distance_tail(s, False, {})` and the adj(L) of `bassserre.ResumeTable`."""
+    _, before, up, (a, b, c, e) = distance_tail(s.p, s.q, False, {})
     return (e, -b, -c, a), before, up
 
 
@@ -307,7 +308,7 @@ def _resume(point, s: Slope) -> tuple:
     if y < 0:
         x, y = -x, -y
     assert x > y > 0
-    added, before, up, (a, b, c, e) = distance_tail(x, y, up)
+    added, before, up, (a, b, c, e) = distance_tail(x, y, up, {})
     return d + added, ((e * r0 - b * r2, e * r1 - b * r3, a * r2 - c * r0, a * r3 - c * r1),
                        d + before, up)
 
@@ -335,12 +336,12 @@ class TestResumableKernel:
                     dists[n], dists[n] > dists[n - 1])
             (t0, t1, t2, t3), d_last, up_last = last
             adj_last = ((t3, -t1, -t2, t0), d_last, up_last)
-            assert distance_tail(s.p, s.q, False) == (want, d_last, up_last, last[0])
+            assert distance_tail(s.p, s.q, False, {}) == (want, d_last, up_last, last[0])
             for j in range(n):
                 # resume after a_0..a_j, from the state of convergent j
                 d, up = dists[j + 1], dists[j + 1] > dists[j]
                 x = _from_cf(cf[j + 1:])
-                added, before, up_before, (a, b, c, e) = distance_tail(x.p, x.q, up)
+                added, before, up_before, (a, b, c, e) = distance_tail(x.p, x.q, up, {})
                 assert d + added == want, (j, kind, terms)
                 (p1, q1), (p0, q0) = conv[j + 1], conv[j]
                 assert ((p1 * a + p0 * c, p1 * b + p0 * e, q1 * a + q0 * c, q1 * b + q0 * e),
@@ -356,7 +357,7 @@ class TestResumableKernel:
         for q in range(1, 60):
             for p in range(-400, 401):
                 if math.gcd(p, q) == 1:
-                    assert distance_tail(p, q, False)[0] == _distance_to_infinity(Slope(p, q))
+                    assert distance_tail(p, q, False, {})[0] == _distance_to_infinity(Slope(p, q))
                     checked += 1
         assert checked == 29079
 
@@ -368,13 +369,60 @@ class TestResumableKernel:
             head = {"negative": -rng.randint(1, 10 ** 6), "zero": 0,
                     "positive": rng.randint(1, 10 ** 6)}[a0]
             s = _from_cf([head] + _tail(rng, kind, rng.randint(1, 60)))
-            assert distance_tail(s.p, s.q, False)[0] == _distance_to_infinity(s), s
+            assert distance_tail(s.p, s.q, False, {})[0] == _distance_to_infinity(s), s
 
     def test_state_of_integers(self):
         """An integer's only quotient is a_0: one step, nothing before it and
         an empty L, so `ResumeTable` keeps the prefix empty."""
         for p in (-10 ** 30, -7, 0, 1, 12, 10 ** 30):
-            assert distance_tail(p, 1, False) == (1, 0, False, (1, 0, 0, 1))
+            assert distance_tail(p, 1, False, {}) == (1, 0, False, (1, 0, 0, 1))
+
+
+class TestTailMemo:
+    """`distance_tail` with the memo a caller owns equals its memo-free twin
+    `plain_distance_tail`, whatever the order of the calls, and so does every
+    entry the memo holds."""
+
+    @staticmethod
+    def _calls(rng) -> list:
+        """(p, q, up) of random continued fractions, their suffixes from an
+        empty prefix, and resumes after every prefix with the flag it leaves."""
+        calls = []
+        for kind in ("ones", "large", "mixed"):
+            for _ in range(12):
+                cf = [rng.randint(-20, 20)] + _tail(rng, kind, rng.randint(1, 40))
+                dists = _distance_profile(cf)
+                for j in range(len(cf)):
+                    x = _from_cf(cf[j:])
+                    calls.append((x.p, x.q, False))
+                    if j:           # after a_0..a_{j-1}, with D_{j-1} = dists[j]
+                        calls.append((x.p, x.q, dists[j] > dists[j - 1]))
+        rng.shuffle(calls)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_and_fresh_memos_match_the_twin(self, seed):
+        shared = {}
+        for p, q, up in self._calls(random.Random(seed)):
+            fresh = {}
+            want = plain_distance_tail(p, q, up)
+            assert distance_tail(p, q, up, shared) == want, (p, q, up)
+            assert distance_tail(p, q, up, fresh) == want, (p, q, up)
+            assert all(plain_distance_tail(*key) == t for key, t in fresh.items())
+        assert all(plain_distance_tail(*key) == t for key, t in shared.items())
+        assert len(shared) > 1000
+
+    def test_a_call_stops_at_a_known_quotient(self):
+        """A resume on a suffix that an earlier call passed reads the memo
+        and runs no Euclid step."""
+        s = _from_cf([0] + [2] * 30)
+        memo = {}
+        distance_tail(s.p, s.q, False, memo)
+        assert len(memo) == 31
+        x = _from_cf([2] * 20)
+        assert (x.p, x.q, True) in memo
+        assert distance_tail(x.p, x.q, True, memo) == plain_distance_tail(x.p, x.q, True)
+        assert len(memo) == 31
 
 
 class TestGeodesic:
