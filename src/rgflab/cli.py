@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -348,7 +349,8 @@ def _verdict(ok: bool, settled) -> int:
 def _qi_certificate(factors, radius: int, kappa=None):
     """The embedding certificate on the tree ball of `radius`, and the
     qi-certificate record every command shares."""
-    ball = build_ball(factors, radius)
+    # the type-2 leaves at an even radius lie on no path between cosets
+    ball = build_ball(factors, radius - 1 if radius and radius % 2 == 0 else radius)
     rep = qi_certificate(ball, kappa=kappa)
     rec = {"record": "qi-certificate", "radius": radius,
            "pairs": rep.pairs.total(), "min_ratio": rep.min_ratio,
@@ -454,9 +456,10 @@ def cmd_experiment(args):
         ]
         ok = (separated_at_D and misaligned_at_A and fp.no_relation and qi.benchmark_ok
               and lox.all_loxodromic)
-        # A and D derived from no curve far enough from the boundary, or M
-        # from no projecting geodesic, are no constants at all
-        return _verdict(ok, qi.pairs and dd.samples and gb.samples and est.M_emp), records, qi.pairs
+        # A and D from no curve far enough from the boundary, or M from no
+        # projecting geodesic or raised by the fresh sample, are no constants
+        m1, m2 = est.samples["M"]
+        return _verdict(ok, qi.pairs and dd.samples and gb.samples and 0 < m2 <= m1), records, qi.pairs
 
     cf = conjugate_twist_family(args.D, seed=seed,
                                 relation_budget=args.budget,
@@ -479,9 +482,10 @@ def cmd_experiment(args):
 # --- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON file supplying defaults for the flags")
+    shared.add_argument("--config", help="JSON file of flag values, read before the command line")
     shared.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
@@ -594,32 +598,27 @@ def _echoed_argv(sub: argparse.ArgumentParser, argv) -> list:
     return echoed
 
 
-def _config_defaults(parser: argparse.ArgumentParser, args) -> dict | None:
-    """Make the values of the `--config` file defaults of the chosen
-    subcommand's parser, so flags given on the command line still override
-    them.  Returns the file's values, or None without `--config`."""
-    if args.config is None:
-        return None
+def _config_argv(sub: argparse.ArgumentParser, path: str) -> tuple:
+    """The `--config` file's values, and one `--flag=value` token per key,
+    which `main` parses before the command line so that its flags win."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit_usage(f"cannot read config {args.config}: {exc}")
+        raise SystemExit_usage(f"cannot read config {path}: {exc}")
     if not isinstance(conf, dict):
-        raise SystemExit_usage(f"config {args.config} must hold a JSON object")
-    sub = _subparser(parser, args.command)
-    defaults = {}
+        raise SystemExit_usage(f"config {path} must hold a JSON object")
+    tokens = []
     for key, value in conf.items():
-        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
         if action is None:
-            raise SystemExit_usage(f"unknown config key {key!r} for {args.command}")
-        # argparse converts string defaults with the flag's type but never
-        # checks them against its choices
+            raise SystemExit_usage(f"unknown config key {key!r} for {sub.prog.split()[-1]}")
+        # checked here, so that the one-line message names the config key
         if action.choices is not None and str(value) not in action.choices:
             raise SystemExit_usage(f"config key {key!r}: {value!r} not in {list(action.choices)}")
-        defaults[action.dest] = str(value)
-    sub.set_defaults(**defaults)
-    return conf
+        tokens.append(f"{flag}={value}")
+    return conf, tokens
 
 
 def main(argv=None) -> int:
@@ -627,18 +626,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        conf = _config_defaults(parser, args)
-        if conf is not None:
-            args = parser.parse_args(argv)
+        sub = _subparser(parser, args.command)
+        conf = None
+        if args.config is not None:
+            conf, tokens = _config_argv(sub, args.config)
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         if args.seed is None:
             args.seed = _env_seed()
         code, records, pairs = args.func(args)
-        echoed = _echoed_argv(_subparser(parser, args.command), argv)
-        config_echo = {"record": "config", "argv": echoed, "seed": args.seed}
+        if args.format == "csv" and pairs is None:
+            raise SystemExit_usage("--format csv needs a pair table, which only tree qi, "
+                                   "experiment prop91 and experiment theorem-b write")
+        config_echo = {"record": "config", "argv": _echoed_argv(sub, argv), "seed": args.seed}
         if conf is not None:
             config_echo["config_values"] = conf
         records = [config_echo] + records
-        if args.format == "csv" and pairs is not None:
+        if args.format == "csv":
             emit_csv(pairs, args.output)
         else:
             emit(records, args.output)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
 from .bassserre import FactorSpec, free_product_check
+from .hypgraph import FareyOracle, gromov_product
 from .projections import TorusAnnuli, geodesic_image_bounds
 
 
@@ -64,12 +65,6 @@ class MisalignmentReport:
     vacuous: bool = False
 
 
-def gromov_product_sets(A: Slope, B: Slope, C: Slope) -> Fraction:
-    """(A | B)_C of three curve systems, one slope each."""
-    return Fraction(farey.slope_set_distance(C, A) + farey.slope_set_distance(B, C)
-                    - farey.slope_set_distance(A, B), 2)
-
-
 def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
     """Gromov products over all distinct ordered triples of reducing systems
     against the threshold; vacuous below three factors."""
@@ -80,12 +75,13 @@ def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
         return MisalignmentReport({}, None, True, vacuous=True)
     table = {}
     minimum = None
+    oracle = FareyOracle()
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 if len({i, j, k}) < 3:
                     continue
-                g = gromov_product_sets(bs[i], bs[j], bs[k])
+                g = gromov_product(bs[i], bs[j], bs[k], oracle)
                 table[(i, j, k)] = g
                 if minimum is None or g < minimum:
                     minimum = g
@@ -207,12 +203,13 @@ def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoun
     worst = Fraction(0)
     count = 0
     boundary = factor.boundary
+    oracle = FareyOracle()
     for a in sample_curves:
         if a == boundary:
             continue
         for g in factor.elements:
             ga = act(g, a)
-            gp = gromov_product_sets(a, ga, boundary)
+            gp = gromov_product(a, ga, boundary, oracle)
             count += 1
             if gp > worst:
                 worst = gp

@@ -306,6 +306,15 @@ class TestQiPairsSlowTwin:
         n = len(ball.vertices(1))
         assert len(got) == sum(got.values()) == n * (n - 1) // 2
 
+    # at an even radius the last level holds type-2 leaves only, on no path
+    # between cosets, so `cli._qi_certificate` builds the ball one level short
+    @pytest.mark.parametrize("family, radius", [*itertools.product(
+        ["two-twist", "three-factor", "theorem-b", "prop91", "three-twist"], [2, 4, 6]),
+        ("prop91", 8)])
+    def test_even_radius_adds_no_pair(self, family, radius):
+        factors = tree_family(family)
+        assert qi_pairs(build_ball(factors, radius)) == qi_pairs(build_ball(factors, radius - 1))
+
     def test_sample_at_radius_six(self):
         ball = build_ball(tree_family("theorem-b"), 6)
         images = phi(ball, BASE_CURVES[0])

@@ -72,6 +72,9 @@ def test_malformed_slope_is_usage_error(argv, bad, family_file, tmp_path, capsys
     assert not out.exists()
 
 
+CSV_ERROR = ("usage error: --format csv needs a pair table, which only tree qi, "
+             "experiment prop91 and experiment theorem-b write")
+
 BAD_INPUT_ROWS = [
     # (id, argv, last stderr line starts with); FAMILY is a valid family
     # file, the other capitalized tokens malformed ones (BAD_FAMILIES)
@@ -256,9 +259,21 @@ BAD_INPUT_ROWS = [
     ("shell-bound-negative",
      ["cert", "displacing", "--family", "FAMILY", "--shell-bound", "-1"],
      "rgflab cert: error: argument --shell-bound: must be at least 0, got -1"),
+    # only three command forms write a pair table: the others printed JSON
+    # and exited 0 under --format csv
+    ("csv-farey-dist", ["farey", "dist", "1/0", "5/8", "--format", "csv"], CSV_ERROR),
+    ("csv-delta-estimate", ["delta-estimate", "--seed", "1", "--points", "6", "--qmax", "8",
+                            "--format", "csv"], CSV_ERROR),
+    ("csv-tree-build", ["tree", "build", "--family", "FAMILY", "--radius", "2",
+                        "--format", "csv"], CSV_ERROR),
+    ("csv-example92", ["experiment", "example92", "--seed", "7", "--format", "csv"], CSV_ERROR),
+    ("csv-from-config", ["delta-estimate", "--seed", "1", "--points", "6", "--qmax", "8",
+                         "--config", "CSVCONFIG"], CSV_ERROR),
 ]
 
 BAD_FAMILIES = {
+    # a config file, not a family: it asks for a pair table
+    "CSVCONFIG": json.dumps({"format": "csv"}),
     "TRUNCATED": '{"factors": [',
     "DET2": json.dumps({"factors": [{"name": "A", "generators": [[2, 0, 0, 1]],
                                      "boundary": ["1/0"]}]}),
@@ -888,6 +903,42 @@ class TestConfigEcho:
                      "--out", str(out)]) == PASS
         config = json.loads(out.read_text().splitlines()[0])
         assert config["argv"] == ["delta-estimate", "--points", "6"]
+
+
+class TestConfigParsesAsFlags:
+    """`--config` values are parsed as flags ahead of the command line's own,
+    by the one parser that `build_parser` builds per process."""
+
+    def test_parser_is_built_once(self):
+        main(["farey", "dist", "1/0"])
+        misses = build_parser.cache_info().misses
+        assert main(["farey", "dist", "1/0"]) == USAGE
+        assert build_parser() is build_parser()
+        assert build_parser.cache_info().misses == misses == 1
+
+    def test_config_does_not_leak_into_the_next_call(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"points": 8, "qmax": 10, "format": "json"}))
+        flags = ["--seed", "1", "--max-quadruples", "10"]
+        assert run(["delta-estimate", "--config", str(conf), *flags], tmp_path, "a.jsonl")[0] == PASS
+        code, lines, _ = run(["delta-estimate", *flags], tmp_path, "b.jsonl")
+        assert code == PASS and (lines[1]["points"], lines[1]["qmax"]) == (40, 50)
+
+    def test_overridden_value_is_still_checked(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 9, "points": 2}))
+        out = tmp_path / "o.jsonl"
+        assert main(["delta-estimate", "--config", str(conf), "--points", "6",
+                     "--output", str(out)]) == USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "rgflab delta-estimate: error: argument --points: must be at least 4, got 2")
+        assert not out.exists()
+
+    def test_negative_seed_is_one_token(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": -5, "points": 6, "qmax": 8}))
+        code, lines, _ = run(["delta-estimate", "--config", str(conf)], tmp_path)
+        assert code == PASS and lines[0]["seed"] == lines[1]["seed"] == -5
 
 
 class TestDeterminism:

@@ -8,8 +8,9 @@ from rgflab.bassserre import FactorSpec, word_matrix
 from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
                                   definite_distance_scan, gromov_bound_scan,
-                                  gromov_product_sets, separation_constants,
-                                  slope_at_distance, twist_orbit_family)
+                                  separation_constants, slope_at_distance,
+                                  twist_orbit_family)
+from rgflab.hypgraph import FareyOracle, gromov_product
 from rgflab.projections import estimate_constants, random_slope
 
 
@@ -55,9 +56,9 @@ class TestMisalignment:
         assert not rep.ok
         assert min(rep.table[(0, 2, 1)], rep.table[(2, 0, 1)]) <= 1
 
-    def test_gromov_product_sets_arithmetic(self):
+    def test_gromov_product_arithmetic(self):
         a, b, c = Slope(0, 1), slope_at_distance(Slope(0, 1), 6), INFINITY
-        g = gromov_product_sets(a, b, c)
+        g = gromov_product(a, b, c, FareyOracle())
         want = Fraction(farey_distance(c, a) + farey_distance(b, c) - farey_distance(a, b), 2)
         assert g == want
 

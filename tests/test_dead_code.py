@@ -600,7 +600,9 @@ def test_traced_pass_reads_every_counter(tmp_path):
     codes, counts, names = json.loads(subprocess.run(
         [sys.executable, "-c", TRACED_PASS, json.dumps(argvs)], cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True).stdout)
-    assert codes == [0, 0] and {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
+    # theorem-b's M samples here are (1, 3): the fresh sample raised M, so
+    # the run gives no verdict
+    assert codes == [3, 0] and {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
     assert {"bassserre.qi_certificate.pairs", "bassserre.ball.vertices",
             "bassserre.free_product_check.words_checked", "projections.behrstock_scan.triples",
             "hypgraph.estimate_delta.quadruples"} <= set(counts)
