@@ -167,9 +167,9 @@ def _slope_arg(text: str) -> Slope:
         raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
 
 
-def _int_at_least(lo: int):
-    """argparse type for integer flags with a least value `lo`, so a value
-    below it is a usage error."""
+def _int_flag(lo: int, default=None, **kw) -> dict:
+    """add_argument keywords of an integer flag with least value `lo`, so
+    that a value below it is a usage error."""
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -178,27 +178,28 @@ def _int_at_least(lo: int):
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
         return value
-    return convert
+    return dict(type=convert, default=default, **kw)
 
 
 # --- subcommand handlers ----------------------------------------------------
 
 
-def cmd_farey(args):
+def cmd_farey_dist(args):
     a, b = args.a, args.b
-    if args.action == "dist":
-        d = farey.farey_distance(a, b)
-        bfs, stable = farey.stabilized_bfs_distance(a, b, args.oracle_bound)
-        rec = {"record": "farey-dist", "a": a, "b": b, "distance": d,
-               "oracle": {"value": bfs, "stabilized": stable,
-                          "bounds": [args.oracle_bound, 2 * args.oracle_bound],
-                          "agrees": bfs == d}}
-        code = PASS if bfs == d else (FAIL if stable else NO_VERDICT)
-        return code, [rec], None
-    path = farey.farey_geodesic(a, b)
-    rec = {"record": "farey-geodesic", "a": a, "b": b,
-           "length": len(path) - 1, "vertices": path,
-           "valid": farey.is_geodesic(path)}
+    d = farey.farey_distance(a, b)
+    bfs, stable = farey.stabilized_bfs_distance(a, b, args.oracle_bound)
+    rec = {"record": "farey-dist", "a": a, "b": b, "distance": d,
+           "oracle": {"value": bfs, "stabilized": stable,
+                      "bounds": [args.oracle_bound, 2 * args.oracle_bound],
+                      "agrees": bfs == d}}
+    code = PASS if bfs == d else (FAIL if stable else NO_VERDICT)
+    return code, [rec], None
+
+
+def cmd_farey_geodesic(args):
+    path = farey.farey_geodesic(args.a, args.b)
+    rec = {"record": "farey-geodesic", "a": args.a, "b": args.b,
+           "length": len(path) - 1, "vertices": path, "valid": farey.is_geodesic(path)}
     return (PASS if rec["valid"] else FAIL), [rec], None
 
 
@@ -260,18 +261,23 @@ def cmd_persistence(args):
     return (PASS if failures == 0 else FAIL), records + [summary], None
 
 
-def cmd_raag(args):
+def _graph(args):
     try:
-        graph = raag.PresentationGraph.of(args.vertices,
-                                          [tuple(e) for e in json.loads(args.edges)])
+        return raag.PresentationGraph.of(args.vertices, [tuple(e) for e in json.loads(args.edges)])
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit_usage(f"bad --edges {args.edges!r}: {exc!r}")
-    if args.action == "nf":
-        w = _parse_word(args.word, args.vertices)
-        nf = raag.normal_form(graph, w)
-        rec = {"record": "raag-nf", "input": _word_str(w), "normal_form": _word_str(nf)}
-        return PASS, [rec], None
-    comps = raag.components(graph)
+
+
+def cmd_raag_nf(args):
+    graph = _graph(args)
+    w = _parse_word(args.word, args.vertices)
+    rec = {"record": "raag-nf", "input": _word_str(w),
+           "normal_form": _word_str(raag.normal_form(graph, w))}
+    return PASS, [rec], None
+
+
+def cmd_raag_components(args):
+    comps = raag.components(_graph(args))
     rec = {"record": "raag-components", "components": [sorted(c) for c in comps]}
     return PASS, [rec], None
 
@@ -296,13 +302,13 @@ def _word_str(w) -> str:
     return " ".join(f"x{g+1}" + (f"^{e}" if e != 1 else "") for g, e in w)
 
 
-def _load_family(args) -> FamilySpec:
+def _load_family(args, reducible: bool = True) -> FamilySpec:
     try:
         with open(args.family) as fh:
             family = family_from_json(json.load(fh))
         # the coset images g.boundary(H_i) need each factor's reducing system,
         # which a finite or pseudo-Anosov factor lacks; ping-pong reads none
-        for f in family.factors if args.action != "pingpong" else ():
+        for f in family.factors if reducible else ():
             if f.boundary is None:
                 raise ValueError(f"factor {f.name} has no canonical reducing system")
         return family
@@ -312,26 +318,26 @@ def _load_family(args) -> FamilySpec:
         raise SystemExit_usage(f"bad family file {args.family}: {exc!r}")
 
 
-def cmd_tree(args):
-    family = _load_family(args)
-    if args.action == "build":
-        ball = build_ball(family.factors, args.radius)
-        recs = [{"record": "tree-ball", "radius": args.radius,
-                 "type1": len(ball.vertices(1)), "type2": len(ball.vertices(2)),
-                 "truncated": len(ball.truncated)}]
-        for v in ball.vertices():
-            recs.append({"record": "tree-vertex", "kind": ball.kind[v],
-                         "syllables": len(ball.label[v]), "factor": ball.factor[v],
-                         "distance": ball.distance[v]})
-        return PASS, recs, None
-    if args.action == "qi":
-        rep, rec = _qi_certificate(family.factors, args.radius, args.kappa)
-        rec.update({"kappa_given": args.kappa, "kappa_given_ok": rep.kappa_given_ok,
-                    "envelope": rep.lower_envelope,
-                    "fit": rep.fit})
-        ok = rep.benchmark_ok and rep.kappa_given_ok in (None, True)
-        return _verdict(ok, rep.pairs), [rec], rep.pairs
-    rep = free_product_check(family.factors, budget=args.budget)
+def cmd_tree_build(args):
+    ball = build_ball(_load_family(args).factors, args.radius)
+    recs = [{"record": "tree-ball", "radius": args.radius,
+             "type1": len(ball.vertices(1)), "type2": len(ball.vertices(2)),
+             "truncated": len(ball.truncated)}]
+    recs += [{"record": "tree-vertex", "kind": ball.kind[v], "syllables": len(ball.label[v]),
+              "factor": ball.factor[v], "distance": ball.distance[v]} for v in ball.vertices()]
+    return PASS, recs, None
+
+
+def cmd_tree_qi(args):
+    rep, rec = _qi_certificate(_load_family(args).factors, args.radius, args.kappa)
+    rec.update({"kappa_given": args.kappa, "kappa_given_ok": rep.kappa_given_ok,
+                "envelope": rep.lower_envelope, "fit": rep.fit})
+    ok = rep.benchmark_ok and rep.kappa_given_ok in (None, True)
+    return _verdict(ok, rep.pairs), [rec], rep.pairs
+
+
+def cmd_tree_free_product(args):
+    rep = free_product_check(_load_family(args).factors, budget=args.budget)
     rec = {"record": "free-product", "budget": args.budget,
            "identity_convention": "projective",
            "no_relation": rep.no_relation, "words_checked": rep.words_checked,
@@ -365,27 +371,32 @@ def _witness_json(witness):
     return [{"factor": i, "matrix": list(m.entries())} for i, m in witness]
 
 
-def cmd_cert(args):
-    family = _load_family(args)
-    if args.action == "separated":
-        rep = check_separated(family, args.D)
-        rec = {"record": "cert-separated", "D": args.D, "min": rep.minimum,
-               "matrix": rep.matrix, "ok": rep.ok}
-        return _verdict(rep.ok, rep.minimum is not None), [rec], None
-    if args.action == "misaligned":
-        rep = check_misaligned(family, args.A)
-        rec = {"record": "cert-misaligned", "A": args.A, "min": rep.minimum,
-               "ok": rep.ok, "vacuous": rep.vacuous,
-               "table": {f"{i},{j},{k}": v for (i, j, k), v in sorted(rep.table.items())}}
-        return _verdict(rep.ok, not rep.vacuous), [rec], None
-    if args.action == "pingpong":
-        rep = pingpong_certificate(family.factors)
-        rec = {"record": "cert-pingpong", "certified": rep.certified,
-               "windows": [f"[{lo}, {hi}]" for lo, hi in rep.windows],
-               "failing_pair": rep.failing_pair, "reason": rep.reason}
-        # a failed ping-pong disproves nothing, so it is no verdict
-        return (PASS if rep.certified else NO_VERDICT), [rec], None
-    rep = check_displacing(family, args.L, shell_bound=args.shell_bound)
+def cmd_cert_separated(args):
+    rep = check_separated(_load_family(args), args.D)
+    rec = {"record": "cert-separated", "D": args.D, "min": rep.minimum,
+           "matrix": rep.matrix, "ok": rep.ok}
+    return _verdict(rep.ok, rep.minimum is not None), [rec], None
+
+
+def cmd_cert_misaligned(args):
+    rep = check_misaligned(_load_family(args), args.A)
+    rec = {"record": "cert-misaligned", "A": args.A, "min": rep.minimum,
+           "ok": rep.ok, "vacuous": rep.vacuous,
+           "table": {f"{i},{j},{k}": v for (i, j, k), v in sorted(rep.table.items())}}
+    return _verdict(rep.ok, not rep.vacuous), [rec], None
+
+
+def cmd_cert_pingpong(args):
+    rep = pingpong_certificate(_load_family(args, reducible=False).factors)
+    rec = {"record": "cert-pingpong", "certified": rep.certified,
+           "windows": [f"[{lo}, {hi}]" for lo, hi in rep.windows],
+           "failing_pair": rep.failing_pair, "reason": rep.reason}
+    # a failed ping-pong disproves nothing, so it is no verdict
+    return (PASS if rep.certified else NO_VERDICT), [rec], None
+
+
+def cmd_cert_displacing(args):
+    rep = check_displacing(_load_family(args), args.L, shell_bound=args.shell_bound)
     rec = {"record": "cert-displacing", "L": args.L,
            "stabilize_ok": rep.stabilize_ok, "separation_ok": rep.separation_ok,
            "min_margin": rep.min_margin, "misses": rep.misses, "ok": rep.ok}
@@ -395,77 +406,77 @@ def cmd_cert(args):
     return _verdict(rep.stabilize_ok and rep.separation_ok, settled), [rec], None
 
 
-def cmd_experiment(args):
+def cmd_prop91(args):
+    tw = twist_orbit_family(args.dprime, window=args.window, seed=_seed(args),
+                            factor_budget=args.factor_budget)
+    records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
+                "N": tw.N, "center": tw.center, "window": tw.window,
+                "constants": tw.constants,
+                "boundaries": [[f.boundary] for f in tw.family.factors]},
+               {"record": "prop91-separation", "min": tw.separation.minimum,
+                "matrix": tw.separation.matrix, "ok": tw.separation.ok,
+                "window_ok": tw.distance_window_ok},
+               {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
+                "ok": tw.misalignment.ok}]
+    qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
+    records.append(qi_rec)
+    records.append({"record": "family-json", "family": family_to_json(tw.family)})
+    ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
+    return _verdict(ok, qi.pairs), records, qi.pairs
+
+
+def cmd_theorem_b(args):
     seed = _seed(args)
-    if args.kind == "prop91":
-        tw = twist_orbit_family(args.dprime, window=args.window, seed=seed,
-                                factor_budget=args.factor_budget)
-        records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
-                    "N": tw.N, "center": tw.center, "window": tw.window,
-                    "constants": tw.constants,
-                    "boundaries": [[f.boundary] for f in tw.family.factors]},
-                   {"record": "prop91-separation", "min": tw.separation.minimum,
-                    "matrix": tw.separation.matrix, "ok": tw.separation.ok,
-                    "window_ok": tw.distance_window_ok},
-                   {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
-                    "ok": tw.misalignment.ok}]
-        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
-        records.append(qi_rec)
-        records.append({"record": "family-json", "family": family_to_json(tw.family)})
-        ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
-        return _verdict(ok, qi.pairs), records, qi.pairs
+    est = estimate_constants(seed=seed, n_triples=args.triples,
+                             n_geodesics=args.geodesics, qmax=args.qmax)
+    rng = random.Random(seed + 7)
+    curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
+    factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
+    delta = Fraction(args.delta)
+    dd = constructions.definite_distance_scan(factor, curves, est.M_emp)
+    gb = constructions.gromov_bound_scan(factor, curves, delta, dd.K_emp)
+    A, D = separation_constants(gb.Kp_emp, delta)
+    records = [{"record": "theorem-b-constants", "M_emp": est.M_emp,
+                "B_emp": est.B_emp, "c_emp": est.c_emp, "delta": delta,
+                "K_emp": dd.K_emp, "K_closed_form": dd.K_closed_form,
+                "Kp_emp": gb.Kp_emp, "Kp_closed_form": gb.closed_form,
+                "Kp_within_closed_form": gb.within_closed_form,
+                "A": A, "D": D}]
+    dprime = int(D) + 8 + (1 if D != int(D) else 0)
+    tw = twist_orbit_family(dprime, window=3, seed=seed, M_emp=est.M_emp,
+                            factor_budget=args.factor_budget)
+    # the family's own scans measured these distances; only the
+    # thresholds differ
+    separated_at_D = tw.separation.minimum >= int(D)
+    misaligned_at_A = tw.misalignment.minimum >= A
+    qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
+    fp = free_product_check(tw.family.factors, budget=args.budget)
+    rng2 = random.Random(seed + 11)
+    words = [bassserre.random_alternating_word(tw.family.factors, rng2)
+             for _ in range(args.words)]
+    lox = bassserre.loxodromic_scan(words)
+    records += [
+        {"record": "theorem-b-family", "dprime": dprime,
+         "separated_at_D": separated_at_D, "misaligned_at_A": misaligned_at_A},
+        {"record": "free-product", "budget": args.budget,
+         "identity_convention": "projective",
+         "no_relation": fp.no_relation, "witness": _witness_json(fp.witness)},
+        qi_rec,
+        {"record": "loxodromic-scan", "checked": lox.checked,
+         "skipped": lox.skipped, "all_loxodromic": lox.all_loxodromic},
+    ]
+    ok = (separated_at_D and misaligned_at_A and fp.no_relation and qi.benchmark_ok
+          and lox.all_loxodromic)
+    # A and D from no curve far enough from the boundary, or M from no
+    # projecting geodesic or raised by the fresh sample, are no constants
+    m1, m2 = est.samples["M"]
+    return _verdict(ok, qi.pairs and dd.samples and gb.samples and 0 < m2 <= m1), records, qi.pairs
 
-    if args.kind == "theorem-b":
-        est = estimate_constants(seed=seed, n_triples=args.triples,
-                                 n_geodesics=args.geodesics, qmax=args.qmax)
-        rng = random.Random(seed + 7)
-        curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
-        factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
-        delta = Fraction(args.delta)
-        dd = constructions.definite_distance_scan(factor, curves, est.M_emp)
-        gb = constructions.gromov_bound_scan(factor, curves, delta, dd.K_emp)
-        A, D = separation_constants(gb.Kp_emp, delta)
-        records = [{"record": "theorem-b-constants", "M_emp": est.M_emp,
-                    "B_emp": est.B_emp, "c_emp": est.c_emp, "delta": delta,
-                    "K_emp": dd.K_emp, "K_closed_form": dd.K_closed_form,
-                    "Kp_emp": gb.Kp_emp, "Kp_closed_form": gb.closed_form,
-                    "Kp_within_closed_form": gb.within_closed_form,
-                    "A": A, "D": D}]
-        dprime = int(D) + 8 + (1 if D != int(D) else 0)
-        tw = twist_orbit_family(dprime, window=3, seed=seed, M_emp=est.M_emp,
-                                factor_budget=args.factor_budget)
-        # the family's own scans measured these distances; only the
-        # thresholds differ
-        separated_at_D = tw.separation.minimum >= int(D)
-        misaligned_at_A = tw.misalignment.minimum >= A
-        qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
-        fp = free_product_check(tw.family.factors, budget=args.budget)
-        rng2 = random.Random(seed + 11)
-        words = [bassserre.random_alternating_word(tw.family.factors, rng2)
-                 for _ in range(args.words)]
-        lox = bassserre.loxodromic_scan(words)
-        records += [
-            {"record": "theorem-b-family", "dprime": dprime,
-             "separated_at_D": separated_at_D, "misaligned_at_A": misaligned_at_A},
-            {"record": "free-product", "budget": args.budget,
-             "identity_convention": "projective",
-             "no_relation": fp.no_relation, "witness": _witness_json(fp.witness)},
-            qi_rec,
-            {"record": "loxodromic-scan", "checked": lox.checked,
-             "skipped": lox.skipped, "all_loxodromic": lox.all_loxodromic},
-        ]
-        ok = (separated_at_D and misaligned_at_A and fp.no_relation and qi.benchmark_ok
-              and lox.all_loxodromic)
-        # A and D from no curve far enough from the boundary, or M from no
-        # projecting geodesic or raised by the fresh sample, are no constants
-        m1, m2 = est.samples["M"]
-        return _verdict(ok, qi.pairs and dd.samples and gb.samples and 0 < m2 <= m1), records, qi.pairs
 
-    cf = conjugate_twist_family(args.D, seed=seed,
-                                relation_budget=args.budget,
+def cmd_example92(args):
+    cf = conjugate_twist_family(args.D, seed=_seed(args), relation_budget=args.budget,
                                 factor_budget=args.factor_budget)
-    records = [{"record": "example92-family", "D": cf.D,
-                "T": cf.T,
+    records = [{"record": "example92-family", "D": cf.D, "T": cf.T,
                 "boundaries": [[f.boundary] for f in cf.family.factors]},
                {"record": "example92-separation", "min": cf.separation.minimum,
                 "ok": cf.separation.ok},
@@ -482,123 +493,109 @@ def cmd_experiment(args):
 # --- argument parsing --------------------------------------------------------
 
 
+_SLOPES = {"a": {"type": _slope_arg}, "b": {"type": _slope_arg}}
+_GRAPH = {"--vertices": _int_flag(0, required=True),
+          "--edges": {"default": "[]", "help": "JSON list of [i, j] pairs, 0-based"}}
+_FAMILY = {"--family": {"required": True, "help": "FamilySpec JSON file"}}
+# a relation has at least two syllables: a smaller budget searches nothing
+_BUDGET = {"--budget": _int_flag(2, 8)}
+_FACTOR_BUDGET = {"--factor-budget": _int_flag(1, 2)}
+# only the actions that write a pair table take --format
+_TABLE = {"--format": {"choices": ("json", "csv"), "default": "json"}}
+
+# command: (help, {action: (handler, flags)}), each flag's add_argument
+# keywords by name; the action None is a command that takes no action word
+COMMANDS = {
+    "farey": ("exact Farey distances and geodesics", {
+        "dist": (cmd_farey_dist, {**_SLOPES, "--oracle-bound": _int_flag(1, 64)}),
+        "geodesic": (cmd_farey_geodesic, _SLOPES)}),
+    # four points make the least quadruple: fewer scan nothing
+    "delta-estimate": ("four-point delta on slope samples", {
+        None: (cmd_delta_estimate, {"--points": _int_flag(4, 40), "--qmax": _int_flag(1, 50),
+                                    "--max-quadruples": _int_flag(1, 200000)})}),
+    "constants": ("empirical projection constants", {
+        "estimate": (cmd_constants, {"--triples": _int_flag(1, 2000), "--qmax": _int_flag(1, 1000),
+                                     "--geodesics": _int_flag(1, 400)})}),
+    # least values: a tree system's bounds, M = 0 and B = 1
+    "persistence": ("projection persistence on generated sequences", {
+        "check": (cmd_persistence, {"--sequences": _int_flag(1, 50), "--M": _int_flag(0, 3),
+                                    "--B": _int_flag(1, 2), "--max-length": _int_flag(3, 8)})}),
+    "raag": ("normal forms and graph components", {
+        "nf": (cmd_raag_nf, {**_GRAPH, "--word": {"default": "", "help": 'e.g. "x1^2 x2^-1"'}}),
+        "components": (cmd_raag_components, _GRAPH)}),
+    "tree": ("Bass-Serre balls, embedding certificates, relations", {
+        "build": (cmd_tree_build, {**_FAMILY, "--radius": _int_flag(0, 4)}),
+        "qi": (cmd_tree_qi, {**_FAMILY, "--radius": _int_flag(0, 4), "--kappa": _int_flag(1),
+                             **_TABLE}),
+        "free-product": (cmd_tree_free_product, {**_FAMILY, **_BUDGET})}),
+    "cert": ("family certificates", {
+        "separated": (cmd_cert_separated, {**_FAMILY, "--D": _int_flag(1, 5)}),
+        "misaligned": (cmd_cert_misaligned, {**_FAMILY, "--A": _int_flag(1, 2)}),
+        "displacing": (cmd_cert_displacing, {**_FAMILY, "--L": _int_flag(1, 11),
+                                             "--shell-bound": _int_flag(0, 40)}),
+        "pingpong": (cmd_cert_pingpong, _FAMILY)}),
+    "experiment": ("end-to-end reproductions", {
+        "prop91": (cmd_prop91, {"--dprime": _int_flag(9, 20), "--window": _int_flag(1, 5),
+                                "--radius": _int_flag(0, 6), **_FACTOR_BUDGET, **_TABLE}),
+        "theorem-b": (cmd_theorem_b, {
+            "--radius": _int_flag(0, 6), **_BUDGET, **_FACTOR_BUDGET,
+            "--words": _int_flag(1, 100), "--curve-samples": _int_flag(1, 60),
+            "--triples": _int_flag(1, 1000), "--geodesics": _int_flag(1, 300),
+            "--qmax": _int_flag(1, 800), "--delta": _int_flag(0, 1), **_TABLE}),
+        "example92": (cmd_example92, {"--D": _int_flag(8, 8), **_BUDGET, **_FACTOR_BUDGET})}),
+}
+
+
+def _action_parser(parser: argparse.ArgumentParser, func, flags: dict):
+    """Add the shared flags and `flags`; `main` reads `parser` back from the defaults."""
+    parser.add_argument("--config", help="JSON file of flag values, read before the command line")
+    parser.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
+    parser.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
+    for name, kw in flags.items():
+        parser.add_argument(name, **kw)
+    parser.set_defaults(func=func, parser=parser)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON file of flag values, read before the command line")
-    shared.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
-    # shared flags belong to the subcommands only: on the top-level parser
-    # too, the subcommand's defaults would overwrite the values given there
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `rgflab` parser with the actions of `command` only: argparse
+    descends into the named command alone, so the others stay bare."""
     p = argparse.ArgumentParser(prog="rgflab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
-
-    pf = add_parser("farey", help="exact Farey distances and geodesics")
-    pf.add_argument("action", choices=("dist", "geodesic"))
-    pf.add_argument("a", type=_slope_arg)
-    pf.add_argument("b", type=_slope_arg)
-    pf.add_argument("--oracle-bound", type=_int_at_least(1), default=64)
-    pf.set_defaults(func=cmd_farey)
-
-    pd = add_parser("delta-estimate", help="four-point delta on slope samples")
-    # four points make the least quadruple: fewer scan nothing
-    pd.add_argument("--points", type=_int_at_least(4), default=40)
-    pd.add_argument("--qmax", type=_int_at_least(1), default=50)
-    pd.add_argument("--max-quadruples", type=_int_at_least(1), default=200000)
-    pd.set_defaults(func=cmd_delta_estimate)
-
-    pc = add_parser("constants", help="empirical projection constants")
-    pc.add_argument("action", choices=("estimate",))
-    pc.add_argument("--triples", type=_int_at_least(1), default=2000)
-    pc.add_argument("--geodesics", type=_int_at_least(1), default=400)
-    pc.add_argument("--qmax", type=_int_at_least(1), default=1000)
-    pc.set_defaults(func=cmd_constants)
-
-    pp = add_parser("persistence", help="projection persistence on generated sequences")
-    pp.add_argument("action", choices=("check",))
-    pp.add_argument("--sequences", type=_int_at_least(1), default=50)
-    pp.add_argument("--max-length", type=_int_at_least(3), default=8)
-    # least values: a tree system's bounds, M = 0 and B = 1
-    pp.add_argument("--M", type=_int_at_least(0), default=3)
-    pp.add_argument("--B", type=_int_at_least(1), default=2)
-    pp.set_defaults(func=cmd_persistence)
-
-    pr = add_parser("raag", help="normal forms and graph components")
-    pr.add_argument("action", choices=("nf", "components"))
-    pr.add_argument("--vertices", type=_int_at_least(0), required=True)
-    pr.add_argument("--edges", default="[]", help='JSON list of [i, j] pairs, 0-based')
-    pr.add_argument("--word", default="", help='e.g. "x1^2 x2^-1"')
-    pr.set_defaults(func=cmd_raag)
-
-    pt = add_parser("tree", help="Bass-Serre balls, embedding certificates, relations")
-    pt.add_argument("action", choices=("build", "qi", "free-product"))
-    pt.add_argument("--family", required=True, help="FamilySpec JSON file")
-    pt.add_argument("--radius", type=_int_at_least(0), default=4)
-    pt.add_argument("--kappa", type=_int_at_least(1))
-    # a relation has at least two syllables: a smaller budget searches nothing
-    pt.add_argument("--budget", type=_int_at_least(2), default=8)
-    pt.set_defaults(func=cmd_tree)
-
-    pcert = add_parser("cert", help="family certificates")
-    pcert.add_argument("action", choices=("separated", "misaligned", "displacing", "pingpong"))
-    pcert.add_argument("--family", required=True)
-    pcert.add_argument("--D", type=_int_at_least(1), default=5)
-    pcert.add_argument("--A", type=_int_at_least(1), default=2)
-    pcert.add_argument("--L", type=_int_at_least(1), default=11)
-    pcert.add_argument("--shell-bound", type=_int_at_least(0), default=40)
-    pcert.set_defaults(func=cmd_cert)
-
-    pe = add_parser("experiment", help="end-to-end reproductions")
-    pe.add_argument("kind", choices=("prop91", "theorem-b", "example92"))
-    pe.add_argument("--dprime", type=_int_at_least(9), default=20)
-    pe.add_argument("--window", type=_int_at_least(1), default=5)
-    pe.add_argument("--radius", type=_int_at_least(0), default=6)
-    pe.add_argument("--D", type=_int_at_least(8), default=8)
-    pe.add_argument("--budget", type=_int_at_least(2), default=8)
-    pe.add_argument("--factor-budget", type=_int_at_least(1), default=2)
-    pe.add_argument("--words", type=_int_at_least(1), default=100)
-    pe.add_argument("--curve-samples", type=_int_at_least(1), default=60)
-    pe.add_argument("--triples", type=_int_at_least(1), default=1000)
-    pe.add_argument("--geodesics", type=_int_at_least(1), default=300)
-    pe.add_argument("--qmax", type=_int_at_least(1), default=800)
-    pe.add_argument("--delta", type=_int_at_least(0), default=1)
-    pe.set_defaults(func=cmd_experiment)
+    for name, (text, actions) in COMMANDS.items():
+        parser = sub.add_parser(name, help=text)
+        if name != command:
+            continue
+        if None in actions:
+            _action_parser(parser, *actions[None])
+            continue
+        action_sub = parser.add_subparsers(dest="action", required=True)
+        for action, (func, flags) in actions.items():
+            _action_parser(action_sub.add_parser(action), func, flags)
     return p
 
 
-def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices[command]
-
-
-def _echoed_argv(sub: argparse.ArgumentParser, argv) -> list:
+def _echoed_argv(action: argparse.ArgumentParser, argv) -> list:
     """The command line without `--output` and `--config` and their values,
-    in every form the subcommand's parser accepts (`--output P`,
-    `--output=P`, abbreviations such as `--out P`), so that the `config`
-    record does not depend on where the report is written."""
-    known = sub._option_string_actions
+    in every form the action's parser accepts (`--output P`, `--output=P`,
+    abbreviations such as `--out P`), so that the `config` record does not
+    depend on where the report is written."""
+    known = action._option_string_actions
     dropped = {known["--output"], known["--config"]}
-    echoed = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
+    echoed, tokens = [], iter(argv)
+    for tok in tokens:
         name, eq, _ = tok.partition("=")
         if name.startswith("--"):
             matches = [name] if name in known else [s for s in known if s.startswith(name)]
             if len(matches) == 1 and known[matches[0]] in dropped:
-                skip = not eq
+                if not eq:
+                    next(tokens, None)      # the flag's value
                 continue
         echoed.append(tok)
     return echoed
 
 
-def _config_argv(sub: argparse.ArgumentParser, path: str) -> tuple:
+def _config_argv(action: argparse.ArgumentParser, path: str) -> tuple:
     """The `--config` file's values, and one `--flag=value` token per key,
     which `main` parses before the command line so that its flags win."""
     try:
@@ -611,37 +608,38 @@ def _config_argv(sub: argparse.ArgumentParser, path: str) -> tuple:
     tokens = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        action = sub._option_string_actions.get(flag)
-        if action is None:
-            raise SystemExit_usage(f"unknown config key {key!r} for {sub.prog.split()[-1]}")
-        # checked here, so that the one-line message names the config key
-        if action.choices is not None and str(value) not in action.choices:
-            raise SystemExit_usage(f"config key {key!r}: {value!r} not in {list(action.choices)}")
+        if flag not in action._option_string_actions:
+            raise SystemExit_usage(f"unknown config key {key!r} "
+                                   f"for {action.prog.partition(' ')[2]}")
+        # the command line's --config would win over this one unread
+        if flag == "--config":
+            raise SystemExit_usage(f"config key {key!r}: a config file cannot name another")
         tokens.append(f"{flag}={value}")
     return conf, tokens
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
-        sub = _subparser(parser, args.command)
         conf = None
         if args.config is not None:
-            conf, tokens = _config_argv(sub, args.config)
-            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            conf, tokens = _config_argv(args.parser, args.config)
+            # after the command words: the command and its action word, if any
+            words = 1 if None in COMMANDS[command][1] else 2
+            args = parser.parse_args(argv[:words] + tokens + argv[words:])
         if args.seed is None:
             args.seed = _env_seed()
         code, records, pairs = args.func(args)
-        if args.format == "csv" and pairs is None:
-            raise SystemExit_usage("--format csv needs a pair table, which only tree qi, "
-                                   "experiment prop91 and experiment theorem-b write")
-        config_echo = {"record": "config", "argv": _echoed_argv(sub, argv), "seed": args.seed}
+        config_echo = {"record": "config", "argv": _echoed_argv(args.parser, argv),
+                       "seed": args.seed}
         if conf is not None:
-            config_echo["config_values"] = conf
+            # where the report went is no part of the run, as for --output
+            config_echo["config_values"] = {k: v for k, v in conf.items() if k != "output"}
         records = [config_echo] + records
-        if args.format == "csv":
+        if getattr(args, "format", "json") == "csv":
             emit_csv(pairs, args.output)
         else:
             emit(records, args.output)

@@ -1,12 +1,15 @@
 import argparse
+import ast
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
 import random
 import shlex
 import signal
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pytest
 from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, emit_csv, \
     family_from_json, family_to_json, main
 from rgflab.constructions import FamilySpec, slope_at_distance
-from rgflab import cli
+from rgflab import cli, constructions
 from rgflab.bassserre import FactorSpec, PairCounts, qi_report
 from rgflab.farey import INFINITY, Slope
 from rgflab.subgroups import MatrixGroup
@@ -72,24 +75,24 @@ def test_malformed_slope_is_usage_error(argv, bad, family_file, tmp_path, capsys
     assert not out.exists()
 
 
-CSV_ERROR = ("usage error: --format csv needs a pair table, which only tree qi, "
-             "experiment prop91 and experiment theorem-b write")
+# a flag the action does not take, refused by argparse before any work
+CSV_REFUSED = "rgflab: error: unrecognized arguments: --format csv"
 
 BAD_INPUT_ROWS = [
     # (id, argv, last stderr line starts with); FAMILY is a valid family
     # file, the other capitalized tokens malformed ones (BAD_FAMILIES)
     ("kappa-zero", ["tree", "qi", "--family", "FAMILY", "--kappa", "0"],
-     "rgflab tree: error: argument --kappa: must be at least 1, got 0"),
+     "rgflab tree qi: error: argument --kappa: must be at least 1, got 0"),
     ("kappa-negative", ["tree", "qi", "--family", "FAMILY", "--kappa", "-2"],
-     "rgflab tree: error: argument --kappa: must be at least 1, got -2"),
+     "rgflab tree qi: error: argument --kappa: must be at least 1, got -2"),
     ("oracle-bound-zero", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "0"],
-     "rgflab farey: error: argument --oracle-bound: must be at least 1, got 0"),
+     "rgflab farey dist: error: argument --oracle-bound: must be at least 1, got 0"),
     ("oracle-bound-negative", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "-3"],
-     "rgflab farey: error: argument --oracle-bound: must be at least 1, got -3"),
+     "rgflab farey dist: error: argument --oracle-bound: must be at least 1, got -3"),
     ("dprime-5", ["experiment", "prop91", "--dprime", "5", "--seed", "1"],
-     "rgflab experiment: error: argument --dprime: must be at least 9, got 5"),
+     "rgflab experiment prop91: error: argument --dprime: must be at least 9, got 5"),
     ("D-7", ["experiment", "example92", "--D", "7", "--seed", "1"],
-     "rgflab experiment: error: argument --D: must be at least 8, got 7"),
+     "rgflab experiment example92: error: argument --D: must be at least 8, got 7"),
     ("truncated-family", ["tree", "qi", "--family", "TRUNCATED"],
      "usage error: bad family file TRUNCATED: JSONDecodeError("),
     ("determinant-2", ["cert", "separated", "--family", "DET2"],
@@ -106,50 +109,50 @@ BAD_INPUT_ROWS = [
     # nothing and still reported "no_relation": true
     ("free-product-budget-negative",
      ["tree", "free-product", "--family", "FAMILY", "--budget", "-3"],
-     "rgflab tree: error: argument --budget: must be at least 2, got -3"),
+     "rgflab tree free-product: error: argument --budget: must be at least 2, got -3"),
     ("free-product-budget-0", ["tree", "free-product", "--family", "FAMILY", "--budget", "0"],
-     "rgflab tree: error: argument --budget: must be at least 2, got 0"),
+     "rgflab tree free-product: error: argument --budget: must be at least 2, got 0"),
     ("free-product-budget-1", ["tree", "free-product", "--family", "FAMILY", "--budget", "1"],
-     "rgflab tree: error: argument --budget: must be at least 2, got 1"),
+     "rgflab tree free-product: error: argument --budget: must be at least 2, got 1"),
     ("experiment-budget-1", ["experiment", "theorem-b", "--budget", "1", "--seed", "1"],
-     "rgflab experiment: error: argument --budget: must be at least 2, got 1"),
+     "rgflab experiment theorem-b: error: argument --budget: must be at least 2, got 1"),
     ("radius-negative", ["tree", "build", "--family", "FAMILY", "--radius", "-1"],
-     "rgflab tree: error: argument --radius: must be at least 0, got -1"),
+     "rgflab tree build: error: argument --radius: must be at least 0, got -1"),
     ("radius-not-an-integer", ["tree", "build", "--family", "FAMILY", "--radius", "abc"],
-     "rgflab tree: error: argument --radius: bad integer 'abc'"),
+     "rgflab tree build: error: argument --radius: bad integer 'abc'"),
     ("max-length-2", ["persistence", "check", "--max-length", "2", "--seed", "1"],
-     "rgflab persistence: error: argument --max-length: must be at least 3, got 2"),
+     "rgflab persistence check: error: argument --max-length: must be at least 3, got 2"),
     # were tracebacks (ValueError from build_ball and the family builder)
     ("experiment-radius-negative", ["experiment", "prop91", "--radius", "-1", "--seed", "1"],
-     "rgflab experiment: error: argument --radius: must be at least 0, got -1"),
+     "rgflab experiment prop91: error: argument --radius: must be at least 0, got -1"),
     ("window-0", ["experiment", "prop91", "--window", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --window: must be at least 1, got 0"),
+     "rgflab experiment prop91: error: argument --window: must be at least 1, got 0"),
     # an empty scan passed: "violations": 0, or a loxodromic scan over no words
     ("sequences-0", ["persistence", "check", "--sequences", "0", "--seed", "1"],
-     "rgflab persistence: error: argument --sequences: must be at least 1, got 0"),
+     "rgflab persistence check: error: argument --sequences: must be at least 1, got 0"),
     ("sequences-negative", ["persistence", "check", "--sequences", "-2", "--seed", "1"],
-     "rgflab persistence: error: argument --sequences: must be at least 1, got -2"),
+     "rgflab persistence check: error: argument --sequences: must be at least 1, got -2"),
     ("words-negative", ["experiment", "theorem-b", "--words", "-1", "--seed", "1"],
-     "rgflab experiment: error: argument --words: must be at least 1, got -1"),
+     "rgflab experiment theorem-b: error: argument --words: must be at least 1, got -1"),
     # Gromov products and projection distances are never negative, so
     # A <= 0, D <= 0 or L <= 0 certified every family
     ("cert-A-negative", ["cert", "misaligned", "--family", "FAMILY", "--A", "-5"],
-     "rgflab cert: error: argument --A: must be at least 1, got -5"),
+     "rgflab cert misaligned: error: argument --A: must be at least 1, got -5"),
     ("cert-D-negative", ["cert", "separated", "--family", "FAMILY", "--D", "-1"],
-     "rgflab cert: error: argument --D: must be at least 1, got -1"),
+     "rgflab cert separated: error: argument --D: must be at least 1, got -1"),
     ("cert-L-0", ["cert", "displacing", "--family", "FAMILY", "--L", "0"],
-     "rgflab cert: error: argument --L: must be at least 1, got 0"),
+     "rgflab cert displacing: error: argument --L: must be at least 1, got 0"),
     # constants estimated from no samples were reported as evidence
     ("curve-samples-0", ["experiment", "theorem-b", "--curve-samples", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --curve-samples: must be at least 1, got 0"),
+     "rgflab experiment theorem-b: error: argument --curve-samples: must be at least 1, got 0"),
     ("experiment-triples-0", ["experiment", "theorem-b", "--triples", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --triples: must be at least 1, got 0"),
+     "rgflab experiment theorem-b: error: argument --triples: must be at least 1, got 0"),
     ("experiment-geodesics-0", ["experiment", "theorem-b", "--geodesics", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --geodesics: must be at least 1, got 0"),
+     "rgflab experiment theorem-b: error: argument --geodesics: must be at least 1, got 0"),
     ("constants-triples-0", ["constants", "estimate", "--triples", "0", "--seed", "1"],
-     "rgflab constants: error: argument --triples: must be at least 1, got 0"),
+     "rgflab constants estimate: error: argument --triples: must be at least 1, got 0"),
     ("constants-geodesics-0", ["constants", "estimate", "--geodesics", "0", "--seed", "1"],
-     "rgflab constants: error: argument --geodesics: must be at least 1, got 0"),
+     "rgflab constants estimate: error: argument --geodesics: must be at least 1, got 0"),
     # a delta computed from no quadruples was reported as "delta": 0
     ("max-quadruples-0", ["delta-estimate", "--max-quadruples", "0", "--seed", "1"],
      "rgflab delta-estimate: error: argument --max-quadruples: must be at least 1, got 0"),
@@ -161,20 +164,20 @@ BAD_INPUT_ROWS = [
     # bounds below any system's (M = 0, B = 1) made every hypothesis hold
     # vacuously and the check pass with "violations": 0
     ("persistence-M-negative", ["persistence", "check", "--M", "-1", "--seed", "1"],
-     "rgflab persistence: error: argument --M: must be at least 0, got -1"),
+     "rgflab persistence check: error: argument --M: must be at least 0, got -1"),
     ("persistence-B-0", ["persistence", "check", "--B", "0", "--seed", "1"],
-     "rgflab persistence: error: argument --B: must be at least 1, got 0"),
+     "rgflab persistence check: error: argument --B: must be at least 1, got 0"),
     # a factor budget of 0 enumerates no factor elements: prop91 passed on a
     # 3-pair QI certificate, theorem-b and example92 failed with a traceback
     # or an empty-factor certificate
     ("prop91-factor-budget-0", ["experiment", "prop91", "--factor-budget", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+     "rgflab experiment prop91: error: argument --factor-budget: must be at least 1, got 0"),
     ("theorem-b-factor-budget-0",
      ["experiment", "theorem-b", "--factor-budget", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+     "rgflab experiment theorem-b: error: argument --factor-budget: must be at least 1, got 0"),
     ("example92-factor-budget-0",
      ["experiment", "example92", "--factor-budget", "0", "--seed", "1"],
-     "rgflab experiment: error: argument --factor-budget: must be at least 1, got 0"),
+     "rgflab experiment example92: error: argument --factor-budget: must be at least 1, got 0"),
     ("family-factor-budget-0-free-product", ["tree", "free-product", "--family", "BUDGET0"],
      "usage error: bad family file BUDGET0: ValueError('factor budget must be at least 1, got 0')"),
     ("family-factor-budget-0-qi", ["tree", "qi", "--family", "BUDGET0"],
@@ -253,27 +256,47 @@ BAD_INPUT_ROWS = [
      "ValueError('betas needs one entry per factor: 2 for 1')"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
-     "rgflab experiment: error: argument --delta: must be at least 0, got -5"),
+     "rgflab experiment theorem-b: error: argument --delta: must be at least 0, got -5"),
     ("raag-vertices-negative", ["raag", "components", "--vertices", "-3"],
-     "rgflab raag: error: argument --vertices: must be at least 0, got -3"),
+     "rgflab raag components: error: argument --vertices: must be at least 0, got -3"),
     ("shell-bound-negative",
      ["cert", "displacing", "--family", "FAMILY", "--shell-bound", "-1"],
-     "rgflab cert: error: argument --shell-bound: must be at least 0, got -1"),
+     "rgflab cert displacing: error: argument --shell-bound: must be at least 0, got -1"),
     # only three command forms write a pair table: the others printed JSON
     # and exited 0 under --format csv
-    ("csv-farey-dist", ["farey", "dist", "1/0", "5/8", "--format", "csv"], CSV_ERROR),
+    ("csv-farey-dist", ["farey", "dist", "1/0", "5/8", "--format", "csv"], CSV_REFUSED),
     ("csv-delta-estimate", ["delta-estimate", "--seed", "1", "--points", "6", "--qmax", "8",
-                            "--format", "csv"], CSV_ERROR),
+                            "--format", "csv"], CSV_REFUSED),
     ("csv-tree-build", ["tree", "build", "--family", "FAMILY", "--radius", "2",
-                        "--format", "csv"], CSV_ERROR),
-    ("csv-example92", ["experiment", "example92", "--seed", "7", "--format", "csv"], CSV_ERROR),
+                        "--format", "csv"], CSV_REFUSED),
+    ("csv-example92", ["experiment", "example92", "--seed", "7", "--format", "csv"], CSV_REFUSED),
     ("csv-from-config", ["delta-estimate", "--seed", "1", "--points", "6", "--qmax", "8",
-                         "--config", "CSVCONFIG"], CSV_ERROR),
+                         "--config", "CSVCONFIG"],
+     "usage error: unknown config key 'format' for delta-estimate"),
+    # flags another action of the command reads: these exited 0 and echoed
+    # the flag, at a threshold the run never checked
+    ("ignored-prop91-D", ["experiment", "prop91", "--seed", "7", "--D", "30"],
+     "rgflab: error: unrecognized arguments: --D 30"),
+    ("ignored-tree-build-kappa", ["tree", "build", "--family", "FAMILY", "--kappa", "3"],
+     "rgflab: error: unrecognized arguments: --kappa 3"),
+    ("ignored-pingpong-L", ["cert", "pingpong", "--family", "FAMILY", "--L", "5"],
+     "rgflab: error: unrecognized arguments: --L 5"),
+    ("ignored-geodesic-oracle-bound", ["farey", "geodesic", "1/0", "5/8", "--oracle-bound", "8"],
+     "rgflab: error: unrecognized arguments: --oracle-bound 8"),
+    ("ignored-components-word", ["raag", "components", "--vertices", "2", "--word", "x1"],
+     "rgflab: error: unrecognized arguments: --word x1"),
+    ("ignored-prop91-D-from-config", ["experiment", "prop91", "--seed", "7", "--config", "D30CONFIG"],
+     "usage error: unknown config key 'D' for experiment prop91"),
+    # a flag between the command and its action
+    ("shared-flag-before-action", ["tree", "--family", "FAMILY", "qi"],
+     "rgflab tree: error: argument action: invalid choice: 'FAMILY'"),
 ]
 
 BAD_FAMILIES = {
-    # a config file, not a family: it asks for a pair table
+    # config files, not families: one asks for a pair table, one for a
+    # threshold prop91 does not read
     "CSVCONFIG": json.dumps({"format": "csv"}),
+    "D30CONFIG": json.dumps({"D": 30}),
     "TRUNCATED": '{"factors": [',
     "DET2": json.dumps({"factors": [{"name": "A", "generators": [[2, 0, 0, 1]],
                                      "boundary": ["1/0"]}]}),
@@ -353,15 +376,86 @@ def test_bad_input_is_usage_error(argv, err_start, family_file, tmp_path, capsys
     assert not out.exists()
 
 
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """The parsers of `parser`'s subcommands by name, or {} when it has none."""
+    found = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return found[0].choices if found else {}
+
+
+def action_parsers() -> dict:
+    """The parser of every command action, by its prog (`rgflab tree qi`)."""
+    found = {}
+    for command in cli.COMMANDS:
+        parser = subparsers(build_parser(command))[command]
+        for action in subparsers(parser).values() or [parser]:
+            found[action.prog] = action
+    return found
+
+
 def test_every_integer_flag_has_a_least_value():
     # every integer is a valid seed; any other bare `int` flag accepts
     # values (0, negatives) that make scans empty or certificates vacuous
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    bare = sorted({opt for sub in subparsers.choices.values() for action in sub._actions
+    parsers = action_parsers()
+    assert len(parsers) == 17
+    bare = sorted({opt for sub in parsers.values() for action in sub._actions
                    if action.type is int and "--seed" not in action.option_strings
                    for opt in action.option_strings})
     assert bare == []
+
+
+# read by `main` for every action, not by the handlers
+MAIN_FLAGS = {"help", "config", "output", "seed", "format"}
+
+
+def loaded_args(func) -> set:
+    """The `args.<name>` loads of `func`, and of every `cli` function it
+    passes `args` to."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args" and isinstance(node.ctx, ast.Load)):
+            names.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            names |= loaded_args(getattr(cli, node.func.id))
+    return names
+
+
+def unread_flags(parser: argparse.ArgumentParser) -> list:
+    """The flags and positionals of an action's parser that its handler
+    never reads."""
+    loaded = loaded_args(parser.get_default("func"))
+    return sorted(a.dest for a in parser._actions
+                  if a.dest not in MAIN_FLAGS and a.dest not in loaded)
+
+
+def test_every_flag_is_read():
+    # a flag the handler drops exits 0 and is echoed as if it were checked
+    assert {prog: unread_flags(p) for prog, p in action_parsers().items()
+            if unread_flags(p)} == {}
+
+
+def test_unread_flag_guard_fires():
+    parser = argparse.ArgumentParser(prog="rgflab cert pingpong")
+    parser.add_argument("--family")
+    parser.add_argument("--planted", type=int)
+    parser.set_defaults(func=cli.cmd_cert_pingpong)
+    assert unread_flags(parser) == ["planted"]
+
+
+def test_csv_is_refused_before_the_run(monkeypatch, tmp_path, capsys):
+    def run_started(*args, **kw):
+        raise RuntimeError("example92 ran")
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "conjugate_twist_family", run_started)
+    argv = ["experiment", "example92", "--seed", "7"]
+    with pytest.raises(RuntimeError, match="example92 ran"):
+        main(argv)
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--format", "csv", "--output", str(out)]) == USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == CSV_REFUSED
+    assert not out.exists()
 
 
 class CommandHung(BaseException):
@@ -396,9 +490,9 @@ SLOPE_SAMPLE_ROWS = [
     ("delta-qmax-negative", ["delta-estimate", "--qmax", "-1"], USAGE,
      "rgflab delta-estimate: error: argument --qmax: must be at least 1, got -1"),
     ("constants-qmax-zero", ["constants", "estimate", "--qmax", "0"], USAGE,
-     "rgflab constants: error: argument --qmax: must be at least 1, got 0"),
+     "rgflab constants estimate: error: argument --qmax: must be at least 1, got 0"),
     ("experiment-qmax-zero", ["experiment", "theorem-b", "--qmax", "0"], USAGE,
-     "rgflab experiment: error: argument --qmax: must be at least 1, got 0"),
+     "rgflab experiment theorem-b: error: argument --qmax: must be at least 1, got 0"),
 ]
 
 
@@ -748,10 +842,10 @@ def test_readme_commands_parse(tmp_path):
     family = tmp_path / "fam.json"
     family.write_text(json.dumps(ONE_TWIST))
     lines = [line for line in section.splitlines() if line.startswith("rgflab ")]
-    parser = build_parser()
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
-        args = parser.parse_args([str(family) if tok == "fam.json" else tok for tok in argv])
+        args = build_parser(argv[0]).parse_args(
+            [str(family) if tok == "fam.json" else tok for tok in argv])
         assert args.command == argv[0]
     assert len(lines) >= 17
 
@@ -826,37 +920,48 @@ class TestExperiments:
         assert rec["seed"] == 9 and rec["points"] == 8
 
 
+DELTA = ["delta-estimate"]
+
 CONFIG_ROWS = [
-    # (id, config file text or None for a missing file, extra flags,
-    #  exit code, points in the report, or the start of the one stderr line
-    #  of a usage error, CONF standing for the file's path)
-    ("missing-file", None, [], USAGE, "usage error: cannot read config CONF: [Errno 2]"),
-    ("truncated-json", '{"seed": 9, "poi', [], USAGE,
+    # (id, command words and flags, FAMILY standing for a family file,
+    #  config file text or None for a missing file, extra flags, exit code,
+    #  points in the report, or the start of the last stderr line of a usage
+    #  error, the only line unless argparse's, CONF standing for the file's path)
+    ("missing-file", DELTA, None, [], USAGE, "usage error: cannot read config CONF: [Errno 2]"),
+    ("truncated-json", DELTA, '{"seed": 9, "poi', [], USAGE,
      "usage error: cannot read config CONF: Unterminated string"),
-    ("unknown-key", '{"seed": 9, "bogus": 1}', [], USAGE,
+    ("unknown-key", DELTA, '{"seed": 9, "bogus": 1}', [], USAGE,
      "usage error: unknown config key 'bogus' for delta-estimate"),
-    ("json-list", "[9, 8]", [], USAGE, "usage error: config CONF must hold a JSON object"),
-    # argparse never checks a default against the flag's choices
-    ("value-not-a-choice", '{"seed": 9, "format": "xml"}', [], USAGE,
-     "usage error: config key 'format': 'xml' not in ['json', 'csv']"),
-    ("flag-overrides-file", '{"seed": 9, "points": 8, "qmax": 10}', ["--points", "6"], PASS, 6),
-    ("file-values-echoed", '{"seed": 9, "points": 8, "qmax": 10}', [], PASS, 8),
+    ("unknown-key-names-the-action", ["tree", "build", "--family", "FAMILY"], '{"kappa": 3}',
+     [], USAGE, "usage error: unknown config key 'kappa' for tree build"),
+    ("json-list", DELTA, "[9, 8]", [], USAGE, "usage error: config CONF must hold a JSON object"),
+    # a value is parsed as its flag's token, so argparse checks the choice
+    ("value-not-a-choice", ["tree", "qi", "--family", "FAMILY"], '{"seed": 9, "format": "xml"}',
+     [], USAGE, "rgflab tree qi: error: argument --format: invalid choice: 'xml'"),
+    # the command line's --config always won, so this key was read by nothing
+    ("config-key", DELTA, '{"seed": 9, "config": "other.json"}', [], USAGE,
+     "usage error: config key 'config': a config file cannot name another"),
+    ("flag-overrides-file", DELTA, '{"seed": 9, "points": 8, "qmax": 10}', ["--points", "6"],
+     PASS, 6),
+    ("file-values-echoed", DELTA, '{"seed": 9, "points": 8, "qmax": 10}', [], PASS, 8),
 ]
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("text, flags, code, want", [r[1:] for r in CONFIG_ROWS],
+    @pytest.mark.parametrize("command, text, flags, code, want", [r[1:] for r in CONFIG_ROWS],
                              ids=[r[0] for r in CONFIG_ROWS])
-    def test_config_rows(self, tmp_path, capsys, text, flags, code, want):
+    def test_config_rows(self, tmp_path, capsys, family_file, command, text, flags, code, want):
         conf = tmp_path / "conf.json"
         if text is not None:
             conf.write_text(text)
         out = tmp_path / "o.jsonl"
-        assert main(["delta-estimate", "--config", str(conf), *flags,
-                     "--output", str(out)]) == code
+        command = [family_file if tok == "FAMILY" else tok for tok in command]
+        assert main([*command, "--config", str(conf), *flags, "--output", str(out)]) == code
         if code == USAGE:
-            (err,) = capsys.readouterr().err.splitlines()
-            assert err.startswith(want.replace("CONF", str(conf)))
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1].startswith(want.replace("CONF", str(conf)))
+            if want.startswith("usage error:"):
+                assert len(err) == 1
             assert not out.exists()
             return
         config, rec = [json.loads(l) for l in out.read_text().splitlines()]
@@ -895,6 +1000,17 @@ class TestConfigEcho:
         assert len(set(reports)) == 1
         assert json.loads(reports[0].splitlines()[0])["argv"] == ["farey", "dist", "1/0", "5/8"]
 
+    def test_config_output_key_not_echoed(self, tmp_path):
+        # the key routes the report, and its value, like --output's, is not
+        # part of the record
+        conf, routed, given = (tmp_path / n for n in ("conf.json", "a.jsonl", "b.jsonl"))
+        values = {"seed": 9, "points": 6, "qmax": 8}
+        conf.write_text(json.dumps({**values, "output": str(routed)}))
+        assert main(["delta-estimate", "--config", str(conf)]) == PASS
+        assert json.loads(routed.read_text().splitlines()[0])["config_values"] == values
+        assert main(["delta-estimate", "--config", str(conf), "--output", str(given)]) == PASS
+        assert given.read_bytes() == routed.read_bytes()
+
     def test_config_path_not_echoed(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"seed": 9, "points": 6, "qmax": 8}))
@@ -910,15 +1026,18 @@ class TestConfigParsesAsFlags:
     by the one parser that `build_parser` builds per process."""
 
     def test_parser_is_built_once(self):
+        # one parser per known command name, and one for every other argv
         main(["farey", "dist", "1/0"])
+        main(["no-such-command"])
         misses = build_parser.cache_info().misses
         assert main(["farey", "dist", "1/0"]) == USAGE
-        assert build_parser() is build_parser()
-        assert build_parser.cache_info().misses == misses == 1
+        assert main(["another-unknown"]) == main(["--seed", "3"]) == main([]) == USAGE
+        assert build_parser("farey") is build_parser("farey")
+        assert build_parser.cache_info().misses == misses <= len(cli.COMMANDS) + 1
 
     def test_config_does_not_leak_into_the_next_call(self, tmp_path):
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"points": 8, "qmax": 10, "format": "json"}))
+        conf.write_text(json.dumps({"points": 8, "qmax": 10, "max_quadruples": 10}))
         flags = ["--seed", "1", "--max-quadruples", "10"]
         assert run(["delta-estimate", "--config", str(conf), *flags], tmp_path, "a.jsonl")[0] == PASS
         code, lines, _ = run(["delta-estimate", *flags], tmp_path, "b.jsonl")
