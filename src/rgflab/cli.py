@@ -500,6 +500,8 @@ _FAMILY = {"--family": {"required": True, "help": "FamilySpec JSON file"}}
 # a relation has at least two syllables: a smaller budget searches nothing
 _BUDGET = {"--budget": _int_flag(2, 8)}
 _FACTOR_BUDGET = {"--factor-budget": _int_flag(1, 2)}
+# only the actions that draw at random take --seed
+_SEED = {"--seed": {"type": int, "help": f"RNG seed (default ${SEED_ENV})"}}
 # only the actions that write a pair table take --format
 _TABLE = {"--format": {"choices": ("json", "csv"), "default": "json"}}
 
@@ -512,14 +514,15 @@ COMMANDS = {
     # four points make the least quadruple: fewer scan nothing
     "delta-estimate": ("four-point delta on slope samples", {
         None: (cmd_delta_estimate, {"--points": _int_flag(4, 40), "--qmax": _int_flag(1, 50),
-                                    "--max-quadruples": _int_flag(1, 200000)})}),
+                                    "--max-quadruples": _int_flag(1, 200000), **_SEED})}),
     "constants": ("empirical projection constants", {
         "estimate": (cmd_constants, {"--triples": _int_flag(1, 2000), "--qmax": _int_flag(1, 1000),
-                                     "--geodesics": _int_flag(1, 400)})}),
+                                     "--geodesics": _int_flag(1, 400), **_SEED})}),
     # least values: a tree system's bounds, M = 0 and B = 1
     "persistence": ("projection persistence on generated sequences", {
         "check": (cmd_persistence, {"--sequences": _int_flag(1, 50), "--M": _int_flag(0, 3),
-                                    "--B": _int_flag(1, 2), "--max-length": _int_flag(3, 8)})}),
+                                    "--B": _int_flag(1, 2), "--max-length": _int_flag(3, 8),
+                                    **_SEED})}),
     "raag": ("normal forms and graph components", {
         "nf": (cmd_raag_nf, {**_GRAPH, "--word": {"default": "", "help": 'e.g. "x1^2 x2^-1"'}}),
         "components": (cmd_raag_components, _GRAPH)}),
@@ -536,13 +539,14 @@ COMMANDS = {
         "pingpong": (cmd_cert_pingpong, _FAMILY)}),
     "experiment": ("end-to-end reproductions", {
         "prop91": (cmd_prop91, {"--dprime": _int_flag(9, 20), "--window": _int_flag(1, 5),
-                                "--radius": _int_flag(0, 6), **_FACTOR_BUDGET, **_TABLE}),
+                                "--radius": _int_flag(0, 6), **_FACTOR_BUDGET, **_SEED, **_TABLE}),
         "theorem-b": (cmd_theorem_b, {
             "--radius": _int_flag(0, 6), **_BUDGET, **_FACTOR_BUDGET,
             "--words": _int_flag(1, 100), "--curve-samples": _int_flag(1, 60),
             "--triples": _int_flag(1, 1000), "--geodesics": _int_flag(1, 300),
-            "--qmax": _int_flag(1, 800), "--delta": _int_flag(0, 1), **_TABLE}),
-        "example92": (cmd_example92, {"--D": _int_flag(8, 8), **_BUDGET, **_FACTOR_BUDGET})}),
+            "--qmax": _int_flag(1, 800), "--delta": _int_flag(0, 1), **_SEED, **_TABLE}),
+        "example92": (cmd_example92, {"--D": _int_flag(8, 8), **_BUDGET, **_FACTOR_BUDGET,
+                                      **_SEED})}),
 }
 
 
@@ -550,7 +554,6 @@ def _action_parser(parser: argparse.ArgumentParser, func, flags: dict):
     """Add the shared flags and `flags`; `main` reads `parser` back from the defaults."""
     parser.add_argument("--config", help="JSON file of flag values, read before the command line")
     parser.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
-    parser.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
     for name, kw in flags.items():
         parser.add_argument(name, **kw)
     parser.set_defaults(func=func, parser=parser)
@@ -575,29 +578,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
-def _echoed_argv(action: argparse.ArgumentParser, argv) -> list:
-    """The command line without `--output` and `--config` and their values,
-    in every form the action's parser accepts (`--output P`, `--output=P`,
-    abbreviations such as `--out P`), so that the `config` record does not
-    depend on where the report is written."""
-    known = action._option_string_actions
-    dropped = {known["--output"], known["--config"]}
-    echoed, tokens = [], iter(argv)
-    for tok in tokens:
-        name, eq, _ = tok.partition("=")
-        if name.startswith("--"):
-            matches = [name] if name in known else [s for s in known if s.startswith(name)]
-            if len(matches) == 1 and known[matches[0]] in dropped:
-                if not eq:
-                    next(tokens, None)      # the flag's value
-                continue
-        echoed.append(tok)
-    return echoed
-
-
-def _config_argv(action: argparse.ArgumentParser, path: str) -> tuple:
-    """The `--config` file's values, and one `--flag=value` token per key,
-    which `main` parses before the command line so that its flags win."""
+def _config_argv(action: argparse.ArgumentParser, path: str) -> list:
+    """One `--flag=value` token per key of the `--config` file, which `main`
+    parses before the command line so that its flags win."""
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -615,7 +598,7 @@ def _config_argv(action: argparse.ArgumentParser, path: str) -> tuple:
         if flag == "--config":
             raise SystemExit_usage(f"config key {key!r}: a config file cannot name another")
         tokens.append(f"{flag}={value}")
-    return conf, tokens
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -624,21 +607,19 @@ def main(argv=None) -> int:
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
-        conf = None
         if args.config is not None:
-            conf, tokens = _config_argv(args.parser, args.config)
+            tokens = _config_argv(args.parser, args.config)
             # after the command words: the command and its action word, if any
             words = 1 if None in COMMANDS[command][1] else 2
             args = parser.parse_args(argv[:words] + tokens + argv[words:])
-        if args.seed is None:
+        if hasattr(args, "seed") and args.seed is None:
             args.seed = _env_seed()
         code, records, pairs = args.func(args)
-        config_echo = {"record": "config", "argv": _echoed_argv(args.parser, argv),
-                       "seed": args.seed}
-        if conf is not None:
-            # where the report went is no part of the run, as for --output
-            config_echo["config_values"] = {k: v for k, v in conf.items() if k != "output"}
-        records = [config_echo] + records
+        # the values the run used, whatever their source or spelling; where
+        # the report goes, and in what form, is no part of the run
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "parser", "output", "config", "format")}
+        records = [{"record": "config", **config}] + records
         if getattr(args, "format", "json") == "csv":
             emit_csv(pairs, args.output)
         else:

@@ -285,6 +285,10 @@ BAD_INPUT_ROWS = [
      "rgflab: error: unrecognized arguments: --oracle-bound 8"),
     ("ignored-components-word", ["raag", "components", "--vertices", "2", "--word", "x1"],
      "rgflab: error: unrecognized arguments: --word x1"),
+    # an action that draws nothing at random recorded the seed as if it
+    # fixed the run
+    ("seed-on-farey-dist", ["farey", "dist", "1/0", "5/8", "--seed", "3"],
+     "rgflab: error: unrecognized arguments: --seed 3"),
     ("ignored-prop91-D-from-config", ["experiment", "prop91", "--seed", "7", "--config", "D30CONFIG"],
      "usage error: unknown config key 'D' for experiment prop91"),
     # a flag between the command and its action
@@ -403,8 +407,8 @@ def test_every_integer_flag_has_a_least_value():
     assert bare == []
 
 
-# read by `main` for every action, not by the handlers
-MAIN_FLAGS = {"help", "config", "output", "seed", "format"}
+# read by `main`, not by the handlers
+MAIN_FLAGS = {"help", "config", "output", "format"}
 
 
 def loaded_args(func) -> set:
@@ -611,16 +615,22 @@ class TestSeedHandling:
         code, lines, _ = run(["delta-estimate", "--points", "8", "--qmax", "10"], tmp_path)
         assert code == PASS and lines[1]["seed"] == 5
 
-    @pytest.mark.parametrize("argv", [["farey", "dist", "1/0", "3/7"],
-                                      ["delta-estimate", "--points", "8", "--qmax", "10"]],
+    @pytest.mark.parametrize("argv, code", [(["farey", "dist", "1/0", "3/7"], PASS),
+                                            (["delta-estimate", "--points", "8", "--qmax", "10"],
+                                             USAGE)],
                              ids=["seedless", "seeded"])
-    def test_malformed_env_seed_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+    def test_malformed_env_seed_is_usage_error(self, argv, code, tmp_path, monkeypatch, capsys):
+        # only an action that takes --seed reads $RGFLAB_SEED; one that
+        # draws nothing at random ignores it, and records no seed
         monkeypatch.setenv("RGFLAB_SEED", "abc")
         out = tmp_path / "o.jsonl"
-        assert main(argv + ["--output", str(out)]) == USAGE
+        assert main(argv + ["--output", str(out)]) == code
         err = capsys.readouterr().err
-        assert err == "usage error: bad $RGFLAB_SEED 'abc': not an integer\n"
-        assert not out.exists()
+        if code == USAGE:
+            assert err == "usage error: bad $RGFLAB_SEED 'abc': not an integer\n"
+            assert not out.exists()
+        else:
+            assert err == "" and "seed" not in json.loads(out.read_text().splitlines()[0])
 
 
 class TestRaagCommands:
@@ -936,8 +946,11 @@ CONFIG_ROWS = [
      [], USAGE, "usage error: unknown config key 'kappa' for tree build"),
     ("json-list", DELTA, "[9, 8]", [], USAGE, "usage error: config CONF must hold a JSON object"),
     # a value is parsed as its flag's token, so argparse checks the choice
-    ("value-not-a-choice", ["tree", "qi", "--family", "FAMILY"], '{"seed": 9, "format": "xml"}',
+    ("value-not-a-choice", ["tree", "qi", "--family", "FAMILY"], '{"format": "xml"}',
      [], USAGE, "rgflab tree qi: error: argument --format: invalid choice: 'xml'"),
+    # only the actions that draw at random take a seed
+    ("seed-on-tree-qi", ["tree", "qi", "--family", "FAMILY"], '{"seed": 9}', [], USAGE,
+     "usage error: unknown config key 'seed' for tree qi"),
     # the command line's --config always won, so this key was read by nothing
     ("config-key", DELTA, '{"seed": 9, "config": "other.json"}', [], USAGE,
      "usage error: config key 'config': a config file cannot name another"),
@@ -966,7 +979,10 @@ class TestConfigFile:
             return
         config, rec = [json.loads(l) for l in out.read_text().splitlines()]
         assert rec["points"] == want and rec["seed"] == 9
-        assert config["config_values"] == json.loads(text)
+        # the config record holds the values the run used: the command
+        # line's where it set one, the file's, and the defaults
+        assert config == {"record": "config", "command": "delta-estimate", "seed": 9,
+                          "points": want, "qmax": 10, "max_quadruples": 200000}
 
     def test_shared_flag_before_subcommand_is_usage_error(self, tmp_path):
         out = tmp_path / "o.jsonl"
@@ -986,8 +1002,9 @@ def test_report_to_stdout_without_output(tmp_path, capsys):
 
 
 class TestConfigEcho:
-    """The `config` record echoes the command line without output and config
-    paths, whichever form of the flag the parser accepted."""
+    """The `config` record holds the parsed flags without where the report
+    goes, whichever form of a flag the parser accepted, and whether a value
+    came from the command line or a config file."""
 
     def test_output_path_not_echoed(self, tmp_path):
         reports = []
@@ -998,7 +1015,9 @@ class TestConfigEcho:
             assert main(argv) == PASS
             reports.append(out.read_bytes())
         assert len(set(reports)) == 1
-        assert json.loads(reports[0].splitlines()[0])["argv"] == ["farey", "dist", "1/0", "5/8"]
+        assert json.loads(reports[0].splitlines()[0]) == {
+            "record": "config", "command": "farey", "action": "dist", "a": "1/0", "b": "5/8",
+            "oracle_bound": 64}
 
     def test_config_output_key_not_echoed(self, tmp_path):
         # the key routes the report, and its value, like --output's, is not
@@ -1007,18 +1026,23 @@ class TestConfigEcho:
         values = {"seed": 9, "points": 6, "qmax": 8}
         conf.write_text(json.dumps({**values, "output": str(routed)}))
         assert main(["delta-estimate", "--config", str(conf)]) == PASS
-        assert json.loads(routed.read_text().splitlines()[0])["config_values"] == values
+        assert json.loads(routed.read_text().splitlines()[0]) == {
+            "record": "config", "command": "delta-estimate", "max_quadruples": 200000, **values}
         assert main(["delta-estimate", "--config", str(conf), "--output", str(given)]) == PASS
         assert given.read_bytes() == routed.read_bytes()
 
     def test_config_path_not_echoed(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"seed": 9, "points": 6, "qmax": 8}))
-        out = tmp_path / "o.jsonl"
+        from_file, from_flags = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["delta-estimate", f"--conf={conf}", "--points", "6",
-                     "--out", str(out)]) == PASS
-        config = json.loads(out.read_text().splitlines()[0])
-        assert config["argv"] == ["delta-estimate", "--points", "6"]
+                     "--out", str(from_file)]) == PASS
+        assert main(["delta-estimate", "--qmax=8", "--seed", "9", "--points", "6",
+                     "--output", str(from_flags)]) == PASS
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        assert json.loads(from_file.read_text().splitlines()[0]) == {
+            "record": "config", "command": "delta-estimate", "seed": 9, "points": 6, "qmax": 8,
+            "max_quadruples": 200000}
 
 
 class TestConfigParsesAsFlags:
