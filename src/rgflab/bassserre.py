@@ -206,8 +206,7 @@ def phi(ball: TreeBall, base: Slope) -> list:
     v(g) -> g . base.  Every factor needs a boundary slope.
 
     The certificates read only the type-1 images, which do not depend on
-    `base`; `qi_pairs` computes what it needs of them itself, and this map
-    gives the images of its slow twin."""
+    `base`; `qi_pairs` computes them from no ball, and this map serves its twins."""
     return [act(word_matrix(g), base if kind == 2 else ball.factors[i].boundary)
             for kind, i, g in zip(ball.kind, ball.factor, ball.label)]
 
@@ -223,12 +222,12 @@ class QiReport:
     fit: tuple | None = None      # least-squares (slope, intercept) on the envelope
 
 
-def qi_certificate(ball: TreeBall, kappa: int | None = None) -> QiReport:
-    """Scan all type-1 pairs of the ball (`qi_pairs`) against the affine
-    lower bound d_S >= d_T / kappa - kappa and the benchmark
+def qi_certificate(factors: list, radius: int, kappa: int | None = None) -> QiReport:
+    """Scan all type-1 pairs within `radius` of v(1) (`qi_pairs`) against the
+    affine lower bound d_S >= d_T / kappa - kappa and the benchmark
     d_S >= d_T/2 - 4 that displacing families achieve (`qi_report`).  It
-    reads the ball and each factor's reducing system, and no base curve."""
-    return qi_report(qi_pairs(ball), kappa)
+    reads each factor's elements and reducing system, and no base curve."""
+    return qi_report(qi_pairs(factors, radius), kappa)
 
 
 def _mat_mul(m: tuple, n: tuple) -> tuple:
@@ -273,9 +272,9 @@ class ResumeTable:
     alone.
 
     A step from a prefix with a complete quotient x <= 1 is the entry
-    `FALLBACK`: w's distance then needs the tail from an empty prefix,
-    `advance(C W_w, b_j, None)`, which depends on the source and not only on
-    the state, so nothing is cached.
+    `FALLBACK`, never cached: w's distance needs `advance(C W_w, b_j, None)`,
+    a function of the path from the source, as C W_w = +-P R S_1 ... S_m
+    with R the source factor's root matrix and S_i the steps taken (below).
 
     The first ring, and every empty prefix.  Let P be a shear x -> x + n,
     which fixes 1/0; then `advance(P m, b, None)` returns the entry of
@@ -381,79 +380,79 @@ class PairCounts(Counter):
 
 
 class _Fallback(Exception):
-    """A group without a source met a fallback entry, which depends on the source."""
+    """A group walked with no source path met a fallback entry."""
 
 
-def qi_pairs(ball: TreeBall) -> PairCounts:
-    """The count of each (d_T, d_S) over the unordered type-1 pairs of the
-    ball, d_S between the images g . boundary(H_i) of `phi`; it reads only
-    the ball and each factor's reducing system.
+def qi_pairs(factors: list, radius: int) -> PairCounts:
+    """The count of each (d_T, d_S) over the unordered pairs of type-1
+    vertices within `radius` of v(1), d_S between the images g . boundary(H_i)
+    of `phi`; it reads each factor's elements and reducing system, no ball.
 
-    Ordered pairs are counted, then halved: d_T and d_S are symmetric.  From
-    a source the walk climbs the ancestor cosets, across the type-2 fans
-    with their `ResumeTable` states and additive d, and adds what lies
-    `below` the source and, at each coset on the way, its `level`: its
-    siblings, its parent and the parent's other child fans, each with all
-    below.  The subtree below a coset depends only on its depth and factor,
-    and a state fixes each d_S below up to the additive d, so `group`
-    memoises a histogram of (d_T, d_S - d) on (state, depth, factor, and a
-    level's up step) and defers it, shifted, in `terms` (histogram 0 is one
-    pair).  A group that meets a fallback entry (x <= 1 after a prefix) is
-    walked per source, from the source's own conjugator.
+    Ordered pairs are counted, then halved.  A coset is walked by its type
+    (depth, factor, up step of its parent fan); a factor's `fans` hold
+    (child factor, step down, step up).  The sources are a depth-first stack
+    of types, each with its ancestors, which the walk climbs, adding what
+    lies `below` the source and each ancestor's `level`: its siblings, its
+    parent and the parent's other child fans, each with all below.  `group`
+    memoises the histogram of (d_T, d_S - d) of a below or a level on its
+    `ResumeTable` state and type, and defers it, shifted, in `terms`
+    (histogram 0 is one pair).  A group that meets a fallback entry is
+    walked per source along its `path`: the source's factor, then the step
+    ids taken.
     """
-    adjacency, label, factor, dist = ball.adjacency, ball.label, ball.factor, ball.distance
-    table = ResumeTable([f.boundary for f in ball.factors])
-    boundary = table.boundary
-    sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
-    down, up = {}, {}                    # steps into and out of v across its parent fan
-    for v in ball.vertices(1):
-        if label[v]:
-            j, h = label[v][-1]
-            down[v], up[v] = table.step(h, factor[v]), table.step(h.inv(), j)
-    hists, memo, conj, terms = [{(0, 0): 1}], {}, {}, Counter()
+    table = ResumeTable([f.boundary for f in factors])
+    n = len(factors)
+    sibling = [table.step(MappingClass.identity(), j) for j in range(n)]
+    fans = [[(j, table.step(h, j), table.step(h.inv(), i)) for h in f.elements
+             for j in range(n) if j != i] for i, f in enumerate(factors)]
+    hists, memo, terms = [{(0, 0): 1}], {}, Counter()
 
-    def move(state, sid, v, d, src):
-        """(d_S, additive d, state) of v, one step from a vertex in `state`."""
+    def move(state, sid, d, path):
+        """(d_S, additive d, state, path) one step `sid` on from `state`."""
+        path = path and path + (sid,)
         t = table.entry(state, sid)
         if t is not table.FALLBACK:
-            return d + t[0], d + t[1], t[2]
-        if src is None:
+            return d + t[0], d + t[1], t[2], path
+        if path is None:
             raise _Fallback
-        if src not in conj:
-            conj[src] = conjugator_to_infinity(act(word_matrix(label[src]), boundary[factor[src]]))
-        return table.advance(_mat_mul(conj[src], word_matrix(label[v])), boundary[factor[v]], None)
+        m = table.matrix[table.root[path[0]]]
+        for s in path[1:]:
+            m = _mat_mul(m, table.steps[s][0])
+        return (*table.advance(m, table.boundary[table.steps[sid][1]], None), path)
 
-    def visit(terms, steps, state, dt, d, src):
-        for w, sid in steps:
-            ds, nd, nxt = move(state, sid, w, d, src)
+    def visit(terms, steps, state, dt, d, path):
+        for node, sid in steps:
+            ds, nd, nxt, into = move(state, sid, d, path)
             terms[0, dt, ds] += 1
-            group(terms, below, w, nxt, dt, nd, src)
+            group(terms, below, node, nxt, dt, nd, into)
 
-    def below(terms, v, state, dt, d, src, skip=None):
-        visit(terms, [(w, down[w]) for fan in adjacency[v][1:] if fan != skip
-                      for w in adjacency[fan][1:]], state, dt + 2, d, src)
+    def below(terms, node, state, dt, d, path, skip=None):
+        k, i, _ = node
+        visit(terms, [((k + 2, j, up), down) for j, down, up in fans[i]
+                      if up != skip and k + 2 <= radius], state, dt + 2, d, path)
 
-    def level(terms, u, state, dt, d, src):
-        p = adjacency[u][0]
-        visit(terms, [(w, sibling[factor[w]]) for w in (adjacency[p][1:] if p else adjacency[0])
-                      if w != u], state, dt + 2, d, src)
-        if p:
-            ds, nd, nxt = move(state, up[u], adjacency[p][0], d, src)
+    def level(terms, node, state, dt, d, path):
+        k, i, up = node
+        parent = None if up is None else table.steps[up][1]
+        visit(terms, [((k, j, up), sibling[j]) for j in range(n) if j not in (i, parent)],
+              state, dt + 2, d, path)
+        if up is not None:
+            ds, nd, nxt, into = move(state, up, d, path)
             terms[0, dt + 2, ds] += 1
-            below(terms, adjacency[p][0], nxt, dt + 2, nd, src, skip=p)
+            below(terms, (k - 2, parent, None), nxt, dt + 2, nd, into, skip=up)
 
-    def group(terms, f, v, state, dt, d, src):
-        key = (f, state, dist[v], factor[v], up.get(v) if f is level else None)
+    def group(terms, f, node, state, dt, d, path):
+        key = (f, state, *node[:2], node[2] if f is level else None)
         if key not in memo:
             try:
                 local = Counter()
-                f(local, v, state, 0, 0, None)
+                f(local, node, state, 0, 0, None)
                 memo[key] = len(hists)
                 hists.append(flat(local))
             except _Fallback:
                 memo[key] = None
         if memo[key] is None:
-            f(terms, v, state, dt, d, src)
+            f(terms, node, state, dt, d, path)
         else:
             terms[memo[key], dt, d] += 1
 
@@ -464,15 +463,17 @@ def qi_pairs(ball: TreeBall) -> PairCounts:
                 out[a + dt, b + d] += m * n
         return out
 
-    for src in ball.vertices(1):
-        u, state, dt, d = src, table.root[factor[src]], 0, 0
-        group(terms, below, src, state, 0, 0, src)
-        while True:
-            group(terms, level, u, state, dt, d, src)
-            if not (p := adjacency[u][0]):
-                break
-            _, d, state = move(state, up[u], adjacency[p][0], d, src)
-            u, dt = adjacency[p][0], dt + 2
+    stack = [((1, i, None),) for i in range(n) if radius > 0]    # a source, then its ancestors
+    while stack:
+        chain = stack.pop()
+        k, i, _ = chain[0]
+        state, d, path = table.root[i], 0, (i,)
+        group(terms, below, chain[0], state, 0, 0, path)
+        for climb, node in enumerate(chain):
+            group(terms, level, node, state, 2 * climb, d, path)
+            if node[2] is not None:
+                _, d, state, path = move(state, node[2], d, path)
+        stack += [((k + 2, j, up),) + chain for j, _, up in fans[i] if k + 2 <= radius]
     ordered = flat(terms)
     if any(n % 2 for n in ordered.values()):
         raise AssertionError("an odd count of ordered pairs: d_T or d_S is not symmetric")

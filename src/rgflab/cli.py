@@ -353,11 +353,9 @@ def _verdict(ok: bool, settled) -> int:
 
 
 def _qi_certificate(factors, radius: int, kappa=None):
-    """The embedding certificate on the tree ball of `radius`, and the
-    qi-certificate record every command shares."""
-    # the type-2 leaves at an even radius lie on no path between cosets
-    ball = build_ball(factors, radius - 1 if radius and radius % 2 == 0 else radius)
-    rep = qi_certificate(ball, kappa=kappa)
+    """The embedding certificate within `radius` of v(1) in the Bass-Serre
+    tree, and the qi-certificate record every command shares."""
+    rep = qi_certificate(factors, radius, kappa)
     rec = {"record": "qi-certificate", "radius": radius,
            "pairs": rep.pairs.total(), "min_ratio": rep.min_ratio,
            "kappa_witness": rep.kappa_witness,
@@ -551,12 +549,12 @@ COMMANDS = {
 
 
 def _action_parser(parser: argparse.ArgumentParser, func, flags: dict):
-    """Add the shared flags and `flags`; `main` reads `parser` back from the defaults."""
+    """Add the shared flags and `flags`."""
     parser.add_argument("--config", help="JSON file of flag values, read before the command line")
     parser.add_argument("--output", help="write JSON-lines report here (stdout otherwise)")
     for name, kw in flags.items():
         parser.add_argument(name, **kw)
-    parser.set_defaults(func=func, parser=parser)
+    parser.set_defaults(func=func)
 
 
 @functools.cache
@@ -578,9 +576,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
-def _config_argv(action: argparse.ArgumentParser, path: str) -> list:
-    """One `--flag=value` token per key of the `--config` file, which `main`
-    parses before the command line so that its flags win."""
+def _config_argv(command: str, action: str | None, path: str) -> list:
+    """The `--flag=value` tokens of the `--config` file, one per key: a flag of
+    the action in `COMMANDS`, or `--output`; `main` parses them first, so the command line wins."""
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -588,15 +586,16 @@ def _config_argv(action: argparse.ArgumentParser, path: str) -> list:
         raise SystemExit_usage(f"cannot read config {path}: {exc}")
     if not isinstance(conf, dict):
         raise SystemExit_usage(f"config {path} must hold a JSON object")
+    flags = COMMANDS[command][1][action][1]
     tokens = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in action._option_string_actions:
-            raise SystemExit_usage(f"unknown config key {key!r} "
-                                   f"for {action.prog.partition(' ')[2]}")
         # the command line's --config would win over this one unread
         if flag == "--config":
             raise SystemExit_usage(f"config key {key!r}: a config file cannot name another")
+        if flag not in flags and flag != "--output":
+            raise SystemExit_usage(f"unknown config key {key!r} "
+                                   f"for {' '.join(filter(None, (command, action)))}")
         tokens.append(f"{flag}={value}")
     return tokens
 
@@ -608,7 +607,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            tokens = _config_argv(args.parser, args.config)
+            tokens = _config_argv(command, getattr(args, "action", None), args.config)
             # after the command words: the command and its action word, if any
             words = 1 if None in COMMANDS[command][1] else 2
             args = parser.parse_args(argv[:words] + tokens + argv[words:])
@@ -618,7 +617,7 @@ def main(argv=None) -> int:
         # the values the run used, whatever their source or spelling; where
         # the report goes, and in what form, is no part of the run
         config = {k: v for k, v in vars(args).items()
-                  if k not in ("func", "parser", "output", "config", "format")}
+                  if k not in ("func", "output", "config", "format")}
         records = [{"record": "config", **config}] + records
         if getattr(args, "format", "json") == "csv":
             emit_csv(pairs, args.output)

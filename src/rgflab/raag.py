@@ -33,7 +33,7 @@ class PresentationGraph:
     def of(n: int, edge_pairs) -> "PresentationGraph":
         es = set()
         for i, j in edge_pairs:
-            if i == j or not (0 <= i < n and 0 <= j < n):
+            if not (type(i) is type(j) is int) or i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
             es.add((min(i, j), max(i, j)))
         return PresentationGraph(n, frozenset(es))

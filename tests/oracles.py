@@ -6,12 +6,14 @@ beside admissible support families and the letter bookkeeping along
 alternating words."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
 from rgflab import farey
-from rgflab.bassserre import ResumeTable, TreeBall, _mat_mul, word_matrix
+from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat_mul,
+                              word_matrix)
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
 from rgflab.hypgraph import bfs, gromov_product, point_to_path_distance
 from rgflab.projections import OverlapError, PersistenceReport, persistence_check
@@ -115,6 +117,103 @@ def listed_qi_pairs(ball: TreeBall) -> list:
                         stack.append((v, fan, dt, nxt, nd))
         pairs += row
     return pairs
+
+
+def ball_qi_pairs(ball: TreeBall) -> PairCounts:
+    """The ball walk that `qi_pairs` replaced, kept unchanged as its twin:
+    the count of each (d_T, d_S) over the unordered type-1 pairs of the
+    ball, d_S between the images g . boundary(H_i) of `phi`; it reads only
+    the ball and each factor's reducing system.
+
+    Ordered pairs are counted, then halved: d_T and d_S are symmetric.  From
+    a source the walk climbs the ancestor cosets, across the type-2 fans
+    with their `ResumeTable` states and additive d, and adds what lies
+    `below` the source and, at each coset on the way, its `level`: its
+    siblings, its parent and the parent's other child fans, each with all
+    below.  The subtree below a coset depends only on its depth and factor,
+    and a state fixes each d_S below up to the additive d, so `group`
+    memoises a histogram of (d_T, d_S - d) on (state, depth, factor, and a
+    level's up step) and defers it, shifted, in `terms` (histogram 0 is one
+    pair).  A group that meets a fallback entry (x <= 1 after a prefix) is
+    walked per source, from the source's own conjugator and the absolute
+    `word_matrix` of each label, where `qi_pairs` multiplies the path.
+    """
+    adjacency, label, factor, dist = ball.adjacency, ball.label, ball.factor, ball.distance
+    table = ResumeTable([f.boundary for f in ball.factors])
+    boundary = table.boundary
+    sibling = [table.step(MappingClass.identity(), j) for j in range(len(ball.factors))]
+    down, up = {}, {}                    # steps into and out of v across its parent fan
+    for v in ball.vertices(1):
+        if label[v]:
+            j, h = label[v][-1]
+            down[v], up[v] = table.step(h, factor[v]), table.step(h.inv(), j)
+    hists, memo, conj, terms = [{(0, 0): 1}], {}, {}, Counter()
+
+    def move(state, sid, v, d, src):
+        """(d_S, additive d, state) of v, one step from a vertex in `state`."""
+        t = table.entry(state, sid)
+        if t is not table.FALLBACK:
+            return d + t[0], d + t[1], t[2]
+        if src is None:
+            raise _Fallback
+        if src not in conj:
+            conj[src] = conjugator_to_infinity(act(word_matrix(label[src]), boundary[factor[src]]))
+        return table.advance(_mat_mul(conj[src], word_matrix(label[v])), boundary[factor[v]], None)
+
+    def visit(terms, steps, state, dt, d, src):
+        for w, sid in steps:
+            ds, nd, nxt = move(state, sid, w, d, src)
+            terms[0, dt, ds] += 1
+            group(terms, below, w, nxt, dt, nd, src)
+
+    def below(terms, v, state, dt, d, src, skip=None):
+        visit(terms, [(w, down[w]) for fan in adjacency[v][1:] if fan != skip
+                      for w in adjacency[fan][1:]], state, dt + 2, d, src)
+
+    def level(terms, u, state, dt, d, src):
+        p = adjacency[u][0]
+        visit(terms, [(w, sibling[factor[w]]) for w in (adjacency[p][1:] if p else adjacency[0])
+                      if w != u], state, dt + 2, d, src)
+        if p:
+            ds, nd, nxt = move(state, up[u], adjacency[p][0], d, src)
+            terms[0, dt + 2, ds] += 1
+            below(terms, adjacency[p][0], nxt, dt + 2, nd, src, skip=p)
+
+    def group(terms, f, v, state, dt, d, src):
+        key = (f, state, dist[v], factor[v], up.get(v) if f is level else None)
+        if key not in memo:
+            try:
+                local = Counter()
+                f(local, v, state, 0, 0, None)
+                memo[key] = len(hists)
+                hists.append(flat(local))
+            except _Fallback:
+                memo[key] = None
+        if memo[key] is None:
+            f(terms, v, state, dt, d, src)
+        else:
+            terms[memo[key], dt, d] += 1
+
+    def flat(terms):
+        out = Counter()
+        for (h, dt, d), m in terms.items():
+            for (a, b), n in hists[h].items():
+                out[a + dt, b + d] += m * n
+        return out
+
+    for src in ball.vertices(1):
+        u, state, dt, d = src, table.root[factor[src]], 0, 0
+        group(terms, below, src, state, 0, 0, src)
+        while True:
+            group(terms, level, u, state, dt, d, src)
+            if not (p := adjacency[u][0]):
+                break
+            _, d, state = move(state, up[u], adjacency[p][0], d, src)
+            u, dt = adjacency[p][0], dt + 2
+    ordered = flat(terms)
+    if any(n % 2 for n in ordered.values()):
+        raise AssertionError("an odd count of ordered pairs: d_T or d_S is not symmetric")
+    return PairCounts({pair: n // 2 for pair, n in ordered.items()})
 
 
 def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:

@@ -21,7 +21,7 @@ from rgflab.projections import (TorusAnnuli, behrstock_scan, persistence_check,
                                 twist_pivot_sequence)
 from rgflab.raag import PresentationGraph, components, normal_form
 from rgflab.subgroups import MatrixGroup
-from rgflab.bassserre import (FactorSpec, build_ball, free_product_check,
+from rgflab.bassserre import (FactorSpec, free_product_check,
                               loxodromic_scan, qi_certificate,
                               random_alternating_word, word_matrix)
 from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
@@ -275,8 +275,7 @@ def test_09_embedding_pipeline(torus_constants):
                             factor_budget=2)
     factors = tw.family.factors
     fp = free_product_check(factors, budget=8)
-    ball = build_ball(factors, radius=6)
-    qi = qi_certificate(ball)
+    qi = qi_certificate(factors, radius=6)
     rng = random.Random(51)
     words = []
     while len(words) < 100:

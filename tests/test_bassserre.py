@@ -16,7 +16,7 @@ from rgflab.bassserre import (FactorSpec, FreeProductReport, PairCounts, build_b
                               qi_certificate, qi_pairs, qi_report,
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, word_matrix)
-from oracles import (ball_bfs_distance, coset_well_defined, listed_qi_pairs,
+from oracles import (ball_bfs_distance, ball_qi_pairs, coset_well_defined, listed_qi_pairs,
                      plain_distance_tail, type1_pairs)
 
 
@@ -143,18 +143,14 @@ class TestPhi:
 
 class TestQiCertificate:
     def test_single_pair_arithmetic(self):
-        factors = two_twist_factors()
-        ball = build_ball(factors, radius=1)
-        rep = qi_certificate(ball)
+        rep = qi_certificate(two_twist_factors(), radius=1)
         assert rep.pairs == PairCounts({(2, 1): 1})      # d_T = 2, d_S(1/0, 0/1) = 1
         assert len(rep.pairs) == 1
         assert rep.min_ratio == Fraction(1, 2)
         assert rep.benchmark_ok           # 1 >= 1 - 4
 
     def test_kappa_witness_bound(self):
-        factors = separated_factors()
-        ball = build_ball(factors, radius=2)
-        rep = qi_certificate(ball, kappa=50)
+        rep = qi_certificate(separated_factors(), radius=2, kappa=50)
         assert rep.kappa_given_ok
         assert all(Fraction(ds) >= Fraction(dt, rep.kappa_witness) - rep.kappa_witness
                    for dt, ds in rep.pairs)
@@ -164,15 +160,13 @@ class TestQiCertificate:
         factors = separated_factors(budget=1)
         k = []
         for radius in (2, 4):
-            ball = build_ball(factors, radius)
-            rep = qi_certificate(ball)
-            k.append(rep.kappa_witness)
+            k.append(qi_certificate(factors, radius).kappa_witness)
         assert k[0] <= k[1]
 
     def test_integer_forms_match_fraction_forms(self):
         # adjacent twist factors at radius 3: kappa = 1 fails on this family
-        ball = build_ball(two_twist_factors(), radius=3)
-        rep = qi_certificate(ball)
+        factors = two_twist_factors()
+        rep = qi_certificate(factors, radius=3)
 
         def fraction_form(k):
             return all(Fraction(ds) >= Fraction(dt, k) - k for dt, ds in rep.pairs)
@@ -183,7 +177,7 @@ class TestQiCertificate:
         assert rep.benchmark_ok == all(Fraction(ds) >= Fraction(dt, 2) - 4
                                        for dt, ds in rep.pairs)
         for kappa in range(1, 8):
-            assert qi_certificate(ball, kappa=kappa).kappa_given_ok == fraction_form(kappa)
+            assert qi_certificate(factors, 3, kappa=kappa).kappa_given_ok == fraction_form(kappa)
 
     @pytest.mark.parametrize("pairs, kappa_witness, benchmark_ok", [
         ([(2, 1)], 1, True),              # 1 * (1 + 1) == 2
@@ -198,10 +192,9 @@ class TestQiCertificate:
             kappa_witness, True, benchmark_ok)
 
     def test_kappa_below_one_rejected(self):
-        ball = build_ball(two_twist_factors(), radius=1)
         for kappa in (0, -2):
             with pytest.raises(ValueError):
-                qi_certificate(ball, kappa=kappa)
+                qi_certificate(two_twist_factors(), 1, kappa=kappa)
 
     def test_min_ratio_matches_fraction_form(self):
         rng = random.Random(5)
@@ -287,8 +280,9 @@ class TestQiPairsSlowTwin:
         *itertools.product(["two-twist", "three-factor", "theorem-b", "prop91"], [1, 2, 3, 4]),
         ("two-twist", 5)])
     def test_every_pair(self, family, radius):
-        ball = build_ball(tree_family(family), radius)
-        got = qi_pairs(ball)
+        factors = tree_family(family)
+        ball = build_ball(factors, radius)
+        got = qi_pairs(factors, radius)
         for base in BASE_CURVES:
             images = phi(ball, base)
             assert got == Counter(slow_pair(ball, images, v, w) for v, w in type1_pairs(ball)), base
@@ -299,26 +293,37 @@ class TestQiPairsSlowTwin:
     @pytest.mark.parametrize("family, radius", itertools.product(
         ["two-twist", "three-factor", "theorem-b", "prop91", "three-twist"], range(7)))
     def test_counts_match_the_list_scan(self, family, radius):
-        ball = build_ball(tree_family(family), radius)
-        got = qi_pairs(ball)
+        factors = tree_family(family)
+        ball = build_ball(factors, radius)
+        got = qi_pairs(factors, radius)
         assert isinstance(got, PairCounts)
         assert got == Counter(listed_qi_pairs(ball))
         n = len(ball.vertices(1))
         assert len(got) == sum(got.values()) == n * (n - 1) // 2
 
     # at an even radius the last level holds type-2 leaves only, on no path
-    # between cosets, so `cli._qi_certificate` builds the ball one level short
+    # between cosets
     @pytest.mark.parametrize("family, radius", [*itertools.product(
         ["two-twist", "three-factor", "theorem-b", "prop91", "three-twist"], [2, 4, 6]),
         ("prop91", 8)])
     def test_even_radius_adds_no_pair(self, family, radius):
         factors = tree_family(family)
-        assert qi_pairs(build_ball(factors, radius)) == qi_pairs(build_ball(factors, radius - 1))
+        assert qi_pairs(factors, radius) == qi_pairs(factors, radius - 1)
+
+    # fallback groups at depth are walked per source along the source-relative
+    # path, which the ball walk replaced by the absolute label
+    @pytest.mark.parametrize("family, radius", [*itertools.product(
+        ["two-twist", "three-factor", "theorem-b", "three-twist"], range(7)),
+        *(("prop91", r) for r in range(9))])
+    def test_counts_match_the_ball_walk(self, family, radius):
+        factors = tree_family(family)
+        assert qi_pairs(factors, radius) == ball_qi_pairs(build_ball(factors, radius))
 
     def test_sample_at_radius_six(self):
-        ball = build_ball(tree_family("theorem-b"), 6)
+        factors = tree_family("theorem-b")
+        ball = build_ball(factors, 6)
         images = phi(ball, BASE_CURVES[0])
-        got = qi_pairs(ball)
+        got = qi_pairs(factors, 6)
         todo = list(type1_pairs(ball))
         assert len(got) == len(todo) == 23871
         sample = Counter(slow_pair(ball, images, *todo[k])
@@ -357,10 +362,10 @@ def _recorded_scan(monkeypatch, family, radius):
 
     monkeypatch.setattr(bassserre, "ResumeTable", Recorded)
     monkeypatch.setattr(farey, "distance_tail", counted_tail)
-    ball = build_ball(tree_family(family), radius)
-    pairs = qi_pairs(ball)
+    factors = tree_family(family)
+    pairs = qi_pairs(factors, radius)
     (table,) = tables
-    return ball, pairs, calls, table
+    return build_ball(factors, radius), pairs, calls, table
 
 
 def _states(table):
@@ -492,13 +497,16 @@ class TestResumeTable:
 
 
     @pytest.mark.parametrize("family, radius, steps", [
-        ("theorem-b", 6, 364), ("prop91", 4, 417), ("two-twist", 5, 50),
+        ("theorem-b", 6, 364), ("prop91", 4, 417), ("two-twist", 5, 53),
         ("three-factor", 4, 100)])
     def test_euclid_steps_are_pinned(self, monkeypatch, family, radius, steps):
         """The scan's `distance_tail` memo holds one entry per Euclid step, so
         its size is the Euclid work of the whole scan: theorem-b at radius 6
         ran 26,970 steps without it, and the [0; 2, ..., 2] tails its calls
-        share collapse to 364.  Every entry equals the memo-free twin."""
+        share collapse to 364.  two-twist at radius 5 takes 53, where the ball
+        walk took 50: a fallback tail now runs from the source-relative path,
+        whose complete quotients differ from the absolute label's by a shear,
+        so some memo keys shift.  Every entry equals the memo-free twin."""
         _, _, _, table = _recorded_scan(monkeypatch, family, radius)
         assert len(table.tails) == steps
         assert all(plain_distance_tail(*key) == t for key, t in table.tails.items())

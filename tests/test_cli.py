@@ -105,6 +105,18 @@ BAD_INPUT_ROWS = [
      "usage error: bad --edges '[[0,1': JSONDecodeError("),
     ("edge-not-a-pair", ["raag", "nf", "--vertices", "2", "--edges", "[1]"],
      "usage error: bad --edges '[1]': TypeError("),
+    # a float vertex ended in a TypeError traceback, and JSON true passed as
+    # vertex 1 and was printed as a component [0, true]
+    ("edge-float-vertex-components",
+     ["raag", "components", "--vertices", "3", "--edges", "[[0,2.0]]"],
+     "usage error: bad --edges '[[0,2.0]]': ValueError('bad edge (0, 2.0)')"),
+    ("edge-fraction-vertex-nf", ["raag", "nf", "--vertices", "3", "--edges", "[[0,1.5]]"],
+     "usage error: bad --edges '[[0,1.5]]': ValueError('bad edge (0, 1.5)')"),
+    ("edge-bool-vertex-components",
+     ["raag", "components", "--vertices", "3", "--edges", "[[0,true]]"],
+     "usage error: bad --edges '[[0,true]]': ValueError('bad edge (0, True)')"),
+    ("edge-bool-vertex-nf", ["raag", "nf", "--vertices", "3", "--edges", "[[0,true]]"],
+     "usage error: bad --edges '[[0,true]]': ValueError('bad edge (0, True)')"),
     # a relation has at least two syllables: a smaller budget searched
     # nothing and still reported "no_relation": true
     ("free-product-budget-negative",
@@ -707,11 +719,27 @@ class TestTreeAndCert(object):
             len(huge)
         assert huge and not PairCounts() and not PairCounts({(2, 1): 0})
         assert (cli._verdict(True, huge), cli._verdict(False, huge)) == (PASS, FAIL)
-        monkeypatch.setattr(cli, "build_ball", lambda factors, radius: None)
-        monkeypatch.setattr(cli, "qi_certificate", lambda ball, kappa: qi_report(huge, kappa))
+        monkeypatch.setattr(cli, "qi_certificate",
+                            lambda factors, radius, kappa: qi_report(huge, kappa))
         rep, rec = cli._qi_certificate([], 3)
         assert rep.pairs is huge and rep.benchmark_ok
         assert (rec["pairs"], rec["kappa_witness"]) == (2 ** 70 + 1, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "qi", "--family", "FAMILY"],
+        ["experiment", "prop91", "--radius", "4", "--seed", "7"],
+        ["experiment", "theorem-b", "--radius", "2", "--seed", "11"]])
+    def test_qi_certificate_builds_no_ball(self, argv, family_file, tmp_path, monkeypatch):
+        """The scan walks coset types, so only `tree build` builds a ball."""
+        argv = [family_file if tok == "FAMILY" else tok for tok in argv]
+        code, _, out = run(argv, tmp_path, "a.jsonl")
+
+        def no_ball(factors, radius):
+            raise AssertionError("build_ball called")
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        assert run(argv, tmp_path, "b.jsonl")[0] == code
+        assert out.read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert Path(f"{out}.csv").read_bytes() == (tmp_path / "b.jsonl.csv").read_bytes()
 
     def test_tree_qi_kappa_failure_exits_one(self, tmp_path):
         # adjacent twist factors: image curves collide, so kappa = 1

@@ -593,16 +593,23 @@ def test_traced_pass_reads_every_counter(tmp_path):
     # a small pass under the tracer, in a fresh interpreter since `install`
     # rebinds the package's functions: every counter it reads off a result
     # (pair lists, ball sizes, words, triples, quadruples) is there
+    # the QI scan builds no ball, so `tree build` is the run that reads
+    # `build_ball` and the ball's size
+    (tmp_path / "family.json").write_text(json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}]}))
     argvs = [["experiment", "theorem-b", "--seed", "11", "--radius", "2", "--triples", "50",
               "--geodesics", "20", "--curve-samples", "10", "--words", "5"],
-             ["delta-estimate", "--seed", "3", "--points", "6", "--qmax", "10"]]
+             ["delta-estimate", "--seed", "3", "--points", "6", "--qmax", "10"],
+             ["tree", "build", "--family", "family.json", "--radius", "3"]]
     env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}")
     codes, counts, names = json.loads(subprocess.run(
         [sys.executable, "-c", TRACED_PASS, json.dumps(argvs)], cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True).stdout)
     # theorem-b's M samples here are (1, 3): the fresh sample raised M, so
     # the run gives no verdict
-    assert codes == [3, 0] and {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
+    assert codes == [3, 0, 0]
+    assert {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
     assert {"bassserre.qi_certificate.pairs", "bassserre.ball.vertices",
             "bassserre.free_product_check.words_checked", "projections.behrstock_scan.triples",
             "hypgraph.estimate_delta.quadruples"} <= set(counts)
