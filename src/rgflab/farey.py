@@ -381,12 +381,9 @@ def annular_distance(alpha: Slope, beta: Slope, gamma: Slope) -> int:
     with no matrix built: for alpha = p/q with q >= 1 the conjugator is
     [[a, b], [-q, p]] with a = p^-1 mod q and b = (1 - ap)/q, and at 1/0 it
     is the identity, so each slope is its own image.  Any matrix sending
-    alpha to 1/0 gives the same diameter.
+    alpha to 1/0 gives the same diameter.  A reduced slope's image has
+    denominator zero exactly when the slope is alpha, so that is the test.
     """
-    if beta == alpha or gamma == alpha:
-        if beta == gamma:
-            raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
-        raise EmptyProjectionError(f"one side does not project to {alpha}")
     (bp, bq), (gp, gq) = beta, gamma
     p, q = alpha
     if q:
@@ -394,6 +391,9 @@ def annular_distance(alpha: Slope, beta: Slope, gamma: Slope) -> int:
         b = (1 - a * p) // q
         bp, bq = a * bp + b * bq, p * bq - q * bp
         gp, gq = a * gp + b * gq, p * gq - q * gp
+    if not (bq and gq):
+        raise EmptyProjectionError(f"one side does not project to {alpha}" if bq or gq
+                                   else f"nothing projects to the annulus about {alpha}")
     lo_b, r_b = divmod(bp, bq)
     lo_g, r_g = divmod(gp, gq)
     hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)

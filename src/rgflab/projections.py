@@ -1,14 +1,15 @@
-"""Abstract projection systems and the axioms that power distance estimates:
-the Behrstock inequality, bounded geodesic images, and the two projection
+"""Projection systems and the axioms that power distance estimates: the
+Behrstock inequality, bounded geodesic images, and the two projection
 persistence arguments.
 
 A system exposes sites, a symmetric irreflexive overlap relation, projection
-distances between objects at a site, and an ambient metric on objects with
-geodesics.  The projection distance d_Y(a, b) is the diameter of the union
-of the two projections, so it is symmetric in a and b.  A site is itself an
-object, so the checks pass sites straight to `proj_dist` and
-`ambient_dist`.  The instance is the annuli in the Farey graph, whose
-sites and objects are slopes.  All checks take thresholds (M, B) explicitly.
+distances between objects at a site, and an ambient metric on objects.  The
+projection distance d_Y(a, b) is the diameter of the union of the two
+projections, so it is symmetric in a and b.  A site is itself an object, so
+the checks pass sites straight to `proj_dist` and `ambient_dist`.  The
+instance is the annuli in the Farey graph, whose sites and objects are
+slopes: `persistence_check` takes any system, the two scans read the Farey
+arithmetic in place.  All checks take thresholds (M, B) explicitly.
 """
 
 from __future__ import annotations
@@ -47,19 +48,8 @@ class TorusAnnuli:
     def proj_dist(self, site: Slope, a: Slope, b: Slope) -> int:
         return farey.annular_distance(site, a, b)
 
-    def path_diam(self, site: Slope, path) -> int:
-        """Projection diameter of the union of a path's slopes: one span
-        fold, equal to the largest pairwise `proj_dist`."""
-        span = farey.link_span(site, path)
-        if span is None:
-            raise farey.EmptyProjectionError(f"nothing projects to the annulus about {site}")
-        return span[1] - span[0]
-
     def ambient_dist(self, a: Slope, b: Slope) -> int:
         return farey.slope_set_distance(a, b)
-
-    def ambient_geodesic(self, a: Slope, b: Slope):
-        return farey.farey_geodesic(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +62,9 @@ class BehrstockReport:
     B_emp: int
 
 
-def behrstock_scan(system, triples) -> BehrstockReport:
-    """Scan pairwise-overlapping site triples for the one-large-projection law.
+def behrstock_scan(triples) -> BehrstockReport:
+    """Scan pairwise-overlapping (distinct) slope triples for the
+    one-large-projection law.
 
     A triple violates level b when some arrangement has d_Y(X, Z) >= b and
     max(d_X(Y, Z), d_Z(X, Y)) >= b; B_emp is the least b with no violations
@@ -86,20 +77,42 @@ def behrstock_scan(system, triples) -> BehrstockReport:
     With d_1 <= d_2 <= d_3 sorted: for i = 3 and for i = 2 the term is
     min(d_i, d_3 or d_2) = d_2, and for i = 1 it is d_1 <= d_2; ties change
     nothing.  So when the first two are at most the worst level so far, so
-    is the median, and the third is not read.
+    is the median, and the third is not read.  The first two are read in
+    place, as `farey.annular_distance` reads them, from the entries of the
+    site's conjugator: [[a, b], [-q, p]] with a = p^-1 mod q and
+    b = (1 - ap)/q, or the identity at 1/0.  The sites are distinct, so no
+    denominator vanishes; the rare third read calls `annular_distance`.
     """
     worst = 0
     count = 0
-    overlaps, proj_dist = system.overlaps, system.proj_dist
     for x, y, z in triples:
-        for u, v in ((x, y), (y, z), (x, z)):
-            if not overlaps(u, v):
-                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        if x == y or y == z or x == z:     # the pair that fails names one slope twice
+            u = x if x in (y, z) else y
+            raise OverlapError(f"sites {u!r}, {u!r} do not overlap")
         count += 1
-        a = proj_dist(x, y, z)
-        b = proj_dist(y, x, z)
-        if a > worst or b > worst:
-            worst = max(worst, sorted((a, b, proj_dist(z, x, y)))[1])
+        (xp, xq), (yp, yq), (zp, zq) = x, y, z
+        if xq:      # d_x(y, z), from the images of y and z
+            a = pow(xp, -1, xq)
+            b = (1 - a * xp) // xq
+            u, v, w, t = a * yp + b * yq, xp * yq - xq * yp, a * zp + b * zq, xp * zq - xq * zp
+        else:
+            u, v, w, t = yp, yq, zp, zq
+        l1, m1 = divmod(u, v)
+        l2, m2 = divmod(w, t)
+        h1, h2 = (l1 + 1 if m1 else l1), (l2 + 1 if m2 else l2)
+        d1 = (h1 if h1 > h2 else h2) - (l1 if l1 < l2 else l2)
+        if yq:      # d_y(x, z), from the images of x and z
+            a = pow(yp, -1, yq)
+            b = (1 - a * yp) // yq
+            u, v, w, t = a * xp + b * xq, yp * xq - yq * xp, a * zp + b * zq, yp * zq - yq * zp
+        else:
+            u, v, w, t = xp, xq, zp, zq
+        l1, m1 = divmod(u, v)
+        l2, m2 = divmod(w, t)
+        h1, h2 = (l1 + 1 if m1 else l1), (l2 + 1 if m2 else l2)
+        d2 = (h1 if h1 > h2 else h2) - (l1 if l1 < l2 else l2)
+        if d1 > worst or d2 > worst:
+            worst = max(worst, sorted((d1, d2, farey.annular_distance(z, x, y)))[1])
     return BehrstockReport(count, worst + 1)
 
 
@@ -109,20 +122,22 @@ class BgitReport:
     diameter: int | None
 
 
-def bgit_scan(system, site, geodesic) -> BgitReport:
-    """Projection diameter of an ambient geodesic, or no diameter when some
-    vertex of it fails to project (the converse use: large projections force
-    pit stops)."""
+def bgit_scan(site: Slope, geodesic) -> BgitReport:
+    """Projection diameter of a Farey geodesic at the annulus about `site`,
+    or no diameter when the site is on it (the converse use: large
+    projections force pit stops).  Each edge is checked by |ps - rq| = 1 and
+    the ends by one `farey.slope_set_distance`; one `farey.link_span` folds
+    the diameter."""
     path = list(geodesic)
-    for u, v in zip(path, path[1:]):
-        if system.ambient_dist(u, v) != 1:
+    for (p, q), (r, s) in zip(path, path[1:]):
+        if p * s - r * q not in (1, -1):
             raise ValueError("input sequence is not an ambient geodesic")
-    if len(path) >= 2 and system.ambient_dist(path[0], path[-1]) != len(path) - 1:
+    if len(path) >= 2 and farey.slope_set_distance(path[0], path[-1]) != len(path) - 1:
         raise ValueError("input sequence is not distance-realizing")
-    for v in path:
-        if not system.projects(site, v):
-            return BgitReport(False, None)
-    return BgitReport(True, system.path_diam(site, path) if path else 0)
+    if site in path:
+        return BgitReport(False, None)
+    span = farey.link_span(site, path)
+    return BgitReport(True, span[1] - span[0] if span else 0)
 
 
 @dataclass
@@ -276,8 +291,6 @@ def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:
     A sample's bound is 0 exactly when none of its geodesics projects: two
     distinct slopes never share one integer image, so a projecting geodesic
     has diameter at least 1."""
-    system = TorusAnnuli()
-
     def scan(r):
         worst = 0
         draw = random_slopes(r, qmax).__next__
@@ -294,10 +307,10 @@ def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:
                 a, b = draw(), draw()
             if a == b:
                 continue
-            path = system.ambient_geodesic(a, b)
+            path = farey.farey_geodesic(a, b)
             if site in path:
                 continue
-            rep = bgit_scan(system, site, path)
+            rep = bgit_scan(site, path)
             if rep.all_project and rep.diameter > worst:
                 worst = rep.diameter
         return worst
@@ -315,7 +328,7 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
     system = TorusAnnuli()
 
     def scan_B(r):
-        return behrstock_scan(system, sample_overlapping_triples(n_triples, r, qmax)).B_emp
+        return behrstock_scan(sample_overlapping_triples(n_triples, r, qmax)).B_emp
 
     def scan_c(r):
         # a draw with beta = site is skipped; a slope of `random_slopes(r, 50)`

@@ -16,7 +16,9 @@ from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat
                               word_matrix)
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
 from rgflab.hypgraph import bfs, gromov_product, point_to_path_distance
-from rgflab.projections import OverlapError, PersistenceReport, persistence_check
+from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
+                                PersistenceReport, TorusAnnuli, persistence_check,
+                                random_slopes, sample_overlapping_triples)
 from rgflab.raag import PresentationGraph, Word, normal_form
 
 
@@ -461,6 +463,134 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 
                 positions[f"B{i}.{k}"] = spine[i]
     tree = GraphOracle(adj)
     return TreeSystem(tree, positions, link_coords)
+
+
+def system_behrstock_scan(system, triples) -> BehrstockReport:
+    """The `behrstock_scan` of any projection system, three `proj_dist`
+    reads per triple at most: the scan the tree fixture's tests run, and the
+    generic form of the torus scan that reads the Farey arithmetic in place."""
+    worst = 0
+    count = 0
+    overlaps, proj_dist = system.overlaps, system.proj_dist
+    for x, y, z in triples:
+        for u, v in ((x, y), (y, z), (x, z)):
+            if not overlaps(u, v):
+                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        count += 1
+        a = proj_dist(x, y, z)
+        b = proj_dist(y, x, z)
+        if a > worst or b > worst:
+            worst = max(worst, sorted((a, b, proj_dist(z, x, y)))[1])
+    return BehrstockReport(count, worst + 1)
+
+
+def system_bgit_scan(system, site, geodesic) -> BgitReport:
+    """The `bgit_scan` of any projection system with a one-fold `path_diam`:
+    the scan the tree fixture's tests run, and the generic form of the torus
+    scan."""
+    path = list(geodesic)
+    for u, v in zip(path, path[1:]):
+        if system.ambient_dist(u, v) != 1:
+            raise ValueError("input sequence is not an ambient geodesic")
+    if len(path) >= 2 and system.ambient_dist(path[0], path[-1]) != len(path) - 1:
+        raise ValueError("input sequence is not distance-realizing")
+    for v in path:
+        if not system.projects(site, v):
+            return BgitReport(False, None)
+    return BgitReport(True, system.path_diam(site, path) if path else 0)
+
+
+def pairwise_bgit_scan(system, site, geodesic):
+    """The O(L^2) `bgit_scan` of pairwise `proj_dist` reads, before one span
+    fold replaced them: its slow twin."""
+    path = list(geodesic)
+    for u, v in zip(path, path[1:]):
+        if system.ambient_dist(u, v) != 1:
+            raise ValueError("input sequence is not an ambient geodesic")
+    if len(path) >= 2 and system.ambient_dist(path[0], path[-1]) != len(path) - 1:
+        raise ValueError("input sequence is not distance-realizing")
+    for v in path:
+        if not system.projects(site, v):
+            return BgitReport(False, None)
+    diam = 0
+    for i in range(len(path)):
+        for j in range(i, len(path)):
+            d = system.proj_dist(site, path[i], path[j])
+            if d > diam:
+                diam = d
+    return BgitReport(True, diam)
+
+
+def nine_call_behrstock_scan(system, triples):
+    """The `behrstock_scan` that made 9 distance calls per triple, three of
+    them repeats: its slow twin."""
+    worst = 0
+    count = 0
+    for triple in triples:
+        x, y, z = triple
+        for u, v in ((x, y), (y, z), (x, z)):
+            if not system.overlaps(u, v):
+                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
+        count += 1
+        for mid, o1, o2 in ((y, x, z), (x, y, z), (z, x, y)):
+            d_mid = system.proj_dist(mid, o1, o2)
+            d_max = max(system.proj_dist(o1, mid, o2), system.proj_dist(o2, mid, o1))
+            level = min(d_mid, d_max)
+            if level > worst:
+                worst = level
+    return BehrstockReport(count, worst + 1)
+
+
+def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
+                            qmax: int) -> ConstantEstimates:
+    """The slow twin of `estimate_constants`, on the same seeded samples: the
+    B samples go through `nine_call_behrstock_scan`, the M samples through
+    the draw loop of `geodesic_image_bounds` with `farey_geodesic` and
+    `pairwise_bgit_scan` (which itself rejects a geodesic through the site),
+    and the c samples through the same scan."""
+    system = TorusAnnuli()
+
+    def scan_B(r):
+        return nine_call_behrstock_scan(system, sample_overlapping_triples(n_triples, r, qmax)).B_emp
+
+    def scan_M(r):
+        worst = 0
+        draw = random_slopes(r, qmax).__next__
+        for _ in range(n_geodesics):
+            site = draw()
+            if r.random() < 0.5:
+                base = draw()
+                if base == site:
+                    continue
+                a, b = base, act(farey.twist_about(site, r.randrange(1, 12)), base)
+            else:
+                a, b = draw(), draw()
+            if a == b:
+                continue
+            rep = pairwise_bgit_scan(system, site, farey.farey_geodesic(a, b))
+            if rep.all_project and rep.diameter > worst:
+                worst = rep.diameter
+        return worst
+
+    def scan_c(r):
+        ratios = []
+        draw = random_slopes(r, 50).__next__
+        for _ in range(200):
+            site = draw()
+            beta = draw()
+            if beta == site:
+                continue
+            n = r.randrange(1, 100)
+            d = system.proj_dist(site, act(farey.twist_about(site, n), beta), beta)
+            ratios.append(Fraction(d, n))
+        return min(ratios)
+
+    b1, b2 = scan_B(random.Random(seed)), scan_B(random.Random(seed + 1001))
+    m1, m2 = scan_M(random.Random(seed + 2)), scan_M(random.Random(seed + 1003))
+    c1, c2 = scan_c(random.Random(seed + 4)), scan_c(random.Random(seed + 1005))
+    return ConstantEstimates(M_emp=max(m1, m2), B_emp=max(b1, b2), c_emp=min(c1, c2),
+                             samples={"B": (b1, b2), "M": (m1, m2), "c": (c1, c2)},
+                             stable=(b2 <= b1) and (m2 <= m1) and (c2 >= c1))
 
 @dataclass
 class GeneralPersistenceReport:

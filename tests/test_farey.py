@@ -122,9 +122,9 @@ class TestValueTypes:
                 assert slope_set_distance(b, g) == torus.ambient_dist(b, g) == farey_distance(b, g)
                 assert torus.projects(site, b) == (b != site)
                 pts = annular_projection(site, b) | annular_projection(site, g)
-                assert _outcome(torus.path_diam, site, [b, g]) == (
-                    max(pts) - min(pts) if pts else
-                    ("EmptyProjectionError", f"nothing projects to the annulus about {site}"))
+                span = link_span(site, [b, g])
+                assert (span[1] - span[0] if span else None) \
+                    == (max(pts) - min(pts) if pts else None)
             pts = annular_projection(site, beta)
             assert link_span(site, [beta]) == ((min(pts), max(pts)) if pts else None)
 
@@ -824,6 +824,17 @@ def set_annular_distance(alpha, beta, gamma) -> int:
     return max(pb | pg) - min(pb | pg)
 
 
+def compared_annular_distance(alpha, beta, gamma) -> int:
+    """The `annular_distance` that compared each side with alpha before
+    conjugating, where the kernel now tests for a zero denominator after:
+    the oracle of its error branch."""
+    if beta == alpha or gamma == alpha:
+        if beta == gamma:
+            raise EmptyProjectionError(f"nothing projects to the annulus about {alpha}")
+        raise EmptyProjectionError(f"one side does not project to {alpha}")
+    return annular_distance(alpha, beta, gamma)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -865,7 +876,7 @@ class TestLinkSpanSlowTwin:
             assert link_span(alpha, side) == ((min(pts), max(pts)) if pts else None)
 
     def test_geodesic_paths(self):
-        # the fold `path_diam` runs: a Farey geodesic, often through the site
+        # the fold `bgit_scan` runs: a Farey geodesic, often through the site
         rng = random.Random(11)
         through = 0
         for _ in range(500):
@@ -903,6 +914,26 @@ class TestLinkSpanSlowTwin:
                 assert _outcome(annular_distance, alpha, *sides) \
                     == _outcome(set_annular_distance, alpha, *sides)
             assert link_span(alpha, [alpha]) is None and link_span(alpha, []) is None
+
+    def test_zero_denominator_matches_the_compare_first_oracle(self):
+        # every ordered triple of the bounded slopes, 1/0 among them: where a
+        # side is alpha, the error is the compare-first oracle's; elsewhere
+        # the distance is the set-based one
+        verts = bounded_vertices(4)
+        assert INFINITY in verts
+        errors = 0
+        for alpha in verts:
+            for beta in verts:
+                for gamma in verts:
+                    got = _outcome(annular_distance, alpha, beta, gamma)
+                    if alpha in (beta, gamma):
+                        errors += 1
+                        assert got == _outcome(compared_annular_distance, alpha, beta, gamma)
+                    else:
+                        pts = annular_projection_set(alpha, (beta, gamma))
+                        assert got == max(pts) - min(pts)
+        n = len(verts)
+        assert errors == n * (2 * n - 1)
 
     def test_alpha_at_infinity(self):
         # the conjugator of 1/0 is the identity: a slope's floor and ceiling

@@ -3,16 +3,18 @@ import random
 
 import pytest
 
+from rgflab import farey
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
-    farey_geodesic, twist_about
+    farey_geodesic, link_span, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
-                                PersistenceReport, TorusAnnuli,
+from rgflab.projections import (BgitReport, OverlapError, PersistenceReport, TorusAnnuli,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, persistence_check,
                                 random_slope, random_slopes,
                                 sample_overlapping_triples, twist_pivot_sequence)
-from oracles import general_persistence_check, nearest_overlaps, synthetic_system
+from oracles import (general_persistence_check, nearest_overlaps, nine_call_behrstock_scan,
+                     pairwise_bgit_scan, slow_estimate_constants, synthetic_system,
+                     system_behrstock_scan, system_bgit_scan)
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +27,18 @@ class TestTorusSystem:
         assert torus.overlaps(INFINITY, Slope(0, 1))
         assert not torus.overlaps(INFINITY, INFINITY)
 
-    def test_projection_diameter_at_most_one(self, torus):
+    def test_projection_diameter_at_most_one(self):
         rng = random.Random(0)
         for _ in range(200):
             site, obj = random_slope(rng, 30), random_slope(rng, 30)
             if site == obj:
                 continue
-            assert torus.path_diam(site, [obj]) <= 1
+            lo, hi = link_span(site, [obj])
+            assert hi - lo <= 1
 
     @pytest.mark.parametrize("path", [[Slope(0, 1)], []], ids=["only-the-site", "empty"])
-    def test_path_diam_of_nothing_projecting(self, torus, path):
-        with pytest.raises(EmptyProjectionError):
-            torus.path_diam(Slope(0, 1), path)
+    def test_link_span_of_nothing_projecting(self, path):
+        assert link_span(Slope(0, 1), path) is None
 
     def test_non_overlapping_boundaries_project_close(self, torus):
         # a single curve has projection diameter at most 2 anywhere
@@ -50,39 +52,39 @@ class TestTorusSystem:
 
 
 class TestBehrstock:
-    def test_precondition(self, torus):
+    def test_precondition(self):
         with pytest.raises(OverlapError):
-            behrstock_scan(torus, [(INFINITY, INFINITY, Slope(0, 1))])
+            behrstock_scan([(INFINITY, INFINITY, Slope(0, 1))])
 
-    def test_torus_scan_records_bemp(self, torus):
+    def test_torus_scan_records_bemp(self):
         rng = random.Random(2)
         triples = sample_overlapping_triples(500, rng, qmax=200)
-        rep = behrstock_scan(torus, triples)
+        rep = behrstock_scan(triples)
         assert rep.scanned == 500
         assert 1 <= rep.B_emp <= 10
         fresh = sample_overlapping_triples(500, random.Random(3), qmax=200)
-        assert behrstock_scan(torus, fresh).B_emp <= rep.B_emp
+        assert behrstock_scan(fresh).B_emp <= rep.B_emp
 
     def test_synthetic_by_construction(self):
         sys_ = synthetic_system(7, seed=0, threshold=5)
         sites = [s for s in sys_.sites() if s.startswith("Y")]
         triples = [(sites[i], sites[j], sites[k])
                    for i in range(5) for j in range(i + 1, 6) for k in range(j + 1, 7)]
-        assert behrstock_scan(sys_, triples).B_emp == 1
+        assert system_behrstock_scan(sys_, triples).B_emp == 1
 
 
 class TestBgit:
-    def test_link_geodesic(self, torus):
-        rep = bgit_scan(torus, INFINITY, [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
+    def test_link_geodesic(self):
+        rep = bgit_scan(INFINITY, [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
         assert rep.all_project and rep.diameter == 2
 
-    def test_core_fails_to_project(self, torus):
-        rep = bgit_scan(torus, Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
+    def test_core_fails_to_project(self):
+        rep = bgit_scan(Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
         assert not rep.all_project and rep.diameter is None
 
-    def test_requires_geodesic(self, torus):
+    def test_requires_geodesic(self):
         with pytest.raises(ValueError):
-            bgit_scan(torus, INFINITY, [Slope(0, 1), Slope(5, 8)])
+            bgit_scan(INFINITY, [Slope(0, 1), Slope(5, 8)])
 
     def test_large_projection_forces_pit_stop(self, torus):
         # endpoints with annular distance above the empirical geodesic-image
@@ -100,7 +102,7 @@ class TestBgit:
                 continue
             checked += 1
             path = farey_geodesic(base, far)
-            assert site in path and not bgit_scan(torus, site, path).all_project
+            assert site in path and not bgit_scan(site, path).all_project
         assert checked > 20
 
 
@@ -250,52 +252,20 @@ class TestEstimateConstants:
         assert est.M_emp is not None and est.M_emp >= 2
         assert est.samples["B"][0] >= 1
 
+    # theorem-b's flags on seeds 8 to 14, and the `geometry` benchmark job's
+    @pytest.mark.parametrize("seed, n_triples, n_geodesics, qmax",
+                             [(seed, 1000, 300, 800) for seed in range(8, 15)]
+                             + [(0, 10000, 2000, 1000)])
+    def test_matches_the_slow_twins(self, seed, n_triples, n_geodesics, qmax):
+        assert estimate_constants(seed, n_triples, n_geodesics, qmax) \
+            == slow_estimate_constants(seed, n_triples, n_geodesics, qmax)
+
     def test_synthetic_constants_below_declared(self):
         sys_ = synthetic_system(6, seed=1, threshold=4)
         sites = [s for s in sys_.sites() if s.startswith("Y")]
         triples = [(a, b, c) for a in sites for b in sites for c in sites
                    if len({a, b, c}) == 3][:200]
-        assert behrstock_scan(sys_, triples).B_emp <= 1
-
-
-def pairwise_bgit_scan(system, site, geodesic):
-    """The O(L^2) `bgit_scan` that `path_diam` replaced: its slow twin."""
-    path = list(geodesic)
-    for u, v in zip(path, path[1:]):
-        if system.ambient_dist(u, v) != 1:
-            raise ValueError("input sequence is not an ambient geodesic")
-    if len(path) >= 2 and system.ambient_dist(path[0], path[-1]) != len(path) - 1:
-        raise ValueError("input sequence is not distance-realizing")
-    for v in path:
-        if not system.projects(site, v):
-            return BgitReport(False, None)
-    diam = 0
-    for i in range(len(path)):
-        for j in range(i, len(path)):
-            d = system.proj_dist(site, path[i], path[j])
-            if d > diam:
-                diam = d
-    return BgitReport(True, diam)
-
-
-def nine_call_behrstock_scan(system, triples):
-    """The `behrstock_scan` that made 9 distance calls per triple, three of
-    them repeats: its slow twin."""
-    worst = 0
-    count = 0
-    for triple in triples:
-        x, y, z = triple
-        for u, v in ((x, y), (y, z), (x, z)):
-            if not system.overlaps(u, v):
-                raise OverlapError(f"sites {u!r}, {v!r} do not overlap")
-        count += 1
-        for mid, o1, o2 in ((y, x, z), (x, y, z), (z, x, y)):
-            d_mid = system.proj_dist(mid, o1, o2)
-            d_max = max(system.proj_dist(o1, mid, o2), system.proj_dist(o2, mid, o1))
-            level = min(d_mid, d_max)
-            if level > worst:
-                worst = level
-    return BehrstockReport(count, worst + 1)
+        assert system_behrstock_scan(sys_, triples).B_emp <= 1
 
 
 def _outcome(fn, *args):
@@ -318,11 +288,25 @@ class TestBgitSlowTwin:
             else:
                 far = random_slope(rng, qmax)
             path = farey_geodesic(base, far)
-            rep = bgit_scan(torus, site, path)
+            rep = bgit_scan(site, path)
             assert rep == pairwise_bgit_scan(torus, site, path)
             projecting += rep.all_project
         assert projecting > 100
-        assert bgit_scan(torus, INFINITY, []) == pairwise_bgit_scan(torus, INFINITY, [])
+        assert bgit_scan(INFINITY, []) == pairwise_bgit_scan(torus, INFINITY, [])
+
+    # a gap, a repeated slope, a non-geodesic path of edges, and a geodesic
+    # through the site, whose refusal comes after the edge checks
+    @pytest.mark.parametrize("site, path, outcome", [
+        (INFINITY, [Slope(0, 1), Slope(5, 8)],
+         ("ValueError", "input sequence is not an ambient geodesic")),
+        (INFINITY, [Slope(0, 1), Slope(0, 1)],
+         ("ValueError", "input sequence is not an ambient geodesic")),
+        (Slope(2, 1), [INFINITY, Slope(0, 1), Slope(1, 1)],
+         ("ValueError", "input sequence is not distance-realizing")),
+        (Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)], BgitReport(False, None))])
+    def test_refusals_match_the_twin(self, torus, site, path, outcome):
+        assert _outcome(bgit_scan, site, path) \
+            == _outcome(pairwise_bgit_scan, torus, site, path) == outcome
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_geodesics(self, seed):
@@ -335,7 +319,7 @@ class TestBgitSlowTwin:
             site = rng.choice(sites)
             a, b = rng.choice(vertices), rng.choice(vertices)
             path = fast.ambient_geodesic(a, b)
-            rep = bgit_scan(fast, site, path)
+            rep = system_bgit_scan(fast, site, path)
             assert rep == pairwise_bgit_scan(slow, site, path)
             # a tree geodesic that misses the unit ball leaves in one direction
             assert rep.diameter in (None, 0)
@@ -350,28 +334,30 @@ class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
         triples = sample_overlapping_triples(400, random.Random(qmax), qmax=qmax)
-        assert behrstock_scan(torus, triples) == nine_call_behrstock_scan(torus, triples)
+        assert behrstock_scan(triples) == nine_call_behrstock_scan(torus, triples)
 
     @pytest.mark.parametrize("seed", [0, 1001])
-    def test_torus_at_the_estimate_size(self, torus, seed):
+    def test_torus_at_the_estimate_size(self, torus, seed, monkeypatch):
         """The two samples of `constants estimate --seed 0`: 10,000 triples
         at qmax 1000.  Once the worst level is reached, the scan reads the
-        third distance of a triple only when one of the first two exceeds
-        it, which is rare."""
+        third distance of a triple, through `farey.annular_distance`, only
+        when one of the first two exceeds it, which is rare."""
         triples = sample_overlapping_triples(10000, random.Random(seed), qmax=1000)
+        want = nine_call_behrstock_scan(torus, triples)
         calls = []
+        real = farey.annular_distance
 
-        class Counted(TorusAnnuli):
-            def proj_dist(self, site, a, b):
-                calls.append(site)
-                return super().proj_dist(site, a, b)
+        def counted(site, a, b):
+            calls.append(site)
+            return real(site, a, b)
 
-        assert behrstock_scan(Counted(), triples) == nine_call_behrstock_scan(torus, triples)
-        assert 2 * len(triples) <= len(calls) < 2.05 * len(triples)
+        monkeypatch.setattr(farey, "annular_distance", counted)
+        assert behrstock_scan(triples) == want
+        assert 0 < len(calls) < 0.05 * len(triples)
 
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
-        assert _outcome(behrstock_scan, torus, triples) \
+        assert _outcome(behrstock_scan, triples) \
             == _outcome(nine_call_behrstock_scan, torus, triples) \
             == ("OverlapError", "sites Slope(1/0), Slope(1/0) do not overlap")
 
@@ -383,7 +369,7 @@ class TestBehrstockSlowTwin:
         ((Slope(1, 4), Slope(1, 4), Slope(1, 4)), "Slope(1/4), Slope(1/4)")])
     def test_torus_overlap_error_names_the_first_pair(self, torus, bad, pair):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), bad]
-        assert _outcome(behrstock_scan, torus, triples) \
+        assert _outcome(behrstock_scan, triples) \
             == _outcome(nine_call_behrstock_scan, torus, triples) \
             == ("OverlapError", f"sites {pair} do not overlap")
 
@@ -397,7 +383,7 @@ class TestBehrstockSlowTwin:
             t = tuple(rng.sample(sites, 3))
             if all(fast.overlaps(u, v) for u, v in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))):
                 triples.append(t)
-        assert behrstock_scan(fast, triples) == nine_call_behrstock_scan(slow, triples)
+        assert system_behrstock_scan(fast, triples) == nine_call_behrstock_scan(slow, triples)
 
 
 def full_matrix_persistence_check(system, sequence, M, B):
