@@ -274,13 +274,15 @@ class ConstantEstimates:
 
 
 def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
+    """Lazy sample of `n` triples of distinct slopes of `random_slopes`.  It
+    stops right after the n-th triple, so it draws only for what it yields,
+    and a scan that reads it once holds one triple at a time."""
     draw = random_slopes(rng, qmax).__next__
-    triples = []
-    while len(triples) < n:
+    while n > 0:
         x, y, z = draw(), draw(), draw()
         if x != y and y != z and x != z:
-            triples.append((x, y, z))
-    return triples
+            yield x, y, z
+            n -= 1
 
 
 def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:

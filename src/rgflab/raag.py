@@ -76,12 +76,14 @@ def normal_form(graph: PresentationGraph, w: Word) -> Word:
     - otherwise (g, e) is a new maximal element.  Greedy order restricted to
       the old syllables is unchanged, and the new one is emitted as soon as it
       is available and less than the old choice: right before the earliest
-      scanned syllable with a larger generator, or at the end.
+      scanned syllable with a larger generator, or at the end.  A plain
+      tuple syllable goes in as itself, so the output shares it with `w`.
     """
     graph.check_word(w)
     neighbours = graph.neighbours
     out = []
-    for g, e in w:
+    for s in w:
+        g, e = s
         if not e:
             continue
         near = neighbours[g]
@@ -97,7 +99,7 @@ def normal_form(graph: PresentationGraph, w: Word) -> Word:
             else:
                 del out[j - 1]
         else:
-            out.insert(ins, (g, e))
+            out.insert(ins, s if type(s) is tuple else (g, e))
     return tuple(out)
 
 

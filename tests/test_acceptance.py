@@ -169,11 +169,12 @@ def test_04_twist_translation():
 
 
 def test_05_behrstock_scan():
-    # a sample has no violation at level B exactly when its B_emp <= B
-    sample1 = sample_overlapping_triples(10 ** 5, random.Random(21), qmax=10 ** 4)
-    b_emp = behrstock_scan(sample1).B_emp
-    sample2 = sample_overlapping_triples(10 ** 5, random.Random(22), qmax=10 ** 4)
-    fresh = behrstock_scan(sample2).B_emp
+    # a sample has no violation at level B exactly when its B_emp <= B; each
+    # sample is a stream that the scan reads once, one triple at a time
+    def sample(seed):
+        return sample_overlapping_triples(10 ** 5, random.Random(seed), qmax=10 ** 4)
+
+    b_emp, fresh = behrstock_scan(sample(21)).B_emp, behrstock_scan(sample(22)).B_emp
     report(5, fresh <= b_emp,
            f"B_emp={b_emp} on 10^5 triples; fresh 10^5 sample: B_emp={fresh}, so no "
            f"violations at B_emp (reference constant for genuine subsurface "

@@ -651,6 +651,20 @@ class TestRaagCommands:
                              tmp_path)
         assert code == PASS and lines[1]["normal_form"] == "x2"
 
+    def test_nf_report_is_pinned(self, tmp_path):
+        """Byte for byte, a report whose word reorders, drops a zero
+        exponent, cancels and merges."""
+        text = "x3 x2 x4^-2 x1 x2^-1 x4 x3^2 x2 x1^-1 x4^0 x2 x2^-1 x3^-1 x3^3"
+        edges = "[[0,1],[1,2],[2,3]]"
+        code, _, out = run(["raag", "nf", "--vertices", "4", "--edges", edges,
+                            "--word", text], tmp_path)
+        assert code == PASS
+        assert out.read_text() == (
+            f'{{"action": "nf", "command": "raag", "edges": "{edges}", "record": "config", '
+            f'"vertices": 4, "word": "{text}"}}\n'
+            f'{{"input": "{text}", "normal_form": '
+            f'"x2 x3 x4^-2 x1 x2^-1 x3^2 x4 x1^-1 x2 x3^2", "record": "raag-nf"}}\n')
+
     def test_empty_normal_form_prints_one(self, tmp_path):
         code, lines, _ = run(["raag", "nf", "--vertices", "2", "--word", "x1 x2 x2^-1 x1^-1"],
                              tmp_path)

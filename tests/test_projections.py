@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -260,6 +262,21 @@ class TestEstimateConstants:
         assert estimate_constants(seed, n_triples, n_geodesics, qmax) \
             == slow_estimate_constants(seed, n_triples, n_geodesics, qmax)
 
+    def test_memory_does_not_grow_with_the_sample(self):
+        """Each triple sample is a stream that `behrstock_scan` reads once,
+        so no list of triples is built: the traced peak at 50,000 triples is
+        within 0.5 MB of the peak at 5,000."""
+        def peak(n_triples):
+            tracemalloc.start()
+            try:
+                estimate_constants(seed=0, n_triples=n_triples, n_geodesics=10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(5_000), peak(50_000)
+        assert abs(large - small) <= 2 ** 19, (small, large)
+
     def test_synthetic_constants_below_declared(self):
         sys_ = synthetic_system(6, seed=1, threshold=4)
         sites = [s for s in sys_.sites() if s.startswith("Y")]
@@ -333,7 +350,7 @@ class TestBgitSlowTwin:
 class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
-        triples = sample_overlapping_triples(400, random.Random(qmax), qmax=qmax)
+        triples = list(sample_overlapping_triples(400, random.Random(qmax), qmax=qmax))
         assert behrstock_scan(triples) == nine_call_behrstock_scan(torus, triples)
 
     @pytest.mark.parametrize("seed", [0, 1001])
@@ -342,7 +359,7 @@ class TestBehrstockSlowTwin:
         at qmax 1000.  Once the worst level is reached, the scan reads the
         third distance of a triple, through `farey.annular_distance`, only
         when one of the first two exceeds it, which is rare."""
-        triples = sample_overlapping_triples(10000, random.Random(seed), qmax=1000)
+        triples = list(sample_overlapping_triples(10000, random.Random(seed), qmax=1000))
         want = nine_call_behrstock_scan(torus, triples)
         calls = []
         real = farey.annular_distance
@@ -562,6 +579,17 @@ def randrange_random_slope(rng, qmax):
             return Slope(p, q)
 
 
+def randrange_triples(rng, n, qmax):
+    """The eager `sample_overlapping_triples` over `randrange_random_slope`:
+    its slow twin."""
+    twin = []
+    while len(twin) < n:
+        x, y, z = (randrange_random_slope(rng, qmax) for _ in range(3))
+        if x != y and y != z and x != z:
+            twin.append((x, y, z))
+    return twin
+
+
 class TestRandomSlopeSlowTwin:
     @pytest.mark.parametrize("qmax", [1, 2, 50, 200, 800, 1000, 10 ** 4, 2 ** 20])
     @pytest.mark.parametrize("seed", range(10))
@@ -602,11 +630,16 @@ class TestSlopeStreamSlowTwin:
     @pytest.mark.parametrize("n", [0, 1, 250])
     def test_triples_leave_the_generator_state(self, n, qmax):
         fast, slow = random.Random(n + qmax), random.Random(n + qmax)
-        triples = sample_overlapping_triples(n, fast, qmax)
-        twin = []
-        while len(twin) < n:
-            x, y, z = (randrange_random_slope(slow, qmax) for _ in range(3))
-            if x != y and y != z and x != z:
-                twin.append((x, y, z))
-        assert triples == twin
+        triples = list(sample_overlapping_triples(n, fast, qmax))
+        assert triples == randrange_triples(slow, n, qmax)
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("qmax", [1, 100, 10 ** 4])
+    @pytest.mark.parametrize("k", [0, 1, 37, 249])
+    def test_a_partly_read_sample_draws_only_what_was_read(self, k, qmax):
+        """The sample is lazy: after k of its 250 triples, the generator is
+        where the `randrange` twin is after k triples."""
+        fast, slow = random.Random(k + qmax), random.Random(k + qmax)
+        taken = list(islice(sample_overlapping_triples(250, fast, qmax), k))
+        assert taken == randrange_triples(slow, k, qmax)
         assert fast.getstate() == slow.getstate()

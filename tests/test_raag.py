@@ -215,6 +215,60 @@ class TestNormalFormSlowTwin:
         assert normal_form(PresentationGraph.of(0, []), ()) == ()
 
 
+class TestSyllableReuse:
+    """An input syllable inserted unmerged goes into the output as itself
+    when it is a plain tuple; a merged syllable, or one of any other type,
+    is built anew as a tuple."""
+
+    def test_unmerged_tuple_syllables_come_back_as_themselves(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            g = random_graph(rng, max_n=8)
+            gens = list(range(g.n))
+            rng.shuffle(gens)
+            # no generator twice, so nothing merges
+            w = tuple((x, rng.choice((-2, -1, 1, 2))) for x in gens)
+            nf = normal_form(g, w)
+            assert sorted(map(id, nf)) == sorted(map(id, w))
+
+    def test_commuting_order_moves_the_input_objects(self):
+        g = PresentationGraph.of(2, [(0, 1)])
+        w = word((1, 1), (0, 1))
+        nf = normal_form(g, w)
+        assert nf == ((0, 1), (1, 1)) and nf[0] is w[1] and nf[1] is w[0]
+
+    def test_merge_builds_a_new_syllable(self):
+        g = PresentationGraph.of(3, [(0, 1), (1, 2)])
+        w = word((1, 1), (2, 1), (0, 1), (1, 1))
+        nf = normal_form(g, w)
+        assert nf == ((1, 2), (2, 1), (0, 1))
+        assert nf[1] is w[1] and nf[2] is w[2]
+        assert all(nf[0] is not s for s in w)
+
+    def test_cancel_drops_both_and_keeps_the_rest(self):
+        g = PresentationGraph.of(2, [(0, 1)])
+        w = word((0, 1), (1, 2), (0, -1))
+        nf = normal_form(g, w)
+        assert nf == ((1, 2),) and nf[0] is w[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_list_and_mixed_syllables_give_tuples(self, seed):
+        class Pair(tuple):
+            pass
+
+        rng = random.Random(seed)
+        for _ in range(200):
+            g = random_graph(rng, max_n=8)
+            w = random_word(rng, g.n, 30)
+            want = normal_form(g, w)
+            as_lists = [list(s) for s in w]
+            mixed = [rng.choice((list, tuple, Pair))(s) for s in w]
+            for given in (as_lists, mixed):
+                nf = normal_form(g, given)
+                assert nf == want
+                assert all(type(s) is tuple for s in nf)
+
+
 class TestPresentationGraph:
     def test_commute_truth_table(self):
         g = PresentationGraph.of(4, [(2, 0), (1, 3)])
