@@ -13,7 +13,6 @@ from fractions import Fraction
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
 from .bassserre import FactorSpec, free_product_check
-from .hypgraph import FareyOracle, gromov_product
 from .projections import TorusAnnuli, geodesic_image_bounds
 
 
@@ -41,19 +40,23 @@ class SeparationReport:
     ok: bool
 
 
+def _distance_table(bs: list) -> list:
+    """The matrix of Farey distances between the reducing systems `bs`: each
+    pair is computed once, above the diagonal, and mirrored."""
+    n = len(bs)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = farey.slope_set_distance(bs[i], bs[j])
+    return table
+
+
 def check_separated(family: FamilySpec, D: int) -> SeparationReport:
     """Pairwise curve-graph distances of the reducing systems against the
     threshold D.  Vacuous for a single factor."""
-    bs = family.boundaries()
-    n = len(bs)
-    matrix = [[0] * n for _ in range(n)]
-    minimum = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = farey.slope_set_distance(bs[i], bs[j])
-            matrix[i][j] = matrix[j][i] = d
-            if minimum is None or d < minimum:
-                minimum = d
+    matrix = _distance_table(family.boundaries())
+    n = len(matrix)
+    minimum = min((matrix[i][j] for i in range(n) for j in range(i + 1, n)), default=None)
     return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
 
 
@@ -67,24 +70,18 @@ class MisalignmentReport:
 
 def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
     """Gromov products over all distinct ordered triples of reducing systems
-    against the threshold; vacuous below three factors."""
+    against the threshold; vacuous below three factors.  Each product
+    (x_i | x_j)_{x_k} = (d_ik + d_jk - d_ij) / 2 is `hypgraph.gromov_product`
+    read from one `_distance_table`, so each pair's distance is computed once."""
     A = Fraction(A)
     bs = family.boundaries()
     n = len(bs)
     if n < 3:
         return MisalignmentReport({}, None, True, vacuous=True)
-    table = {}
-    minimum = None
-    oracle = FareyOracle()
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                g = gromov_product(bs[i], bs[j], bs[k], oracle)
-                table[(i, j, k)] = g
-                if minimum is None or g < minimum:
-                    minimum = g
+    d = _distance_table(bs)
+    table = {(i, j, k): Fraction(d[i][k] + d[j][k] - d[i][j], 2)
+             for k in range(n) for i in range(n) for j in range(n) if len({i, j, k}) == 3}
+    minimum = min(table.values())
     return MisalignmentReport(table, minimum, minimum >= A)
 
 
@@ -197,19 +194,23 @@ class GromovBoundReport:
 
 def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoundReport:
     """Max Gromov product (a | g a) based at the reducing system, against the
-    closed form 4 delta + (12 delta + 3) K + 5."""
+    closed form 4 delta + (12 delta + 3) K + 5.
+
+    Each element g of the factor fixes its reducing system dH, one slope on
+    the torus, and is an isometry, so d(g a, dH) = d(g a, g dH) = d(a, dH), and (a | g a)_dH =
+    (d(a, dH) + d(g a, dH) - d(a, g a)) / 2 = d(a, dH) - d(a, g a) / 2: one
+    distance per curve and one per element."""
     delta = Fraction(delta)
     K = Fraction(K)
     worst = Fraction(0)
     count = 0
     boundary = factor.boundary
-    oracle = FareyOracle()
     for a in sample_curves:
         if a == boundary:
             continue
+        d_bdry = farey.farey_distance(a, boundary)
         for g in factor.elements:
-            ga = act(g, a)
-            gp = gromov_product(a, ga, boundary, oracle)
+            gp = Fraction(2 * d_bdry - farey.farey_distance(a, act(g, a)), 2)
             count += 1
             if gp > worst:
                 worst = gp

@@ -150,19 +150,6 @@ def adjacent(a: Slope, b: Slope) -> bool:
     return abs(a.p * b.q - b.p * a.q) == 1
 
 
-def _xgcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    return old_r, old_x, old_y
-
-
 def conjugator_to_infinity(alpha: Slope) -> MappingClass:
     """The canonical determinant-one matrix sending alpha to 1/0.
 
@@ -423,22 +410,23 @@ def bounded_vertices(bound: int) -> list:
 
 
 def bounded_neighbors(s: Slope, bound: int) -> list:
-    """Neighbors of s in the subgraph of slopes with |p|, |q| <= bound."""
-    out = set()
+    """Neighbors of s in the subgraph of slopes with |p|, |q| <= bound.
+
+    For s = p/q with q >= 1 they are the slopes (r0 + t p)/(s0 + t q) over
+    the integers t with |s0 + t q| <= bound, where s0 = p^-1 mod q and
+    p s0 - q r0 = 1; the solutions of p s - q r = -1 are their negatives.
+    No vector is (p, q) or 0, whose determinants against (p, q) are 0, and
+    each is primitive, so it needs a sign fix only."""
     if s.is_infinity:
         return [Slope(n, 1) for n in range(-bound, bound + 1)]
-    p, q = s.p, s.q
-    _, x, y = _xgcd(p, q)
-    # p*(-y) - q*(-x) = ... solve p*s0 - q*r0 = +-1 with base (r0, s0)
-    for r0, s0 in ((-y, x), (y, -x)):
-        # family (r0 + t p, s0 + t q); q >= 1, since 1/0 returned above
-        lo = -(bound + s0) // q - 2
-        hi = (bound - s0) // q + 2
-        for t in range(lo, hi + 1):
-            r, sden = r0 + t * p, s0 + t * q
-            if abs(r) <= bound and abs(sden) <= bound and (r, sden) != (0, 0):
-                out.add(Slope.of(r, sden))
-    out.discard(s)
+    p, q = s
+    s0 = pow(p, -1, q)          # 0 when q = 1
+    r0 = (p * s0 - 1) // q
+    out = []
+    for t in range(-((bound + s0) // q), (bound - s0) // q + 1):
+        r, den = r0 + t * p, s0 + t * q
+        if abs(r) <= bound:
+            out.append(_new(Slope, (r, den) if den > 0 or (not den and r > 0) else (-r, -den)))
     return sorted(out, key=lambda v: (v.q, v.p))
 
 

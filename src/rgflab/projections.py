@@ -327,15 +327,16 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
     Each constant is the least value making its axiom hold on the sample and
     is re-validated on a disjoint fresh sample; `stable` records agreement.
     """
-    system = TorusAnnuli()
-
     def scan_B(r):
         return behrstock_scan(sample_overlapping_triples(n_triples, r, qmax)).B_emp
 
     def scan_c(r):
         # a draw with beta = site is skipped; a slope of `random_slopes(r, 50)`
         # repeats with probability 0.0013, so all 200 draws skip with
-        # probability below 10^-577 and the minimum is over a nonempty sample
+        # probability below 10^-577 and the minimum is over a nonempty sample.
+        # In the site's link T^n is x -> x + n, and beta projects to {x} when
+        # adjacent to the site, else to {floor x, floor x + 1}, so
+        # d_site(T^n beta, beta) = n + [beta not adjacent], read with no kernel
         ratios = []
         draw = random_slopes(r, 50).__next__
         for _ in range(200):
@@ -344,8 +345,7 @@ def estimate_constants(seed: int = 0, n_triples: int = 2000,
             if beta == site:
                 continue
             n = r.randrange(1, 100)
-            d = system.proj_dist(site, act(twist_about(site, n), beta), beta)
-            ratios.append(Fraction(d, n))
+            ratios.append(Fraction(n + (not farey.adjacent(site, beta)), n))
         return min(ratios)
 
     # estimate on one sample, re-validate on a disjoint fresh one: stable

@@ -34,7 +34,7 @@ class PresentationGraph:
         es = set()
         for i, j in edge_pairs:
             if not (type(i) is type(j) is int) or i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
+                raise ValueError(f"bad edge ({i!r}, {j!r})")
             es.add((min(i, j), max(i, j)))
         return PresentationGraph(n, frozenset(es))
 

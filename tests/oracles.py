@@ -15,7 +15,8 @@ from rgflab import farey
 from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat_mul,
                               word_matrix)
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
-from rgflab.hypgraph import bfs, gromov_product, point_to_path_distance
+from rgflab.constructions import GromovBoundReport, MisalignmentReport
+from rgflab.hypgraph import FareyOracle, bfs, gromov_product, point_to_path_distance
 from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
                                 random_slopes, sample_overlapping_triples)
@@ -591,6 +592,36 @@ def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
     return ConstantEstimates(M_emp=max(m1, m2), B_emp=max(b1, b2), c_emp=min(c1, c2),
                              samples={"B": (b1, b2), "M": (m1, m2), "c": (c1, c2)},
                              stable=(b2 <= b1) and (m2 <= m1) and (c2 >= c1))
+
+
+def triple_check_misaligned(family, A) -> MisalignmentReport:
+    """The slow twin of `constructions.check_misaligned`: one
+    `hypgraph.gromov_product` on a `FareyOracle`, three distance calls, per
+    distinct ordered triple."""
+    A = Fraction(A)
+    bs = family.boundaries()
+    n = len(bs)
+    if n < 3:
+        return MisalignmentReport({}, None, True, vacuous=True)
+    oracle = FareyOracle()
+    table = {(i, j, k): gromov_product(bs[i], bs[j], bs[k], oracle)
+             for k in range(n) for i in range(n) for j in range(n) if len({i, j, k}) == 3}
+    minimum = min(table.values())
+    return MisalignmentReport(table, minimum, minimum >= A)
+
+
+def oracle_gromov_bound_scan(factor, sample_curves, delta, K) -> GromovBoundReport:
+    """The slow twin of `constructions.gromov_bound_scan`: each product
+    (a | g a) at the reducing system is one `hypgraph.gromov_product` on a
+    `FareyOracle`, with no use of g fixing the reducing system."""
+    delta, K = Fraction(delta), Fraction(K)
+    oracle = FareyOracle()
+    products = [gromov_product(a, act(g, a), factor.boundary, oracle)
+                for a in sample_curves if a != factor.boundary for g in factor.elements]
+    worst = max([Fraction(0), *products])
+    closed = 4 * delta + (12 * delta + 3) * K + 5
+    return GromovBoundReport(worst, closed, worst <= closed, len(products))
+
 
 @dataclass
 class GeneralPersistenceReport:

@@ -117,6 +117,9 @@ BAD_INPUT_ROWS = [
      "usage error: bad --edges '[[0,true]]': ValueError('bad edge (0, True)')"),
     ("edge-bool-vertex-nf", ["raag", "nf", "--vertices", "3", "--edges", "[[0,true]]"],
      "usage error: bad --edges '[[0,true]]': ValueError('bad edge (0, True)')"),
+    # a string vertex read like the valid edge (0, 1)
+    ("edge-string-vertex", ["raag", "components", "--vertices", "2", "--edges", '[["0",1]]'],
+     "usage error: bad --edges '[[\"0\",1]]': ValueError(\"bad edge ('0', 1)\")"),
     # a relation has at least two syllables: a smaller budget searched
     # nothing and still reported "no_relation": true
     ("free-product-budget-negative",
@@ -617,6 +620,126 @@ def test_family_fuzz_exits_with_a_documented_code(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# --- the exit-code contract under a seeded fuzz of every action ------------
+
+# the record fields whose value false marks a failed check; a persistence
+# summary's `violations` count above 0 marks one too, and exit 1 needs one
+CHECK_FIELDS = {"ok", "valid", "agrees", "window_ok", "fails_at_2", "stabilize_ok",
+                "separation_ok", "conclusions_ok", "benchmark_half_dT_minus_4",
+                "kappa_given_ok", "separated_at_D", "misaligned_at_A", "no_relation",
+                "all_loxodromic"}
+FUZZ_ODD_VERTICES = [0.0, 1.0, 2.5, True, None, "0", [0]]
+FUZZ_WORD_TOKENS = ["x1", "x2^-1", "x3^2", "x1^0", "x2^+3"]
+FUZZ_BAD_TOKENS = ["x0", "x9", "y1", "x1^", "x1^a", "x1^2.0"]
+
+
+def failed_check(records) -> bool:
+    def failed(rec):
+        return any(v is False if k in CHECK_FIELDS else isinstance(v, dict) and failed(v)
+                   for k, v in rec.items()) or rec.get("violations", 0) > 0
+    return any(failed(rec) for rec in records)
+
+
+def action_flags():
+    """(command words, flags) of every action in `cli.COMMANDS`."""
+    return [([command] + ([action] if action else []), flags)
+            for command, (_, actions) in cli.COMMANDS.items()
+            for action, (_, flags) in actions.items()]
+
+
+def least_value(convert) -> int:
+    """The least value an integer flag's type accepts."""
+    for value in range(-1, 20):
+        try:
+            convert(str(value))
+            return value
+        except argparse.ArgumentTypeError:
+            pass
+    raise AssertionError("no least value below 20")
+
+
+def fuzz_value(name: str, kw: dict, rng: random.Random, families: list, dirt: float):
+    """A value for flag `name` drawn from its kind, valid or near the edge of
+    valid, or with probability `dirt` junk."""
+    kind = kw.get("type")
+    if rng.random() < dirt:
+        return rng.choice(["", "x", "1.5", "1e3", "[", "-"])
+    if "choices" in kw:
+        return rng.choice([*kw["choices"], "xml"])
+    if kind is cli._slope_arg:
+        return rng.choice([f"{rng.randint(-5, 5)}/{rng.randint(-2, 5)}", str(rng.randint(-9, 9)),
+                           "1/0", "-1/0", "355/113", "1/2/3", " 3/4"])
+    if kind is int:
+        return str(rng.randint(-3, 40))
+    if kind is not None:
+        return str(least_value(kind) + rng.choice([-1, 0, 1, 2]) if rng.random() < dirt
+                   else least_value(kind) + rng.choice([0, 1, 2, 3]))
+    if name == "--edges":
+        edges = rng.sample([[0, 1], [1, 2], [0, 2], [2, 3]], rng.randrange(4))
+        if edges and rng.random() < 0.5:
+            rng.choice(edges)[rng.randrange(2)] = rng.choice(FUZZ_ODD_VERTICES)
+        if rng.random() >= dirt:
+            return json.dumps(edges)
+        return rng.choice([json.dumps(edges)[:-1], json.dumps({"e": edges}),
+                           json.dumps([e[:1] for e in edges]), json.dumps([e + e for e in edges])])
+    if name == "--word":
+        return " ".join(rng.choice(FUZZ_BAD_TOKENS if rng.random() < dirt else FUZZ_WORD_TOKENS)
+                        for _ in range(rng.randrange(4)))
+    if name == "--family":
+        return rng.choice(families)
+    raise AssertionError(f"no fuzz kind for {name}")
+
+
+def fuzz_argv(words, flags, rng: random.Random, families: list, conf) -> list:
+    """argv for the action: each optional flag present with probability 0.8,
+    now and then an unknown flag or no required one, and some values moved
+    to a `--config` file, in a clean case as they are and in a dirty one with
+    a JSON type of their own."""
+    argv, config = list(words), {}
+    dirt = rng.choice([0, 0, 0.05, 0.3])
+    for name, kw in flags.items():
+        if rng.random() < (dirt if kw.get("required") or not name.startswith("--") else 0.2):
+            continue
+        value = fuzz_value(name, kw, rng, families, dirt)
+        if name.startswith("--") and rng.random() < 0.15:
+            config[name[2:].replace("-", "_")] = rng.choice(
+                [[value], {"v": value}, True, None, 2.5, 7] if rng.random() < dirt else [value])
+        elif name.startswith("--"):
+            argv.append(f"{name}={value}")
+        else:
+            argv.append(value)
+    if rng.random() < dirt:
+        argv.append("--bogus")
+    if config:
+        conf.write_text(json.dumps(config))
+        argv += ["--config", str(conf)]
+    return argv
+
+
+@pytest.mark.parametrize("words, flags", action_flags(),
+                         ids=["-".join(words) for words, _ in action_flags()])
+def test_exit_code_fuzz(words, flags, family_file, tmp_path, capsys, monkeypatch):
+    # seeded argv for each action from its flags' kinds, run in process: an
+    # exit code of the contract and no traceback, and exit 1 only with a
+    # record whose check failed
+    monkeypatch.delenv("RGFLAB_SEED", raising=False)
+    one, junk = tmp_path / "one.json", tmp_path / "junk.json"
+    one.write_text(json.dumps(ONE_TWIST))
+    junk.write_text('{"factors": [{"name": 1}]}')
+    families = [family_file, str(one), str(junk), str(tmp_path / "missing.json")]
+    rng = random.Random(" ".join(words))
+    for case in range(30):
+        argv = fuzz_argv(words, flags, rng, families, tmp_path / "conf.json")
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (PASS, FAIL, USAGE, NO_VERDICT) and "Traceback" not in err, (argv, err)
+        if code == FAIL:
+            if not out.startswith("{"):    # a CSV run writes no records
+                main(argv + ["--format", "json"])
+                out = capsys.readouterr().out
+            assert failed_check(json.loads(line) for line in out.splitlines()), (argv, out)
+
+
 class TestSeedHandling:
     def test_seed_required_for_sampled(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RGFLAB_SEED", raising=False)
@@ -953,6 +1076,19 @@ class TestExperiments:
         assert by_rec["example92-separation"]["ok"]
         assert by_rec["example92-misalignment"]["fails_at_2"]
         assert by_rec["example92-relation"]["found"]
+
+    @pytest.mark.parametrize("budget, code", [(2, NO_VERDICT), (3, NO_VERDICT), (4, PASS)])
+    def test_example92_relation_search_out_of_budget(self, budget, code, tmp_path):
+        # separation holds and misalignment fails at every budget; a search
+        # that finds no relation within its budget disproves nothing, so it
+        # gives no verdict, where it exited 1
+        got, lines, _ = run(["experiment", "example92", "--seed", "7", "--budget", str(budget)],
+                            tmp_path)
+        by_rec = {l["record"]: l for l in lines}
+        assert got == code
+        assert by_rec["example92-separation"]["ok"]
+        assert by_rec["example92-misalignment"]["fails_at_2"]
+        assert by_rec["example92-relation"]["found"] == (code == PASS)
 
     def test_prop91_small(self, tmp_path):
         code, lines, _ = run(["experiment", "prop91", "--dprime", "12",

@@ -13,6 +13,8 @@ from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, ch
 from rgflab.hypgraph import FareyOracle, gromov_product
 from rgflab.projections import estimate_constants, random_slope
 
+from oracles import oracle_gromov_bound_scan, triple_check_misaligned
+
 
 class TestSeparation:
     def test_adjacent_twist_groups_fail(self):
@@ -61,6 +63,46 @@ class TestMisalignment:
         g = gromov_product(a, b, c, FareyOracle())
         want = Fraction(farey_distance(c, a) + farey_distance(b, c) - farey_distance(a, b), 2)
         assert g == want
+
+
+def three_factor_families():
+    """The three-factor families of these tests and of `tests/test_cli.py`:
+    collinear, one slope twice, and spread along a geodesic."""
+    a = Slope(0, 1)
+    return [FamilySpec([FactorSpec.twist("A", a), FactorSpec.twist("M", slope_at_distance(a, 4)),
+                        FactorSpec.twist("B", slope_at_distance(a, 8))]),
+            FamilySpec([FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
+                        FactorSpec.twist("C", Slope(5, 8), power=2)]),
+            FamilySpec([FactorSpec.twist("A", a, budget=2),
+                        FactorSpec.twist("B", slope_at_distance(a, 6), budget=2),
+                        FactorSpec.twist("C", slope_at_distance(a, 12), budget=2)])]
+
+
+class TestDistanceTableTwins:
+    # the products read from one distance table, and at a fixed curve, equal
+    # the per-triple `gromov_product` on a `FareyOracle`
+
+    @pytest.mark.parametrize("family", ["prop91", "example92", "three-factor"])
+    def test_misaligned_matches_the_per_triple_twin(self, family):
+        if family == "prop91":
+            families = [twist_orbit_family(20, window=5, seed=7).family]
+        elif family == "example92":
+            families = [conjugate_twist_family(8, seed=7).family]
+        else:
+            families = three_factor_families()
+        for fam in families:
+            for A in (2, 8, 40):
+                assert check_misaligned(fam, A) == triple_check_misaligned(fam, A)
+
+    @pytest.mark.parametrize("seed", [0, *range(8, 15)])
+    def test_gromov_bound_scan_matches_the_twin(self, seed):
+        # theorem-b's factor and curve sample at its default flags
+        rng = random.Random(seed + 7)
+        curves = [random_slope(rng, 200) for _ in range(60)]
+        factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
+        K = definite_distance_scan(factor, curves, 3).K_emp
+        rep = gromov_bound_scan(factor, curves, 1, K)
+        assert rep == oracle_gromov_bound_scan(factor, curves, 1, K)
 
 
 class TestDisplacing:

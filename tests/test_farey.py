@@ -953,6 +953,16 @@ class TestBoundedSubgraph:
                 assert adjacent(s, nb)
                 assert abs(nb.p) <= 10 and nb.q <= 10
 
+    def test_neighbors_match_brute_force_adjacency(self):
+        # one progression (r0 + t p)/(s0 + t q) gives every neighbour in the
+        # box, in order, for a slope inside the box or outside it
+        for bound in range(1, 14):
+            verts = bounded_vertices(bound)
+            outside = [Slope(bound + 1, 1), Slope(1, bound + 1), Slope(-355, 113), Slope(7, 50)]
+            for s in verts + outside:
+                expected = sorted((v for v in verts if adjacent(s, v)), key=lambda v: (v.q, v.p))
+                assert bounded_neighbors(s, bound) == expected, (s, bound)
+
     def test_neighbor_completeness(self):
         # every bounded vertex adjacent to s appears
         bound = 8

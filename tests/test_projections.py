@@ -7,7 +7,7 @@ import pytest
 
 from rgflab import farey
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
-    farey_geodesic, link_span, twist_about
+    farey_geodesic, is_geodesic, link_span, twist_about
 from rgflab.constructions import slope_at_distance
 from rgflab.projections import (BgitReport, OverlapError, PersistenceReport, TorusAnnuli,
                                 behrstock_scan, bgit_scan,
@@ -87,6 +87,16 @@ class TestBgit:
     def test_requires_geodesic(self):
         with pytest.raises(ValueError):
             bgit_scan(INFINITY, [Slope(0, 1), Slope(5, 8)])
+
+    def test_a_geodesic_farey_geodesic_does_not_pick_has_image_four(self):
+        # 1/2, 1, 2, 3, 7/2 avoids 1/0 and projects there with diameter 4,
+        # while `farey_geodesic` between its ends goes through 1/0: a
+        # sampled M of 3 bounds only the geodesics that `farey_geodesic`
+        # picks, and a bound for every geodesic must be at least 4
+        path = [Slope(1, 2), Slope(1, 1), Slope(2, 1), Slope(3, 1), Slope(7, 2)]
+        assert is_geodesic(path) and farey_distance(path[0], path[-1]) == 4
+        assert bgit_scan(INFINITY, path) == BgitReport(True, 4)
+        assert INFINITY in farey_geodesic(path[0], path[-1])
 
     def test_large_projection_forces_pit_stop(self, torus):
         # endpoints with annular distance above the empirical geodesic-image
@@ -261,6 +271,14 @@ class TestEstimateConstants:
     def test_matches_the_slow_twins(self, seed, n_triples, n_geodesics, qmax):
         assert estimate_constants(seed, n_triples, n_geodesics, qmax) \
             == slow_estimate_constants(seed, n_triples, n_geodesics, qmax)
+
+    def test_c_samples_meet_both_branches(self):
+        # d_site(T^n beta, beta) = n + [beta not adjacent to the site]: on the
+        # seeds above, some c sample is 1, from an adjacent beta, and some is
+        # (n + 1)/n, from a sample with no adjacent beta, so the twin
+        # comparison checks both terms (the c samples read no other flag)
+        cs = [c for seed in range(8, 15) for c in estimate_constants(seed, 1, 1, 1).samples["c"]]
+        assert 1 in cs and any(c > 1 for c in cs)
 
     def test_memory_does_not_grow_with_the_sample(self):
         """Each triple sample is a stream that `behrstock_scan` reads once,
