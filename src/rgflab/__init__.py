@@ -14,6 +14,6 @@ from .bassserre import FactorSpec, build_ball, free_product_check, \
     loxodromic_scan, phi, pingpong_certificate, qi_certificate, tree_distance
 from .constructions import FamilySpec, check_displacing, check_misaligned, \
     check_separated, conjugate_twist_family, definite_distance_scan, \
-    gromov_bound_scan, separation_constants, twist_orbit_family
+    displacement_table, gromov_bound_scan, separation_constants, twist_orbit_family
 
 __version__ = "0.1.0"

@@ -431,8 +431,9 @@ def cmd_theorem_b(args):
     curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
     factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
     delta = Fraction(args.delta)
-    dd = constructions.definite_distance_scan(factor, curves, est.M_emp)
-    gb = constructions.gromov_bound_scan(factor, curves, delta, dd.K_emp)
+    table = constructions.displacement_table(factor, curves)
+    dd = constructions.definite_distance_scan(table, est.M_emp)
+    gb = constructions.gromov_bound_scan(table, delta, dd.K_emp)
     A, D = separation_constants(gb.Kp_emp, delta)
     records = [{"record": "theorem-b-constants", "M_emp": est.M_emp,
                 "B_emp": est.B_emp, "c_emp": est.c_emp, "delta": delta,

@@ -41,8 +41,8 @@ class SeparationReport:
 
 
 def _distance_table(bs: list) -> list:
-    """The matrix of Farey distances between the reducing systems `bs`: each
-    pair is computed once, above the diagonal, and mirrored."""
+    """The matrix of Farey distances between the curve systems `bs` of a
+    family: each pair is computed once, above the diagonal, and mirrored."""
     n = len(bs)
     table = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -51,13 +51,16 @@ def _distance_table(bs: list) -> list:
     return table
 
 
-def check_separated(family: FamilySpec, D: int) -> SeparationReport:
-    """Pairwise curve-graph distances of the reducing systems against the
-    threshold D.  Vacuous for a single factor."""
-    matrix = _distance_table(family.boundaries())
+def _separation(matrix: list, D: int) -> SeparationReport:
     n = len(matrix)
     minimum = min((matrix[i][j] for i in range(n) for j in range(i + 1, n)), default=None)
     return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
+
+
+def check_separated(family: FamilySpec, D: int) -> SeparationReport:
+    """Pairwise curve-graph distances of the reducing systems against the
+    threshold D.  Vacuous for a single factor."""
+    return _separation(_distance_table(family.boundaries()), D)
 
 
 @dataclass
@@ -68,21 +71,24 @@ class MisalignmentReport:
     vacuous: bool = False
 
 
-def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
-    """Gromov products over all distinct ordered triples of reducing systems
-    against the threshold; vacuous below three factors.  Each product
-    (x_i | x_j)_{x_k} = (d_ik + d_jk - d_ij) / 2 is `hypgraph.gromov_product`
-    read from one `_distance_table`, so each pair's distance is computed once."""
+def _misalignment(d: list, A) -> MisalignmentReport:
+    """Each product (x_i | x_j)_{x_k} = (d_ik + d_jk - d_ij) / 2 is
+    `hypgraph.gromov_product` read from the distance table `d`."""
     A = Fraction(A)
-    bs = family.boundaries()
-    n = len(bs)
+    n = len(d)
     if n < 3:
         return MisalignmentReport({}, None, True, vacuous=True)
-    d = _distance_table(bs)
     table = {(i, j, k): Fraction(d[i][k] + d[j][k] - d[i][j], 2)
              for k in range(n) for i in range(n) for j in range(n) if len({i, j, k}) == 3}
     minimum = min(table.values())
     return MisalignmentReport(table, minimum, minimum >= A)
+
+
+def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
+    """Gromov products over all distinct ordered triples of reducing systems
+    against the threshold; vacuous below three factors.  The products read
+    one `_distance_table`, so each pair's distance is computed once."""
+    return _misalignment(_distance_table(family.boundaries()), A)
 
 
 @dataclass
@@ -117,11 +123,7 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     n = len(family.factors)
     stab_ok = all(act(h, family.beta(j)) == family.beta(j)
                   for j, f in enumerate(family.factors) for h in f.elements)
-    sep_ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if farey.slope_set_distance(family.beta(i), family.beta(j)) < 5:
-                sep_ok = False
+    sep_ok = _separation(_distance_table([family.beta(i) for i in range(n)]), 5).ok
 
     misses = []
     min_margin = None
@@ -162,22 +164,29 @@ class DefiniteDistanceReport:
     samples: int
 
 
-def definite_distance_scan(factor: FactorSpec, sample_curves, M_emp: int) -> DefiniteDistanceReport:
-    """Least K with d(a, g a) >= (d(a, dH) - 3) / K over the sample; vacuous
-    samples (right side <= 0) are skipped."""
+def displacement_table(factor: FactorSpec, sample_curves) -> list:
+    """(d(a, dH), [d(a, g a) for g in the factor's elements]) for each sample
+    curve a but the reducing system dH: the distances that
+    `definite_distance_scan` and `gromov_bound_scan` both read, taken once."""
+    boundary = factor.boundary
+    return [(farey.farey_distance(a, boundary),
+             [farey.farey_distance(a, act(g, a)) for g in factor.elements])
+            for a in sample_curves if a != boundary]
+
+
+def definite_distance_scan(table: list, M_emp: int) -> DefiniteDistanceReport:
+    """Least K with d(a, g a) >= (d(a, dH) - 3) / K over a
+    `displacement_table`; vacuous samples (right side <= 0) are skipped."""
     worst = Fraction(1)
     count = 0
-    boundary = factor.boundary
-    for a in sample_curves:
-        d_bdry = farey.slope_set_distance(a, boundary)
+    for d_bdry, moved in table:
         if d_bdry <= 3:
             continue
-        for g in factor.elements:
-            moved = farey.farey_distance(a, act(g, a))
+        for d in moved:
             count += 1
-            if moved == 0:
+            if d == 0:
                 raise AssertionError("infinite-order element fixed a far curve")
-            k = Fraction(d_bdry - 3, moved)
+            k = Fraction(d_bdry - 3, d)
             if k > worst:
                 worst = k
     closed = Fraction(M_emp + 3, 2)
@@ -192,9 +201,9 @@ class GromovBoundReport:
     samples: int
 
 
-def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoundReport:
-    """Max Gromov product (a | g a) based at the reducing system, against the
-    closed form 4 delta + (12 delta + 3) K + 5.
+def gromov_bound_scan(table: list, delta, K) -> GromovBoundReport:
+    """Max Gromov product (a | g a) based at the reducing system over a
+    `displacement_table`, against the closed form 4 delta + (12 delta + 3) K + 5.
 
     Each element g of the factor fixes its reducing system dH, one slope on
     the torus, and is an isometry, so d(g a, dH) = d(g a, g dH) = d(a, dH), and (a | g a)_dH =
@@ -204,13 +213,9 @@ def gromov_bound_scan(factor: FactorSpec, sample_curves, delta, K) -> GromovBoun
     K = Fraction(K)
     worst = Fraction(0)
     count = 0
-    boundary = factor.boundary
-    for a in sample_curves:
-        if a == boundary:
-            continue
-        d_bdry = farey.farey_distance(a, boundary)
-        for g in factor.elements:
-            gp = Fraction(2 * d_bdry - farey.farey_distance(a, act(g, a)), 2)
+    for d_bdry, moved in table:
+        for d in moved:
+            gp = Fraction(2 * d_bdry - d, 2)
             count += 1
             if gp > worst:
                 worst = gp
@@ -301,10 +306,10 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
             alpha_k = act(twist_about(y, k * N), base)
             factors.append(FactorSpec.twist(f"H{k}N", alpha_k, budget=factor_budget))
         fam = FamilySpec(factors)
-        sep = check_separated(fam, D)
-        mis = check_misaligned(fam, D)
+        d = _distance_table(fam.boundaries())     # one table for both reports
+        sep, mis = _separation(d, D), _misalignment(d, D)
         window_ok = all(
-            2 * dprime - 6 <= sep.matrix[i][j] <= 2 * dprime + 4
+            2 * dprime - 6 <= d[i][j] <= 2 * dprime + 4
             for i in range(len(ks)) for j in range(i + 1, len(ks)))
         if sep.ok and (mis.vacuous or mis.ok) and window_ok:
             return TwistOrbitFamily(fam, y, dprime, D, N, ks, sep, mis, window_ok,
@@ -354,8 +359,8 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     f_conj = FactorSpec.twist("THbT^-1", t_beta, budget=factor_budget)
     fam = FamilySpec([f_alpha, f_beta, f_conj])
 
-    sep = check_separated(fam, D)
-    mis = check_misaligned(fam, 2)
+    d = _distance_table(fam.boundaries())
+    sep, mis = _separation(d, D), _misalignment(d, 2)
 
     rep = free_product_check(fam.factors, budget=relation_budget)
     return ConjugateTwistFindings(fam, T, sep, mis, rep.witness,

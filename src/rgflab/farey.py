@@ -362,29 +362,45 @@ def link_span(alpha: Slope, path):
 
 def annular_distance(alpha: Slope, beta: Slope, gamma: Slope) -> int:
     """Diameter in Z of the union of the projections of beta and gamma to the
-    annulus about alpha; `EmptyProjectionError` when either is alpha.
+    annulus about alpha, as 1 + the number of link vertices between them;
+    `EmptyProjectionError` when either is alpha.
 
-    One pass reads the entries of `conjugator_to_infinity(alpha)` in place,
-    with no matrix built: for alpha = p/q with q >= 1 the conjugator is
-    [[a, b], [-q, p]] with a = p^-1 mod q and b = (1 - ap)/q, and at 1/0 it
-    is the identity, so each slope is its own image.  Any matrix sending
-    alpha to 1/0 gives the same diameter.  A reduced slope's image has
-    denominator zero exactly when the slope is alpha, so that is the test.
+    For alpha = p/q, q >= 1, with conjugator C = [[a, b], [-q, p]] and
+    a = p^-1 mod q, write v = p s - q r = det(alpha, beta) for beta = (r, s):
+    v = 0 exactly when beta = alpha.  As b q = 1 - a p, C.beta =
+    (a r + b s)/v = s/(q v) - a/q, so q (C.beta) + a = s/v.  The link vertex
+    n is C^-1 (n, 1) = (p n - b, q n + a), of denominator m = q n + a, so n is
+    strictly between C.beta and C.gamma exactly when m is strictly between
+    s/v and s'/t, t = det(alpha, gamma).  Since ceil(max) - floor(min) = 1 +
+    #(integers strictly between) for the distinct images of distinct slopes,
+      d_alpha(beta, gamma) = 1 + #{m strictly between s/v and s'/t : q | p m - 1}.
+    Equal floors of s/v and s'/t give 1, one candidate m is tested by
+    (p m - 1) % q, and only two or more take a = pow(p, -1, q) to count the
+    m in (lo, hi] as (hi - a)//q - (lo - a)//q.  The one image of beta = gamma
+    has diameter 0 when |v| = 1 and 1 otherwise (s/v may be an integer with
+    |v| > 1).  At 1/0, C is the identity: v = s, the images are r/s, and
+    every integer is a link vertex.
     """
-    (bp, bq), (gp, gq) = beta, gamma
+    (r, s), (r2, s2) = beta, gamma
     p, q = alpha
-    if q:
-        a = pow(p, -1, q)
-        b = (1 - a * p) // q
-        bp, bq = a * bp + b * bq, p * bq - q * bp
-        gp, gq = a * gp + b * gq, p * gq - q * gp
-    if not (bq and gq):
-        raise EmptyProjectionError(f"one side does not project to {alpha}" if bq or gq
+    v, t = p * s - q * r, p * s2 - q * r2
+    if not (v and t):
+        raise EmptyProjectionError(f"one side does not project to {alpha}" if v or t
                                    else f"nothing projects to the annulus about {alpha}")
-    lo_b, r_b = divmod(bp, bq)
-    lo_g, r_g = divmod(gp, gq)
-    hi_b, hi_g = (lo_b + 1 if r_b else lo_b), (lo_g + 1 if r_g else lo_g)
-    return (hi_b if hi_b > hi_g else hi_g) - (lo_b if lo_b < lo_g else lo_g)
+    lo, m = divmod(s if q else r, v)
+    hi, n = divmod(s2 if q else r2, t)
+    if lo == hi:
+        return 0 if v in (1, -1) and beta == gamma else 1
+    if lo > hi:
+        lo, hi, n = hi, lo, m
+    if not n:
+        hi -= 1                         # an integer end is not strictly between
+    if not q:
+        return 1 + hi - lo
+    if hi - lo < 2:
+        return 1 + (hi > lo and not (p * hi - 1) % q)
+    a = pow(p, -1, q)
+    return 1 + (hi - a) // q - (lo - a) // q
 
 
 def slope_set_distance(a: Slope, b: Slope) -> int:

@@ -8,8 +8,8 @@ projection distance d_Y(a, b) is the diameter of the union of the two
 projections, so it is symmetric in a and b.  A site is itself an object, so
 the checks pass sites straight to `proj_dist` and `ambient_dist`.  The
 instance is the annuli in the Farey graph, whose sites and objects are
-slopes: `persistence_check` takes any system, the two scans read the Farey
-arithmetic in place.  All checks take thresholds (M, B) explicitly.
+slopes: `persistence_check` takes any system, the two scans call the Farey
+kernels directly.  All checks take thresholds (M, B) explicitly.
 """
 
 from __future__ import annotations
@@ -77,12 +77,10 @@ def behrstock_scan(triples) -> BehrstockReport:
     With d_1 <= d_2 <= d_3 sorted: for i = 3 and for i = 2 the term is
     min(d_i, d_3 or d_2) = d_2, and for i = 1 it is d_1 <= d_2; ties change
     nothing.  So when the first two are at most the worst level so far, so
-    is the median, and the third is not read.  The first two are read in
-    place, as `farey.annular_distance` reads them, from the entries of the
-    site's conjugator: [[a, b], [-q, p]] with a = p^-1 mod q and
-    b = (1 - ap)/q, or the identity at 1/0.  The sites are distinct, so no
-    denominator vanishes; the rare third read calls `annular_distance`.
+    is the median, and the third is not read.  Each read is one
+    `farey.annular_distance`, which finds the usual distance 1 from two floors.
     """
+    dist = farey.annular_distance
     worst = 0
     count = 0
     for x, y, z in triples:
@@ -90,29 +88,9 @@ def behrstock_scan(triples) -> BehrstockReport:
             u = x if x in (y, z) else y
             raise OverlapError(f"sites {u!r}, {u!r} do not overlap")
         count += 1
-        (xp, xq), (yp, yq), (zp, zq) = x, y, z
-        if xq:      # d_x(y, z), from the images of y and z
-            a = pow(xp, -1, xq)
-            b = (1 - a * xp) // xq
-            u, v, w, t = a * yp + b * yq, xp * yq - xq * yp, a * zp + b * zq, xp * zq - xq * zp
-        else:
-            u, v, w, t = yp, yq, zp, zq
-        l1, m1 = divmod(u, v)
-        l2, m2 = divmod(w, t)
-        h1, h2 = (l1 + 1 if m1 else l1), (l2 + 1 if m2 else l2)
-        d1 = (h1 if h1 > h2 else h2) - (l1 if l1 < l2 else l2)
-        if yq:      # d_y(x, z), from the images of x and z
-            a = pow(yp, -1, yq)
-            b = (1 - a * yp) // yq
-            u, v, w, t = a * xp + b * xq, yp * xq - yq * xp, a * zp + b * zq, yp * zq - yq * zp
-        else:
-            u, v, w, t = xp, xq, zp, zq
-        l1, m1 = divmod(u, v)
-        l2, m2 = divmod(w, t)
-        h1, h2 = (l1 + 1 if m1 else l1), (l2 + 1 if m2 else l2)
-        d2 = (h1 if h1 > h2 else h2) - (l1 if l1 < l2 else l2)
+        d1, d2 = dist(x, y, z), dist(y, x, z)
         if d1 > worst or d2 > worst:
-            worst = max(worst, sorted((d1, d2, farey.annular_distance(z, x, y)))[1])
+            worst = max(worst, sorted((d1, d2, dist(z, x, y)))[1])
     return BehrstockReport(count, worst + 1)
 
 

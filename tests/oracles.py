@@ -15,7 +15,7 @@ from rgflab import farey
 from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat_mul,
                               word_matrix)
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
-from rgflab.constructions import GromovBoundReport, MisalignmentReport
+from rgflab.constructions import DefiniteDistanceReport, GromovBoundReport, MisalignmentReport
 from rgflab.hypgraph import FareyOracle, bfs, gromov_product, point_to_path_distance
 from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
@@ -608,6 +608,16 @@ def triple_check_misaligned(family, A) -> MisalignmentReport:
              for k in range(n) for i in range(n) for j in range(n) if len({i, j, k}) == 3}
     minimum = min(table.values())
     return MisalignmentReport(table, minimum, minimum >= A)
+
+
+def oracle_definite_distance_scan(factor, sample_curves, M_emp) -> DefiniteDistanceReport:
+    """The slow twin of `constructions.definite_distance_scan`: it measures
+    d(a, dH) and each d(a, g a) per curve, with no shared table."""
+    ks = [Fraction(d_bdry - 3, farey.farey_distance(a, act(g, a)))
+          for a in sample_curves
+          for d_bdry in [farey.slope_set_distance(a, factor.boundary)] if d_bdry > 3
+          for g in factor.elements]
+    return DefiniteDistanceReport(max([Fraction(1), *ks]), Fraction(M_emp + 3, 2), len(ks))
 
 
 def oracle_gromov_bound_scan(factor, sample_curves, delta, K) -> GromovBoundReport:

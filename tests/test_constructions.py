@@ -7,13 +7,14 @@ from rgflab.farey import INFINITY, Slope, farey_distance
 from rgflab.bassserre import FactorSpec, word_matrix
 from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
-                                  definite_distance_scan, gromov_bound_scan,
-                                  separation_constants, slope_at_distance,
+                                  definite_distance_scan, displacement_table,
+                                  gromov_bound_scan, separation_constants, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.hypgraph import FareyOracle, gromov_product
 from rgflab.projections import estimate_constants, random_slope
 
-from oracles import oracle_gromov_bound_scan, triple_check_misaligned
+from oracles import oracle_definite_distance_scan, oracle_gromov_bound_scan, \
+    triple_check_misaligned
 
 
 class TestSeparation:
@@ -94,15 +95,29 @@ class TestDistanceTableTwins:
             for A in (2, 8, 40):
                 assert check_misaligned(fam, A) == triple_check_misaligned(fam, A)
 
+    @pytest.mark.parametrize("dprime, window", [(12, 2), (12, 3), (20, 5)])
+    def test_twist_orbit_reports_match_the_checks(self, dprime, window):
+        # the family's two reports read one table; each check builds its own
+        tw = twist_orbit_family(dprime, window=window, M_emp=3)
+        assert tw.separation == check_separated(tw.family, tw.D)
+        assert tw.misalignment == check_misaligned(tw.family, tw.D)
+
+    def test_conjugate_twist_reports_match_the_checks(self):
+        found = conjugate_twist_family(8, seed=7)
+        assert found.separation == check_separated(found.family, found.D)
+        assert found.misalignment == check_misaligned(found.family, 2)
+
     @pytest.mark.parametrize("seed", [0, *range(8, 15)])
     def test_gromov_bound_scan_matches_the_twin(self, seed):
         # theorem-b's factor and curve sample at its default flags
         rng = random.Random(seed + 7)
         curves = [random_slope(rng, 200) for _ in range(60)]
         factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
-        K = definite_distance_scan(factor, curves, 3).K_emp
-        rep = gromov_bound_scan(factor, curves, 1, K)
-        assert rep == oracle_gromov_bound_scan(factor, curves, 1, K)
+        table = displacement_table(factor, curves)
+        dd = definite_distance_scan(table, 3)
+        assert dd == oracle_definite_distance_scan(factor, curves, 3)
+        rep = gromov_bound_scan(table, 1, dd.K_emp)
+        assert rep == oracle_gromov_bound_scan(factor, curves, 1, dd.K_emp)
 
 
 class TestDisplacing:
@@ -154,21 +169,21 @@ class TestConstantScans:
         factor = FactorSpec.twist("H", INFINITY, power=1, budget=2)
         rng = random.Random(0)
         curves = [random_slope(rng, 100) for _ in range(60)]
-        rep = definite_distance_scan(factor, curves, M_emp=3)
+        rep = definite_distance_scan(displacement_table(factor, curves), M_emp=3)
         assert rep.K_emp >= 1
         assert rep.K_closed_form == Fraction(3 + 3, 2)
 
     def test_close_curves_vacuous(self):
         factor = FactorSpec.twist("H", INFINITY, power=2, budget=1)
-        rep = definite_distance_scan(factor, [Slope(0, 1), Slope(1, 1)], M_emp=3)
+        rep = definite_distance_scan(displacement_table(factor, [Slope(0, 1), Slope(1, 1)]), M_emp=3)
         assert rep.samples == 0 and rep.K_emp == 1
 
     def test_gromov_bound_scan(self):
         factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
         rng = random.Random(1)
         curves = [random_slope(rng, 200) for _ in range(80)]
-        dd = definite_distance_scan(factor, curves, M_emp=3)
-        rep = gromov_bound_scan(factor, curves, delta=1, K=dd.K_emp)
+        dd = definite_distance_scan(displacement_table(factor, curves), M_emp=3)
+        rep = gromov_bound_scan(displacement_table(factor, curves), delta=1, K=dd.K_emp)
         assert rep.within_closed_form
         assert rep.Kp_emp >= 0
 
@@ -176,8 +191,8 @@ class TestConstantScans:
         factor = FactorSpec.twist("H", INFINITY, power=2, budget=2)
         rng = random.Random(2)
         curves = [random_slope(rng, 100) for _ in range(60)]
-        small = gromov_bound_scan(factor, curves[:20], delta=1, K=1).Kp_emp
-        big = gromov_bound_scan(factor, curves, delta=1, K=1).Kp_emp
+        small = gromov_bound_scan(displacement_table(factor, curves[:20]), delta=1, K=1).Kp_emp
+        big = gromov_bound_scan(displacement_table(factor, curves), delta=1, K=1).Kp_emp
         assert big >= small
 
 

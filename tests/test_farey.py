@@ -817,7 +817,12 @@ class TestAnnularProjection:
 def set_annular_distance(alpha, beta, gamma) -> int:
     """The set-based annular distance the integer kernel replaced: the slow
     twin of `annular_distance`."""
-    pb, pg = annular_projection(alpha, beta), annular_projection(alpha, gamma)
+    return _set_diameter(alpha, annular_projection(alpha, beta), annular_projection(alpha, gamma))
+
+
+def _set_diameter(alpha, pb, pg) -> int:
+    """`set_annular_distance` from the two projections to the annulus about
+    alpha."""
     if not pb or not pg:
         raise EmptyProjectionError(f"one side does not project to {alpha}" if pb or pg
                                    else f"nothing projects to the annulus about {alpha}")
@@ -944,6 +949,54 @@ class TestLinkSpanSlowTwin:
             assert link_span(INFINITY, [beta]) == want
             assert _outcome(annular_distance, INFINITY, beta, gamma) \
                 == _outcome(set_annular_distance, INFINITY, beta, gamma)
+
+
+class TestSeparatingCount:
+    """`annular_distance` as 1 + the number of link vertices strictly
+    between the two images, against the set-based projections."""
+
+    def test_exhaustive_box_matches_the_set_twin(self):
+        # every ordered triple of slopes with |p|, q <= 7, 1/0 among them:
+        # 373,248 values and error messages
+        verts = bounded_vertices(7)
+        assert len(verts) ** 3 == 373248
+        for alpha in verts:
+            proj = {beta: annular_projection(alpha, beta) for beta in verts}
+            for beta in verts:
+                for gamma in verts:
+                    assert _outcome(annular_distance, alpha, beta, gamma) \
+                        == _outcome(_set_diameter, alpha, proj[beta], proj[gamma])
+
+    @pytest.mark.parametrize("alpha, beta, gamma, want", [
+        # beta = gamma adjacent to alpha: one integer image
+        (Slope(2, 5), Slope(1, 2), Slope(1, 2), 0),
+        (INFINITY, Slope(3, 1), Slope(3, 1), 0),
+        # beta = gamma not adjacent; for 1/4 about 1/2, s/v = 4/2 is an
+        # integer while the image 1/2 is not
+        (Slope(1, 2), Slope(1, 4), Slope(1, 4), 1),
+        (INFINITY, Slope(5, 2), Slope(5, 2), 1),
+        # a side at 1/0, with two candidates and neither a link vertex
+        (Slope(2, 5), INFINITY, Slope(1, 3), 1),
+        # one candidate m: a link vertex of 1/3 (3 | m - 1), then not one of 2/5
+        (Slope(1, 3), Slope(-2, 1), Slope(1, 6), 2),
+        (Slope(2, 5), Slope(-6, 1), Slope(1, 1), 1),
+    ])
+    def test_branches(self, alpha, beta, gamma, want):
+        assert annular_distance(alpha, beta, gamma) == annular_distance(alpha, gamma, beta) \
+            == set_annular_distance(alpha, beta, gamma) == want
+
+    @pytest.mark.parametrize("alpha", [Slope(2, 5), Slope(-7, 3), Slope(4, 1), INFINITY])
+    def test_twist_images_count_by_the_inverse(self, alpha):
+        # in the link T^n is x -> x + n, so d(T^n beta, beta) = |n| + [beta
+        # not adjacent to alpha]; from 3 on, the count takes the closed form
+        for beta in (Slope(0, 1), Slope(1, 3), Slope(5, 2), INFINITY):
+            if beta == alpha:
+                continue
+            for n in (2, 3, 7, -12, 40):
+                image = act(twist_about(alpha, n), beta)
+                want = abs(n) + (not adjacent(alpha, beta))
+                assert annular_distance(alpha, image, beta) \
+                    == set_annular_distance(alpha, image, beta) == want
 
 
 class TestBoundedSubgraph:

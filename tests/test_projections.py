@@ -374,21 +374,25 @@ class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("seed", [0, 1001])
     def test_torus_at_the_estimate_size(self, torus, seed, monkeypatch):
         """The two samples of `constants estimate --seed 0`: 10,000 triples
-        at qmax 1000.  Once the worst level is reached, the scan reads the
-        third distance of a triple, through `farey.annular_distance`, only
-        when one of the first two exceeds it, which is rare."""
+        at qmax 1000.  Every read goes through `farey.annular_distance`: the
+        first two of each triple, and the third, d_z(x, y) with the triple's
+        z as its site, only when one of the first two exceeds the worst
+        level so far, which is rare."""
         triples = list(sample_overlapping_triples(10000, random.Random(seed), qmax=1000))
         want = nine_call_behrstock_scan(torus, triples)
         calls = []
         real = farey.annular_distance
 
         def counted(site, a, b):
-            calls.append(site)
+            calls.append((site, a, b))
             return real(site, a, b)
 
         monkeypatch.setattr(farey, "annular_distance", counted)
         assert behrstock_scan(triples) == want
-        assert 0 < len(calls) < 0.05 * len(triples)
+        sample = set(triples)
+        thirds = [(site, a, b) for site, a, b in calls if (a, b, site) in sample]
+        assert len(calls) == 2 * len(triples) + len(thirds)
+        assert 0 < len(thirds) < 0.05 * len(triples)
 
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
