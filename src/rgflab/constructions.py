@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
 from .bassserre import FactorSpec, free_product_check
-from .projections import TorusAnnuli, geodesic_image_bounds
+from .projections import geodesic_image_bounds
 
 
 @dataclass
@@ -96,30 +96,47 @@ class DisplacingReport:
     stabilize_ok: bool
     separation_ok: bool          # d(beta_i, beta_j) >= 5 pairwise
     min_margin: int | None
-    misses: list                 # tuples with no witness inside the shell
+    misses: list                 # tuples whose best annulus displaces less than L
     ok: bool
 
 
-def _shell_sites(beta: Slope, shell_bound: int) -> list:
-    """Annuli within distance one of the curve: the curve itself and the
-    stretch of its link within `shell_bound` positions of zero (the link of
-    a vertex is the conjugated integer line, so this enumerates bona fide
-    Farey neighbors whatever the denominators)."""
-    minv = farey.conjugator_to_infinity(beta).inv()
-    sites = {beta}.union(act(minv, Slope(k, 1)) for k in range(-shell_bound, shell_bound + 1))
-    return sorted(sites, key=lambda s: (s.q, abs(s.p), s.p))
+def _best_nearby_annulus(u: Slope, w: Slope) -> int:
+    """The greatest d_Y(u, w) over the annuli Y with d(core Y, 1/0) <= 1: the
+    annulus about 1/0 and those about its link, the integers n.
+
+    The conjugator of n/1 to 1/0 is x -> 1/(n - x), so the annulus about n
+    sees a slope x != n at link coordinate 1/(n - x), and 1/0 at 0.  A site n
+    with |n - x| >= 1 for each finite image x sees both images inside
+    [-1, 1], where d_n(u, w) = 1 + #(integers strictly between) <= 2, with 2
+    only when the coordinates straddle 0, that is when n lies strictly
+    between u and w.  The other sites, |n - x| < 1, lie among floor(x) and
+    floor(x) + 1.  So the maximum is read from 1/0 and floor(x), floor(x) + 1,
+    floor(x) + 2 for each finite image x:
+    - a far site giving 2 lies strictly between u < w, and so does
+      floor(u) + 1 <= n, whose coordinates then have opposite signs: >= 2;
+    - distinct slopes have distinct images, so for u != w every site both
+      project to gives >= 1, and the three candidates of a finite image hold
+      at least one such site;
+    - d_n(x, x) is 0 only at a Farey neighbour n of x, and floor(x) + 2 is
+      none for a finite x;
+    - with no finite image, u = w = 1/0 and every integer gives 0.
+    """
+    sites = {INFINITY}.union(Slope(n, 1) for x in (u, w) if x.q
+                             for n in range(x.p // x.q, x.p // x.q + 3))
+    return max((farey.annular_distance(y, u, w) for y in sites if y != u and y != w),
+               default=0)
 
 
-def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> DisplacingReport:
+def check_displacing(family: FamilySpec, L: int) -> DisplacingReport:
     """Existence, for every nontrivial factor element, of a nearby annulus
     displacing the neighboring curves by at least L.
 
     For all ordered (i, j, k) with i != j != k (i = k allowed) and every
-    enumerated nontrivial h in the j-th factor, search annuli Y with
-    d(core Y, beta_j) <= 1 for d_Y(beta_i, h beta_k) >= L.  Misses are
-    reported as not-found-within-shell, never as disproof.
+    enumerated nontrivial h in the j-th factor, the greatest d_Y(beta_i,
+    h beta_k) over the annuli Y with d(core Y, beta_j) <= 1, read exactly in
+    beta_j's frame by `_best_nearby_annulus`; a tuple below L is a miss, and
+    a miss fails the certificate.
     """
-    torus = TorusAnnuli()
     n = len(family.factors)
     stab_ok = all(act(h, family.beta(j)) == family.beta(j)
                   for j, f in enumerate(family.factors) for h in f.elements)
@@ -128,24 +145,16 @@ def check_displacing(family: FamilySpec, L: int, shell_bound: int = 40) -> Displ
     misses = []
     min_margin = None
     for j in range(n):
-        bj = family.beta(j)
-        shell = _shell_sites(bj, shell_bound)
+        c = farey.conjugator_to_infinity(family.beta(j))
         elements = family.factors[j].elements
         for i in range(n):
             for k in range(n):
                 if i == j or k == j:
                     continue
-                bi, bk = family.beta(i), family.beta(k)
+                u, bk = act(c, family.beta(i)), family.beta(k)
                 for e_idx, h in enumerate(elements):
-                    hbk = act(h, bk)
-                    best = None
-                    for site in shell:
-                        if not torus.projects(site, bi) or not torus.projects(site, hbk):
-                            continue
-                        d = torus.proj_dist(site, bi, hbk)
-                        if best is None or d > best:
-                            best = d
-                    if best is None or best < L:
+                    best = _best_nearby_annulus(u, act(c, act(h, bk)))
+                    if best < L:
                         misses.append((i, j, k, e_idx, best))
                     elif min_margin is None or best < min_margin:
                         min_margin = best

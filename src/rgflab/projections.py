@@ -42,9 +42,6 @@ class TorusAnnuli:
     def overlaps(self, y: Slope, z: Slope) -> bool:
         return y != z
 
-    def projects(self, site: Slope, obj: Slope) -> bool:
-        return obj != site
-
     def proj_dist(self, site: Slope, a: Slope, b: Slope) -> int:
         return farey.annular_distance(site, a, b)
 

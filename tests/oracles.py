@@ -15,7 +15,8 @@ from rgflab import farey
 from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat_mul,
                               word_matrix)
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
-from rgflab.constructions import DefiniteDistanceReport, GromovBoundReport, MisalignmentReport
+from rgflab.constructions import (DefiniteDistanceReport, DisplacingReport, GromovBoundReport,
+                                  MisalignmentReport)
 from rgflab.hypgraph import FareyOracle, bfs, gromov_product, point_to_path_distance
 from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
@@ -347,6 +348,15 @@ def random_tree(n: int, seed: int) -> GraphOracle:
     return GraphOracle(adj)
 
 
+class GenericTorus(TorusAnnuli):
+    """The torus annuli as a system for the generic scans here, which ask
+    whether an object projects to a site: a slope projects to the annulus
+    about every slope but itself."""
+
+    def projects(self, site: Slope, obj: Slope) -> bool:
+        return obj != site
+
+
 class TreeSystem:
     """Projection system read off a tree with numbered directions.
 
@@ -549,7 +559,7 @@ def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
     the draw loop of `geodesic_image_bounds` with `farey_geodesic` and
     `pairwise_bgit_scan` (which itself rejects a geodesic through the site),
     and the c samples through the same scan."""
-    system = TorusAnnuli()
+    system = GenericTorus()
 
     def scan_B(r):
         return nine_call_behrstock_scan(system, sample_overlapping_triples(n_triples, r, qmax)).B_emp
@@ -631,6 +641,51 @@ def oracle_gromov_bound_scan(factor, sample_curves, delta, K) -> GromovBoundRepo
     worst = max([Fraction(0), *products])
     closed = 4 * delta + (12 * delta + 3) * K + 5
     return GromovBoundReport(worst, closed, worst <= closed, len(products))
+
+
+def shell_sites(beta: Slope, shell_bound: int) -> set:
+    """Annuli within distance one of the curve: the curve itself and the
+    stretch of its link within `shell_bound` positions of zero (the link of
+    a vertex is the conjugated integer line, so this enumerates bona fide
+    Farey neighbors whatever the denominators)."""
+    minv = conjugator_to_infinity(beta).inv()
+    return {beta}.union(act(minv, Slope(k, 1)) for k in range(-shell_bound, shell_bound + 1))
+
+
+def shell_best(shell: set, a: Slope, b: Slope):
+    """The greatest d_Y(a, b) over the `shell_sites` both curves project to,
+    or None when there is none."""
+    return max((farey.annular_distance(y, a, b) for y in shell if y != a and y != b),
+               default=None)
+
+
+def shell_check_displacing(family, L: int, shell_bound: int) -> DisplacingReport:
+    """The slow twin of `constructions.check_displacing`: the same tuples,
+    each searched over the 2 `shell_bound` + 1 link positions of
+    `shell_sites` instead of the exact candidate annuli, so a tuple's best is
+    a lower bound of the exact one, or None when no shell site sees both."""
+    n = len(family.factors)
+    betas = [family.beta(i) for i in range(n)]
+    stab_ok = all(act(h, betas[j]) == betas[j]
+                  for j, f in enumerate(family.factors) for h in f.elements)
+    sep_ok = all(farey.slope_set_distance(betas[i], betas[j]) >= 5
+                 for i in range(n) for j in range(i + 1, n))
+    misses = []
+    min_margin = None
+    for j in range(n):
+        shell = shell_sites(betas[j], shell_bound)
+        for i in range(n):
+            for k in range(n):
+                if i == j or k == j:
+                    continue
+                for e_idx, h in enumerate(family.factors[j].elements):
+                    best = shell_best(shell, betas[i], act(h, betas[k]))
+                    if best is None or best < L:
+                        misses.append((i, j, k, e_idx, best))
+                    elif min_margin is None or best < min_margin:
+                        min_margin = best
+    ok = stab_ok and sep_ok and not misses
+    return DisplacingReport(stab_ok, sep_ok, min_margin, misses, ok)
 
 
 @dataclass

@@ -844,6 +844,14 @@ class TestLoxodromic:
         rep = loxodromic_scan([((0, t1), (1, t2.inv())), ((0, t1), (1, t2))])
         assert not rep.all_loxodromic and rep.checked == 2
 
+    def test_shear_pair_has_an_accidental_parabolic(self):
+        # the shear pair generates Gamma(2), which is free, yet A B^-1 has
+        # trace -2: a parabolic, so the pair is not RGF
+        A, B = MappingClass(1, 2, 0, 1), MappingClass(1, 0, 2, 1)
+        assert word_matrix(((0, A), (1, B.inv()))).trace == -2
+        rep = loxodromic_scan([((0, A), (1, B.inv()))])
+        assert not rep.all_loxodromic and rep.checked == 1
+
     def test_conjugates_skipped(self):
         t1, t2 = twist_about(INFINITY, 2), twist_about(Slope(0, 1), 3)
         w = ((0, t1), (1, t2), (0, t1.inv()))

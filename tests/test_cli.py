@@ -9,6 +9,8 @@ import os
 import random
 import shlex
 import signal
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -55,6 +57,23 @@ class TestFareyCommands:
 
     def test_usage_error(self):
         assert main(["farey", "dist", "1/0"]) == USAGE
+
+    @pytest.mark.parametrize("action, field, value", [("dist", "distance", 2),
+                                                      ("geodesic", "valid", True)])
+    def test_negative_slopes_after_double_dash(self, action, field, value, tmp_path):
+        # argparse reads a leading -1/2 as an option; after `--` it is a slope
+        out = tmp_path / "o.jsonl"
+        assert main(["farey", action, "--output", str(out), "--", "-1/2", "1/3"]) == PASS
+        assert json.loads(out.read_text().splitlines()[1])[field] == value
+
+    def test_module_entry_point(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        done = subprocess.run([sys.executable, "-m", "rgflab", "farey", "dist", "1/0", "5/8"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == PASS, done.stderr
+        rec = json.loads(done.stdout.splitlines()[1])
+        assert (rec["record"], rec["distance"]) == ("farey-dist", 3)
 
 
 BAD_SLOPE_ROWS = [
@@ -274,9 +293,11 @@ BAD_INPUT_ROWS = [
      "rgflab experiment theorem-b: error: argument --delta: must be at least 0, got -5"),
     ("raag-vertices-negative", ["raag", "components", "--vertices", "-3"],
      "rgflab raag components: error: argument --vertices: must be at least 0, got -3"),
+    # the displacing scan reads its candidate annuli exactly, so it takes no
+    # shell bound
     ("shell-bound-negative",
      ["cert", "displacing", "--family", "FAMILY", "--shell-bound", "-1"],
-     "rgflab cert displacing: error: argument --shell-bound: must be at least 0, got -1"),
+     "rgflab: error: unrecognized arguments: --shell-bound -1"),
     # only three command forms write a pair table: the others printed JSON
     # and exited 0 under --format csv
     ("csv-farey-dist", ["farey", "dist", "1/0", "5/8", "--format", "csv"], CSV_REFUSED),
@@ -577,7 +598,7 @@ FUZZ_JUNK = [None, 0, -1, 1.5, True, "", "x", "1/0", "0/0", [], [[]], {}, [1, 2]
              {"name": "A"}]
 FUZZ_ACTIONS = [["tree", "build", "--radius", "2"], ["tree", "qi", "--radius", "2"],
                 ["tree", "free-product", "--budget", "3"], ["cert", "separated"],
-                ["cert", "misaligned"], ["cert", "displacing", "--shell-bound", "4"],
+                ["cert", "misaligned"], ["cert", "displacing"],
                 ["cert", "pingpong"]]
 
 
@@ -912,10 +933,12 @@ class TestTreeAndCert(object):
                               "--A", "1"], tmp_path)
         assert lines[1]["record"] == "cert-misaligned"
 
-    def test_cert_displacing_no_verdict_on_miss(self, family_file, tmp_path):
+    def test_cert_displacing_fails_on_miss(self, family_file, tmp_path):
+        # the scan reads every annulus next to each curve, so a miss is a failure
         code, lines, _ = run(["cert", "displacing", "--family", family_file,
-                              "--L", "90", "--shell-bound", "8"], tmp_path)
-        assert code == NO_VERDICT
+                              "--L", "90"], tmp_path)
+        assert code == FAIL
+        assert lines[1]["misses"] and all(t[4] < 90 for t in lines[1]["misses"])
 
     @pytest.mark.parametrize("generator, power, code, windows, pair", [
         # the e=2 shear pair is free (Sanov); full twists are not
@@ -958,6 +981,11 @@ NO_VERDICT_ROWS = [
      "qi-certificate", {"pairs": 0, "benchmark_half_dT_minus_4": True}),
     ("qi-radius-0", ["tree", "qi", "--family", "SHEAR", "--radius", "0"], NO_VERDICT,
      "qi-certificate", {"pairs": 0}),
+    # the shear pair generates Gamma(2): free, but A B^-1 has trace -2, an
+    # accidental parabolic, so it is not RGF; the finite-radius benchmark
+    # check first fails at radius 8
+    ("qi-shear-radius-8", ["tree", "qi", "--family", "SHEAR", "--radius", "8"], FAIL,
+     "qi-certificate", {"benchmark_half_dT_minus_4": False}),
     ("displacing-one-factor", ["cert", "displacing", "--family", "ONE"], NO_VERDICT,
      "cert-displacing", {"min_margin": None, "misses": [], "ok": True}),
     ("displacing-one-factor-moved-beta", ["cert", "displacing", "--family", "ONEMOVEDBETA"],
@@ -1132,6 +1160,9 @@ CONFIG_ROWS = [
     # the command line's --config always won, so this key was read by nothing
     ("config-key", DELTA, '{"seed": 9, "config": "other.json"}', [], USAGE,
      "usage error: config key 'config': a config file cannot name another"),
+    # the displacing scan takes no shell bound, from the file either
+    ("shell-bound-key", ["cert", "displacing", "--family", "FAMILY"], '{"shell_bound": 40}',
+     [], USAGE, "usage error: unknown config key 'shell_bound' for cert displacing"),
     ("flag-overrides-file", DELTA, '{"seed": 9, "points": 8, "qmax": 10}', ["--points", "6"],
      PASS, 6),
     ("file-values-echoed", DELTA, '{"seed": 9, "points": 8, "qmax": 10}', [], PASS, 8),

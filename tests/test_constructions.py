@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from rgflab.farey import INFINITY, Slope, farey_distance
+from rgflab.farey import INFINITY, Slope, act, conjugator_to_infinity, farey_distance
 from rgflab.bassserre import FactorSpec, word_matrix
-from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, check_misaligned,
+from rgflab.constructions import (FamilySpec, _best_nearby_annulus, _estimated_M,
+                                  check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
                                   definite_distance_scan, displacement_table,
                                   gromov_bound_scan, separation_constants, slope_at_distance,
@@ -13,8 +15,8 @@ from rgflab.constructions import (FamilySpec, _estimated_M, check_displacing, ch
 from rgflab.hypgraph import FareyOracle, gromov_product
 from rgflab.projections import estimate_constants, random_slope
 
-from oracles import oracle_definite_distance_scan, oracle_gromov_bound_scan, \
-    triple_check_misaligned
+from oracles import (oracle_definite_distance_scan, oracle_gromov_bound_scan, shell_best,
+                     shell_check_displacing, shell_sites, triple_check_misaligned)
 
 
 class TestSeparation:
@@ -120,6 +122,22 @@ class TestDistanceTableTwins:
         assert rep == oracle_gromov_bound_scan(factor, curves, 1, dd.K_emp)
 
 
+def assert_exact_dominates_shell(fam: FamilySpec, shell_bound: int):
+    """Every tuple's exact best is at least the shell twin's, and equal when
+    the shell holds the tuple's candidate sites; at L = inf every tuple is a
+    miss, listed with its best."""
+    exact = check_displacing(fam, math.inf).misses
+    shell = shell_check_displacing(fam, math.inf, shell_bound).misses
+    assert [t[:4] for t in exact] == [t[:4] for t in shell]
+    for (i, j, k, e, best), (*_, low) in zip(exact, shell):
+        c = conjugator_to_infinity(fam.beta(j))
+        images = [act(c, fam.beta(i)), act(c, act(fam.factors[j].elements[e], fam.beta(k)))]
+        assert best >= low
+        if all(-shell_bound <= x.p // x.q and x.p // x.q + 2 <= shell_bound
+               for x in images if x.q):
+            assert best == low, (i, j, k, e)
+
+
 class TestDisplacing:
     def test_twist_powers_displace(self):
         # the annulus about beta_j moves the twisted side by the exponent;
@@ -154,8 +172,54 @@ class TestDisplacing:
         b = slope_at_distance(a, 5)
         fam = FamilySpec([FactorSpec.twist("A", a, power=1, budget=1),
                           FactorSpec.twist("B", b, power=1, budget=1)])
-        rep = check_displacing(fam, 50, shell_bound=12)
-        assert rep.misses           # reported as not-found, not as disproof
+        rep = check_displacing(fam, 50)
+        assert rep.misses and not rep.ok    # the scan is exact: a miss is a failure
+
+    @pytest.mark.parametrize("beta", [INFINITY, Slope(5, 8)])
+    def test_exact_best_matches_the_shell_on_a_box(self, beta):
+        # every pair of slopes |p|, q <= 9 in beta's frame, pulled back: the
+        # candidate sites lie within link positions -9 ... 11, inside the
+        # shell, so the shell's best is the exact one
+        box = [INFINITY] + [Slope(p, q) for q in range(1, 10) for p in range(-9, 10)
+                            if math.gcd(p, q) == 1]
+        assert len(box) ** 2 == 12544
+        minv = conjugator_to_infinity(beta).inv()
+        shell = shell_sites(beta, 12)
+        for u in box:
+            for w in box:
+                assert _best_nearby_annulus(u, w) == \
+                    shell_best(shell, act(minv, u), act(minv, w)), (u, w)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_scan_dominates_the_shell_on_seeded_families(self, seed):
+        rng = random.Random(seed)
+        fam = FamilySpec([FactorSpec.twist(f"H{i}", random_slope(rng, 30),
+                                           power=rng.randint(1, 6), budget=rng.randint(1, 2))
+                          for i in range(3)])
+        assert_exact_dominates_shell(fam, 40)
+
+    def test_exact_scan_dominates_the_shell_on_the_class_families(self):
+        a = Slope(0, 1)
+        b, c = slope_at_distance(a, 5), slope_at_distance(a, 10)
+        for power, curves in [(11, [a, b, c]), (9, [a, slope_at_distance(a, 4)]), (1, [a, b])]:
+            fam = FamilySpec([FactorSpec.twist(f"H{i}", x, power=power, budget=1)
+                              for i, x in enumerate(curves)])
+            assert_exact_dominates_shell(fam, 40)
+
+    def test_exact_scan_finds_what_the_shell_misses(self):
+        # 2912029/2912 = [1000; 100, 2, 2, 2, 2]: from 1/0 the curve of I and
+        # its images under J sit near link position 1000, beyond the shell
+        J = FactorSpec.twist("J", INFINITY, power=5, budget=1)
+        I = FactorSpec.twist("I", Slope(2912029, 2912), power=5, budget=1)
+        K = FactorSpec.twist("K", Slope(-98971, 99), power=5, budget=1)
+        fam = FamilySpec([J, I, K])
+        exact, shell = check_displacing(fam, 60), shell_check_displacing(fam, 60, 40)
+        lost = [t for t in shell.misses if t[:3] == (1, 0, 1)]
+        assert [t[3:] for t in lost] == [(0, 6), (1, 6)]
+        assert exact.misses == [t for t in shell.misses if t not in lost]
+        assert [t for t in check_displacing(fam, math.inf).misses
+                if t[:3] == (1, 0, 1)] == [(1, 0, 1, 0, 102), (1, 0, 1, 1, 102)]
+        assert_exact_dominates_shell(fam, 40)
 
     def test_missing_beta_raises(self):
         fam = FamilySpec([FactorSpec.twist("A", INFINITY)], betas=None)

@@ -14,8 +14,8 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           is_geodesic, link_span, slope_set_distance,
                           stabilized_bfs_distance, twist_about)
 from rgflab import farey
-from rgflab.projections import TorusAnnuli, random_slope
-from oracles import (annular_projection, annular_projection_set, matrix_power,
+from rgflab.projections import random_slope
+from oracles import (GenericTorus, annular_projection, annular_projection_set, matrix_power,
                      plain_distance_tail)
 
 
@@ -111,7 +111,7 @@ class TestValueTypes:
     def test_bare_slope_is_one_curve_not_a_pair(self):
         # a slope is a tuple (p, q); every entry point must read it as one
         # curve, never as the two integers p and q
-        torus = TorusAnnuli()
+        torus = GenericTorus()
         rng = random.Random(4)
         for _ in range(400):
             site, beta, gamma = (random_slope(rng, rng.choice((3, 100, 10 ** 5)))

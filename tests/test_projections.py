@@ -9,19 +9,19 @@ from rgflab import farey
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, is_geodesic, link_span, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.projections import (BgitReport, OverlapError, PersistenceReport, TorusAnnuli,
+from rgflab.projections import (BgitReport, OverlapError, PersistenceReport,
                                 behrstock_scan, bgit_scan,
                                 estimate_constants, persistence_check,
                                 random_slope, random_slopes,
                                 sample_overlapping_triples, twist_pivot_sequence)
-from oracles import (general_persistence_check, nearest_overlaps, nine_call_behrstock_scan,
-                     pairwise_bgit_scan, slow_estimate_constants, synthetic_system,
-                     system_behrstock_scan, system_bgit_scan)
+from oracles import (GenericTorus, general_persistence_check, nearest_overlaps,
+                     nine_call_behrstock_scan, pairwise_bgit_scan, slow_estimate_constants,
+                     synthetic_system, system_behrstock_scan, system_bgit_scan)
 
 
 @pytest.fixture(scope="module")
 def torus():
-    return TorusAnnuli()
+    return GenericTorus()
 
 
 class TestTorusSystem:
