@@ -14,7 +14,7 @@ replaced, so set orders and report bytes are unchanged.  Constructors
 validate; `Slope._reduced` and the arithmetic here build through
 `tuple.__new__` without the re-check.  A curve system on the punctured
 torus is a single slope, since any two distinct curves meet, so every entry
-point takes slopes; only `link_span` takes an iterable of them, a path.
+point takes slopes; only `link_span` takes an iterable (a path, as vectors).
 `entries()` stays beside `tuple(m)`: the benchmark's tracer keys enumerated
 balls on it.
 """
@@ -257,15 +257,16 @@ def farey_distance(a: Slope, b: Slope) -> int:
     return _distance_to_infinity(act(conjugator_to_infinity(a), b))
 
 
-def farey_geodesic(a: Slope, b: Slope) -> list:
-    """A geodesic [a, ..., b]; endpoints included, length farey_distance(a, b).
+def geodesic_vectors(a: Slope, b: Slope):
+    """The vectors of the path `farey_geodesic` lists, with no sign fix:
+    a and b as given, and ±v for each slope v between; just a when a == b.
 
     One pass of Euclid's algorithm on s = C.b = [a_0; a_1, ..., a_n], with
     C = `conjugator_to_infinity(a)`, through convergents of s mapped back by
     C^-1 = adj(C).  The mapped convergents v_k = C^-1 (p_k, q_k) follow the
     recurrence of the convergents, v_k = a_k v_{k-1} + v_{k-2}, from the two
     columns of C^-1: v_{-1} = C^-1 (1, 0), which is a, and
-    v_{-2} = C^-1 (0, 1).  They are primitive, so each needs a sign fix only.
+    v_{-2} = C^-1 (0, 1).  They are primitive, so each is a slope up to sign.
 
     The path is the walk back from s that steps from convergent k to k - 1
     (always adjacent) or skips to k - 2 (adjacent when a_k = 1) when the
@@ -275,30 +276,36 @@ def farey_geodesic(a: Slope, b: Slope) -> list:
     is never followed by another, as the step after a flat one rises.  So the
     walk visits k + 1 whenever step k + 1 is flat, and convergent k is on the
     path exactly when step k + 1 rises; s itself is always on it.  The loop
-    therefore emits v_k as soon as a_{k+1} is known, from 1/0's image a
+    therefore yields v_k as soon as a_{k+1} is known, from 1/0's image a
     forward, with no list of convergents and no walk back.
     """
     if a == b:
-        return [a]
+        yield a
+        return
     m = conjugator_to_infinity(a)
     p, q = act(m, b)
     e, f, g, h = m
     v, w = (h, -g), (-f, e)         # v_{k-1} and v_{k-2}, from k = 0
-    path = []
     up = False                      # step 0 always rises: a_0 never skips 1/0
     while True:
         k, r = divmod(p, q)
         if k == 1 and up:
             up = False
         else:
-            x, y = v
-            path.append(_new(Slope, (x, y) if y > 0 or (not y and x > 0) else (-x, -y)))
+            yield v
             up = True
         if not r:
-            path.append(b)
-            return path
+            yield b
+            return
         v, w = (k * v[0] + w[0], k * v[1] + w[1]), v
         p, q = q, r
+
+
+def farey_geodesic(a: Slope, b: Slope) -> list:
+    """A geodesic [a, ..., b]; endpoints included, length farey_distance(a, b):
+    the slopes of `geodesic_vectors`, each vector's sign fixed."""
+    return [_new(Slope, (x, y) if y > 0 or (not y and x > 0) else (-x, -y))
+            for x, y in geodesic_vectors(a, b)]
 
 
 def is_geodesic(path: list) -> bool:

@@ -97,22 +97,16 @@ class BgitReport:
     diameter: int | None
 
 
-def bgit_scan(site: Slope, geodesic) -> BgitReport:
-    """Projection diameter of a Farey geodesic at the annulus about `site`,
-    or no diameter when the site is on it (the converse use: large
-    projections force pit stops).  Each edge is checked by |ps - rq| = 1 and
-    the ends by one `farey.slope_set_distance`; one `farey.link_span` folds
-    the diameter."""
-    path = list(geodesic)
-    for (p, q), (r, s) in zip(path, path[1:]):
-        if p * s - r * q not in (1, -1):
-            raise ValueError("input sequence is not an ambient geodesic")
-    if len(path) >= 2 and farey.slope_set_distance(path[0], path[-1]) != len(path) - 1:
-        raise ValueError("input sequence is not distance-realizing")
-    if site in path:
+def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
+    """Projection diameter at `site` of the geodesic `farey.farey_geodesic`
+    picks from a to b, or no diameter when the site is on it (the converse
+    use: large projections force pit stops).  One walk of `geodesic_vectors`,
+    unsigned, is tested against ±site and folded by `farey.link_span`."""
+    path = list(farey.geodesic_vectors(a, b))
+    if site in path or (-site.p, -site.q) in path:
         return BgitReport(False, None)
-    span = farey.link_span(site, path)
-    return BgitReport(True, span[1] - span[0] if span else 0)
+    lo, hi = farey.link_span(site, path)   # a path missing ±site projects
+    return BgitReport(True, hi - lo)
 
 
 @dataclass
@@ -284,10 +278,7 @@ def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:
                 a, b = draw(), draw()
             if a == b:
                 continue
-            path = farey.farey_geodesic(a, b)
-            if site in path:
-                continue
-            rep = bgit_scan(site, path)
+            rep = bgit_scan(site, a, b)
             if rep.all_project and rep.diameter > worst:
                 worst = rep.diameter
         return worst

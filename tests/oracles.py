@@ -356,6 +356,13 @@ class GenericTorus(TorusAnnuli):
     def projects(self, site: Slope, obj: Slope) -> bool:
         return obj != site
 
+    def path_diam(self, site: Slope, path) -> int:
+        """Diameter of a projecting path's image in one `farey.link_span`
+        fold: `system_bgit_scan` on this system is the list form of
+        `bgit_scan`."""
+        lo, hi = farey.link_span(site, path)
+        return hi - lo
+
 
 class TreeSystem:
     """Projection system read off a tree with numbered directions.
@@ -556,9 +563,10 @@ def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
                             qmax: int) -> ConstantEstimates:
     """The slow twin of `estimate_constants`, on the same seeded samples: the
     B samples go through `nine_call_behrstock_scan`, the M samples through
-    the draw loop of `geodesic_image_bounds` with `farey_geodesic` and
-    `pairwise_bgit_scan` (which itself rejects a geodesic through the site),
-    and the c samples through the same scan."""
+    the draw loop of `geodesic_image_bounds` with `bgit_scan(site, a, b)`
+    read as `pairwise_bgit_scan` of the list `farey_geodesic(a, b)`, whose
+    edges and ends it checks again and whose slopes it reads in pairs, and
+    the c samples through the same scan."""
     system = GenericTorus()
 
     def scan_B(r):

@@ -4,11 +4,12 @@ every option of them is set by a command, and every parameter is read.
 
 A name counts as referenced when it appears as a name, an attribute or an
 imported name anywhere in `src/` or `tests/`, except inside its own
-definition (recursion keeps nothing alive).  Methods are counted by
-attribute name, so a method shares its references with every other
-definition of that name.  A method must also be referenced, so counted, in
-the program or the benchmark (`src/` and `perfbench/`): one that only tests
-call is a test helper, and lives in `tests/`.
+definition (recursion keeps nothing alive), and `getattr(obj, "name")`,
+with or without a default, references the attribute it names.  Methods are
+counted by attribute name, so a method shares its references with every
+other definition of that name.  A method must also be referenced, so
+counted, in the program or the benchmark (`src/` and `perfbench/`): one
+that only tests call is a test helper, and lives in `tests/`.
 
 An option (a parameter with a default) counts as set when some call in the
 program or the benchmark (`src/` and `perfbench/`) passes it, by keyword or
@@ -63,6 +64,16 @@ TEST_ONLY_LAYERS = ("ChainReport",)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _getattr_name(node):
+    """The attribute a `getattr(obj, "name"[, default])` call loads; None
+    for any other node, and for a name computed at run time."""
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) in (2, 3) and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return node.args[1].value
+    return None
+
+
 def _names(tree) -> Counter:
     out = Counter()
     for node in ast.walk(tree):
@@ -72,6 +83,8 @@ def _names(tree) -> Counter:
             out[node.attr] += 1
         elif isinstance(node, ast.alias):
             out[node.name.split(".")[-1]] += 1
+        elif name := _getattr_name(node):
+            out[name] += 1
     return out
 
 
@@ -147,6 +160,43 @@ def test_test_only_methods_fire_on_a_planted_module(tmp_path):
         "def time_it(graph):\n"
         "    return graph.commute(0, 1) + graph.depth(2)\n")
     assert dead_definitions(package, [source, bench]) == []
+
+
+PLANTED_ORACLE = """
+class Oracle:
+    def dist(self, a, b):
+        return abs(a - b)
+
+    def geodesic(self, a, b):
+        return list(range(a, b + 1))
+
+    def path(self, a, b):
+        return [a, b]
+"""
+
+
+def test_getattr_by_literal_references_a_method(tmp_path):
+    # the command reaches `geodesic` only by `getattr` with a literal name,
+    # as `hypgraph.check_local_to_global` reaches `FareyOracle.geodesic`;
+    # a name computed at run time references nothing, so `path` is dead
+    source = tmp_path / "src"
+    package = source / "pkg"
+    package.mkdir(parents=True)
+    (package / "planted.py").write_text(PLANTED_ORACLE)
+    (source / "command.py").write_text(
+        "from pkg.planted import Oracle\n"
+        "def check(oracle, name):\n"
+        "    geod = getattr(oracle, 'geodesic', None)\n"
+        "    return oracle.dist(0, 1) + len(geod(0, 1) if geod else getattr(oracle, name)(0, 1))\n"
+        "def run():\n"
+        "    return check(Oracle(), 'path')\n")
+    assert dead_definitions(package, [source]) == ["planted.Oracle.path"]
+    # without its default too
+    (source / "command.py").write_text(
+        "from pkg.planted import Oracle\n"
+        "def run():\n"
+        "    return Oracle().dist(0, 1) + len(getattr(Oracle(), 'geodesic')(0, 1))\n")
+    assert dead_definitions(package, [source]) == ["planted.Oracle.path"]
 
 
 def _loads(node, local=frozenset(), out=None) -> Counter:

@@ -11,8 +11,8 @@ from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClas
                           adjacent, annular_distance, bounded_neighbors,
                           bounded_vertices, conjugator_to_infinity,
                           distance_tail, farey_distance, farey_geodesic,
-                          is_geodesic, link_span, slope_set_distance,
-                          stabilized_bfs_distance, twist_about)
+                          geodesic_vectors, is_geodesic, link_span,
+                          slope_set_distance, stabilized_bfs_distance, twist_about)
 from rgflab import farey
 from rgflab.projections import random_slope
 from oracles import (GenericTorus, annular_projection, annular_projection_set, matrix_power,
@@ -611,6 +611,24 @@ class TestOnePassGeodesic:
                 path = farey_geodesic(u, v)
                 assert path == two_stage_geodesic(u, v), (kind, n)
                 assert is_geodesic(path)
+
+    @pytest.mark.parametrize("qmax", [1, 50, 10 ** 4])
+    def test_walk_pins_the_path(self, qmax):
+        # each vector of the walk is ± the slope at its index of the path,
+        # a and b come out as given, and some vectors do need the sign fix
+        rng = random.Random(qmax + 29)
+        flipped = 0
+        for _ in range(1500):
+            a = random_slope(rng, qmax)
+            b = rng.choice([random_slope(rng, qmax), a, INFINITY, Slope(rng.randrange(-9, 10), 1),
+                            act(twist_about(random_slope(rng, qmax), rng.randrange(-30, 31)), a)])
+            vectors, path = list(geodesic_vectors(a, b)), farey_geodesic(a, b)
+            assert len(vectors) == len(path)
+            assert vectors[0] == a and vectors[-1] == b
+            for (x, y), v in zip(vectors, path):
+                assert (x, y) == v or (-x, -y) == v, (a, b)
+                flipped += (x, y) != v
+        assert flipped > 100
 
 
 class TestEdgeRule:

@@ -77,26 +77,32 @@ class TestBehrstock:
 
 class TestBgit:
     def test_link_geodesic(self):
-        rep = bgit_scan(INFINITY, [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
+        # `farey_geodesic` from 0 to 2 is 0, 1, 2
+        assert farey_geodesic(Slope(0, 1), Slope(2, 1)) == [Slope(0, 1), Slope(1, 1), Slope(2, 1)]
+        rep = bgit_scan(INFINITY, Slope(0, 1), Slope(2, 1))
         assert rep.all_project and rep.diameter == 2
 
     def test_core_fails_to_project(self):
-        rep = bgit_scan(Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)])
+        rep = bgit_scan(Slope(1, 1), Slope(0, 1), Slope(2, 1))
         assert not rep.all_project and rep.diameter is None
 
-    def test_requires_geodesic(self):
-        with pytest.raises(ValueError):
-            bgit_scan(INFINITY, [Slope(0, 1), Slope(5, 8)])
+    def test_requires_geodesic(self, torus):
+        # a path given as a list is checked by the list twins
+        for scan in (system_bgit_scan, pairwise_bgit_scan):
+            with pytest.raises(ValueError):
+                scan(torus, INFINITY, [Slope(0, 1), Slope(5, 8)])
 
-    def test_a_geodesic_farey_geodesic_does_not_pick_has_image_four(self):
+    def test_a_geodesic_farey_geodesic_does_not_pick_has_image_four(self, torus):
         # 1/2, 1, 2, 3, 7/2 avoids 1/0 and projects there with diameter 4,
         # while `farey_geodesic` between its ends goes through 1/0: a
         # sampled M of 3 bounds only the geodesics that `farey_geodesic`
         # picks, and a bound for every geodesic must be at least 4
         path = [Slope(1, 2), Slope(1, 1), Slope(2, 1), Slope(3, 1), Slope(7, 2)]
         assert is_geodesic(path) and farey_distance(path[0], path[-1]) == 4
-        assert bgit_scan(INFINITY, path) == BgitReport(True, 4)
+        assert system_bgit_scan(torus, INFINITY, path) \
+            == pairwise_bgit_scan(torus, INFINITY, path) == BgitReport(True, 4)
         assert INFINITY in farey_geodesic(path[0], path[-1])
+        assert bgit_scan(INFINITY, path[0], path[-1]) == BgitReport(False, None)
 
     def test_large_projection_forces_pit_stop(self, torus):
         # endpoints with annular distance above the empirical geodesic-image
@@ -113,8 +119,8 @@ class TestBgit:
             if torus.proj_dist(site, base, far) <= M_emp:
                 continue
             checked += 1
-            path = farey_geodesic(base, far)
-            assert site in path and not bgit_scan(site, path).all_project
+            assert site in farey_geodesic(base, far)
+            assert not bgit_scan(site, base, far).all_project
         assert checked > 20
 
 
@@ -322,15 +328,39 @@ class TestBgitSlowTwin:
                 far = act(twist_about(site, rng.randrange(1, 12)), base)
             else:
                 far = random_slope(rng, qmax)
-            path = farey_geodesic(base, far)
-            rep = bgit_scan(site, path)
-            assert rep == pairwise_bgit_scan(torus, site, path)
+            rep = bgit_scan(site, base, far)
+            assert rep == pairwise_bgit_scan(torus, site, farey_geodesic(base, far))
             projecting += rep.all_project
         assert projecting > 100
-        assert bgit_scan(INFINITY, []) == pairwise_bgit_scan(torus, INFINITY, [])
+        assert system_bgit_scan(torus, INFINITY, []) \
+            == pairwise_bgit_scan(torus, INFINITY, []) == BgitReport(True, 0)
+
+    # one vertex, on the site or off it; the site at either end; the site
+    # 1/0, whose vector comes out of the walk as (1, 0) or (-1, 0); and
+    # integer ends and sites, whose conjugators are [[0, 1], [-1, p]]
+    @pytest.mark.parametrize("site, a, b", [
+        (Slope(0, 1), Slope(3, 7), Slope(3, 7)),
+        (Slope(3, 7), Slope(3, 7), Slope(3, 7)),
+        (INFINITY, INFINITY, INFINITY),
+        (INFINITY, Slope(2, 1), Slope(2, 1)),
+        (Slope(3, 7), Slope(3, 7), Slope(-11, 4)),
+        (Slope(-11, 4), Slope(3, 7), Slope(-11, 4)),
+        (INFINITY, INFINITY, Slope(13, 5)),
+        (INFINITY, Slope(13, 5), INFINITY),
+        (INFINITY, Slope(1, 2), Slope(7, 2)),
+        (INFINITY, Slope(-5, 3), Slope(8, 5)),
+        (INFINITY, Slope(-3, 1), Slope(4, 1)),
+        (Slope(2, 1), Slope(0, 1), Slope(5, 1)),
+        (Slope(2, 1), Slope(-3, 1), Slope(9, 4)),
+        (Slope(0, 1), Slope(-1, 1), Slope(1, 1)),
+        (Slope(5, 1), Slope(1, 3), Slope(40, 7))])
+    def test_edge_cases_match_the_twin(self, torus, site, a, b):
+        assert bgit_scan(site, a, b) == pairwise_bgit_scan(torus, site, farey_geodesic(a, b))
 
     # a gap, a repeated slope, a non-geodesic path of edges, and a geodesic
-    # through the site, whose refusal comes after the edge checks
+    # through the site, whose refusal comes after the edge checks: a path
+    # given as a list goes to the list twins, and the last case, a
+    # geodesic `farey_geodesic` picks, to `bgit_scan` too
     @pytest.mark.parametrize("site, path, outcome", [
         (INFINITY, [Slope(0, 1), Slope(5, 8)],
          ("ValueError", "input sequence is not an ambient geodesic")),
@@ -340,8 +370,10 @@ class TestBgitSlowTwin:
          ("ValueError", "input sequence is not distance-realizing")),
         (Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)], BgitReport(False, None))])
     def test_refusals_match_the_twin(self, torus, site, path, outcome):
-        assert _outcome(bgit_scan, site, path) \
+        assert _outcome(system_bgit_scan, torus, site, path) \
             == _outcome(pairwise_bgit_scan, torus, site, path) == outcome
+        if path == farey_geodesic(path[0], path[-1]):
+            assert bgit_scan(site, path[0], path[-1]) == outcome
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_geodesics(self, seed):
