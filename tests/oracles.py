@@ -20,7 +20,7 @@ from rgflab.constructions import (DefiniteDistanceReport, DisplacingReport, Grom
 from rgflab.hypgraph import FareyOracle, bfs, gromov_product, point_to_path_distance
 from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
-                                random_slopes, sample_overlapping_triples)
+                                random_slopes)
 from rgflab.raag import PresentationGraph, Word, normal_form
 
 
@@ -483,10 +483,27 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 
     return TreeSystem(tree, positions, link_coords)
 
 
+def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
+    """Lazy sample of `n` triples of distinct slopes of `random_slopes`.  It
+    stops right after the n-th triple, so it draws only for what it yields,
+    and a scan that reads it once holds one triple at a time: the B samples
+    that `estimate_constants` no longer draws."""
+    draw = random_slopes(rng, qmax).__next__
+    while n > 0:
+        x, y, z = draw(), draw(), draw()
+        if x != y and y != z and x != z:
+            yield x, y, z
+            n -= 1
+
+
 def system_behrstock_scan(system, triples) -> BehrstockReport:
     """The `behrstock_scan` of any projection system, three `proj_dist`
     reads per triple at most: the scan the tree fixture's tests run, and the
-    generic form of the torus scan that reads the Farey arithmetic in place."""
+    measured twin of the torus scan's closed form.
+
+    The level of a triple is the median of its three reads, so when the
+    first two are at most the worst level so far, so is the median, and the
+    third is not read."""
     worst = 0
     count = 0
     overlaps, proj_dist = system.overlaps, system.proj_dist

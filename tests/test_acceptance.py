@@ -16,8 +16,7 @@ from rgflab.farey import (INFINITY, BfsOracle, MappingClass, Slope, act,
                           farey_geodesic, twist_about)
 from rgflab.hypgraph import (FareyOracle, check_local_to_global, estimate_delta,
                              gromov_product, point_to_path_distance)
-from rgflab.projections import (TorusAnnuli, behrstock_scan, persistence_check,
-                                random_slope, sample_overlapping_triples,
+from rgflab.projections import (TorusAnnuli, persistence_check, random_slope,
                                 twist_pivot_sequence)
 from rgflab.raag import PresentationGraph, components, normal_form
 from rgflab.subgroups import MatrixGroup
@@ -28,7 +27,8 @@ from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
 from oracles import (concat, cycle_oracle, general_persistence_check, inverse_word,
-                     random_rewrite, random_tree, synthetic_system)
+                     random_rewrite, random_tree, sample_overlapping_triples,
+                     synthetic_system, system_behrstock_scan)
 
 
 def report(number: int, ok: bool, detail: str):
@@ -168,17 +168,18 @@ def test_04_twist_translation():
            f"(c = 1 exactly)")
 
 
-def test_05_behrstock_scan():
-    # a sample has no violation at level B exactly when its B_emp <= B; each
-    # sample is a stream that the scan reads once, one triple at a time
+def test_05_behrstock_scan(torus):
+    # a sample has no violation at level B exactly when its B_emp <= B; the
+    # package proves B = 2 (`projections.behrstock_scan`), and the measured
+    # scan reads each sample once, one triple at a time
     def sample(seed):
         return sample_overlapping_triples(10 ** 5, random.Random(seed), qmax=10 ** 4)
 
-    b_emp, fresh = behrstock_scan(sample(21)).B_emp, behrstock_scan(sample(22)).B_emp
-    report(5, fresh <= b_emp,
-           f"B_emp={b_emp} on 10^5 triples; fresh 10^5 sample: B_emp={fresh}, so no "
-           f"violations at B_emp (reference constant for genuine subsurface "
-           f"projections: B=10, {'no' if b_emp <= 10 else 'some'} violations at it)")
+    b_emp = system_behrstock_scan(torus, sample(21)).B_emp
+    fresh = system_behrstock_scan(torus, sample(22)).B_emp
+    report(5, b_emp == fresh == 2,
+           f"measured B_emp={b_emp} on 10^5 triples and B_emp={fresh} on a fresh "
+           f"10^5 sample: both equal the proven B = 2, so no violations at it")
 
 
 def test_06_persistence(torus, torus_constants):

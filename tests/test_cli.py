@@ -1083,6 +1083,20 @@ class TestPersistenceAndConstants:
         rec = lines[1]
         assert rec["c_emp"] == 1 and rec["B_emp"] >= 1 and rec["M_emp"] >= 2
 
+    def test_triples_draw_nothing(self, tmp_path):
+        # the B samples are proven, not drawn (`projections.behrstock_scan`),
+        # so `--triples` changes no byte of the `constants` record
+        bodies = []
+        for n in ("1", "10000"):
+            out = tmp_path / f"triples-{n}.jsonl"
+            assert main(["constants", "estimate", "--seed", "0", "--triples", n,
+                         "--output", str(out)]) == PASS
+            config, body = out.read_bytes().split(b"\n", 1)
+            assert json.loads(config)["triples"] == int(n)
+            assert json.loads(body)["record"] == "constants"
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+
 
 class TestExperiments:
     def test_theorem_b(self, tmp_path):

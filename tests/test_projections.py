@@ -1,7 +1,8 @@
 import math
 import random
 import tracemalloc
-from itertools import islice
+from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 
@@ -9,13 +10,13 @@ from rgflab import farey
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, is_geodesic, link_span, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.projections import (BgitReport, OverlapError, PersistenceReport,
-                                behrstock_scan, bgit_scan,
+from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
+                                PersistenceReport, behrstock_scan, bgit_scan,
                                 estimate_constants, persistence_check,
-                                random_slope, random_slopes,
-                                sample_overlapping_triples, twist_pivot_sequence)
+                                random_slope, random_slopes, twist_pivot_sequence)
 from oracles import (GenericTorus, general_persistence_check, nearest_overlaps,
-                     nine_call_behrstock_scan, pairwise_bgit_scan, slow_estimate_constants,
+                     nine_call_behrstock_scan, pairwise_bgit_scan,
+                     sample_overlapping_triples, slow_estimate_constants,
                      synthetic_system, system_behrstock_scan, system_bgit_scan)
 
 
@@ -62,10 +63,19 @@ class TestBehrstock:
         rng = random.Random(2)
         triples = sample_overlapping_triples(500, rng, qmax=200)
         rep = behrstock_scan(triples)
-        assert rep.scanned == 500
-        assert 1 <= rep.B_emp <= 10
+        assert rep == BehrstockReport(500, 2)
         fresh = sample_overlapping_triples(500, random.Random(3), qmax=200)
         assert behrstock_scan(fresh).B_emp <= rep.B_emp
+        assert behrstock_scan([]) == BehrstockReport(0, 1)
+
+    def test_every_triple_of_a_box_has_level_one(self):
+        """The closed form of `behrstock_scan`, exhaustively: for every
+        triple of distinct slopes in `bounded_vertices(8)`, the median of
+        d_x(y, z), d_y(x, z) and d_z(x, y) is exactly 1."""
+        dist = farey.annular_distance
+        levels = Counter(sorted((dist(x, y, z), dist(y, x, z), dist(z, x, y)))[1]
+                         for x, y, z in combinations(farey.bounded_vertices(8), 3))
+        assert levels == {1: 109736}
 
     def test_synthetic_by_construction(self):
         sys_ = synthetic_system(7, seed=0, threshold=5)
@@ -266,14 +276,14 @@ class TestEstimateConstants:
     def test_torus_constants(self):
         est = estimate_constants(seed=0, n_triples=300, n_geodesics=150, qmax=300)
         assert est.c_emp == 1
-        assert est.B_emp >= 1
+        assert est.B_emp == 2 and est.samples["B"] == (2, 2)
         assert est.M_emp is not None and est.M_emp >= 2
-        assert est.samples["B"][0] >= 1
 
-    # theorem-b's flags on seeds 8 to 14, and the `geometry` benchmark job's
+    # theorem-b's flags on seeds 8 to 14, the `geometry` benchmark job's, and
+    # empty B samples; the twin measures the B samples the closed form skips
     @pytest.mark.parametrize("seed, n_triples, n_geodesics, qmax",
                              [(seed, 1000, 300, 800) for seed in range(8, 15)]
-                             + [(0, 10000, 2000, 1000)])
+                             + [(0, 10000, 2000, 1000), (0, 0, 50, 100)])
     def test_matches_the_slow_twins(self, seed, n_triples, n_geodesics, qmax):
         assert estimate_constants(seed, n_triples, n_geodesics, qmax) \
             == slow_estimate_constants(seed, n_triples, n_geodesics, qmax)
@@ -287,9 +297,9 @@ class TestEstimateConstants:
         assert 1 in cs and any(c > 1 for c in cs)
 
     def test_memory_does_not_grow_with_the_sample(self):
-        """Each triple sample is a stream that `behrstock_scan` reads once,
-        so no list of triples is built: the traced peak at 50,000 triples is
-        within 0.5 MB of the peak at 5,000."""
+        """The B samples are not drawn, so nothing grows with `n_triples`:
+        the traced peak at 50,000 triples is within 0.5 MB of the peak at
+        5,000."""
         def peak(n_triples):
             tracemalloc.start()
             try:
@@ -406,25 +416,17 @@ class TestBehrstockSlowTwin:
     @pytest.mark.parametrize("seed", [0, 1001])
     def test_torus_at_the_estimate_size(self, torus, seed, monkeypatch):
         """The two samples of `constants estimate --seed 0`: 10,000 triples
-        at qmax 1000.  Every read goes through `farey.annular_distance`: the
-        first two of each triple, and the third, d_z(x, y) with the triple's
-        z as its site, only when one of the first two exceeds the worst
-        level so far, which is rare."""
+        at qmax 1000.  The measured twin finds the closed form's level, and
+        neither `behrstock_scan` nor `estimate_constants` at the `geometry`
+        job's sizes calls `farey.annular_distance`."""
         triples = list(sample_overlapping_triples(10000, random.Random(seed), qmax=1000))
         want = nine_call_behrstock_scan(torus, triples)
         calls = []
-        real = farey.annular_distance
 
-        def counted(site, a, b):
-            calls.append((site, a, b))
-            return real(site, a, b)
-
-        monkeypatch.setattr(farey, "annular_distance", counted)
-        assert behrstock_scan(triples) == want
-        sample = set(triples)
-        thirds = [(site, a, b) for site, a, b in calls if (a, b, site) in sample]
-        assert len(calls) == 2 * len(triples) + len(thirds)
-        assert 0 < len(thirds) < 0.05 * len(triples)
+        monkeypatch.setattr(farey, "annular_distance", lambda *args: calls.append(args))
+        assert behrstock_scan(triples) == want == BehrstockReport(10000, 2)
+        assert estimate_constants(seed, 10000, 2000, 1000).samples["B"] == (2, 2)
+        assert calls == []
 
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
@@ -584,7 +586,7 @@ class TestPersistenceSlowTwin:
 
 class TestProjectionSymmetry:
     """d_Y(a, b) is the diameter of the union of two projections, so it is
-    symmetric; `behrstock_scan` reads one distance per site on that ground."""
+    symmetric; the Behrstock level reads one distance per site on that ground."""
 
     @pytest.mark.parametrize("qmax", [10, 100, 10 ** 4])
     def test_torus(self, torus, qmax):
