@@ -5,7 +5,7 @@ axioms, Bass-Serre orbit maps, and certificate checkers.
 
 from .farey import INFINITY, MappingClass, Slope, act, adjacent, annular_distance, \
     farey_distance, farey_geodesic, twist_about
-from .hypgraph import check_local_to_global, estimate_delta, gromov_product
+from .hypgraph import estimate_delta, gromov_product
 from .raag import PresentationGraph, components, normal_form, power_threshold
 from .subgroups import MatrixGroup, canonical_reducing_system, nielsen_thurston_type
 from .projections import TorusAnnuli, behrstock_scan, bgit_scan, \

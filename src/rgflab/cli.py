@@ -96,8 +96,9 @@ def family_to_json(family: FamilySpec) -> dict:
 
 
 def _one_slope(texts, what: str) -> Slope:
-    """The slope of a list of one `p/q` string: a torus curve system."""
-    if len(texts) != 1:
+    """The slope of a JSON list of one `p/q` string: a torus curve system.
+    A string is no list, though a one-character one has length 1."""
+    if type(texts) is not list or len(texts) != 1:
         raise ValueError(f"{what} must be one slope, got {texts!r}")
     return Slope.parse(texts[0])
 
@@ -109,7 +110,7 @@ def family_from_json(doc: dict) -> FamilySpec:
     for fd in doc["factors"]:
         group = subgroups.MatrixGroup.of(*fd["generators"])
         declared = (_one_slope(fd["boundary"], f"the boundary of factor {fd['name']}")
-                    if fd["boundary"] else None)
+                    if fd["boundary"] != [] else None)
         budget = fd.get("budget", 2)
         # a fractional budget would silently run the search of the next
         # integer, and JSON true would pass as 1 (bool is an int)
@@ -575,6 +576,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
+# reads only `--config`, before the action's parser, so that a config file
+# can give a required flag; a bare `--config` is left to that parser's error
+_CONFIG_PATH = argparse.ArgumentParser(add_help=False)
+_CONFIG_PATH.add_argument("--config", nargs="?")
+
+
 def _config_argv(command: str, action: str | None, path: str) -> list:
     """The `--flag=value` tokens of the `--config` file, one per key: a flag of
     the action in `COMMANDS`, or `--output`; `main` parses them first, so the command line wins."""
@@ -604,12 +611,17 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser(command)
     try:
+        # the config path, looked for after the command words: the command and
+        # its action word, if any; an unknown command or action is left to the
+        # parser's error
+        actions = COMMANDS[command][1] if command else {}
+        words = 1 if None in actions else 2
+        action = argv[1] if words == 2 and len(argv) > 1 else None
+        if action in actions:
+            path = _CONFIG_PATH.parse_known_args(argv[words:])[0].config
+            if path is not None:
+                argv[words:words] = _config_argv(command, action, path)
         args = parser.parse_args(argv)
-        if args.config is not None:
-            tokens = _config_argv(command, getattr(args, "action", None), args.config)
-            # after the command words: the command and its action word, if any
-            words = 1 if None in COMMANDS[command][1] else 2
-            args = parser.parse_args(argv[:words] + tokens + argv[words:])
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _env_seed()
         code, records, pairs = args.func(args)

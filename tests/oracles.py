@@ -1,9 +1,10 @@
 """Definitions only the tests call: reference twins of package kernels, small
-graph models with the product-versus-geodesic sandwich, the synthetic tree
-projection system with the skip-index persistence check, and RAAG word
-builders with the confluent rewriting system that checks `raag.normal_form`,
-beside admissible support families and the letter bookkeeping along
-alternating words."""
+graph models with the product-versus-geodesic sandwich and the sampled
+local-to-global chain check (both take the geodesic function as an argument
+beside a `dist`-only oracle), the synthetic tree projection system with the
+skip-index persistence check, and RAAG word builders with the confluent
+rewriting system that checks `raag.normal_form`, beside admissible support
+families and the letter bookkeeping along alternating words."""
 
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat
 from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
 from rgflab.constructions import (DefiniteDistanceReport, DisplacingReport, GromovBoundReport,
                                   MisalignmentReport)
-from rgflab.hypgraph import FareyOracle, bfs, gromov_product, point_to_path_distance
+from rgflab.hypgraph import FareyOracle, bfs, gromov_product
 from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
                                 random_slopes)
@@ -319,18 +320,79 @@ class GraphOracle:
         path.reverse()
         return path
 
-class GeodesicsUnsupported(RuntimeError):
-    """Raised by checks that need actual geodesics from an oracle without them."""
+def point_to_path_distance(z, path, oracle):
+    return min(oracle.dist(z, v) for v in path)
 
-def check_gp_geodesic_bound(x, y, z, oracle, delta) -> bool:
-    """d(z, [x,y]) - 4*delta <= (x|y)_z <= d(z, [x,y]) for one geodesic [x,y]."""
-    geod = getattr(oracle, "geodesic", None)
-    if geod is None:
-        raise GeodesicsUnsupported("oracle provides no geodesics")
-    path = geod(x, y)
-    dz = point_to_path_distance(z, path, oracle)
+
+def check_gp_geodesic_bound(x, y, z, oracle, geodesic, delta) -> bool:
+    """d(z, [x,y]) - 4*delta <= (x|y)_z <= d(z, [x,y]) for the geodesic
+    [x,y] = `geodesic(x, y)`."""
+    dz = point_to_path_distance(z, geodesic(x, y), oracle)
     gp = gromov_product(x, y, z, oracle)
     return dz - 4 * Fraction(delta) <= gp <= dz
+
+
+@dataclass
+class ChainReport:
+    """Outcome of the local-to-global check on one chain."""
+
+    D: Fraction                  # A + 6*delta
+    hypothesis_ok: bool
+    conclusion_ok: bool
+    geodesic_ok: bool
+    slack: Fraction              # d(x0,xn) - (sum - 2D(n-1)); >= 0 when hypothesis holds
+    failures: list = field(default_factory=list)
+
+
+def check_local_to_global(chain, A, delta, oracle, geodesic) -> ChainReport:
+    """Chain form of the local-to-global principle, on one sampled chain.
+
+    Hypotheses: every interior Gromov product (x_{i-1} | x_{i+1})_{x_i} <= A
+    and every gap d(x_i, x_{i+1}) > 4A + 24*delta.  Conclusions: the
+    concatenation loses at most 2D per interior point (D = A + 6*delta), the
+    total gap sum is at most twice the end distance, and every chain point
+    lies within D of the geodesic `geodesic(x_0, x_n)` between the endpoints.
+    """
+    A = Fraction(A)
+    delta = Fraction(delta)
+    D = A + 6 * delta
+    pts = list(chain)
+    n = len(pts) - 1
+    if n < 1:
+        raise ValueError("chain needs at least one segment")
+    failures = []
+
+    gaps = [oracle.dist(pts[i], pts[i + 1]) for i in range(n)]
+    hyp = True
+    threshold = 4 * A + 24 * delta
+    for i, g in enumerate(gaps):
+        if g <= threshold:
+            hyp = False
+            failures.append(f"gap {i} = {g} <= 4A+24delta = {threshold}")
+    for i in range(1, n):
+        gp = gromov_product(pts[i - 1], pts[i + 1], pts[i], oracle)
+        if gp > A:
+            hyp = False
+            failures.append(f"interior product at {i} = {gp} > A = {A}")
+
+    end = oracle.dist(pts[0], pts[n])
+    total = sum(gaps)
+    slack = end - (total - 2 * D * (n - 1))
+    concl = slack >= 0
+    if not concl:
+        failures.append(f"lower bound fails by {-slack}")
+    if total > 2 * end:
+        concl = False
+        failures.append(f"gap sum {total} exceeds twice end distance {end}")
+
+    path = geodesic(pts[0], pts[n])
+    geo_ok = True
+    for i in range(1, n):
+        if point_to_path_distance(pts[i], path, oracle) > D:
+            geo_ok = False
+            failures.append(f"point {i} farther than D from a geodesic")
+
+    return ChainReport(D, hyp, concl and geo_ok, geo_ok, slack, failures)
 
 
 def cycle_oracle(n: int) -> GraphOracle:

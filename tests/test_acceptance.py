@@ -14,8 +14,7 @@ import pytest
 from rgflab.farey import (INFINITY, BfsOracle, MappingClass, Slope, act,
                           annular_distance, bounded_vertices, farey_distance,
                           farey_geodesic, twist_about)
-from rgflab.hypgraph import (FareyOracle, check_local_to_global, estimate_delta,
-                             gromov_product, point_to_path_distance)
+from rgflab.hypgraph import FareyOracle, estimate_delta, gromov_product
 from rgflab.projections import (TorusAnnuli, persistence_check, random_slope,
                                 twist_pivot_sequence)
 from rgflab.raag import PresentationGraph, components, normal_form
@@ -26,7 +25,8 @@ from rgflab.bassserre import (FactorSpec, free_product_check,
 from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
-from oracles import (concat, cycle_oracle, general_persistence_check, inverse_word,
+from oracles import (check_local_to_global, concat, cycle_oracle,
+                     general_persistence_check, inverse_word, point_to_path_distance,
                      random_rewrite, random_tree, sample_overlapping_triples,
                      synthetic_system, system_behrstock_scan)
 
@@ -120,12 +120,7 @@ def test_02_hyperbolicity_toolkit(delta_emp):
 
 def test_03_local_to_global(delta_emp):
     t0 = time.time()
-
-    class DistOnly:
-        def dist(self, a, b):
-            return farey_distance(a, b)
-
-    oracle = DistOnly()
+    oracle = FareyOracle()
     A = Fraction(1)
     threshold = 4 * A + 24 * delta_emp
     gap = int(threshold) + 2
@@ -137,7 +132,7 @@ def test_03_local_to_global(delta_emp):
     for _ in range(10 ** 3):
         length = rng.randrange(2, 6)
         chain = twist_pivot_sequence(base, start, 12, length, rng)
-        rep = check_local_to_global(chain, A, delta_emp, oracle)
+        rep = check_local_to_global(chain, A, delta_emp, oracle, farey_geodesic)
         if not rep.hypothesis_ok:
             hypothesis_failures += 1
         elif not rep.conclusion_ok:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import signal
 import subprocess
@@ -270,6 +271,17 @@ BAD_INPUT_ROWS = [
     ("family-empty-beta", ["cert", "displacing", "--family", "EMPTYBETA"],
      "usage error: bad family file EMPTYBETA: "
      "ValueError('a betas entry must be one slope, got []')"),
+    # a one-character string has length 1, and read as the slope 0/1 or as
+    # no boundary
+    ("family-string-boundary", ["cert", "separated", "--family", "STRBOUNDARY"],
+     "usage error: bad family file STRBOUNDARY: "
+     "ValueError(\"the boundary of factor B must be one slope, got '0'\")"),
+    ("family-empty-string-boundary", ["cert", "pingpong", "--family", "BLANKBOUNDARY"],
+     "usage error: bad family file BLANKBOUNDARY: "
+     "ValueError(\"the boundary of factor S must be one slope, got ''\")"),
+    ("family-string-beta", ["cert", "displacing", "--family", "STRBETA"],
+     "usage error: bad family file STRBETA: "
+     "ValueError(\"a betas entry must be one slope, got '0'\")"),
     # no factor: build and qi were `need at least one factor` tracebacks, the
     # four certificates exited 3 and free-product passed on 0 words
     ("family-no-factors-build", ["tree", "build", "--family", "NOFACTORS"],
@@ -386,6 +398,21 @@ BAD_FAMILIES = {
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
         "betas": [[]]}),
     "NOFACTORS": json.dumps({"factors": []}),
+    # the full twists about 1/0 and 0/1, with 0/1 and then 1/1 as the string
+    # "0" (`cert separated` exited 1 on it, with both read as 0/1)
+    "STRBOUNDARY": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": "0"}],
+        "betas": [["1/1"], "0"]}),
+    "STRBETA": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}],
+        "betas": [["1/1"], "0"]}),
+    # the swap of 1/0 and 0/1, of order 4, whose empty string read as no
+    # boundary, beside the twist about 0/1
+    "BLANKBOUNDARY": json.dumps({"factors": [
+        {"name": "S", "generators": [[0, -1, 1, 0]], "boundary": ""},
+        {"name": "T", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}]}),
     # the shear pair with one displacing curve, and one twist with two
     "SHORTBETAS": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
@@ -1053,6 +1080,48 @@ def test_readme_commands_parse(tmp_path):
     assert len(lines) >= 17
 
 
+# a flag's least value and default in the README's table, and the
+# words the table writes for a default that is not an integer
+FLAG_CELL = re.compile(r"`(--[\w-]+)`(?: ≥ (\d+))?( \(required\))?(?: \[(`\[\]`|[^\]]*)\])?")
+TABLE_DEFAULTS = {"none": None, "empty": "", "`[]`": "[]"}
+
+
+def test_readme_flag_table_matches_the_parsers():
+    # one row per action, each naming the action's positionals and every
+    # flag, and each integer flag's least value and default as `_int_flag`
+    # gives them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| action | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        words, cell = line.strip("| ").split(" | ")
+        command, *rest = words.strip("`").split()
+        action = None if None in cli.COMMANDS[command][1] else rest.pop(0)
+        rows[command, action] = rest, cell
+    actions = {(c, a): flags for c, (_, acts) in cli.COMMANDS.items()
+               for a, (_, flags) in acts.items()}
+    assert len(rows) == len(actions) == 17 and rows.keys() == actions.keys()
+    for key, (positionals, cell) in rows.items():
+        flags = actions[key]
+        assert positionals == [f for f in flags if not f.startswith("--")], key
+        named = {m[1]: m.groups()[1:] for m in FLAG_CELL.finditer(cell)}
+        assert named.keys() == {f for f in flags if f.startswith("--")}, key
+        for name, (least, required, default) in named.items():
+            kw = flags[name]
+            assert bool(required) == kw.get("required", False), name
+            convert = kw.get("type")
+            if getattr(convert, "__qualname__", "").startswith("_int_flag."):
+                lo = int(least)
+                assert convert(str(lo)) == lo, name
+                with pytest.raises(argparse.ArgumentTypeError):
+                    convert(str(lo - 1))
+            else:
+                assert least is None, name
+            if default is not None:
+                want = TABLE_DEFAULTS[default] if default in TABLE_DEFAULTS else int(default)
+                assert kw["default"] == want, name
+
+
 class TestFamilyJson:
     def test_round_trip(self):
         fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=3),
@@ -1206,6 +1275,21 @@ class TestConfigFile:
         # line's where it set one, the file's, and the defaults
         assert config == {"record": "config", "command": "delta-estimate", "seed": 9,
                           "points": want, "qmax": 10, "max_quadruples": 200000}
+
+    @pytest.mark.parametrize("command, required, flags", [
+        (["tree", "qi"], {"family": "FAMILY"}, ["--radius", "2"]),
+        (["raag", "components"], {"vertices": 4}, ["--edges", "[[0,1],[2,3]]"])])
+    def test_required_flag_from_config(self, tmp_path, family_file, command, required, flags):
+        # the path is read before the parse, so the file can give a required
+        # flag, and the report is the one the command line gives
+        required = {k: family_file if v == "FAMILY" else v for k, v in required.items()}
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(required))
+        from_file, from_flags = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main([*command, "--config", str(conf), *flags, "--output", str(from_file)]) == PASS
+        given = [f"--{k}={v}" for k, v in required.items()]
+        assert main([*command, *given, *flags, "--output", str(from_flags)]) == PASS
+        assert from_file.read_bytes() == from_flags.read_bytes()
 
     def test_shared_flag_before_subcommand_is_usage_error(self, tmp_path):
         out = tmp_path / "o.jsonl"

@@ -15,10 +15,7 @@ An option (a parameter with a default) counts as set when some call in the
 program or the benchmark (`src/` and `perfbench/`) passes it, by keyword or
 by position, with anything but a literal equal to its default; a call with
 `*args` or `**kwargs` may pass anything, and so may whatever receives a
-function passed to it as an argument.  A test alone sets no option: only for
-the paper layers that no command reaches yet (`TEST_ONLY_LAYERS`) do the
-calls in `tests/` count too, and each of those names a definition of the
-package, so a layer that moves or goes takes its exemption with it.  Calls
+function passed to it as an argument.  A test alone sets no option.  Calls
 match a function and a method by the called name, and `__init__` by the
 class name.  A parameter counts as read when its name is loaded in the body;
 methods defined on more than one class implement a shared interface, so
@@ -33,10 +30,9 @@ those are the allow-list of paper layers.  No module imports a name it
 never loads (`__init__` re-exports and `__future__` aside).
 
 A dataclass field counts as dead when no attribute of that name is loaded
-in the program or the benchmark (and, for a class of `TEST_ONLY_LAYERS`, in
-the tests) and, for a field with a default, no such construction (a call by
-the class name, or a `replace` keyword) passes it anything but a literal
-equal to its default.  Fields, like methods, are counted by attribute name;
+in the program or the benchmark and, for a field with a default, no such
+construction (a call by the class name, or a `replace` keyword) passes it
+anything but a literal equal to its default.  Fields, like methods, are counted by attribute name;
 a load off `args`, the parsed command line, reads a flag and counts for no
 field.
 """
@@ -58,9 +54,6 @@ SEARCHED = [ROOT / "src", TESTS]
 # the program and the benchmark: the callers and readers an option or a field
 # needs, since a value only a test sets or reads changes no command's output
 COMMANDS = [ROOT / "src", ROOT / "perfbench"]
-# paper layers that no command reaches yet, whose options and fields the
-# tests alone exercise
-TEST_ONLY_LAYERS = ("ChainReport",)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -176,8 +169,7 @@ class Oracle:
 
 
 def test_getattr_by_literal_references_a_method(tmp_path):
-    # the command reaches `geodesic` only by `getattr` with a literal name,
-    # as `hypgraph.check_local_to_global` reaches `FareyOracle.geodesic`;
+    # the command reaches `geodesic` only by `getattr` with a literal name;
     # a name computed at run time references nothing, so `path` is dead
     source = tmp_path / "src"
     package = source / "pkg"
@@ -374,10 +366,9 @@ def _options(fn, offset):
 
 
 def _signatures(package):
-    """(label, owner, definition, called name, leading bound parameters,
-    shared) for every module-level function and every method, `__init__`
-    included, of a module-level class; the owner is the function's name or
-    the class's."""
+    """(label, definition, called name, leading bound parameters, shared)
+    for every module-level function and every method, `__init__` included,
+    of a module-level class."""
     trees = [(path.stem, ast.parse(path.read_text(), str(path)))
              for path in sorted(package.glob("*.py"))]
     defined = Counter(m.name for _, tree in trees for node in tree.body
@@ -386,7 +377,7 @@ def _signatures(package):
     for stem, tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                yield f"{stem}.{node.name}", node.name, node, node.name, 0, False
+                yield f"{stem}.{node.name}", node, node.name, 0, False
             if not isinstance(node, ast.ClassDef):
                 continue
             for m in node.body:
@@ -395,7 +386,7 @@ def _signatures(package):
                     continue
                 static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
                 called = node.name if m.name == "__init__" else m.name
-                yield (f"{stem}.{node.name}.{m.name}", node.name, m, called,
+                yield (f"{stem}.{node.name}.{m.name}", m, called,
                        0 if static else 1, defined[m.name] > 1)
 
 
@@ -425,19 +416,10 @@ def _calls_and_loads(searched) -> tuple:
     return calls, loaded
 
 
-def _readers(commands, tests, layers):
-    """`_calls_and_loads` for the owner `name`: of `commands`, or of
-    `commands` and `tests` when `name` is one of `layers`."""
-    counted = {False: _calls_and_loads(commands), True: _calls_and_loads(commands + tests)}
-    return lambda name: counted[name in layers]
-
-
-def option_creep(package=PACKAGE, commands=COMMANDS, tests=(TESTS,),
-                 layers=TEST_ONLY_LAYERS) -> list:
-    readers = _readers(list(commands), list(tests), layers)
+def option_creep(package=PACKAGE, commands=COMMANDS) -> list:
+    calls, _ = _calls_and_loads(commands)
     found = []
-    for label, owner, fn, called, offset, shared in _signatures(package):
-        calls, _ = readers(owner)
+    for label, fn, called, offset, shared in _signatures(package):
         for name, index, default in _options(fn, offset):
             if not any(_sets(c, index, name, default) for c in calls[called]):
                 found.append(f"{label}({name}=) is never set")
@@ -478,15 +460,13 @@ def _field_default(value):
     return None
 
 
-def unused_fields(package=PACKAGE, commands=COMMANDS, tests=(TESTS,),
-                  layers=TEST_ONLY_LAYERS) -> list:
-    readers = _readers(list(commands), list(tests), layers)
+def unused_fields(package=PACKAGE, commands=COMMANDS) -> list:
+    calls, loaded = _calls_and_loads(commands)
     found = []
     for path in sorted(package.glob("*.py")):
         for cls in ast.parse(path.read_text(), str(path)).body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
-            calls, loaded = readers(cls.name)
             fields = [f for f in cls.body
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             for index, f in enumerate(fields):
@@ -533,13 +513,13 @@ def test_unused_fields_fire_on_a_planted_module(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "planted.py").write_text(PLANTED)
-    assert unused_fields(package, [tmp_path], tests=[]) == [
+    assert unused_fields(package, [tmp_path]) == [
         "planted.Report.origin", "planted.Report.note", "planted.Report.tags"]
     (tmp_path / "reader.py").write_text(
         "import dataclasses\n"
         "def show(report):\n"
         "    return dataclasses.replace(report, tags=['a']).note + report.origin\n")
-    assert unused_fields(package, [tmp_path], tests=[]) == []
+    assert unused_fields(package, [tmp_path]) == []
 
 
 PLANTED_TESTED = """
@@ -562,7 +542,8 @@ def total(x):
 
 
 def test_test_only_callers_count_for_nothing(tmp_path):
-    # a test alone sets `level` and reads `origin`; the package reads `count`
+    # a test alone sets `level` and reads `origin`; the package reads `count`.
+    # The guard reads the commands alone, so the test counts for nothing
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "planted.py").write_text(PLANTED_TESTED)
@@ -572,45 +553,24 @@ def test_test_only_callers_count_for_nothing(tmp_path):
         "from pkg.planted import scan\n"
         "def test_it():\n"
         "    assert scan(1, level=2).origin == 'a'\n")
-    where = dict(package=package, commands=[tmp_path / "src"], tests=[tests])
-    assert option_creep(**where, layers=()) == ["planted.scan(level=) is never set"]
-    assert unused_fields(**where, layers=()) == ["planted.Report.origin"]
-    # a layer no command reaches yet counts its tests
-    assert option_creep(**where, layers=("scan",)) == []
-    assert unused_fields(**where, layers=("Report",)) == []
+    where = dict(package=package, commands=[tmp_path / "src"])
+    assert option_creep(**where) == ["planted.scan(level=) is never set"]
+    assert unused_fields(**where) == ["planted.Report.origin"]
     # a command that passes `scan` on, as the benchmark passes `cli.main` to
     # its timer, may have it called with anything
     (tmp_path / "src" / "timer.py").write_text(
         "from pkg.planted import scan\n"
         "def run(timer):\n"
         "    return timer(scan, 2)\n")
-    assert option_creep(**where, layers=()) == []
-    assert unused_fields(**where, layers=()) == ["planted.Report.origin"]
+    assert option_creep(**where) == []
+    assert unused_fields(**where) == ["planted.Report.origin"]
     (tmp_path / "src" / "caller.py").write_text(
         "from pkg.planted import scan\n"
         "def run():\n"
         "    return scan(2, level=3).origin\n")
     (tmp_path / "src" / "timer.py").unlink()
-    assert option_creep(**where, layers=()) == []
-    assert unused_fields(**where, layers=()) == []
-
-
-def stale_layers(package=PACKAGE, layers=TEST_ONLY_LAYERS) -> list:
-    """The entries of `layers` that name no module-level function or class
-    of `package`: exemptions left behind by a layer that moved or went."""
-    defined = {node.name for path in sorted(package.glob("*.py"))
-               for node in ast.parse(path.read_text(), str(path)).body
-               if isinstance(node, DEFINITIONS)}
-    return [name for name in layers if name not in defined]
-
-
-def test_no_stale_test_only_layers():
-    assert stale_layers() == []
-
-
-def test_stale_layers_fire_on_a_moved_layer():
-    # `synthetic_system` is a test fixture, defined in `tests/oracles.py`
-    assert stale_layers(layers=TEST_ONLY_LAYERS + ("synthetic_system",)) == ["synthetic_system"]
+    assert option_creep(**where) == []
+    assert unused_fields(**where) == []
 
 
 def test_traced_entry_points_exist():

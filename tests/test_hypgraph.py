@@ -5,22 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgflab.farey import INFINITY, Slope, bounded_vertices
-from rgflab.hypgraph import (DeltaEstimate, FareyOracle, bfs, check_local_to_global,
-                             estimate_delta, gromov_product, point_to_path_distance)
+from rgflab.farey import INFINITY, Slope, bounded_vertices, farey_geodesic
+from rgflab.hypgraph import DeltaEstimate, FareyOracle, bfs, estimate_delta, gromov_product
 from rgflab.projections import random_slope
-from oracles import (GeodesicsUnsupported, check_gp_geodesic_bound, cycle_oracle,
-                     random_tree)
-
-
-class DistOnly:
-    """Strips geodesic support from an oracle."""
-
-    def __init__(self, oracle):
-        self._o = oracle
-
-    def dist(self, a, b):
-        return self._o.dist(a, b)
+from oracles import (check_gp_geodesic_bound, check_local_to_global, cycle_oracle,
+                     point_to_path_distance, random_tree)
 
 
 class TestGromovProduct:
@@ -219,12 +208,13 @@ class TestEstimateDeltaSlowTwin:
 
 class TestLocalToGlobal:
     def test_single_segment(self):
-        rep = check_local_to_global([INFINITY, Slope(0, 1)], 0, 0, FareyOracle())
+        rep = check_local_to_global([INFINITY, Slope(0, 1)], 0, 0, FareyOracle(),
+                                    farey_geodesic)
         assert rep.hypothesis_ok and rep.conclusion_ok and rep.D == 0
 
     def test_needs_a_segment(self):
         with pytest.raises(ValueError):
-            check_local_to_global([INFINITY], 0, 0, FareyOracle())
+            check_local_to_global([INFINITY], 0, 0, FareyOracle(), farey_geodesic)
 
     def test_tree_chain_zero_slack(self):
         t = random_tree(30, 5)
@@ -233,14 +223,14 @@ class TestLocalToGlobal:
         if len(path) < 5:
             path = max((t.geodesic(a, b) for a in pts for b in pts), key=len)
         chain = [path[0], path[len(path) // 2], path[-1]]
-        rep = check_local_to_global(chain, 0, 0, t)
+        rep = check_local_to_global(chain, 0, 0, t, t.geodesic)
         assert rep.hypothesis_ok and rep.conclusion_ok
         assert rep.slack == 0
         assert rep.geodesic_ok
 
     def test_hypothesis_failure_is_reported_not_raised(self):
         rep = check_local_to_global([Slope(0, 1), Slope(1, 1), Slope(0, 1)], 0, 0,
-                                    FareyOracle())
+                                    FareyOracle(), farey_geodesic)
         assert not rep.hypothesis_ok
         assert rep.failures
 
@@ -250,16 +240,16 @@ class TestLocalToGlobal:
         a0 = Slope(0, 1)
         a1 = slope_at_distance(a0, 30)
         chain = twist_pivot_sequence(a0, a1, 8, 4)
-        rep = check_local_to_global(chain, 1, 1, DistOnly(FareyOracle()))
+        rep = check_local_to_global(chain, 1, 1, FareyOracle(), farey_geodesic)
         assert rep.hypothesis_ok, rep.failures
         assert rep.conclusion_ok, rep.failures
-        assert rep.geodesic_ok is None
+        assert rep.geodesic_ok
 
 
 class TestGpGeodesicBound:
     def test_z_on_geodesic(self):
         fo = FareyOracle()
-        assert check_gp_geodesic_bound(INFINITY, Slope(0, 1), INFINITY, fo, 0)
+        assert check_gp_geodesic_bound(INFINITY, Slope(0, 1), INFINITY, fo, farey_geodesic, 0)
         assert gromov_product(INFINITY, Slope(0, 1), INFINITY, fo) == 0
 
     def test_tree_equality(self):
@@ -268,12 +258,7 @@ class TestGpGeodesicBound:
         rng = random.Random(3)
         for _ in range(100):
             x, y, z = (rng.choice(pts) for _ in range(3))
-            assert check_gp_geodesic_bound(x, y, z, t, 0)
-
-    def test_requires_geodesics(self):
-        with pytest.raises(GeodesicsUnsupported):
-            check_gp_geodesic_bound(INFINITY, Slope(0, 1), Slope(1, 1),
-                                    DistOnly(FareyOracle()), 0)
+            assert check_gp_geodesic_bound(x, y, z, t, t.geodesic, 0)
 
     def test_farey_samples(self):
         fo = FareyOracle()
@@ -282,4 +267,4 @@ class TestGpGeodesicBound:
             x, y, z = (random_slope(rng, 80) for _ in range(3))
             if len({x, y, z}) < 3:
                 continue
-            assert check_gp_geodesic_bound(x, y, z, fo, 1)
+            assert check_gp_geodesic_bound(x, y, z, fo, farey_geodesic, 1)
