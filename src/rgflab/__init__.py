@@ -12,8 +12,8 @@ from .projections import TorusAnnuli, behrstock_scan, bgit_scan, \
     estimate_constants, persistence_check
 from .bassserre import FactorSpec, build_ball, free_product_check, \
     loxodromic_scan, phi, pingpong_certificate, qi_certificate, tree_distance
-from .constructions import FamilySpec, check_displacing, check_misaligned, \
-    check_separated, conjugate_twist_family, definite_distance_scan, \
-    displacement_table, gromov_bound_scan, separation_constants, twist_orbit_family
+from .constructions import check_displacing, check_misaligned, check_separated, \
+    conjugate_twist_family, definite_distance_scan, displacement_table, \
+    gromov_bound_scan, separation_constants, twist_orbit_family
 
 __version__ = "0.1.0"

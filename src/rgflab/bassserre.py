@@ -162,7 +162,7 @@ def build_ball(factors: list, radius: int) -> TreeBall:
         ball.adjacency[u] += new
         return new
 
-    for v, _, d in hypgraph.bfs([0], children, radius):
+    for v, d in hypgraph.bfs(0, children, radius):
         ball.distance.append(d)
         if ball.kind[v] == 1 and infinite[ball.factor[v]]:
             ball.truncated.add(v)

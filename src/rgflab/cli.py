@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -30,11 +29,9 @@ from . import bassserre
 from .bassserre import (FactorSpec, build_ball, free_product_check, pingpong_certificate,
                         qi_certificate)
 from . import constructions
-from .constructions import (FamilySpec, check_displacing, check_misaligned,
-                            check_separated, conjugate_twist_family,
-                            separation_constants, twist_orbit_family)
-
-SEED_ENV = "RGFLAB_SEED"
+from .constructions import (check_displacing, check_misaligned, check_separated,
+                            conjugate_twist_family, separation_constants,
+                            twist_orbit_family)
 
 PASS, FAIL, USAGE, NO_VERDICT = 0, 1, 2, 3
 
@@ -83,16 +80,22 @@ def emit_csv(pairs, out_path=None):
                 fh.write(row * min(8192, n - k))
 
 
-def family_to_json(family: FamilySpec) -> dict:
-    doc = {"factors": [
+def family_to_json(factors: list) -> dict:
+    return {"factors": [
         {"name": f.name,
          "generators": [list(g.entries()) for g in f.group.generators],
          "boundary": [] if f.boundary is None else [str(f.boundary)],
          "budget": f.budget}
-        for f in family.factors]}
-    if family.betas is not None:
-        doc["betas"] = [[str(b)] for b in family.betas]
-    return doc
+        for f in factors]}
+
+
+def _known_keys(doc: dict, keys: tuple, what: str):
+    """Refuse a key of `doc` outside `keys`: a misspelt or stale one, such as
+    a list of displacing curves (a factor's is its boundary), would be read
+    as absent."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}, not one of {', '.join(keys)}")
 
 
 def _one_slope(texts, what: str) -> Slope:
@@ -103,11 +106,13 @@ def _one_slope(texts, what: str) -> Slope:
     return Slope.parse(texts[0])
 
 
-def family_from_json(doc: dict) -> FamilySpec:
-    """The family of a family file.  A factor's `boundary` is derived from its
+def family_from_json(doc: dict) -> list:
+    """The factors of a family file.  A factor's `boundary` is derived from its
     generators, so the declared one must be its canonical reducing system."""
+    _known_keys(doc, ("factors",), "family")
     factors = []
     for fd in doc["factors"]:
+        _known_keys(fd, ("name", "generators", "boundary", "budget"), "factor")
         group = subgroups.MatrixGroup.of(*fd["generators"])
         declared = (_one_slope(fd["boundary"], f"the boundary of factor {fd['name']}")
                     if fd["boundary"] != [] else None)
@@ -128,32 +133,7 @@ def family_from_json(doc: dict) -> FamilySpec:
     # no factor builds no ball, and the certificates pass vacuously
     if not factors:
         raise ValueError("a family needs at least one factor")
-    betas = None
-    if "betas" in doc:
-        betas = [_one_slope(b, "a betas entry") for b in doc["betas"]]
-        # betas[i] is the displacing curve of factor i
-        if len(betas) != len(factors):
-            raise ValueError(f"betas needs one entry per factor: {len(betas)} for {len(factors)}")
-    return FamilySpec(factors, betas)
-
-
-def _env_seed() -> int | None:
-    """The seed in $RGFLAB_SEED, or None when it is unset; a value that is
-    not an integer is a usage error."""
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit_usage(f"bad ${SEED_ENV} {env!r}: not an integer")
-
-
-def _seed(args) -> int:
-    """The seed `main` resolved; a usage error when there is none."""
-    if args.seed is None:
-        raise SystemExit_usage("a seed is required for sampled scans (--seed or $" + SEED_ENV + ")")
-    return args.seed
+    return factors
 
 
 class SystemExit_usage(Exception):
@@ -205,7 +185,7 @@ def cmd_farey_geodesic(args):
 
 
 def cmd_delta_estimate(args):
-    seed = _seed(args)
+    seed = args.seed
     if args.points > 2 * args.qmax + 2:
         # below this bound 1/0 and the q = 1 slopes alone are enough
         available = len(farey.bounded_vertices(args.qmax))
@@ -227,7 +207,7 @@ def cmd_delta_estimate(args):
 
 
 def cmd_constants(args):
-    seed = _seed(args)
+    seed = args.seed
     est = estimate_constants(seed=seed, n_triples=args.triples,
                              n_geodesics=args.geodesics, qmax=args.qmax)
     rec = {"record": "constants", "M_emp": est.M_emp, "B_emp": est.B_emp,
@@ -238,7 +218,7 @@ def cmd_constants(args):
 
 
 def cmd_persistence(args):
-    seed = _seed(args)
+    seed = args.seed
     rng = random.Random(seed)
     torus = TorusAnnuli()
     M, B = args.M, args.B
@@ -303,16 +283,16 @@ def _word_str(w) -> str:
     return " ".join(f"x{g+1}" + (f"^{e}" if e != 1 else "") for g, e in w)
 
 
-def _load_family(args, reducible: bool = True) -> FamilySpec:
+def _load_family(args, reducible: bool = True) -> list:
     try:
         with open(args.family) as fh:
-            family = family_from_json(json.load(fh))
+            factors = family_from_json(json.load(fh))
         # the coset images g.boundary(H_i) need each factor's reducing system,
         # which a finite or pseudo-Anosov factor lacks; ping-pong reads none
-        for f in family.factors if reducible else ():
+        for f in factors if reducible else ():
             if f.boundary is None:
                 raise ValueError(f"factor {f.name} has no canonical reducing system")
-        return family
+        return factors
     except OSError as exc:
         raise SystemExit_usage(f"cannot read family file {args.family}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
@@ -320,7 +300,7 @@ def _load_family(args, reducible: bool = True) -> FamilySpec:
 
 
 def cmd_tree_build(args):
-    ball = build_ball(_load_family(args).factors, args.radius)
+    ball = build_ball(_load_family(args), args.radius)
     recs = [{"record": "tree-ball", "radius": args.radius,
              "type1": len(ball.vertices(1)), "type2": len(ball.vertices(2)),
              "truncated": len(ball.truncated)}]
@@ -330,7 +310,7 @@ def cmd_tree_build(args):
 
 
 def cmd_tree_qi(args):
-    rep, rec = _qi_certificate(_load_family(args).factors, args.radius, args.kappa)
+    rep, rec = _qi_certificate(_load_family(args), args.radius, args.kappa)
     rec.update({"kappa_given": args.kappa, "kappa_given_ok": rep.kappa_given_ok,
                 "envelope": rep.lower_envelope, "fit": rep.fit})
     ok = rep.benchmark_ok and rep.kappa_given_ok in (None, True)
@@ -338,7 +318,7 @@ def cmd_tree_qi(args):
 
 
 def cmd_tree_free_product(args):
-    rep = free_product_check(_load_family(args).factors, budget=args.budget)
+    rep = free_product_check(_load_family(args), budget=args.budget)
     rec = {"record": "free-product", "budget": args.budget,
            "identity_convention": "projective",
            "no_relation": rep.no_relation, "words_checked": rep.words_checked,
@@ -386,7 +366,7 @@ def cmd_cert_misaligned(args):
 
 
 def cmd_cert_pingpong(args):
-    rep = pingpong_certificate(_load_family(args, reducible=False).factors)
+    rep = pingpong_certificate(_load_family(args, reducible=False))
     rec = {"record": "cert-pingpong", "certified": rep.certified,
            "windows": [f"[{lo}, {hi}]" for lo, hi in rep.windows],
            "failing_pair": rep.failing_pair, "reason": rep.reason}
@@ -397,7 +377,7 @@ def cmd_cert_pingpong(args):
 def cmd_cert_displacing(args):
     rep = check_displacing(_load_family(args), args.L)
     rec = {"record": "cert-displacing", "L": args.L,
-           "stabilize_ok": rep.stabilize_ok, "separation_ok": rep.separation_ok,
+           "separation_ok": rep.separation_ok,
            "min_margin": rep.min_margin, "misses": rep.misses, "ok": rep.ok}
     # the scan is exact, so a miss fails the certificate; a family with no
     # tuple to scan settles nothing
@@ -405,18 +385,18 @@ def cmd_cert_displacing(args):
 
 
 def cmd_prop91(args):
-    tw = twist_orbit_family(args.dprime, window=args.window, seed=_seed(args),
+    tw = twist_orbit_family(args.dprime, window=args.window, seed=args.seed,
                             factor_budget=args.factor_budget)
     records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
                 "N": tw.N, "center": tw.center, "window": tw.window,
                 "constants": tw.constants,
-                "boundaries": [[f.boundary] for f in tw.family.factors]},
+                "boundaries": [[f.boundary] for f in tw.family]},
                {"record": "prop91-separation", "min": tw.separation.minimum,
                 "matrix": tw.separation.matrix, "ok": tw.separation.ok,
                 "window_ok": tw.distance_window_ok},
                {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
                 "ok": tw.misalignment.ok}]
-    qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
+    qi, qi_rec = _qi_certificate(tw.family, args.radius)
     records.append(qi_rec)
     records.append({"record": "family-json", "family": family_to_json(tw.family)})
     ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
@@ -424,9 +404,8 @@ def cmd_prop91(args):
 
 
 def cmd_theorem_b(args):
-    seed = _seed(args)
-    est = estimate_constants(seed=seed, n_triples=args.triples,
-                             n_geodesics=args.geodesics, qmax=args.qmax)
+    seed = args.seed
+    est = estimate_constants(seed=seed, n_geodesics=args.geodesics, qmax=args.qmax)
     rng = random.Random(seed + 7)
     curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
     factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
@@ -448,10 +427,10 @@ def cmd_theorem_b(args):
     # thresholds differ
     separated_at_D = tw.separation.minimum >= int(D)
     misaligned_at_A = tw.misalignment.minimum >= A
-    qi, qi_rec = _qi_certificate(tw.family.factors, args.radius)
-    fp = free_product_check(tw.family.factors, budget=args.budget)
+    qi, qi_rec = _qi_certificate(tw.family, args.radius)
+    fp = free_product_check(tw.family, budget=args.budget)
     rng2 = random.Random(seed + 11)
-    words = [bassserre.random_alternating_word(tw.family.factors, rng2)
+    words = [bassserre.random_alternating_word(tw.family, rng2)
              for _ in range(args.words)]
     lox = bassserre.loxodromic_scan(words)
     records += [
@@ -473,10 +452,10 @@ def cmd_theorem_b(args):
 
 
 def cmd_example92(args):
-    cf = conjugate_twist_family(args.D, seed=_seed(args), relation_budget=args.budget,
+    cf = conjugate_twist_family(args.D, seed=args.seed, relation_budget=args.budget,
                                 factor_budget=args.factor_budget)
     records = [{"record": "example92-family", "D": cf.D, "T": cf.T,
-                "boundaries": [[f.boundary] for f in cf.family.factors]},
+                "boundaries": [[f.boundary] for f in cf.family]},
                {"record": "example92-separation", "min": cf.separation.minimum,
                 "ok": cf.separation.ok},
                {"record": "example92-misalignment", "min": cf.misalignment.minimum,
@@ -495,12 +474,12 @@ def cmd_example92(args):
 _SLOPES = {"a": {"type": _slope_arg}, "b": {"type": _slope_arg}}
 _GRAPH = {"--vertices": _int_flag(0, required=True),
           "--edges": {"default": "[]", "help": "JSON list of [i, j] pairs, 0-based"}}
-_FAMILY = {"--family": {"required": True, "help": "FamilySpec JSON file"}}
+_FAMILY = {"--family": {"required": True, "help": "family JSON file"}}
 # a relation has at least two syllables: a smaller budget searches nothing
 _BUDGET = {"--budget": _int_flag(2, 8)}
 _FACTOR_BUDGET = {"--factor-budget": _int_flag(1, 2)}
 # only the actions that draw at random take --seed
-_SEED = {"--seed": {"type": int, "help": f"RNG seed (default ${SEED_ENV})"}}
+_SEED = {"--seed": {"type": int, "required": True, "help": "RNG seed"}}
 # only the actions that write a pair table take --format
 _TABLE = {"--format": {"choices": ("json", "csv"), "default": "json"}}
 
@@ -541,7 +520,7 @@ COMMANDS = {
         "theorem-b": (cmd_theorem_b, {
             "--radius": _int_flag(0, 6), **_BUDGET, **_FACTOR_BUDGET,
             "--words": _int_flag(1, 100), "--curve-samples": _int_flag(1, 60),
-            "--triples": _int_flag(1, 1000), "--geodesics": _int_flag(1, 300),
+            "--geodesics": _int_flag(1, 300),
             "--qmax": _int_flag(1, 800), "--delta": _int_flag(0, 1), **_SEED, **_TABLE}),
         "example92": (cmd_example92, {"--D": _int_flag(8, 8), **_BUDGET, **_FACTOR_BUDGET,
                                       **_SEED})}),
@@ -622,8 +601,6 @@ def main(argv=None) -> int:
             if path is not None:
                 argv[words:words] = _config_argv(command, action, path)
         args = parser.parse_args(argv)
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _env_seed()
         code, records, pairs = args.func(args)
         # the values the run used, whatever their source or spelling; where
         # the report goes, and in what form, is no part of the run

@@ -17,32 +17,17 @@ from .projections import geodesic_image_bounds
 
 
 @dataclass
-class FamilySpec:
-    """Free-product factors with reducing systems and optional displacing
-    curves, one slope each (each beta_i must be fixed by its factor)."""
-
-    factors: list
-    betas: list | None = None
-
-    def boundaries(self) -> list:
-        return [f.boundary for f in self.factors]
-
-    def beta(self, i: int) -> Slope:
-        if self.betas is not None:
-            return self.betas[i]
-        return self.factors[i].boundary
-
-
-@dataclass
 class SeparationReport:
     matrix: list
     minimum: int | None
     ok: bool
 
 
-def _distance_table(bs: list) -> list:
-    """The matrix of Farey distances between the curve systems `bs` of a
-    family: each pair is computed once, above the diagonal, and mirrored."""
+def _distance_table(factors: list) -> list:
+    """The matrix of Farey distances between the reducing systems of a
+    family's factors: each pair is computed once, above the diagonal, and
+    mirrored."""
+    bs = [f.boundary for f in factors]
     n = len(bs)
     table = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -57,10 +42,10 @@ def _separation(matrix: list, D: int) -> SeparationReport:
     return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
 
 
-def check_separated(family: FamilySpec, D: int) -> SeparationReport:
+def check_separated(factors: list, D: int) -> SeparationReport:
     """Pairwise curve-graph distances of the reducing systems against the
     threshold D.  Vacuous for a single factor."""
-    return _separation(_distance_table(family.boundaries()), D)
+    return _separation(_distance_table(factors), D)
 
 
 @dataclass
@@ -84,16 +69,15 @@ def _misalignment(d: list, A) -> MisalignmentReport:
     return MisalignmentReport(table, minimum, minimum >= A)
 
 
-def check_misaligned(family: FamilySpec, A) -> MisalignmentReport:
+def check_misaligned(factors: list, A) -> MisalignmentReport:
     """Gromov products over all distinct ordered triples of reducing systems
     against the threshold; vacuous below three factors.  The products read
     one `_distance_table`, so each pair's distance is computed once."""
-    return _misalignment(_distance_table(family.boundaries()), A)
+    return _misalignment(_distance_table(factors), A)
 
 
 @dataclass
 class DisplacingReport:
-    stabilize_ok: bool
     separation_ok: bool          # d(beta_i, beta_j) >= 5 pairwise
     min_margin: int | None
     misses: list                 # tuples whose best annulus displaces less than L
@@ -127,39 +111,36 @@ def _best_nearby_annulus(u: Slope, w: Slope) -> int:
                default=0)
 
 
-def check_displacing(family: FamilySpec, L: int) -> DisplacingReport:
+def check_displacing(factors: list, L: int) -> DisplacingReport:
     """Existence, for every nontrivial factor element, of a nearby annulus
     displacing the neighboring curves by at least L.
 
-    For all ordered (i, j, k) with i != j != k (i = k allowed) and every
-    enumerated nontrivial h in the j-th factor, the greatest d_Y(beta_i,
-    h beta_k) over the annuli Y with d(core Y, beta_j) <= 1, read exactly in
-    beta_j's frame by `_best_nearby_annulus`; a tuple below L is a miss, and
-    a miss fails the certificate.
+    The displacing curve beta_j of the j-th factor is its boundary, the one
+    slope the factor fixes.  For all ordered (i, j, k) with i != j != k
+    (i = k allowed) and every enumerated nontrivial h in the j-th factor, the
+    greatest d_Y(beta_i, h beta_k) over the annuli Y with d(core Y, beta_j)
+    <= 1, read exactly in beta_j's frame by `_best_nearby_annulus`; a tuple
+    below L is a miss, and a miss fails the certificate.
     """
-    n = len(family.factors)
-    stab_ok = all(act(h, family.beta(j)) == family.beta(j)
-                  for j, f in enumerate(family.factors) for h in f.elements)
-    sep_ok = _separation(_distance_table([family.beta(i) for i in range(n)]), 5).ok
+    curves = [f.boundary for f in factors]
+    sep_ok = _separation(_distance_table(factors), 5).ok
 
     misses = []
     min_margin = None
-    for j in range(n):
-        c = farey.conjugator_to_infinity(family.beta(j))
-        elements = family.factors[j].elements
-        for i in range(n):
-            for k in range(n):
+    for j, f in enumerate(factors):
+        c = farey.conjugator_to_infinity(curves[j])
+        for i, bi in enumerate(curves):
+            u = act(c, bi)
+            for k, bk in enumerate(curves):
                 if i == j or k == j:
                     continue
-                u, bk = act(c, family.beta(i)), family.beta(k)
-                for e_idx, h in enumerate(elements):
+                for e_idx, h in enumerate(f.elements):
                     best = _best_nearby_annulus(u, act(c, act(h, bk)))
                     if best < L:
                         misses.append((i, j, k, e_idx, best))
                     elif min_margin is None or best < min_margin:
                         min_margin = best
-    ok = stab_ok and sep_ok and not misses
-    return DisplacingReport(stab_ok, sep_ok, min_margin, misses, ok)
+    return DisplacingReport(sep_ok, min_margin, misses, sep_ok and not misses)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +255,7 @@ def slope_at_distance(base: Slope, d: int) -> Slope:
 
 @dataclass
 class TwistOrbitFamily:
-    family: FamilySpec
+    family: list                 # the factors
     center: Slope                # the distant curve y
     dprime: int
     D: int                       # dprime - 8
@@ -314,14 +295,13 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
         for k in ks:
             alpha_k = act(twist_about(y, k * N), base)
             factors.append(FactorSpec.twist(f"H{k}N", alpha_k, budget=factor_budget))
-        fam = FamilySpec(factors)
-        d = _distance_table(fam.boundaries())     # one table for both reports
+        d = _distance_table(factors)     # one table for both reports
         sep, mis = _separation(d, D), _misalignment(d, D)
         window_ok = all(
             2 * dprime - 6 <= d[i][j] <= 2 * dprime + 4
             for i in range(len(ks)) for j in range(i + 1, len(ks)))
         if sep.ok and (mis.vacuous or mis.ok) and window_ok:
-            return TwistOrbitFamily(fam, y, dprime, D, N, ks, sep, mis, window_ok,
+            return TwistOrbitFamily(factors, y, dprime, D, N, ks, sep, mis, window_ok,
                                     {"M_emp": M_emp})
         N *= 2
     raise AssertionError(
@@ -331,7 +311,7 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
 
 @dataclass
 class ConjugateTwistFindings:
-    family: FamilySpec
+    family: list                 # the factors
     T: MappingClass
     separation: SeparationReport
     misalignment: MisalignmentReport
@@ -366,11 +346,11 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     f_alpha = FactorSpec.twist("Ha", alpha, budget=budget_a)
     f_beta = FactorSpec.twist("Hb", beta, budget=factor_budget)
     f_conj = FactorSpec.twist("THbT^-1", t_beta, budget=factor_budget)
-    fam = FamilySpec([f_alpha, f_beta, f_conj])
+    fam = [f_alpha, f_beta, f_conj]
 
-    d = _distance_table(fam.boundaries())
+    d = _distance_table(fam)
     sep, mis = _separation(d, D), _misalignment(d, 2)
 
-    rep = free_product_check(fam.factors, budget=relation_budget)
+    rep = free_product_check(fam, budget=relation_budget)
     return ConjugateTwistFindings(fam, T, sep, mis, rep.witness,
                                   not rep.no_relation, D)

@@ -70,21 +70,17 @@ def estimate_delta(points, oracle, max_quadruples=None, seed=0) -> DeltaEstimate
     return DeltaEstimate(Fraction(best, 2), witness, total, exhaustive)
 
 
-def bfs(sources, neighbours, depth=None):
-    """Breadth-first walk: yields (vertex, parent, distance) once per reached
-    vertex, in order of discovery, the sources first with parent None.
+def bfs(source, neighbours, depth=None):
+    """Breadth-first walk from `source`: yields (vertex, distance) once per
+    reached vertex, in order of discovery, the source first.
 
     `neighbours(v)` returns the vertices adjacent to v; it is called once per
     expanded vertex.  Vertices at distance `depth` are not expanded (no cap
     when None).  The walk is lazy, so a caller may stop it early.
     """
-    seen = set()
-    queue = deque()
-    for s in sources:
-        if s not in seen:
-            seen.add(s)
-            queue.append((s, 0))
-            yield s, None, 0
+    seen = {source}
+    queue = deque([(source, 0)])
+    yield source, 0
     while queue:
         u, d = queue.popleft()
         if depth is not None and d >= depth:
@@ -93,7 +89,7 @@ def bfs(sources, neighbours, depth=None):
             if v not in seen:
                 seen.add(v)
                 queue.append((v, d + 1))
-                yield v, u, d + 1
+                yield v, d + 1
 
 
 # ---------------------------------------------------------------------------

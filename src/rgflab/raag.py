@@ -112,7 +112,7 @@ def components(graph: PresentationGraph) -> list:
     comps = []
     for v in range(graph.n):
         if v not in seen:
-            comp = frozenset(u for u, _, _ in bfs([v], graph.neighbours.__getitem__))
+            comp = frozenset(u for u, _ in bfs(v, graph.neighbours.__getitem__))
             seen |= comp
             comps.append(comp)
     return comps

@@ -74,8 +74,8 @@ def _ball(group: MatrixGroup, length: int) -> tuple:
     steps = group.step_generators()
     seen = {}
     deepest = 0     # distances arrive in nondecreasing order
-    for m, _, deepest in bfs([MappingClass.identity()],
-                             lambda m: [m.mul(s) for s in steps], length):
+    for m, deepest in bfs(MappingClass.identity(), lambda m: [m.mul(s) for s in steps],
+                          length):
         seen[m.entries()] = m
     return seen, deepest < length
 

@@ -223,7 +223,7 @@ def ball_qi_pairs(ball: TreeBall) -> PairCounts:
 
 def ball_bfs_distance(ball: TreeBall, v: int, w: int) -> int:
     """Path-walk oracle for `tree_distance`: BFS in the constructed ball."""
-    for x, _, d in bfs([v], ball.adjacency.__getitem__):
+    for x, d in bfs(v, ball.adjacency.__getitem__):
         if x == w:
             return d
     raise KeyError("vertex not reachable inside the ball")
@@ -296,27 +296,28 @@ class GraphOracle:
     def points(self):
         return list(self.adj)
 
-    def _bfs(self, src):
+    def _bfs(self, src) -> dict:
+        """{vertex: distance from src}, in the order the BFS reached them."""
         got = self._bfs_cache.get(src)
         if got is None:
-            dist, parent = {}, {}
-            for v, p, d in bfs([src], self.adj.__getitem__):
-                dist[v] = d
-                parent[v] = p
-            got = self._bfs_cache[src] = (dist, parent)
+            got = self._bfs_cache[src] = dict(bfs(src, self.adj.__getitem__))
         return got
 
     def dist(self, a, b) -> int:
-        dist, _ = self._bfs(a)
+        dist = self._bfs(a)
         if b not in dist:
             raise KeyError(f"{b!r} unreachable from {a!r}")
         return dist[b]
 
     def geodesic(self, a, b) -> list:
-        _, parent = self._bfs(a)
+        """The BFS tree path from a to b.  The BFS expands vertices in the
+        order it reaches them, so the parent of a vertex is its neighbour
+        reached first, one step nearer to a on an undirected graph."""
+        dist = self._bfs(a)
+        rank = {v: i for i, v in enumerate(dist)}
         path = [b]
         while path[-1] != a:
-            path.append(parent[path[-1]])
+            path.append(min(self.adj[path[-1]], key=rank.__getitem__))
         path.reverse()
         return path
 
@@ -691,12 +692,12 @@ def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
                              stable=(b2 <= b1) and (m2 <= m1) and (c2 >= c1))
 
 
-def triple_check_misaligned(family, A) -> MisalignmentReport:
+def triple_check_misaligned(factors, A) -> MisalignmentReport:
     """The slow twin of `constructions.check_misaligned`: one
     `hypgraph.gromov_product` on a `FareyOracle`, three distance calls, per
     distinct ordered triple."""
     A = Fraction(A)
-    bs = family.boundaries()
+    bs = [f.boundary for f in factors]
     n = len(bs)
     if n < 3:
         return MisalignmentReport({}, None, True, vacuous=True)
@@ -746,15 +747,13 @@ def shell_best(shell: set, a: Slope, b: Slope):
                default=None)
 
 
-def shell_check_displacing(family, L: int, shell_bound: int) -> DisplacingReport:
+def shell_check_displacing(factors, L: int, shell_bound: int) -> DisplacingReport:
     """The slow twin of `constructions.check_displacing`: the same tuples,
     each searched over the 2 `shell_bound` + 1 link positions of
     `shell_sites` instead of the exact candidate annuli, so a tuple's best is
     a lower bound of the exact one, or None when no shell site sees both."""
-    n = len(family.factors)
-    betas = [family.beta(i) for i in range(n)]
-    stab_ok = all(act(h, betas[j]) == betas[j]
-                  for j, f in enumerate(family.factors) for h in f.elements)
+    n = len(factors)
+    betas = [f.boundary for f in factors]
     sep_ok = all(farey.slope_set_distance(betas[i], betas[j]) >= 5
                  for i in range(n) for j in range(i + 1, n))
     misses = []
@@ -765,14 +764,13 @@ def shell_check_displacing(family, L: int, shell_bound: int) -> DisplacingReport
             for k in range(n):
                 if i == j or k == j:
                     continue
-                for e_idx, h in enumerate(family.factors[j].elements):
+                for e_idx, h in enumerate(factors[j].elements):
                     best = shell_best(shell, betas[i], act(h, betas[k]))
                     if best is None or best < L:
                         misses.append((i, j, k, e_idx, best))
                     elif min_margin is None or best < min_margin:
                         min_margin = best
-    ok = stab_ok and sep_ok and not misses
-    return DisplacingReport(stab_ok, sep_ok, min_margin, misses, ok)
+    return DisplacingReport(sep_ok, min_margin, misses, sep_ok and not misses)
 
 
 @dataclass

@@ -270,7 +270,7 @@ def test_09_embedding_pipeline(torus_constants):
     t0 = time.time()
     tw = twist_orbit_family(20, window=3, M_emp=torus_constants.M_emp,
                             factor_budget=2)
-    factors = tw.family.factors
+    factors = tw.family
     fp = free_product_check(factors, budget=8)
     qi = qi_certificate(factors, radius=6)
     rng = random.Random(51)

@@ -232,11 +232,11 @@ def tree_family(name):
     if name == "three-factor":
         return separated_factors()
     if name == "theorem-b":
-        return theorem_b_family().family.factors
+        return theorem_b_family().family
     if name == "prop91":
         # the family of `experiment prop91 --seed 7`
         from rgflab.constructions import twist_orbit_family
-        return twist_orbit_family(20, window=5, seed=7).family.factors
+        return twist_orbit_family(20, window=5, seed=7).family
     if name == "three-twist":
         # the family of the pinned `tree` reports in tests/test_cli.py
         return [FactorSpec(n, MatrixGroup.of(MappingClass(*g)), 2) for n, g in (
@@ -697,12 +697,12 @@ class TestFactorSpec:
 
 def _example92_factors(D):
     from rgflab.constructions import conjugate_twist_family
-    return conjugate_twist_family(D, seed=7).family.factors
+    return conjugate_twist_family(D, seed=7).family
 
 
 def _prop91_factors(seed):
     from rgflab.constructions import twist_orbit_family
-    return twist_orbit_family(20, window=5, seed=seed).family.factors
+    return twist_orbit_family(20, window=5, seed=seed).family
 
 
 PINGPONG_ROWS = (

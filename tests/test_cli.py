@@ -20,19 +20,20 @@ import pytest
 
 from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, emit_csv, \
     family_from_json, family_to_json, main
-from rgflab.constructions import FamilySpec, slope_at_distance
+from rgflab.constructions import slope_at_distance
 from rgflab import cli, constructions
 from rgflab.bassserre import FactorSpec, PairCounts, qi_report
-from rgflab.farey import INFINITY, Slope
-from rgflab.subgroups import MatrixGroup
+from rgflab.farey import INFINITY, MappingClass, Slope, act, bounded_vertices, twist_about
+from rgflab.projections import random_slope
+from rgflab.subgroups import MatrixGroup, canonical_reducing_system
 
 
 @pytest.fixture
 def family_file(tmp_path):
     a = Slope(0, 1)
-    fam = FamilySpec([FactorSpec.twist("A", a, budget=2),
-                      FactorSpec.twist("B", slope_at_distance(a, 6), budget=2),
-                      FactorSpec.twist("C", slope_at_distance(a, 12), budget=2)])
+    fam = [FactorSpec.twist("A", a, budget=2),
+           FactorSpec.twist("B", slope_at_distance(a, 6), budget=2),
+           FactorSpec.twist("C", slope_at_distance(a, 12), budget=2)]
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family_to_json(fam)))
     return str(path)
@@ -97,6 +98,12 @@ def test_malformed_slope_is_usage_error(argv, bad, family_file, tmp_path, capsys
 
 # a flag the action does not take, refused by argparse before any work
 CSV_REFUSED = "rgflab: error: unrecognized arguments: --format csv"
+
+
+def betas_refused(name: str) -> str:
+    return (f"usage error: bad family file {name}: "
+            "ValueError(\"unknown family key 'betas', not one of factors\")")
+
 
 BAD_INPUT_ROWS = [
     # (id, argv, last stderr line starts with); FAMILY is a valid family
@@ -180,8 +187,10 @@ BAD_INPUT_ROWS = [
     # constants estimated from no samples were reported as evidence
     ("curve-samples-0", ["experiment", "theorem-b", "--curve-samples", "0", "--seed", "1"],
      "rgflab experiment theorem-b: error: argument --curve-samples: must be at least 1, got 0"),
+    # the Behrstock level is proven, not sampled, so theorem-b reads no
+    # triple count; `constants estimate` keeps its --triples
     ("experiment-triples-0", ["experiment", "theorem-b", "--triples", "0", "--seed", "1"],
-     "rgflab experiment theorem-b: error: argument --triples: must be at least 1, got 0"),
+     "rgflab: error: unrecognized arguments: --triples 0"),
     ("experiment-geodesics-0", ["experiment", "theorem-b", "--geodesics", "0", "--seed", "1"],
      "rgflab experiment theorem-b: error: argument --geodesics: must be at least 1, got 0"),
     ("constants-triples-0", ["constants", "estimate", "--triples", "0", "--seed", "1"],
@@ -265,12 +274,12 @@ BAD_INPUT_ROWS = [
     ("family-two-slope-boundary", ["tree", "qi", "--family", "TWOSLOPE"],
      "usage error: bad family file TWOSLOPE: ValueError(\"the boundary of factor S must be "
      "one slope, got ['0/1', '1/0']\")"),
+    # a factor's displacing curve is its boundary, the one slope it fixes, so
+    # a family file names none: a `betas` list, whatever it holds, is refused
     ("family-two-slope-beta", ["cert", "displacing", "--family", "BETAPAIR"],
-     "usage error: bad family file BETAPAIR: ValueError(\"a betas entry must be one "
-     "slope, got ['1/0', '0/1']\")"),
+     betas_refused("BETAPAIR")),
     ("family-empty-beta", ["cert", "displacing", "--family", "EMPTYBETA"],
-     "usage error: bad family file EMPTYBETA: "
-     "ValueError('a betas entry must be one slope, got []')"),
+     betas_refused("EMPTYBETA")),
     # a one-character string has length 1, and read as the slope 0/1 or as
     # no boundary
     ("family-string-boundary", ["cert", "separated", "--family", "STRBOUNDARY"],
@@ -280,8 +289,7 @@ BAD_INPUT_ROWS = [
      "usage error: bad family file BLANKBOUNDARY: "
      "ValueError(\"the boundary of factor S must be one slope, got ''\")"),
     ("family-string-beta", ["cert", "displacing", "--family", "STRBETA"],
-     "usage error: bad family file STRBETA: "
-     "ValueError(\"a betas entry must be one slope, got '0'\")"),
+     betas_refused("STRBETA")),
     # no factor: build and qi were `need at least one factor` tracebacks, the
     # four certificates exited 3 and free-product passed on 0 words
     ("family-no-factors-build", ["tree", "build", "--family", "NOFACTORS"],
@@ -295,11 +303,15 @@ BAD_INPUT_ROWS = [
     # a short betas list was an IndexError traceback in the displacing scan,
     # and a long one was cut short
     ("family-betas-short", ["cert", "displacing", "--family", "SHORTBETAS"],
-     "usage error: bad family file SHORTBETAS: "
-     "ValueError('betas needs one entry per factor: 1 for 2')"),
-    ("family-betas-long", ["cert", "displacing", "--family", "LONGBETAS"],
-     "usage error: bad family file LONGBETAS: "
-     "ValueError('betas needs one entry per factor: 2 for 1')"),
+     betas_refused("SHORTBETAS")),
+    ("family-betas-long", ["tree", "qi", "--family", "LONGBETAS"], betas_refused("LONGBETAS")),
+    # any other key outside the schema would be read as absent too
+    ("family-unknown-key", ["cert", "separated", "--family", "UNKNOWNKEY"],
+     "usage error: bad family file UNKNOWNKEY: "
+     "ValueError(\"unknown family key 'factor', not one of factors\")"),
+    ("family-unknown-factor-key", ["tree", "build", "--family", "FACTORKEY"],
+     "usage error: bad family file FACTORKEY: ValueError(\"unknown factor key 'power', "
+     "not one of name, generators, boundary, budget\")"),
     # was a `need D' > 8` traceback
     ("theorem-b-delta-negative", ["experiment", "theorem-b", "--delta", "-5", "--seed", "1"],
      "rgflab experiment theorem-b: error: argument --delta: must be at least 0, got -5"),
@@ -398,12 +410,12 @@ BAD_FAMILIES = {
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
         "betas": [[]]}),
     "NOFACTORS": json.dumps({"factors": []}),
-    # the full twists about 1/0 and 0/1, with 0/1 and then 1/1 as the string
-    # "0" (`cert separated` exited 1 on it, with both read as 0/1)
+    # the full twists about 1/0 and 0/1, with 0/1 as the string "0"
+    # (`cert separated` exited 1 on it, with a displacing curve 1/1 given as
+    # the string "0" as well, both read as 0/1)
     "STRBOUNDARY": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
-        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": "0"}],
-        "betas": [["1/1"], "0"]}),
+        {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": "0"}]}),
     "STRBETA": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]},
         {"name": "B", "generators": [[1, 0, 1, 1]], "boundary": ["0/1"]}],
@@ -421,6 +433,12 @@ BAD_FAMILIES = {
     "LONGBETAS": json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]}],
         "betas": [["0/1"], ["1/1"]]}),
+    # the shear pair with the family key misspelt, and a factor with a power
+    "UNKNOWNKEY": json.dumps({"factor": [
+        {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
+        {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}]}),
+    "FACTORKEY": json.dumps({"factors": [
+        {"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"], "power": 2}]}),
 }
 
 
@@ -631,7 +649,8 @@ FUZZ_ACTIONS = [["tree", "build", "--radius", "2"], ["tree", "qi", "--radius", "
 
 def fuzz_family(rng: random.Random):
     """A family document: valid factors, some with a field dropped or given a
-    wrong type, an empty or junk factor list, and betas of any length."""
+    wrong type, an empty or junk factor list, and betas of any length, a key
+    outside the schema."""
     if rng.random() < 0.05:
         return rng.choice(FUZZ_JUNK)
     factors = []
@@ -657,14 +676,21 @@ def fuzz_family(rng: random.Random):
 
 def test_family_fuzz_exits_with_a_documented_code(tmp_path, capsys):
     # seeded documents, each on one family action in turn: every call
-    # returns an exit code of the CLI, and none raises
+    # returns an exit code of the CLI, and none raises; a document with
+    # betas is a usage error
     rng = random.Random(26)
     family, out = tmp_path / "family.json", str(tmp_path / "o.jsonl")
+    betas = 0
     for case in range(300):
-        family.write_text(json.dumps(fuzz_family(rng)))
+        doc = fuzz_family(rng)
+        family.write_text(json.dumps(doc))
         action = FUZZ_ACTIONS[case % len(FUZZ_ACTIONS)]
         code = main(action + ["--family", str(family), "--output", out])
         assert code in (PASS, FAIL, USAGE, NO_VERDICT), (case, action, family.read_text())
+        if isinstance(doc, dict) and "betas" in doc:
+            betas += 1
+            assert code == USAGE, (case, action, family.read_text())
+    assert betas > 100
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -672,10 +698,9 @@ def test_family_fuzz_exits_with_a_documented_code(tmp_path, capsys):
 
 # the record fields whose value false marks a failed check; a persistence
 # summary's `violations` count above 0 marks one too, and exit 1 needs one
-CHECK_FIELDS = {"ok", "valid", "agrees", "window_ok", "fails_at_2", "stabilize_ok",
-                "separation_ok", "conclusions_ok", "benchmark_half_dT_minus_4",
-                "kappa_given_ok", "separated_at_D", "misaligned_at_A", "no_relation",
-                "all_loxodromic"}
+CHECK_FIELDS = {"ok", "valid", "agrees", "window_ok", "fails_at_2", "separation_ok",
+                "conclusions_ok", "benchmark_half_dT_minus_4", "kappa_given_ok",
+                "separated_at_D", "misaligned_at_A", "no_relation", "all_loxodromic"}
 FUZZ_ODD_VERTICES = [0.0, 1.0, 2.5, True, None, "0", [0]]
 FUZZ_WORD_TOKENS = ["x1", "x2^-1", "x3^2", "x1^0", "x2^+3"]
 FUZZ_BAD_TOKENS = ["x0", "x9", "y1", "x1^", "x1^a", "x1^2.0"]
@@ -766,11 +791,10 @@ def fuzz_argv(words, flags, rng: random.Random, families: list, conf) -> list:
 
 @pytest.mark.parametrize("words, flags", action_flags(),
                          ids=["-".join(words) for words, _ in action_flags()])
-def test_exit_code_fuzz(words, flags, family_file, tmp_path, capsys, monkeypatch):
+def test_exit_code_fuzz(words, flags, family_file, tmp_path, capsys):
     # seeded argv for each action from its flags' kinds, run in process: an
     # exit code of the contract and no traceback, and exit 1 only with a
     # record whose check failed
-    monkeypatch.delenv("RGFLAB_SEED", raising=False)
     one, junk = tmp_path / "one.json", tmp_path / "junk.json"
     one.write_text(json.dumps(ONE_TWIST))
     junk.write_text('{"factors": [{"name": 1}]}')
@@ -790,30 +814,17 @@ def test_exit_code_fuzz(words, flags, family_file, tmp_path, capsys, monkeypatch
 
 class TestSeedHandling:
     def test_seed_required_for_sampled(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RGFLAB_SEED", raising=False)
+        # the environment is no source of the seed
+        monkeypatch.setenv("RGFLAB_SEED", "5")
         assert main(["delta-estimate", "--points", "8", "--qmax", "10"]) == USAGE
 
-    def test_seed_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RGFLAB_SEED", "5")
-        code, lines, _ = run(["delta-estimate", "--points", "8", "--qmax", "10"], tmp_path)
-        assert code == PASS and lines[1]["seed"] == 5
-
-    @pytest.mark.parametrize("argv, code", [(["farey", "dist", "1/0", "3/7"], PASS),
-                                            (["delta-estimate", "--points", "8", "--qmax", "10"],
-                                             USAGE)],
-                             ids=["seedless", "seeded"])
-    def test_malformed_env_seed_is_usage_error(self, argv, code, tmp_path, monkeypatch, capsys):
-        # only an action that takes --seed reads $RGFLAB_SEED; one that
-        # draws nothing at random ignores it, and records no seed
-        monkeypatch.setenv("RGFLAB_SEED", "abc")
-        out = tmp_path / "o.jsonl"
-        assert main(argv + ["--output", str(out)]) == code
-        err = capsys.readouterr().err
-        if code == USAGE:
-            assert err == "usage error: bad $RGFLAB_SEED 'abc': not an integer\n"
-            assert not out.exists()
-        else:
-            assert err == "" and "seed" not in json.loads(out.read_text().splitlines()[0])
+    def test_seed_from_config(self, tmp_path):
+        # a required flag may come from the config file alone
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 5}))
+        code, lines, _ = run(["delta-estimate", "--points", "8", "--qmax", "10",
+                              "--config", str(conf)], tmp_path)
+        assert code == PASS and lines[0]["seed"] == lines[1]["seed"] == 5
 
 
 class TestRaagCommands:
@@ -929,8 +940,8 @@ class TestTreeAndCert(object):
     def test_tree_qi_kappa_failure_exits_one(self, tmp_path):
         # adjacent twist factors: image curves collide, so kappa = 1
         # cannot hold and the failure report carries the envelope witness
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=2),
-                          FactorSpec.twist("B", Slope(0, 1), budget=2)])
+        fam = [FactorSpec.twist("A", INFINITY, budget=2),
+               FactorSpec.twist("B", Slope(0, 1), budget=2)]
         path = tmp_path / "adjacent.json"
         path.write_text(json.dumps(family_to_json(fam)))
         code, lines, _ = run(["tree", "qi", "--family", str(path),
@@ -974,8 +985,8 @@ class TestTreeAndCert(object):
         ([2, 1, 1, 1], 2, NO_VERDICT, [], None),        # a pseudo-Anosov factor
     ], ids=["shear-pair", "full-twists", "pseudo-anosov"])
     def test_cert_pingpong(self, generator, power, code, windows, pair, tmp_path):
-        fam = FamilySpec([FactorSpec("A", MatrixGroup.of(generator)),
-                          FactorSpec.twist("B", Slope(0, 1), power=power)])
+        fam = [FactorSpec("A", MatrixGroup.of(generator)),
+               FactorSpec.twist("B", Slope(0, 1), power=power)]
         path = tmp_path / "family.json"
         path.write_text(json.dumps(family_to_json(fam)))
         got, lines, _ = run(["cert", "pingpong", "--family", str(path)], tmp_path)
@@ -989,16 +1000,13 @@ class TestTreeAndCert(object):
         assert main(["cert", "separated", "--family", "/nonexistent.json"]) == USAGE
 
 
-# one twist about 1/0, and the shear pair; with betas, displacing curves
-# their twists move
+# one twist about 1/0, and the shear pair
 ONE_TWIST = {"factors": [{"name": "A", "generators": [[1, 1, 0, 1]], "boundary": ["1/0"]}]}
 SHEAR = {"factors": [{"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
                      {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}]}
 SCAN_FAMILIES = {
     "ONE": ONE_TWIST,
-    "ONEMOVEDBETA": {**ONE_TWIST, "betas": [["0/1"]]},
     "SHEAR": SHEAR,
-    "SHEARMOVEDBETAS": {**SHEAR, "betas": [["1/1"], ["0/1"]]},
 }
 
 NO_VERDICT_ROWS = [
@@ -1015,8 +1023,6 @@ NO_VERDICT_ROWS = [
      "qi-certificate", {"benchmark_half_dT_minus_4": False}),
     ("displacing-one-factor", ["cert", "displacing", "--family", "ONE"], NO_VERDICT,
      "cert-displacing", {"min_margin": None, "misses": [], "ok": True}),
-    ("displacing-one-factor-moved-beta", ["cert", "displacing", "--family", "ONEMOVEDBETA"],
-     FAIL, "cert-displacing", {"min_margin": None, "stabilize_ok": False}),
     ("separated-one-factor", ["cert", "separated", "--family", "ONE"], NO_VERDICT,
      "cert-separated", {"min": None, "ok": True}),
     ("misaligned-two-factors", ["cert", "misaligned", "--family", "SHEAR"], NO_VERDICT,
@@ -1041,13 +1047,9 @@ NO_VERDICT_ROWS = [
      NO_VERDICT, "constants", {"M_emp": 0, "samples": {"B": [2, 2], "M": [0, 0],
                                                        "c": ["100/99", "99/98"]}}),
     ("theorem-b-no-projecting-geodesic",
-     ["experiment", "theorem-b", "--seed", "1", "--qmax", "1", "--triples", "1",
-      "--geodesics", "1", "--radius", "1", "--curve-samples", "1"],
+     ["experiment", "theorem-b", "--seed", "1", "--qmax", "1", "--geodesics", "1",
+      "--radius", "1", "--curve-samples", "1"],
      NO_VERDICT, "theorem-b-constants", {"M_emp": 0}),
-    # displacing curves their factors move fail the certificate beside the
-    # search's misses; this exited 3
-    ("displacing-misses-moved-betas", ["cert", "displacing", "--family", "SHEARMOVEDBETAS"],
-     FAIL, "cert-displacing", {"stabilize_ok": False, "separation_ok": False, "ok": False}),
 ]
 
 
@@ -1122,19 +1124,58 @@ def test_readme_flag_table_matches_the_parsers():
                 assert kw["default"] == want, name
 
 
+VERTICES_6 = bounded_vertices(6)
+
+
+def seeded_factor(rng: random.Random) -> list:
+    """The generators of a seeded factor: nonzero powers of the twist about a
+    slope, each now and then times -I, and now and then beside -I, a twist
+    about another slope or a pseudo-Anosov."""
+    alpha = rng.choice(VERTICES_6) if rng.random() < 0.8 else random_slope(rng, 99)
+    minus = MappingClass(-1, 0, 0, -1)
+    gens = [twist_about(alpha, rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(1, 2))]
+    gens = [minus.mul(g) if rng.random() < 0.3 else g for g in gens]
+    extra = rng.random()
+    if extra < 0.15:
+        gens.append(minus)
+    elif extra < 0.25:
+        gens.append(twist_about(rng.choice(VERTICES_6), 1))
+    elif extra < 0.3:
+        gens.append(MappingClass(2, 1, 1, 1))
+    return gens
+
+
 class TestFamilyJson:
     def test_round_trip(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY, budget=3),
-                          FactorSpec("F", MatrixGroup.of([0, -1, 1, 0]))],
-                         betas=[Slope(0, 1), Slope(1, 1)])
+        fam = [FactorSpec.twist("A", INFINITY, budget=3),
+               FactorSpec("F", MatrixGroup.of([0, -1, 1, 0]))]
         doc = family_to_json(fam)
+        assert doc.keys() == {"factors"}
         assert [f["boundary"] for f in doc["factors"]] == [["1/0"], []]
-        assert doc["betas"] == [["0/1"], ["1/1"]]
         back = family_from_json(json.loads(json.dumps(doc)))
-        assert back.factors[0].name == "A"
-        assert [f.boundary for f in back.factors] == [INFINITY, None]
-        assert back.factors[0].budget == 3
-        assert back.betas == [Slope(0, 1), Slope(1, 1)]
+        assert back == fam
+        assert [f.boundary for f in back] == [INFINITY, None]
+
+    def test_a_factor_fixes_only_its_boundary(self):
+        # the lemma behind naming no displacing curve: every slope with q, |p|
+        # <= 6 that every enumerated element of an accepted factor fixes is
+        # its boundary, so the boundary is the one displacing curve there is
+        rng = random.Random(40)
+        checked = 0
+        for i in range(400):
+            gens = seeded_factor(rng)
+            boundary = canonical_reducing_system(MatrixGroup.of(*gens))
+            doc = {"factors": [{"name": f"H{i}", "generators": [list(g.entries()) for g in gens],
+                                "boundary": [] if boundary is None else [str(boundary)],
+                                "budget": rng.randint(1, 2)}]}
+            [factor] = family_from_json(doc)
+            if factor.boundary is None:
+                continue
+            checked += 1
+            fixed = {s for s in VERTICES_6 if all(act(h, s) == s for h in factor.elements)}
+            assert fixed == {factor.boundary}.intersection(VERTICES_6), gens
+        assert checked >= 300
 
 
 class TestPersistenceAndConstants:
@@ -1171,8 +1212,8 @@ class TestExperiments:
     def test_theorem_b(self, tmp_path):
         code, lines, _ = run(["experiment", "theorem-b", "--seed", "5",
                               "--radius", "2", "--words", "10",
-                              "--curve-samples", "15", "--triples", "150",
-                              "--geodesics", "80", "--qmax", "150"], tmp_path)
+                              "--curve-samples", "15", "--geodesics", "80",
+                              "--qmax", "150"], tmp_path)
         assert code == PASS
         by_rec = {l["record"]: l for l in lines}
         assert by_rec["theorem-b-constants"]["Kp_within_closed_form"]

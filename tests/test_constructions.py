@@ -6,7 +6,7 @@ import pytest
 
 from rgflab.farey import INFINITY, Slope, act, conjugator_to_infinity, farey_distance
 from rgflab.bassserre import FactorSpec, word_matrix
-from rgflab.constructions import (FamilySpec, _best_nearby_annulus, _estimated_M,
+from rgflab.constructions import (_best_nearby_annulus, _estimated_M,
                                   check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
                                   definite_distance_scan, displacement_table,
@@ -21,21 +21,21 @@ from oracles import (oracle_definite_distance_scan, oracle_gromov_bound_scan, sh
 
 class TestSeparation:
     def test_adjacent_twist_groups_fail(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY),
-                          FactorSpec.twist("B", Slope(0, 1))])
+        fam = [FactorSpec.twist("A", INFINITY),
+               FactorSpec.twist("B", Slope(0, 1))]
         rep = check_separated(fam, 5)
         assert rep.minimum == 1 and not rep.ok
 
     def test_single_factor_vacuous(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY)])
+        fam = [FactorSpec.twist("A", INFINITY)]
         rep = check_separated(fam, 100)
         assert rep.ok and rep.minimum is None
 
     def test_diameter_of_union_convention(self):
         # a reducing system on the torus is one slope, so the diameter of
         # the union of two systems is their Farey distance, 0 when they agree
-        fam = FamilySpec([FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
-                          FactorSpec.twist("C", Slope(5, 8), power=2)])
+        fam = [FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
+               FactorSpec.twist("C", Slope(5, 8), power=2)]
         rep = check_separated(fam, 1)
         assert rep.matrix == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
         assert rep.matrix[0][1] == farey_distance(Slope(5, 8), INFINITY)
@@ -44,8 +44,8 @@ class TestSeparation:
 
 class TestMisalignment:
     def test_vacuous_below_three(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY),
-                          FactorSpec.twist("B", Slope(0, 1))])
+        fam = [FactorSpec.twist("A", INFINITY),
+               FactorSpec.twist("B", Slope(0, 1))]
         rep = check_misaligned(fam, 10)
         assert rep.ok and rep.vacuous
 
@@ -55,8 +55,8 @@ class TestMisalignment:
         a = Slope(0, 1)
         far = slope_at_distance(a, 8)
         mid = slope_at_distance(a, 4)
-        fam = FamilySpec([FactorSpec.twist("A", a), FactorSpec.twist("M", mid),
-                          FactorSpec.twist("B", far)])
+        fam = [FactorSpec.twist("A", a), FactorSpec.twist("M", mid),
+               FactorSpec.twist("B", far)]
         rep = check_misaligned(fam, 2)
         assert not rep.ok
         assert min(rep.table[(0, 2, 1)], rep.table[(2, 0, 1)]) <= 1
@@ -72,13 +72,13 @@ def three_factor_families():
     """The three-factor families of these tests and of `tests/test_cli.py`:
     collinear, one slope twice, and spread along a geodesic."""
     a = Slope(0, 1)
-    return [FamilySpec([FactorSpec.twist("A", a), FactorSpec.twist("M", slope_at_distance(a, 4)),
-                        FactorSpec.twist("B", slope_at_distance(a, 8))]),
-            FamilySpec([FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
-                        FactorSpec.twist("C", Slope(5, 8), power=2)]),
-            FamilySpec([FactorSpec.twist("A", a, budget=2),
-                        FactorSpec.twist("B", slope_at_distance(a, 6), budget=2),
-                        FactorSpec.twist("C", slope_at_distance(a, 12), budget=2)])]
+    return [[FactorSpec.twist("A", a), FactorSpec.twist("M", slope_at_distance(a, 4)),
+             FactorSpec.twist("B", slope_at_distance(a, 8))],
+            [FactorSpec.twist("A", Slope(5, 8)), FactorSpec.twist("B", INFINITY),
+             FactorSpec.twist("C", Slope(5, 8), power=2)],
+            [FactorSpec.twist("A", a, budget=2),
+             FactorSpec.twist("B", slope_at_distance(a, 6), budget=2),
+             FactorSpec.twist("C", slope_at_distance(a, 12), budget=2)]]
 
 
 class TestDistanceTableTwins:
@@ -122,7 +122,7 @@ class TestDistanceTableTwins:
         assert rep == oracle_gromov_bound_scan(factor, curves, 1, dd.K_emp)
 
 
-def assert_exact_dominates_shell(fam: FamilySpec, shell_bound: int):
+def assert_exact_dominates_shell(fam: list, shell_bound: int):
     """Every tuple's exact best is at least the shell twin's, and equal when
     the shell holds the tuple's candidate sites; at L = inf every tuple is a
     miss, listed with its best."""
@@ -130,8 +130,8 @@ def assert_exact_dominates_shell(fam: FamilySpec, shell_bound: int):
     shell = shell_check_displacing(fam, math.inf, shell_bound).misses
     assert [t[:4] for t in exact] == [t[:4] for t in shell]
     for (i, j, k, e, best), (*_, low) in zip(exact, shell):
-        c = conjugator_to_infinity(fam.beta(j))
-        images = [act(c, fam.beta(i)), act(c, act(fam.factors[j].elements[e], fam.beta(k)))]
+        c = conjugator_to_infinity(fam[j].boundary)
+        images = [act(c, fam[i].boundary), act(c, act(fam[j].elements[e], fam[k].boundary))]
         assert best >= low
         if all(-shell_bound <= x.p // x.q and x.p // x.q + 2 <= shell_bound
                for x in images if x.q):
@@ -148,11 +148,11 @@ class TestDisplacing:
         c = slope_at_distance(a, 10)
         L = 6
         power = L + 5
-        fam = FamilySpec([FactorSpec.twist("A", a, power=power, budget=1),
-                          FactorSpec.twist("B", b, power=power, budget=1),
-                          FactorSpec.twist("C", c, power=power, budget=1)])
+        fam = [FactorSpec.twist("A", a, power=power, budget=1),
+               FactorSpec.twist("B", b, power=power, budget=1),
+               FactorSpec.twist("C", c, power=power, budget=1)]
         rep = check_displacing(fam, L)
-        assert rep.stabilize_ok and rep.separation_ok
+        assert rep.separation_ok
         assert rep.ok, rep.misses
         assert rep.min_margin >= L
         tight = check_displacing(fam, power - 1)
@@ -161,8 +161,8 @@ class TestDisplacing:
     def test_close_betas_fail_condition_two(self):
         a = Slope(0, 1)
         b = slope_at_distance(a, 4)
-        fam = FamilySpec([FactorSpec.twist("A", a, power=9, budget=1),
-                          FactorSpec.twist("B", b, power=9, budget=1)])
+        fam = [FactorSpec.twist("A", a, power=9, budget=1),
+               FactorSpec.twist("B", b, power=9, budget=1)]
         rep = check_displacing(fam, 3)
         assert not rep.separation_ok
         assert not rep.ok
@@ -170,8 +170,8 @@ class TestDisplacing:
     def test_weak_twists_miss(self):
         a = Slope(0, 1)
         b = slope_at_distance(a, 5)
-        fam = FamilySpec([FactorSpec.twist("A", a, power=1, budget=1),
-                          FactorSpec.twist("B", b, power=1, budget=1)])
+        fam = [FactorSpec.twist("A", a, power=1, budget=1),
+               FactorSpec.twist("B", b, power=1, budget=1)]
         rep = check_displacing(fam, 50)
         assert rep.misses and not rep.ok    # the scan is exact: a miss is a failure
 
@@ -193,17 +193,17 @@ class TestDisplacing:
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_scan_dominates_the_shell_on_seeded_families(self, seed):
         rng = random.Random(seed)
-        fam = FamilySpec([FactorSpec.twist(f"H{i}", random_slope(rng, 30),
-                                           power=rng.randint(1, 6), budget=rng.randint(1, 2))
-                          for i in range(3)])
+        fam = [FactorSpec.twist(f"H{i}", random_slope(rng, 30),
+                                power=rng.randint(1, 6), budget=rng.randint(1, 2))
+               for i in range(3)]
         assert_exact_dominates_shell(fam, 40)
 
     def test_exact_scan_dominates_the_shell_on_the_class_families(self):
         a = Slope(0, 1)
         b, c = slope_at_distance(a, 5), slope_at_distance(a, 10)
         for power, curves in [(11, [a, b, c]), (9, [a, slope_at_distance(a, 4)]), (1, [a, b])]:
-            fam = FamilySpec([FactorSpec.twist(f"H{i}", x, power=power, budget=1)
-                              for i, x in enumerate(curves)])
+            fam = [FactorSpec.twist(f"H{i}", x, power=power, budget=1)
+                   for i, x in enumerate(curves)]
             assert_exact_dominates_shell(fam, 40)
 
     def test_exact_scan_finds_what_the_shell_misses(self):
@@ -212,7 +212,7 @@ class TestDisplacing:
         J = FactorSpec.twist("J", INFINITY, power=5, budget=1)
         I = FactorSpec.twist("I", Slope(2912029, 2912), power=5, budget=1)
         K = FactorSpec.twist("K", Slope(-98971, 99), power=5, budget=1)
-        fam = FamilySpec([J, I, K])
+        fam = [J, I, K]
         exact, shell = check_displacing(fam, 60), shell_check_displacing(fam, 60, 40)
         lost = [t for t in shell.misses if t[:3] == (1, 0, 1)]
         assert [t[3:] for t in lost] == [(0, 6), (1, 6)]
@@ -220,12 +220,6 @@ class TestDisplacing:
         assert [t for t in check_displacing(fam, math.inf).misses
                 if t[:3] == (1, 0, 1)] == [(1, 0, 1, 0, 102), (1, 0, 1, 1, 102)]
         assert_exact_dominates_shell(fam, 40)
-
-    def test_missing_beta_raises(self):
-        fam = FamilySpec([FactorSpec.twist("A", INFINITY)], betas=None)
-        # betas default to the reducing systems; explicit empty list is an error
-        with pytest.raises(IndexError):
-            FamilySpec([FactorSpec.twist("A", INFINITY)], betas=[]).beta(0)
 
 
 class TestConstantScans:

@@ -608,8 +608,8 @@ def test_traced_pass_reads_every_counter(tmp_path):
     (tmp_path / "family.json").write_text(json.dumps({"factors": [
         {"name": "A", "generators": [[1, 2, 0, 1]], "boundary": ["1/0"]},
         {"name": "B", "generators": [[1, 0, 2, 1]], "boundary": ["0/1"]}]}))
-    argvs = [["experiment", "theorem-b", "--seed", "11", "--radius", "2", "--triples", "50",
-              "--geodesics", "20", "--curve-samples", "10", "--words", "5"],
+    argvs = [["experiment", "theorem-b", "--seed", "11", "--radius", "2", "--geodesics", "20",
+              "--curve-samples", "10", "--words", "5"],
              ["delta-estimate", "--seed", "3", "--points", "6", "--qmax", "10"],
              ["tree", "build", "--family", "family.json", "--radius", "3"]]
     env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}")

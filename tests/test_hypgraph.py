@@ -57,13 +57,19 @@ SMALL = {0: [1, 2], 1: [0, 3], 2: [0, 3, 4], 3: [1, 2, 5], 4: [2], 5: [3]}
 
 class TestBfs:
     def test_discovery_order_and_parents(self):
-        assert list(bfs([0], SMALL.__getitem__)) == [
-            (0, None, 0), (1, 0, 1), (2, 0, 1), (3, 1, 2), (4, 2, 2), (5, 3, 3)]
+        walk = list(bfs(0, SMALL.__getitem__))
+        assert walk == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3)]
+        # a vertex's parent, the expanded vertex that reached it, is its
+        # neighbour reached first (what `GraphOracle.geodesic` steps back to)
+        rank = {v: i for i, (v, _) in enumerate(walk)}
+        parents = {v: min(SMALL[v], key=rank.__getitem__) for v in SMALL if v}
+        assert parents == {1: 0, 2: 0, 3: 1, 4: 2, 5: 3}
+        assert all(dict(walk)[p] == dict(walk)[v] - 1 for v, p in parents.items())
 
     def test_depth_cap(self):
-        walk = list(bfs([0], SMALL.__getitem__))
+        walk = list(bfs(0, SMALL.__getitem__))
         for depth, count in ((0, 1), (1, 3), (2, 5), (3, 6), (9, 6)):
-            assert list(bfs([0], SMALL.__getitem__, depth)) == walk[:count]
+            assert list(bfs(0, SMALL.__getitem__, depth)) == walk[:count]
 
     def test_capped_vertices_are_not_expanded(self):
         expanded = []
@@ -72,15 +78,11 @@ class TestBfs:
             expanded.append(v)
             return SMALL[v]
 
-        list(bfs([0], neighbours, 2))
+        list(bfs(0, neighbours, 2))
         assert expanded == [0, 1, 2]
         expanded.clear()
-        list(bfs([0], neighbours, 0))
+        list(bfs(0, neighbours, 0))
         assert expanded == []
-
-    def test_duplicate_sources_yield_once(self):
-        assert list(bfs([3, 0, 3, 0], SMALL.__getitem__)) == [
-            (3, None, 0), (0, None, 0), (1, 3, 1), (2, 3, 1), (5, 3, 1), (4, 2, 2)]
 
     def test_lazy(self):
         expanded = []
@@ -89,12 +91,9 @@ class TestBfs:
             expanded.append(v)
             return SMALL[v]
 
-        walk = bfs([0], neighbours)
-        assert next(walk) == (0, None, 0) and expanded == []
-        assert next(walk) == (1, 0, 1) and expanded == [0]
-
-    def test_no_sources(self):
-        assert list(bfs([], SMALL.__getitem__)) == []
+        walk = bfs(0, neighbours)
+        assert next(walk) == (0, 0) and expanded == []
+        assert next(walk) == (1, 1) and expanded == [0]
 
 
 class TestEstimateDelta:
