@@ -2,11 +2,12 @@
 
 Vertices are slopes p/q (reduced fractions plus 1/0 for infinity), edges join
 slopes with |ps - rq| = 1, and SL(2,Z) acts projectively.  Distances and
-geodesics are computed exactly from continued fractions; a denominator-bounded
-BFS serves as the independent oracle.  Annular subsurface projections are
-modelled on the link of a vertex, which is a bi-infinite line: the projection
-of a slope is the floor/ceiling pair of its image under a canonical matrix
-sending the site to infinity.
+geodesics are computed exactly from continued fractions, as the docstrings of
+`_distance_to_infinity` and `geodesic_vectors` prove, so no command re-checks
+them; the tests keep a denominator-bounded BFS as the independent oracle.
+Annular subsurface projections are modelled on the link of a vertex, which is
+a bi-infinite line: the projection of a slope is the floor/ceiling pair of its
+image under a canonical matrix sending the site to infinity.
 
 `Slope` and `MappingClass` are immutable tuples: a slope equals and hashes as
 (p, q), a matrix as (a, b, c, d), the hashes of the frozen dataclasses they
@@ -61,10 +62,6 @@ class Slope(NamedTuple("_Slope", [("p", int), ("q", int)])):
             a, b = text.split("/")
             return Slope.of(int(a), int(b))
         return Slope.of(int(text), 1)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -308,14 +305,6 @@ def farey_geodesic(a: Slope, b: Slope) -> list:
             for x, y in geodesic_vectors(a, b)]
 
 
-def is_geodesic(path: list) -> bool:
-    if not path:
-        return False
-    if any(not adjacent(u, v) for u, v in zip(path, path[1:])):
-        return False
-    return len(path) - 1 == farey_distance(path[0], path[-1])
-
-
 def twist_about(alpha: Slope, n: int) -> MappingClass:
     """The n-th power of the Dehn twist about alpha = p/q.
 
@@ -418,10 +407,6 @@ def slope_set_distance(a: Slope, b: Slope) -> int:
     return 0 if a == b else farey_distance(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Denominator-bounded BFS oracle.
-
-
 def bounded_vertices(bound: int) -> list:
     """All slopes with |p| <= bound and 1 <= q <= bound, plus infinity."""
     verts = [INFINITY]
@@ -430,87 +415,3 @@ def bounded_vertices(bound: int) -> list:
             if math.gcd(abs(p), q) == 1:
                 verts.append(Slope(p, q))
     return verts
-
-
-def bounded_neighbors(s: Slope, bound: int) -> list:
-    """Neighbors of s in the subgraph of slopes with |p|, |q| <= bound.
-
-    For s = p/q with q >= 1 they are the slopes (r0 + t p)/(s0 + t q) over
-    the integers t with |s0 + t q| <= bound, where s0 = p^-1 mod q and
-    p s0 - q r0 = 1; the solutions of p s - q r = -1 are their negatives.
-    No vector is (p, q) or 0, whose determinants against (p, q) are 0, and
-    each is primitive, so it needs a sign fix only."""
-    if s.is_infinity:
-        return [Slope(n, 1) for n in range(-bound, bound + 1)]
-    p, q = s
-    s0 = pow(p, -1, q)          # 0 when q = 1
-    r0 = (p * s0 - 1) // q
-    out = []
-    for t in range(-((bound + s0) // q), (bound - s0) // q + 1):
-        r, den = r0 + t * p, s0 + t * q
-        if abs(r) <= bound:
-            out.append(_new(Slope, (r, den) if den > 0 or (not den and r > 0) else (-r, -den)))
-    return sorted(out, key=lambda v: (v.q, v.p))
-
-
-class BfsOracle:
-    """Graph-distance oracle on the denominator-bounded Farey subgraph.
-
-    Distances computed here can only overestimate true Farey distances; the
-    declared contract is stabilization, i.e. a value is accepted once it
-    agrees across two denominator bounds.
-
-    The first search numbers the `bounded_vertices` of the bound and turns
-    each one's `bounded_neighbors` into a list of numbers; every search then
-    runs over those lists with a list of distances.  A source outside the
-    bound starts from its own bounded neighbours at distance 1.
-    """
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self._graph = None              # (vertices, vertex -> number, adjacency)
-
-    def _indexed(self):
-        if self._graph is None:
-            verts = bounded_vertices(self.bound)
-            index = {s: i for i, s in enumerate(verts)}
-            adj = [[index[v] for v in bounded_neighbors(s, self.bound)] for s in verts]
-            self._graph = verts, index, adj
-        return self._graph
-
-    def distances_from(self, src: Slope) -> dict:
-        """BFS distances from src to every slope it reaches, as a dict in
-        the order the search reaches them, src first; nothing is kept
-        between calls."""
-        verts, index, adj = self._indexed()
-        dist = [-1] * len(verts)
-        i = index.get(src)
-        if i is None:
-            queue, first = [index[v] for v in bounded_neighbors(src, self.bound)], 1
-        else:
-            queue, first = [i], 0
-        for v in queue:
-            dist[v] = first
-        for u in queue:                 # the list grows as the search goes
-            du = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    queue.append(v)
-        out = {src: 0}
-        out.update(zip(map(verts.__getitem__, queue), map(dist.__getitem__, queue)))
-        return out
-
-    def distance(self, a: Slope, b: Slope):
-        """BFS distance within the bound, or None if not reachable."""
-        return self.distances_from(a).get(b)
-
-
-def stabilized_bfs_distance(a: Slope, b: Slope, bound: int):
-    """BFS distance accepted only if identical at bounds `bound` and `2*bound`.
-
-    Returns (value_or_None, stabilized_flag).
-    """
-    d1 = BfsOracle(bound).distance(a, b)
-    d2 = BfsOracle(2 * bound).distance(a, b)
-    return (d2, d1 is not None and d1 == d2)

@@ -1,10 +1,12 @@
-"""Definitions only the tests call: reference twins of package kernels, small
-graph models with the product-versus-geodesic sandwich and the sampled
-local-to-global chain check (both take the geodesic function as an argument
-beside a `dist`-only oracle), the synthetic tree projection system with the
-skip-index persistence check, and RAAG word builders with the confluent
-rewriting system that checks `raag.normal_form`, beside admissible support
-families and the letter bookkeeping along alternating words."""
+"""Definitions only the tests call: the denominator-bounded Farey BFS oracle
+(`BfsOracle` over `bounded_neighbors`) with the path check `is_geodesic`,
+reference twins of package kernels, small graph models with the
+product-versus-geodesic sandwich and the sampled local-to-global chain check
+(both take the geodesic function as an argument beside a `dist`-only
+oracle), the synthetic tree projection system with the skip-index
+persistence check, and RAAG word builders with the confluent rewriting
+system that checks `raag.normal_form`, beside admissible support families
+and the letter bookkeeping along alternating words."""
 
 import random
 from collections import Counter
@@ -15,7 +17,8 @@ from itertools import chain, combinations
 from rgflab import farey
 from rgflab.bassserre import (PairCounts, ResumeTable, TreeBall, _Fallback, _mat_mul,
                               word_matrix)
-from rgflab.farey import MappingClass, Slope, act, conjugator_to_infinity
+from rgflab.farey import (MappingClass, Slope, act, adjacent, bounded_vertices,
+                          conjugator_to_infinity, farey_distance)
 from rgflab.constructions import (DefiniteDistanceReport, DisplacingReport, GromovBoundReport,
                                   MisalignmentReport)
 from rgflab.hypgraph import FareyOracle, bfs, gromov_product
@@ -23,6 +26,8 @@ from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, 
                                 PersistenceReport, TorusAnnuli, persistence_check,
                                 random_slopes)
 from rgflab.raag import PresentationGraph, Word, normal_form
+
+_new = tuple.__new__
 
 
 def type1_pairs(ball: TreeBall):
@@ -237,6 +242,91 @@ def coset_well_defined(ball: TreeBall, v: int) -> bool:
     m = word_matrix(ball.label[v])
     base = act(m, f.boundary)
     return all(act(m.mul(h), f.boundary) == base for h in f.elements)
+
+
+def bounded_neighbors(s: Slope, bound: int) -> list:
+    """Neighbors of s in the subgraph of slopes with |p|, |q| <= bound.
+
+    For s = p/q with q >= 1 they are the slopes (r0 + t p)/(s0 + t q) over
+    the integers t with |s0 + t q| <= bound, where s0 = p^-1 mod q and
+    p s0 - q r0 = 1; the solutions of p s - q r = -1 are their negatives.
+    No vector is (p, q) or 0, whose determinants against (p, q) are 0, and
+    each is primitive, so it needs a sign fix only."""
+    if not s.q:
+        return [Slope(n, 1) for n in range(-bound, bound + 1)]
+    p, q = s
+    s0 = pow(p, -1, q)          # 0 when q = 1
+    r0 = (p * s0 - 1) // q
+    out = []
+    for t in range(-((bound + s0) // q), (bound - s0) // q + 1):
+        r, den = r0 + t * p, s0 + t * q
+        if abs(r) <= bound:
+            out.append(_new(Slope, (r, den) if den > 0 or (not den and r > 0) else (-r, -den)))
+    return sorted(out, key=lambda v: (v.q, v.p))
+
+
+class BfsOracle:
+    """Graph-distance oracle on the denominator-bounded Farey subgraph: the
+    independent twin of `farey.farey_distance`, which it shares no loop with.
+
+    Distances computed here can only overestimate true Farey distances; the
+    declared contract is stabilization, i.e. a value is accepted once it
+    agrees across two denominator bounds.
+
+    The first search numbers the `bounded_vertices` of the bound and turns
+    each one's `bounded_neighbors` into a list of numbers; every search then
+    runs over those lists with a list of distances.  A source outside the
+    bound starts from its own bounded neighbours at distance 1.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._graph = None              # (vertices, vertex -> number, adjacency)
+
+    def _indexed(self):
+        if self._graph is None:
+            verts = bounded_vertices(self.bound)
+            index = {s: i for i, s in enumerate(verts)}
+            adj = [[index[v] for v in bounded_neighbors(s, self.bound)] for s in verts]
+            self._graph = verts, index, adj
+        return self._graph
+
+    def distances_from(self, src: Slope) -> dict:
+        """BFS distances from src to every slope it reaches, as a dict in
+        the order the search reaches them, src first; nothing is kept
+        between calls."""
+        verts, index, adj = self._indexed()
+        dist = [-1] * len(verts)
+        i = index.get(src)
+        if i is None:
+            queue, first = [index[v] for v in bounded_neighbors(src, self.bound)], 1
+        else:
+            queue, first = [i], 0
+        for v in queue:
+            dist[v] = first
+        for u in queue:                 # the list grows as the search goes
+            du = dist[u] + 1
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    queue.append(v)
+        out = {src: 0}
+        out.update(zip(map(verts.__getitem__, queue), map(dist.__getitem__, queue)))
+        return out
+
+    def distance(self, a: Slope, b: Slope):
+        """BFS distance within the bound, or None if not reachable."""
+        return self.distances_from(a).get(b)
+
+
+def is_geodesic(path: list) -> bool:
+    """Whether `path` is a nonempty Farey edge path whose length is the
+    `farey_distance` between its ends."""
+    if not path:
+        return False
+    if any(not adjacent(u, v) for u, v in zip(path, path[1:])):
+        return False
+    return len(path) - 1 == farey_distance(path[0], path[-1])
 
 
 def plain_distance_tail(p: int, q: int, up: bool) -> tuple:

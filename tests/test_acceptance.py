@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from rgflab.farey import (INFINITY, BfsOracle, MappingClass, Slope, act,
+from rgflab.farey import (INFINITY, MappingClass, Slope, act,
                           annular_distance, bounded_vertices, farey_distance,
                           farey_geodesic, twist_about)
 from rgflab.hypgraph import FareyOracle, estimate_delta, gromov_product
@@ -25,7 +25,7 @@ from rgflab.bassserre import (FactorSpec, free_product_check,
 from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.cli import main
-from oracles import (check_local_to_global, concat, cycle_oracle,
+from oracles import (BfsOracle, check_local_to_global, concat, cycle_oracle,
                      general_persistence_check, inverse_word, point_to_path_distance,
                      random_rewrite, random_tree, sample_overlapping_triples,
                      synthetic_system, system_behrstock_scan)

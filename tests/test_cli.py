@@ -23,9 +23,11 @@ from rgflab.cli import NO_VERDICT, PASS, FAIL, USAGE, build_parser, emit_csv, \
 from rgflab.constructions import slope_at_distance
 from rgflab import cli, constructions
 from rgflab.bassserre import FactorSpec, PairCounts, qi_report
-from rgflab.farey import INFINITY, MappingClass, Slope, act, bounded_vertices, twist_about
+from rgflab.farey import (INFINITY, MappingClass, Slope, act, bounded_vertices, farey_distance,
+                          twist_about)
 from rgflab.projections import random_slope
 from rgflab.subgroups import MatrixGroup, canonical_reducing_system
+from oracles import BfsOracle, is_geodesic
 
 
 @pytest.fixture
@@ -46,27 +48,70 @@ def run(argv, tmp_path, name="out.jsonl"):
     return code, lines, out
 
 
+def run_farey(action, a, b, out):
+    """Exit code and records of `farey action a b`; the slopes go after
+    `--`, so a negative one is not read as an option."""
+    code = main(["farey", action, "--output", str(out), "--", str(a), str(b)])
+    return code, [json.loads(l) for l in out.read_text().splitlines()]
+
+
 class TestFareyCommands:
     def test_dist(self, tmp_path):
         code, lines, _ = run(["farey", "dist", "1/0", "5/8"], tmp_path)
         assert code == PASS
-        rec = lines[1]
-        assert rec["distance"] == 3 and rec["oracle"]["agrees"]
+        assert lines[1] == {"record": "farey-dist", "a": "1/0", "b": "5/8", "distance": 3}
 
     def test_geodesic(self, tmp_path):
         code, lines, _ = run(["farey", "geodesic", "0/1", "5/8"], tmp_path)
-        assert code == PASS and lines[1]["valid"]
+        assert code == PASS
+        assert lines[1] == {"record": "farey-geodesic", "a": "0/1", "b": "5/8", "length": 3,
+                            "vertices": ["0/1", "1/2", "2/3", "5/8"]}
 
     def test_usage_error(self):
         assert main(["farey", "dist", "1/0"]) == USAGE
 
+    def test_distance_beyond_any_bfs_box(self, tmp_path):
+        # 1000/1001 lies outside every denominator box a BFS check can afford
+        code, lines, _ = run(["farey", "dist", "1/0", "1000/1001"], tmp_path)
+        assert code == PASS and lines[1]["distance"] == 2
+
+    @pytest.mark.parametrize("action", ["dist", "geodesic"])
+    def test_huge_entries(self, action, tmp_path):
+        b = act(twist_about(Slope(5, 8), 200), Slope(1, 3))
+        code, lines = run_farey(action, INFINITY, b, tmp_path / "o.jsonl")
+        assert code == PASS
+        rec = lines[1]
+        if action == "dist":
+            assert rec == {"record": "farey-dist", "a": "1/0", "b": str(b),
+                           "distance": farey_distance(INFINITY, b)}
+        else:
+            path = [Slope.parse(v) for v in rec["vertices"]]
+            assert set(rec) == {"record", "a", "b", "length", "vertices"}
+            assert path[0] == INFINITY and path[-1] == b and is_geodesic(path)
+
+    def test_against_bfs_oracle_and_path_check(self, tmp_path):
+        """The independent twins of the Farey kernels at the command line: on
+        a seeded sample of pairs, `farey dist` is the BFS distance at two
+        denominator bounds, and each `farey geodesic` path is a geodesic."""
+        rng = random.Random(41)
+        verts = bounded_vertices(7)
+        oracles = BfsOracle(14), BfsOracle(28)
+        for i in range(40):
+            a, b = rng.sample(verts, 2)
+            code, lines = run_farey("dist", a, b, tmp_path / f"d{i}.jsonl")
+            assert code == PASS
+            assert [o.distance(a, b) for o in oracles] == [lines[1]["distance"]] * 2, (a, b)
+            code, lines = run_farey("geodesic", a, b, tmp_path / f"g{i}.jsonl")
+            path = [Slope.parse(v) for v in lines[1]["vertices"]]
+            assert code == PASS and path[0] == a and path[-1] == b
+            assert is_geodesic(path) and len(path) - 1 == lines[1]["length"], (a, b)
+
     @pytest.mark.parametrize("action, field, value", [("dist", "distance", 2),
-                                                      ("geodesic", "valid", True)])
+                                                      ("geodesic", "length", 2)])
     def test_negative_slopes_after_double_dash(self, action, field, value, tmp_path):
         # argparse reads a leading -1/2 as an option; after `--` it is a slope
-        out = tmp_path / "o.jsonl"
-        assert main(["farey", action, "--output", str(out), "--", "-1/2", "1/3"]) == PASS
-        assert json.loads(out.read_text().splitlines()[1])[field] == value
+        code, lines = run_farey(action, "-1/2", "1/3", tmp_path / "o.jsonl")
+        assert code == PASS and lines[1][field] == value
 
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -113,9 +158,9 @@ BAD_INPUT_ROWS = [
     ("kappa-negative", ["tree", "qi", "--family", "FAMILY", "--kappa", "-2"],
      "rgflab tree qi: error: argument --kappa: must be at least 1, got -2"),
     ("oracle-bound-zero", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "0"],
-     "rgflab farey dist: error: argument --oracle-bound: must be at least 1, got 0"),
+     "rgflab: error: unrecognized arguments: --oracle-bound 0"),
     ("oracle-bound-negative", ["farey", "dist", "1/2", "3/4", "--oracle-bound", "-3"],
-     "rgflab farey dist: error: argument --oracle-bound: must be at least 1, got -3"),
+     "rgflab: error: unrecognized arguments: --oracle-bound -3"),
     ("dprime-5", ["experiment", "prop91", "--dprime", "5", "--seed", "1"],
      "rgflab experiment prop91: error: argument --dprime: must be at least 9, got 5"),
     ("D-7", ["experiment", "example92", "--D", "7", "--seed", "1"],
@@ -698,9 +743,9 @@ def test_family_fuzz_exits_with_a_documented_code(tmp_path, capsys):
 
 # the record fields whose value false marks a failed check; a persistence
 # summary's `violations` count above 0 marks one too, and exit 1 needs one
-CHECK_FIELDS = {"ok", "valid", "agrees", "window_ok", "fails_at_2", "separation_ok",
-                "conclusions_ok", "benchmark_half_dT_minus_4", "kappa_given_ok",
-                "separated_at_D", "misaligned_at_A", "no_relation", "all_loxodromic"}
+CHECK_FIELDS = {"ok", "window_ok", "fails_at_2", "separation_ok", "conclusions_ok",
+                "benchmark_half_dT_minus_4", "kappa_given_ok", "separated_at_D",
+                "misaligned_at_A", "no_relation", "all_loxodromic"}
 FUZZ_ODD_VERTICES = [0.0, 1.0, 2.5, True, None, "0", [0]]
 FUZZ_WORD_TOKENS = ["x1", "x2^-1", "x3^2", "x1^0", "x2^+3"]
 FUZZ_BAD_TOKENS = ["x0", "x9", "y1", "x1^", "x1^a", "x1^2.0"]
@@ -1364,8 +1409,7 @@ class TestConfigEcho:
             reports.append(out.read_bytes())
         assert len(set(reports)) == 1
         assert json.loads(reports[0].splitlines()[0]) == {
-            "record": "config", "command": "farey", "action": "dist", "a": "1/0", "b": "5/8",
-            "oracle_bound": 64}
+            "record": "config", "command": "farey", "action": "dist", "a": "1/0", "b": "5/8"}
 
     def test_config_output_key_not_echoed(self, tmp_path):
         # the key routes the report, and its value, like --output's, is not
@@ -1497,7 +1541,7 @@ GEOMETRY_RUNS = {
                             "--geodesics", "60"], NO_VERDICT),
     "delta": (["delta-estimate", "--seed", "3", "--points", "14", "--qmax", "30"], PASS),
     "persistence": (["persistence", "check", "--seed", "2", "--sequences", "20"], PASS),
-    "farey-dist": (["farey", "dist", "3/8", "13/5", "--oracle-bound", "16"], PASS),
+    "farey-dist": (["farey", "dist", "3/8", "13/5"], PASS),
     "farey-geodesic": (["farey", "geodesic", "2/7", "1393/985"], PASS),
 }
 
@@ -1506,8 +1550,8 @@ GEOMETRY_DIGESTS = {
     "constants-stable": "b4a5db4f63fd7891180ab452bd39b133ae78b12444292c9f0c69bd600fafa283",
     "constants-unstable": "fd7c74dc6188e712fdecbfdbc0436f227060121a6170f820cf8005e1571156e8",
     "delta": "837b3c3b33a1e54ab9043745b6ed73796a0c0fcdb71a8fa3403e5c5cfc2a0331",
-    "farey-dist": "229b8a86b2503d7633d2c2e1cd45317853e1ae19c3132b36953903b5be60824f",
-    "farey-geodesic": "93542ddb77a50e22bfb445ad604967428d5612f1ee836ddc55418cf0039d5f9a",
+    "farey-dist": "f6e146137bbcc04af5f549f61882f7d61ed2862280f3bc94a308a520f6ca0865",
+    "farey-geodesic": "735083029cfe75efd489acfee78bbf423b5abceebba6537a9b324d5c21a1a0f3",
     "persistence": "f11aa09ff7e7a69a4f7fd86617c6e2da276c2f1198fa72dc1f53c27e9e3d7567",
 }
 

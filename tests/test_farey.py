@@ -6,17 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgflab.farey import (INFINITY, BfsOracle, EmptyProjectionError, MappingClass,
+from rgflab.farey import (INFINITY, EmptyProjectionError, MappingClass,
                           Slope, _distance_to_infinity, act,
-                          adjacent, annular_distance, bounded_neighbors,
-                          bounded_vertices, conjugator_to_infinity,
-                          distance_tail, farey_distance, farey_geodesic,
-                          geodesic_vectors, is_geodesic, link_span,
-                          slope_set_distance, stabilized_bfs_distance, twist_about)
+                          adjacent, annular_distance, bounded_vertices,
+                          conjugator_to_infinity, distance_tail, farey_distance,
+                          farey_geodesic, geodesic_vectors, link_span,
+                          slope_set_distance, twist_about)
 from rgflab import farey
 from rgflab.projections import random_slope
-from oracles import (GenericTorus, annular_projection, annular_projection_set, matrix_power,
-                     plain_distance_tail)
+from oracles import (BfsOracle, GenericTorus, annular_projection, annular_projection_set,
+                     bounded_neighbors, is_geodesic, matrix_power, plain_distance_tail)
 
 
 def slopes_strategy(qmax=30):
@@ -184,10 +183,6 @@ class TestDistance:
                 == list(dict_bfs_distances(src, bound).items()), src
         assert oracle.distance(outside[0], Slope(bound, 1)) == 1
 
-    def test_stabilized_helper(self):
-        value, stable = stabilized_bfs_distance(INFINITY, Slope(5, 8), 16)
-        assert stable and value == farey_distance(INFINITY, Slope(5, 8))
-
     def test_triangle_inequality(self):
         rng = random.Random(1)
         verts = bounded_vertices(12)
@@ -285,7 +280,7 @@ class TestDistanceKernel:
             a, b = rng.choice(verts), rng.choice(verts)
             ma, mb = act(m, a), act(m, b)
             assert farey_distance(ma, mb) == farey_distance(a, b)
-            if not ma.is_infinity and ma != mb:
+            if ma.q and ma != mb:
                 s = act(conjugator_to_infinity(ma), mb)
                 cf = _continued_fraction(s.p, s.q)
                 assert _distance_to_infinity(s) == _distance_profile(cf)[-1]
@@ -457,7 +452,7 @@ def _geodesic_from_infinity(s: Slope) -> list:
     when a_k = 1 and the distance rose from convergent k - 2 to k - 1.  The
     steps of `_distance_profile` are 0 or 1, so that is the whole choice.
     """
-    if s.is_infinity:
+    if not s.q:
         return [INFINITY]
     if s.q == 1:
         return [INFINITY, s]
@@ -493,7 +488,7 @@ def recursive_geodesic_from_infinity(s: Slope) -> list:
     """The recursive convergent-fan walk that the loop of
     `_geodesic_from_infinity` replaced, kept as its slow twin: it recurses
     once per partial quotient."""
-    if s.is_infinity:
+    if not s.q:
         return [INFINITY]
     if s.q == 1:
         return [INFINITY, s]
@@ -963,7 +958,7 @@ class TestLinkSpanSlowTwin:
         rng = random.Random(10)
         for _ in range(500):
             beta, gamma = random_slope(rng, 10 ** 4), random_slope(rng, 10 ** 4)
-            want = None if beta.is_infinity else (beta.p // beta.q, -(-beta.p // beta.q))
+            want = None if not beta.q else (beta.p // beta.q, -(-beta.p // beta.q))
             assert link_span(INFINITY, [beta]) == want
             assert _outcome(annular_distance, INFINITY, beta, gamma) \
                 == _outcome(set_annular_distance, INFINITY, beta, gamma)

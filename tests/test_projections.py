@@ -8,13 +8,13 @@ import pytest
 
 from rgflab import farey
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
-    farey_geodesic, is_geodesic, link_span, twist_about
+    farey_geodesic, link_span, twist_about
 from rgflab.constructions import slope_at_distance
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
                                 PersistenceReport, behrstock_scan, bgit_scan,
                                 estimate_constants, persistence_check,
                                 random_slope, random_slopes, twist_pivot_sequence)
-from oracles import (GenericTorus, general_persistence_check, nearest_overlaps,
+from oracles import (GenericTorus, general_persistence_check, is_geodesic, nearest_overlaps,
                      nine_call_behrstock_scan, pairwise_bgit_scan,
                      sample_overlapping_triples, slow_estimate_constants,
                      synthetic_system, system_behrstock_scan, system_bgit_scan)
