@@ -15,9 +15,8 @@ replaced, so set orders and report bytes are unchanged.  Constructors
 validate; `Slope._reduced` and the arithmetic here build through
 `tuple.__new__` without the re-check.  A curve system on the punctured
 torus is a single slope, since any two distinct curves meet, so every entry
-point takes slopes; only `link_span` takes an iterable (a path, as vectors).
-`entries()` stays beside `tuple(m)`: the benchmark's tracer keys enumerated
-balls on it.
+point takes slopes.  `entries()` stays beside `tuple(m)`: the benchmark's
+tracer keys enumerated balls on it.
 """
 
 from __future__ import annotations
@@ -327,33 +326,6 @@ def twist_about(alpha: Slope, n: int) -> MappingClass:
 
 class EmptyProjectionError(ValueError):
     pass
-
-
-def link_span(alpha: Slope, path):
-    """(lo, hi): the extreme positions, in the link of alpha, of the annular
-    projections of an iterable of slopes; None when nothing projects.  The
-    projection diameter is hi - lo.
-
-    The floor and ceiling of a slope's image (a*p + b*q)/(c*p + d*q) under
-    the conjugator [[a, b], [c, d]] of alpha need neither a reduced fraction
-    nor a sign fix: one divmod rounds down for either sign of the
-    denominator, and the ceiling is one more unless the remainder is zero.
-    The denominator vanishes exactly on alpha, which is skipped.
-    """
-    a, b, c, d = conjugator_to_infinity(alpha)
-    lo = hi = None
-    for p, q in path:
-        den = c * p + d * q
-        if not den:
-            continue
-        fl, r = divmod(a * p + b * q, den)
-        if lo is None or fl < lo:
-            lo = fl
-        if r:
-            fl += 1
-        if hi is None or fl > hi:
-            hi = fl
-    return None if lo is None else (lo, hi)
 
 
 def annular_distance(alpha: Slope, beta: Slope, gamma: Slope) -> int:

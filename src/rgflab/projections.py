@@ -106,13 +106,38 @@ class BgitReport:
 def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
     """Projection diameter at `site` of the geodesic `farey.farey_geodesic`
     picks from a to b, or no diameter when the site is on it (the converse
-    use: large projections force pit stops).  One walk of `geodesic_vectors`,
-    unsigned, is tested against ±site and folded by `farey.link_span`."""
-    path = list(farey.geodesic_vectors(a, b))
-    if site in path or (-site.p, -site.q) in path:
+    use: large projections force pit stops).  The diameter is
+    d = `farey.annular_distance(site, a, b)`, and the geodesic is walked,
+    up to ±site, only when d is 2, 3 or 4.
+
+    In the site's frame its link is Z, and the Farey edge from the site to
+    link vertex k separates the disk.  Edges do not cross, so a path that
+    misses the site passes from one side of that edge to the other only
+    through k itself:
+    - Hull: a simple path missing the site never leaves the hull of its
+      ends' projections, since leaving it past a link vertex means coming
+      back through the same vertex.  Its projection diameter is d, and it
+      passes through each of the d - 1 link vertices strictly between the
+      ends' images (the counting form of `annular_distance`).
+    - d >= 5: any two link vertices are within 2 of each other, through the
+      site, so at most 3 of them lie on one geodesic, and one missing the
+      site would hold d - 1 >= 4.  Every geodesic meets the site, and the
+      image of any geodesic that misses it has diameter at most 4.
+    - d <= 1: both ends project into {n, n + 1}.  The first link vertex on
+      a path lies in the projection of its start, as the path reaches no
+      other without crossing an edge from the site, and the last lies in
+      that of its end.  On a geodesic through the site they would lie on
+      either side of it, at distance at least 2, so no geodesic meets it.
+    An end equal to the site does not project.  The measured walk and fold
+    is `walked_bgit_scan` in `tests/oracles.py`.
+    """
+    if site == a or site == b:
         return BgitReport(False, None)
-    lo, hi = farey.link_span(site, path)   # a path missing ±site projects
-    return BgitReport(True, hi - lo)
+    d = farey.annular_distance(site, a, b)
+    if d >= 5 or d >= 2 and not {site, (-site.p, -site.q)}.isdisjoint(
+            farey.geodesic_vectors(a, b)):      # the walk stops at ±site
+        return BgitReport(False, None)
+    return BgitReport(True, d)
 
 
 @dataclass

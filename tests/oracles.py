@@ -1,6 +1,7 @@
 """Definitions only the tests call: the denominator-bounded Farey BFS oracle
 (`BfsOracle` over `bounded_neighbors`) with the path check `is_geodesic`,
-reference twins of package kernels, small graph models with the
+reference twins of package kernels (among them the walked geodesic-image
+scan and its link fold `link_span`), small graph models with the
 product-versus-geodesic sandwich and the sampled local-to-global chain check
 (both take the geodesic function as an argument beside a `dist`-only
 oracle), the synthetic tree projection system with the skip-index
@@ -356,6 +357,33 @@ def matrix_power(m: MappingClass, n: int) -> MappingClass:
     return out
 
 
+def link_span(alpha: Slope, path):
+    """(lo, hi): the extreme positions, in the link of alpha, of the annular
+    projections of an iterable of slopes; None when nothing projects.  The
+    projection diameter is hi - lo.
+
+    The floor and ceiling of a slope's image (a*p + b*q)/(c*p + d*q) under
+    the conjugator [[a, b], [c, d]] of alpha need neither a reduced fraction
+    nor a sign fix: one divmod rounds down for either sign of the
+    denominator, and the ceiling is one more unless the remainder is zero.
+    The denominator vanishes exactly on alpha, which is skipped.
+    """
+    a, b, c, d = conjugator_to_infinity(alpha)
+    lo = hi = None
+    for p, q in path:
+        den = c * p + d * q
+        if not den:
+            continue
+        fl, r = divmod(a * p + b * q, den)
+        if lo is None or fl < lo:
+            lo = fl
+        if r:
+            fl += 1
+        if hi is None or fl > hi:
+            hi = fl
+    return None if lo is None else (lo, hi)
+
+
 def annular_projection(alpha: Slope, beta: Slope) -> frozenset:
     """Coarse projection of beta to the annulus about alpha, as a set.
 
@@ -510,10 +538,10 @@ class GenericTorus(TorusAnnuli):
         return obj != site
 
     def path_diam(self, site: Slope, path) -> int:
-        """Diameter of a projecting path's image in one `farey.link_span`
-        fold: `system_bgit_scan` on this system is the list form of
-        `bgit_scan`."""
-        lo, hi = farey.link_span(site, path)
+        """Diameter of a projecting path's image in one `link_span` fold:
+        `system_bgit_scan` on this system is the list form of
+        `walked_bgit_scan`."""
+        lo, hi = link_span(site, path)
         return hi - lo
 
 
@@ -670,6 +698,17 @@ def system_behrstock_scan(system, triples) -> BehrstockReport:
         if a > worst or b > worst:
             worst = max(worst, sorted((a, b, proj_dist(z, x, y)))[1])
     return BehrstockReport(count, worst + 1)
+
+
+def walked_bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
+    """The `bgit_scan` that walked every geodesic: one walk of
+    `geodesic_vectors`, unsigned, tested against ±site and folded by
+    `link_span`.  The twin of the one-distance form."""
+    path = list(farey.geodesic_vectors(a, b))
+    if site in path or (-site.p, -site.q) in path:
+        return BgitReport(False, None)
+    lo, hi = link_span(site, path)   # a path missing ±site projects
+    return BgitReport(True, hi - lo)
 
 
 def system_bgit_scan(system, site, geodesic) -> BgitReport:

@@ -10,12 +10,13 @@ from rgflab.farey import (INFINITY, EmptyProjectionError, MappingClass,
                           Slope, _distance_to_infinity, act,
                           adjacent, annular_distance, bounded_vertices,
                           conjugator_to_infinity, distance_tail, farey_distance,
-                          farey_geodesic, geodesic_vectors, link_span,
+                          farey_geodesic, geodesic_vectors,
                           slope_set_distance, twist_about)
 from rgflab import farey
 from rgflab.projections import random_slope
 from oracles import (BfsOracle, GenericTorus, annular_projection, annular_projection_set,
-                     bounded_neighbors, is_geodesic, matrix_power, plain_distance_tail)
+                     bounded_neighbors, is_geodesic, link_span, matrix_power,
+                     plain_distance_tail)
 
 
 def slopes_strategy(qmax=30):
@@ -894,7 +895,7 @@ class TestLinkSpanSlowTwin:
             assert link_span(alpha, side) == ((min(pts), max(pts)) if pts else None)
 
     def test_geodesic_paths(self):
-        # the fold `bgit_scan` runs: a Farey geodesic, often through the site
+        # the fold `walked_bgit_scan` runs: a Farey geodesic, often through the site
         rng = random.Random(11)
         through = 0
         for _ in range(500):

@@ -2,22 +2,24 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
-from rgflab import farey
+from rgflab import farey, projections
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
-    farey_geodesic, link_span, twist_about
+    farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
 from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
                                 PersistenceReport, behrstock_scan, bgit_scan,
-                                estimate_constants, persistence_check,
+                                estimate_constants, geodesic_image_bounds, persistence_check,
                                 random_slope, random_slopes, twist_pivot_sequence)
-from oracles import (GenericTorus, general_persistence_check, is_geodesic, nearest_overlaps,
-                     nine_call_behrstock_scan, pairwise_bgit_scan,
+from rgflab.hypgraph import bfs
+from oracles import (GenericTorus, bounded_neighbors, general_persistence_check, is_geodesic,
+                     link_span, nearest_overlaps, nine_call_behrstock_scan, pairwise_bgit_scan,
                      sample_overlapping_triples, slow_estimate_constants,
-                     synthetic_system, system_behrstock_scan, system_bgit_scan)
+                     synthetic_system, system_behrstock_scan, system_bgit_scan,
+                     walked_bgit_scan)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,34 @@ class TestBehrstock:
         assert system_behrstock_scan(sys_, triples).B_emp == 1
 
 
+def _scan_against_twins(torus, monkeypatch, triples) -> tuple:
+    """Check `bgit_scan` on every (site, a, b) against `walked_bgit_scan`
+    and `pairwise_bgit_scan`, and its walks, seen by a spy on
+    `farey.geodesic_vectors`, against the proof in its docstring: one from
+    a to b exactly when d_site(a, b) is 2, 3 or 4, and none when the site
+    is an end.  Returns the Counter of diameters and the number of walks."""
+    walks, scanned = [], []
+    real = farey.geodesic_vectors
+
+    def spy(a, b):
+        walks.append((a, b))
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(farey, "geodesic_vectors", spy)
+        for site, a, b in triples:
+            scanned.append((bgit_scan(site, a, b), walks[:]))
+            walks.clear()
+    diameters = Counter()
+    for (site, a, b), (rep, seen) in zip(triples, scanned):
+        d = None if site in (a, b) else farey.annular_distance(site, a, b)
+        assert seen == ([(a, b)] if d in (2, 3, 4) else [])
+        assert rep == walked_bgit_scan(site, a, b) \
+            == pairwise_bgit_scan(torus, site, farey_geodesic(a, b))
+        diameters[rep.diameter] += 1
+    return diameters, sum(map(bool, (seen for _, seen in scanned)))
+
+
 class TestBgit:
     def test_link_geodesic(self):
         # `farey_geodesic` from 0 to 2 is 0, 1, 2
@@ -106,13 +136,39 @@ class TestBgit:
         # 1/2, 1, 2, 3, 7/2 avoids 1/0 and projects there with diameter 4,
         # while `farey_geodesic` between its ends goes through 1/0: a
         # sampled M of 3 bounds only the geodesics that `farey_geodesic`
-        # picks, and a bound for every geodesic must be at least 4
+        # picks, and the bound for every geodesic, 4 (proof in `bgit_scan`),
+        # is attained
         path = [Slope(1, 2), Slope(1, 1), Slope(2, 1), Slope(3, 1), Slope(7, 2)]
         assert is_geodesic(path) and farey_distance(path[0], path[-1]) == 4
         assert system_bgit_scan(torus, INFINITY, path) \
             == pairwise_bgit_scan(torus, INFINITY, path) == BgitReport(True, 4)
         assert INFINITY in farey_geodesic(path[0], path[-1])
         assert bgit_scan(INFINITY, path[0], path[-1]) == BgitReport(False, None)
+
+    def test_every_geodesic_of_a_box_projects_within_four(self):
+        """M <= 4 over every geodesic, not only the ones `farey_geodesic`
+        picks (proof in `bgit_scan`).  The subgraph on `bounded_vertices(6)`
+        has the Farey distances, and each of its 3,586 geodesics projects to
+        every site off it with diameter d_site(a, b) (the hull lemma); the
+        greatest is 4, on 160 (geodesic, site) pairs."""
+        verts = farey.bounded_vertices(6)
+        adj = {s: bounded_neighbors(s, 6) for s in verts}
+        geodesics, diameters = 0, Counter()
+        for a, b in product(verts, repeat=2):
+            to_b = dict(bfs(b, adj.__getitem__))
+            assert to_b[a] == farey_distance(a, b)
+            paths = [[a]]
+            while paths[0][-1] != b:
+                paths = [path + [v] for path in paths for v in adj[path[-1]]
+                         if to_b[v] == to_b[path[-1]] - 1]
+            for path in paths:
+                geodesics += 1
+                for site in set(verts) - set(path):
+                    lo, hi = link_span(site, path)
+                    assert hi - lo == farey.annular_distance(site, a, b)
+                    diameters[hi - lo] += 1
+        assert geodesics == 3586
+        assert max(diameters) == 4 and diameters[4] == 160
 
     def test_large_projection_forces_pit_stop(self, torus):
         # endpoints with annular distance above the empirical geodesic-image
@@ -345,6 +401,35 @@ class TestBgitSlowTwin:
         assert system_bgit_scan(torus, INFINITY, []) \
             == pairwise_bgit_scan(torus, INFINITY, []) == BgitReport(True, 0)
 
+    def test_every_triple_of_a_box_matches_both_twins(self, torus, monkeypatch):
+        """The one-distance scan against both twins, and its walks against
+        the proof, on every (site, a, b) of `bounded_vertices(6)`, a == b and
+        a site at an end among them: 12,848 of the 110,592 scans walk."""
+        triples = list(product(farey.bounded_vertices(6), repeat=3))
+        assert _scan_against_twins(torus, monkeypatch, triples) \
+            == ({None: 8610, 0: 186, 1: 91446, 2: 9654, 3: 696}, 12848)
+
+    # every draw of the two M samples of `estimate_constants` at the
+    # `geometry` job's sizes (seeds 0 and 1001, as the B test below) and of
+    # `experiment theorem-b --seed 11` at its default flags, with the number
+    # of draws and of walks
+    @pytest.mark.parametrize("seed, n_geodesics, qmax, draws, walked", [
+        (0, 2000, 1000, 4000, 554), (1001, 2000, 1000, 4000, 525), (11, 300, 800, 600, 86)])
+    def test_every_draw_of_the_M_samples_matches_both_twins(
+            self, torus, monkeypatch, seed, n_geodesics, qmax, draws, walked):
+        triples = []
+        real = projections.bgit_scan
+
+        def spy(*args):
+            triples.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(projections, "bgit_scan", spy)
+            geodesic_image_bounds(seed, n_geodesics, qmax)
+        assert len(triples) == draws
+        assert _scan_against_twins(torus, monkeypatch, triples)[1] == walked
+
     # one vertex, on the site or off it; the site at either end; the site
     # 1/0, whose vector comes out of the walk as (1, 0) or (-1, 0); and
     # integer ends and sites, whose conjugators are [[0, 1], [-1, p]]
@@ -417,16 +502,27 @@ class TestBehrstockSlowTwin:
     def test_torus_at_the_estimate_size(self, torus, seed, monkeypatch):
         """The two samples of `constants estimate --seed 0`: 10,000 triples
         at qmax 1000.  The measured twin finds the closed form's level, and
-        neither `behrstock_scan` nor `estimate_constants` at the `geometry`
-        job's sizes calls `farey.annular_distance`."""
+        the B half reads no distance: `behrstock_scan` makes no
+        `farey.annular_distance` call, and `estimate_constants` at the
+        `geometry` job's sizes calls it exactly as its M half,
+        `geodesic_image_bounds`, does alone: once per scan, as no site
+        drawn there is an end of its geodesic."""
         triples = list(sample_overlapping_triples(10000, random.Random(seed), qmax=1000))
         want = nine_call_behrstock_scan(torus, triples)
         calls = []
+        real = farey.annular_distance
 
-        monkeypatch.setattr(farey, "annular_distance", lambda *args: calls.append(args))
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(farey, "annular_distance", spy)
         assert behrstock_scan(triples) == want == BehrstockReport(10000, 2)
-        assert estimate_constants(seed, 10000, 2000, 1000).samples["B"] == (2, 2)
         assert calls == []
+        assert estimate_constants(seed, 10000, 2000, 1000).samples["B"] == (2, 2)
+        from_estimate, calls[:] = calls[:], []
+        geodesic_image_bounds(seed, 2000, 1000)
+        assert from_estimate == calls and len(calls) == 4000
 
     def test_torus_overlap_error(self, torus):
         triples = [(Slope(0, 1), Slope(1, 2), Slope(3, 1)), (INFINITY, Slope(0, 1), INFINITY)]
