@@ -187,10 +187,10 @@ def cmd_delta_estimate(args):
             raise SystemExit_usage(f"--points {args.points} exceeds the {available} slopes "
                                    f"with q <= {args.qmax} and |p| <= {args.qmax} (--qmax)")
     oracle = FareyOracle()
-    rng = random.Random(seed)
+    draw = projections.random_slopes(random.Random(seed), args.qmax).__next__
     pts = {INFINITY}
     while len(pts) < args.points:
-        pts.add(projections.random_slope(rng, args.qmax))
+        pts.add(draw())
     est = hypgraph.estimate_delta(sorted(pts, key=lambda s: (s.q, s.p)), oracle,
                                   max_quadruples=args.max_quadruples, seed=seed)
     rec = {"record": "delta-estimate", "delta": est.delta, "points": args.points,
@@ -400,8 +400,8 @@ def cmd_prop91(args):
 def cmd_theorem_b(args):
     seed = args.seed
     est = estimate_constants(seed=seed, n_geodesics=args.geodesics, qmax=args.qmax)
-    rng = random.Random(seed + 7)
-    curves = [projections.random_slope(rng, 200) for _ in range(args.curve_samples)]
+    draw = projections.random_slopes(random.Random(seed + 7), 200).__next__
+    curves = [draw() for _ in range(args.curve_samples)]
     factor = FactorSpec.twist("H", INFINITY, power=2, budget=3)
     delta = Fraction(args.delta)
     table = constructions.displacement_table(factor, curves)

@@ -232,25 +232,17 @@ def _estimated_M(seed: int) -> int:
 
 
 def slope_at_distance(base: Slope, d: int) -> Slope:
-    """Deterministic slope at exact Farey distance d from base.
+    """Deterministic slope at exact Farey distance d >= 0 from base.
 
-    In coordinates where base is infinity, the continued fraction
-    [0; 2, 2, ..., 2] with d - 1 partial quotients lies at distance d; the
-    result is pulled back and verified.
+    In base's frame it is the convergent c_{d-1} = [0; 2, ..., 2] (d - 1
+    quotients 2) of c_k = 2 c_{k-1} + c_{k-2} from c_{-1} = 1/0, c_0 = 0/1.
+    By the rule of `farey._distance_to_infinity`, a_0 adds one and each
+    quotient 2 rises, so c_{d-1} lies at distance d from 1/0.
     """
-    if d == 0:
-        return base
-    m_inv = farey.conjugator_to_infinity(base).inv()
-    if d == 1:
-        return act(m_inv, Slope(0, 1))
-    p, q = 0, 1      # [0]
-    p1, q1 = 1, 2    # [0; 2]
-    for _ in range(d - 2):
-        p, q, p1, q1 = p1, q1, 2 * p1 + p, 2 * q1 + q
-    target = act(m_inv, Slope(p1, q1))
-    if farey.farey_distance(base, target) != d:
-        raise AssertionError("distance walk produced a wrong slope")
-    return target
+    v, w = (1, 0), (0, 1)        # c_{-1}, c_0
+    for _ in range(d):
+        v, w = w, (2 * w[0] + v[0], 2 * w[1] + v[1])
+    return act(farey.conjugator_to_infinity(base).inv(), Slope._reduced(*v))
 
 
 @dataclass
@@ -272,41 +264,39 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
     """Family of twist groups about the orbit of a curve under a twist about
     a curve at distance exactly D'.
 
-    The annulus about the center y displaces alpha_0 by more than M under
-    g^n for |n| >= N, so every pairwise geodesic stops near y and distances
-    land in [2D' - 6, 2D' + 4]; the Gromov products then exceed D' - 8 = D.
-    The window lists the twist exponents k N for k centered at zero.  The
-    base curve alpha_0 is 0/1, and N is doubled at most six times.
+    With alpha_0 = 0/1, y at distance D' from it and N = M_emp + 1, the
+    window's k-th factor (k centered at zero) twists about T_y^{kN} alpha_0.
+    The family is built once, as its bounds hold for every N >= 1:
+    - In y's frame T_y^n is x -> x + n, and alpha_0 is no integer (D' > 1),
+      so d_y(alpha_0, T_y^N alpha_0) = N + 1 > M_emp.
+    - Take n = (j - i) N != 0.  A path from alpha_0 to alpha_0 + n through y
+      has length >= 2D', attained.  One missing y passes each of the |n|
+      integers m between its ends, as Farey edges do not cross y-m, and
+      d(alpha_0, m), d(m, alpha_0 + n) >= D' - 1 as m is adjacent to y.  So
+      2D' - 2 <= d(alpha_i, alpha_j) <= 2D', with 2D' when |n| >= 3, as
+      the path then passes two integers 2 apart.
+    - So the family is separated at D = D' - 8, its Gromov products are
+      >= (2 (2D' - 2) - 2D') / 2 = D' - 2 > D, and its distances lie in the
+      paper's window [2D' - 6, 2D' + 4], reported as `distance_window_ok`.
     """
     if dprime <= 8:
         raise ValueError("need D' > 8")
     if M_emp is None:
         M_emp = _estimated_M(seed)
+    elif M_emp < 0:
+        raise ValueError("need M_emp >= 0")
     base = Slope(0, 1)
     y = slope_at_distance(base, dprime)
     D = dprime - 8
-    ks = [k - (window - 1) // 2 for k in range(window)]
-
     N = M_emp + 1
-    for _ in range(6):
-        if farey.annular_distance(y, base, act(twist_about(y, N), base)) <= M_emp:
-            raise AssertionError("twist depth fails its defining displacement")
-        factors = []
-        for k in ks:
-            alpha_k = act(twist_about(y, k * N), base)
-            factors.append(FactorSpec.twist(f"H{k}N", alpha_k, budget=factor_budget))
-        d = _distance_table(factors)     # one table for both reports
-        sep, mis = _separation(d, D), _misalignment(d, D)
-        window_ok = all(
-            2 * dprime - 6 <= d[i][j] <= 2 * dprime + 4
-            for i in range(len(ks)) for j in range(i + 1, len(ks)))
-        if sep.ok and (mis.vacuous or mis.ok) and window_ok:
-            return TwistOrbitFamily(factors, y, dprime, D, N, ks, sep, mis, window_ok,
-                                    {"M_emp": M_emp})
-        N *= 2
-    raise AssertionError(
-        f"distance window failed for all twist depths up to {N}; "
-        "the geodesic-image bound was underestimated")
+    ks = [k - (window - 1) // 2 for k in range(window)]
+    factors = [FactorSpec.twist(f"H{k}N", act(twist_about(y, k * N), base), budget=factor_budget)
+               for k in ks]
+    d = _distance_table(factors)     # one table for both reports
+    window_ok = all(2 * dprime - 6 <= d[i][j] <= 2 * dprime + 4
+                    for i in range(len(ks)) for j in range(i + 1, len(ks)))
+    return TwistOrbitFamily(factors, y, dprime, D, N, ks, _separation(d, D),
+                            _misalignment(d, D), window_ok, {"M_emp": M_emp})
 
 
 @dataclass
@@ -330,6 +320,8 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     curve T(beta) is far from beta on the other side of alpha; the triple
     passes separation at D yet its Gromov product at alpha stays tiny, and
     the generated group satisfies the visible relation T h T^-1 = (ThT^-1).
+    Beta is no integer, as D > 1, and T is x -> x + M_emp + 2, so
+    d_alpha(beta, T beta) = M_emp + 3.
     """
     if D < 8:
         raise ValueError("need D >= 8 so that 2D - 8 >= D")
@@ -339,8 +331,6 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     t_power = M_emp + 2
     T = twist_about(alpha, t_power)
     t_beta = act(T, beta)
-    if farey.annular_distance(alpha, beta, t_beta) < M_emp:
-        raise AssertionError("conjugating twist fails its defining displacement")
 
     budget_a = max(factor_budget, t_power)
     f_alpha = FactorSpec.twist("Ha", alpha, budget=budget_a)

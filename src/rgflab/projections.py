@@ -107,8 +107,8 @@ def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
     """Projection diameter at `site` of the geodesic `farey.farey_geodesic`
     picks from a to b, or no diameter when the site is on it (the converse
     use: large projections force pit stops).  The diameter is
-    d = `farey.annular_distance(site, a, b)`, and the geodesic is walked,
-    up to ±site, only when d is 2, 3 or 4.
+    d = `farey.annular_distance(site, a, b)`, at most 3, and the geodesic is
+    walked, up to ±site, only when d is 2 or 3.
 
     In the site's frame its link is Z, and the Farey edge from the site to
     link vertex k separates the disk.  Edges do not cross, so a path that
@@ -123,6 +123,20 @@ def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
       site, so at most 3 of them lie on one geodesic, and one missing the
       site would hold d - 1 >= 4.  Every geodesic meets the site, and the
       image of any geodesic that misses it has diameter at most 4.
+    - d = 4: the picked geodesic meets the site x.  If it missed x, the 3
+      link vertices between, (m, 1), (m + 1, 1), (m + 2, 1) in x's frame,
+      would be consecutive on it, as the outer two are 2 apart: u, u + x,
+      u + 2x up to sign.  In a's frame it lists convergents c_{-1} = 1/0,
+      c_0, ..., c_n = b, c_{k+1} = a_{k+1} c_k + c_{k-1}, and skips c_k only
+      if a_{k+1} = 1 (`farey.geodesic_vectors`).  Of the ways three can
+      follow, only c_{i+2} - c_i = 2 c_{i+1} (x = c_i + c_{i+1}),
+      c_{i+3} + c_i = 2 c_{i+2} (c_{i+1} skipped, x = c_{i+1}) and
+      c_{i+3} - c_i = 2 c_{i+1} (c_{i+2} skipped, x = c_{i+2}) fit; skipping
+      both gives c_{i+4} + c_i = (a_{i+3} + 2) c_{i+2}.  The convergents
+      alternate about b, and c_i + t c_{i+1} runs from c_i to c_{i+2} for
+      0 <= t <= a_{i+2}, so x and the third or first vertex lie on one side
+      of b: their edge does not separate 1/0 from b, though that vertex lies
+      strictly between the images.
     - d <= 1: both ends project into {n, n + 1}.  The first link vertex on
       a path lies in the projection of its start, as the path reaches no
       other without crossing an edge from the site, and the last lies in
@@ -134,7 +148,7 @@ def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
     if site == a or site == b:
         return BgitReport(False, None)
     d = farey.annular_distance(site, a, b)
-    if d >= 5 or d >= 2 and not {site, (-site.p, -site.q)}.isdisjoint(
+    if d >= 4 or d >= 2 and not {site, (-site.p, -site.q)}.isdisjoint(
             farey.geodesic_vectors(a, b)):      # the walk stops at ±site
         return BgitReport(False, None)
     return BgitReport(True, d)
@@ -245,11 +259,6 @@ def random_slopes(rng: random.Random, qmax: int):
         p -= qmax
         if gcd(p, q) == 1:
             yield reduced(p, q)
-
-
-def random_slope(rng: random.Random, qmax: int) -> Slope:
-    """One slope of `random_slopes`."""
-    return next(random_slopes(rng, qmax))
 
 
 def twist_pivot_sequence(a0: Slope, a1: Slope, strength: int, length: int,

@@ -664,6 +664,11 @@ def synthetic_system(n_sites: int, seed: int, threshold: int = 3, decoys: int = 
     return TreeSystem(tree, positions, link_coords)
 
 
+def random_slope(rng: random.Random, qmax: int) -> Slope:
+    """One slope of `random_slopes`, from a fresh stream."""
+    return next(random_slopes(rng, qmax))
+
+
 def sample_overlapping_triples(n: int, rng: random.Random, qmax: int = 10000):
     """Lazy sample of `n` triples of distinct slopes of `random_slopes`.  It
     stops right after the n-th triple, so it draws only for what it yields,

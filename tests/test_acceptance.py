@@ -15,8 +15,7 @@ from rgflab.farey import (INFINITY, MappingClass, Slope, act,
                           annular_distance, bounded_vertices, farey_distance,
                           farey_geodesic, twist_about)
 from rgflab.hypgraph import FareyOracle, estimate_delta, gromov_product
-from rgflab.projections import (TorusAnnuli, persistence_check, random_slope,
-                                twist_pivot_sequence)
+from rgflab.projections import TorusAnnuli, persistence_check, twist_pivot_sequence
 from rgflab.raag import PresentationGraph, components, normal_form
 from rgflab.subgroups import MatrixGroup
 from rgflab.bassserre import (FactorSpec, free_product_check,
@@ -27,7 +26,7 @@ from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
 from rgflab.cli import main
 from oracles import (BfsOracle, check_local_to_global, concat, cycle_oracle,
                      general_persistence_check, inverse_word, point_to_path_distance,
-                     random_rewrite, random_tree, sample_overlapping_triples,
+                     random_rewrite, random_slope, random_tree, sample_overlapping_triples,
                      synthetic_system, system_behrstock_scan)
 
 

@@ -17,7 +17,7 @@ from rgflab.bassserre import (FactorSpec, FreeProductReport, PairCounts, build_b
                               random_alternating_word, syllables_inv,
                               syllables_mul, tree_distance, word_matrix)
 from oracles import (ball_bfs_distance, ball_qi_pairs, coset_well_defined, listed_qi_pairs,
-                     plain_distance_tail, type1_pairs)
+                     plain_distance_tail, random_slope, type1_pairs)
 
 
 def _word_key(word: tuple) -> tuple:
@@ -789,7 +789,6 @@ class TestPingPongCertificate:
     def test_never_contradicts_the_search(self):
         # seeded families of 2-3 twists: a certified one has no relation the
         # search can find; the search still refutes some uncertified ones
-        from rgflab.projections import random_slope
         rng = random.Random(2026)
         certified = refuted = 0
         for _ in range(200):

@@ -25,9 +25,8 @@ from rgflab import cli, constructions
 from rgflab.bassserre import FactorSpec, PairCounts, qi_report
 from rgflab.farey import (INFINITY, MappingClass, Slope, act, bounded_vertices, farey_distance,
                           twist_about)
-from rgflab.projections import random_slope
 from rgflab.subgroups import MatrixGroup, canonical_reducing_system
-from oracles import BfsOracle, is_geodesic
+from oracles import BfsOracle, is_geodesic, random_slope
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from rgflab.farey import INFINITY, Slope, act, conjugator_to_infinity, farey_distance
+from rgflab.farey import (INFINITY, Slope, act, annular_distance, bounded_vertices,
+                          conjugator_to_infinity, farey_distance, twist_about)
 from rgflab.bassserre import FactorSpec, word_matrix
 from rgflab.constructions import (_best_nearby_annulus, _estimated_M,
                                   check_displacing, check_misaligned,
@@ -13,10 +15,11 @@ from rgflab.constructions import (_best_nearby_annulus, _estimated_M,
                                   gromov_bound_scan, separation_constants, slope_at_distance,
                                   twist_orbit_family)
 from rgflab.hypgraph import FareyOracle, gromov_product
-from rgflab.projections import estimate_constants, random_slope
+from rgflab.projections import estimate_constants
 
-from oracles import (oracle_definite_distance_scan, oracle_gromov_bound_scan, shell_best,
-                     shell_check_displacing, shell_sites, triple_check_misaligned)
+from oracles import (BfsOracle, oracle_definite_distance_scan, oracle_gromov_bound_scan,
+                     random_slope, shell_best, shell_check_displacing, shell_sites,
+                     triple_check_misaligned)
 
 
 class TestSeparation:
@@ -264,10 +267,20 @@ class TestSeparationConstants:
 
 class TestSlopeAtDistance:
     def test_exact_distances(self):
-        for base in (Slope(0, 1), INFINITY, Slope(3, 7)):
-            for d in (0, 1, 2, 3, 7, 15):
+        """The recurrence with no re-check (proof in `slope_at_distance`):
+        from 3/7 and every base of `bounded_vertices(3)`, distance d for
+        d <= 40, and on the box the BFS oracle agrees for d <= 6, whose
+        slopes have entries at most 227."""
+        for d in range(41):
+            assert farey_distance(Slope(3, 7), slope_at_distance(Slope(3, 7), d)) == d
+        oracle = BfsOracle(227)
+        for base in bounded_vertices(3):
+            bfs = oracle.distances_from(base)
+            for d in range(41):
                 s = slope_at_distance(base, d)
                 assert farey_distance(base, s) == d
+                if d <= 6:
+                    assert bfs[s] == d
 
     def test_deterministic(self):
         assert slope_at_distance(Slope(0, 1), 9) == slope_at_distance(Slope(0, 1), 9)
@@ -284,6 +297,34 @@ class TestTwistOrbitFamily:
     def test_rejects_small_dprime(self):
         with pytest.raises(ValueError):
             twist_orbit_family(8)
+
+    @pytest.mark.parametrize("M_emp", [-1, -5])
+    def test_rejects_negative_M(self, M_emp):
+        # N = M_emp + 1 <= 0 twists by nothing or backwards
+        with pytest.raises(ValueError, match="M_emp >= 0"):
+            twist_orbit_family(20, M_emp=M_emp)
+
+    def test_window_proven_on_a_grid(self):
+        """The bounds of `twist_orbit_family`'s docstring, which it no longer
+        re-checks: built once with N = M_emp + 1, d_y(alpha_0, T^N alpha_0) =
+        N + 1, and every off-diagonal distance lies in [2D' - 2, 2D'], exactly
+        2D' once |i - j| N >= 3, so every report passes."""
+        base = Slope(0, 1)
+        for M_emp, dprime, window in product(range(5), (9, 10, 13, 20), range(1, 8)):
+            tw = twist_orbit_family(dprime, window=window, M_emp=M_emp)
+            N = M_emp + 1
+            assert tw.N == N and tw.D == dprime - 8
+            assert annular_distance(tw.center, base, act(twist_about(tw.center, N), base)) \
+                == N + 1
+            alphas = [act(twist_about(tw.center, k * N), base) for k in tw.window]
+            assert [f.boundary for f in tw.family] == alphas
+            for (i, a), (j, b) in combinations(enumerate(alphas), 2):
+                d = farey_distance(a, b)
+                assert 2 * dprime - 2 <= d <= 2 * dprime
+                assert d == 2 * dprime or abs(i - j) * N < 3
+            assert tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok
+            if window >= 3:
+                assert tw.misalignment.minimum >= dprime - 2
 
     def test_misaligned_implies_separated(self):
         # min separation >= 2 A_measured - 4 - 16 delta with delta = 1
@@ -311,6 +352,14 @@ class TestConjugateTwistFamily:
         assert cf.relation_found
         assert len(cf.relation_witness) <= 6
         assert word_matrix(cf.relation_witness).is_identity()
+
+    @pytest.mark.parametrize("D", [8, 13])
+    def test_twist_displaces_beta_by_M_plus_three(self, D):
+        # the displacement `conjugate_twist_family` no longer re-checks
+        cf = conjugate_twist_family(D, seed=0)
+        alpha, beta, t_beta = (f.boundary for f in cf.family)
+        assert act(cf.T, beta) == t_beta
+        assert annular_distance(alpha, beta, t_beta) == _estimated_M(0) + 3
 
     def test_witness_mixes_conjugate_factors(self):
         cf = conjugate_twist_family(8, seed=11)

@@ -13,10 +13,9 @@ from rgflab.farey import (INFINITY, EmptyProjectionError, MappingClass,
                           farey_geodesic, geodesic_vectors,
                           slope_set_distance, twist_about)
 from rgflab import farey
-from rgflab.projections import random_slope
 from oracles import (BfsOracle, GenericTorus, annular_projection, annular_projection_set,
                      bounded_neighbors, is_geodesic, link_span, matrix_power,
-                     plain_distance_tail)
+                     plain_distance_tail, random_slope)
 
 
 def slopes_strategy(qmax=30):

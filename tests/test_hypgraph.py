@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rgflab.farey import INFINITY, Slope, bounded_vertices, farey_geodesic
 from rgflab.hypgraph import DeltaEstimate, FareyOracle, bfs, estimate_delta, gromov_product
-from rgflab.projections import random_slope
 from oracles import (check_gp_geodesic_bound, check_local_to_global, cycle_oracle,
-                     point_to_path_distance, random_tree)
+                     point_to_path_distance, random_slope, random_tree)
 
 
 class TestGromovProduct:
