@@ -381,19 +381,21 @@ def cmd_cert_displacing(args):
 def cmd_prop91(args):
     tw = twist_orbit_family(args.dprime, window=args.window, seed=args.seed,
                             factor_budget=args.factor_budget)
+    sep, mis = check_separated(tw.family, tw.D), check_misaligned(tw.family, tw.D)
+    # the paper's window of pairwise distances, proven in `twist_orbit_family`
+    window_ok = all(2 * tw.dprime - 6 <= d <= 2 * tw.dprime + 4
+                    for i, row in enumerate(sep.matrix) for d in row[i + 1:])
     records = [{"record": "prop91-family", "dprime": tw.dprime, "D": tw.D,
                 "N": tw.N, "center": tw.center, "window": tw.window,
                 "constants": tw.constants,
                 "boundaries": [[f.boundary] for f in tw.family]},
-               {"record": "prop91-separation", "min": tw.separation.minimum,
-                "matrix": tw.separation.matrix, "ok": tw.separation.ok,
-                "window_ok": tw.distance_window_ok},
-               {"record": "prop91-misalignment", "min": tw.misalignment.minimum,
-                "ok": tw.misalignment.ok}]
+               {"record": "prop91-separation", "min": sep.minimum,
+                "matrix": sep.matrix, "ok": sep.ok, "window_ok": window_ok},
+               {"record": "prop91-misalignment", "min": mis.minimum, "ok": mis.ok}]
     qi, qi_rec = _qi_certificate(tw.family, args.radius)
     records.append(qi_rec)
     records.append({"record": "family-json", "family": family_to_json(tw.family)})
-    ok = tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok and qi.benchmark_ok
+    ok = sep.ok and mis.ok and window_ok and qi.benchmark_ok
     return _verdict(ok, qi.pairs), records, qi.pairs
 
 
@@ -414,13 +416,12 @@ def cmd_theorem_b(args):
                 "Kp_emp": gb.Kp_emp, "Kp_closed_form": gb.closed_form,
                 "Kp_within_closed_form": gb.within_closed_form,
                 "A": A, "D": D}]
-    dprime = int(D) + 8 + (1 if D != int(D) else 0)
+    # D = 4 K' + 11 + 28 delta is an integer: K' is a maximum of halves and 0, delta an integer
+    dprime = int(D) + 8
     tw = twist_orbit_family(dprime, window=3, seed=seed, M_emp=est.M_emp,
                             factor_budget=args.factor_budget)
-    # the family's own scans measured these distances; only the
-    # thresholds differ
-    separated_at_D = tw.separation.minimum >= int(D)
-    misaligned_at_A = tw.misalignment.minimum >= A
+    separated_at_D = check_separated(tw.family, D).ok
+    misaligned_at_A = check_misaligned(tw.family, A).ok
     qi, qi_rec = _qi_certificate(tw.family, args.radius)
     fp = free_product_check(tw.family, budget=args.budget)
     rng2 = random.Random(seed + 11)
@@ -446,20 +447,21 @@ def cmd_theorem_b(args):
 
 
 def cmd_example92(args):
-    cf = conjugate_twist_family(args.D, seed=args.seed, relation_budget=args.budget,
-                                factor_budget=args.factor_budget)
+    cf = conjugate_twist_family(args.D, seed=args.seed, factor_budget=args.factor_budget)
+    sep, mis = check_separated(cf.family, cf.D), check_misaligned(cf.family, 2)
+    fp = free_product_check(cf.family, budget=args.budget)
+    found = not fp.no_relation
     records = [{"record": "example92-family", "D": cf.D, "T": cf.T,
                 "boundaries": [[f.boundary] for f in cf.family]},
-               {"record": "example92-separation", "min": cf.separation.minimum,
-                "ok": cf.separation.ok},
-               {"record": "example92-misalignment", "min": cf.misalignment.minimum,
-                "fails_at_2": not cf.misalignment.ok},
-               {"record": "example92-relation", "found": cf.relation_found,
+               {"record": "example92-separation", "min": sep.minimum, "ok": sep.ok},
+               {"record": "example92-misalignment", "min": mis.minimum,
+                "fails_at_2": not mis.ok},
+               {"record": "example92-relation", "found": found,
                 "identity_convention": "projective",
-                "witness": _witness_json(cf.relation_witness)},
+                "witness": _witness_json(fp.witness)},
                {"record": "family-json", "family": family_to_json(cf.family)}]
     # a budgeted search that finds no relation disproves nothing
-    return _verdict(cf.separation.ok and not cf.misalignment.ok, cf.relation_found), records, None
+    return _verdict(sep.ok and not mis.ok, found), records, None
 
 
 # --- argument parsing --------------------------------------------------------

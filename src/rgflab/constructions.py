@@ -7,12 +7,12 @@ conjugate-twist triple that fails to be a free product).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import farey
 from .farey import INFINITY, MappingClass, Slope, act, twist_about
-from .bassserre import FactorSpec, free_product_check
+from .bassserre import FactorSpec
 from .projections import geodesic_image_bounds
 
 
@@ -36,16 +36,13 @@ def _distance_table(factors: list) -> list:
     return table
 
 
-def _separation(matrix: list, D: int) -> SeparationReport:
-    n = len(matrix)
-    minimum = min((matrix[i][j] for i in range(n) for j in range(i + 1, n)), default=None)
-    return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
-
-
 def check_separated(factors: list, D: int) -> SeparationReport:
     """Pairwise curve-graph distances of the reducing systems against the
     threshold D.  Vacuous for a single factor."""
-    return _separation(_distance_table(factors), D)
+    matrix = _distance_table(factors)
+    n = len(matrix)
+    minimum = min((matrix[i][j] for i in range(n) for j in range(i + 1, n)), default=None)
+    return SeparationReport(matrix, minimum, minimum is None or minimum >= D)
 
 
 @dataclass
@@ -56,24 +53,20 @@ class MisalignmentReport:
     vacuous: bool = False
 
 
-def _misalignment(d: list, A) -> MisalignmentReport:
-    """Each product (x_i | x_j)_{x_k} = (d_ik + d_jk - d_ij) / 2 is
-    `hypgraph.gromov_product` read from the distance table `d`."""
+def check_misaligned(factors: list, A) -> MisalignmentReport:
+    """Gromov products over all distinct ordered triples of reducing systems
+    against the threshold; vacuous below three factors.  Each product
+    (x_i | x_j)_{x_k} = (d_ik + d_jk - d_ij) / 2 is `hypgraph.gromov_product`
+    read from one `_distance_table`, so each pair's distance is computed once."""
     A = Fraction(A)
-    n = len(d)
+    n = len(factors)
     if n < 3:
         return MisalignmentReport({}, None, True, vacuous=True)
+    d = _distance_table(factors)
     table = {(i, j, k): Fraction(d[i][k] + d[j][k] - d[i][j], 2)
              for k in range(n) for i in range(n) for j in range(n) if len({i, j, k}) == 3}
     minimum = min(table.values())
     return MisalignmentReport(table, minimum, minimum >= A)
-
-
-def check_misaligned(factors: list, A) -> MisalignmentReport:
-    """Gromov products over all distinct ordered triples of reducing systems
-    against the threshold; vacuous below three factors.  The products read
-    one `_distance_table`, so each pair's distance is computed once."""
-    return _misalignment(_distance_table(factors), A)
 
 
 @dataclass
@@ -123,7 +116,7 @@ def check_displacing(factors: list, L: int) -> DisplacingReport:
     below L is a miss, and a miss fails the certificate.
     """
     curves = [f.boundary for f in factors]
-    sep_ok = _separation(_distance_table(factors), 5).ok
+    sep_ok = check_separated(factors, 5).ok
 
     misses = []
     min_margin = None
@@ -253,10 +246,7 @@ class TwistOrbitFamily:
     D: int                       # dprime - 8
     N: int
     window: list                 # indices k with factors about g^{kN} alpha
-    separation: SeparationReport
-    misalignment: MisalignmentReport
-    distance_window_ok: bool
-    constants: dict = field(default_factory=dict)
+    constants: dict
 
 
 def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
@@ -277,7 +267,9 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
       the path then passes two integers 2 apart.
     - So the family is separated at D = D' - 8, its Gromov products are
       >= (2 (2D' - 2) - 2D') / 2 = D' - 2 > D, and its distances lie in the
-      paper's window [2D' - 6, 2D' + 4], reported as `distance_window_ok`.
+      paper's window [2D' - 6, 2D' + 4].
+    The generator computes no distance: `check_separated` and
+    `check_misaligned` certify the family.
     """
     if dprime <= 8:
         raise ValueError("need D' > 8")
@@ -292,26 +284,18 @@ def twist_orbit_family(dprime: int, window: int = 5, M_emp: int | None = None,
     ks = [k - (window - 1) // 2 for k in range(window)]
     factors = [FactorSpec.twist(f"H{k}N", act(twist_about(y, k * N), base), budget=factor_budget)
                for k in ks]
-    d = _distance_table(factors)     # one table for both reports
-    window_ok = all(2 * dprime - 6 <= d[i][j] <= 2 * dprime + 4
-                    for i in range(len(ks)) for j in range(i + 1, len(ks)))
-    return TwistOrbitFamily(factors, y, dprime, D, N, ks, _separation(d, D),
-                            _misalignment(d, D), window_ok, {"M_emp": M_emp})
+    return TwistOrbitFamily(factors, y, dprime, D, N, ks, {"M_emp": M_emp})
 
 
 @dataclass
-class ConjugateTwistFindings:
+class ConjugateTwistFamily:
     family: list                 # the factors
     T: MappingClass
-    separation: SeparationReport
-    misalignment: MisalignmentReport
-    relation_witness: tuple | None
-    relation_found: bool
     D: int
 
 
-def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int = 6,
-                           seed: int = 0) -> ConjugateTwistFindings:
+def conjugate_twist_family(D: int, factor_budget: int = 1,
+                           seed: int = 0) -> ConjugateTwistFamily:
     """The separated-but-not-misaligned triple {H_a, H_b, T H_b T^-1}, with
     alpha = 1/0 and beta the slope at distance D from it.
 
@@ -321,7 +305,9 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     passes separation at D yet its Gromov product at alpha stays tiny, and
     the generated group satisfies the visible relation T h T^-1 = (ThT^-1).
     Beta is no integer, as D > 1, and T is x -> x + M_emp + 2, so
-    d_alpha(beta, T beta) = M_emp + 3.
+    d_alpha(beta, T beta) = M_emp + 3.  The generator computes no distance
+    and searches no relation: the certificates and `free_product_check`
+    check the triple.
     """
     if D < 8:
         raise ValueError("need D >= 8 so that 2D - 8 >= D")
@@ -336,11 +322,4 @@ def conjugate_twist_family(D: int, factor_budget: int = 1, relation_budget: int 
     f_alpha = FactorSpec.twist("Ha", alpha, budget=budget_a)
     f_beta = FactorSpec.twist("Hb", beta, budget=factor_budget)
     f_conj = FactorSpec.twist("THbT^-1", t_beta, budget=factor_budget)
-    fam = [f_alpha, f_beta, f_conj]
-
-    d = _distance_table(fam)
-    sep, mis = _separation(d, D), _misalignment(d, 2)
-
-    rep = free_product_check(fam, budget=relation_budget)
-    return ConjugateTwistFindings(fam, T, sep, mis, rep.witness,
-                                  not rep.no_relation, D)
+    return ConjugateTwistFamily([f_alpha, f_beta, f_conj], T, D)

@@ -97,15 +97,9 @@ def behrstock_scan(triples) -> BehrstockReport:
     return BehrstockReport(count, 1 + (count > 0))
 
 
-@dataclass
-class BgitReport:
-    all_project: bool
-    diameter: int | None
-
-
-def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
+def bgit_scan(site: Slope, a: Slope, b: Slope) -> int | None:
     """Projection diameter at `site` of the geodesic `farey.farey_geodesic`
-    picks from a to b, or no diameter when the site is on it (the converse
+    picks from a to b, or None when the site is on it (the converse
     use: large projections force pit stops).  The diameter is
     d = `farey.annular_distance(site, a, b)`, at most 3, and the geodesic is
     walked, up to ±site, only when d is 2 or 3.
@@ -146,12 +140,12 @@ def bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
     is `walked_bgit_scan` in `tests/oracles.py`.
     """
     if site == a or site == b:
-        return BgitReport(False, None)
+        return None
     d = farey.annular_distance(site, a, b)
     if d >= 4 or d >= 2 and not {site, (-site.p, -site.q)}.isdisjoint(
             farey.geodesic_vectors(a, b)):      # the walk stops at ±site
-        return BgitReport(False, None)
-    return BgitReport(True, d)
+        return None
+    return d
 
 
 @dataclass
@@ -306,9 +300,9 @@ def geodesic_image_bounds(seed: int, n_geodesics: int, qmax: int) -> tuple:
                 a, b = draw(), draw()
             if a == b:
                 continue
-            rep = bgit_scan(site, a, b)
-            if rep.all_project and rep.diameter > worst:
-                worst = rep.diameter
+            d = bgit_scan(site, a, b)
+            if d is not None and d > worst:
+                worst = d
         return worst
 
     return scan(random.Random(seed + 2)), scan(random.Random(seed + 1003))

@@ -23,7 +23,7 @@ from rgflab.farey import (MappingClass, Slope, act, adjacent, bounded_vertices,
 from rgflab.constructions import (DefiniteDistanceReport, DisplacingReport, GromovBoundReport,
                                   MisalignmentReport)
 from rgflab.hypgraph import FareyOracle, bfs, gromov_product
-from rgflab.projections import (BehrstockReport, BgitReport, ConstantEstimates, OverlapError,
+from rgflab.projections import (BehrstockReport, ConstantEstimates, OverlapError,
                                 PersistenceReport, TorusAnnuli, persistence_check,
                                 random_slopes)
 from rgflab.raag import PresentationGraph, Word, normal_form
@@ -705,18 +705,18 @@ def system_behrstock_scan(system, triples) -> BehrstockReport:
     return BehrstockReport(count, worst + 1)
 
 
-def walked_bgit_scan(site: Slope, a: Slope, b: Slope) -> BgitReport:
+def walked_bgit_scan(site: Slope, a: Slope, b: Slope) -> int | None:
     """The `bgit_scan` that walked every geodesic: one walk of
     `geodesic_vectors`, unsigned, tested against ±site and folded by
     `link_span`.  The twin of the one-distance form."""
     path = list(farey.geodesic_vectors(a, b))
     if site in path or (-site.p, -site.q) in path:
-        return BgitReport(False, None)
+        return None
     lo, hi = link_span(site, path)   # a path missing ±site projects
-    return BgitReport(True, hi - lo)
+    return hi - lo
 
 
-def system_bgit_scan(system, site, geodesic) -> BgitReport:
+def system_bgit_scan(system, site, geodesic) -> int | None:
     """The `bgit_scan` of any projection system with a one-fold `path_diam`:
     the scan the tree fixture's tests run, and the generic form of the torus
     scan."""
@@ -728,8 +728,8 @@ def system_bgit_scan(system, site, geodesic) -> BgitReport:
         raise ValueError("input sequence is not distance-realizing")
     for v in path:
         if not system.projects(site, v):
-            return BgitReport(False, None)
-    return BgitReport(True, system.path_diam(site, path) if path else 0)
+            return None
+    return system.path_diam(site, path) if path else 0
 
 
 def pairwise_bgit_scan(system, site, geodesic):
@@ -743,14 +743,14 @@ def pairwise_bgit_scan(system, site, geodesic):
         raise ValueError("input sequence is not distance-realizing")
     for v in path:
         if not system.projects(site, v):
-            return BgitReport(False, None)
+            return None
     diam = 0
     for i in range(len(path)):
         for j in range(i, len(path)):
             d = system.proj_dist(site, path[i], path[j])
             if d > diam:
                 diam = d
-    return BgitReport(True, diam)
+    return diam
 
 
 def nine_call_behrstock_scan(system, triples):
@@ -800,9 +800,9 @@ def slow_estimate_constants(seed: int, n_triples: int, n_geodesics: int,
                 a, b = draw(), draw()
             if a == b:
                 continue
-            rep = pairwise_bgit_scan(system, site, farey.farey_geodesic(a, b))
-            if rep.all_project and rep.diameter > worst:
-                worst = rep.diameter
+            d = pairwise_bgit_scan(system, site, farey.farey_geodesic(a, b))
+            if d is not None and d > worst:
+                worst = d
         return worst
 
     def scan_c(r):

@@ -21,8 +21,8 @@ from rgflab.subgroups import MatrixGroup
 from rgflab.bassserre import (FactorSpec, free_product_check,
                               loxodromic_scan, qi_certificate,
                               random_alternating_word, word_matrix)
-from rgflab.constructions import (conjugate_twist_family, slope_at_distance,
-                                  twist_orbit_family)
+from rgflab.constructions import (check_misaligned, check_separated, conjugate_twist_family,
+                                  slope_at_distance, twist_orbit_family)
 from rgflab.cli import main
 from oracles import (BfsOracle, check_local_to_global, concat, cycle_oracle,
                      general_persistence_check, inverse_word, point_to_path_distance,
@@ -256,13 +256,14 @@ def prop91_window5(torus_constants):
 def test_08_twist_orbit_reproduction(prop91_window5):
     tw = prop91_window5
     dprime = tw.dprime
-    seps = [tw.separation.matrix[i][j]
-            for i in range(5) for j in range(i + 1, 5)]
+    matrix = check_separated(tw.family, tw.D).matrix
+    seps = [matrix[i][j] for i in range(5) for j in range(i + 1, 5)]
     window_ok = all(2 * dprime - 6 <= d <= 2 * dprime + 4 for d in seps)
-    mis_ok = tw.misalignment.minimum >= dprime - 8
+    mis = check_misaligned(tw.family, tw.D)
+    mis_ok = mis.minimum >= dprime - 8
     report(8, window_ok and mis_ok,
            f"D'=20 window {{-2..2}}: separations in [{min(seps)}, {max(seps)}] "
-           f"within [34, 44]; misalignment min {tw.misalignment.minimum} >= 12")
+           f"within [34, 44]; misalignment min {mis.minimum} >= 12")
 
 
 def test_09_embedding_pipeline(torus_constants):
@@ -294,13 +295,15 @@ def test_10_conjugate_twist_reproduction(torus_constants):
     # the family's own seeded M_emp is the session estimate, 3: T = T_alpha^5
     cf = conjugate_twist_family(10, seed=0)
     assert cf.T == twist_about(INFINITY, torus_constants.M_emp + 2)
-    witness_ok = (cf.relation_found and len(cf.relation_witness) <= 6
-                  and word_matrix(cf.relation_witness).is_identity())
-    mis_ok = (not cf.misalignment.ok) and cf.misalignment.minimum <= 3
-    report(10, cf.separation.ok and mis_ok and witness_ok,
-           f"triple at D=10: separation min {cf.separation.minimum} >= 10; "
-           f"misalignment min {cf.misalignment.minimum} <= 3 fails A=2; relation "
-           f"witness of {len(cf.relation_witness)} syllables (<= 6)")
+    sep, mis = check_separated(cf.family, cf.D), check_misaligned(cf.family, 2)
+    witness = free_product_check(cf.family, budget=6).witness
+    witness_ok = (witness is not None and len(witness) <= 6
+                  and word_matrix(witness).is_identity())
+    mis_ok = (not mis.ok) and mis.minimum <= 3
+    report(10, sep.ok and mis_ok and witness_ok,
+           f"triple at D=10: separation min {sep.minimum} >= 10; "
+           f"misalignment min {mis.minimum} <= 3 fails A=2; relation "
+           f"witness of {len(witness or ())} syllables (<= 6)")
 
 
 def test_11_algebra_anchors():

@@ -1563,3 +1563,70 @@ def test_geometry_layer_reports_are_pinned(name, tmp_path):
     config, body = out.read_bytes().split(b"\n", 1)
     assert json.loads(config)["record"] == "config"
     assert hashlib.sha256(body).hexdigest() == GEOMETRY_DIGESTS[name]
+
+
+# The two family experiments at small sizes: prop91 with its pair table,
+# and example92 with a relation found (exit 0) and out of budget (exit 3)
+EXPERIMENT_RUNS = {
+    "prop91": (["experiment", "prop91", "--seed", "7", "--radius", "4"], PASS),
+    "example92-found": (["experiment", "example92", "--D", "8", "--seed", "7",
+                         "--budget", "8"], PASS),
+    "example92-out-of-budget": (["experiment", "example92", "--D", "8", "--seed", "7",
+                                 "--budget", "3"], NO_VERDICT),
+}
+
+# sha256 of each report without its `config` record, then of its CSV, if any
+EXPERIMENT_DIGESTS = {
+    "prop91": ("9dd88e8704b1c64b21da5a74259dcffde146821f3ce3de3c7ae0e91a70bb9daa",
+               "0ff3e750cdf23f84636da4f1c833034c774bf1120768974bf085c09c4f90db1c"),
+    "example92-found": ("2cf8443739dd29ca4cd478df7bad77d66ac3a491b2beb87902ae41963e3e111e",),
+    "example92-out-of-budget": (
+        "41bc25998a002b96bfdb63d1172580cadf91e41687d121fe7197cb7ba7072617",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_RUNS))
+def test_experiment_reports_are_pinned(name, tmp_path):
+    argv, code = EXPERIMENT_RUNS[name]
+    out = tmp_path / "report.jsonl"
+    assert main(argv + ["--output", str(out)]) == code
+    config, body = out.read_bytes().split(b"\n", 1)
+    assert json.loads(config)["record"] == "config"
+    blobs = [body]
+    csv_path = tmp_path / "report.jsonl.csv"
+    if csv_path.exists():
+        blobs.append(csv_path.read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == EXPERIMENT_DIGESTS[name]
+
+
+def _replayed_certs(records, D, A, tmp_path):
+    """The `cert separated` and `cert misaligned` records of the report's
+    `family-json` family, at thresholds D and A."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(records["family-json"]["family"]))
+    flags = ["--family", str(path)]
+    _, sep, _ = run(["cert", "separated", *flags, "--D", str(D)], tmp_path, "sep.jsonl")
+    _, mis, _ = run(["cert", "misaligned", *flags, "--A", str(A)], tmp_path, "mis.jsonl")
+    return sep[1], mis[1]
+
+
+def test_prop91_replays_through_the_certificates(tmp_path):
+    code, lines, _ = run(["experiment", "prop91", "--seed", "7", "--radius", "2"], tmp_path)
+    assert code == PASS
+    by_rec = {l["record"]: l for l in lines}
+    D = by_rec["prop91-family"]["D"]
+    sep, mis = _replayed_certs(by_rec, D, D, tmp_path)
+    got = by_rec["prop91-separation"]
+    assert (sep["min"], sep["matrix"], sep["ok"]) == (got["min"], got["matrix"], got["ok"])
+    got = by_rec["prop91-misalignment"]
+    assert (mis["min"], mis["ok"]) == (got["min"], got["ok"])
+
+
+def test_example92_replays_through_the_certificates(tmp_path):
+    _, lines, _ = run(["experiment", "example92", "--seed", "7"], tmp_path)
+    by_rec = {l["record"]: l for l in lines}
+    sep, mis = _replayed_certs(by_rec, 8, 2, tmp_path)
+    got = by_rec["example92-separation"]
+    assert (sep["min"], sep["ok"]) == (got["min"], got["ok"])
+    got = by_rec["example92-misalignment"]
+    assert (mis["min"], not mis["ok"]) == (got["min"], got["fails_at_2"])

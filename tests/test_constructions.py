@@ -7,7 +7,7 @@ import pytest
 
 from rgflab.farey import (INFINITY, Slope, act, annular_distance, bounded_vertices,
                           conjugator_to_infinity, farey_distance, twist_about)
-from rgflab.bassserre import FactorSpec, word_matrix
+from rgflab.bassserre import FactorSpec, free_product_check, word_matrix
 from rgflab.constructions import (_best_nearby_annulus, _estimated_M,
                                   check_displacing, check_misaligned,
                                   check_separated, conjugate_twist_family,
@@ -99,18 +99,6 @@ class TestDistanceTableTwins:
         for fam in families:
             for A in (2, 8, 40):
                 assert check_misaligned(fam, A) == triple_check_misaligned(fam, A)
-
-    @pytest.mark.parametrize("dprime, window", [(12, 2), (12, 3), (20, 5)])
-    def test_twist_orbit_reports_match_the_checks(self, dprime, window):
-        # the family's two reports read one table; each check builds its own
-        tw = twist_orbit_family(dprime, window=window, M_emp=3)
-        assert tw.separation == check_separated(tw.family, tw.D)
-        assert tw.misalignment == check_misaligned(tw.family, tw.D)
-
-    def test_conjugate_twist_reports_match_the_checks(self):
-        found = conjugate_twist_family(8, seed=7)
-        assert found.separation == check_separated(found.family, found.D)
-        assert found.misalignment == check_misaligned(found.family, 2)
 
     @pytest.mark.parametrize("seed", [0, *range(8, 15)])
     def test_gromov_bound_scan_matches_the_twin(self, seed):
@@ -264,6 +252,12 @@ class TestSeparationConstants:
     def test_arithmetic(self):
         assert separation_constants(10, 2) == (17, 107)
 
+    def test_D_is_an_integer_on_theorem_b_inputs(self):
+        # K' from `gromov_bound_scan` is a maximum of halves and 0 and
+        # `--delta` an integer, so `experiment theorem-b` takes D' = D + 8
+        for k, delta in product(range(201), range(4)):
+            assert separation_constants(Fraction(k, 2), delta)[1].denominator == 1
+
 
 class TestSlopeAtDistance:
     def test_exact_distances(self):
@@ -290,9 +284,11 @@ class TestTwistOrbitFamily:
     def test_small_family_certificates(self):
         tw = twist_orbit_family(12, window=3, M_emp=3)
         assert tw.D == 4
-        assert tw.separation.ok and tw.separation.minimum >= 2 * 12 - 6
-        assert tw.misalignment.ok
-        assert tw.distance_window_ok
+        sep = check_separated(tw.family, tw.D)
+        assert sep.ok and sep.minimum >= 2 * 12 - 6
+        assert check_misaligned(tw.family, tw.D).ok
+        assert all(2 * 12 - 6 <= d <= 2 * 12 + 4
+                   for i, row in enumerate(sep.matrix) for d in row[i + 1:])
 
     def test_rejects_small_dprime(self):
         with pytest.raises(ValueError):
@@ -305,10 +301,10 @@ class TestTwistOrbitFamily:
             twist_orbit_family(20, M_emp=M_emp)
 
     def test_window_proven_on_a_grid(self):
-        """The bounds of `twist_orbit_family`'s docstring, which it no longer
-        re-checks: built once with N = M_emp + 1, d_y(alpha_0, T^N alpha_0) =
+        """The bounds of `twist_orbit_family`'s docstring, which it does not
+        check: built once with N = M_emp + 1, d_y(alpha_0, T^N alpha_0) =
         N + 1, and every off-diagonal distance lies in [2D' - 2, 2D'], exactly
-        2D' once |i - j| N >= 3, so every report passes."""
+        2D' once |i - j| N >= 3, so both certificates pass."""
         base = Slope(0, 1)
         for M_emp, dprime, window in product(range(5), (9, 10, 13, 20), range(1, 8)):
             tw = twist_orbit_family(dprime, window=window, M_emp=M_emp)
@@ -322,15 +318,16 @@ class TestTwistOrbitFamily:
                 d = farey_distance(a, b)
                 assert 2 * dprime - 2 <= d <= 2 * dprime
                 assert d == 2 * dprime or abs(i - j) * N < 3
-            assert tw.separation.ok and tw.misalignment.ok and tw.distance_window_ok
+            mis = check_misaligned(tw.family, tw.D)
+            assert check_separated(tw.family, tw.D).ok and mis.ok
             if window >= 3:
-                assert tw.misalignment.minimum >= dprime - 2
+                assert mis.minimum >= dprime - 2
 
     def test_misaligned_implies_separated(self):
         # min separation >= 2 A_measured - 4 - 16 delta with delta = 1
         tw = twist_orbit_family(15, window=3, M_emp=3)
-        A_measured = tw.misalignment.minimum
-        assert tw.separation.minimum >= 2 * A_measured - 4 - 16
+        A_measured = check_misaligned(tw.family, tw.D).minimum
+        assert check_separated(tw.family, tw.D).minimum >= 2 * A_measured - 4 - 16
 
 
 class TestEstimatedM:
@@ -346,12 +343,13 @@ class TestConjugateTwistFamily:
 
     def test_findings(self):
         cf = conjugate_twist_family(8, seed=0)
-        assert cf.separation.ok
-        assert not cf.misalignment.ok
-        assert cf.misalignment.minimum <= 3
-        assert cf.relation_found
-        assert len(cf.relation_witness) <= 6
-        assert word_matrix(cf.relation_witness).is_identity()
+        assert check_separated(cf.family, cf.D).ok
+        mis = check_misaligned(cf.family, 2)
+        assert not mis.ok and mis.minimum <= 3
+        fp = free_product_check(cf.family, budget=6)
+        assert not fp.no_relation
+        assert len(fp.witness) <= 6
+        assert word_matrix(fp.witness).is_identity()
 
     @pytest.mark.parametrize("D", [8, 13])
     def test_twist_displaces_beta_by_M_plus_three(self, D):
@@ -363,6 +361,6 @@ class TestConjugateTwistFamily:
 
     def test_witness_mixes_conjugate_factors(self):
         cf = conjugate_twist_family(8, seed=11)
-        factors_used = {i for i, _ in cf.relation_witness}
+        factors_used = {i for i, _ in free_product_check(cf.family, budget=6).witness}
         assert {1, 2} <= factors_used     # both twist factors appear
         assert 0 in factors_used          # threaded through the twisting factor

@@ -611,15 +611,21 @@ def test_traced_pass_reads_every_counter(tmp_path):
     argvs = [["experiment", "theorem-b", "--seed", "11", "--radius", "2", "--geodesics", "20",
               "--curve-samples", "10", "--words", "5"],
              ["delta-estimate", "--seed", "3", "--points", "6", "--qmax", "10"],
-             ["tree", "build", "--family", "family.json", "--radius", "3"]]
+             ["tree", "build", "--family", "family.json", "--radius", "3"],
+             ["experiment", "prop91", "--seed", "7", "--radius", "2"],
+             ["experiment", "example92", "--D", "8", "--seed", "7", "--budget", "3"]]
     env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}")
     codes, counts, names = json.loads(subprocess.run(
         [sys.executable, "-c", TRACED_PASS, json.dumps(argvs)], cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True).stdout)
     # theorem-b's M samples here are (1, 3): the fresh sample raised M, so
     # the run gives no verdict
-    assert codes == [3, 0, 0]
+    assert codes == [3, 0, 0, 0, 3]
     assert {"farey.slope_set_distance", "bassserre.build_ball"} <= set(names)
+    # the family experiments call the certificates directly, and the tracer
+    # still wraps them there
+    assert {"constructions.check_separated", "constructions.check_misaligned",
+            "bassserre.free_product_check"} <= set(names)
     assert {"bassserre.qi_certificate.pairs", "bassserre.ball.vertices",
             "bassserre.free_product_check.words_checked",
             "hypgraph.estimate_delta.quadruples"} <= set(counts)

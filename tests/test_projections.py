@@ -10,7 +10,7 @@ from rgflab import farey, projections
 from rgflab.farey import INFINITY, EmptyProjectionError, Slope, act, farey_distance, \
     farey_geodesic, twist_about
 from rgflab.constructions import slope_at_distance
-from rgflab.projections import (BehrstockReport, BgitReport, OverlapError,
+from rgflab.projections import (BehrstockReport, OverlapError,
                                 PersistenceReport, behrstock_scan, bgit_scan,
                                 estimate_constants, geodesic_image_bounds, persistence_check,
                                 random_slopes, twist_pivot_sequence)
@@ -111,7 +111,7 @@ def _scan_against_twins(torus, monkeypatch, triples) -> tuple:
         assert seen == ([(a, b)] if d in (2, 3) else [])
         assert rep == walked_bgit_scan(site, a, b) \
             == pairwise_bgit_scan(torus, site, farey_geodesic(a, b))
-        diameters[rep.diameter] += 1
+        diameters[rep] += 1
     return diameters, sum(map(bool, (seen for _, seen in scanned)))
 
 
@@ -119,12 +119,10 @@ class TestBgit:
     def test_link_geodesic(self):
         # `farey_geodesic` from 0 to 2 is 0, 1, 2
         assert farey_geodesic(Slope(0, 1), Slope(2, 1)) == [Slope(0, 1), Slope(1, 1), Slope(2, 1)]
-        rep = bgit_scan(INFINITY, Slope(0, 1), Slope(2, 1))
-        assert rep.all_project and rep.diameter == 2
+        assert bgit_scan(INFINITY, Slope(0, 1), Slope(2, 1)) == 2
 
     def test_core_fails_to_project(self):
-        rep = bgit_scan(Slope(1, 1), Slope(0, 1), Slope(2, 1))
-        assert not rep.all_project and rep.diameter is None
+        assert bgit_scan(Slope(1, 1), Slope(0, 1), Slope(2, 1)) is None
 
     def test_requires_geodesic(self, torus):
         # a path given as a list is checked by the list twins
@@ -140,9 +138,9 @@ class TestBgit:
         path = [Slope(1, 2), Slope(1, 1), Slope(2, 1), Slope(3, 1), Slope(7, 2)]
         assert is_geodesic(path) and farey_distance(path[0], path[-1]) == 4
         assert system_bgit_scan(torus, INFINITY, path) \
-            == pairwise_bgit_scan(torus, INFINITY, path) == BgitReport(True, 4)
+            == pairwise_bgit_scan(torus, INFINITY, path) == 4
         assert INFINITY in farey_geodesic(path[0], path[-1])
-        assert bgit_scan(INFINITY, path[0], path[-1]) == BgitReport(False, None)
+        assert bgit_scan(INFINITY, path[0], path[-1]) is None
 
     def test_every_geodesic_of_a_box_projects_within_four(self):
         """M <= 4 over every geodesic, not only the ones `farey_geodesic`
@@ -205,7 +203,7 @@ class TestBgit:
                 continue
             checked += 1
             assert site in farey_geodesic(base, far)
-            assert not bgit_scan(site, base, far).all_project
+            assert bgit_scan(site, base, far) is None
         assert checked > 20
 
 
@@ -415,10 +413,10 @@ class TestBgitSlowTwin:
                 far = random_slope(rng, qmax)
             rep = bgit_scan(site, base, far)
             assert rep == pairwise_bgit_scan(torus, site, farey_geodesic(base, far))
-            projecting += rep.all_project
+            projecting += rep is not None
         assert projecting > 100
         assert system_bgit_scan(torus, INFINITY, []) \
-            == pairwise_bgit_scan(torus, INFINITY, []) == BgitReport(True, 0)
+            == pairwise_bgit_scan(torus, INFINITY, []) == 0
 
     def test_every_triple_of_a_box_matches_both_twins(self, torus, monkeypatch):
         """The one-distance scan against both twins, and its walks against
@@ -482,7 +480,7 @@ class TestBgitSlowTwin:
          ("ValueError", "input sequence is not an ambient geodesic")),
         (Slope(2, 1), [INFINITY, Slope(0, 1), Slope(1, 1)],
          ("ValueError", "input sequence is not distance-realizing")),
-        (Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)], BgitReport(False, None))])
+        (Slope(1, 1), [Slope(0, 1), Slope(1, 1), Slope(2, 1)], None)])
     def test_refusals_match_the_twin(self, torus, site, path, outcome):
         assert _outcome(system_bgit_scan, torus, site, path) \
             == _outcome(pairwise_bgit_scan, torus, site, path) == outcome
@@ -503,8 +501,8 @@ class TestBgitSlowTwin:
             rep = system_bgit_scan(fast, site, path)
             assert rep == pairwise_bgit_scan(slow, site, path)
             # a tree geodesic that misses the unit ball leaves in one direction
-            assert rep.diameter in (None, 0)
-            projecting += rep.all_project
+            assert rep in (None, 0)
+            projecting += rep is not None
         assert projecting > 60
         # the scans leave both systems with the same hidden coordinates
         assert {v: list(c.items()) for v, c in fast.link_coords.items()} \
